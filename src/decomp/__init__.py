@@ -8,7 +8,6 @@ from .axioms import (
     check_culf,
     check_decomposition,
     check_flanked,
-    check_locally_finite,
     check_map_class,
     check_mobius,
     check_segal,
@@ -63,7 +62,6 @@ from .presheaf import (
     dec_top,
     ez_decompose,
     i_star,
-    is_pullback,
     nondegenerate,
     u_star,
     unit_eta,

@@ -25,7 +25,7 @@ from .presheaf import (
     xi_generators,
 )
 from .report import Report
-from .simplex import free_generators, generic_generators, pushout_generic_free
+from .simplex import MonotoneMap, free_generators, generic_generators, pushout_generic_free
 
 
 def _pullback_issue(P, A, B, p, q, f, g) -> str | None:
@@ -144,6 +144,13 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
                 rep.absorb(culf)
         rep.verified_upto = X.cap
         return rep
+    actions: dict[MonotoneMap, dict[str, str]] = {}
+
+    def act(a: MonotoneMap) -> dict[str, str]:
+        if a not in actions:
+            actions[a] = sset_action(X, a)
+        return actions[a]
+
     for m in range(0, X.cap + 1):
         for g in generic_generators(m):
             for f in free_generators(m):
@@ -154,8 +161,7 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
                 bad = _pullback_issue(
                     X.levels[f2.tgt],
                     X.levels[g.tgt], X.levels[f.tgt],
-                    sset_action(X, f2), sset_action(X, g2),
-                    sset_action(X, g), sset_action(X, f),
+                    act(f2), act(g2), act(g), act(f),
                 )
                 if bad is not None:
                     rep.fail(degree=corner, note=f"pushout({g},{f}):{bad}")
@@ -310,18 +316,6 @@ def check_cartesian(g: XiSetMap) -> bool:
 # finiteness conditions
 
 
-def check_locally_finite(X: FinSSet) -> bool:
-    """Finite fibres of s_0 and d_1; vacuous here but kept for interface
-    fidelity with the groupoid-weighted story."""
-    biggest = 0
-    for table in (X.degens[(0, 0)], X.faces[(2, 1)] if X.cap >= 2 else {}):
-        sizes: dict[str, int] = {}
-        for v in table.values():
-            sizes[v] = sizes.get(v, 0) + 1
-        biggest = max(biggest, max(sizes.values(), default=0))
-    return biggest < float("inf")
-
-
 def check_tight(X: FinSSet) -> Report:
     """Certified bound on nondegenerate dimension per long edge.
 
@@ -355,12 +349,15 @@ def check_tight(X: FinSSet) -> Report:
 
 
 def check_mobius(X: FinSSet) -> Report:
-    """Complete + locally finite + tight, with the per-arrow bound table."""
+    """Complete + tight, with the per-arrow bound table.
+
+    Local finiteness needs no check: every level is a finite list, so every
+    fibre of s_0 and d_1 is finite.
+    """
     rep = Report("check_mobius")
     if not check_complete(X):
         rep.fail(degree=0, note="not-complete")
         return rep
-    check_locally_finite(X)
     tight = check_tight(X)
     rep.absorb(tight)
     rep.data.update(tight.data)

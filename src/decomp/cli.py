@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 fail, 2 inconclusive or input error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import axioms, incidence
@@ -155,9 +156,11 @@ def cmd_classify(args) -> int:
 
 def cmd_registry(args) -> int:
     if args.action == "add":
-        try:
+        # A damaged registry must stop the command: starting empty would
+        # rewrite index.tsv with the new entries only.
+        if os.path.exists(os.path.join(args.dir, "index.tsv")):
             reg = Registry.load(args.dir)
-        except RegistryError:
+        else:
             reg = Registry()
         for path in args.files:
             data = load(path)

@@ -146,9 +146,8 @@ def _parse_levelled(text: str, source: str, header: str):
                 raise ParseError(source, lineno, f"expected '{key} <k> <i>:'")
             k, i = (_int(p, source, lineno) for p in parts)
             (faces if key == "d" else degens)[(k, i)] = _entries(body, source, lineno)
-        elif key.startswith("dnew"):
-            body = line.partition(":")[2]
-            dnew = _entries(body, source, lineno)
+        elif line.partition(":")[0].rstrip() == "dnew":
+            dnew = _entries(line.partition(":")[2], source, lineno)
         elif key in ("sbot", "stop"):
             head, _, body = rest.partition(":")
             k = _int(head.strip(), source, lineno)

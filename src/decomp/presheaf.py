@@ -10,6 +10,7 @@ single source of truth for the relations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .report import Report
@@ -111,7 +112,7 @@ class XiSetMap:
 
 
 def _compose_tables(outer: dict[str, str], inner: dict[str, str]) -> dict[str, str]:
-    return {x: outer[y] for x, y in inner.items()}
+    return dict(zip(inner, map(outer.__getitem__, inner.values())))
 
 
 def sset_action(X: FinSSet, a: MonotoneMap) -> dict[str, str]:
@@ -166,6 +167,8 @@ def xi_edge_to_initial(A: FinXiSet, n: int) -> dict[str, str]:
 def _check_totality(report, label, table, src_ids, tgt_ids):
     src = set(src_ids)
     tgt = set(tgt_ids)
+    if table.keys() == src and tgt.issuperset(table.values()):
+        return
     missing = src - set(table)
     if missing:
         report.fail(witness=sorted(missing)[:3], note=f"{label}-not-total")
@@ -183,7 +186,14 @@ def validate(X) -> Report:
 
 
 def validate_sset(X: FinSSet) -> Report:
-    """Check level/table shape and every simplicial identity under the cap."""
+    """Check level/table shape and every simplicial identity under the cap.
+
+    Each identity is checked on a whole level at once: both sides are
+    mapped over levels[k] as lists and the two lists compared.  The images
+    d_i(levels[k]) and s_j(levels[k]) are computed once and shared by every
+    relation; only a relation whose lists differ walks the level simplex by
+    simplex to name its witnesses.
+    """
     rep = Report("validate")
     lo = 0
     if sorted(X.levels) != list(range(lo, X.cap + 1)):
@@ -209,37 +219,41 @@ def validate_sset(X: FinSSet) -> Report:
     if not rep.ok:
         return rep
 
+    levels, faces, degens = X.levels, X.faces, X.degens
+    d_img = {(k, i): list(map(faces[(k, i)].__getitem__, levels[k]))
+             for k in range(1, X.cap + 1) for i in range(k + 1)}
+    s_img = {(k, j): list(map(degens[(k, j)].__getitem__, levels[k]))
+             for k in range(X.cap) for j in range(k + 1)}
+
+    def compare(k, note, got, want):
+        if got != want:
+            for x, u, v in zip(levels[k], got, want):
+                if u != v:
+                    rep.fail(degree=k, witness=(x,), note=note)
+
     for k in range(2, X.cap + 1):
         for j in range(1, k + 1):
             for i in range(j):
-                di, dj = X.faces[(k, i)], X.faces[(k, j)]
-                da, db = X.faces[(k - 1, i)], X.faces[(k - 1, j - 1)]
-                for x in X.levels[k]:
-                    if da[dj[x]] != db[di[x]]:
-                        rep.fail(degree=k, witness=(x,), note=f"d{i}d{j}")
+                compare(k, f"d{i}d{j}",
+                        list(map(faces[(k - 1, i)].__getitem__, d_img[(k, j)])),
+                        list(map(faces[(k - 1, j - 1)].__getitem__, d_img[(k, i)])))
     for k in range(0, X.cap - 1):
         for j in range(k + 1):
             for i in range(j + 1):
-                si, sj = X.degens[(k, i)], X.degens[(k, j)]
-                sa, sb = X.degens[(k + 1, i)], X.degens[(k + 1, j + 1)]
-                for x in X.levels[k]:
-                    if sa[sj[x]] != sb[si[x]]:
-                        rep.fail(degree=k, witness=(x,), note=f"s{i}s{j}")
+                compare(k, f"s{i}s{j}",
+                        list(map(degens[(k + 1, i)].__getitem__, s_img[(k, j)])),
+                        list(map(degens[(k + 1, j + 1)].__getitem__, s_img[(k, i)])))
     for k in range(0, X.cap):
         for j in range(k + 1):
-            sj = X.degens[(k, j)]
             for i in range(k + 2):
-                di = X.faces[(k + 1, i)]
-                for x in X.levels[k]:
-                    got = di[sj[x]]
-                    if i == j or i == j + 1:
-                        want = x
-                    elif i < j:
-                        want = X.degens[(k - 1, j - 1)][X.faces[(k, i)][x]]
-                    else:
-                        want = X.degens[(k - 1, j)][X.faces[(k, i - 1)][x]]
-                    if got != want:
-                        rep.fail(degree=k, witness=(x,), note=f"d{i}s{j}")
+                got = list(map(faces[(k + 1, i)].__getitem__, s_img[(k, j)]))
+                if i == j or i == j + 1:
+                    want = levels[k]
+                elif i < j:
+                    want = list(map(degens[(k - 1, j - 1)].__getitem__, d_img[(k, i)]))
+                else:
+                    want = list(map(degens[(k - 1, j)].__getitem__, d_img[(k, i - 1)]))
+                compare(k, f"d{i}s{j}", got, want)
     if X.stable_from is not None:
         for k in range(X.stable_from + 1, X.cap + 1):
             degenerate = set()
@@ -584,7 +598,19 @@ def pullback_failure(P, A, B, p, q, f, g) -> str | None:
 
     The square is p: P -> A, q: P -> B over f: A -> C, g: B -> C; it must
     commute (f.p = g.q), otherwise ValueError.
+
+    The common case is decided by counting.  When the square commutes and
+    the pairs (p x, q x) are distinct and all lie in A x B, they are
+    distinct elements of A x_C B, so the comparison is onto, and the square
+    a pullback, exactly when there are |A x_C B| of them: the sum over a in
+    A of |g^-1(f a) & B|, read off fibre counts of g.  Any other square is
+    enumerated element by element, which names the first failure.
     """
+    try:
+        if _pullback_by_counting(P, A, B, p, q, f, g):
+            return None
+    except KeyError:
+        pass  # the enumeration raises it again, at the same element
     seen: dict[tuple[str, str], str] = {}
     for x in P:
         a, b = p[x], q[x]
@@ -604,8 +630,19 @@ def pullback_failure(P, A, B, p, q, f, g) -> str | None:
     return None
 
 
-def is_pullback(P, A, B, p, q, f, g) -> bool:
-    return pullback_failure(P, A, B, p, q, f, g) is None
+def _pullback_by_counting(P, A, B, p, q, f, g) -> bool:
+    """True if the square commutes, P injects into A x B, and the pairs
+    are as many as A x_C B has elements."""
+    pa = list(map(p.__getitem__, P))
+    qb = list(map(q.__getitem__, P))
+    if list(map(f.__getitem__, pa)) != list(map(g.__getitem__, qb)):
+        return False
+    if len(set(zip(pa, qb))) != len(P):
+        return False
+    if not (set(A).issuperset(pa) and set(B).issuperset(qb)):
+        return False
+    over_b = Counter(map(g.__getitem__, B))
+    return len(P) == sum(map(over_b.__getitem__, map(f.__getitem__, A)))
 
 
 # ---------------------------------------------------------------------------

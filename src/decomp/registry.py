@@ -121,7 +121,10 @@ class Registry:
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                digest, name, mobius, _cap = line.split("\t")
+                fields = line.split("\t")
+                if len(fields) != 4:
+                    raise RegistryError(f"malformed line in {index}: {line!r}")
+                digest, name, mobius, _cap = fields
                 path = os.path.join(directory, f"{digest}.xiset")
                 with open(path, encoding="utf-8") as xfh:
                     data = parse_xiset(xfh.read(), path)

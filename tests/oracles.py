@@ -151,3 +151,113 @@ def strict_chains_between(poset, x, y, length):
     if length == 1:
         return 1 if (poset.leq(x, y) and x != y) else 0
     return extend([x], length - 1)
+
+
+def pullback_failure_by_enumeration(P, A, B, p, q, f, g):
+    """Why P -> A x_C B is not a bijection, element by element.
+
+    Walks P once (commutativity, then injectivity of the comparison), then
+    every pair of A x_C B fibre by fibre; returns the first failure or None.
+    """
+    seen = {}
+    for x in P:
+        a, b = p[x], q[x]
+        if f[a] != g[b]:
+            raise ValueError(f"square does not commute at {x}")
+        key = (a, b)
+        if key in seen:
+            return f"comparison-not-injective:{seen[key]},{x}"
+        seen[key] = x
+    by_corner = {}
+    for b in B:
+        by_corner.setdefault(g[b], []).append(b)
+    for a in A:
+        for b in by_corner.get(f[a], ()):
+            if (a, b) not in seen:
+                return f"missing-fiber-pair:{a},{b}"
+    return None
+
+
+def _totality_by_item(report, label, table, src_ids, tgt_ids):
+    src = set(src_ids)
+    tgt = set(tgt_ids)
+    missing = src - set(table)
+    if missing:
+        report.fail(witness=sorted(missing)[:3], note=f"{label}-not-total")
+    for x, y in table.items():
+        if x not in src:
+            report.fail(witness=(x,), note=f"{label}-extra-source")
+        elif y not in tgt:
+            report.fail(witness=(x, y), note=f"{label}-target-outside-level")
+
+
+def validate_sset_by_simplex(X):
+    """The simplicial-set validator, checking every identity one simplex at
+    a time and every table one entry at a time."""
+    from decomp.report import Report
+
+    rep = Report("validate")
+    if sorted(X.levels) != list(range(0, X.cap + 1)):
+        rep.fail(note="levels-do-not-match-cap")
+        return rep
+    for k in range(0, X.cap + 1):
+        if len(set(X.levels[k])) != len(X.levels[k]):
+            rep.fail(degree=k, note="duplicate-identifiers")
+    for k in range(1, X.cap + 1):
+        for i in range(k + 1):
+            if (k, i) not in X.faces:
+                rep.fail(degree=k, note=f"missing-face-d{i}")
+            else:
+                _totality_by_item(rep, f"d[{k},{i}]", X.faces[(k, i)],
+                                  X.levels[k], X.levels[k - 1])
+    for k in range(0, X.cap):
+        for j in range(k + 1):
+            if (k, j) not in X.degens:
+                rep.fail(degree=k, note=f"missing-degeneracy-s{j}")
+            else:
+                _totality_by_item(rep, f"s[{k},{j}]", X.degens[(k, j)],
+                                  X.levels[k], X.levels[k + 1])
+    if not rep.ok:
+        return rep
+
+    for k in range(2, X.cap + 1):
+        for j in range(1, k + 1):
+            for i in range(j):
+                di, dj = X.faces[(k, i)], X.faces[(k, j)]
+                da, db = X.faces[(k - 1, i)], X.faces[(k - 1, j - 1)]
+                for x in X.levels[k]:
+                    if da[dj[x]] != db[di[x]]:
+                        rep.fail(degree=k, witness=(x,), note=f"d{i}d{j}")
+    for k in range(0, X.cap - 1):
+        for j in range(k + 1):
+            for i in range(j + 1):
+                si, sj = X.degens[(k, i)], X.degens[(k, j)]
+                sa, sb = X.degens[(k + 1, i)], X.degens[(k + 1, j + 1)]
+                for x in X.levels[k]:
+                    if sa[sj[x]] != sb[si[x]]:
+                        rep.fail(degree=k, witness=(x,), note=f"s{i}s{j}")
+    for k in range(0, X.cap):
+        for j in range(k + 1):
+            sj = X.degens[(k, j)]
+            for i in range(k + 2):
+                di = X.faces[(k + 1, i)]
+                for x in X.levels[k]:
+                    got = di[sj[x]]
+                    if i == j or i == j + 1:
+                        want = x
+                    elif i < j:
+                        want = X.degens[(k - 1, j - 1)][X.faces[(k, i)][x]]
+                    else:
+                        want = X.degens[(k - 1, j)][X.faces[(k, i - 1)][x]]
+                    if got != want:
+                        rep.fail(degree=k, witness=(x,), note=f"d{i}s{j}")
+    if X.stable_from is not None:
+        for k in range(X.stable_from + 1, X.cap + 1):
+            degenerate = set()
+            for j in range(k):
+                degenerate.update(X.degens[(k - 1, j)].values())
+            for x in X.levels[k]:
+                if x not in degenerate:
+                    rep.fail(degree=k, witness=(x,), note="stable_from-violated")
+    rep.verified_upto = X.cap
+    return rep

@@ -3,7 +3,6 @@ from decomp.axioms import (
     check_complete,
     check_decomposition,
     check_flanked,
-    check_locally_finite,
     check_map_class,
     check_mobius,
     check_segal,
@@ -155,11 +154,6 @@ def test_wide_and_cartesian(poset_nerves):
     ident = XiSetMap(A, A, {k: {x: x for x in A.levels[k]}
                             for k in range(-1, A.cap + 1)})
     assert check_wide(ident) and check_cartesian(ident)
-
-
-def test_locally_finite(poset_nerves):
-    for X in poset_nerves.values():
-        assert check_locally_finite(X) is True
 
 
 def test_tight_requires_certificate(poset_nerves):

@@ -105,6 +105,50 @@ def test_registry_workflow(tmp_path, d6_sset, capsys):
     assert f"1{SEP}6\t" in cls_out
 
 
+def test_check_rejects_unknown_dnew_directive(tmp_path, d6_sset, capsys):
+    iv = tmp_path / "i.xiset"
+    assert main(["interval", d6_sset, "--arrow", f"1{SEP}6", "-o", str(iv)]) == 0
+    iv.write_text(iv.read_text(encoding="utf-8").replace("dnew:", "dnewfoo:"),
+                  encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "flanked", str(iv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "dnewfoo" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_registry_add_refuses_damaged_registry(tmp_path, capsys):
+    save(divisor_poset(12), tmp_path / "d12.poset")
+    sset = str(tmp_path / "d12.sset")
+    iv = str(tmp_path / "i.xiset")
+    reg = tmp_path / "reg"
+    assert main(["nerve", str(tmp_path / "d12.poset"), "-o", sset]) == 0
+    assert main(["interval", sset, "--arrow", f"1{SEP}12", "-o", iv]) == 0
+    assert main(["registry", "add", str(reg), iv]) == 0
+    assert main(["registry", "close", str(reg)]) == 0
+    index = reg / "index.tsv"
+    before = index.read_bytes()
+    digests = [line.split("\t")[0] for line in before.decode().splitlines()]
+    assert len(digests) == 5
+    # damage one entry: another entry's content under its digest
+    damaged = reg / f"{digests[0]}.xiset"
+    intact = damaged.read_bytes()
+    damaged.write_bytes((reg / f"{digests[1]}.xiset").read_bytes())
+    capsys.readouterr()
+    assert main(["registry", "add", str(reg), iv]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert index.read_bytes() == before
+    assert sorted(p.name for p in reg.iterdir()) == sorted(
+        ["index.tsv"] + [f"{d}.xiset" for d in digests])
+    # a malformed index line is refused the same way, without a traceback
+    damaged.write_bytes(intact)
+    index.write_bytes(before + b"not-a-digest\n")
+    assert main(["registry", "add", str(reg), iv]) == 2
+    assert "malformed" in capsys.readouterr().err
+    assert index.read_bytes() == before + b"not-a-digest\n"
+
+
 def test_culf_check(tmp_path, d6_sset, capsys):
     from decomp.formats import load, write_smap
     from decomp.presheaf import dec_bot

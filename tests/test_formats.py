@@ -44,6 +44,16 @@ def test_sset_rejects_xiset_directives():
         parse_sset(bad)
 
 
+def test_dnew_directive_matches_exactly():
+    from decomp.presheaf import u_star
+
+    text = write_xiset(u_star(nerve_poset(divisor_poset(6), 4)))
+    assert "dnew:" in text
+    parse_xiset(text)
+    with pytest.raises(ParseError, match="dnewfoo"):
+        parse_xiset(text.replace("dnew:", "dnewfoo:"))
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_sset("SSET v1\ncap x\n")

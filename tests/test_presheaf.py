@@ -13,7 +13,6 @@ from decomp.presheaf import (
     ez_level_nondegenerate,
     i_star,
     i_star_map,
-    is_pullback,
     long_edge_table,
     nondegenerate,
     point_sset,
@@ -196,7 +195,7 @@ def test_ez_bijection_counts(poset_nerves):
 def test_pullback_identity_square():
     ids = ["a", "b"]
     table = {x: x for x in ids}
-    assert is_pullback(ids, ids, ids, table, table, table, table)
+    assert pullback_failure(ids, ids, ids, table, table, table, table) is None
 
 
 def test_pullback_of_constructed_fiber_product():
@@ -207,12 +206,12 @@ def test_pullback_of_constructed_fiber_product():
     P = [f"{a}|{b}" for a in A for b in B if f[a] == g[b]]
     p = {x: x.split("|")[0] for x in P}
     q = {x: x.split("|")[1] for x in P}
-    assert is_pullback(P, A, B, p, q, f, g)
+    assert pullback_failure(P, A, B, p, q, f, g) is None
     # plant a duplicate: collapsing two fiber points breaks injectivity
     P2 = P + ["extra"]
     p2 = dict(p, extra="a1")
     q2 = dict(q, extra="b1")
-    assert not is_pullback(P2, A, B, p2, q2, f, g)
+    assert pullback_failure(P2, A, B, p2, q2, f, g) is not None
 
 
 def test_pullback_rejects_noncommuting():
