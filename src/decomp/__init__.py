@@ -5,7 +5,6 @@ registry of interval classes."""
 from .axioms import (
     check_cartesian,
     check_complete,
-    check_culf,
     check_decomposition,
     check_flanked,
     check_map_class,
@@ -78,7 +77,6 @@ from .simplex import (
     is_free,
     is_generic,
     pushout_generic_free,
-    xi_to_delta,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

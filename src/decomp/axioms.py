@@ -13,6 +13,7 @@ from .presheaf import (
     FinXiSet,
     SSetMap,
     XiSetMap,
+    _generator_table,
     dec_bot,
     dec_top,
     ez_level_nondegenerate,
@@ -205,10 +206,6 @@ def check_map_class(F: SSetMap, cls: str = "culf") -> Report:
     return rep
 
 
-def check_culf(F: SSetMap) -> Report:
-    return check_map_class(F, "culf")
-
-
 # ---------------------------------------------------------------------------
 # flanked presheaves and interval-site map classes
 
@@ -218,19 +215,15 @@ def check_flanked(A: FinXiSet, bonus: bool = False) -> Report:
     outer faces?  With bonus=True also checks the derived square families
     against every face and degeneracy."""
     rep = Report("check_flanked")
+    d, s = A.faces, A.degens
     for n in range(0, A.cap):
-        bad = _pullback_issue(
-            A.levels[n], A.levels[n - 1], A.levels[n + 1],
-            A.top_face(n), A.sbot[n],
-            A.sbot[n - 1], A.top_face(n + 1),
-        )
+        P, below, above = A.levels[n], A.levels[n - 1], A.levels[n + 1]
+        bad = _pullback_issue(P, below, above, d[(n, n)], s[(n, -1)],
+                              s[(n - 1, -1)], d[(n + 1, n + 1)])
         if bad is not None:
             rep.fail(degree=n, note=f"sbot-vs-dtop:{bad}")
-        bad = _pullback_issue(
-            A.levels[n], A.levels[n - 1], A.levels[n + 1],
-            A.bot_face(n), A.stop[n],
-            A.stop[n - 1], A.bot_face(n + 1),
-        )
+        bad = _pullback_issue(P, below, above, d[(n, 0)], s[(n, n + 1)],
+                              s[(n - 1, n)], d[(n + 1, 0)])
         if bad is not None:
             rep.fail(degree=n, note=f"stop-vs-dbot:{bad}")
     if bonus:
@@ -240,42 +233,27 @@ def check_flanked(A: FinXiSet, bonus: bool = False) -> Report:
 
 
 def _bonus_pullbacks(A: FinXiSet, rep: Report) -> None:
-    def degen_at(k: int, j: int):
-        return A.sbot[k] if j == -1 else A.degens[(k, j)]
-
-    def face_at(k: int, i: int):
-        return A.dnew if k == 0 else A.faces[(k, i)]
-
+    d, s = A.faces, A.degens
     for n in range(0, A.cap):
+        P, below, above = A.levels[n], A.levels[n - 1], A.levels[n + 1]
         for i in range(n + 1):
-            bad = _pullback_issue(
-                A.levels[n], A.levels[n - 1], A.levels[n + 1],
-                face_at(n, i), A.sbot[n],
-                A.sbot[n - 1], A.faces[(n + 1, i + 1)],
-            )
+            bad = _pullback_issue(P, below, above, d[(n, i)], s[(n, -1)],
+                                  s[(n - 1, -1)], d[(n + 1, i + 1)])
             if bad is not None:
                 rep.fail(degree=n, note=f"bonus-sbot-d{i}:{bad}")
-            bad = _pullback_issue(
-                A.levels[n], A.levels[n - 1], A.levels[n + 1],
-                face_at(n, i), A.stop[n],
-                A.stop[n - 1], A.faces[(n + 1, i)],
-            )
+            bad = _pullback_issue(P, below, above, d[(n, i)], s[(n, n + 1)],
+                                  s[(n - 1, n)], d[(n + 1, i)])
             if bad is not None:
                 rep.fail(degree=n, note=f"bonus-stop-d{i}:{bad}")
     for n in range(0, A.cap - 1):
+        P, above = A.levels[n], A.levels[n + 1]
         for j in range(-1, n + 1):
-            bad = _pullback_issue(
-                A.levels[n], A.levels[n + 1], A.levels[n + 1],
-                degen_at(n, j), A.sbot[n],
-                A.sbot[n + 1], degen_at(n + 1, j + 1),
-            )
+            bad = _pullback_issue(P, above, above, s[(n, j)], s[(n, -1)],
+                                  s[(n + 1, -1)], s[(n + 1, j + 1)])
             if bad is not None:
                 rep.fail(degree=n, note=f"bonus-sbot-s{j}:{bad}")
-            bad = _pullback_issue(
-                A.levels[n], A.levels[n + 1], A.levels[n + 1],
-                degen_at(n, j), A.stop[n],
-                A.stop[n + 1], degen_at(n + 1, j),
-            )
+            bad = _pullback_issue(P, above, above, s[(n, j)], s[(n, n + 1)],
+                                  s[(n + 1, n + 2)], s[(n + 1, j)])
             if bad is not None:
                 rep.fail(degree=n, note=f"bonus-stop-s{j}:{bad}")
 
@@ -293,10 +271,8 @@ def cartesian_report(g: XiSetMap) -> Report:
     A, B = g.dom, g.cod
     if A.cap > B.cap:
         raise CapError("map components exceed the codomain cap")
-    from .presheaf import _table_for_generator
-
     for name, arrow, tA in xi_generators(A):
-        tB = _table_for_generator(B, name)
+        tB = _generator_table(B, arrow.rep, 2)
         bad = _pullback_issue(
             A.levels[arrow.tgt], A.levels[arrow.src], B.levels[arrow.tgt],
             tA, g.components[arrow.tgt],

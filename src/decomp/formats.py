@@ -67,59 +67,51 @@ def _int(tok: str, source: str, lineno: int) -> int:
 # SSET v1 / XISET v1
 
 
-def write_sset(X: FinSSet) -> str:
-    out = ["SSET v1", f"cap {X.cap}"]
+def _write_levelled(X: FinSSet | FinXiSet, header: str, xi: bool) -> str:
+    """Shared writer; an XISET adds level -1 and the dnew (d_0 at degree
+    0), sbot k (s_{-1}) and stop k (s_{k+1}) lines."""
+    cap, faces, degens = X.cap, X.faces, X.degens
+    out = [header, f"cap {cap}"]
     if X.stable_from is not None:
         out.append(f"stable {X.stable_from}")
-    for k in range(X.cap + 1):
+    for k in range(-1 if xi else 0, cap + 1):
         ids = " ".join(sorted(X.levels[k]))
         out.append(f"level {k}:" + (f" {ids}" if ids else ""))
-    for k in range(1, X.cap + 1):
-        for i in range(k + 1):
-            body = _fmt_entries(X.faces[(k, i)])
-            out.append(f"d {k} {i}:" + (f" {body}" if body else ""))
-    for k in range(X.cap):
-        for j in range(k + 1):
-            body = _fmt_entries(X.degens[(k, j)])
-            out.append(f"s {k} {j}:" + (f" {body}" if body else ""))
+    maps = [(f"d {k} {i}", faces[(k, i)]) for k in range(1, cap + 1) for i in range(k + 1)]
+    if xi:
+        maps.append(("dnew", faces[(0, 0)]))
+    maps += [(f"s {k} {j}", degens[(k, j)]) for k in range(cap) for j in range(k + 1)]
+    if xi:
+        maps += [(f"sbot {k}", degens[(k, -1)]) for k in range(-1, cap)]
+        maps += [(f"stop {k}", degens[(k, k + 1)]) for k in range(-1, cap)]
+    for directive, table in maps:
+        body = _fmt_entries(table)
+        out.append(f"{directive}:" + (f" {body}" if body else ""))
     return "\n".join(out) + "\n"
+
+
+def write_sset(X: FinSSet) -> str:
+    return _write_levelled(X, "SSET v1", xi=False)
 
 
 def write_xiset(A: FinXiSet) -> str:
-    out = ["XISET v1", f"cap {A.cap}"]
-    if A.stable_from is not None:
-        out.append(f"stable {A.stable_from}")
-    for k in range(-1, A.cap + 1):
-        ids = " ".join(sorted(A.levels[k]))
-        out.append(f"level {k}:" + (f" {ids}" if ids else ""))
-    for k in range(1, A.cap + 1):
-        for i in range(k + 1):
-            body = _fmt_entries(A.faces[(k, i)])
-            out.append(f"d {k} {i}:" + (f" {body}" if body else ""))
-    body = _fmt_entries(A.dnew)
-    out.append("dnew:" + (f" {body}" if body else ""))
-    for k in range(A.cap):
-        for j in range(k + 1):
-            body = _fmt_entries(A.degens[(k, j)])
-            out.append(f"s {k} {j}:" + (f" {body}" if body else ""))
-    for k in range(-1, A.cap):
-        body = _fmt_entries(A.sbot[k])
-        out.append(f"sbot {k}:" + (f" {body}" if body else ""))
-    for k in range(-1, A.cap):
-        body = _fmt_entries(A.stop[k])
-        out.append(f"stop {k}:" + (f" {body}" if body else ""))
-    return "\n".join(out) + "\n"
+    return _write_levelled(A, "XISET v1", xi=True)
 
 
 def _parse_levelled(text: str, source: str, header: str):
+    """The cap, stable degree, levels and the two tables of a levelled file,
+    plus whether any interval-site directive (dnew, sbot, stop) occurred.
+
+    Those directives fill the boundary indices d_0 at degree 0 and s_{-1},
+    s_{k+1} at degree k, so `d` and `s` lines are held to the simplicial
+    index ranges and may not alias them.
+    """
     cap = None
     stable = None
     levels: dict[int, list[str]] = {}
     faces: dict[tuple[int, int], dict[str, str]] = {}
     degens: dict[tuple[int, int], dict[str, str]] = {}
-    dnew: dict[str, str] = {}
-    sbot: dict[int, dict[str, str]] = {}
-    stop: dict[int, dict[str, str]] = {}
+    xi = False
     seen_header = False
     for lineno, line in _lines(text, source):
         if not seen_header:
@@ -128,51 +120,61 @@ def _parse_levelled(text: str, source: str, header: str):
             seen_header = True
             continue
         key, _, rest = line.partition(" ")
+        head, _, body = rest.partition(":")
         if key == "cap":
             cap = _int(rest.strip(), source, lineno)
         elif key == "stable":
             stable = _int(rest.strip(), source, lineno)
         elif key == "level":
-            head, _, body = rest.partition(":")
             k = _int(head.strip(), source, lineno)
             ids = [_check_token(t, source, lineno) for t in body.split()]
             if k in levels:
                 raise ParseError(source, lineno, f"duplicate level {k}")
             levels[k] = ids
         elif key in ("d", "s"):
-            head, _, body = rest.partition(":")
             parts = head.split()
             if len(parts) != 2:
                 raise ParseError(source, lineno, f"expected '{key} <k> <i>:'")
             k, i = (_int(p, source, lineno) for p in parts)
-            (faces if key == "d" else degens)[(k, i)] = _entries(body, source, lineno)
+            if not 0 <= i <= k or (key == "d" and k < 1):
+                raise ParseError(source, lineno, f"index out of range in '{key} {k} {i}'")
+            _store(faces if key == "d" else degens, (k, i), f"{key} {k} {i}",
+                   body, source, lineno)
         elif line.partition(":")[0].rstrip() == "dnew":
-            dnew = _entries(line.partition(":")[2], source, lineno)
+            xi = True
+            _store(faces, (0, 0), "dnew", line.partition(":")[2], source, lineno)
         elif key in ("sbot", "stop"):
-            head, _, body = rest.partition(":")
+            xi = True
             k = _int(head.strip(), source, lineno)
-            (sbot if key == "sbot" else stop)[k] = _entries(body, source, lineno)
+            if k < -1:
+                raise ParseError(source, lineno, f"index out of range in '{key} {k}'")
+            _store(degens, (k, -1 if key == "sbot" else k + 1),
+                   f"{key} {k}", body, source, lineno)
         else:
             raise ParseError(source, lineno, f"unknown directive {key!r}")
     if not seen_header:
         raise ParseError(source, 0, "empty file")
     if cap is None:
         raise ParseError(source, 0, "missing cap")
-    return cap, stable, levels, faces, degens, dnew, sbot, stop
+    return cap, stable, levels, faces, degens, xi
+
+
+def _store(table, key, directive: str, body: str, source: str, lineno: int) -> None:
+    if key in table:
+        raise ParseError(source, lineno, f"duplicate directive '{directive}'")
+    table[key] = _entries(body, source, lineno)
 
 
 def parse_sset(text: str, source: str = "<sset>") -> FinSSet:
-    cap, stable, levels, faces, degens, dnew, sbot, stop = _parse_levelled(
-        text, source, "SSET v1")
-    if dnew or sbot or stop:
+    cap, stable, levels, faces, degens, xi = _parse_levelled(text, source, "SSET v1")
+    if xi:
         raise ParseError(source, 0, "interval-site directives in an SSET file")
     return FinSSet(cap, levels, faces, degens, stable)
 
 
 def parse_xiset(text: str, source: str = "<xiset>") -> FinXiSet:
-    cap, stable, levels, faces, degens, dnew, sbot, stop = _parse_levelled(
-        text, source, "XISET v1")
-    return FinXiSet(cap, levels, faces, degens, dnew, sbot, stop, stable)
+    cap, stable, levels, faces, degens, _ = _parse_levelled(text, source, "XISET v1")
+    return FinXiSet(cap, levels, faces, degens, stable)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .presheaf import FinSSet
 
@@ -22,11 +23,18 @@ class SpecError(ValueError):
 
 
 def max_level_size() -> int:
+    """The level-size limit: 100000 when unset or empty, else a positive
+    integer; anything else is a SpecError rather than a silent default."""
     raw = os.environ.get(MAX_LEVEL_ENV, "")
-    try:
-        return int(raw) if raw else 100000
-    except ValueError:
+    if not raw:
         return 100000
+    try:
+        size = int(raw)
+    except ValueError:
+        size = 0
+    if size < 1:
+        raise SpecError(f"{MAX_LEVEL_ENV}={raw!r} is not a positive integer")
+    return size
 
 
 def _guard_level(k: int, size: int) -> None:
@@ -134,7 +142,7 @@ def nerve_poset(spec: PosetSpec, cap: int | None = None) -> FinSSet:
         nxt = [c + (b,) for c in chains[k - 1] for b in ups[c[-1]]]
         _guard_level(k, len(nxt))
         chains[k] = nxt
-    levels = {k: [sep.join(c) for c in sorted(chains[k])] for c_ in (0,) for k in range(cap + 1)}
+    levels = {k: [sep.join(c) for c in sorted(chains[k])] for k in range(cap + 1)}
     faces = {}
     degens = {}
     for k in range(1, cap + 1):
@@ -454,7 +462,7 @@ def divisor_poset(n: int) -> PosetSpec:
 def boolean_poset(n: int) -> PosetSpec:
     """Subsets of an n-element set ordered by inclusion."""
     subsets = [frozenset(c) for m in range(n + 1)
-               for c in _combos(range(n), m)]
+               for c in combinations(range(n), m)]
 
     def name(s):
         return "o" if not s else "".join(chr(ord("a") + i) for i in sorted(s))
@@ -467,8 +475,3 @@ def chain_poset(n: int) -> PosetSpec:
     elems = [str(i) for i in range(n + 1)]
     pairs = [(str(i), str(j)) for i in range(n + 1) for j in range(i, n + 1)]
     return PosetSpec.from_pairs(elems, pairs)
-
-
-def _combos(pool, m):
-    from itertools import combinations
-    return combinations(pool, m)

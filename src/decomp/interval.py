@@ -28,11 +28,15 @@ from .presheaf import (
     SSetMap,
     XiSetMap,
     degenerate_edges,
+    ez_level_nondegenerate,
+    i_star,
     long_edge_table,
     nondeg_bound,
     principal_edge_tables,
-    truncate_xiset,
+    truncate,
+    u_star,
     validate_xiset,
+    xi_edge_to_initial,
     xi_generators,
 )
 from .report import Report
@@ -71,7 +75,7 @@ def longest_edge(A: FinXiSet) -> str:
     """The image of the unique degree -1 element under both outer
     degeneracies."""
     (base,) = A.levels[-1]
-    return A.sbot[0][A.stop[-1][base]]
+    return A.degens[(0, -1)][A.degens[(-1, 0)][base]]
 
 
 def validate_interval(A: AlgebraicInterval) -> Report:
@@ -85,7 +89,7 @@ def validate_interval(A: AlgebraicInterval) -> Report:
     if not base.ok:
         rep.absorb(base)
         return rep
-    under = i_star_interval(A)
+    under = i_star(data)
     if not check_complete(under):
         rep.fail(degree=0, note="not-complete")
     fl = check_flanked(data)
@@ -101,12 +105,6 @@ def validate_interval(A: AlgebraicInterval) -> Report:
     return rep
 
 
-def i_star_interval(A: AlgebraicInterval) -> FinSSet:
-    from .presheaf import i_star
-
-    return i_star(A.data)
-
-
 # ---------------------------------------------------------------------------
 # the wide-cartesian factorisation
 
@@ -118,8 +116,6 @@ def wide_cartesian_factor(g: XiSetMap) -> tuple[XiSetMap, XiSetMap]:
     over the unique structure map to degree -1; the first factor is a
     bijection in degree -1, the second is a levelwise pullback.
     """
-    from .presheaf import xi_edge_to_initial
-
     B, A = g.dom, g.cod
     if B.cap > A.cap:
         raise CapError("wide-cartesian factorisation needs dom.cap <= cod.cap")
@@ -135,17 +131,12 @@ def wide_cartesian_factor(g: XiSetMap) -> tuple[XiSetMap, XiSetMap]:
         pairs[n] = ps
         levels[n] = [f"{b}&{x}" for b, x in ps]
 
-    def lift(table, n_src, n_tgt):
-        return {f"{b}&{x}": f"{b}&{table[x]}" for b, x in pairs[n_src]}
+    def lift(key, table):
+        return {f"{b}&{x}": f"{b}&{table[x]}" for b, x in pairs[key[0]]}
 
-    faces = {(k, i): lift(A.faces[(k, i)], k, k - 1)
-             for k in range(1, cap + 1) for i in range(k + 1)}
-    degens = {(k, j): lift(A.degens[(k, j)], k, k + 1)
-              for k in range(cap) for j in range(k + 1)}
-    dnew = lift(A.dnew, 0, -1)
-    sbot = {k: lift(A.sbot[k], k, k + 1) for k in range(-1, cap)}
-    stop = {k: lift(A.stop[k], k, k + 1) for k in range(-1, cap)}
-    mid = FinXiSet(cap, levels, faces, degens, dnew, sbot, stop)
+    T = truncate(A, cap)
+    mid = FinXiSet(cap, levels, {key: lift(key, t) for key, t in T.faces.items()},
+                   {key: lift(key, t) for key, t in T.degens.items()})
 
     to_init_B = {n: xi_edge_to_initial(B, n) for n in range(-1, cap + 1)}
     wide_comps = {
@@ -182,29 +173,19 @@ def factorisation_interval(
         if not dc.ok:
             raise IntervalError("input fails the exactness axiom:\n" + str(dc))
 
-    cap = X.cap - 2
+    U = u_star(X)
+    cap = U.cap
     fibers: dict[int, list[str]] = {}
     for k in range(-1, cap + 1):
         table = long_edge_table(X, k + 2)
-        fibers[k] = [x for x in X.levels[k + 2] if table[x] == a]
+        fibers[k] = [x for x in U.levels[k] if table[x] == a]
 
-    def restrict(table, k):
-        return {x: table[x] for x in fibers[k]}
+    def restrict(key, table):
+        return {x: table[x] for x in fibers[key[0]]}
 
-    levels = dict(fibers)
-    faces = {(k, i): restrict(X.faces[(k + 2, i + 1)], k)
-             for k in range(1, cap + 1) for i in range(k + 1)}
-    degens = {(k, j): restrict(X.degens[(k + 2, j + 1)], k)
-              for k in range(cap) for j in range(k + 1)}
-    dnew = restrict(X.faces[(2, 1)], 0)
-    sbot = {k: restrict(X.degens[(k + 2, 0)], k) for k in range(-1, cap)}
-    stop = {k: restrict(X.degens[(k + 2, k + 2)], k) for k in range(-1, cap)}
-    data = FinXiSet(cap, levels, faces, degens, dnew, sbot, stop)
-
-    certified = X.stable_from is not None and X.stable_from <= X.cap - 2
-    if certified:
-        from .presheaf import i_star
-
+    data = FinXiSet(cap, fibers, {key: restrict(key, t) for key, t in U.faces.items()},
+                    {key: restrict(key, t) for key, t in U.degens.items()})
+    if U.stable_from is not None:
         data.stable_from = nondeg_bound(i_star(data))
     interval = AlgebraicInterval(data, provenance=("interval", a))
 
@@ -213,7 +194,7 @@ def factorisation_interval(
         top = X.faces[(k + 1, k + 1)]
         bot = X.faces[(k + 2, 0)]
         comps[k] = {x: top[bot[x]] for x in fibers[k]}
-    embed = SSetMap(i_star_interval(interval), X, comps)
+    embed = SSetMap(i_star(data), X, comps)
     return interval, embed
 
 
@@ -254,7 +235,7 @@ def canonicalize_with_map(
     if canon_cap > data.cap:
         raise IntervalError(
             f"stabilization degree {data.stable_from} exceeds cap {data.cap}")
-    T = truncate_xiset(data, canon_cap)
+    T = truncate(data, canon_cap)
     order = canonical_order(xi_system(T))
     relabel = {k: {x: f"n{k}_{order[k][x]}" for x in T.levels[k]}
                for k in range(-1, canon_cap + 1)}
@@ -263,13 +244,7 @@ def canonicalize_with_map(
              for (k, i), t in T.faces.items()}
     degens = {(k, j): {relabel[k][x]: relabel[k + 1][y] for x, y in t.items()}
               for (k, j), t in T.degens.items()}
-    dnew = {relabel[0][x]: relabel[-1][y] for x, y in T.dnew.items()}
-    sbot = {k: {relabel[k][x]: relabel[k + 1][y] for x, y in t.items()}
-            for k, t in T.sbot.items()}
-    stop = {k: {relabel[k][x]: relabel[k + 1][y] for x, y in t.items()}
-            for k, t in T.stop.items()}
-    canon = FinXiSet(canon_cap, levels, faces, degens, dnew, sbot, stop,
-                     stable_from=T.stable_from)
+    canon = FinXiSet(canon_cap, levels, faces, degens, stable_from=T.stable_from)
     from .formats import write_xiset
 
     text = write_xiset(canon)
@@ -366,8 +341,6 @@ def extend_interval(A: AlgebraicInterval | FinXiSet, xi_cap: int) -> ExtendedInt
 
 
 def _fiber(data: FinXiSet, k: int, nondeg: bool) -> list[str]:
-    from .presheaf import i_star
-
     under = i_star(data)
     target = longest_edge(data)
     table = long_edge_table(under, k)
@@ -397,8 +370,6 @@ def subdivisions(
 def certify_mobius_interval(c: IntervalClass) -> Report:
     """Mobius conditions on the underlying simplicial set, plus the finite
     total of nondegenerate simplices and the longest-edge profile."""
-    from .presheaf import ez_level_nondegenerate, i_star
-
     bound = c.canonical.data.stable_from or 0
     ext = extend_interval(c.canonical, max(1, bound + 2))
     under = i_star(ext.interval.data)

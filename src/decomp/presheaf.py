@@ -2,24 +2,28 @@
 
 Simplicial sets store every simplex up to the cap, including degenerate
 ones, as opaque string identifiers with explicit face/degeneracy tables.
-Interval-site presheaves additionally carry the degree -1 level, the extra
-face into it, and the two extra outer degeneracies per degree.  All
-structure-map bookkeeping is reduced to monotone-map words, so there is a
-single source of truth for the relations.
+Interval-site presheaves keep the same two tables and add the degree -1
+level.  A site arrow [k] -> [n] is represented by an endpoint-preserving
+monotone map [k+2] -> [n+2], so the extra structure maps are the boundary
+members of the ordinary families: the face into degree -1 is d_0 at
+degree 0 (the XISET `dnew` directive), and the two extra outer
+degeneracies at degree k are s_{-1} and s_{k+1} (`sbot k` and `stop k`).
+All structure-map bookkeeping is reduced to monotone-map words, so there
+is a single source of truth for the relations.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .report import Report
 from .simplex import (
     MonotoneMap,
     XiMap,
+    all_xi_maps,
     coface,
     codegeneracy,
-    compose,
     generator_word,
     xi_compose,
     xi_initial,
@@ -46,49 +50,22 @@ class FinSSet:
     degens: dict[tuple[int, int], dict[str, str]]
     stable_from: int | None = None
 
-    def level(self, k: int) -> list[str]:
-        return self.levels[k]
-
-    def face(self, k: int, i: int) -> dict[str, str]:
-        return self.faces[(k, i)]
-
-    def degen(self, k: int, j: int) -> dict[str, str]:
-        return self.degens[(k, j)]
-
 
 @dataclass
 class FinXiSet:
     """An interval-site presheaf truncated at degree `cap`, levels from -1.
 
-    On top of the simplicial tables, dnew is the extra face
-    levels[0] -> levels[-1], and sbot[k] / stop[k] are the extra outer
-    degeneracies levels[k] -> levels[k+1] for -1 <= k < cap.
+    faces[(k, i)] is d_i: levels[k] -> levels[k-1] for 0 <= i <= k <= cap;
+    degens[(k, j)] is s_j: levels[k] -> levels[k+1] for -1 <= k < cap and
+    -1 <= j <= k+1.  The extra face is faces[(0, 0)]; the extra outer
+    degeneracies are degens[(k, -1)] and degens[(k, k+1)].
     """
 
     cap: int
     levels: dict[int, list[str]]
     faces: dict[tuple[int, int], dict[str, str]]
     degens: dict[tuple[int, int], dict[str, str]]
-    dnew: dict[str, str] = field(default_factory=dict)
-    sbot: dict[int, dict[str, str]] = field(default_factory=dict)
-    stop: dict[int, dict[str, str]] = field(default_factory=dict)
     stable_from: int | None = None
-
-    def level(self, k: int) -> list[str]:
-        return self.levels[k]
-
-    def face(self, k: int, i: int) -> dict[str, str]:
-        return self.faces[(k, i)]
-
-    def degen(self, k: int, j: int) -> dict[str, str]:
-        return self.degens[(k, j)]
-
-    def bot_face(self, k: int) -> dict[str, str]:
-        """d_0 at level k, reading the extra face as the outer face of A_0."""
-        return self.faces[(k, 0)] if k >= 1 else self.dnew
-
-    def top_face(self, k: int) -> dict[str, str]:
-        return self.faces[(k, k)] if k >= 1 else self.dnew
 
 
 @dataclass
@@ -115,44 +92,35 @@ def _compose_tables(outer: dict[str, str], inner: dict[str, str]) -> dict[str, s
     return dict(zip(inner, map(outer.__getitem__, inner.values())))
 
 
-def sset_action(X: FinSSet, a: MonotoneMap) -> dict[str, str]:
-    """The action X(a): levels[a.tgt] -> levels[a.src] of a monotone map."""
-    table = {x: x for x in X.levels[a.tgt]}
+def _generator_table(X, gen: MonotoneMap, shift: int) -> dict[str, str]:
+    """Table of one coface or codegeneracy acting on X.
+
+    shift is 0 for a simplicial set and 2 for an interval-site presheaf,
+    whose arrows are represented two degrees up with one index more.
+    """
+    if gen.tgt == gen.src + 1:  # coface delta_i: [p] -> [p+1]
+        i = next(v for v in range(gen.tgt + 1) if v not in set(gen.values))
+        return X.faces[(gen.tgt - shift, i - shift // 2)]
+    # codegeneracy sigma_j: [p] -> [p-1]
+    j = next(v for v in range(gen.src) if gen.values[v] == gen.values[v + 1])
+    return X.degens[(gen.tgt - shift, j - shift // 2)]
+
+
+def _action(X, a: MonotoneMap, shift: int) -> dict[str, str]:
+    table = {x: x for x in X.levels[a.tgt - shift]}
     for gen in reversed(generator_word(a)):
-        if gen.tgt == gen.src + 1:  # coface delta_i: [p] -> [p+1]
-            i = next(v for v in range(gen.tgt + 1) if v not in set(gen.values))
-            t = X.faces[(gen.tgt, i)]
-        else:  # codegeneracy sigma_j: [p] -> [p-1]
-            j = next(v for v in range(gen.src) if gen.values[v] == gen.values[v + 1])
-            t = X.degens[(gen.tgt, j)]
-        table = _compose_tables(t, table)
+        table = _compose_tables(_generator_table(X, gen, shift), table)
     return table
 
 
-def _xi_generator_table(A: FinXiSet, gen: MonotoneMap) -> dict[str, str]:
-    """Table of one site generator presented by its representative map."""
-    p = gen.src
-    if gen.tgt == p + 1:  # delta_i with 0 < i < p+1; acts A_{p-1} -> A_{p-2}
-        i = next(v for v in range(gen.tgt + 1) if v not in set(gen.values))
-        if p - 1 >= 1:
-            return A.faces[(p - 1, i - 1)]
-        return A.dnew
-    # sigma_j: [p] -> [p-1]; acts A_{p-3} -> A_{p-2}
-    j = next(v for v in range(p) if gen.values[v] == gen.values[v + 1])
-    k = p - 3
-    if j == 0:
-        return A.sbot[k]
-    if j == p - 1:
-        return A.stop[k]
-    return A.degens[(k, j - 1)]
+def sset_action(X: FinSSet, a: MonotoneMap) -> dict[str, str]:
+    """The action X(a): levels[a.tgt] -> levels[a.src] of a monotone map."""
+    return _action(X, a, 0)
 
 
 def xi_action(A: FinXiSet, rep: MonotoneMap) -> dict[str, str]:
     """Action of the interval-site map represented by the generic map rep."""
-    table = {x: x for x in A.levels[rep.tgt - 2]}
-    for gen in reversed(generator_word(rep)):
-        table = _compose_tables(_xi_generator_table(A, gen), table)
-    return table
+    return _action(A, rep, 2)
 
 
 def xi_edge_to_initial(A: FinXiSet, n: int) -> dict[str, str]:
@@ -254,33 +222,40 @@ def validate_sset(X: FinSSet) -> Report:
                 else:
                     want = list(map(degens[(k - 1, j)].__getitem__, d_img[(k, i - 1)]))
                 compare(k, f"d{i}s{j}", got, want)
-    if X.stable_from is not None:
-        for k in range(X.stable_from + 1, X.cap + 1):
-            degenerate = set()
-            for j in range(k):
-                degenerate.update(X.degens[(k - 1, j)].values())
-            for x in X.levels[k]:
-                if x not in degenerate:
-                    rep.fail(degree=k, witness=(x,), note="stable_from-violated")
+    _check_stable(rep, X)
     rep.verified_upto = X.cap
     return rep
 
 
+def _check_stable(rep: Report, X) -> None:
+    """Every simplex above stable_from must be degenerate."""
+    if X.stable_from is not None:
+        for k in range(X.stable_from + 1, X.cap + 1):
+            for x in ez_level_nondegenerate(X, k):
+                rep.fail(degree=k, witness=(x,), note="stable_from-violated")
+
+
+def _face_arrow(k: int, i: int) -> XiMap:
+    return XiMap(k - 1, k, coface(k + 1, i + 1))
+
+
+def _degen_arrow(k: int, j: int) -> XiMap:
+    return XiMap(k + 1, k, codegeneracy(k + 3, j + 1))
+
+
 def xi_generators(A: FinXiSet):
-    """All site generators acting on A: (name, arrow, table) triples."""
-    gens = []
-    for k in range(1, A.cap + 1):
-        for i in range(k + 1):
-            arrow = XiMap(k - 1, k, coface(k + 1, i + 1))
-            gens.append((f"d[{k},{i}]", arrow, A.faces[(k, i)]))
-    gens.append(("dnew", XiMap(-1, 0, coface(1, 1)), A.dnew))
-    for k in range(0, A.cap):
-        for j in range(k + 1):
-            arrow = XiMap(k + 1, k, codegeneracy(k + 3, j + 1))
-            gens.append((f"s[{k},{j}]", arrow, A.degens[(k, j)]))
-    for k in range(-1, A.cap):
-        gens.append((f"sbot[{k}]", XiMap(k + 1, k, codegeneracy(k + 3, 0)), A.sbot[k]))
-        gens.append((f"stop[{k}]", XiMap(k + 1, k, codegeneracy(k + 3, k + 2)), A.stop[k]))
+    """All site generators acting on A: (name, arrow, table) triples.
+
+    The names follow the XISET directives: d_0 at degree 0 is `dnew`, and
+    s_{-1} and s_{k+1} at degree k are `sbot[k]` and `stop[k]`.
+    """
+    faces = [(k, i) for k in range(1, A.cap + 1) for i in range(k + 1)] + [(0, 0)]
+    degens = [(k, j) for k in range(A.cap) for j in range(k + 1)]
+    degens += [(k, j) for k in range(-1, A.cap) for j in (-1, k + 1)]
+    gens = [("dnew" if k == 0 else f"d[{k},{i}]", _face_arrow(k, i), A.faces[(k, i)])
+            for k, i in faces]
+    gens += [({-1: f"sbot[{k}]", k + 1: f"stop[{k}]"}.get(j, f"s[{k},{j}]"),
+              _degen_arrow(k, j), A.degens[(k, j)]) for k, j in degens]
     return gens
 
 
@@ -318,14 +293,7 @@ def validate_xiset(A: FinXiSet) -> Report:
                 if tu[tv[x]] != canon[x]:
                     rep.fail(degree=w.tgt, witness=(x,),
                              note=f"relation:{uname};{vname}")
-    if A.stable_from is not None:
-        for k in range(A.stable_from + 1, A.cap + 1):
-            degenerate = set()
-            for j in range(k):
-                degenerate.update(A.degens[(k - 1, j)].values())
-            for x in A.levels[k]:
-                if x not in degenerate:
-                    rep.fail(degree=k, witness=(x,), note="stable_from-violated")
+    _check_stable(rep, A)
     rep.verified_upto = A.cap
     return rep
 
@@ -376,7 +344,7 @@ def validate_xiset_map(G: XiSetMap) -> Report:
     if not rep.ok:
         return rep
     for name, arrow, tA in xi_generators(A):
-        tB = _table_for_generator(B, name)
+        tB = _generator_table(B, arrow.rep, 2)
         ga, gb = G.components[arrow.src], G.components[arrow.tgt]
         for x in A.levels[arrow.tgt]:
             if ga[tA[x]] != tB[gb[x]]:
@@ -385,78 +353,61 @@ def validate_xiset_map(G: XiSetMap) -> Report:
     return rep
 
 
-def _table_for_generator(B: FinXiSet, name: str) -> dict[str, str]:
-    kind, _, rest = name.partition("[")
-    if kind == "dnew":
-        return B.dnew
-    args = [int(v) for v in rest.rstrip("]").split(",")]
-    if kind == "d":
-        return B.faces[(args[0], args[1])]
-    if kind == "s":
-        return B.degens[(args[0], args[1])]
-    if kind == "sbot":
-        return B.sbot[args[0]]
-    return B.stop[args[0]]
-
-
 # ---------------------------------------------------------------------------
 # decalage and the basic adjunction
 
 
-def dec_bot(X: FinSSet) -> tuple[FinSSet, SSetMap]:
-    """Delete the bottom level and all d_0/s_0, shifting indices down."""
+def _stable_under(X, cap: int) -> int | None:
+    return X.stable_from if X.stable_from is not None and X.stable_from <= cap else None
+
+
+def _decalage(X: FinSSet, bottom: bool) -> tuple[FinSSet, SSetMap]:
+    """Delete the bottom (or top) face and degeneracy in each degree; the
+    counit is the deleted face.  Deleting the bottom shifts indices down."""
     if X.cap < 1:
         raise CapError("decalage needs cap >= 1")
     cap = X.cap - 1
+    o = 1 if bottom else 0
     levels = {k: X.levels[k + 1] for k in range(cap + 1)}
-    faces = {(k, i): X.faces[(k + 1, i + 1)]
+    faces = {(k, i): X.faces[(k + 1, i + o)]
              for k in range(1, cap + 1) for i in range(k + 1)}
-    degens = {(k, j): X.degens[(k + 1, j + 1)]
+    degens = {(k, j): X.degens[(k + 1, j + o)]
               for k in range(cap) for j in range(k + 1)}
-    stable = X.stable_from if (X.stable_from is not None and X.stable_from <= cap) else None
-    D = FinSSet(cap, levels, faces, degens, stable)
-    counit = SSetMap(D, X, {k: X.faces[(k + 1, 0)] for k in range(cap + 1)})
-    return D, counit
+    D = FinSSet(cap, levels, faces, degens, _stable_under(X, cap))
+    counit = {k: X.faces[(k + 1, 0 if bottom else k + 1)] for k in range(cap + 1)}
+    return D, SSetMap(D, X, counit)
+
+
+def dec_bot(X: FinSSet) -> tuple[FinSSet, SSetMap]:
+    """Delete the bottom level and all d_0/s_0, shifting indices down."""
+    return _decalage(X, bottom=True)
 
 
 def dec_top(X: FinSSet) -> tuple[FinSSet, SSetMap]:
     """Delete the top face and degeneracy in each degree."""
-    if X.cap < 1:
-        raise CapError("decalage needs cap >= 1")
-    cap = X.cap - 1
-    levels = {k: X.levels[k + 1] for k in range(cap + 1)}
-    faces = {(k, i): X.faces[(k + 1, i)]
-             for k in range(1, cap + 1) for i in range(k + 1)}
-    degens = {(k, j): X.degens[(k + 1, j)]
-              for k in range(cap) for j in range(k + 1)}
-    stable = X.stable_from if (X.stable_from is not None and X.stable_from <= cap) else None
-    D = FinSSet(cap, levels, faces, degens, stable)
-    counit = SSetMap(D, X, {k: X.faces[(k + 1, k + 1)] for k in range(cap + 1)})
-    return D, counit
+    return _decalage(X, bottom=False)
 
 
 def u_star(X: FinSSet) -> FinXiSet:
-    """Delete the bottom level twice over: outer faces become the new
-    extra face, outer degeneracies the extra outer degeneracies."""
+    """Delete the bottom level twice over: X_{k+2} becomes degree k, and
+    d_{i+1}, s_{j+1} become d_i, s_j, outer indices included."""
     if X.cap < 2:
         raise CapError("u* needs cap >= 2")
     cap = X.cap - 2
     levels = {k: X.levels[k + 2] for k in range(-1, cap + 1)}
     faces = {(k, i): X.faces[(k + 2, i + 1)]
-             for k in range(1, cap + 1) for i in range(k + 1)}
+             for k in range(cap + 1) for i in range(k + 1)}
     degens = {(k, j): X.degens[(k + 2, j + 1)]
-              for k in range(cap) for j in range(k + 1)}
-    dnew = X.faces[(2, 1)]
-    sbot = {k: X.degens[(k + 2, 0)] for k in range(-1, cap)}
-    stop = {k: X.degens[(k + 2, k + 2)] for k in range(-1, cap)}
-    stable = X.stable_from if (X.stable_from is not None and X.stable_from <= cap) else None
-    return FinXiSet(cap, levels, faces, degens, dnew, sbot, stop, stable)
+              for k in range(-1, cap) for j in range(-1, k + 2)}
+    return FinXiSet(cap, levels, faces, degens, _stable_under(X, cap))
 
 
 def i_star(A: FinXiSet) -> FinSSet:
     """Forget the degree -1 level and all the extra structure maps."""
     levels = {k: A.levels[k] for k in range(A.cap + 1)}
-    return FinSSet(A.cap, levels, dict(A.faces), dict(A.degens), A.stable_from)
+    faces = {(k, i): t for (k, i), t in A.faces.items() if k >= 1}
+    degens = {(k, j): t for (k, j), t in A.degens.items() if 0 <= j <= k}
+    return FinSSet(A.cap, levels, faces, degens, A.stable_from)
 
 
 def u_star_map(F: SSetMap) -> XiSetMap:
@@ -469,26 +420,14 @@ def i_star_map(G: XiSetMap) -> SSetMap:
     return SSetMap(i_star(G.dom), i_star(G.cod), comps)
 
 
-def truncate_sset(X: FinSSet, cap: int) -> FinSSet:
+def truncate(X, cap: int):
+    """The same simplicial set or interval-site presheaf, capped lower."""
     if cap > X.cap or cap < 0:
         raise CapError(f"cannot truncate cap {X.cap} to {cap}")
-    levels = {k: X.levels[k] for k in range(cap + 1)}
+    levels = {k: ids for k, ids in X.levels.items() if k <= cap}
     faces = {ki: t for ki, t in X.faces.items() if ki[0] <= cap}
     degens = {kj: t for kj, t in X.degens.items() if kj[0] < cap}
-    stable = X.stable_from if (X.stable_from is not None and X.stable_from <= cap) else None
-    return FinSSet(cap, levels, faces, degens, stable)
-
-
-def truncate_xiset(A: FinXiSet, cap: int) -> FinXiSet:
-    if cap > A.cap or cap < 0:
-        raise CapError(f"cannot truncate cap {A.cap} to {cap}")
-    levels = {k: A.levels[k] for k in range(-1, cap + 1)}
-    faces = {ki: t for ki, t in A.faces.items() if ki[0] <= cap}
-    degens = {kj: t for kj, t in A.degens.items() if kj[0] < cap}
-    sbot = {k: t for k, t in A.sbot.items() if k < cap}
-    stop = {k: t for k, t in A.stop.items() if k < cap}
-    stable = A.stable_from if (A.stable_from is not None and A.stable_from <= cap) else None
-    return FinXiSet(cap, levels, faces, degens, A.dnew, sbot, stop, stable)
+    return type(X)(cap, levels, faces, degens, _stable_under(X, cap))
 
 
 def unit_eta(A: FinXiSet) -> XiSetMap:
@@ -498,8 +437,8 @@ def unit_eta(A: FinXiSet) -> XiSetMap:
     cod = u_star(i_star(A))
     comps = {}
     for k in range(-1, A.cap - 1):
-        comps[k] = _compose_tables(A.sbot[k + 1], A.stop[k])
-    return XiSetMap(truncate_xiset(A, A.cap - 2), cod, comps)
+        comps[k] = _compose_tables(A.degens[(k + 1, -1)], A.degens[(k, k + 1)])
+    return XiSetMap(truncate(A, A.cap - 2), cod, comps)
 
 
 def counit_eps(X: FinSSet) -> SSetMap:
@@ -651,8 +590,6 @@ def _pullback_by_counting(P, A, B, p, q, f, g) -> bool:
 
 def xi_representable(k: int, cap: int) -> FinXiSet:
     """The presheaf represented by the interval-site object [k]."""
-    from .simplex import all_xi_maps
-
     def name(h: XiMap) -> str:
         return "x" + "_".join(map(str, h.rep.values))
 
@@ -664,24 +601,16 @@ def xi_representable(k: int, cap: int) -> FinXiSet:
         return {nm: name(xi_compose(arrow, h))
                 for nm, h in homs[arrow.tgt].items()}
 
-    faces = {(n, i): act(XiMap(n - 1, n, coface(n + 1, i + 1)))
-             for n in range(1, cap + 1) for i in range(n + 1)}
-    degens = {(n, j): act(XiMap(n + 1, n, codegeneracy(n + 3, j + 1)))
-              for n in range(cap) for j in range(n + 1)}
-    dnew = act(XiMap(-1, 0, coface(1, 1)))
-    sbot = {n: act(XiMap(n + 1, n, codegeneracy(n + 3, 0)))
-            for n in range(-1, cap)}
-    stop = {n: act(XiMap(n + 1, n, codegeneracy(n + 3, n + 2)))
-            for n in range(-1, cap)}
+    faces = {(n, i): act(_face_arrow(n, i))
+             for n in range(cap + 1) for i in range(n + 1)}
+    degens = {(n, j): act(_degen_arrow(n, j))
+              for n in range(-1, cap) for j in range(-1, n + 2)}
     stable = k + 2 if k + 2 <= cap else None
-    return FinXiSet(cap, levels, faces, degens, dnew, sbot, stop,
-                    stable_from=stable)
+    return FinXiSet(cap, levels, faces, degens, stable_from=stable)
 
 
 def transpose_arrow(X: FinSSet, a: str) -> XiSetMap:
     """The map from the initial representable picking out the arrow a."""
-    from .simplex import all_xi_maps
-
     dom = xi_representable(-1, X.cap - 2)
     cod = u_star(X)
     comps = {}
@@ -701,10 +630,4 @@ def point_sset(cap: int, name: str = "pt") -> FinSSet:
 
 
 def point_xiset(cap: int, name: str = "pt") -> FinXiSet:
-    levels = {k: [name] for k in range(-1, cap + 1)}
-    table = {name: name}
-    faces = {(k, i): dict(table) for k in range(1, cap + 1) for i in range(k + 1)}
-    degens = {(k, j): dict(table) for k in range(cap) for j in range(k + 1)}
-    sbot = {k: dict(table) for k in range(-1, cap)}
-    stop = {k: dict(table) for k in range(-1, cap)}
-    return FinXiSet(cap, levels, faces, degens, dict(table), sbot, stop, stable_from=0)
+    return u_star(point_sset(cap + 2, name))

@@ -97,18 +97,18 @@ class Registry:
     # -- persistence --------------------------------------------------------
 
     def save(self, directory: str) -> None:
+        """Write every entry, then the index.  Each file is replaced whole,
+        so a failure part way leaves every stored file as it was or new."""
         os.makedirs(directory, exist_ok=True)
         rows = []
         for digest in sorted(self.entries):
             e = self.entries[digest]
             rows.append(f"{e.digest}\t{e.name}\t{int(e.mobius)}\t"
                         f"{e.interval.canonical.data.cap}")
-            path = os.path.join(directory, f"{digest}.xiset")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(write_xiset(e.interval.canonical.data))
-        index = os.path.join(directory, "index.tsv")
-        with open(index, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rows) + ("\n" if rows else ""))
+            _replace_file(os.path.join(directory, f"{digest}.xiset"),
+                          write_xiset(e.interval.canonical.data))
+        _replace_file(os.path.join(directory, "index.tsv"),
+                      "\n".join(rows) + ("\n" if rows else ""))
 
     @classmethod
     def load(cls, directory: str) -> Registry:
@@ -125,6 +125,8 @@ class Registry:
                 if len(fields) != 4:
                     raise RegistryError(f"malformed line in {index}: {line!r}")
                 digest, name, mobius, _cap = fields
+                if name in reg.names or digest in reg.entries:
+                    raise RegistryError(f"repeated entry in {index}: {line!r}")
                 path = os.path.join(directory, f"{digest}.xiset")
                 with open(path, encoding="utf-8") as xfh:
                     data = parse_xiset(xfh.read(), path)
@@ -141,6 +143,18 @@ class Registry:
                     digest, name, mobius == "1", recomputed)
                 reg.names[name] = digest
         return reg
+
+
+def _replace_file(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then move it into place."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _extension(cls: IntervalClass, minimum: int = 1) -> ExtendedInterval:

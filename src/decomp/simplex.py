@@ -210,10 +210,6 @@ def xi_compose(x: XiMap, y: XiMap) -> XiMap:
     return XiMap(x.src, y.tgt, compose(x.rep, y.rep))
 
 
-def xi_to_delta(x: XiMap) -> MonotoneMap:
-    return x.rep
-
-
 def delta_to_xi_free(a: MonotoneMap) -> XiMap:
     """Extend a simplex-category arrow by a white dot on each side."""
     vals = (0,) + tuple(v + 1 for v in a.values) + (a.tgt + 2,)

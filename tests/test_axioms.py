@@ -133,11 +133,11 @@ def test_flanked_examples(poset_nerves):
 
 def test_flanked_planted_failure(poset_nerves):
     A = u_star(poset_nerves["d6"])
-    table = dict(A.sbot[-1])
+    table = dict(A.degens[(-1, -1)])
     src = next(iter(table))
     others = [v for v in A.levels[0] if v != table[src]]
     table[src] = others[0]
-    A.sbot[-1] = table
+    A.degens[(-1, -1)] = table
     rep = check_flanked(A)
     assert not rep.ok
 

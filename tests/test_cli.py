@@ -118,6 +118,43 @@ def test_check_rejects_unknown_dnew_directive(tmp_path, d6_sset, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_repeated_directive_exits_two(tmp_path, d6_sset, capsys):
+    path = tmp_path / "twice.sset"
+    text = open(d6_sset, encoding="utf-8").read()
+    line = next(ln for ln in text.splitlines() if ln.startswith("d 1 0:"))
+    path.write_text(text + line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "segal", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "duplicate directive 'd 1 0'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_registry_refuses_repeated_name(tmp_path, d6_sset, capsys):
+    iv = str(tmp_path / "i.xiset")
+    reg = tmp_path / "reg"
+    assert main(["interval", d6_sset, "--arrow", f"1{SEP}6", "-o", iv]) == 0
+    assert main(["registry", "add", str(reg), iv]) == 0
+    assert main(["registry", "close", str(reg)]) == 0
+    index = reg / "index.tsv"
+    rows = index.read_text(encoding="utf-8").splitlines()
+    first, second = (row.split("\t") for row in rows[:2])
+    same_name = [rows[0], "\t".join([second[0], first[1]] + second[2:])] + rows[2:]
+    same_digest = rows + ["\t".join([first[0], "other"] + first[2:])]
+    for damaged in (same_name, same_digest):
+        index.write_text("\n".join(damaged) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["registry", "list", str(reg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "repeated entry" in captured.err
+
+
+def test_max_level_size_must_be_a_positive_integer(monkeypatch, d6_file, tmp_path, capsys):
+    monkeypatch.setenv("DECOMP_MAX_LEVEL_SIZE", "ten")
+    assert main(["nerve", d6_file, "-o", str(tmp_path / "x.sset")]) == 2
+    assert "DECOMP_MAX_LEVEL_SIZE='ten'" in capsys.readouterr().err
+
+
 def test_registry_add_refuses_damaged_registry(tmp_path, capsys):
     save(divisor_poset(12), tmp_path / "d12.poset")
     sset = str(tmp_path / "d12.sset")

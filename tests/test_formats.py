@@ -54,6 +54,34 @@ def test_dnew_directive_matches_exactly():
         parse_xiset(text.replace("dnew:", "dnewfoo:"))
 
 
+def test_repeated_map_directive_is_rejected():
+    X = nerve_poset(divisor_poset(6), 4)
+    text = write_sset(X)
+    line = next(ln for ln in text.splitlines() if ln.startswith("d 1 0:"))
+    with pytest.raises(ParseError, match="duplicate directive 'd 1 0'"):
+        parse_sset(text + line + "\n")
+    xtext = write_xiset(u_star(X))
+    line = next(ln for ln in xtext.splitlines() if ln.startswith("sbot 0:"))
+    with pytest.raises(ParseError, match="duplicate directive 'sbot 0'"):
+        parse_xiset(xtext + line + "\n")
+
+
+@pytest.mark.parametrize("directive", ["d 0 0", "d 1 2", "d 2 -1", "s 1 -1", "s 1 2",
+                                       "sbot -2", "stop -2"])
+def test_map_directive_index_out_of_range(directive):
+    """d and s lines may not reach the indices dnew, sbot and stop hold."""
+    text = write_xiset(u_star(nerve_poset(divisor_poset(6), 4))).splitlines()
+    at = len(text) + 1
+    with pytest.raises(ParseError, match=f":{at}: index out of range"):
+        parse_xiset("\n".join(text + [f"{directive}:"]) + "\n")
+
+
+def test_sset_rejects_empty_dnew():
+    text = write_sset(nerve_poset(divisor_poset(6), 4)) + "dnew:\n"
+    with pytest.raises(ParseError, match="interval-site directives"):
+        parse_sset(text)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_sset("SSET v1\ncap x\n")

@@ -1,0 +1,69 @@
+"""Pinned outputs of the interval-site layout: canonical digests, generator
+names and order, and the agreement of the boundary-index tables with the
+simplicial actions they stand for."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from decomp.formats import parse_xiset, write_xiset
+from decomp.ingest import PosetSpec, boolean_poset, divisor_poset, nerve, nerve_poset
+from decomp.interval import canonicalize, factorisation_interval
+from decomp.presheaf import sset_action, u_star, xi_action, xi_generators
+from decomp.registry import Registry
+from decomp.simplex import all_xi_maps
+
+SEP = "≤"
+D6_DIGEST = "a7fa97992f921925eac6b6bb737f0f3c0712952a79407f028c1bd6cc40f81858"
+
+
+def test_d6_interval_digest():
+    X = nerve(divisor_poset(6))
+    iv, _ = factorisation_interval(X, SEP.join(["1", "6"]))
+    assert canonicalize(iv).digest == D6_DIGEST
+
+
+def test_b3_registry_closure_digests():
+    X = nerve(boolean_poset(3))
+    iv, _ = factorisation_interval(X, SEP.join(["o", "abc"]))
+    reg = Registry()
+    reg.insert(iv)
+    reg.close()
+    assert sorted(reg.entries) == [
+        "3764ca33c2aa92c03c7a97323ffc9c397dfb13e46ad451b1b306ad3db08a77c5",
+        "5747e2f1a673282d879e22bb76344b439cf4a9c1683e216fe49849a226cf0adf",
+        "787d3aac08169252df3c51162e479092e8a47782de1c7258493f1d659d4bbc08",
+        D6_DIGEST,
+    ]
+
+
+def test_xi_generator_names_and_order():
+    A = u_star(nerve_poset(divisor_poset(6), 4))
+    assert A.cap == 2
+    assert [name for name, _, _ in xi_generators(A)] == (
+        "d[1,0] d[1,1] d[2,0] d[2,1] d[2,2] dnew s[0,0] s[1,0] s[1,1] "
+        "sbot[-1] stop[-1] sbot[0] stop[0] sbot[1] stop[1]").split()
+
+
+@st.composite
+def poset_nerves(draw):
+    n = draw(st.integers(1, 4))
+    names = [f"e{i}" for i in range(n)]
+    relations = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda ij: ij[0] < ij[1]), max_size=5))
+    spec = PosetSpec.from_pairs(names, [(names[i], names[j]) for i, j in relations])
+    return nerve_poset(spec, draw(st.integers(2, 5)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(poset_nerves())
+def test_boundary_tables_act_as_their_site_maps(X):
+    """Every generic map acts on u*X as it does on X, and XISET text
+    round-trips both tables."""
+    A = u_star(X)
+    for m in range(-1, A.cap + 1):
+        for n in range(-1, A.cap + 1):
+            for h in all_xi_maps(m, n):
+                assert xi_action(A, h.rep) == sset_action(X, h.rep)
+    again = parse_xiset(write_xiset(A))
+    assert again.faces == A.faces and again.degens == A.degens

@@ -18,8 +18,8 @@ from decomp.incidence import (
     zeta,
 )
 from decomp.ingest import chain_poset, divisor_poset, nerve_poset
-from decomp.interval import factorisation_interval, i_star_interval, longest_edge
-from decomp.presheaf import dec_bot, point_sset
+from decomp.interval import factorisation_interval, longest_edge
+from decomp.presheaf import dec_bot, i_star, point_sset
 from decomp.registry import Registry
 from oracles import convolution_inverse, rota_mobius
 
@@ -199,7 +199,7 @@ def test_phi_pulls_back_along_interval_embedding(poset_nerves):
     X = poset_nerves["d12"]
     a = arrow("1", "12")
     iv, embed = factorisation_interval(X, a)
-    under = i_star_interval(iv)
+    under = i_star(iv.data)
     top = longest_edge(iv.data)
     for k in range(1, 4):
         assert phi(under, k)[top] == phi(X, k)[a]

@@ -144,6 +144,19 @@ def test_level_guard(monkeypatch):
     assert "DECOMP_MAX_LEVEL_SIZE" in str(err.value)
 
 
+@pytest.mark.parametrize("raw", ["ten", "0", "-3", "1.5"])
+def test_level_guard_rejects_a_bad_limit(monkeypatch, raw):
+    monkeypatch.setenv("DECOMP_MAX_LEVEL_SIZE", raw)
+    with pytest.raises(SpecError) as err:
+        nerve_poset(divisor_poset(6), 3)
+    assert f"DECOMP_MAX_LEVEL_SIZE={raw!r}" in str(err.value)
+
+
+def test_level_guard_default_when_empty(monkeypatch):
+    monkeypatch.setenv("DECOMP_MAX_LEVEL_SIZE", "")
+    assert nerve_poset(divisor_poset(6), 3).cap == 3
+
+
 def test_nerve_dispatch():
     assert nerve(chain_poset(1), 3).cap == 3
     assert nerve(truncated_addition(2), 4).cap == 4

@@ -10,7 +10,6 @@ from decomp.interval import (
     certify_mobius_interval,
     extend_interval,
     factorisation_interval,
-    i_star_interval,
     intervals_isomorphic,
     longest_edge,
     ssets_isomorphic,
@@ -19,10 +18,11 @@ from decomp.interval import (
     wide_cartesian_factor,
 )
 from decomp.presheaf import (
+    i_star,
     point_sset,
     point_xiset,
     transpose_arrow,
-    truncate_xiset,
+    truncate,
     u_star,
     validate_xiset_map,
 )
@@ -65,11 +65,11 @@ def test_interval_matches_subposet_nerve(d12):
     spec = divisor_poset(12)
     iv, _ = factorisation_interval(d12, arrow("2", "12"))
     model = nerve_poset(spec.interval("2", "12"), d12.cap - 2)
-    assert ssets_isomorphic(i_star_interval(iv), model) is not None
+    assert ssets_isomorphic(i_star(iv.data), model) is not None
 
 
 def test_interval_is_segal(diamond):
-    assert check_segal(i_star_interval(diamond)).ok
+    assert check_segal(i_star(diamond.data)).ok
 
 
 def test_errors(d12):
@@ -91,11 +91,11 @@ def test_canonical_digests_identify_isomorphic(poset_nerves):
     # the two presentations really are isomorphic, by independent search
     a = factorisation_interval(d6, arrow("1", "6"))[0]
     b = factorisation_interval(d10, arrow("1", "10"))[0]
-    iso = intervals_isomorphic(truncate_xiset(a.data, 2), truncate_xiset(b.data, 2))
+    iso = intervals_isomorphic(truncate(a.data, 2), truncate(b.data, 2))
     assert iso is not None
     assert intervals_isomorphic(
-        truncate_xiset(canonicalize(a).canonical.data, 2),
-        truncate_xiset(factorisation_interval(d4, arrow("1", "4"))[0].data, 2),
+        truncate(canonicalize(a).canonical.data, 2),
+        truncate(factorisation_interval(d4, arrow("1", "4"))[0].data, 2),
     ) is None
 
 
@@ -108,7 +108,7 @@ def test_canonicalize_is_stable_and_idempotent(diamond):
 
 
 def test_canonicalize_requires_certificate(diamond):
-    loose = AlgebraicInterval(truncate_xiset(diamond.data, diamond.data.cap))
+    loose = AlgebraicInterval(truncate(diamond.data, diamond.data.cap))
     loose.data.stable_from = None
     with pytest.raises(IntervalError):
         canonicalize(loose)
@@ -117,7 +117,7 @@ def test_canonicalize_requires_certificate(diamond):
 def test_relabel_map_is_an_isomorphism(diamond):
     cls, relabel = canonicalize_with_map(diamond)
     cap = cls.canonical.data.cap
-    T = truncate_xiset(diamond.data, cap)
+    T = truncate(diamond.data, cap)
     for k in range(-1, cap + 1):
         assert sorted(relabel[k]) == sorted(T.levels[k])
         assert sorted(relabel[k].values()) == sorted(cls.canonical.data.levels[k])
@@ -164,10 +164,10 @@ def test_certification_profiles(diamond):
 def test_interval_idempotence(d12):
     """The interval of the longest edge of an interval is the interval."""
     iv, _ = factorisation_interval(d12, arrow("1", "12"))
-    under = i_star_interval(iv)
+    under = i_star(iv.data)
     again, _ = factorisation_interval(under, longest_edge(iv.data))
     assert intervals_isomorphic(
-        again.data, truncate_xiset(iv.data, iv.data.cap - 2)) is not None
+        again.data, truncate(iv.data, iv.data.cap - 2)) is not None
 
 
 def test_extension_roundtrip(diamond):

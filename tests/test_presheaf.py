@@ -18,8 +18,7 @@ from decomp.presheaf import (
     point_sset,
     point_xiset,
     pullback_failure,
-    truncate_sset,
-    truncate_xiset,
+    truncate,
     u_star,
     u_star_map,
     unit_eta,
@@ -65,7 +64,7 @@ def test_dec_bot_level_zero_counts():
 
 def test_dec_point_is_point():
     D, _ = dec_bot(point_sset(4))
-    assert D == truncate_sset(point_sset(4), 3)
+    assert D == truncate(point_sset(4), 3)
 
 
 def test_dec_orders_commute():
@@ -146,7 +145,7 @@ def test_triangle_identities(poset_nerves):
     eps2 = counit_eps(under)
     for k in range(0, under.cap - 1):
         for x in under.levels[k]:
-            y = A.sbot[k + 1][A.stop[k][x]]
+            y = A.degens[(k + 1, -1)][A.degens[(k, k + 1)][x]]
             assert eps2.components[k][y] == x
 
 
@@ -239,5 +238,5 @@ def test_i_star_of_cartesian_is_culf(poset_nerves):
 
 def test_truncate_preserves_validity():
     X = nerve_poset(divisor_poset(6), 5)
-    assert validate_sset(truncate_sset(X, 3)).ok
-    assert validate_xiset(truncate_xiset(u_star(X), 2)).ok
+    assert validate_sset(truncate(X, 3)).ok
+    assert validate_xiset(truncate(u_star(X), 2)).ok

@@ -4,7 +4,7 @@ import pytest
 
 from decomp.ingest import divisor_poset, nerve_poset
 from decomp.interval import AlgebraicInterval, factorisation_interval
-from decomp.presheaf import point_sset, truncate_xiset
+from decomp.presheaf import point_sset, truncate
 from decomp.registry import (
     Registry,
     RegistryError,
@@ -43,10 +43,42 @@ def test_insert_deduplicates(diamond_interval):
 
 def test_insert_requires_certificate(diamond_interval):
     loose = AlgebraicInterval(
-        truncate_xiset(diamond_interval.data, diamond_interval.data.cap))
+        truncate(diamond_interval.data, diamond_interval.data.cap))
     loose.data.stable_from = None
     with pytest.raises(ValueError):
         Registry().insert(loose)
+
+
+def test_failed_save_keeps_stored_files(diamond_registry, tmp_path, monkeypatch):
+    """A save that fails part way leaves every stored file as it was."""
+    from decomp import registry
+
+    reg_dir = tmp_path / "reg"
+    diamond_registry.save(str(reg_dir))
+    loaded = Registry.load(str(reg_dir))
+    keep = dict(list(loaded.entries.items())[:2])
+    loaded.entries = keep
+    loaded.names = {e.name: d for d, e in keep.items()}
+    small = tmp_path / "small"
+    loaded.save(str(small))
+    before = {p.name: p.read_bytes() for p in small.iterdir()}
+    assert len(before) == 3
+
+    real = registry.write_xiset
+    calls = []
+
+    def failing(data):
+        calls.append(data)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real(data)
+
+    monkeypatch.setattr(registry, "write_xiset", failing)
+    with pytest.raises(OSError):
+        Registry.load(str(small)).save(str(small))
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in small.iterdir()} == before
+    assert len(Registry.load(str(small)).entries) == 2
 
 
 def test_closure_of_diamond(diamond_registry):
