@@ -70,6 +70,10 @@ def cmd_check(args) -> int:
 def _check_one(what: str, path: str) -> int:
     if what == "culf":
         M = load_smap(path)
+        for end in (M.dom, M.cod):
+            base = validate(end)
+            if not base.ok:
+                return _print(base)
         base = (validate_sset_map(M) if isinstance(M, SSetMap)
                 else validate_xiset_map(M))
         if not base.ok:

@@ -56,6 +56,13 @@ def _fmt_entries(table: dict[str, str]) -> str:
     return " ; ".join(f"{a}->{table[a]}" for a in sorted(table))
 
 
+def _once(seen: set, directive: str, source: str, lineno: int) -> None:
+    """Refuse a directive that already occurred in the file."""
+    if directive in seen:
+        raise ParseError(source, lineno, f"duplicate directive '{directive}'")
+    seen.add(directive)
+
+
 def _int(tok: str, source: str, lineno: int) -> int:
     try:
         return int(tok)
@@ -193,6 +200,7 @@ def write_smap(M: SSetMap | XiSetMap, dom_path: str, cod_path: str) -> str:
 def parse_smap_text(text: str, source: str = "<smap>"):
     dom_path = cod_path = None
     comps: dict[int, dict[str, str]] = {}
+    seen: set[str] = set()
     seen_header = False
     for lineno, line in _lines(text, source):
         if not seen_header:
@@ -202,12 +210,16 @@ def parse_smap_text(text: str, source: str = "<smap>"):
             continue
         key, _, rest = line.partition(" ")
         if key == "dom":
+            _once(seen, "dom", source, lineno)
             dom_path = rest.strip()
         elif key == "cod":
+            _once(seen, "cod", source, lineno)
             cod_path = rest.strip()
         elif key == "level":
             head, _, body = rest.partition(":")
-            comps[_int(head.strip(), source, lineno)] = _entries(body, source, lineno)
+            k = _int(head.strip(), source, lineno)
+            _once(seen, f"level {k}", source, lineno)
+            comps[k] = _entries(body, source, lineno)
         else:
             raise ParseError(source, lineno, f"unknown directive {key!r}")
     if dom_path is None or cod_path is None:
@@ -241,6 +253,7 @@ def write_poset(spec: PosetSpec) -> str:
 def parse_poset(text: str, source: str = "<poset>") -> PosetSpec:
     elements: list[str] = []
     pairs: list[tuple[str, str]] = []
+    seen: set[str] = set()
     seen_header = False
     for lineno, line in _lines(text, source):
         if not seen_header:
@@ -250,6 +263,7 @@ def parse_poset(text: str, source: str = "<poset>") -> PosetSpec:
             continue
         key, _, rest = line.partition(" ")
         if key == "elements:":
+            _once(seen, "elements", source, lineno)
             elements = rest.split()
         elif key == "le":
             parts = rest.split()
@@ -277,6 +291,7 @@ def parse_monoid(text: str, source: str = "<monoid>") -> MonoidSpec:
     elements: list[str] = []
     unit = None
     table: dict[tuple[str, str], str] = {}
+    seen: set[str] = set()
     seen_header = False
     for lineno, line in _lines(text, source):
         if not seen_header:
@@ -286,14 +301,17 @@ def parse_monoid(text: str, source: str = "<monoid>") -> MonoidSpec:
             continue
         key, _, rest = line.partition(" ")
         if key == "elements:":
+            _once(seen, "elements", source, lineno)
             elements = rest.split()
         elif key == "unit:":
+            _once(seen, "unit", source, lineno)
             unit = rest.strip()
         elif key == "mul":
             head, _, val = rest.partition(":")
             parts = head.split()
             if len(parts) != 2 or not val.strip():
                 raise ParseError(source, lineno, "expected 'mul <a> <b>: <c>'")
+            _once(seen, f"mul {parts[0]} {parts[1]}", source, lineno)
             table[(parts[0], parts[1])] = val.strip()
         else:
             raise ParseError(source, lineno, f"unknown directive {key!r}")
@@ -323,6 +341,7 @@ def parse_category(text: str, source: str = "<cat>") -> CategorySpec:
     arrows: dict[str, tuple[str, str]] = {}
     idents: dict[str, str] = {}
     comp: dict[tuple[str, str], str] = {}
+    seen: set[str] = set()
     seen_header = False
     for lineno, line in _lines(text, source):
         if not seen_header:
@@ -332,23 +351,27 @@ def parse_category(text: str, source: str = "<cat>") -> CategorySpec:
             continue
         key, _, rest = line.partition(" ")
         if key == "objects:":
+            _once(seen, "objects", source, lineno)
             objects = rest.split()
         elif key == "id":
             head, _, val = rest.partition(":")
             if not head.strip() or not val.strip():
                 raise ParseError(source, lineno, "expected 'id <x>: <ix>'")
+            _once(seen, f"id {head.strip()}", source, lineno)
             idents[head.strip()] = val.strip()
         elif key == "arrow":
             head, _, sig = rest.partition(":")
             if "->" not in sig:
                 raise ParseError(source, lineno, "expected 'arrow <f>: <x> -> <y>'")
             s, t = (p.strip() for p in sig.split("->", 1))
+            _once(seen, f"arrow {head.strip()}", source, lineno)
             arrows[head.strip()] = (s, t)
         elif key == "compose":
             head, _, val = rest.partition(":")
             parts = head.split()
             if len(parts) != 2 or not val.strip():
                 raise ParseError(source, lineno, "expected 'compose <f> <g>: <h>'")
+            _once(seen, f"compose {parts[0]} {parts[1]}", source, lineno)
             comp[(parts[0], parts[1])] = val.strip()
         else:
             raise ParseError(source, lineno, f"unknown directive {key!r}")

@@ -1,21 +1,40 @@
 """Canonical labeling and isomorphism search for finite unary structures.
 
 A structure is a family of sorted carriers with labeled total functions
-between them (faces, degeneracies, the extra interval-site maps).  Colors
-are refined by in/out neighborhood signatures; remaining ties are broken
-by individualization with full backtracking, taking the minimum serialized
-form, so equal canonical forms mean isomorphic structures and conversely.
-Desk-scale inputs keep the search tiny; no automorphism pruning is done.
+between them (faces, degeneracies, the extra interval-site maps).  Both
+searches work on integer indices: the elements are numbered 0..n-1, sorts
+in order and each sort in its given order, and a partition is an ordered
+list of cells in which an element's color is the position of its cell.
+
+Colors are refined in synchronous rounds.  An element's signature is the
+colors of its out-neighbors in label order followed by its sorted in-edges,
+each encoded as label rank * n + color, which orders exactly as the
+(label, color) pairs would.  Out-edges carry no label: the maps are total,
+so elements of one sort have the same out-labels in the same order.  Each
+cell splits in place into sub-cells ordered by signature and the colors are
+renumbered densely; refinement stops after a round in which no cell split.
+A worklist (Paige & Tarjan) limits a round to the cells with a neighbor in
+a part of a cell split the round before, skipping the largest part of each
+split: members of any other cell agree on their edges into it already.
+
+Remaining ties are broken by individualization with full backtracking,
+taking the minimum serialized form, so equal canonical forms mean
+isomorphic structures and conversely.  Desk-scale inputs keep the search
+small; no automorphism pruning is done.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 
 @dataclass
 class UnarySystem:
-    """sorts: sort-key -> element ids; maps: (label, src sort, tgt sort, table)."""
+    """sorts: sort-key -> element ids; maps: (label, src sort, tgt sort, table).
+
+    Labels are distinct and every table is total on its source sort.
+    """
 
     sorts: dict
     maps: list
@@ -24,37 +43,100 @@ class UnarySystem:
         return [(s, x) for s in sorted(self.sorts) for x in self.sorts[s]]
 
 
-def _edges(sys: UnarySystem):
-    out_edges = {e: [] for e in sys.elements()}
-    in_edges = {e: [] for e in sys.elements()}
-    for label, src, tgt, table in sorted(sys.maps, key=lambda m: m[0]):
-        for x, y in table.items():
-            out_edges[(src, x)].append((label, (tgt, y)))
-            in_edges[(tgt, y)].append((label, (src, x)))
-    return out_edges, in_edges
+class _Indexed:
+    """A system on indices 0..n-1: edges, per-sort members and map images."""
+
+    def __init__(self, sys: UnarySystem):
+        self.elements = sys.elements()
+        n = len(self.elements)
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.members = {s: [] for s in sorted(sys.sorts)}
+        for i, (s, _) in enumerate(self.elements):
+            self.members[s].append(i)
+        self.sizes = tuple(len(m) for m in self.members.values())
+        self.maps = sorted(sys.maps, key=lambda m: m[0])
+        rank = {lbl: r for r, lbl in enumerate(sorted({m[0] for m in self.maps}))}
+        self.out = [[] for _ in range(n)]
+        self.in_code = [[] for _ in range(n)]
+        self.in_src = [[] for _ in range(n)]
+        self.images = []
+        for label, src, tgt, table in self.maps:
+            code = rank[label] * n
+            image = [-1] * n
+            for x, y in table.items():
+                i = self.index[(src, x)]
+                j = self.index[(tgt, y)]
+                image[i] = j
+                self.out[i].append(j)
+                self.in_code[j].append(code)
+                self.in_src[j].append(i)
+            self.images.append(image)
+        # a partial map raises KeyError, as looking up its missing entry would
+        for (_, src, _, _), image in zip(self.maps, self.images):
+            for i in self.members[src]:
+                if image[i] < 0:
+                    raise KeyError(self.elements[i][1])
+        self.neighbors = [o + s for o, s in zip(self.out, self.in_src)]
+
+    def initial(self):
+        """One cell per nonempty sort, every element touched."""
+        color = [0] * len(self.elements)
+        cells = []
+        for members in self.members.values():
+            if members:
+                for i in members:
+                    color[i] = len(cells)
+                cells.append(members)
+        return color, cells, range(len(color))
+
+    def serialize(self, color):
+        """The tables under a discrete coloring, rows in color order."""
+        get = color.__getitem__
+        ranked = {s: sorted(m, key=get) for s, m in self.members.items()}
+        key = [self.sizes]
+        for (_, src, _, _), image in zip(self.maps, self.images):
+            key.append(tuple(map(get, map(image.__getitem__, ranked[src]))))
+        return tuple(key)
 
 
-def _refine(elements, out_edges, in_edges, colors):
-    ncolors = len(set(colors.values()))
+def _refine(g: _Indexed, color, cells, touched):
+    """Refine in place to a stable coloring; touched holds the elements of
+    the cell parts that changed last, less the largest part of each split."""
+    out, in_code, in_src, neighbors = g.out, g.in_code, g.in_src, g.neighbors
     while True:
-        sigs = {}
-        for e in elements:
-            sigs[e] = (
-                colors[e],
-                tuple((lbl, colors[y]) for lbl, y in out_edges[e]),
-                tuple(sorted((lbl, colors[y]) for lbl, y in in_edges[e])),
-            )
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        colors = {e: ranks[sigs[e]] for e in elements}
-        n = len(set(colors.values()))
-        if n == ncolors:
-            return colors
-        ncolors = n
-
-
-def _initial_colors(sys: UnarySystem):
-    order = {s: i for i, s in enumerate(sorted(sys.sorts))}
-    return {(s, x): order[s] for s in sys.sorts for x in sys.sorts[s]}
+        get = color.__getitem__
+        candidates = {color[j] for i in touched for j in neighbors[i]}
+        splits = {}
+        for c in candidates:
+            cell = cells[c]
+            if len(cell) == 1:
+                continue
+            parts: dict[tuple, list] = {}
+            for i in cell:
+                sig = (*map(get, out[i]),
+                       *sorted(map(add, in_code[i], map(get, in_src[i]))))
+                parts.setdefault(sig, []).append(i)
+            if len(parts) > 1:
+                splits[c] = [parts[sig] for sig in sorted(parts)]
+        if not splits:
+            return color, cells
+        first = min(splits)
+        refined = cells[:first]
+        touched = []
+        for c in range(first, len(cells)):
+            parts = splits.get(c)
+            if parts is None:
+                refined.append(cells[c])
+                continue
+            refined += parts
+            largest = max(parts, key=len)
+            for part in parts:
+                if part is not largest:
+                    touched += part
+        for c in range(first, len(refined)):
+            for i in refined[c]:
+                color[i] = c
+        cells = refined
 
 
 def canonical_order(sys: UnarySystem) -> dict:
@@ -63,45 +145,31 @@ def canonical_order(sys: UnarySystem) -> dict:
     Returns {sort: {id: position}}; isomorphic systems produce orderings
     under which their serializations coincide.
     """
-    elements = sys.elements()
-    out_edges, in_edges = _edges(sys)
-    maps = sorted(sys.maps, key=lambda m: m[0])
+    g = _Indexed(sys)
     best: list = [None, None]
 
-    def serialize(order):
-        key = [tuple(len(sys.sorts[s]) for s in sorted(sys.sorts))]
-        for label, src, tgt, table in maps:
-            ids = sorted(sys.sorts[src], key=lambda x: order[(src, x)])
-            key.append(tuple(order[(tgt, table[x])] for x in ids))
-        return tuple(key)
-
-    def descend(colors):
-        classes: dict[int, list] = {}
-        for e in elements:
-            classes.setdefault(colors[e], []).append(e)
-        target = None
-        for c in sorted(classes):
-            if len(classes[c]) > 1:
-                target = classes[c]
-                break
+    def descend(color, cells):
+        target = next((cell for cell in cells if len(cell) > 1), None)
         if target is None:
-            order = dict(colors)
-            key = serialize(order)
+            key = g.serialize(color)
             if best[0] is None or key < best[0]:
-                best[0], best[1] = key, order
+                best[0], best[1] = key, color
             return
-        fresh = max(colors.values()) + 1
+        t = color[target[0]]
         for e in target:
-            nxt = dict(colors)
-            nxt[e] = fresh
-            descend(_refine(elements, out_edges, in_edges, nxt))
+            nxt = color[:]
+            nxt[e] = len(cells)
+            split = cells[:]
+            split[t] = [i for i in target if i != e]
+            split.append([e])
+            descend(*_refine(g, nxt, split, [e]))
 
-    descend(_refine(elements, out_edges, in_edges, _initial_colors(sys)))
-    order = best[1]
+    descend(*_refine(g, *g.initial()))
+    color = best[1]
     result: dict = {}
     for s in sys.sorts:
-        ranked = sorted(sys.sorts[s], key=lambda x: order[(s, x)])
-        result[s] = {x: i for i, x in enumerate(ranked)}
+        ranked = sorted(g.members[s], key=color.__getitem__)
+        result[s] = {g.elements[i][1]: p for p, i in enumerate(ranked)}
     return result
 
 
@@ -116,82 +184,67 @@ def find_isomorphism(sys_a: UnarySystem, sys_b: UnarySystem) -> dict | None:
     for s in sys_a.sorts:
         if len(sys_a.sorts[s]) != len(sys_b.sorts[s]):
             return None
-    labels_a = sorted(m[0] for m in sys_a.maps)
-    labels_b = sorted(m[0] for m in sys_b.maps)
-    if labels_a != labels_b:
+    if (sorted(m[:3] for m in sys_a.maps)
+            != sorted(m[:3] for m in sys_b.maps)):
         return None
 
+    tables = {lbl: tab for lbl, _, _, tab in sys_b.maps}
     union = UnarySystem(
         sorts={s: [("a", x) for x in sys_a.sorts[s]] + [("b", x) for x in sys_b.sorts[s]]
                for s in sys_a.sorts},
-        maps=(
-            [(lbl, src, tgt, {("a", x): ("a", y) for x, y in tab.items()})
-             for lbl, src, tgt, tab in sys_a.maps]
-            + [(lbl, src, tgt, {("b", x): ("b", y) for x, y in tab.items()})
-               for lbl, src, tgt, tab in sys_b.maps]
-        ),
+        maps=[(lbl, src, tgt,
+               {**{("a", x): ("a", y) for x, y in tab.items()},
+                **{("b", x): ("b", y) for x, y in tables[lbl].items()}})
+              for lbl, src, tgt, tab in sys_a.maps],
     )
-    elements = union.elements()
-    out_edges, in_edges = _edges(union)
-    colors = _refine(elements, out_edges, in_edges, _initial_colors(union))
+    g = _Indexed(union)
+    color, _ = _refine(g, *g.initial())
 
     a_by_color: dict[int, list] = {}
     b_by_color: dict[int, list] = {}
     for s in union.sorts:
-        for tag, x in union.sorts[s]:
-            c = colors[(s, (tag, x))]
-            (a_by_color if tag == "a" else b_by_color).setdefault(c, []).append((s, x))
+        for i in g.members[s]:
+            by_color = a_by_color if g.elements[i][1][0] == "a" else b_by_color
+            by_color.setdefault(color[i], []).append(i)
     for c in set(a_by_color) | set(b_by_color):
         if len(a_by_color.get(c, ())) != len(b_by_color.get(c, ())):
             return None
 
-    def color_of(e):
-        return colors[(e[0], ("a", e[1]))]
-
     todo = sorted(
-        ((s, x) for s in sys_a.sorts for x in sys_a.sorts[s]),
-        key=lambda e: (len(a_by_color[color_of(e)]), color_of(e), e[1]),
+        (g.index[(s, ("a", x))] for s in sys_a.sorts for x in sys_a.sorts[s]),
+        key=lambda i: (len(a_by_color[color[i]]), color[i], g.elements[i][1][1]),
     )
-    out_a = {e: [] for e in ((s, x) for s in sys_a.sorts for x in sys_a.sorts[s])}
-    in_a = {e: [] for e in out_a}
-    tables_b = {}
-    for lbl, src, tgt, tab in sys_a.maps:
-        for x, y in tab.items():
-            out_a[(src, x)].append((lbl, (tgt, y)))
-            in_a[(tgt, y)].append((lbl, (src, x)))
-    for lbl, src, tgt, tab in sys_b.maps:
-        tables_b[lbl] = tab
-
-    assign: dict = {}
-    used: set = set()
+    n = len(g.elements)
+    out_images = {s: [image for (_, src, _, _), image in zip(g.maps, g.images) if src == s]
+                  for s in g.members}
+    assign = [-1] * n
+    used = [False] * n
 
     def consistent(e, f):
-        for lbl, e2 in out_a[e]:
-            if e2 in assign and tables_b[lbl][f[1]] != assign[e2][1]:
+        for image, e2 in zip(out_images[g.elements[e][0]], g.out[e]):
+            if assign[e2] >= 0 and image[f] != assign[e2]:
                 return False
-        for lbl, e0 in in_a[e]:
-            if e0 in assign and tables_b[lbl][assign[e0][1]] != f[1]:
+        for code, e0 in zip(g.in_code[e], g.in_src[e]):
+            if assign[e0] >= 0 and g.images[code // n][assign[e0]] != f:
                 return False
         return True
 
     def search():
         n = len(todo)
         iters: list = [None] * n
-        chosen: list = [None] * n
         depth = 0
         while depth >= 0:
             if depth == n:
                 return True
             e = todo[depth]
             if iters[depth] is None:
-                iters[depth] = iter(b_by_color[color_of(e)])
+                iters[depth] = iter(b_by_color[color[e]])
             advanced = False
-            for y in iters[depth]:
-                if y[0] != e[0] or y in used or not consistent(e, y):
+            for f in iters[depth]:
+                if used[f] or not consistent(e, f):
                     continue
-                assign[e] = y
-                used.add(y)
-                chosen[depth] = y
+                assign[e] = f
+                used[f] = True
                 depth += 1
                 advanced = True
                 break
@@ -199,13 +252,14 @@ def find_isomorphism(sys_a: UnarySystem, sys_b: UnarySystem) -> dict | None:
                 iters[depth] = None
                 depth -= 1
                 if depth >= 0:
-                    used.remove(chosen[depth])
-                    del assign[todo[depth]]
+                    used[assign[todo[depth]]] = False
+                    assign[todo[depth]] = -1
         return False
 
     if not search():
         return None
     result: dict = {s: {} for s in sys_a.sorts}
-    for (s, x), (_, y) in assign.items():
-        result[s][x] = y
+    for e in todo:
+        s, (_, x) = g.elements[e]
+        result[s][x] = g.elements[assign[e]][1][1]
     return result

@@ -79,10 +79,10 @@ class Registry:
             ext = _extension(self.get(digest).interval, minimum=1)
             for arrow in ext.nerve.levels[1]:
                 sub, _ = factorisation_interval(ext.nerve, arrow)
-                d = canonicalize(sub).digest
-                if d not in self.entries:
-                    self.insert(sub)
-                    queue.append(d)
+                cls = canonicalize(sub)
+                if cls.digest not in self.entries:
+                    self.insert(cls)
+                    queue.append(cls.digest)
         return self
 
     def is_closed(self) -> bool:

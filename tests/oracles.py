@@ -2,14 +2,17 @@
 
 These deliberately avoid the code paths they certify: pushouts are checked
 against the raw universal property, Mobius vectors against Rota's recursion
-and against power-series inversion of zeta computed on raw tables, and
-factorisations against exhaustive two-step search.
+and against power-series inversion of zeta computed on raw tables,
+factorisations against exhaustive two-step search, and canonical labeling
+against the dict-keyed refinement that recomputes every signature each
+round.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from decomp.labeling import UnarySystem
 from decomp.simplex import all_monotone, compose, is_free, is_generic
 
 
@@ -261,3 +264,88 @@ def validate_sset_by_simplex(X):
                     rep.fail(degree=k, witness=(x,), note="stable_from-violated")
     rep.verified_upto = X.cap
     return rep
+
+
+# ---------------------------------------------------------------------------
+# canonical labeling: every signature recomputed each round on (sort, id) keys
+
+
+def _edges(sys: UnarySystem):
+    out_edges = {e: [] for e in sys.elements()}
+    in_edges = {e: [] for e in sys.elements()}
+    for label, src, tgt, table in sorted(sys.maps, key=lambda m: m[0]):
+        for x, y in table.items():
+            out_edges[(src, x)].append((label, (tgt, y)))
+            in_edges[(tgt, y)].append((label, (src, x)))
+    return out_edges, in_edges
+
+
+def _refine(elements, out_edges, in_edges, colors):
+    ncolors = len(set(colors.values()))
+    while True:
+        sigs = {}
+        for e in elements:
+            sigs[e] = (
+                colors[e],
+                tuple((lbl, colors[y]) for lbl, y in out_edges[e]),
+                tuple(sorted((lbl, colors[y]) for lbl, y in in_edges[e])),
+            )
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
+        colors = {e: ranks[sigs[e]] for e in elements}
+        n = len(set(colors.values()))
+        if n == ncolors:
+            return colors
+        ncolors = n
+
+
+def _initial_colors(sys: UnarySystem):
+    order = {s: i for i, s in enumerate(sorted(sys.sorts))}
+    return {(s, x): order[s] for s in sys.sorts for x in sys.sorts[s]}
+
+
+def canonical_order(sys: UnarySystem) -> dict:
+    """Canonical position of every element within its sort.
+
+    Returns {sort: {id: position}}; isomorphic systems produce orderings
+    under which their serializations coincide.
+    """
+    elements = sys.elements()
+    out_edges, in_edges = _edges(sys)
+    maps = sorted(sys.maps, key=lambda m: m[0])
+    best: list = [None, None]
+
+    def serialize(order):
+        key = [tuple(len(sys.sorts[s]) for s in sorted(sys.sorts))]
+        for label, src, tgt, table in maps:
+            ids = sorted(sys.sorts[src], key=lambda x: order[(src, x)])
+            key.append(tuple(order[(tgt, table[x])] for x in ids))
+        return tuple(key)
+
+    def descend(colors):
+        classes: dict[int, list] = {}
+        for e in elements:
+            classes.setdefault(colors[e], []).append(e)
+        target = None
+        for c in sorted(classes):
+            if len(classes[c]) > 1:
+                target = classes[c]
+                break
+        if target is None:
+            order = dict(colors)
+            key = serialize(order)
+            if best[0] is None or key < best[0]:
+                best[0], best[1] = key, order
+            return
+        fresh = max(colors.values()) + 1
+        for e in target:
+            nxt = dict(colors)
+            nxt[e] = fresh
+            descend(_refine(elements, out_edges, in_edges, nxt))
+
+    descend(_refine(elements, out_edges, in_edges, _initial_colors(sys)))
+    order = best[1]
+    result: dict = {}
+    for s in sys.sorts:
+        ranked = sorted(sys.sorts[s], key=lambda x: order[(s, x)])
+        result[s] = {x: i for i, x in enumerate(ranked)}
+    return result

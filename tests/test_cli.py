@@ -186,16 +186,55 @@ def test_registry_add_refuses_damaged_registry(tmp_path, capsys):
     assert index.read_bytes() == before + b"not-a-digest\n"
 
 
-def test_culf_check(tmp_path, d6_sset, capsys):
+def _counit_smap(tmp_path, d6_sset):
     from decomp.formats import load, write_smap
     from decomp.presheaf import dec_bot
 
-    X = load(d6_sset)
-    D, counit = dec_bot(X)
+    D, counit = dec_bot(load(d6_sset))
     save(D, tmp_path / "dec.sset")
-    (tmp_path / "counit.smap").write_text(
-        write_smap(counit, "dec.sset", "d6.sset"), encoding="utf-8")
-    assert main(["check", "culf", str(tmp_path / "counit.smap")]) == 0
+    path = tmp_path / "counit.smap"
+    path.write_text(write_smap(counit, "dec.sset", "d6.sset"), encoding="utf-8")
+    return path
+
+
+def test_culf_check(tmp_path, d6_sset, capsys):
+    assert main(["check", "culf", str(_counit_smap(tmp_path, d6_sset))]) == 0
+
+
+def test_culf_check_refuses_repeated_level(tmp_path, d6_sset, capsys):
+    path = _counit_smap(tmp_path, d6_sset)
+    text = path.read_text(encoding="utf-8")
+    line = next(ln for ln in text.splitlines() if ln.startswith("level 1:"))
+    path.write_text(text + line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "culf", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "duplicate directive 'level 1'" in captured.err
+
+
+def test_culf_check_validates_both_ends(tmp_path, d6_sset, capsys):
+    """A map whose XISET ends lack a map line fails validation of that end
+    instead of raising in the naturality check."""
+    from decomp.formats import load, write_smap
+    from decomp.presheaf import XiSetMap
+
+    iv = tmp_path / "i.xiset"
+    assert main(["interval", d6_sset, "--arrow", f"1{SEP}6", "-o", str(iv)]) == 0
+    A = load(str(iv))
+    ident = XiSetMap(A, A, {k: {x: x for x in A.levels[k]} for k in range(-1, A.cap + 1)})
+    smap = tmp_path / "id.smap"
+    smap.write_text(write_smap(ident, "i.xiset", "i.xiset"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "culf", str(smap)]) == 0
+    text = iv.read_text(encoding="utf-8")
+    iv.write_text("".join(ln for ln in text.splitlines(keepends=True)
+                          if not ln.startswith("sbot 0:")), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "culf", str(smap)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL validate")
+    assert "missing-structure-map:(0, -1)" in out
 
 
 def test_monoid_nerve_via_cli(tmp_path, capsys):

@@ -1,11 +1,17 @@
-"""Differential tests: the whole-level and counting fast paths against the
-element-by-element reference implementations in `oracles`."""
+"""Differential tests: the whole-level, counting and integer-indexed fast
+paths against the element-by-element reference implementations in
+`oracles`."""
 
+from math import factorial, prod
+
+import oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decomp.ingest import PosetSpec, nerve_poset
-from decomp.presheaf import pullback_failure, validate_sset
+from decomp import labeling
+from decomp.ingest import PosetSpec, boolean_poset, divisor_poset, nerve, nerve_poset
+from decomp.interval import factorisation_interval, xi_system
+from decomp.presheaf import pullback_failure, truncate, validate_sset
 from oracles import pullback_failure_by_enumeration, validate_sset_by_simplex
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None)
@@ -131,3 +137,110 @@ def rewired_nerves(draw):
 @given(rewired_nerves())
 def test_validate_sset_matches_per_simplex_check(X):
     assert validate_sset(X).lines() == validate_sset_by_simplex(X).lines()
+
+
+def _shuffled(draw, sizes, tables):
+    """A UnarySystem with the given sort sizes and index tables
+    {label: (src, tgt, [target index per source index])}, presented with
+    fresh ids, sorts, maps and table entries in a drawn order."""
+    names = {s: [f"e{p}" for p in draw(st.permutations(range(n)))]
+             for s, n in enumerate(sizes)}
+    sorts = {s: draw(st.permutations(names[s]))
+             for s in draw(st.permutations(range(len(sizes))))}
+    maps = []
+    for label in draw(st.permutations(sorted(tables))):
+        src, tgt, image = tables[label]
+        order = draw(st.permutations(range(sizes[src])))
+        maps.append((label, src, tgt,
+                     {names[src][i]: names[tgt][image[i]] for i in order}))
+    return labeling.UnarySystem(sorts, maps)
+
+
+@st.composite
+def unary_tables(draw):
+    """Sort sizes and total labelled maps: 1-4 sorts of 1-6 elements and up
+    to six maps.  Half the time the system is two or three disjoint copies
+    of a smaller one, so that it has automorphisms.  Sizes are kept to at
+    most 720 orderings, which bounds the backtracking of both searches."""
+    copies = draw(st.sampled_from([1, 1, 2, 3]))
+    base = draw(st.lists(st.integers(1, 6 // copies), min_size=1, max_size=4)
+                .filter(lambda ns: prod(factorial(n * copies) for n in ns) <= 720))
+    tables = {}
+    for label in range(draw(st.integers(0, 6))):
+        src = draw(st.integers(0, len(base) - 1))
+        tgt = draw(st.integers(0, len(base) - 1))
+        image = [draw(st.integers(0, base[tgt] - 1)) for _ in range(base[src])]
+        tables[f"m{label}"] = (src, tgt, [c * base[tgt] + image[i]
+                                          for c in range(copies)
+                                          for i in range(base[src])])
+    return [n * copies for n in base], tables
+
+
+@st.composite
+def unary_systems(draw):
+    return _shuffled(draw, *draw(unary_tables()))
+
+
+@st.composite
+def unary_pairs(draw):
+    """A system and a second presentation of it, with one table entry
+    retargeted half the time."""
+    sizes, tables = draw(unary_tables())
+    other = dict(tables)
+    if tables and draw(st.booleans()):
+        label = draw(st.sampled_from(sorted(tables)))
+        src, tgt, image = tables[label]
+        image = list(image)
+        image[draw(st.integers(0, len(image) - 1))] = draw(
+            st.integers(0, sizes[tgt] - 1))
+        other[label] = (src, tgt, image)
+    return _shuffled(draw, sizes, tables), _shuffled(draw, sizes, other)
+
+
+def _assert_same_order(sys):
+    got, want = labeling.canonical_order(sys), oracles.canonical_order(sys)
+    assert got == want
+    assert list(got) == list(want)
+    assert all(list(got[s]) == list(want[s]) for s in got)
+
+
+def _canonical_form(sys):
+    """The tables relabelled by the reference canonical order."""
+    order = oracles.canonical_order(sys)
+    return tuple(sorted(
+        (label, src, tgt, tuple(order[tgt][table[x]]
+                                for x in sorted(table, key=order[src].get)))
+        for label, src, tgt, table in sys.maps))
+
+
+@SETTINGS
+@given(unary_systems())
+def test_canonical_order_matches_reference(sys):
+    _assert_same_order(sys)
+
+
+@SETTINGS
+@given(unary_pairs())
+def test_find_isomorphism_agrees_with_reference_forms(pair):
+    a, b = pair
+    iso = labeling.find_isomorphism(a, b)
+    assert (iso is not None) == (_canonical_form(a) == _canonical_form(b))
+    if iso is None:
+        return
+    for s in a.sorts:
+        assert sorted(iso[s]) == sorted(a.sorts[s])
+        assert sorted(iso[s].values()) == sorted(b.sorts[s])
+    tables_b = {label: table for label, _, _, table in b.maps}
+    for label, src, tgt, table in a.maps:
+        for x, y in table.items():
+            assert tables_b[label][iso[src][x]] == iso[tgt][y]
+
+
+def test_canonical_order_matches_reference_on_intervals():
+    """Every factorisation interval of d12 and B3, truncated as
+    canonicalization truncates it."""
+    for spec in (divisor_poset(12), boolean_poset(3)):
+        X = nerve(spec)
+        for arrow in X.levels[1]:
+            data = factorisation_interval(X, arrow)[0].data
+            _assert_same_order(xi_system(truncate(data, max(1, data.stable_from))))

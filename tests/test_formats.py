@@ -7,6 +7,7 @@ from decomp.formats import (
     parse_category,
     parse_monoid,
     parse_poset,
+    parse_smap_text,
     parse_sset,
     parse_xiset,
     save,
@@ -64,6 +65,39 @@ def test_repeated_map_directive_is_rejected():
     line = next(ln for ln in xtext.splitlines() if ln.startswith("sbot 0:"))
     with pytest.raises(ParseError, match="duplicate directive 'sbot 0'"):
         parse_xiset(xtext + line + "\n")
+
+
+def _counit_smap_text():
+    _, counit = dec_bot(nerve_poset(divisor_poset(6), 4))
+    return write_smap(counit, "dom.sset", "cod.sset")
+
+
+SPEC_TEXTS = {
+    "smap": (parse_smap_text, _counit_smap_text),
+    "poset": (parse_poset, lambda: write_poset(divisor_poset(6))),
+    "monoid": (parse_monoid, lambda: write_monoid(truncated_addition(3))),
+    "cat": (parse_category,
+            lambda: "CAT v1\nobjects: x\nid x: ix\narrow f: x -> x\ncompose f f: f\n"),
+}
+
+
+@pytest.mark.parametrize("kind, directive", [
+    ("smap", "dom"), ("smap", "cod"), ("smap", "level 1"),
+    ("poset", "elements"),
+    ("monoid", "elements"), ("monoid", "unit"), ("monoid", "mul 1 1"),
+    ("cat", "objects"), ("cat", "id x"), ("cat", "arrow f"), ("cat", "compose f f"),
+])
+def test_repeated_spec_directive_is_rejected(kind, directive):
+    """A second line of a directive is refused at its line; the last one
+    used to win."""
+    parse, make = SPEC_TEXTS[kind]
+    text = make()
+    lines = text.splitlines()
+    line = next(ln for ln in lines if ln.startswith(directive)
+                and ln[len(directive)] in " :")
+    parse(text)
+    with pytest.raises(ParseError, match=f":{len(lines) + 1}: duplicate directive '{directive}'"):
+        parse("\n".join(lines + [line]) + "\n")
 
 
 @pytest.mark.parametrize("directive", ["d 0 0", "d 1 2", "d 2 -1", "s 1 -1", "s 1 2",

@@ -14,12 +14,21 @@ from decomp.simplex import all_xi_maps
 
 SEP = "≤"
 D6_DIGEST = "a7fa97992f921925eac6b6bb737f0f3c0712952a79407f028c1bd6cc40f81858"
+B4_DIGEST = "0fac40dd5651389899036b1b183392d252696d6cbe73930333d5f61bf8496e97"
 
 
 def test_d6_interval_digest():
     X = nerve(divisor_poset(6))
     iv, _ = factorisation_interval(X, SEP.join(["1", "6"]))
     assert canonicalize(iv).digest == D6_DIGEST
+
+
+def test_b4_interval_digest():
+    """[1]^4 has 24 automorphisms: the labeling search backtracks through
+    every branch of its tree."""
+    X = nerve(boolean_poset(4))
+    iv, _ = factorisation_interval(X, SEP.join(["o", "abcd"]))
+    assert canonicalize(iv).digest == B4_DIGEST
 
 
 def test_b3_registry_closure_digests():
