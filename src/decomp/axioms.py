@@ -14,6 +14,7 @@ from .presheaf import (
     SSetMap,
     XiSetMap,
     _generator_table,
+    actions,
     dec_bot,
     dec_top,
     ez_level_nondegenerate,
@@ -21,12 +22,12 @@ from .presheaf import (
     nondegenerate,
     principal_edge_tables,
     pullback_failure,
-    sset_action,
+    sset_action,  # noqa: F401 -- perfbench/tracer.py counts calls through this name
     validate_sset,
     xi_generators,
 )
 from .report import Report
-from .simplex import MonotoneMap, free_generators, generic_generators, pushout_generic_free
+from .simplex import free_generators, generic_generators, pushout_generic_free
 
 
 def _pullback_issue(P, A, B, p, q, f, g) -> str | None:
@@ -72,16 +73,14 @@ def _composable_strings(X: FinSSet, k: int):
         yield from extend([e])
 
 
-def spine_table(X: FinSSet, k: int) -> dict[str, tuple[str, ...]]:
-    tables = principal_edge_tables(X, k)
-    return {x: tuple(t[x] for t in tables) for x in X.levels[k]}
-
-
 def check_segal(X: FinSSet) -> Report:
-    """Is every level the fibre product of its principal edges?"""
+    """Is every level the fibre product of its principal edges?  Records the
+    table compositions made in data["compositions"]."""
     rep = Report("check_segal")
+    act = actions(X)
     for k in range(2, X.cap + 1):
-        spine = spine_table(X, k)
+        tables = principal_edge_tables(act, k)
+        spine = {x: tuple(t[x] for t in tables) for x in X.levels[k]}
         seen: dict[tuple[str, ...], str] = {}
         collision = False
         for x, s in spine.items():
@@ -93,6 +92,7 @@ def check_segal(X: FinSSet) -> Report:
         if not collision and len(spine) != want:
             missing = next(s for s in _composable_strings(X, k) if s not in seen)
             rep.fail(degree=k, witness=missing, note="no-filler")
+    rep.data["compositions"] = act.compositions
     rep.verified_upto = X.cap
     return rep
 
@@ -113,6 +113,8 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
     `direct` tests the pushout squares of all generator pairs fitting under
     the cap; `decalage` tests that both decalages are Segal with cartesian-
     on-generics counits; `both` cross-validates the two verdicts.
+    `direct` records the pullback squares per corner degree in
+    data["squares"] and the table compositions in data["compositions"].
     """
     if method not in ("direct", "decalage", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -145,19 +147,15 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
                 rep.absorb(culf)
         rep.verified_upto = X.cap
         return rep
-    actions: dict[MonotoneMap, dict[str, str]] = {}
-
-    def act(a: MonotoneMap) -> dict[str, str]:
-        if a not in actions:
-            actions[a] = sset_action(X, a)
-        return actions[a]
-
+    act = actions(X)
+    squares: dict[int, int] = {}
     for m in range(0, X.cap + 1):
         for g in generic_generators(m):
             for f in free_generators(m):
                 corner = g.tgt + 1
                 if corner > X.cap or f.tgt > X.cap:
                     continue
+                squares[corner] = squares.get(corner, 0) + 1
                 f2, g2 = pushout_generic_free(g, f)
                 bad = _pullback_issue(
                     X.levels[f2.tgt],
@@ -166,6 +164,8 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
                 )
                 if bad is not None:
                     rep.fail(degree=corner, note=f"pushout({g},{f}):{bad}")
+    rep.data["squares"] = squares
+    rep.data["compositions"] = act.compositions
     rep.verified_upto = X.cap
     return rep
 
@@ -314,9 +314,10 @@ def check_tight(X: FinSSet) -> Report:
             rep.fail(degree=k, witness=stray[:2], note="stabilization-claim-false")
             return rep
     bounds = {a: 0 for a in X.levels[1]}
+    act = actions(X)
     for r in range(1, ell + 1):
-        table = long_edge_table(X, r)
-        for x in nondegenerate(X, r):
+        table = long_edge_table(act, r)
+        for x in nondegenerate(X, r, act):
             a = table[x]
             bounds[a] = max(bounds[a], r)
     rep.data["bounds"] = bounds

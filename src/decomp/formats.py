@@ -8,6 +8,7 @@ accept '#' comments and blank lines and report positions on errors.
 from __future__ import annotations
 
 import os
+from sys import intern
 
 from .ingest import CategorySpec, MonoidSpec, PosetSpec
 from .presheaf import FinSSet, FinXiSet, SSetMap, XiSetMap
@@ -43,7 +44,7 @@ def _entries(body: str, source: str, lineno: int) -> dict[str, str]:
         if "->" not in chunk:
             raise ParseError(source, lineno, f"expected src->tgt, got {chunk!r}")
         a, b = chunk.split("->", 1)
-        a, b = a.strip(), b.strip()
+        a, b = intern(a.strip()), intern(b.strip())
         if not a or not b or " " in a or " " in b:
             raise ParseError(source, lineno, f"bad map entry {chunk!r}")
         if a in table:
@@ -134,7 +135,7 @@ def _parse_levelled(text: str, source: str, header: str):
             stable = _int(rest.strip(), source, lineno)
         elif key == "level":
             k = _int(head.strip(), source, lineno)
-            ids = [_check_token(t, source, lineno) for t in body.split()]
+            ids = [intern(_check_token(t, source, lineno)) for t in body.split()]
             if k in levels:
                 raise ParseError(source, lineno, f"duplicate level {k}")
             levels[k] = ids

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .axioms import check_decomposition, check_map_class, check_mobius
-from .interval import canonicalize, factorisation_interval
-from .presheaf import FinSSet, SSetMap, long_edge_table, nondegenerate
+from .interval import canonicalize, factorisation_intervals
+from .interval import factorisation_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
+from .presheaf import FinSSet, SSetMap, actions, long_edge_table, nondegenerate
 from .registry import Registry, RegistryError, build_fragment, registry_comult
 from .report import Report
 
@@ -115,12 +116,14 @@ def counit_vec(table: CoalgebraTable) -> QVec:
     return QVec(table.basis, {a: Fraction(v) for a, v in table.counit.items()})
 
 
-def phi(X: FinSSet, k: int) -> QVec:
-    """Count of nondegenerate k-simplices over each long edge."""
+def phi(X: FinSSet, k: int, act=None) -> QVec:
+    """Count of nondegenerate k-simplices over each long edge; act, when
+    given, is actions(X)."""
     basis = frozenset(X.levels[1])
-    table = long_edge_table(X, k)
+    act = act or actions(X)
+    table = long_edge_table(act, k)
     counts: dict[str, Fraction] = {}
-    for x in nondegenerate(X, k):
+    for x in nondegenerate(X, k, act):
         a = table[x]
         counts[a] = counts.get(a, Fraction(0)) + 1
     return QVec(basis, counts)
@@ -136,8 +139,9 @@ def mobius(X: FinSSet) -> QVec:
     if not cert.ok:
         raise NotCertified("Mobius conditions not certified:\n" + str(cert))
     out = QVec(frozenset(X.levels[1]))
+    act = actions(X)
     for k in range(X.stable_from + 1):
-        term = phi(X, k)
+        term = phi(X, k, act)
         out = out + (term if k % 2 == 0 else term.scale(-1))
     return out
 
@@ -145,11 +149,12 @@ def mobius(X: FinSSet) -> QVec:
 def phi_parity_sums(X: FinSSet) -> tuple[QVec, QVec]:
     even = QVec(frozenset(X.levels[1]))
     odd = QVec(frozenset(X.levels[1]))
+    act = actions(X)
     for k in range(X.stable_from + 1):
         if k % 2 == 0:
-            even = even + phi(X, k)
+            even = even + phi(X, k, act)
         else:
-            odd = odd + phi(X, k)
+            odd = odd + phi(X, k, act)
     return even, odd
 
 
@@ -218,8 +223,7 @@ def classify(X: FinSSet, reg: Registry) -> tuple[dict[str, str], Report]:
     if not cert.ok:
         raise NotCertified("Mobius conditions not certified:\n" + str(cert))
     mapping: dict[str, str] = {}
-    for a in X.levels[1]:
-        iv, _ = factorisation_interval(X, a)
+    for a, (iv, _) in factorisation_intervals(X).items():
         digest = canonicalize(iv).digest
         if digest not in reg.entries:
             raise RegistryError(

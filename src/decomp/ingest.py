@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
+from sys import intern
 
 from .presheaf import FinSSet
 
@@ -142,17 +143,16 @@ def nerve_poset(spec: PosetSpec, cap: int | None = None) -> FinSSet:
         nxt = [c + (b,) for c in chains[k - 1] for b in ups[c[-1]]]
         _guard_level(k, len(nxt))
         chains[k] = nxt
-    levels = {k: [sep.join(c) for c in sorted(chains[k])] for k in range(cap + 1)}
+    name = {c: intern(sep.join(c)) for k in chains for c in chains[k]}
+    levels = {k: [name[c] for c in sorted(chains[k])] for k in range(cap + 1)}
     faces = {}
     degens = {}
     for k in range(1, cap + 1):
         for i in range(k + 1):
-            faces[(k, i)] = {sep.join(c): sep.join(c[:i] + c[i + 1:])
-                             for c in chains[k]}
+            faces[(k, i)] = {name[c]: name[c[:i] + c[i + 1:]] for c in chains[k]}
     for k in range(cap):
         for j in range(k + 1):
-            degens[(k, j)] = {sep.join(c): sep.join(c[:j + 1] + c[j:])
-                              for c in chains[k]}
+            degens[(k, j)] = {name[c]: name[c[:j + 1] + c[j:]] for c in chains[k]}
     return FinSSet(cap, levels, faces, degens, stable_from=min(longest, cap))
 
 
@@ -256,10 +256,8 @@ def nerve_monoid(spec: MonoidSpec, cap: int | None = None) -> FinSSet:
         _guard_level(k, len(nxt))
         strings[k] = sorted(nxt)
 
-    def name(s: tuple[str, ...]) -> str:
-        return "+".join(s) if s else "*"
-
-    levels = {k: [name(s) for s in strings[k]] for k in range(cap + 1)}
+    name = {s: intern("+".join(s) if s else "*") for k in strings for s in strings[k]}
+    levels = {k: [name[s] for s in strings[k]] for k in range(cap + 1)}
     faces = {}
     degens = {}
     for k in range(1, cap + 1):
@@ -272,12 +270,11 @@ def nerve_monoid(spec: MonoidSpec, cap: int | None = None) -> FinSSet:
                     out = s[:-1]
                 else:
                     out = s[:i - 1] + (spec.mul(s[i - 1], s[i]),) + s[i + 1:]
-                table[name(s)] = name(out)
+                table[name[s]] = name[out]
             faces[(k, i)] = table
     for k in range(cap):
         for j in range(k + 1):
-            degens[(k, j)] = {name(s): name(s[:j] + (e,) + s[j:])
-                              for s in strings[k]}
+            degens[(k, j)] = {name[s]: name[s[:j] + (e,) + s[j:]] for s in strings[k]}
     return FinSSet(cap, levels, faces, degens, stable_from=min(bound, cap))
 
 
@@ -403,14 +400,10 @@ def nerve_category(spec: CategorySpec, cap: int | None = None) -> FinSSet:
         _guard_level(k, len(nxt))
         strings[k] = nxt
 
-    def name(s: tuple[str, ...]) -> str:
-        return "*".join(s)
-
-    levels = {0: sorted(spec.objects)}
-    levels.update({k: sorted(name(s) for s in strings[k]) for k in range(1, cap + 1)})
-    vertex = {}
-    for s in strings[1]:
-        vertex[s] = (spec.src(s[0]), spec.tgt(s[0]))
+    name = {s: intern("*".join(s)) for k in strings for s in strings[k]}
+    name.update({(x,): intern(x) for x in spec.objects})
+    levels = {0: sorted(name[(x,)] for x in spec.objects)}
+    levels.update({k: sorted(name[s] for s in strings[k]) for k in range(1, cap + 1)})
     faces = {}
     degens = {}
     for k in range(1, cap + 1):
@@ -418,22 +411,22 @@ def nerve_category(spec: CategorySpec, cap: int | None = None) -> FinSSet:
             table = {}
             for s in strings[k]:
                 if k == 1:
-                    table[name(s)] = spec.tgt(s[0]) if i == 0 else spec.src(s[0])
+                    out = (spec.tgt(s[0]) if i == 0 else spec.src(s[0]),)
                 elif i == 0:
-                    table[name(s)] = name(s[1:])
+                    out = s[1:]
                 elif i == k:
-                    table[name(s)] = name(s[:-1])
+                    out = s[:-1]
                 else:
-                    mid = spec.compose(s[i - 1], s[i])
-                    table[name(s)] = name(s[:i - 1] + (mid,) + s[i + 1:])
+                    out = s[:i - 1] + (spec.compose(s[i - 1], s[i]),) + s[i + 1:]
+                table[name[s]] = name[out]
             faces[(k, i)] = table
-    degens[(0, 0)] = {x: spec.identities[x] for x in spec.objects}
+    degens[(0, 0)] = {name[(x,)]: name[(spec.identities[x],)] for x in spec.objects}
     for k in range(1, cap):
         for j in range(k + 1):
             table = {}
             for s in strings[k]:
                 at = spec.src(s[0]) if j == 0 else spec.tgt(s[j - 1])
-                table[name(s)] = name(s[:j] + (spec.identities[at],) + s[j:])
+                table[name[s]] = name[s[:j] + (spec.identities[at],) + s[j:]]
             degens[(k, j)] = table
     stable = None if bound is None else min(bound, cap)
     return FinSSet(cap, levels, faces, degens, stable_from=stable)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from sys import intern
 
 from .axioms import (
     check_complete,
@@ -27,6 +28,7 @@ from .presheaf import (
     FinXiSet,
     SSetMap,
     XiSetMap,
+    actions,
     degenerate_edges,
     ez_level_nondegenerate,
     i_star,
@@ -36,10 +38,10 @@ from .presheaf import (
     truncate,
     u_star,
     validate_xiset,
-    xi_edge_to_initial,
     xi_generators,
 )
 from .report import Report
+from .simplex import xi_initial
 
 
 class IntervalError(ValueError):
@@ -122,28 +124,30 @@ def wide_cartesian_factor(g: XiSetMap) -> tuple[XiSetMap, XiSetMap]:
     cap = B.cap
     gm1 = g.components[-1]
 
-    to_init = {n: xi_edge_to_initial(A, n) for n in range(-1, cap + 1)}
+    act = actions(A)
+    to_init = {n: act(xi_initial(n).rep) for n in range(-1, cap + 1)}
     levels: dict[int, list[str]] = {}
     pairs: dict[int, list[tuple[str, str]]] = {}
     for n in range(-1, cap + 1):
         ps = [(b, x) for b in B.levels[-1] for x in A.levels[n]
               if gm1[b] == to_init[n][x]]
         pairs[n] = ps
-        levels[n] = [f"{b}&{x}" for b, x in ps]
+        levels[n] = [intern(f"{b}&{x}") for b, x in ps]
 
     def lift(key, table):
-        return {f"{b}&{x}": f"{b}&{table[x]}" for b, x in pairs[key[0]]}
+        return {intern(f"{b}&{x}"): intern(f"{b}&{table[x]}") for b, x in pairs[key[0]]}
 
     T = truncate(A, cap)
     mid = FinXiSet(cap, levels, {key: lift(key, t) for key, t in T.faces.items()},
                    {key: lift(key, t) for key, t in T.degens.items()})
 
-    to_init_B = {n: xi_edge_to_initial(B, n) for n in range(-1, cap + 1)}
+    act = actions(B)
+    to_init_B = {n: act(xi_initial(n).rep) for n in range(-1, cap + 1)}
     wide_comps = {
-        n: {y: f"{to_init_B[n][y]}&{g.components[n][y]}" for y in B.levels[n]}
+        n: {y: intern(f"{to_init_B[n][y]}&{g.components[n][y]}") for y in B.levels[n]}
         for n in range(-1, cap + 1)
     }
-    cart_comps = {n: {f"{b}&{x}": x for b, x in pairs[n]}
+    cart_comps = {n: {intern(f"{b}&{x}"): x for b, x in pairs[n]}
                   for n in range(-1, cap + 1)}
     wide = XiSetMap(B, mid, wide_comps)
     cart = XiSetMap(mid, A, cart_comps)
@@ -154,48 +158,60 @@ def wide_cartesian_factor(g: XiSetMap) -> tuple[XiSetMap, XiSetMap]:
 # factorisation intervals
 
 
-def factorisation_interval(
-    X: FinSSet, a: str, check: bool = False
-) -> tuple[AlgebraicInterval, SSetMap]:
-    """The interval of the arrow a: level k is the X_{k+2} long-edge fiber.
+def factorisation_intervals(
+    X: FinSSet, arrows: list[str] | None = None
+) -> dict[str, tuple[AlgebraicInterval, SSetMap]]:
+    """The interval of each arrow (every arrow of X by default), with the
+    embedding of its underlying simplicial set back into X.
 
-    Also returns the embedding of the underlying simplicial set back into X
-    (the double outer face), which is cartesian on all generic maps.
+    Level k of the interval of a is the fiber over a of the X_{k+2}
+    long-edge table.  Each long-edge table is computed once and each level
+    is split into the fibers of all the arrows in one pass, in level order.
+    The embedding is the double outer face, which is cartesian on all
+    generic maps.
     """
     if X.cap < 3:
         raise CapError("factorisation interval needs cap >= 3")
-    if a not in set(X.levels[1]):
-        raise IntervalError(f"{a!r} is not an arrow of the input")
+    arrows = list(X.levels[1]) if arrows is None else arrows
+    known = set(X.levels[1])
+    for a in arrows:
+        if a not in known:
+            raise IntervalError(f"{a!r} is not an arrow of the input")
     if not check_complete(X):
         raise IntervalError("input fails completeness")
-    if check:
-        dc = check_decomposition(X, "direct")
-        if not dc.ok:
-            raise IntervalError("input fails the exactness axiom:\n" + str(dc))
-
     U = u_star(X)
     cap = U.cap
-    fibers: dict[int, list[str]] = {}
+    act = actions(X)
+    by_arrow: dict[str, dict[int, list[str]]] = {a: {} for a in arrows}
     for k in range(-1, cap + 1):
-        table = long_edge_table(X, k + 2)
-        fibers[k] = [x for x in U.levels[k] if table[x] == a]
+        for fibers in by_arrow.values():
+            fibers[k] = []
+        table = long_edge_table(act, k + 2)
+        for x in U.levels[k]:
+            fibers = by_arrow.get(table[x])
+            if fibers is not None:
+                fibers[k].append(x)
 
-    def restrict(key, table):
-        return {x: table[x] for x in fibers[key[0]]}
+    out = {}
+    for a, fibers in by_arrow.items():
+        data = FinXiSet(cap, fibers,
+                        {key: {x: t[x] for x in fibers[key[0]]} for key, t in U.faces.items()},
+                        {key: {x: t[x] for x in fibers[key[0]]} for key, t in U.degens.items()})
+        if U.stable_from is not None:
+            data.stable_from = nondeg_bound(i_star(data))
+        interval = AlgebraicInterval(data, provenance=("interval", a))
+        comps = {}
+        for k in range(0, cap + 1):
+            top = X.faces[(k + 1, k + 1)]
+            bot = X.faces[(k + 2, 0)]
+            comps[k] = {x: top[bot[x]] for x in fibers[k]}
+        out[a] = (interval, SSetMap(i_star(data), X, comps))
+    return out
 
-    data = FinXiSet(cap, fibers, {key: restrict(key, t) for key, t in U.faces.items()},
-                    {key: restrict(key, t) for key, t in U.degens.items()})
-    if U.stable_from is not None:
-        data.stable_from = nondeg_bound(i_star(data))
-    interval = AlgebraicInterval(data, provenance=("interval", a))
 
-    comps = {}
-    for k in range(0, cap + 1):
-        top = X.faces[(k + 1, k + 1)]
-        bot = X.faces[(k + 2, 0)]
-        comps[k] = {x: top[bot[x]] for x in fibers[k]}
-    embed = SSetMap(i_star(data), X, comps)
-    return interval, embed
+def factorisation_interval(X: FinSSet, a: str) -> tuple[AlgebraicInterval, SSetMap]:
+    """The interval of the arrow a and its embedding into X."""
+    return factorisation_intervals(X, [a])[a]
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +356,17 @@ def extend_interval(A: AlgebraicInterval | FinXiSet, xi_cap: int) -> ExtendedInt
 # subdivisions and certification
 
 
-def _fiber(data: FinXiSet, k: int, nondeg: bool) -> list[str]:
+def _fiber(data: FinXiSet, k: int, nondeg: bool, act=None) -> list[str]:
+    """The k-simplices over the longest edge; act, when given, is
+    actions(i_star(data))."""
     under = i_star(data)
+    act = act or actions(under)
     target = longest_edge(data)
-    table = long_edge_table(under, k)
+    table = long_edge_table(act, k)
     hits = [x for x in under.levels[k] if table[x] == target]
     if nondeg and k >= 1:
         bad = degenerate_edges(under)
-        tables = principal_edge_tables(under, k)
+        tables = principal_edge_tables(act, k)
         hits = [x for x in hits if all(t[x] not in bad for t in tables)]
     return hits
 
@@ -376,8 +395,9 @@ def certify_mobius_interval(c: IntervalClass) -> Report:
     rep = check_mobius(under)
     rep.check = "certify_mobius_interval"
     profile = []
+    act = actions(under)
     for r in range(0, bound + 1):
-        profile.append(len(_fiber(ext.interval.data, r, nondeg=True)))
+        profile.append(len(_fiber(ext.interval.data, r, True, act)))
     rep.data["phi_profile"] = profile
     rep.data["nondegenerate_total"] = sum(
         len(ez_level_nondegenerate(under, r)) for r in range(under.cap + 1))

@@ -10,12 +10,20 @@ degree 0 (the XISET `dnew` directive), and the two extra outer
 degeneracies at degree k are s_{-1} and s_{k+1} (`sbot k` and `stop k`).
 All structure-map bookkeeping is reduced to monotone-map words, so there
 is a single source of truth for the relations.
+
+Every constructor makes each table key and value the very string object
+stored in its level list (parsers and nerve builders by `sys.intern`), so
+a lookup matches by pointer.  `actions(X)` gives a memoised act(a) = X(a)
+whose shared, uncopied tables equal the generator-by-generator walk of
+a's word whenever the tables are total on their levels.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from sys import intern
 
 from .report import Report
 from .simplex import (
@@ -24,9 +32,10 @@ from .simplex import (
     all_xi_maps,
     coface,
     codegeneracy,
+    compose,
     generator_word,
+    identity,
     xi_compose,
-    xi_initial,
 )
 
 
@@ -106,26 +115,42 @@ def _generator_table(X, gen: MonotoneMap, shift: int) -> dict[str, str]:
     return X.degens[(gen.tgt - shift, j - shift // 2)]
 
 
-def _action(X, a: MonotoneMap, shift: int) -> dict[str, str]:
-    table = {x: x for x in X.levels[a.tgt - shift]}
-    for gen in reversed(generator_word(a)):
-        table = _compose_tables(_generator_table(X, gen, shift), table)
-    return table
+def actions(X):
+    """A memoised act(a), the action X(a): levels[a.tgt] -> levels[a.src].
+
+    An interval-site presheaf takes the representing monotone map of a site
+    arrow.  X(a) is one `_compose_tables`: the table of the last generator
+    of a's word, then the memoised X(p) of the composite p of the rest of
+    the word, which is p's own word.  act.compositions counts the
+    compositions made.
+    """
+    shift = 2 if isinstance(X, FinXiSet) else 0
+    memo: dict[MonotoneMap, dict[str, str]] = {}
+
+    def walk(a: MonotoneMap, word: list[MonotoneMap]) -> dict[str, str]:
+        table = memo.get(a)
+        if table is None:
+            if word:
+                prefix = reduce(compose, word[:-1], identity(a.src))
+                table = _compose_tables(walk(prefix, word[:-1]),
+                                        _generator_table(X, word[-1], shift))
+                act.compositions += 1
+            else:
+                table = {x: x for x in X.levels[a.tgt - shift]}
+            memo[a] = table
+        return table
+
+    def act(a: MonotoneMap) -> dict[str, str]:
+        table = memo.get(a)
+        return walk(a, generator_word(a)) if table is None else table
+
+    act.compositions = 0
+    return act
 
 
 def sset_action(X: FinSSet, a: MonotoneMap) -> dict[str, str]:
     """The action X(a): levels[a.tgt] -> levels[a.src] of a monotone map."""
-    return _action(X, a, 0)
-
-
-def xi_action(A: FinXiSet, rep: MonotoneMap) -> dict[str, str]:
-    """Action of the interval-site map represented by the generic map rep."""
-    return _action(A, rep, 2)
-
-
-def xi_edge_to_initial(A: FinXiSet, n: int) -> dict[str, str]:
-    """The unique structure map A_n -> A_{-1} (long-edge-and-flanks)."""
-    return xi_action(A, xi_initial(n).rep)
+    return actions(X)(a)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +308,13 @@ def validate_xiset(A: FinXiSet) -> Report:
     if not rep.ok:
         return rep
 
+    act = actions(A)
     for uname, u, tu in gens:
         for vname, v, tv in gens:
             if u.tgt != v.src:
                 continue
             w = xi_compose(u, v)
-            canon = xi_action(A, w.rep)
+            canon = act(w.rep)
             for x in A.levels[w.tgt]:
                 if tu[tv[x]] != canon[x]:
                     rep.fail(degree=w.tgt, witness=(x,),
@@ -460,26 +486,27 @@ def degenerate_edges(X: FinSSet) -> set[str]:
     return set(X.degens[(0, 0)].values())
 
 
-def principal_edge_tables(X: FinSSet, r: int) -> list[dict[str, str]]:
-    return [sset_action(X, MonotoneMap(1, r, (i, i + 1))) for i in range(r)]
+def principal_edge_tables(act, r: int) -> list[dict[str, str]]:
+    """levels[r] -> levels[1], one table per edge i -> i+1, from act = actions(X)."""
+    return [act(MonotoneMap(1, r, (i, i + 1))) for i in range(r)]
 
 
-def nondegenerate(X: FinSSet, r: int) -> list[str]:
-    """Simplices none of whose principal edges are degenerate."""
+def nondegenerate(X: FinSSet, r: int, act=None) -> list[str]:
+    """Simplices none of whose principal edges are degenerate; act, when
+    given, is actions(X)."""
     if r < 0 or r > X.cap:
         raise CapError(f"degree {r} outside cap {X.cap}")
     if r == 0:
         return list(X.levels[0])
     bad = degenerate_edges(X)
-    tables = principal_edge_tables(X, r)
+    tables = principal_edge_tables(act or actions(X), r)
     return [x for x in X.levels[r] if all(t[x] not in bad for t in tables)]
 
 
-def long_edge_table(X: FinSSet, r: int) -> dict[str, str]:
-    """levels[r] -> levels[1]: restriction to the long edge (s_0 at r = 0)."""
-    if r == 0:
-        return dict(X.degens[(0, 0)])
-    return sset_action(X, MonotoneMap(1, r, (0, r)))
+def long_edge_table(act, r: int) -> dict[str, str]:
+    """levels[r] -> levels[1] from act = actions(X): restriction to the
+    long edge (s_0 at r = 0)."""
+    return act(MonotoneMap(1, r, (0, r)))
 
 
 def ez_level_nondegenerate(X: FinSSet, k: int) -> list[str]:
@@ -591,7 +618,7 @@ def _pullback_by_counting(P, A, B, p, q, f, g) -> bool:
 def xi_representable(k: int, cap: int) -> FinXiSet:
     """The presheaf represented by the interval-site object [k]."""
     def name(h: XiMap) -> str:
-        return "x" + "_".join(map(str, h.rep.values))
+        return intern("x" + "_".join(map(str, h.rep.values)))
 
     homs = {n: {name(h): h for h in all_xi_maps(n, k)}
             for n in range(-1, cap + 1)}
@@ -613,10 +640,10 @@ def transpose_arrow(X: FinSSet, a: str) -> XiSetMap:
     """The map from the initial representable picking out the arrow a."""
     dom = xi_representable(-1, X.cap - 2)
     cod = u_star(X)
+    act = actions(cod)
     comps = {}
     for n in range(-1, dom.cap + 1):
-        comps[n] = {"x" + "_".join(map(str, h.rep.values)):
-                    xi_action(cod, h.rep)[a]
+        comps[n] = {intern("x" + "_".join(map(str, h.rep.values))): act(h.rep)[a]
                     for h in all_xi_maps(n, -1)}
     return XiSetMap(dom, cod, comps)
 

@@ -22,10 +22,11 @@ from .interval import (
     canonicalize_with_map,
     certify_mobius_interval,
     extend_interval,
-    factorisation_interval,
+    factorisation_intervals,
     longest_edge,
 )
-from .presheaf import i_star, long_edge_table, xi_action
+from .interval import factorisation_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
+from .presheaf import actions, i_star, long_edge_table, validate_xiset
 from .report import Report
 from .simplex import MonotoneMap
 
@@ -49,8 +50,15 @@ class Registry:
 
     def insert(self, A: AlgebraicInterval | IntervalClass,
                name: str | None = None) -> str:
-        """Certify, canonicalize and store; duplicates collapse by digest."""
-        cls = A if isinstance(A, IntervalClass) else canonicalize(A)
+        """Validate, certify, canonicalize and store; duplicates collapse by
+        digest."""
+        if isinstance(A, IntervalClass):
+            cls = A
+        else:
+            base = validate_xiset(A.data)
+            if not base.ok:
+                raise RegistryError("entry fails validation:\n" + str(base))
+            cls = canonicalize(A)
         if cls.digest in self.entries:
             return cls.digest
         cert = certify_mobius_interval(cls)
@@ -77,8 +85,7 @@ class Registry:
         while queue:
             digest = queue.pop()
             ext = _extension(self.get(digest).interval, minimum=1)
-            for arrow in ext.nerve.levels[1]:
-                sub, _ = factorisation_interval(ext.nerve, arrow)
+            for sub, _ in factorisation_intervals(ext.nerve).values():
                 cls = canonicalize(sub)
                 if cls.digest not in self.entries:
                     self.insert(cls)
@@ -88,8 +95,7 @@ class Registry:
     def is_closed(self) -> bool:
         for digest in list(self.entries):
             ext = _extension(self.get(digest).interval, minimum=1)
-            for arrow in ext.nerve.levels[1]:
-                sub, _ = factorisation_interval(ext.nerve, arrow)
+            for sub, _ in factorisation_intervals(ext.nerve).values():
                 if canonicalize(sub).digest not in self.entries:
                     return False
         return True
@@ -184,47 +190,51 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
     exts: dict[str, ExtendedInterval] = {}
     for digest, entry in reg.entries.items():
         exts[digest] = _extension(entry.interval, minimum=top + 1)
+    acts = {digest: actions(i_star(ext.interval.data)) for digest, ext in exts.items()}
 
     levels: dict[int, list[tuple[str, str]]] = {}
     for k in range(top + 1):
         members = []
         for digest in sorted(reg.entries):
             data = exts[digest].interval.data
-            table = long_edge_table(i_star(data), k)
+            table = long_edge_table(acts[digest], k)
             target = longest_edge(data)
             members += [(digest, x) for x in sorted(data.levels[k])
                         if table[x] == target]
         levels[k] = members
 
-    cache: dict[tuple[str, str], tuple[str, dict]] = {}
+    cuts: dict[str, dict] = {}
+    cache: dict[tuple[str, str], tuple] = {}
 
     def subinterval(digest: str, arrow: str):
-        """Canonical class and level-1 relabeling of an arrow's interval."""
+        """Canonical class, level-1 relabeling and actions of an arrow's
+        interval; every interval of an extension is cut at its first use."""
         key = (digest, arrow)
         if key not in cache:
-            sub, _ = factorisation_interval(exts[digest].nerve, arrow)
+            if digest not in cuts:
+                cuts[digest] = factorisation_intervals(exts[digest].nerve)
+            sub, _ = cuts[digest][arrow]
             cls, relabel = canonicalize_with_map(sub)
             if cls.digest not in reg.entries:
                 raise RegistryError(
                     f"registry is not closed: missing {cls.digest[:12]}")
-            cache[key] = (cls.digest, relabel[1], sub.data)
+            cache[key] = (cls.digest, relabel[1], actions(sub.data))
         return cache[key]
 
     def outer_face(digest: str, x: str, k: int, i: int) -> tuple[str, str]:
         ext = exts[digest]
         data = ext.interval.data
         tau = data.faces[(k, i)][x]
-        under = i_star(data)
-        ell = long_edge_table(under, k - 1)[tau]
+        ell = long_edge_table(acts[digest], k - 1)[tau]
         arrow = ext.embed.components[1][ell]
-        sub_digest, sub_arrows, sub_data = subinterval(digest, arrow)
+        sub_digest, sub_arrows, sub_act = subinterval(digest, arrow)
         N = ext.nerve
         tau_n = ext.embed.components[k - 1][tau]
         flank = N.degens[(k, 0)][N.degens[(k - 1, k - 1)][tau_n]]
         chain = []
         for pos in range(1, k + 2):
             rep = MonotoneMap(3, k + 1, (0, pos - 1, pos, k + 1))
-            chain.append(xi_action(sub_data, rep)[flank])
+            chain.append(sub_act(rep)[flank])
         target_ext = exts[sub_digest]
         new_id = target_ext.chain_id([sub_arrows[h] for h in chain])
         return (sub_digest, new_id)

@@ -3,9 +3,10 @@
 These deliberately avoid the code paths they certify: pushouts are checked
 against the raw universal property, Mobius vectors against Rota's recursion
 and against power-series inversion of zeta computed on raw tables,
-factorisations against exhaustive two-step search, and canonical labeling
+factorisations against exhaustive two-step search, canonical labeling
 against the dict-keyed refinement that recomputes every signature each
-round.
+round, presheaf actions against the generator-by-generator walk of each
+word, and the bulk interval cut against the cut of one arrow at a time.
 """
 
 from __future__ import annotations
@@ -349,3 +350,54 @@ def canonical_order(sys: UnarySystem) -> dict:
         ranked = sorted(sys.sorts[s], key=lambda x: order[(s, x)])
         result[s] = {x: i for i, x in enumerate(ranked)}
     return result
+
+
+def _action(X, a, shift):
+    """X(a) walked generator by generator from the identity of levels[a.tgt]."""
+    from decomp.presheaf import _compose_tables, _generator_table
+    from decomp.simplex import generator_word
+
+    table = {x: x for x in X.levels[a.tgt - shift]}
+    for gen in reversed(generator_word(a)):
+        table = _compose_tables(_generator_table(X, gen, shift), table)
+    return table
+
+
+def factorisation_interval(X, a):
+    """The interval of the arrow a, cut on its own: every long-edge table is
+    walked afresh for this one arrow."""
+    from decomp.axioms import check_complete
+    from decomp.interval import AlgebraicInterval, IntervalError
+    from decomp.presheaf import CapError, FinXiSet, SSetMap, i_star, nondeg_bound, u_star
+    from decomp.simplex import MonotoneMap
+
+    if X.cap < 3:
+        raise CapError("factorisation interval needs cap >= 3")
+    if a not in set(X.levels[1]):
+        raise IntervalError(f"{a!r} is not an arrow of the input")
+    if not check_complete(X):
+        raise IntervalError("input fails completeness")
+
+    U = u_star(X)
+    cap = U.cap
+    fibers: dict[int, list[str]] = {}
+    for k in range(-1, cap + 1):
+        table = _action(X, MonotoneMap(1, k + 2, (0, k + 2)), 0)
+        fibers[k] = [x for x in U.levels[k] if table[x] == a]
+
+    def restrict(key, table):
+        return {x: table[x] for x in fibers[key[0]]}
+
+    data = FinXiSet(cap, fibers, {key: restrict(key, t) for key, t in U.faces.items()},
+                    {key: restrict(key, t) for key, t in U.degens.items()})
+    if U.stable_from is not None:
+        data.stable_from = nondeg_bound(i_star(data))
+    interval = AlgebraicInterval(data, provenance=("interval", a))
+
+    comps = {}
+    for k in range(0, cap + 1):
+        top = X.faces[(k + 1, k + 1)]
+        bot = X.faces[(k + 2, 0)]
+        comps[k] = {x: top[bot[x]] for x in fibers[k]}
+    embed = SSetMap(i_star(data), X, comps)
+    return interval, embed

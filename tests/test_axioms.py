@@ -29,6 +29,17 @@ def test_segal_on_nerves(poset_nerves):
         assert check_segal(X).ok
 
 
+def test_direct_exactness_and_segal_record_their_work():
+    """Squares per corner degree and the table compositions of one shared
+    action memo; Segal composes each principal edge of degree r from one of
+    degree r-1, so r compositions per degree."""
+    X = nerve_poset(divisor_poset(12), 6)
+    direct = check_decomposition(X, "direct")
+    assert direct.data == {"squares": {1: 2, 2: 4, 3: 8, 4: 12, 5: 16, 6: 8},
+                           "compositions": 48}
+    assert check_segal(X).data == {"compositions": 2 + 3 + 4 + 5 + 6}
+
+
 def test_segal_point():
     assert check_segal(point_sset(4)).ok
 

@@ -186,6 +186,22 @@ def test_registry_add_refuses_damaged_registry(tmp_path, capsys):
     assert index.read_bytes() == before + b"not-a-digest\n"
 
 
+@pytest.mark.parametrize("directive", ["sbot 0:", "level -1:", "dnew:"])
+def test_registry_add_refuses_invalid_interval(tmp_path, d6_sset, capsys, directive):
+    iv = tmp_path / "i.xiset"
+    assert main(["interval", d6_sset, "--arrow", f"1{SEP}6", "-o", str(iv)]) == 0
+    lines = iv.read_text(encoding="utf-8").splitlines(keepends=True)
+    iv.write_text("".join(ln for ln in lines if not ln.startswith(directive)),
+                  encoding="utf-8")
+    reg = tmp_path / "reg"
+    capsys.readouterr()
+    assert main(["registry", "add", str(reg), str(iv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "FAIL validate" in captured.err
+    assert not reg.exists()
+
+
 def _counit_smap(tmp_path, d6_sset):
     from decomp.formats import load, write_smap
     from decomp.presheaf import dec_bot

@@ -1,6 +1,7 @@
-"""Differential tests: the whole-level, counting and integer-indexed fast
-paths against the element-by-element reference implementations in
-`oracles`."""
+"""Differential tests: the whole-level, counting, memoised and
+integer-indexed fast paths against the element-by-element reference
+implementations in `oracles`, and the shared-identifier invariant the
+fast paths rely on."""
 
 from math import factorial, prod
 
@@ -9,9 +10,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decomp import labeling
-from decomp.ingest import PosetSpec, boolean_poset, divisor_poset, nerve, nerve_poset
-from decomp.interval import factorisation_interval, xi_system
-from decomp.presheaf import pullback_failure, truncate, validate_sset
+from decomp.formats import (
+    parse_smap_text,
+    parse_sset,
+    parse_xiset,
+    write_smap,
+    write_sset,
+    write_xiset,
+)
+from decomp.ingest import (
+    PosetSpec,
+    boolean_poset,
+    chain_poset,
+    divisor_poset,
+    nerve,
+    nerve_category,
+    nerve_monoid,
+    nerve_poset,
+    truncated_addition,
+)
+from decomp.interval import (
+    factorisation_interval,
+    factorisation_intervals,
+    interval_category,
+    xi_system,
+)
+from decomp.presheaf import actions, dec_bot, pullback_failure, truncate, validate_sset
+from decomp.simplex import all_monotone
 from oracles import pullback_failure_by_enumeration, validate_sset_by_simplex
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None)
@@ -244,3 +269,75 @@ def test_canonical_order_matches_reference_on_intervals():
         for arrow in X.levels[1]:
             data = factorisation_interval(X, arrow)[0].data
             _assert_same_order(xi_system(truncate(data, max(1, data.stable_from))))
+
+
+@st.composite
+def small_poset_nerves(draw):
+    n = draw(st.integers(1, 4))
+    names = [f"e{i}" for i in range(n)]
+    relations = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda ij: ij[0] < ij[1]), max_size=5))
+    spec = PosetSpec.from_pairs(names, [(names[i], names[j]) for i, j in relations])
+    return nerve_poset(spec, draw(st.integers(2, 4)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(small_poset_nerves())
+def test_actions_match_the_per_word_walk(X):
+    """One memo serves every monotone map [m] -> [n] under the cap, on the
+    nerve and on its parsed copy."""
+    for Y in (X, parse_sset(write_sset(X))):
+        act = actions(Y)
+        for m in range(Y.cap + 1):
+            for n in range(Y.cap + 1):
+                for a in all_monotone(m, n):
+                    assert act(a) == oracles._action(Y, a, 0)
+
+
+def _shares_level_objects(src_levels, tgt_levels, tables, step):
+    """Is every key of each table (k, table) the very object in src_levels[k],
+    and every value the very object in tgt_levels[k + step]?"""
+    src = {k: {id(x) for x in xs} for k, xs in src_levels.items()}
+    tgt = {k: {id(x) for x in xs} for k, xs in tgt_levels.items()}
+    return all(id(x) in src[k] and id(y) in tgt[k + step]
+               for k, table in tables for x, y in table.items())
+
+
+def _interned(X):
+    return (_shares_level_objects(X.levels, X.levels,
+                                  [(k, t) for (k, _), t in X.faces.items()], -1)
+            and _shares_level_objects(X.levels, X.levels,
+                                      [(k, t) for (k, _), t in X.degens.items()], 1))
+
+
+def test_constructors_intern_identifiers():
+    poset = nerve_poset(divisor_poset(12), 5)
+    monoid = nerve_monoid(truncated_addition(3), 5)
+    spec, _ = interval_category(factorisation_interval(poset, "1≤12")[0].data)
+    category = nerve_category(spec, 4)
+    for X in (poset, monoid, category):
+        assert _interned(X)
+        assert _interned(parse_sset(write_sset(X)))
+    A = factorisation_interval(poset, "2≤12")[0].data
+    assert _interned(parse_xiset(write_xiset(A)))
+    D, counit = dec_bot(poset)
+    dom, cod = parse_sset(write_sset(D)), parse_sset(write_sset(poset))
+    _, _, comps = parse_smap_text(write_smap(counit, "d.sset", "x.sset"))
+    assert _shares_level_objects(dom.levels, cod.levels, comps.items(), 0)
+
+
+def test_factorisation_intervals_match_per_arrow_cut():
+    """Every arrow's interval and embedding, cut in one sweep, against the
+    cut of that arrow alone."""
+    for X in (nerve(divisor_poset(12)), nerve(boolean_poset(3)),
+              nerve(chain_poset(4)), nerve(truncated_addition(5))):
+        cut = factorisation_intervals(X)
+        assert list(cut) == X.levels[1]
+        for a in X.levels[1]:
+            (iv, embed), (want, want_embed) = cut[a], oracles.factorisation_interval(X, a)
+            assert iv.data.levels == want.data.levels  # level order included
+            assert write_xiset(iv.data) == write_xiset(want.data)
+            assert iv.data.stable_from == want.data.stable_from
+            assert iv.provenance == want.provenance
+            assert embed.components == want_embed.components

@@ -6,6 +6,7 @@ from decomp.axioms import check_cartesian, check_flanked, check_map_class
 from decomp.ingest import chain_poset, divisor_poset, nerve_poset
 from decomp.interval import ssets_isomorphic
 from decomp.presheaf import (
+    actions,
     counit_eps,
     dec_bot,
     dec_top,
@@ -153,7 +154,7 @@ def test_nondegenerate_counts():
     X = nerve_poset(divisor_poset(12), 6)
     assert nondegenerate(X, 0) == X.levels[0]
     assert len(nondegenerate(X, 1)) == 12  # strict divisor pairs
-    table = long_edge_table(X, 3)
+    table = long_edge_table(actions(X), 3)
     top = SEP.join(["1", "12"])
     hits = [x for x in nondegenerate(X, 3) if table[x] == top]
     assert len(hits) == 3
