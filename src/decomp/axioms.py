@@ -19,6 +19,7 @@ from .presheaf import (
     dec_top,
     ez_level_nondegenerate,
     long_edge_table,
+    memoised,
     nondegenerate,
     principal_edge_tables,
     pullback_failure,
@@ -75,11 +76,11 @@ def _composable_strings(X: FinSSet, k: int):
 
 def check_segal(X: FinSSet) -> Report:
     """Is every level the fibre product of its principal edges?  Records the
-    table compositions made in data["compositions"]."""
+    table compositions it made itself in data["compositions"]."""
     rep = Report("check_segal")
-    act = actions(X)
+    before = actions(X).compositions
     for k in range(2, X.cap + 1):
-        tables = principal_edge_tables(act, k)
+        tables = principal_edge_tables(X, k)
         spine = {x: tuple(t[x] for t in tables) for x in X.levels[k]}
         seen: dict[tuple[str, ...], str] = {}
         collision = False
@@ -92,7 +93,7 @@ def check_segal(X: FinSSet) -> Report:
         if not collision and len(spine) != want:
             missing = next(s for s in _composable_strings(X, k) if s not in seen)
             rep.fail(degree=k, witness=missing, note="no-filler")
-    rep.data["compositions"] = act.compositions
+    rep.data["compositions"] = actions(X).compositions - before
     rep.verified_upto = X.cap
     return rep
 
@@ -107,6 +108,7 @@ def check_complete(X: FinSSet) -> bool:
 # the exactness condition
 
 
+@memoised
 def check_decomposition(X: FinSSet, method: str = "both") -> Report:
     """Check that images of generic-free pushouts are pullbacks.
 
@@ -114,7 +116,7 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
     the cap; `decalage` tests that both decalages are Segal with cartesian-
     on-generics counits; `both` cross-validates the two verdicts.
     `direct` records the pullback squares per corner degree in
-    data["squares"] and the table compositions in data["compositions"].
+    data["squares"] and its own table compositions in data["compositions"].
     """
     if method not in ("direct", "decalage", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -148,6 +150,7 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
         rep.verified_upto = X.cap
         return rep
     act = actions(X)
+    before = act.compositions
     squares: dict[int, int] = {}
     for m in range(0, X.cap + 1):
         for g in generic_generators(m):
@@ -165,7 +168,7 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
                 if bad is not None:
                     rep.fail(degree=corner, note=f"pushout({g},{f}):{bad}")
     rep.data["squares"] = squares
-    rep.data["compositions"] = act.compositions
+    rep.data["compositions"] = act.compositions - before
     rep.verified_upto = X.cap
     return rep
 
@@ -314,10 +317,9 @@ def check_tight(X: FinSSet) -> Report:
             rep.fail(degree=k, witness=stray[:2], note="stabilization-claim-false")
             return rep
     bounds = {a: 0 for a in X.levels[1]}
-    act = actions(X)
     for r in range(1, ell + 1):
-        table = long_edge_table(act, r)
-        for x in nondegenerate(X, r, act):
+        table = long_edge_table(X, r)
+        for x in nondegenerate(X, r):
             a = table[x]
             bounds[a] = max(bounds[a], r)
     rep.data["bounds"] = bounds

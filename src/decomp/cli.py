@@ -49,10 +49,18 @@ def cmd_nerve(args) -> int:
     return 0
 
 
+def _load_sset(path: str, command: str) -> FinSSet | None:
+    """The SSET stored at path, or None after printing that it is not one."""
+    X = load(path)
+    if isinstance(X, FinSSet):
+        return X
+    print(f"FAIL {command} note=input-is-not-an-SSET")
+    return None
+
+
 def cmd_dec(args) -> int:
-    X = load(args.input)
-    if not isinstance(X, FinSSet):
-        print("FAIL dec note=input-is-not-an-SSET")
+    X = _load_sset(args.input, "dec")
+    if X is None:
         return 2
     D, _counit = (dec_top if args.which == "top" else dec_bot)(X)
     save(D, args.output)
@@ -112,9 +120,8 @@ def _check_one(what: str, path: str) -> int:
 
 
 def cmd_interval(args) -> int:
-    X = load(args.input)
-    if not isinstance(X, FinSSet):
-        print("FAIL interval note=input-is-not-an-SSET")
+    X = _load_sset(args.input, "interval")
+    if X is None:
         return 2
     iv, _embed = factorisation_interval(X, args.arrow)
     save(iv.data, args.output)
@@ -127,7 +134,9 @@ def _fraction(q) -> str:
 
 
 def cmd_mobius(args) -> int:
-    X = load(args.input)
+    X = _load_sset(args.input, "mobius")
+    if X is None:
+        return 2
     mu = incidence.mobius(X)
     arrows = [args.arrow] if args.arrow else sorted(X.levels[1])
     for a in arrows:
@@ -139,7 +148,9 @@ def cmd_mobius(args) -> int:
 
 
 def cmd_coalg_table(args) -> int:
-    X = load(args.input)
+    X = _load_sset(args.input, "coalg-table")
+    if X is None:
+        return 2
     table = incidence.comult(X)
     for a in sorted(table.pairs):
         for (l, r), mult in sorted(table.pairs[a].items()):
@@ -148,7 +159,9 @@ def cmd_coalg_table(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    X = load(args.input)
+    X = _load_sset(args.input, "classify")
+    if X is None:
+        return 2
     reg = Registry.load(args.registry)
     mapping, rep = incidence.classify(X, reg)
     for a in sorted(mapping):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .axioms import check_decomposition, check_map_class, check_mobius
 from .interval import canonicalize, factorisation_intervals
 from .interval import factorisation_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .presheaf import FinSSet, SSetMap, actions, long_edge_table, nondegenerate
+from .presheaf import FinSSet, SSetMap, long_edge_table, nondegenerate
 from .registry import Registry, RegistryError, build_fragment, registry_comult
 from .report import Report
 
@@ -116,14 +116,12 @@ def counit_vec(table: CoalgebraTable) -> QVec:
     return QVec(table.basis, {a: Fraction(v) for a, v in table.counit.items()})
 
 
-def phi(X: FinSSet, k: int, act=None) -> QVec:
-    """Count of nondegenerate k-simplices over each long edge; act, when
-    given, is actions(X)."""
+def phi(X: FinSSet, k: int) -> QVec:
+    """Count of nondegenerate k-simplices over each long edge."""
     basis = frozenset(X.levels[1])
-    act = act or actions(X)
-    table = long_edge_table(act, k)
+    table = long_edge_table(X, k)
     counts: dict[str, Fraction] = {}
-    for x in nondegenerate(X, k, act):
+    for x in nondegenerate(X, k):
         a = table[x]
         counts[a] = counts.get(a, Fraction(0)) + 1
     return QVec(basis, counts)
@@ -139,27 +137,15 @@ def mobius(X: FinSSet) -> QVec:
     if not cert.ok:
         raise NotCertified("Mobius conditions not certified:\n" + str(cert))
     out = QVec(frozenset(X.levels[1]))
-    act = actions(X)
     for k in range(X.stable_from + 1):
-        term = phi(X, k, act)
+        term = phi(X, k)
         out = out + (term if k % 2 == 0 else term.scale(-1))
     return out
 
 
-def phi_parity_sums(X: FinSSet) -> tuple[QVec, QVec]:
-    even = QVec(frozenset(X.levels[1]))
-    odd = QVec(frozenset(X.levels[1]))
-    act = actions(X)
-    for k in range(X.stable_from + 1):
-        if k % 2 == 0:
-            even = even + phi(X, k, act)
-        else:
-            odd = odd + phi(X, k, act)
-    return even, odd
-
-
 def verify_inversion(X: FinSSet) -> Report:
-    """zeta * mu = counit = mu * zeta, plus the sign-free form."""
+    """zeta * mu = counit = mu * zeta, plus the sign-free form; mu is the
+    even minus the odd sum of the counting vectors, under one certificate."""
     rep = Report("verify_inversion")
     cert = check_mobius(X)
     if not cert.ok:
@@ -168,14 +154,16 @@ def verify_inversion(X: FinSSet) -> Report:
     table = comult(X, check=False)
     z = zeta(table)
     eps = counit_vec(table)
-    mu = mobius(X)
+    terms = [phi(X, k) for k in range(X.stable_from + 1)]
+    even = sum(terms[0::2], QVec(table.basis))
+    odd = sum(terms[1::2], QVec(table.basis))
+    mu = even - odd
     for name, got in (("zeta*mu", convolve(table, z, mu)),
                       ("mu*zeta", convolve(table, mu, z))):
         if got != eps:
             bad = sorted(set(got.coeffs) ^ set(eps.coeffs)
                          | {a for a in got.coeffs if got[a] != eps[a]})
             rep.fail(witness=bad[:3], note=f"{name}-differs-from-counit")
-    even, odd = phi_parity_sums(X)
     lhs = convolve(table, z, even)
     rhs = eps + convolve(table, z, odd)
     if lhs != rhs:
@@ -191,13 +179,12 @@ def verify_inversion(X: FinSSet) -> Report:
 # functoriality
 
 
-def culf_pushforward(F: SSetMap, check: bool = True) -> tuple[dict[str, str], Report]:
+def culf_pushforward(F: SSetMap) -> tuple[dict[str, str], Report]:
     """The arrow-level map, checked to be a coalgebra homomorphism."""
     rep = Report("culf_pushforward")
-    if check:
-        culf = check_map_class(F, "culf")
-        if not culf.ok:
-            raise NotCertified("map is not cartesian on generics:\n" + str(culf))
+    culf = check_map_class(F, "culf")
+    if not culf.ok:
+        raise NotCertified("map is not cartesian on generics:\n" + str(culf))
     Y, X = F.dom, F.cod
     m1 = F.components[1]
     table_x = comult(X, check=False)

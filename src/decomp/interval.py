@@ -11,7 +11,7 @@ identical serializations and content digests.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from sys import intern
 
 from .axioms import (
@@ -29,12 +29,11 @@ from .presheaf import (
     SSetMap,
     XiSetMap,
     actions,
-    degenerate_edges,
     ez_level_nondegenerate,
     i_star,
     long_edge_table,
     nondeg_bound,
-    principal_edge_tables,
+    nondegenerate,
     truncate,
     u_star,
     validate_xiset,
@@ -101,9 +100,7 @@ def validate_interval(A: AlgebraicInterval) -> Report:
         dc = check_decomposition(under, "direct")
         if not dc.ok:
             rep.absorb(dc)
-        rep.verified_upto = data.cap
-    else:
-        rep.verified_upto = data.cap
+    rep.verified_upto = data.cap
     return rep
 
 
@@ -124,8 +121,7 @@ def wide_cartesian_factor(g: XiSetMap) -> tuple[XiSetMap, XiSetMap]:
     cap = B.cap
     gm1 = g.components[-1]
 
-    act = actions(A)
-    to_init = {n: act(xi_initial(n).rep) for n in range(-1, cap + 1)}
+    to_init = {n: actions(A)(xi_initial(n).rep) for n in range(-1, cap + 1)}
     levels: dict[int, list[str]] = {}
     pairs: dict[int, list[tuple[str, str]]] = {}
     for n in range(-1, cap + 1):
@@ -141,8 +137,7 @@ def wide_cartesian_factor(g: XiSetMap) -> tuple[XiSetMap, XiSetMap]:
     mid = FinXiSet(cap, levels, {key: lift(key, t) for key, t in T.faces.items()},
                    {key: lift(key, t) for key, t in T.degens.items()})
 
-    act = actions(B)
-    to_init_B = {n: act(xi_initial(n).rep) for n in range(-1, cap + 1)}
+    to_init_B = {n: actions(B)(xi_initial(n).rep) for n in range(-1, cap + 1)}
     wide_comps = {
         n: {y: intern(f"{to_init_B[n][y]}&{g.components[n][y]}") for y in B.levels[n]}
         for n in range(-1, cap + 1)
@@ -181,12 +176,11 @@ def factorisation_intervals(
         raise IntervalError("input fails completeness")
     U = u_star(X)
     cap = U.cap
-    act = actions(X)
     by_arrow: dict[str, dict[int, list[str]]] = {a: {} for a in arrows}
     for k in range(-1, cap + 1):
         for fibers in by_arrow.values():
             fibers[k] = []
-        table = long_edge_table(act, k + 2)
+        table = long_edge_table(X, k + 2)
         for x in U.levels[k]:
             fibers = by_arrow.get(table[x])
             if fibers is not None:
@@ -198,7 +192,7 @@ def factorisation_intervals(
                         {key: {x: t[x] for x in fibers[key[0]]} for key, t in U.faces.items()},
                         {key: {x: t[x] for x in fibers[key[0]]} for key, t in U.degens.items()})
         if U.stable_from is not None:
-            data.stable_from = nondeg_bound(i_star(data))
+            data = replace(data, stable_from=nondeg_bound(i_star(data)))
         interval = AlgebraicInterval(data, provenance=("interval", a))
         comps = {}
         for k in range(0, cap + 1):
@@ -356,19 +350,13 @@ def extend_interval(A: AlgebraicInterval | FinXiSet, xi_cap: int) -> ExtendedInt
 # subdivisions and certification
 
 
-def _fiber(data: FinXiSet, k: int, nondeg: bool, act=None) -> list[str]:
-    """The k-simplices over the longest edge; act, when given, is
-    actions(i_star(data))."""
+def _fiber(data: FinXiSet, k: int, nondeg: bool) -> list[str]:
+    """The k-simplices over the longest edge."""
     under = i_star(data)
-    act = act or actions(under)
     target = longest_edge(data)
-    table = long_edge_table(act, k)
-    hits = [x for x in under.levels[k] if table[x] == target]
-    if nondeg and k >= 1:
-        bad = degenerate_edges(under)
-        tables = principal_edge_tables(act, k)
-        hits = [x for x in hits if all(t[x] not in bad for t in tables)]
-    return hits
+    table = long_edge_table(under, k)
+    simplices = nondegenerate(under, k) if nondeg else under.levels[k]
+    return [x for x in simplices if table[x] == target]
 
 
 def subdivisions(
@@ -395,9 +383,8 @@ def certify_mobius_interval(c: IntervalClass) -> Report:
     rep = check_mobius(under)
     rep.check = "certify_mobius_interval"
     profile = []
-    act = actions(under)
     for r in range(0, bound + 1):
-        profile.append(len(_fiber(ext.interval.data, r, True, act)))
+        profile.append(len(_fiber(ext.interval.data, r, True)))
     rep.data["phi_profile"] = profile
     rep.data["nondegenerate_total"] = sum(
         len(ez_level_nondegenerate(under, r)) for r in range(under.cap + 1))

@@ -13,16 +13,18 @@ is a single source of truth for the relations.
 
 Every constructor makes each table key and value the very string object
 stored in its level list (parsers and nerve builders by `sys.intern`), so
-a lookup matches by pointer.  `actions(X)` gives a memoised act(a) = X(a)
-whose shared, uncopied tables equal the generator-by-generator walk of
-a's word whenever the tables are total on their levels.
+a lookup matches by pointer.  Objects are frozen, and each memoises its
+`i_star`, its `validate_sset`/`validate_xiset`/`check_decomposition`
+verdicts and its `actions`: act(a) = X(a), whose shared, uncopied tables
+equal the generator-by-generator walk of a's word whenever the tables are
+total on their levels.  A changed object is a new one (`dataclasses.replace`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import reduce, wraps
 from sys import intern
 
 from .report import Report
@@ -43,7 +45,7 @@ class CapError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class FinSSet:
     """A simplicial set truncated at degree `cap`.
 
@@ -58,9 +60,10 @@ class FinSSet:
     faces: dict[tuple[int, int], dict[str, str]]
     degens: dict[tuple[int, int], dict[str, str]]
     stable_from: int | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FinXiSet:
     """An interval-site presheaf truncated at degree `cap`, levels from -1.
 
@@ -75,6 +78,7 @@ class FinXiSet:
     faces: dict[tuple[int, int], dict[str, str]]
     degens: dict[tuple[int, int], dict[str, str]]
     stable_from: int | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -97,6 +101,18 @@ class XiSetMap:
 # presheaf actions of arbitrary site maps
 
 
+def memoised(fn):
+    """fn(X, ...), computed once per object and arguments and kept in X's
+    memo; every caller gets the one stored result and must not change it."""
+    @wraps(fn)
+    def once(X, *args, **kwargs):
+        key = (fn.__name__, *args, *sorted(kwargs.items()))
+        if key not in X._memo:
+            X._memo[key] = fn(X, *args, **kwargs)
+        return X._memo[key]
+    return once
+
+
 def _compose_tables(outer: dict[str, str], inner: dict[str, str]) -> dict[str, str]:
     return dict(zip(inner, map(outer.__getitem__, inner.values())))
 
@@ -115,14 +131,15 @@ def _generator_table(X, gen: MonotoneMap, shift: int) -> dict[str, str]:
     return X.degens[(gen.tgt - shift, j - shift // 2)]
 
 
+@memoised
 def actions(X):
-    """A memoised act(a), the action X(a): levels[a.tgt] -> levels[a.src].
+    """X's memoised act(a), the action X(a): levels[a.tgt] -> levels[a.src].
 
     An interval-site presheaf takes the representing monotone map of a site
     arrow.  X(a) is one `_compose_tables`: the table of the last generator
     of a's word, then the memoised X(p) of the composite p of the rest of
     the word, which is p's own word.  act.compositions counts the
-    compositions made.
+    compositions made on X so far.
     """
     shift = 2 if isinstance(X, FinXiSet) else 0
     memo: dict[MonotoneMap, dict[str, str]] = {}
@@ -178,6 +195,7 @@ def validate(X) -> Report:
     return validate_sset(X)
 
 
+@memoised
 def validate_sset(X: FinSSet) -> Report:
     """Check level/table shape and every simplicial identity under the cap.
 
@@ -284,6 +302,7 @@ def xi_generators(A: FinXiSet):
     return gens
 
 
+@memoised
 def validate_xiset(A: FinXiSet) -> Report:
     """Shape checks plus functoriality on all composable generator pairs.
 
@@ -308,13 +327,12 @@ def validate_xiset(A: FinXiSet) -> Report:
     if not rep.ok:
         return rep
 
-    act = actions(A)
     for uname, u, tu in gens:
         for vname, v, tv in gens:
             if u.tgt != v.src:
                 continue
             w = xi_compose(u, v)
-            canon = act(w.rep)
+            canon = actions(A)(w.rep)
             for x in A.levels[w.tgt]:
                 if tu[tv[x]] != canon[x]:
                     rep.fail(degree=w.tgt, witness=(x,),
@@ -428,6 +446,7 @@ def u_star(X: FinSSet) -> FinXiSet:
     return FinXiSet(cap, levels, faces, degens, _stable_under(X, cap))
 
 
+@memoised
 def i_star(A: FinXiSet) -> FinSSet:
     """Forget the degree -1 level and all the extra structure maps."""
     levels = {k: A.levels[k] for k in range(A.cap + 1)}
@@ -482,31 +501,25 @@ def counit_eps(X: FinSSet) -> SSetMap:
 # nondegeneracy
 
 
-def degenerate_edges(X: FinSSet) -> set[str]:
-    return set(X.degens[(0, 0)].values())
+def principal_edge_tables(X: FinSSet, r: int) -> list[dict[str, str]]:
+    """levels[r] -> levels[1], one table per edge i -> i+1."""
+    return [actions(X)(MonotoneMap(1, r, (i, i + 1))) for i in range(r)]
 
 
-def principal_edge_tables(act, r: int) -> list[dict[str, str]]:
-    """levels[r] -> levels[1], one table per edge i -> i+1, from act = actions(X)."""
-    return [act(MonotoneMap(1, r, (i, i + 1))) for i in range(r)]
-
-
-def nondegenerate(X: FinSSet, r: int, act=None) -> list[str]:
-    """Simplices none of whose principal edges are degenerate; act, when
-    given, is actions(X)."""
+def nondegenerate(X: FinSSet, r: int) -> list[str]:
+    """Simplices none of whose principal edges are degenerate."""
     if r < 0 or r > X.cap:
         raise CapError(f"degree {r} outside cap {X.cap}")
     if r == 0:
         return list(X.levels[0])
-    bad = degenerate_edges(X)
-    tables = principal_edge_tables(act or actions(X), r)
+    bad = set(X.degens[(0, 0)].values())
+    tables = principal_edge_tables(X, r)
     return [x for x in X.levels[r] if all(t[x] not in bad for t in tables)]
 
 
-def long_edge_table(act, r: int) -> dict[str, str]:
-    """levels[r] -> levels[1] from act = actions(X): restriction to the
-    long edge (s_0 at r = 0)."""
-    return act(MonotoneMap(1, r, (0, r)))
+def long_edge_table(X: FinSSet, r: int) -> dict[str, str]:
+    """levels[r] -> levels[1]: restriction to the long edge (s_0 at r = 0)."""
+    return actions(X)(MonotoneMap(1, r, (0, r)))
 
 
 def ez_level_nondegenerate(X: FinSSet, k: int) -> list[str]:
@@ -640,10 +653,9 @@ def transpose_arrow(X: FinSSet, a: str) -> XiSetMap:
     """The map from the initial representable picking out the arrow a."""
     dom = xi_representable(-1, X.cap - 2)
     cod = u_star(X)
-    act = actions(cod)
     comps = {}
     for n in range(-1, dom.cap + 1):
-        comps[n] = {intern("x" + "_".join(map(str, h.rep.values))): act(h.rep)[a]
+        comps[n] = {intern("x" + "_".join(map(str, h.rep.values))): actions(cod)(h.rep)[a]
                     for h in all_xi_maps(n, -1)}
     return XiSetMap(dom, cod, comps)
 

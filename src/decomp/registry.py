@@ -190,14 +190,13 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
     exts: dict[str, ExtendedInterval] = {}
     for digest, entry in reg.entries.items():
         exts[digest] = _extension(entry.interval, minimum=top + 1)
-    acts = {digest: actions(i_star(ext.interval.data)) for digest, ext in exts.items()}
 
     levels: dict[int, list[tuple[str, str]]] = {}
     for k in range(top + 1):
         members = []
         for digest in sorted(reg.entries):
             data = exts[digest].interval.data
-            table = long_edge_table(acts[digest], k)
+            table = long_edge_table(i_star(data), k)
             target = longest_edge(data)
             members += [(digest, x) for x in sorted(data.levels[k])
                         if table[x] == target]
@@ -225,7 +224,7 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
         ext = exts[digest]
         data = ext.interval.data
         tau = data.faces[(k, i)][x]
-        ell = long_edge_table(acts[digest], k - 1)[tau]
+        ell = long_edge_table(i_star(data), k - 1)[tau]
         arrow = ext.embed.components[1][ell]
         sub_digest, sub_arrows, sub_act = subinterval(digest, arrow)
         N = ext.nerve

@@ -200,10 +200,6 @@ class XiMap:
             raise ValueError(f"representative {self.rep} does not fix endpoints")
 
 
-def xi_identity(k: int) -> XiMap:
-    return XiMap(k, k, identity(k + 2))
-
-
 def xi_compose(x: XiMap, y: XiMap) -> XiMap:
     if x.tgt != y.src:
         raise DegreeMismatch(f"cannot compose {x} then {y}")

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -42,8 +43,7 @@ def spine_object(cap: int = 4) -> FinSSet:
     """Two composable nondegenerate edges with no filler triangle."""
     big = nerve_poset(chain_poset(2), cap)
     X = filter_nerve(big, lambda vs: int(max(vs)) - int(min(vs)) <= 1)
-    X.stable_from = 1
-    return X
+    return replace(X, stable_from=1)
 
 
 def chipped_object(cap: int = 5) -> FinSSet:

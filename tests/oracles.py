@@ -11,6 +11,7 @@ word, and the bulk interval cut against the cut of one arrow at a time.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from decomp.labeling import UnarySystem
@@ -391,7 +392,7 @@ def factorisation_interval(X, a):
     data = FinXiSet(cap, fibers, {key: restrict(key, t) for key, t in U.faces.items()},
                     {key: restrict(key, t) for key, t in U.degens.items()})
     if U.stable_from is not None:
-        data.stable_from = nondeg_bound(i_star(data))
+        data = replace(data, stable_from=nondeg_bound(i_star(data)))
     interval = AlgebraicInterval(data, provenance=("interval", a))
 
     comps = {}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 from decomp.axioms import (
     check_cartesian,
     check_complete,
@@ -12,6 +14,7 @@ from decomp.axioms import (
 from decomp.ingest import chain_poset, divisor_poset, nerve_poset
 from decomp.presheaf import (
     FinSSet,
+    actions,
     dec_bot,
     point_sset,
     transpose_arrow,
@@ -30,14 +33,21 @@ def test_segal_on_nerves(poset_nerves):
 
 
 def test_direct_exactness_and_segal_record_their_work():
-    """Squares per corner degree and the table compositions of one shared
-    action memo; Segal composes each principal edge of degree r from one of
-    degree r-1, so r compositions per degree."""
+    """Squares per corner degree and the table compositions each check made
+    itself in the object's one action memo; Segal composes each principal
+    edge of degree r from one of degree r-1, so r compositions per degree.
+    After direct exactness on the same object Segal counts only its own new
+    compositions: the two principal edges of a 2-simplex are its outer
+    faces, which direct exactness has already composed."""
     X = nerve_poset(divisor_poset(12), 6)
     direct = check_decomposition(X, "direct")
     assert direct.data == {"squares": {1: 2, 2: 4, 3: 8, 4: 12, 5: 16, 6: 8},
                            "compositions": 48}
-    assert check_segal(X).data == {"compositions": 2 + 3 + 4 + 5 + 6}
+    fresh = nerve_poset(divisor_poset(12), 6)
+    assert check_segal(fresh).data == {"compositions": 2 + 3 + 4 + 5 + 6}
+    assert check_segal(X).data == {"compositions": 2 + 3 + 4 + 5 + 6 - 2}
+    assert actions(X).compositions == 48 + 18
+    assert check_decomposition(X, "direct").data["compositions"] == 48
 
 
 def test_segal_point():
@@ -172,7 +182,7 @@ def test_tight_requires_certificate(poset_nerves):
     rep = check_tight(X)
     assert rep.ok
     assert rep.data["bounds"][SEP.join(["1", "12"])] == 3
-    X.stable_from = None
+    X = replace(X, stable_from=None)
     assert check_tight(X).status == "INCONCLUSIVE"
 
 
@@ -186,8 +196,8 @@ def test_tight_bounds_simple_cases():
 
 
 def test_tight_detects_false_claim():
-    X = nerve_poset(divisor_poset(6), 5)
-    X.stable_from = 1  # false: there are nondegenerate 2-simplices
+    # false: there are nondegenerate 2-simplices
+    X = replace(nerve_poset(divisor_poset(6), 5), stable_from=1)
     rep = check_tight(X)
     assert rep.status == "FAIL"
 
@@ -197,8 +207,7 @@ def test_mobius_verdicts(poset_nerves, trunc_add):
         assert check_mobius(X).ok
     assert check_mobius(trunc_add).ok
     assert check_mobius(point_sset(4)).ok
-    loose = nerve_poset(divisor_poset(6), 5)
-    loose.stable_from = None
+    loose = replace(nerve_poset(divisor_poset(6), 5), stable_from=None)
     assert check_mobius(loose).status == "INCONCLUSIVE"
 
 

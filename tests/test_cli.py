@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from decomp.cli import main
@@ -58,8 +60,7 @@ def test_mobius_uncertified_exits_two(tmp_path, capsys):
     from decomp.formats import write_sset
     from decomp.ingest import nerve_poset
 
-    X = nerve_poset(divisor_poset(6), 5)
-    X.stable_from = None
+    X = replace(nerve_poset(divisor_poset(6), 5), stable_from=None)
     (tmp_path / "loose.sset").write_text(write_sset(X), encoding="utf-8")
     assert main(["mobius", str(tmp_path / "loose.sset")]) == 2
 
@@ -77,6 +78,20 @@ def test_dec(tmp_path, d6_sset, capsys):
     out = str(tmp_path / "dec.sset")
     assert main(["dec", "bot", d6_sset, "-o", out]) == 0
     assert main(["check", "segal", out]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["dec", "top", "{input}", "-o", "{out}"],
+    ["interval", "{input}", "--arrow", "1", "-o", "{out}"],
+    ["mobius", "{input}"],
+    ["coalg-table", "{input}"],
+    ["classify", "{input}", "--registry", "{out}"],
+], ids=lambda argv: argv[0])
+def test_sset_commands_refuse_other_inputs(tmp_path, d6_file, capsys, argv):
+    out = str(tmp_path / "out")
+    assert main([arg.format(input=d6_file, out=out) for arg in argv]) == 2
+    assert capsys.readouterr().out == f"FAIL {argv[0]} note=input-is-not-an-SSET\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_interval_and_flanked(tmp_path, d6_sset, capsys):

@@ -3,6 +3,7 @@ integer-indexed fast paths against the element-by-element reference
 implementations in `oracles`, and the shared-identifier invariant the
 fast paths rely on."""
 
+from dataclasses import replace
 from math import factorial, prod
 
 import oracles
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decomp import labeling
+from decomp.axioms import check_decomposition
 from decomp.formats import (
     parse_smap_text,
     parse_sset,
@@ -137,7 +139,7 @@ def rewired_nerves(draw):
     spec = PosetSpec.from_pairs(names, [(names[i], names[j]) for i, j in relations])
     X = nerve_poset(spec, draw(st.integers(2, 4)))
     if draw(st.booleans()):
-        X.stable_from = draw(st.integers(0, X.cap))
+        X = replace(X, stable_from=draw(st.integers(0, X.cap)))
     if draw(st.booleans()):
         tables, shift = X.faces, -1
     else:
@@ -293,6 +295,25 @@ def test_actions_match_the_per_word_walk(X):
             for n in range(Y.cap + 1):
                 for a in all_monotone(m, n):
                     assert act(a) == oracles._action(Y, a, 0)
+
+
+def _rendered(check, X, *args):
+    """The lines of check(X, *args), or the type and message it raised."""
+    got = outcome(check, X, *args)
+    return got[1].lines() if got[0] == "value" else got
+
+
+@SETTINGS
+@given(st.one_of(rewired_nerves(), small_poset_nerves()))
+def test_memoised_verdicts_render_as_fresh_ones(X):
+    """A verdict read back from the object's memo, and one computed afresh
+    on a copy of the object, render as the first call did."""
+    calls = [(validate_sset,)] + [(check_decomposition, method)
+                                  for method in ("direct", "decalage", "both")]
+    for check, *args in calls:
+        first = _rendered(check, X, *args)
+        assert _rendered(check, X, *args) == first
+        assert _rendered(check, replace(X), *args) == first
 
 
 def _shares_level_objects(src_levels, tgt_levels, tables, step):

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -147,8 +148,7 @@ def test_mobius_chain():
 
 
 def test_mobius_refuses_uncertified(d6):
-    loose = nerve_poset(divisor_poset(6), 5)
-    loose.stable_from = None
+    loose = replace(nerve_poset(divisor_poset(6), 5), stable_from=None)
     with pytest.raises(NotCertified):
         mobius(loose)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from decomp.axioms import check_cartesian, check_map_class, check_segal, check_wide
@@ -108,8 +110,8 @@ def test_canonicalize_is_stable_and_idempotent(diamond):
 
 
 def test_canonicalize_requires_certificate(diamond):
-    loose = AlgebraicInterval(truncate(diamond.data, diamond.data.cap))
-    loose.data.stable_from = None
+    loose = AlgebraicInterval(replace(truncate(diamond.data, diamond.data.cap),
+                                      stable_from=None))
     with pytest.raises(IntervalError):
         canonicalize(loose)
 

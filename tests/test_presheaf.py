@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError, replace
 from math import comb
 
 import pytest
@@ -6,7 +7,6 @@ from decomp.axioms import check_cartesian, check_flanked, check_map_class
 from decomp.ingest import chain_poset, divisor_poset, nerve_poset
 from decomp.interval import ssets_isomorphic
 from decomp.presheaf import (
-    actions,
     counit_eps,
     dec_bot,
     dec_top,
@@ -32,6 +32,19 @@ from decomp.presheaf import (
 )
 
 SEP = "≤"
+
+
+def test_presheaves_are_frozen_and_memoise_per_object():
+    X = nerve_poset(divisor_poset(6), 4)
+    for obj in (X, u_star(X)):
+        with pytest.raises(FrozenInstanceError):
+            obj.stable_from = None
+        with pytest.raises(FrozenInstanceError):
+            obj.faces = {}
+        assert validate(obj) is validate(obj)
+        assert validate(replace(obj)) is not validate(obj)
+    A = u_star(X)
+    assert i_star(A) is i_star(A)
 
 
 def test_validate_point():
@@ -154,7 +167,7 @@ def test_nondegenerate_counts():
     X = nerve_poset(divisor_poset(12), 6)
     assert nondegenerate(X, 0) == X.levels[0]
     assert len(nondegenerate(X, 1)) == 12  # strict divisor pairs
-    table = long_edge_table(actions(X), 3)
+    table = long_edge_table(X, 3)
     top = SEP.join(["1", "12"])
     hits = [x for x in nondegenerate(X, 3) if table[x] == top]
     assert len(hits) == 3

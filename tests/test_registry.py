@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -42,9 +43,8 @@ def test_insert_deduplicates(diamond_interval):
 
 
 def test_insert_requires_certificate(diamond_interval):
-    loose = AlgebraicInterval(
-        truncate(diamond_interval.data, diamond_interval.data.cap))
-    loose.data.stable_from = None
+    loose = AlgebraicInterval(replace(
+        truncate(diamond_interval.data, diamond_interval.data.cap), stable_from=None))
     with pytest.raises(ValueError):
         Registry().insert(loose)
 
