@@ -17,18 +17,16 @@ from .presheaf import (
     actions,
     dec_bot,
     dec_top,
-    ez_level_nondegenerate,
-    long_edge_table,
+    fibres,
     memoised,
     nondegenerate,
-    principal_edge_tables,
     pullback_failure,
     sset_action,  # noqa: F401 -- perfbench/tracer.py counts calls through this name
     validate_sset,
     xi_generators,
 )
 from .report import Report
-from .simplex import free_generators, generic_generators, pushout_generic_free
+from .simplex import MonotoneMap, free_generators, generic_generators, pushout_generic_free
 
 
 def _pullback_issue(P, A, B, p, q, f, g) -> str | None:
@@ -78,9 +76,10 @@ def check_segal(X: FinSSet) -> Report:
     """Is every level the fibre product of its principal edges?  Records the
     table compositions it made itself in data["compositions"]."""
     rep = Report("check_segal")
-    before = actions(X).compositions
+    act = actions(X)
+    before = act.compositions
     for k in range(2, X.cap + 1):
-        tables = principal_edge_tables(X, k)
+        tables = [act(MonotoneMap(1, k, (i, i + 1))) for i in range(k)]
         spine = {x: tuple(t[x] for t in tables) for x in X.levels[k]}
         seen: dict[tuple[str, ...], str] = {}
         collision = False
@@ -93,7 +92,7 @@ def check_segal(X: FinSSet) -> Report:
         if not collision and len(spine) != want:
             missing = next(s for s in _composable_strings(X, k) if s not in seen)
             rep.fail(degree=k, witness=missing, note="no-filler")
-    rep.data["compositions"] = actions(X).compositions - before
+    rep.data["compositions"] = act.compositions - before
     rep.verified_upto = X.cap
     return rep
 
@@ -295,6 +294,7 @@ def check_cartesian(g: XiSetMap) -> bool:
 # finiteness conditions
 
 
+@memoised
 def check_tight(X: FinSSet) -> Report:
     """Certified bound on nondegenerate dimension per long edge.
 
@@ -312,16 +312,15 @@ def check_tight(X: FinSSet) -> Report:
         rep.inconclusive(degree=ell, note="stabilization-above-cap-2")
         return rep
     for k in range(ell + 1, X.cap + 1):
-        stray = ez_level_nondegenerate(X, k)
+        stray = nondegenerate(X, k)
         if stray:
             rep.fail(degree=k, witness=stray[:2], note="stabilization-claim-false")
             return rep
     bounds = {a: 0 for a in X.levels[1]}
     for r in range(1, ell + 1):
-        table = long_edge_table(X, r)
-        for x in nondegenerate(X, r):
-            a = table[x]
-            bounds[a] = max(bounds[a], r)
+        for a, over in fibres(X, r, True).items():
+            if over:
+                bounds[a] = r
     rep.data["bounds"] = bounds
     rep.verified_upto = X.cap
     return rep

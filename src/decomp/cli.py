@@ -50,12 +50,17 @@ def cmd_nerve(args) -> int:
 
 
 def _load_sset(path: str, command: str) -> FinSSet | None:
-    """The SSET stored at path, or None after printing that it is not one."""
+    """The valid SSET stored at path, or None after printing why it is not
+    one.  The verdict stays in the object's memo for later checks."""
     X = load(path)
-    if isinstance(X, FinSSet):
-        return X
-    print(f"FAIL {command} note=input-is-not-an-SSET")
-    return None
+    if not isinstance(X, FinSSet):
+        print(f"FAIL {command} note=input-is-not-an-SSET")
+        return None
+    rep = validate(X)
+    if not rep.ok:
+        _print(rep)
+        return None
+    return X
 
 
 def cmd_dec(args) -> int:

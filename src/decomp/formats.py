@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from sys import intern
 
-from .ingest import CategorySpec, MonoidSpec, PosetSpec
+from .ingest import CategorySpec, MonoidSpec, PosetSpec, SpecError
 from .presheaf import FinSSet, FinXiSet, SSetMap, XiSetMap
 
 
@@ -26,6 +26,26 @@ def _lines(text: str, source: str):
         line = raw.split("#", 1)[0].rstrip()
         if line:
             yield lineno, line
+
+
+def _directives(text: str, source: str, header: str):
+    """(lineno, line) for every line after the header, which must come
+    first; empty text is an error."""
+    lines = _lines(text, source)
+    for lineno, line in lines:
+        if line != header:
+            raise ParseError(source, lineno, f"expected header {header!r}")
+        yield from lines
+        return
+    raise ParseError(source, 0, "empty file")
+
+
+def _spec(build, source: str, *args):
+    """build(*args), a SpecError raised as a ParseError of the file."""
+    try:
+        return build(*args)
+    except SpecError as exc:
+        raise ParseError(source, 0, str(exc))
 
 
 def _check_token(tok: str, source: str, lineno: int) -> str:
@@ -120,13 +140,7 @@ def _parse_levelled(text: str, source: str, header: str):
     faces: dict[tuple[int, int], dict[str, str]] = {}
     degens: dict[tuple[int, int], dict[str, str]] = {}
     xi = False
-    seen_header = False
-    for lineno, line in _lines(text, source):
-        if not seen_header:
-            if line != header:
-                raise ParseError(source, lineno, f"expected header {header!r}")
-            seen_header = True
-            continue
+    for lineno, line in _directives(text, source, header):
         key, _, rest = line.partition(" ")
         head, _, body = rest.partition(":")
         if key == "cap":
@@ -160,8 +174,6 @@ def _parse_levelled(text: str, source: str, header: str):
                    f"{key} {k}", body, source, lineno)
         else:
             raise ParseError(source, lineno, f"unknown directive {key!r}")
-    if not seen_header:
-        raise ParseError(source, 0, "empty file")
     if cap is None:
         raise ParseError(source, 0, "missing cap")
     return cap, stable, levels, faces, degens, xi
@@ -202,13 +214,7 @@ def parse_smap_text(text: str, source: str = "<smap>"):
     dom_path = cod_path = None
     comps: dict[int, dict[str, str]] = {}
     seen: set[str] = set()
-    seen_header = False
-    for lineno, line in _lines(text, source):
-        if not seen_header:
-            if line != "SMAP v1":
-                raise ParseError(source, lineno, "expected header 'SMAP v1'")
-            seen_header = True
-            continue
+    for lineno, line in _directives(text, source, "SMAP v1"):
         key, _, rest = line.partition(" ")
         if key == "dom":
             _once(seen, "dom", source, lineno)
@@ -255,13 +261,7 @@ def parse_poset(text: str, source: str = "<poset>") -> PosetSpec:
     elements: list[str] = []
     pairs: list[tuple[str, str]] = []
     seen: set[str] = set()
-    seen_header = False
-    for lineno, line in _lines(text, source):
-        if not seen_header:
-            if line != "POSET v1":
-                raise ParseError(source, lineno, "expected header 'POSET v1'")
-            seen_header = True
-            continue
+    for lineno, line in _directives(text, source, "POSET v1"):
         key, _, rest = line.partition(" ")
         if key == "elements:":
             _once(seen, "elements", source, lineno)
@@ -273,11 +273,7 @@ def parse_poset(text: str, source: str = "<poset>") -> PosetSpec:
             pairs.append((parts[0], parts[1]))
         else:
             raise ParseError(source, lineno, f"unknown directive {key!r}")
-    from .ingest import SpecError
-    try:
-        return PosetSpec.from_pairs(elements, pairs)
-    except SpecError as exc:
-        raise ParseError(source, 0, str(exc))
+    return _spec(PosetSpec.from_pairs, source, elements, pairs)
 
 
 def write_monoid(spec: MonoidSpec) -> str:
@@ -293,13 +289,7 @@ def parse_monoid(text: str, source: str = "<monoid>") -> MonoidSpec:
     unit = None
     table: dict[tuple[str, str], str] = {}
     seen: set[str] = set()
-    seen_header = False
-    for lineno, line in _lines(text, source):
-        if not seen_header:
-            if line != "MONOID v1":
-                raise ParseError(source, lineno, "expected header 'MONOID v1'")
-            seen_header = True
-            continue
+    for lineno, line in _directives(text, source, "MONOID v1"):
         key, _, rest = line.partition(" ")
         if key == "elements:":
             _once(seen, "elements", source, lineno)
@@ -318,11 +308,7 @@ def parse_monoid(text: str, source: str = "<monoid>") -> MonoidSpec:
             raise ParseError(source, lineno, f"unknown directive {key!r}")
     if unit is None:
         raise ParseError(source, 0, "missing unit")
-    from .ingest import SpecError
-    try:
-        return MonoidSpec.build(elements, unit, table)
-    except SpecError as exc:
-        raise ParseError(source, 0, str(exc))
+    return _spec(MonoidSpec.build, source, elements, unit, table)
 
 
 def write_category(spec: CategorySpec) -> str:
@@ -343,13 +329,7 @@ def parse_category(text: str, source: str = "<cat>") -> CategorySpec:
     idents: dict[str, str] = {}
     comp: dict[tuple[str, str], str] = {}
     seen: set[str] = set()
-    seen_header = False
-    for lineno, line in _lines(text, source):
-        if not seen_header:
-            if line != "CAT v1":
-                raise ParseError(source, lineno, "expected header 'CAT v1'")
-            seen_header = True
-            continue
+    for lineno, line in _directives(text, source, "CAT v1"):
         key, _, rest = line.partition(" ")
         if key == "objects:":
             _once(seen, "objects", source, lineno)
@@ -378,11 +358,7 @@ def parse_category(text: str, source: str = "<cat>") -> CategorySpec:
             raise ParseError(source, lineno, f"unknown directive {key!r}")
     for x, i in idents.items():
         arrows.setdefault(i, (x, x))
-    from .ingest import SpecError
-    try:
-        return CategorySpec.build(objects, arrows, idents, comp)
-    except SpecError as exc:
-        raise ParseError(source, 0, str(exc))
+    return _spec(CategorySpec.build, source, objects, arrows, idents, comp)
 
 
 # ---------------------------------------------------------------------------

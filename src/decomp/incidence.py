@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .axioms import check_decomposition, check_map_class, check_mobius
-from .interval import canonicalize, factorisation_intervals
+from .interval import _fiber, canonicalize, factorisation_intervals
 from .interval import factorisation_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .presheaf import FinSSet, SSetMap, long_edge_table, nondegenerate
+from .presheaf import FinSSet, SSetMap, fibres
 from .registry import Registry, RegistryError, build_fragment, registry_comult
 from .report import Report
 
@@ -118,13 +118,8 @@ def counit_vec(table: CoalgebraTable) -> QVec:
 
 def phi(X: FinSSet, k: int) -> QVec:
     """Count of nondegenerate k-simplices over each long edge."""
-    basis = frozenset(X.levels[1])
-    table = long_edge_table(X, k)
-    counts: dict[str, Fraction] = {}
-    for x in nondegenerate(X, k):
-        a = table[x]
-        counts[a] = counts.get(a, Fraction(0)) + 1
-    return QVec(basis, counts)
+    counts = {a: len(over) for a, over in fibres(X, k, True).items()}
+    return QVec(frozenset(X.levels[1]), counts)
 
 
 def mobius(X: FinSSet) -> QVec:
@@ -233,18 +228,13 @@ def classify(X: FinSSet, reg: Registry) -> tuple[dict[str, str], Report]:
 
 def universal_mobius(reg: Registry) -> tuple[QVec, Report]:
     """Per-class Mobius values with the registry-level inversion check."""
-    from .interval import subdivisions
-
     rep = Report("universal_mobius")
     basis = frozenset(reg.entries)
-    values: dict[str, Fraction] = {}
+    values: dict[str, int] = {}
     for digest, entry in reg.entries.items():
-        bound = entry.interval.canonical.data.stable_from or 0
-        total = Fraction(0)
-        for k in range(bound + 1):
-            count = len(subdivisions(entry.interval, k, nondegenerate=True))
-            total += count if k % 2 == 0 else -count
-        values[digest] = total
+        data = entry.interval.canonical.data
+        counts = [len(_fiber(data, k, True)) for k in range((data.stable_from or 0) + 1)]
+        values[digest] = sum(counts[0::2]) - sum(counts[1::2])
     mu = QVec(basis, values)
     frag = build_fragment(reg, top=2)
     pairs, counit = registry_comult(reg, frag)

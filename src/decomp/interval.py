@@ -29,9 +29,8 @@ from .presheaf import (
     SSetMap,
     XiSetMap,
     actions,
-    ez_level_nondegenerate,
+    fibres,
     i_star,
-    long_edge_table,
     nondeg_bound,
     nondegenerate,
     truncate,
@@ -159,11 +158,9 @@ def factorisation_intervals(
     """The interval of each arrow (every arrow of X by default), with the
     embedding of its underlying simplicial set back into X.
 
-    Level k of the interval of a is the fiber over a of the X_{k+2}
-    long-edge table.  Each long-edge table is computed once and each level
-    is split into the fibers of all the arrows in one pass, in level order.
-    The embedding is the double outer face, which is cartesian on all
-    generic maps.
+    Level k of the interval of a is a copy of the fibre over a of the
+    X_{k+2} long-edge table, read from X's memoised `fibres`.  The embedding
+    is the double outer face, which is cartesian on all generic maps.
     """
     if X.cap < 3:
         raise CapError("factorisation interval needs cap >= 3")
@@ -176,18 +173,9 @@ def factorisation_intervals(
         raise IntervalError("input fails completeness")
     U = u_star(X)
     cap = U.cap
-    by_arrow: dict[str, dict[int, list[str]]] = {a: {} for a in arrows}
-    for k in range(-1, cap + 1):
-        for fibers in by_arrow.values():
-            fibers[k] = []
-        table = long_edge_table(X, k + 2)
-        for x in U.levels[k]:
-            fibers = by_arrow.get(table[x])
-            if fibers is not None:
-                fibers[k].append(x)
-
     out = {}
-    for a, fibers in by_arrow.items():
+    for a in arrows:
+        fibers = {k: list(fibres(X, k + 2, False)[a]) for k in range(-1, cap + 1)}
         data = FinXiSet(cap, fibers,
                         {key: {x: t[x] for x in fibers[key[0]]} for key, t in U.faces.items()},
                         {key: {x: t[x] for x in fibers[key[0]]} for key, t in U.degens.items()})
@@ -351,12 +339,8 @@ def extend_interval(A: AlgebraicInterval | FinXiSet, xi_cap: int) -> ExtendedInt
 
 
 def _fiber(data: FinXiSet, k: int, nondeg: bool) -> list[str]:
-    """The k-simplices over the longest edge."""
-    under = i_star(data)
-    target = longest_edge(data)
-    table = long_edge_table(under, k)
-    simplices = nondegenerate(under, k) if nondeg else under.levels[k]
-    return [x for x in simplices if table[x] == target]
+    """The k-simplices over the longest edge: the memoised list, not a copy."""
+    return fibres(i_star(data), k, nondeg)[longest_edge(data)]
 
 
 def subdivisions(
@@ -387,5 +371,5 @@ def certify_mobius_interval(c: IntervalClass) -> Report:
         profile.append(len(_fiber(ext.interval.data, r, True)))
     rep.data["phi_profile"] = profile
     rep.data["nondegenerate_total"] = sum(
-        len(ez_level_nondegenerate(under, r)) for r in range(under.cap + 1))
+        len(nondegenerate(under, r)) for r in range(under.cap + 1))
     return rep

@@ -14,10 +14,11 @@ is a single source of truth for the relations.
 Every constructor makes each table key and value the very string object
 stored in its level list (parsers and nerve builders by `sys.intern`), so
 a lookup matches by pointer.  Objects are frozen, and each memoises its
-`i_star`, its `validate_sset`/`validate_xiset`/`check_decomposition`
-verdicts and its `actions`: act(a) = X(a), whose shared, uncopied tables
-equal the generator-by-generator walk of a's word whenever the tables are
-total on their levels.  A changed object is a new one (`dataclasses.replace`).
+`actions`, `i_star`, `u_star`, `nondegenerate` levels, long-edge `fibres`
+and its `validate_sset`/`validate_xiset`/`check_decomposition`/`check_tight`
+verdicts.  act(a) = X(a) gives shared, uncopied tables that equal the
+generator-by-generator walk of a's word whenever the tables are total on
+their levels.  A changed object is a new one (`dataclasses.replace`).
 """
 
 from __future__ import annotations
@@ -131,8 +132,39 @@ def _generator_table(X, gen: MonotoneMap, shift: int) -> dict[str, str]:
     return X.degens[(gen.tgt - shift, j - shift // 2)]
 
 
+class _Actions:
+    """X(a) for monotone maps a, each composed once and kept.
+
+    It holds X's levels and tables but not X, so the memo of X that keeps
+    it makes no reference cycle, and X is freed with its last reference.
+    """
+
+    def __init__(self, X):
+        self.levels, self.faces, self.degens = X.levels, X.faces, X.degens
+        self.shift = 2 if isinstance(X, FinXiSet) else 0
+        self.tables: dict[MonotoneMap, dict[str, str]] = {}
+        self.compositions = 0
+
+    def __call__(self, a: MonotoneMap) -> dict[str, str]:
+        table = self.tables.get(a)
+        return self._walk(a, generator_word(a)) if table is None else table
+
+    def _walk(self, a: MonotoneMap, word: list[MonotoneMap]) -> dict[str, str]:
+        table = self.tables.get(a)
+        if table is None:
+            if word:
+                prefix = reduce(compose, word[:-1], identity(a.src))
+                table = _compose_tables(self._walk(prefix, word[:-1]),
+                                        _generator_table(self, word[-1], self.shift))
+                self.compositions += 1
+            else:
+                table = {x: x for x in self.levels[a.tgt - self.shift]}
+            self.tables[a] = table
+        return table
+
+
 @memoised
-def actions(X):
+def actions(X) -> _Actions:
     """X's memoised act(a), the action X(a): levels[a.tgt] -> levels[a.src].
 
     An interval-site presheaf takes the representing monotone map of a site
@@ -141,28 +173,7 @@ def actions(X):
     the word, which is p's own word.  act.compositions counts the
     compositions made on X so far.
     """
-    shift = 2 if isinstance(X, FinXiSet) else 0
-    memo: dict[MonotoneMap, dict[str, str]] = {}
-
-    def walk(a: MonotoneMap, word: list[MonotoneMap]) -> dict[str, str]:
-        table = memo.get(a)
-        if table is None:
-            if word:
-                prefix = reduce(compose, word[:-1], identity(a.src))
-                table = _compose_tables(walk(prefix, word[:-1]),
-                                        _generator_table(X, word[-1], shift))
-                act.compositions += 1
-            else:
-                table = {x: x for x in X.levels[a.tgt - shift]}
-            memo[a] = table
-        return table
-
-    def act(a: MonotoneMap) -> dict[str, str]:
-        table = memo.get(a)
-        return walk(a, generator_word(a)) if table is None else table
-
-    act.compositions = 0
-    return act
+    return _Actions(X)
 
 
 def sset_action(X: FinSSet, a: MonotoneMap) -> dict[str, str]:
@@ -274,7 +285,7 @@ def _check_stable(rep: Report, X) -> None:
     """Every simplex above stable_from must be degenerate."""
     if X.stable_from is not None:
         for k in range(X.stable_from + 1, X.cap + 1):
-            for x in ez_level_nondegenerate(X, k):
+            for x in nondegenerate(X, k):
                 rep.fail(degree=k, witness=(x,), note="stable_from-violated")
 
 
@@ -432,6 +443,7 @@ def dec_top(X: FinSSet) -> tuple[FinSSet, SSetMap]:
     return _decalage(X, bottom=False)
 
 
+@memoised
 def u_star(X: FinSSet) -> FinXiSet:
     """Delete the bottom level twice over: X_{k+2} becomes degree k, and
     d_{i+1}, s_{j+1} become d_i, s_j, outer indices included."""
@@ -498,32 +510,18 @@ def counit_eps(X: FinSSet) -> SSetMap:
 
 
 # ---------------------------------------------------------------------------
-# nondegeneracy
+# nondegeneracy and long-edge fibres
 
 
-def principal_edge_tables(X: FinSSet, r: int) -> list[dict[str, str]]:
-    """levels[r] -> levels[1], one table per edge i -> i+1."""
-    return [actions(X)(MonotoneMap(1, r, (i, i + 1))) for i in range(r)]
+@memoised
+def nondegenerate(X, k: int) -> list[str]:
+    """Simplices not in the image of any degeneracy.
 
-
-def nondegenerate(X: FinSSet, r: int) -> list[str]:
-    """Simplices none of whose principal edges are degenerate."""
-    if r < 0 or r > X.cap:
-        raise CapError(f"degree {r} outside cap {X.cap}")
-    if r == 0:
-        return list(X.levels[0])
-    bad = set(X.degens[(0, 0)].values())
-    tables = principal_edge_tables(X, r)
-    return [x for x in X.levels[r] if all(t[x] not in bad for t in tables)]
-
-
-def long_edge_table(X: FinSSet, r: int) -> dict[str, str]:
-    """levels[r] -> levels[1]: restriction to the long edge (s_0 at r = 0)."""
-    return actions(X)(MonotoneMap(1, r, (0, r)))
-
-
-def ez_level_nondegenerate(X: FinSSet, k: int) -> list[str]:
-    """Simplices not in the image of any degeneracy."""
+    In a complete decomposition space these are exactly the simplices none
+    of whose principal edges is degenerate (GKT II, section 2).
+    """
+    if k < 0 or k > X.cap:
+        raise CapError(f"degree {k} outside cap {X.cap}")
     if k == 0:
         return list(X.levels[0])
     degenerate = set()
@@ -532,11 +530,27 @@ def ez_level_nondegenerate(X: FinSSet, k: int) -> list[str]:
     return [x for x in X.levels[k] if x not in degenerate]
 
 
+def long_edge_table(X: FinSSet, r: int) -> dict[str, str]:
+    """levels[r] -> levels[1]: restriction to the long edge (s_0 at r = 0)."""
+    return actions(X)(MonotoneMap(1, r, (0, r)))
+
+
+@memoised
+def fibres(X: FinSSet, k: int, nondeg: bool) -> dict[str, list[str]]:
+    """Every arrow's k-simplices, those whose long edge it is, in level
+    order; with nondeg only the nondegenerate ones."""
+    table = long_edge_table(X, k)
+    out: dict[str, list[str]] = {a: [] for a in X.levels[1]}
+    for x in nondegenerate(X, k) if nondeg else X.levels[k]:
+        out[table[x]].append(x)
+    return out
+
+
 def nondeg_bound(X: FinSSet) -> int:
     """Largest degree under the cap carrying a nondegenerate simplex."""
     bound = 0
     for k in range(X.cap + 1):
-        if ez_level_nondegenerate(X, k):
+        if nondegenerate(X, k):
             bound = k
     return bound
 

@@ -18,12 +18,12 @@ from .interval import (
     AlgebraicInterval,
     ExtendedInterval,
     IntervalClass,
+    _fiber,
     canonicalize,
     canonicalize_with_map,
     certify_mobius_interval,
     extend_interval,
     factorisation_intervals,
-    longest_edge,
 )
 from .interval import factorisation_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .presheaf import actions, i_star, long_edge_table, validate_xiset
@@ -195,11 +195,8 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
     for k in range(top + 1):
         members = []
         for digest in sorted(reg.entries):
-            data = exts[digest].interval.data
-            table = long_edge_table(i_star(data), k)
-            target = longest_edge(data)
-            members += [(digest, x) for x in sorted(data.levels[k])
-                        if table[x] == target]
+            members += [(digest, x)
+                        for x in sorted(_fiber(exts[digest].interval.data, k, False))]
         levels[k] = members
 
     cuts: dict[str, dict] = {}

@@ -6,7 +6,8 @@ and against power-series inversion of zeta computed on raw tables,
 factorisations against exhaustive two-step search, canonical labeling
 against the dict-keyed refinement that recomputes every signature each
 round, presheaf actions against the generator-by-generator walk of each
-word, and the bulk interval cut against the cut of one arrow at a time.
+word, the bulk interval cut against the cut of one arrow at a time, and
+nondegeneracy by degeneracy images against the principal-edge test.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from decomp.labeling import UnarySystem
-from decomp.simplex import all_monotone, compose, is_free, is_generic
+from decomp.simplex import MonotoneMap, all_monotone, compose, is_free, is_generic
 
 
 _FREE_POOL: dict[tuple[int, int], list] = {}
@@ -362,6 +363,16 @@ def _action(X, a, shift):
     for gen in reversed(generator_word(a)):
         table = _compose_tables(_generator_table(X, gen, shift), table)
     return table
+
+
+def nondegenerate_by_principal_edges(X, r):
+    """The r-simplices none of whose principal edges i -> i+1 is degenerate,
+    read through per-word actions."""
+    if r == 0:
+        return list(X.levels[0])
+    degenerate = set(X.degens[(0, 0)].values())
+    tables = [_action(X, MonotoneMap(1, r, (i, i + 1)), 0) for i in range(r)]
+    return [x for x in X.levels[r] if all(t[x] not in degenerate for t in tables)]
 
 
 def factorisation_interval(X, a):

@@ -34,8 +34,8 @@ from decomp.presheaf import (
     counit_eps,
     dec_bot,
     dec_top,
-    ez_level_nondegenerate,
     i_star,
+    nondegenerate,
     u_star,
     unit_eta,
 )
@@ -200,7 +200,7 @@ def test_criterion_8_axiom_suite(corpus, mobius_corpus):
             ok = ok and lhs == Counter({a: 1})
         from math import comb
 
-        nd = {k: len(ez_level_nondegenerate(X, k)) for k in range(X.cap + 1)}
+        nd = {k: len(nondegenerate(X, k)) for k in range(X.cap + 1)}
         for k in range(X.cap + 1):
             total = sum(comb(k, m) * nd[k - m] for m in range(k + 1))
             ok = ok and total == len(X.levels[k])

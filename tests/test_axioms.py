@@ -158,7 +158,7 @@ def test_flanked_planted_failure(poset_nerves):
     src = next(iter(table))
     others = [v for v in A.levels[0] if v != table[src]]
     table[src] = others[0]
-    A.degens[(-1, -1)] = table
+    A = replace(A, degens={**A.degens, (-1, -1): table})
     rep = check_flanked(A)
     assert not rep.ok
 

@@ -94,6 +94,32 @@ def test_sset_commands_refuse_other_inputs(tmp_path, d6_file, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["mobius", "{input}"],
+    ["interval", "{input}", "--arrow", f"1{SEP}6", "-o", "{out}"],
+    ["dec", "bot", "{input}", "-o", "{out}"],
+    ["coalg-table", "{input}"],
+    ["classify", "{input}", "--registry", "{out}"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("directive", ["s 0 0:", "d 2 1:"])
+def test_sset_commands_validate_their_input(tmp_path, d6_sset, capsys, argv, directive):
+    """An SSET without one structure-map line fails validation, exits 2 and
+    writes nothing, instead of raising KeyError or writing a file."""
+    text = (tmp_path / "d6.sset").read_text(encoding="utf-8")
+    broken = tmp_path / "broken.sset"
+    broken.write_text("".join(ln for ln in text.splitlines(keepends=True)
+                              if not ln.startswith(directive)), encoding="utf-8")
+    assert text != broken.read_text(encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    assert main([arg.format(input=broken, out=out) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL validate")
+    assert "Traceback" not in captured.out + captured.err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_interval_and_flanked(tmp_path, d6_sset, capsys):
     out = str(tmp_path / "i.xiset")
     assert main(["interval", d6_sset, "--arrow", f"1{SEP}6", "-o", out]) == 0

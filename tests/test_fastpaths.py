@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decomp import labeling
-from decomp.axioms import check_decomposition
+from decomp.axioms import check_decomposition, check_tight
 from decomp.formats import (
     parse_smap_text,
     parse_sset,
@@ -37,7 +37,16 @@ from decomp.interval import (
     interval_category,
     xi_system,
 )
-from decomp.presheaf import actions, dec_bot, pullback_failure, truncate, validate_sset
+from decomp.presheaf import (
+    actions,
+    dec_bot,
+    fibres,
+    long_edge_table,
+    nondegenerate,
+    pullback_failure,
+    truncate,
+    validate_sset,
+)
 from decomp.simplex import all_monotone
 from oracles import pullback_failure_by_enumeration, validate_sset_by_simplex
 
@@ -297,6 +306,35 @@ def test_actions_match_the_per_word_walk(X):
                     assert act(a) == oracles._action(Y, a, 0)
 
 
+def complete_nerves():
+    """Small poset nerves, and the nerves of B3 and of (N,+) truncated at
+    5, a decomposition space that is not Segal."""
+    return st.one_of(small_poset_nerves(),
+                     st.sampled_from([boolean_poset(3), truncated_addition(5)]).map(nerve))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(complete_nerves())
+def test_nondegenerate_matches_principal_edge_test(X):
+    """On a complete decomposition space a simplex lies outside every
+    degeneracy image exactly when none of its principal edges is degenerate."""
+    for k in range(X.cap + 1):
+        assert nondegenerate(X, k) == oracles.nondegenerate_by_principal_edges(X, k)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(complete_nerves())
+def test_fibres_match_per_arrow_filter(X):
+    for k in range(X.cap + 1):
+        table = long_edge_table(X, k)
+        for nondeg in (False, True):
+            simplices = nondegenerate(X, k) if nondeg else X.levels[k]
+            want = {a: [x for x in simplices if table[x] == a] for a in X.levels[1]}
+            got = fibres(X, k, nondeg)
+            assert got == want
+            assert list(got) == list(want)
+
+
 def _rendered(check, X, *args):
     """The lines of check(X, *args), or the type and message it raised."""
     got = outcome(check, X, *args)
@@ -310,6 +348,7 @@ def test_memoised_verdicts_render_as_fresh_ones(X):
     on a copy of the object, render as the first call did."""
     calls = [(validate_sset,)] + [(check_decomposition, method)
                                   for method in ("direct", "decalage", "both")]
+    calls += [(check_tight,)]
     for check, *args in calls:
         first = _rendered(check, X, *args)
         assert _rendered(check, X, *args) == first

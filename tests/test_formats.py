@@ -110,6 +110,14 @@ def test_map_directive_index_out_of_range(directive):
         parse_xiset("\n".join(text + [f"{directive}:"]) + "\n")
 
 
+@pytest.mark.parametrize("parse", [parse_sset, parse_xiset, parse_poset, parse_monoid,
+                                   parse_category, parse_smap_text])
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comment"])
+def test_every_parser_refuses_empty_text(parse, text):
+    with pytest.raises(ParseError, match="empty file"):
+        parse(text, "x")
+
+
 def test_sset_rejects_empty_dnew():
     text = write_sset(nerve_poset(divisor_poset(6), 4)) + "dnew:\n"
     with pytest.raises(ParseError, match="interval-site directives"):

@@ -18,7 +18,7 @@ from decomp.ingest import (
     truncated_addition,
 )
 from decomp.interval import ssets_isomorphic
-from decomp.presheaf import ez_level_nondegenerate, point_sset, validate_sset
+from decomp.presheaf import nondegenerate, point_sset, validate_sset
 
 
 def test_poset_closure_and_interval():
@@ -62,7 +62,7 @@ def test_nerve_poset_axioms(poset_nerves):
 def test_nerve_stable_from_certified(poset_nerves):
     for X in poset_nerves.values():
         for k in range(X.stable_from + 1, X.cap + 1):
-            assert not ez_level_nondegenerate(X, k)
+            assert not nondegenerate(X, k)
 
 
 def test_trivial_monoid_is_point():

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import FrozenInstanceError, replace
 from math import comb
 
@@ -11,7 +13,7 @@ from decomp.presheaf import (
     dec_bot,
     dec_top,
     ez_decompose,
-    ez_level_nondegenerate,
+    fibres,
     i_star,
     i_star_map,
     long_edge_table,
@@ -45,6 +47,25 @@ def test_presheaves_are_frozen_and_memoise_per_object():
         assert validate(replace(obj)) is not validate(obj)
     A = u_star(X)
     assert i_star(A) is i_star(A)
+    assert u_star(X) is A
+    assert u_star(replace(X)) is not A
+
+
+def test_memo_holds_no_reference_cycle():
+    """An object is freed when its last reference goes, memo and all,
+    without the cyclic garbage collector."""
+    gc.disable()
+    try:
+        X = nerve_poset(divisor_poset(6), 4)
+        long_edge_table(X, 3)
+        validate(X)
+        u_star(X)
+        fibres(X, 2, True)
+        ref = weakref.ref(X)
+        del X
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_validate_point():
@@ -190,7 +211,7 @@ def test_ez_words_strictly_decreasing_and_reconstruct():
             word, root = ez_decompose(X, k, x)
             assert all(a > b for a, b in zip(word, word[1:]))
             deg = k - len(word)
-            assert root in set(ez_level_nondegenerate(X, deg))
+            assert root in set(nondegenerate(X, deg))
             rebuilt = root
             for pos, j in enumerate(reversed(word)):
                 rebuilt = X.degens[(deg + pos, j)][rebuilt]
@@ -199,7 +220,7 @@ def test_ez_words_strictly_decreasing_and_reconstruct():
 
 def test_ez_bijection_counts(poset_nerves):
     for X in poset_nerves.values():
-        nd = {k: len(ez_level_nondegenerate(X, k)) for k in range(X.cap + 1)}
+        nd = {k: len(nondegenerate(X, k)) for k in range(X.cap + 1)}
         for k in range(X.cap + 1):
             total = sum(comb(k, m) * nd[k - m] for m in range(k + 1))
             assert total == len(X.levels[k])
