@@ -99,6 +99,8 @@ def check_segal(X: FinSSet) -> Report:
 
 def check_complete(X: FinSSet) -> bool:
     """Is the degree-0 degeneracy injective?"""
+    if X.cap < 1:
+        raise CapError("completeness needs cap >= 1")
     s0 = X.degens[(0, 0)]
     return len(set(s0.values())) == len(s0)
 

@@ -147,6 +147,8 @@ def _parse_levelled(text: str, source: str, header: str):
             cap = _int(rest.strip(), source, lineno)
         elif key == "stable":
             stable = _int(rest.strip(), source, lineno)
+            if stable < -1:
+                raise ParseError(source, lineno, f"stable degree {stable} below -1")
         elif key == "level":
             k = _int(head.strip(), source, lineno)
             ids = [intern(_check_token(t, source, lineno)) for t in body.split()]

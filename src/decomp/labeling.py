@@ -1,8 +1,9 @@
-"""Canonical labeling and isomorphism search for finite unary structures.
+"""Canonical labeling of finite unary structures, and isomorphism decided
+by comparing canonical forms.
 
 A structure is a family of sorted carriers with labeled total functions
-between them (faces, degeneracies, the extra interval-site maps).  Both
-searches work on integer indices: the elements are numbered 0..n-1, sorts
+between them (faces, degeneracies, the extra interval-site maps).  The
+search works on integer indices: the elements are numbered 0..n-1, sorts
 in order and each sort in its given order, and a partition is an ordered
 list of cells in which an element's color is the position of its cell.
 
@@ -19,7 +20,10 @@ split: members of any other cell agree on their edges into it already.
 
 Remaining ties are broken by individualization with full backtracking,
 taking the minimum serialized form, so equal canonical forms mean
-isomorphic structures and conversely.  Desk-scale inputs keep the search
+isomorphic structures and conversely.  `canonical_order` and
+`find_isomorphism` share this one search; an isomorphism test labels both
+structures, so it visits every leaf of two search trees where a direct
+search could stop at its first match.  Desk-scale inputs keep the search
 small; no automorphism pruning is done.
 """
 
@@ -49,7 +53,7 @@ class _Indexed:
     def __init__(self, sys: UnarySystem):
         self.elements = sys.elements()
         n = len(self.elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
+        index = {e: i for i, e in enumerate(self.elements)}
         self.members = {s: [] for s in sorted(sys.sorts)}
         for i, (s, _) in enumerate(self.elements):
             self.members[s].append(i)
@@ -64,8 +68,8 @@ class _Indexed:
             code = rank[label] * n
             image = [-1] * n
             for x, y in table.items():
-                i = self.index[(src, x)]
-                j = self.index[(tgt, y)]
+                i = index[(src, x)]
+                j = index[(tgt, y)]
                 image[i] = j
                 self.out[i].append(j)
                 self.in_code[j].append(code)
@@ -139,12 +143,9 @@ def _refine(g: _Indexed, color, cells, touched):
         cells = refined
 
 
-def canonical_order(sys: UnarySystem) -> dict:
-    """Canonical position of every element within its sort.
-
-    Returns {sort: {id: position}}; isomorphic systems produce orderings
-    under which their serializations coincide.
-    """
+def _canonical(sys: UnarySystem):
+    """The indexed system, its least serialization over every leaf of the
+    search, and the discrete coloring that first gives it."""
     g = _Indexed(sys)
     best: list = [None, None]
 
@@ -165,7 +166,16 @@ def canonical_order(sys: UnarySystem) -> dict:
             descend(*_refine(g, nxt, split, [e]))
 
     descend(*_refine(g, *g.initial()))
-    color = best[1]
+    return g, best[0], best[1]
+
+
+def canonical_order(sys: UnarySystem) -> dict:
+    """Canonical position of every element within its sort.
+
+    Returns {sort: {id: position}}; isomorphic systems produce orderings
+    under which their serializations coincide.
+    """
+    g, _, color = _canonical(sys)
     result: dict = {}
     for s in sys.sorts:
         ranked = sorted(g.members[s], key=color.__getitem__)
@@ -176,8 +186,10 @@ def canonical_order(sys: UnarySystem) -> dict:
 def find_isomorphism(sys_a: UnarySystem, sys_b: UnarySystem) -> dict | None:
     """A sort-preserving bijection commuting with every labeled map, or None.
 
-    Joint color refinement seeds the search; candidates are tried within
-    matching color classes with incremental consistency checks.
+    The systems are isomorphic exactly when their least serializations
+    agree.  The bijection returned sends each element of sys_a to the
+    element of sys_b at the same canonical position: the one with the same
+    color in the coloring that gives the least serialization.
     """
     if sorted(sys_a.sorts) != sorted(sys_b.sorts):
         return None
@@ -187,79 +199,12 @@ def find_isomorphism(sys_a: UnarySystem, sys_b: UnarySystem) -> dict | None:
     if (sorted(m[:3] for m in sys_a.maps)
             != sorted(m[:3] for m in sys_b.maps)):
         return None
-
-    tables = {lbl: tab for lbl, _, _, tab in sys_b.maps}
-    union = UnarySystem(
-        sorts={s: [("a", x) for x in sys_a.sorts[s]] + [("b", x) for x in sys_b.sorts[s]]
-               for s in sys_a.sorts},
-        maps=[(lbl, src, tgt,
-               {**{("a", x): ("a", y) for x, y in tab.items()},
-                **{("b", x): ("b", y) for x, y in tables[lbl].items()}})
-              for lbl, src, tgt, tab in sys_a.maps],
-    )
-    g = _Indexed(union)
-    color, _ = _refine(g, *g.initial())
-
-    a_by_color: dict[int, list] = {}
-    b_by_color: dict[int, list] = {}
-    for s in union.sorts:
-        for i in g.members[s]:
-            by_color = a_by_color if g.elements[i][1][0] == "a" else b_by_color
-            by_color.setdefault(color[i], []).append(i)
-    for c in set(a_by_color) | set(b_by_color):
-        if len(a_by_color.get(c, ())) != len(b_by_color.get(c, ())):
-            return None
-
-    todo = sorted(
-        (g.index[(s, ("a", x))] for s in sys_a.sorts for x in sys_a.sorts[s]),
-        key=lambda i: (len(a_by_color[color[i]]), color[i], g.elements[i][1][1]),
-    )
-    n = len(g.elements)
-    out_images = {s: [image for (_, src, _, _), image in zip(g.maps, g.images) if src == s]
-                  for s in g.members}
-    assign = [-1] * n
-    used = [False] * n
-
-    def consistent(e, f):
-        for image, e2 in zip(out_images[g.elements[e][0]], g.out[e]):
-            if assign[e2] >= 0 and image[f] != assign[e2]:
-                return False
-        for code, e0 in zip(g.in_code[e], g.in_src[e]):
-            if assign[e0] >= 0 and g.images[code // n][assign[e0]] != f:
-                return False
-        return True
-
-    def search():
-        n = len(todo)
-        iters: list = [None] * n
-        depth = 0
-        while depth >= 0:
-            if depth == n:
-                return True
-            e = todo[depth]
-            if iters[depth] is None:
-                iters[depth] = iter(b_by_color[color[e]])
-            advanced = False
-            for f in iters[depth]:
-                if used[f] or not consistent(e, f):
-                    continue
-                assign[e] = f
-                used[f] = True
-                depth += 1
-                advanced = True
-                break
-            if not advanced:
-                iters[depth] = None
-                depth -= 1
-                if depth >= 0:
-                    used[assign[todo[depth]]] = False
-                    assign[todo[depth]] = -1
-        return False
-
-    if not search():
+    ga, key_a, color_a = _canonical(sys_a)
+    gb, key_b, color_b = _canonical(sys_b)
+    if key_a != key_b:
         return None
+    by_color = {c: y for (_, y), c in zip(gb.elements, color_b)}
     result: dict = {s: {} for s in sys_a.sorts}
-    for e in todo:
-        s, (_, x) = g.elements[e]
-        result[s][x] = g.elements[assign[e]][1][1]
+    for (s, x), c in zip(ga.elements, color_a):
+        result[s][x] = by_color[c]
     return result

@@ -81,24 +81,25 @@ class Registry:
 
     def close(self) -> Registry:
         """Insert the interval of every arrow of every entry to fixpoint."""
-        queue = list(self.entries)
-        while queue:
-            digest = queue.pop()
-            ext = _extension(self.get(digest).interval, minimum=1)
-            for sub, _ in factorisation_intervals(ext.nerve).values():
-                cls = canonicalize(sub)
-                if cls.digest not in self.entries:
-                    self.insert(cls)
-                    queue.append(cls.digest)
+        for cls in self._missing():
+            self.insert(cls)
         return self
 
     def is_closed(self) -> bool:
-        for digest in list(self.entries):
-            ext = _extension(self.get(digest).interval, minimum=1)
+        return next(self._missing(), None) is None
+
+    def _missing(self):
+        """Lazily, the classes of arrow intervals of entries' extensions
+        that are not entries, walking on into each class it yields.  A class
+        is yielded again at its next sight unless the caller inserts it."""
+        queue = [entry.interval for entry in self.entries.values()]
+        while queue:
+            ext = _extension(queue.pop(), minimum=1)
             for sub, _ in factorisation_intervals(ext.nerve).values():
-                if canonicalize(sub).digest not in self.entries:
-                    return False
-        return True
+                cls = canonicalize(sub)
+                if cls.digest not in self.entries:
+                    yield cls
+                    queue.append(cls)
 
     # -- persistence --------------------------------------------------------
 
@@ -180,9 +181,6 @@ class Fragment:
     levels: dict[int, list[tuple[str, str]]]
     faces: dict[tuple[int, int], dict[tuple[str, str], tuple[str, str]]]
     extensions: dict[str, ExtendedInterval]
-
-    def face(self, k: int, i: int):
-        return self.faces[(k, i)]
 
 
 def build_fragment(reg: Registry, top: int = 3) -> Fragment:

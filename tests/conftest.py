@@ -63,6 +63,18 @@ def invalid_object() -> FinSSet:
     return X
 
 
+def assert_isomorphism(a, b, iso) -> None:
+    """iso maps each sort of the UnarySystem a bijectively onto the same
+    sort of b and commutes with every labelled map."""
+    for s in a.sorts:
+        assert sorted(iso[s]) == sorted(a.sorts[s])
+        assert sorted(iso[s].values()) == sorted(b.sorts[s])
+    tables_b = {label: table for label, _, _, table in b.maps}
+    for label, src, tgt, table in a.maps:
+        for x, y in table.items():
+            assert tables_b[label][iso[src][x]] == iso[tgt][y]
+
+
 @pytest.fixture(scope="session")
 def posets() -> dict[str, PosetSpec]:
     return {

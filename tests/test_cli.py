@@ -3,8 +3,11 @@ from dataclasses import replace
 import pytest
 
 from decomp.cli import main
-from decomp.formats import save
-from decomp.ingest import divisor_poset, truncated_addition
+from decomp.formats import load, save
+from decomp.ingest import divisor_poset, nerve, truncated_addition
+from decomp.interval import factorisation_interval
+from decomp.presheaf import truncate
+from decomp.registry import Registry
 from conftest import spine_object
 
 SEP = "≤"
@@ -300,3 +303,39 @@ def test_monoid_nerve_via_cli(tmp_path, capsys):
     assert main(["nerve", str(tmp_path / "add.monoid"), "-o", out]) == 0
     assert main(["check", "decomp", out]) == 0
     assert main(["check", "segal", out]) == 1
+
+
+@pytest.fixture(scope="module")
+def d6_registry(tmp_path_factory) -> str:
+    reg = Registry()
+    reg.insert(factorisation_interval(nerve(divisor_poset(6)), f"1{SEP}6")[0])
+    out = str(tmp_path_factory.mktemp("reg"))
+    reg.close().save(out)
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "segal", "{input}"],
+    ["check", "decomp", "{input}"],
+    ["check", "complete", "{input}"],
+    ["check", "mobius", "{input}"],
+    ["mobius", "{input}"],
+    ["coalg-table", "{input}"],
+    ["dec", "bot", "{input}", "-o", "{out}"],
+    ["dec", "top", "{input}", "-o", "{out}"],
+    ["interval", "{input}", "--arrow", f"1{SEP}6", "-o", "{out}"],
+    ["classify", "{input}", "--registry", "{registry}"],
+], ids=lambda argv: "-".join(argv[:2]).replace("-{input}", ""))
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_sset_commands_on_low_caps(tmp_path, d6_sset, d6_registry, capsys, argv, cap):
+    """Every SSET command on a truncated nerve ends with a verdict or an
+    error line, never a traceback."""
+    low = str(tmp_path / f"d6-cap{cap}.sset")
+    save(truncate(load(d6_sset), cap), low)
+    args = [a.format(input=low, out=str(tmp_path / "out"), registry=d6_registry)
+            for a in argv]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2 and not captured.out:
+        assert captured.err.startswith("error: ")

@@ -7,6 +7,7 @@ from dataclasses import replace
 from math import factorial, prod
 
 import oracles
+from conftest import assert_isomorphism
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -263,13 +264,7 @@ def test_find_isomorphism_agrees_with_reference_forms(pair):
     assert (iso is not None) == (_canonical_form(a) == _canonical_form(b))
     if iso is None:
         return
-    for s in a.sorts:
-        assert sorted(iso[s]) == sorted(a.sorts[s])
-        assert sorted(iso[s].values()) == sorted(b.sorts[s])
-    tables_b = {label: table for label, _, _, table in b.maps}
-    for label, src, tgt, table in a.maps:
-        for x, y in table.items():
-            assert tables_b[label][iso[src][x]] == iso[tgt][y]
+    assert_isomorphism(a, b, iso)
 
 
 def test_canonical_order_matches_reference_on_intervals():

@@ -110,6 +110,21 @@ def test_map_directive_index_out_of_range(directive):
         parse_xiset("\n".join(text + [f"{directive}:"]) + "\n")
 
 
+@pytest.mark.parametrize("write, parse, obj", [
+    (write_sset, parse_sset, nerve_poset(divisor_poset(6), 4)),
+    (write_xiset, parse_xiset, u_star(nerve_poset(divisor_poset(6), 4))),
+], ids=["sset", "xiset"])
+def test_stable_degree_below_minus_one_is_refused(write, parse, obj):
+    """-1 claims level 0 is degenerate and parses; lower degrees name the line."""
+    lines = write(obj).splitlines()
+    at = lines.index("stable 2") + 1
+    lines[at - 1] = "stable -1"
+    assert parse("\n".join(lines) + "\n").stable_from == -1
+    lines[at - 1] = "stable -3"
+    with pytest.raises(ParseError, match=f":{at}: stable degree -3 below -1"):
+        parse("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("parse", [parse_sset, parse_xiset, parse_poset, parse_monoid,
                                    parse_category, parse_smap_text])
 @pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comment"])

@@ -195,6 +195,15 @@ def test_culf_pushforward_identity(d6):
     assert rep.ok and all(m[x] == x for x in m)
 
 
+def test_culf_pushforward_needs_a_comultiplication(d6):
+    from decomp.presheaf import SSetMap, truncate
+
+    low = truncate(d6, 1)
+    F = SSetMap(low, d6, {k: {x: x for x in low.levels[k]} for k in range(2)})
+    with pytest.raises(NotCertified, match="comultiplication needs cap >= 2"):
+        culf_pushforward(F)
+
+
 def test_phi_pulls_back_along_interval_embedding(poset_nerves):
     X = poset_nerves["d12"]
     a = arrow("1", "12")

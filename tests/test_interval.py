@@ -18,8 +18,10 @@ from decomp.interval import (
     subdivisions,
     validate_interval,
     wide_cartesian_factor,
+    xi_system,
 )
 from decomp.presheaf import (
+    CapError,
     i_star,
     point_sset,
     point_xiset,
@@ -28,6 +30,7 @@ from decomp.presheaf import (
     u_star,
     validate_xiset_map,
 )
+from conftest import assert_isomorphism
 
 SEP = "≤"
 
@@ -90,15 +93,31 @@ def test_canonical_digests_identify_isomorphic(poset_nerves):
     c4 = canonicalize(factorisation_interval(d4, arrow("1", "4"))[0])
     assert c6.digest == c10.digest
     assert c4.digest != c6.digest
-    # the two presentations really are isomorphic, by independent search
+    # the two presentations really are isomorphic: the bijection found
+    # commutes with every structure map
     a = factorisation_interval(d6, arrow("1", "6"))[0]
     b = factorisation_interval(d10, arrow("1", "10"))[0]
     iso = intervals_isomorphic(truncate(a.data, 2), truncate(b.data, 2))
     assert iso is not None
+    assert_isomorphism(xi_system(truncate(a.data, 2)), xi_system(truncate(b.data, 2)), iso)
     assert intervals_isomorphic(
         truncate(canonicalize(a).canonical.data, 2),
         truncate(factorisation_interval(d4, arrow("1", "4"))[0].data, 2),
     ) is None
+
+
+def test_isomorphism_of_symmetric_intervals(poset_nerves):
+    """B3 and d30 are both the cube, whose top interval has automorphisms."""
+    a = factorisation_interval(poset_nerves["b3"], arrow("o", "abc"))[0].data
+    b = factorisation_interval(poset_nerves["d30"], arrow("1", "30"))[0].data
+    iso = intervals_isomorphic(a, b)
+    assert iso is not None
+    assert_isomorphism(xi_system(a), xi_system(b), iso)
+
+
+def test_cap_zero_interval_is_refused(diamond):
+    with pytest.raises(CapError, match="completeness needs cap >= 1"):
+        validate_interval(AlgebraicInterval(truncate(diamond.data, 0)))
 
 
 def test_canonicalize_is_stable_and_idempotent(diamond):

@@ -93,8 +93,11 @@ def test_closure_of_chain2(poset_nerves):
     d4 = nerve_poset(divisor_poset(4), 5)
     reg = Registry()
     reg.insert(factorisation_interval(d4, arrow("1", "4"))[0], name="chain2")
+    assert not reg.is_closed()
+    assert len(reg.entries) == 1
     reg.close()
     assert len(reg.entries) == 3
+    assert reg.is_closed()
 
 
 def test_save_load_roundtrip(tmp_path, diamond_registry):
