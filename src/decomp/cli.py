@@ -144,8 +144,9 @@ def cmd_mobius(args) -> int:
         return 2
     mu = incidence.mobius(X)
     arrows = [args.arrow] if args.arrow else sorted(X.levels[1])
+    known = set(X.levels[1])
     for a in arrows:
-        if a not in set(X.levels[1]):
+        if a not in known:
             print(f"FAIL mobius witness={a} note=unknown-arrow")
             return 2
         print(f"{a}\t{_fraction(mu[a])}")

@@ -140,12 +140,15 @@ def _parse_levelled(text: str, source: str, header: str):
     faces: dict[tuple[int, int], dict[str, str]] = {}
     degens: dict[tuple[int, int], dict[str, str]] = {}
     xi = False
+    seen: set = set()
     for lineno, line in _directives(text, source, header):
         key, _, rest = line.partition(" ")
         head, _, body = rest.partition(":")
         if key == "cap":
+            _once(seen, key, source, lineno)
             cap = _int(rest.strip(), source, lineno)
         elif key == "stable":
+            _once(seen, key, source, lineno)
             stable = _int(rest.strip(), source, lineno)
             if stable < -1:
                 raise ParseError(source, lineno, f"stable degree {stable} below -1")

@@ -392,11 +392,15 @@ def nerve_category(spec: CategorySpec, cap: int | None = None) -> FinSSet:
         cap = bound + 3
     if cap < 2:
         raise SpecError("nerve needs cap >= 2")
-    strings: dict[int, list[tuple[str, ...]]] = {
-        1: [(f,) for f in sorted(spec.arrows)]}
+    arrows = sorted(spec.arrows)
+    src = {f: spec.src(f) for f in arrows}
+    tgt = {f: spec.tgt(f) for f in arrows}
+    after = {x: [g for g in arrows if src[g] == x] for x in spec.objects}
+    follow = {f: after[tgt[f]] for f in arrows}
+    comp = {(f, g): spec.compose(f, g) for f in arrows for g in follow[f]}
+    strings: dict[int, list[tuple[str, ...]]] = {1: [(f,) for f in arrows]}
     for k in range(2, cap + 1):
-        nxt = [s + (g,) for s in strings[k - 1] for g in sorted(spec.arrows)
-               if spec.tgt(s[-1]) == spec.src(g)]
+        nxt = [s + (g,) for s in strings[k - 1] for g in follow[s[-1]]]
         _guard_level(k, len(nxt))
         strings[k] = nxt
 
@@ -405,29 +409,24 @@ def nerve_category(spec: CategorySpec, cap: int | None = None) -> FinSSet:
     levels = {0: sorted(name[(x,)] for x in spec.objects)}
     levels.update({k: sorted(name[s] for s in strings[k]) for k in range(1, cap + 1)})
     faces = {}
-    degens = {}
     for k in range(1, cap + 1):
         for i in range(k + 1):
-            table = {}
-            for s in strings[k]:
-                if k == 1:
-                    out = (spec.tgt(s[0]) if i == 0 else spec.src(s[0]),)
-                elif i == 0:
-                    out = s[1:]
-                elif i == k:
-                    out = s[:-1]
-                else:
-                    out = s[:i - 1] + (spec.compose(s[i - 1], s[i]),) + s[i + 1:]
-                table[name[s]] = name[out]
-            faces[(k, i)] = table
-    degens[(0, 0)] = {name[(x,)]: name[(spec.identities[x],)] for x in spec.objects}
+            if k == 1:
+                out = [((tgt if i == 0 else src)[f],) for (f,) in strings[1]]
+            elif i == 0:
+                out = [s[1:] for s in strings[k]]
+            elif i == k:
+                out = [s[:-1] for s in strings[k]]
+            else:
+                out = [s[:i - 1] + (comp[s[i - 1:i + 1]],) + s[i + 1:] for s in strings[k]]
+            faces[(k, i)] = {name[s]: name[o] for s, o in zip(strings[k], out)}
+    ident = spec.identities
+    degens = {(0, 0): {name[(x,)]: name[(ident[x],)] for x in spec.objects}}
     for k in range(1, cap):
-        for j in range(k + 1):
-            table = {}
-            for s in strings[k]:
-                at = spec.src(s[0]) if j == 0 else spec.tgt(s[j - 1])
-                table[name[s]] = name[s[:j] + (spec.identities[at],) + s[j:]]
-            degens[(k, j)] = table
+        degens[(k, 0)] = {name[s]: name[(ident[src[s[0]]],) + s] for s in strings[k]}
+        for j in range(1, k + 1):
+            degens[(k, j)] = {name[s]: name[s[:j] + (ident[tgt[s[j - 1]]],) + s[j:]]
+                              for s in strings[k]}
     stable = None if bound is None else min(bound, cap)
     return FinSSet(cap, levels, faces, degens, stable_from=stable)
 

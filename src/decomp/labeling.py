@@ -18,13 +18,14 @@ A worklist (Paige & Tarjan) limits a round to the cells with a neighbor in
 a part of a cell split the round before, skipping the largest part of each
 split: members of any other cell agree on their edges into it already.
 
-Remaining ties are broken by individualization with full backtracking,
-taking the minimum serialized form, so equal canonical forms mean
-isomorphic structures and conversely.  `canonical_order` and
-`find_isomorphism` share this one search; an isomorphism test labels both
-structures, so it visits every leaf of two search trees where a direct
-search could stop at its first match.  Desk-scale inputs keep the search
-small; no automorphism pruning is done.
+Remaining ties are broken by individualization and backtracking, taking
+the minimum serialized form, so equal canonical forms mean isomorphic
+structures and conversely.  A leaf serializing as the first leaf does gives
+an automorphism (McKay & Piperno 2014).  Automorphisms skip the children of
+a first-path node that they carry an explored sibling onto, and such a leaf
+off the first path ends its subtree.  Skipped leaves repeat serializations
+met earlier, so every order and digest is that of the full search.
+`canonical_order` and `find_isomorphism` share this one search.
 """
 
 from __future__ import annotations
@@ -143,29 +144,60 @@ def _refine(g: _Indexed, color, cells, touched):
         cells = refined
 
 
-def _canonical(sys: UnarySystem):
-    """The indexed system, its least serialization over every leaf of the
-    search, and the discrete coloring that first gives it."""
-    g = _Indexed(sys)
-    best: list = [None, None]
+def _orbit(seeds, gens) -> set:
+    """The orbit of the seeds under the group the index maps gens generate."""
+    orbit = frontier = set(seeds)
+    while frontier:
+        frontier = {a[x] for a in gens for x in frontier} - orbit
+        orbit |= frontier
+    return orbit
 
-    def descend(color, cells):
+
+def _canonical(sys: UnarySystem):
+    """The indexed system, its least serialization and the discrete
+    coloring that first gives it, searching with automorphism pruning."""
+    g = _Indexed(sys)
+    first: list = []
+    best: list = [None, None]
+    autos: list = []
+
+    def descend(color, cells, path):
+        """Search below a node; a depth to jump back to, or None."""
         target = next((cell for cell in cells if len(cell) > 1), None)
         if target is None:
             key = g.serialize(color)
+            if not first:
+                first[:] = path, key, color
             if best[0] is None or key < best[0]:
-                best[0], best[1] = key, color
-            return
+                best[:] = key, color
+            if key != first[1] or path is first[0]:
+                return None
+            # kept only if it fixes the first path above the branch point d,
+            # so it fixes the prefix of every first-path node still open
+            at = sorted(range(len(color)), key=color.__getitem__)
+            auto = [at[c] for c in first[2]]
+            top = first[0]
+            d = next(d for d, (u, v) in enumerate(zip(top, path)) if u != v)
+            if [auto[v] for v in top[:d + 1]] != path[:d + 1] or any(
+                    g.elements[i][0] != g.elements[j][0] for i, j in enumerate(auto)):
+                return None
+            autos.append(auto)
+            return d
         t = color[target[0]]
+        explored: list = []
         for e in target:
+            if explored and path == first[0][:len(path)] and e in _orbit(explored, autos):
+                continue
+            explored.append(e)
             nxt = color[:]
             nxt[e] = len(cells)
-            split = cells[:]
-            split[t] = [i for i in target if i != e]
-            split.append([e])
-            descend(*_refine(g, nxt, split, [e]))
+            split = cells[:t] + [[i for i in target if i != e]] + cells[t + 1:] + [[e]]
+            back = descend(*_refine(g, nxt, split, [e]), path + [e])
+            if back is not None and back < len(path):
+                return back
+        return None
 
-    descend(*_refine(g, *g.initial()))
+    descend(*_refine(g, *g.initial()), [])
     return g, best[0], best[1]
 
 

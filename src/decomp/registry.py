@@ -9,6 +9,7 @@ and transport the simplex along its arrow chain.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -119,6 +120,8 @@ class Registry:
 
     @classmethod
     def load(cls, directory: str) -> Registry:
+        """Read a saved registry.  An entry whose bytes hash to its digest is
+        as `save` wrote it; any other must re-canonicalize to its digest."""
         reg = cls()
         index = os.path.join(directory, "index.tsv")
         if not os.path.exists(index):
@@ -135,19 +138,21 @@ class Registry:
                 if name in reg.names or digest in reg.entries:
                     raise RegistryError(f"repeated entry in {index}: {line!r}")
                 path = os.path.join(directory, f"{digest}.xiset")
-                with open(path, encoding="utf-8") as xfh:
-                    data = parse_xiset(xfh.read(), path)
-                iv = AlgebraicInterval(data)
+                with open(path, "rb") as xfh:
+                    raw = xfh.read()
                 try:
-                    recomputed = canonicalize(iv)
+                    iv = AlgebraicInterval(parse_xiset(raw.decode("utf-8"), path))
+                    stored = IntervalClass(iv, digest)
+                    if hashlib.sha256(raw).hexdigest() != digest:
+                        stored = canonicalize(iv)
                 except (ValueError, KeyError) as exc:
                     raise RegistryError(
                         f"stored entry {digest[:12]} is damaged: {exc}")
-                if recomputed.digest != digest:
+                if stored.digest != digest:
                     raise RegistryError(
                         f"stored entry {digest[:12]} does not match its digest")
                 reg.entries[digest] = RegistryEntry(
-                    digest, name, mobius == "1", recomputed)
+                    digest, name, mobius == "1", stored)
                 reg.names[name] = digest
         return reg
 

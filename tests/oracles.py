@@ -6,8 +6,9 @@ and against power-series inversion of zeta computed on raw tables,
 factorisations against exhaustive two-step search, canonical labeling
 against the dict-keyed refinement that recomputes every signature each
 round, presheaf actions against the generator-by-generator walk of each
-word, the bulk interval cut against the cut of one arrow at a time, and
-nondegeneracy by degeneracy images against the principal-edge test.
+word, the bulk interval cut against the cut of one arrow at a time,
+nondegeneracy by degeneracy images against the principal-edge test, and
+the nerve of a category against the string-by-string build.
 """
 
 from __future__ import annotations
@@ -413,3 +414,52 @@ def factorisation_interval(X, a):
         comps[k] = {x: top[bot[x]] for x in fibers[k]}
     embed = SSetMap(i_star(data), X, comps)
     return interval, embed
+
+
+# ---------------------------------------------------------------------------
+# the nerve of a category: every string extended and every face composed afresh
+
+
+def nerve_category(spec, cap):
+    """k-simplices are composable arrow strings, ids joined by '*'; each
+    level re-sorts the arrows for every string, and each inner face asks
+    the spec for its composite."""
+    from sys import intern
+
+    from decomp.presheaf import FinSSet
+
+    strings = {1: [(f,) for f in sorted(spec.arrows)]}
+    for k in range(2, cap + 1):
+        strings[k] = [s + (g,) for s in strings[k - 1] for g in sorted(spec.arrows)
+                      if spec.tgt(s[-1]) == spec.src(g)]
+    name = {s: intern("*".join(s)) for k in strings for s in strings[k]}
+    name.update({(x,): intern(x) for x in spec.objects})
+    levels = {0: sorted(name[(x,)] for x in spec.objects)}
+    levels.update({k: sorted(name[s] for s in strings[k]) for k in range(1, cap + 1)})
+    faces = {}
+    degens = {}
+    for k in range(1, cap + 1):
+        for i in range(k + 1):
+            table = {}
+            for s in strings[k]:
+                if k == 1:
+                    out = (spec.tgt(s[0]) if i == 0 else spec.src(s[0]),)
+                elif i == 0:
+                    out = s[1:]
+                elif i == k:
+                    out = s[:-1]
+                else:
+                    out = s[:i - 1] + (spec.compose(s[i - 1], s[i]),) + s[i + 1:]
+                table[name[s]] = name[out]
+            faces[(k, i)] = table
+    degens[(0, 0)] = {name[(x,)]: name[(spec.identities[x],)] for x in spec.objects}
+    for k in range(1, cap):
+        for j in range(k + 1):
+            table = {}
+            for s in strings[k]:
+                at = spec.src(s[0]) if j == 0 else spec.tgt(s[j - 1])
+                table[name[s]] = name[s[:j] + (spec.identities[at],) + s[j:]]
+            degens[(k, j)] = table
+    bound = spec.chain_bound()
+    stable = None if bound is None else min(bound, cap)
+    return FinSSet(cap, levels, faces, degens, stable_from=stable)

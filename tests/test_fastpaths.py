@@ -7,6 +7,7 @@ from dataclasses import replace
 from math import factorial, prod
 
 import oracles
+import pytest
 from conftest import assert_isomorphism
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,6 +276,44 @@ def test_canonical_order_matches_reference_on_intervals():
         for arrow in X.levels[1]:
             data = factorisation_interval(X, arrow)[0].data
             _assert_same_order(xi_system(truncate(data, max(1, data.stable_from))))
+
+
+@pytest.fixture()
+def leaf_keys(monkeypatch):
+    """The serialization of every leaf the canonical search reaches."""
+    keys = []
+    real = labeling._Indexed.serialize
+    monkeypatch.setattr(labeling._Indexed, "serialize",
+                        lambda g, color: keys.append(real(g, color)) or keys[-1])
+    return keys
+
+
+def test_pruned_search_on_b4(leaf_keys):
+    """[1]^4's top interval has 24 automorphisms, so the unpruned search
+    reaches 24 leaves, all serializing alike; orbit pruning and jumps back
+    to the first path leave at most 4."""
+    data = factorisation_interval(nerve(boolean_poset(4)), "o≤abcd")[0].data
+    sys = xi_system(truncate(data, max(1, data.stable_from)))
+    got = labeling.canonical_order(sys)
+    assert 1 < len(leaf_keys) <= 4
+    assert got == oracles.canonical_order(sys)
+
+
+def test_pruned_search_keeps_a_late_least_leaf(leaf_keys):
+    """Two copies of a triangle acted on by two involutions, swapped by
+    the only nontrivial automorphism.  The least leaf lies under the
+    root's second child, not under the first path; the unpruned search
+    reaches 18 leaves."""
+    names = [f"e{i}" for i in range(6)]
+
+    def table(image):
+        return {names[i]: names[j] for i, j in enumerate(image)}
+
+    sys = labeling.UnarySystem({0: names}, [("m0", 0, 0, table([1, 0, 2, 4, 3, 5])),
+                                            ("m1", 0, 0, table([2, 1, 0, 5, 4, 3]))])
+    _assert_same_order(sys)
+    assert min(leaf_keys) < leaf_keys[0]
+    assert len(leaf_keys) <= 10
 
 
 @st.composite

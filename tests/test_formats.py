@@ -67,6 +67,18 @@ def test_repeated_map_directive_is_rejected():
         parse_xiset(xtext + line + "\n")
 
 
+@pytest.mark.parametrize("parse, write", [(parse_sset, write_sset), (parse_xiset, write_xiset)])
+@pytest.mark.parametrize("directive", ["cap", "stable"])
+def test_repeated_cap_or_stable_is_rejected(parse, write, directive):
+    """A second cap or stable line is refused at its line, not obeyed."""
+    X = nerve_poset(divisor_poset(6), 4)
+    lines = write(X if parse is parse_sset else u_star(X)).splitlines()
+    line = next(ln for ln in lines if ln.split()[0] == directive)
+    text = "\n".join(lines + [line]) + "\n"
+    with pytest.raises(ParseError, match=f":{len(lines) + 1}: duplicate directive '{directive}'"):
+        parse(text)
+
+
 def _counit_smap_text():
     _, counit = dec_bot(nerve_poset(divisor_poset(6), 4))
     return write_smap(counit, "dom.sset", "cod.sset")

@@ -2,6 +2,8 @@ from math import comb
 
 import pytest
 
+import oracles
+
 from decomp.axioms import check_complete, check_decomposition, check_segal
 from decomp.ingest import (
     CategorySpec,
@@ -17,7 +19,7 @@ from decomp.ingest import (
     nerve_poset,
     truncated_addition,
 )
-from decomp.interval import ssets_isomorphic
+from decomp.interval import factorisation_interval, interval_category, ssets_isomorphic
 from decomp.presheaf import nondegenerate, point_sset, validate_sset
 
 
@@ -135,6 +137,30 @@ def test_category_cycle_has_no_default_cap():
     X = nerve_category(spec, 4)
     assert X.stable_from is None
     assert validate_sset(X).ok
+
+
+def _categories():
+    """The interval categories of the top arrows of B3, d12 and a chain,
+    with the categories built above: (spec, cap)."""
+    for spec, arrow in ((boolean_poset(3), "o≤abc"), (divisor_poset(12), "1≤12"),
+                        (chain_poset(3), "0≤3")):
+        iv, _ = factorisation_interval(nerve(spec), arrow)
+        yield interval_category(iv.data)[0], 5
+    yield CategorySpec.build(["x", "y"], {"ix": ("x", "x"), "iy": ("y", "y"),
+                                          "f": ("x", "y")}, {"x": "ix", "y": "iy"}, {}), 3
+    yield CategorySpec.build(["x"], {"ix": ("x", "x"), "f": ("x", "x")},
+                             {"x": "ix"}, {("f", "f"): "f"}), 4
+
+
+def test_nerve_category_matches_reference():
+    """Levels, tables, and the order of tables and of their keys."""
+    for spec, cap in _categories():
+        got, want = nerve_category(spec, cap), oracles.nerve_category(spec, cap)
+        assert got == want
+        for tables in ("faces", "degens"):
+            g, w = getattr(got, tables), getattr(want, tables)
+            assert list(g) == list(w)
+            assert all(list(g[key]) == list(w[key]) for key in g)
 
 
 def test_level_guard(monkeypatch):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from decomp.ingest import divisor_poset, nerve_poset
-from decomp.interval import AlgebraicInterval, factorisation_interval
+from decomp.interval import AlgebraicInterval, canonicalize, factorisation_interval
 from decomp.presheaf import point_sset, truncate
 from decomp.registry import (
     Registry,
@@ -129,6 +129,18 @@ def test_load_detects_tampering(tmp_path, diamond_registry):
         Registry.load(str(root))
 
 
+@pytest.mark.parametrize("damage", [b"# \xff\n", b"cap 1\n"], ids=["not-utf8", "second-cap"])
+def test_load_refuses_unreadable_entry(tmp_path, diamond_registry, damage):
+    """An entry that is not UTF-8, or does not parse, is reported as damaged
+    and named; a byte that is not UTF-8 used to escape as a traceback."""
+    root = tmp_path / "reg"
+    diamond_registry.save(str(root))
+    victim = sorted(root.glob("*.xiset"))[0]
+    victim.write_bytes(victim.read_bytes() + damage)
+    with pytest.raises(RegistryError, match=f"stored entry {victim.stem[:12]} is damaged"):
+        Registry.load(str(root))
+
+
 def test_fragment_counts(diamond_registry):
     frag = build_fragment(diamond_registry, top=3)
     diamond = diamond_registry.names["diamond"]
@@ -187,3 +199,43 @@ def test_classify_requires_closed_registry(poset_nerves, diamond_interval):
 
     with pytest.raises(RegistryError):
         classify(poset_nerves["d6"], reg)
+
+
+@pytest.fixture()
+def labelling_calls(monkeypatch):
+    """The systems handed to canonical_order from here on."""
+    import decomp.interval
+
+    calls = []
+    real = decomp.interval.canonical_order
+    monkeypatch.setattr(decomp.interval, "canonical_order",
+                        lambda sys: calls.append(sys) or real(sys))
+    return calls
+
+
+def test_intact_load_runs_no_labelling(tmp_path, diamond_registry, labelling_calls):
+    """Entries whose bytes hash to their digests are read as stored, and
+    equal the classes that re-canonicalizing them gives (provenance aside:
+    a stored entry has none)."""
+    root = str(tmp_path / "reg")
+    diamond_registry.save(root)
+    again = Registry.load(root)
+    assert labelling_calls == []
+    for digest, entry in again.entries.items():
+        assert entry.interval == canonicalize(entry.interval.canonical)
+        assert entry.interval.canonical.data == (
+            diamond_registry.entries[digest].interval.canonical.data)
+    assert labelling_calls
+
+
+def test_load_rechecks_crlf_entry(tmp_path, diamond_registry, labelling_calls):
+    """CRLF line endings change the bytes but not the class: the entry is
+    re-canonicalized and still reaches its digest."""
+    root = tmp_path / "reg"
+    diamond_registry.save(str(root))
+    victim = sorted(root.glob("*.xiset"))[0]
+    victim.write_bytes(victim.read_bytes().replace(b"\n", b"\r\n"))
+    again = Registry.load(str(root))
+    assert len(labelling_calls) == 1
+    assert again.entries[victim.stem].interval.canonical.data == (
+        diamond_registry.entries[victim.stem].interval.canonical.data)
