@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, SpecError, CapError, IntervalError, RegistryError,
-            incidence.NotCertified, FileNotFoundError) as exc:
+            incidence.NotCertified, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

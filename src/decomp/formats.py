@@ -239,9 +239,16 @@ def parse_smap_text(text: str, source: str = "<smap>"):
     return dom_path, cod_path, comps
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, 0, f"not UTF-8 text: {exc.reason}")
+
+
 def load_smap(path: str) -> SSetMap | XiSetMap:
-    with open(path, encoding="utf-8") as fh:
-        dom_path, cod_path, comps = parse_smap_text(fh.read(), path)
+    dom_path, cod_path, comps = parse_smap_text(_read(path), path)
     base = os.path.dirname(os.path.abspath(path))
     dom = load(os.path.join(base, dom_path))
     cod = load(os.path.join(base, cod_path))
@@ -389,8 +396,7 @@ def parse_any(text: str, source: str = "<input>"):
 
 
 def load(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_any(fh.read(), path)
+    return parse_any(_read(path), path)
 
 
 def write_any(obj) -> str:

@@ -1,10 +1,13 @@
 """Finite posets, partial monoids and categories, and their nerves.
 
-Monoid multiplication tables may be partial: a string of elements is a
-simplex only when all its contiguous products are defined.  That is what
-makes truncations of infinite monoids (the additive naturals cut at a
-bound, say) ingestible while genuinely non-stabilizing monoids are
-rejected up front.
+All three nerves come from one builder: level k holds the strings of k
+composable arrows whose composite is defined.  A poset's arrows are its
+relations a≤b, a partial monoid's are its elements on one object `*`, and
+a category's are its arrows.  Monoid multiplication tables may be partial:
+a string is a simplex only when all its contiguous products are defined.
+That is what makes truncations of infinite monoids (the additive naturals
+cut at a bound, say) ingestible while genuinely non-stabilizing monoids
+are rejected up front.
 """
 
 from __future__ import annotations
@@ -56,6 +59,64 @@ def check_name(name: str) -> str:
         if frag in name:
             raise SpecError(f"element name {name!r} contains reserved {frag!r}")
     return name
+
+
+# ---------------------------------------------------------------------------
+# the one nerve builder
+
+
+def _nerve(objects, arrows, identities, comp, link, bound, cap, sort_levels=False) -> FinSSet:
+    """Level k holds the strings p·g of a (k-1)-string p and an arrow g
+    whose composite with p's composite is defined.
+
+    objects is level 0 and arrows ({name: (src, tgt)}) level 1, in order;
+    comp[f][g] is the composite f then g, inner keys in arrow order; a
+    string's id is its prefix's id followed by link[g].  Every face and
+    degeneracy of s = p·g is p, or a face or degeneracy of p, or s itself,
+    extended by one arrow: one lookup in the index of the level below or
+    above, keyed by (prefix id, arrow).  Levels keep the order of
+    generation unless sort_levels sorts them by id.
+    """
+    if cap is None:
+        if bound is None:
+            raise SpecError("category has composable cycles; pass an explicit cap")
+        cap = bound + 3
+    if cap < 2:
+        raise SpecError("nerve needs cap >= 2")
+    objects = [intern(x) for x in objects]
+    arrows = {intern(g): (intern(s), intern(t)) for g, (s, t) in arrows.items()}
+    ident_after = {g: intern(identities[t]) for g, (_, t) in arrows.items()}
+    # a row is (id, prefix id, last arrow, composite, last two arrows composed)
+    rows = {1: [(g, s, g, g, None) for g, (s, _) in arrows.items()]}
+    _guard_level(1, len(rows[1]))
+    for k in range(2, cap + 1):
+        rows[k] = [(intern(p + link[g]), p, g, h, comp[f][g])
+                   for p, _, f, c, _ in rows[k - 1] for g, h in comp[c].items()]
+        _guard_level(k, len(rows[k]))
+    levels = {0: objects, **{k: [row[0] for row in rows[k]] for k in rows}}
+    if sort_levels:
+        levels = {k: sorted(ids) for k, ids in levels.items()}
+    faces = {(1, 0): {g: t for g, (_, t) in arrows.items()},
+             (1, 1): {g: s for g, (s, _) in arrows.items()}}
+    degens = {(0, 0): {x: intern(identities[x]) for x in objects}}
+    below = {(s, g): g for g, (s, _) in arrows.items()}
+    for k in range(2, cap + 1):
+        # faces of level k look up in level k-1, degeneracies of level k-1 in level k
+        ext = {(p, g): s for s, p, g, _, _ in rows[k]}
+        for i in range(k - 1):
+            fi = faces[k - 1, i]
+            faces[k, i] = {s: below[fi[p], g] for s, p, g, _, _ in rows[k]}
+        up = faces[k - 1, k - 1]
+        faces[k, k - 1] = {s: below[up[p], m] for s, p, _, _, m in rows[k]}
+        faces[k, k] = {s: p for s, p, _, _, _ in rows[k]}
+        for j in range(k - 1):
+            sj = degens[k - 2, j]
+            degens[k - 1, j] = {s: ext[sj[p], g] for s, p, g, _, _ in rows[k - 1]}
+        degens[k - 1, k - 1] = {s: ext[s, ident_after[g]] for s, _, g, _, _ in rows[k - 1]}
+        below = ext
+        del rows[k - 1]
+    stable = None if bound is None else min(bound, cap)
+    return FinSSet(cap, levels, faces, degens, stable_from=stable)
 
 
 # ---------------------------------------------------------------------------
@@ -130,30 +191,14 @@ class PosetSpec:
 
 
 def nerve_poset(spec: PosetSpec, cap: int | None = None) -> FinSSet:
-    """Nerve with one simplex per weakly increasing chain, ids joined by <=."""
-    longest = spec.longest_strict_chain()
-    if cap is None:
-        cap = longest + 3
-    if cap < 2:
-        raise SpecError("nerve needs cap >= 2")
+    """Nerve with one simplex per weakly increasing chain, ids joined by ≤."""
     ups = spec.up_sets()
-    sep = "≤"
-    chains: dict[int, list[tuple[str, ...]]] = {0: [(e,) for e in spec.elements]}
-    for k in range(1, cap + 1):
-        nxt = [c + (b,) for c in chains[k - 1] for b in ups[c[-1]]]
-        _guard_level(k, len(nxt))
-        chains[k] = nxt
-    name = {c: intern(sep.join(c)) for k in chains for c in chains[k]}
-    levels = {k: [name[c] for c in sorted(chains[k])] for k in range(cap + 1)}
-    faces = {}
-    degens = {}
-    for k in range(1, cap + 1):
-        for i in range(k + 1):
-            faces[(k, i)] = {name[c]: name[c[:i] + c[i + 1:]] for c in chains[k]}
-    for k in range(cap):
-        for j in range(k + 1):
-            degens[(k, j)] = {name[c]: name[c[:j + 1] + c[j:]] for c in chains[k]}
-    return FinSSet(cap, levels, faces, degens, stable_from=min(longest, cap))
+    arrow = {(a, b): intern(f"{a}≤{b}") for a in spec.elements for b in ups[a]}
+    comp = {f: {arrow[b, c]: arrow[a, c] for c in ups[b]} for (a, b), f in arrow.items()}
+    return _nerve(spec.elements, {f: ab for ab, f in arrow.items()},
+                  {a: arrow[a, a] for a in spec.elements}, comp,
+                  {f: "≤" + b for (_, b), f in arrow.items()},
+                  spec.longest_strict_chain(), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -236,46 +281,10 @@ class MonoidSpec:
 
 def nerve_monoid(spec: MonoidSpec, cap: int | None = None) -> FinSSet:
     """One-object nerve; k-simplices are strings with all products defined."""
-    bound = spec.chain_bound()
-    if cap is None:
-        cap = bound + 3
-    if cap < 2:
-        raise SpecError("nerve needs cap >= 2")
-    e = spec.unit
-    strings: dict[int, list[tuple[str, ...]]] = {0: [()]}
-    products: dict[tuple[str, ...], str] = {(): e}
-    for k in range(1, cap + 1):
-        nxt = []
-        for s in strings[k - 1]:
-            for m in spec.elements:
-                p = spec.mul(products[s], m)
-                if p is not None:
-                    t = s + (m,)
-                    products[t] = p
-                    nxt.append(t)
-        _guard_level(k, len(nxt))
-        strings[k] = sorted(nxt)
-
-    name = {s: intern("+".join(s) if s else "*") for k in strings for s in strings[k]}
-    levels = {k: [name[s] for s in strings[k]] for k in range(cap + 1)}
-    faces = {}
-    degens = {}
-    for k in range(1, cap + 1):
-        for i in range(k + 1):
-            table = {}
-            for s in strings[k]:
-                if i == 0:
-                    out = s[1:]
-                elif i == k:
-                    out = s[:-1]
-                else:
-                    out = s[:i - 1] + (spec.mul(s[i - 1], s[i]),) + s[i + 1:]
-                table[name[s]] = name[out]
-            faces[(k, i)] = table
-    for k in range(cap):
-        for j in range(k + 1):
-            degens[(k, j)] = {name[s]: name[s[:j] + (e,) + s[j:]] for s in strings[k]}
-    return FinSSet(cap, levels, faces, degens, stable_from=min(bound, cap))
+    elems = spec.elements
+    comp = {a: {b: spec.table[a, b] for b in elems if (a, b) in spec.table} for a in elems}
+    return _nerve(["*"], {m: ("*", "*") for m in elems}, {"*": spec.unit}, comp,
+                  {m: "+" + m for m in elems}, spec.chain_bound(), cap)
 
 
 def truncated_addition(bound: int) -> MonoidSpec:
@@ -384,51 +393,12 @@ class CategorySpec:
 
 
 def nerve_category(spec: CategorySpec, cap: int | None = None) -> FinSSet:
-    """k-simplices are composable arrow strings, ids joined by '*'."""
-    bound = spec.chain_bound()
-    if cap is None:
-        if bound is None:
-            raise SpecError("category has composable cycles; pass an explicit cap")
-        cap = bound + 3
-    if cap < 2:
-        raise SpecError("nerve needs cap >= 2")
-    arrows = sorted(spec.arrows)
-    src = {f: spec.src(f) for f in arrows}
-    tgt = {f: spec.tgt(f) for f in arrows}
-    after = {x: [g for g in arrows if src[g] == x] for x in spec.objects}
-    follow = {f: after[tgt[f]] for f in arrows}
-    comp = {(f, g): spec.compose(f, g) for f in arrows for g in follow[f]}
-    strings: dict[int, list[tuple[str, ...]]] = {1: [(f,) for f in arrows]}
-    for k in range(2, cap + 1):
-        nxt = [s + (g,) for s in strings[k - 1] for g in follow[s[-1]]]
-        _guard_level(k, len(nxt))
-        strings[k] = nxt
-
-    name = {s: intern("*".join(s)) for k in strings for s in strings[k]}
-    name.update({(x,): intern(x) for x in spec.objects})
-    levels = {0: sorted(name[(x,)] for x in spec.objects)}
-    levels.update({k: sorted(name[s] for s in strings[k]) for k in range(1, cap + 1)})
-    faces = {}
-    for k in range(1, cap + 1):
-        for i in range(k + 1):
-            if k == 1:
-                out = [((tgt if i == 0 else src)[f],) for (f,) in strings[1]]
-            elif i == 0:
-                out = [s[1:] for s in strings[k]]
-            elif i == k:
-                out = [s[:-1] for s in strings[k]]
-            else:
-                out = [s[:i - 1] + (comp[s[i - 1:i + 1]],) + s[i + 1:] for s in strings[k]]
-            faces[(k, i)] = {name[s]: name[o] for s, o in zip(strings[k], out)}
-    ident = spec.identities
-    degens = {(0, 0): {name[(x,)]: name[(ident[x],)] for x in spec.objects}}
-    for k in range(1, cap):
-        degens[(k, 0)] = {name[s]: name[(ident[src[s[0]]],) + s] for s in strings[k]}
-        for j in range(1, k + 1):
-            degens[(k, j)] = {name[s]: name[s[:j] + (ident[tgt[s[j - 1]]],) + s[j:]]
-                              for s in strings[k]}
-    stable = None if bound is None else min(bound, cap)
-    return FinSSet(cap, levels, faces, degens, stable_from=stable)
+    """k-simplices are composable arrow strings, ids joined by '*', sorted."""
+    arrows = {f: spec.arrows[f] for f in sorted(spec.arrows)}
+    after = {x: [g for g in arrows if spec.src(g) == x] for x in spec.objects}
+    comp = {f: {g: spec.compose(f, g) for g in after[t]} for f, (_, t) in arrows.items()}
+    return _nerve(spec.objects, arrows, spec.identities, comp,
+                  {f: "*" + f for f in arrows}, spec.chain_bound(), cap, sort_levels=True)
 
 
 def nerve(spec, cap: int | None = None) -> FinSSet:

@@ -59,6 +59,9 @@ class Registry:
             base = validate_xiset(A.data)
             if not base.ok:
                 raise RegistryError("entry fails validation:\n" + str(base))
+            if len(A.data.levels[-1]) != 1:
+                raise RegistryError("entry is not reduced: level -1 holds "
+                                    f"{len(A.data.levels[-1])} elements")
             cls = canonicalize(A)
         if cls.digest in self.entries:
             return cls.digest
@@ -126,34 +129,37 @@ class Registry:
         index = os.path.join(directory, "index.tsv")
         if not os.path.exists(index):
             raise RegistryError(f"no index.tsv under {directory}")
-        with open(index, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 4:
-                    raise RegistryError(f"malformed line in {index}: {line!r}")
-                digest, name, mobius, _cap = fields
-                if name in reg.names or digest in reg.entries:
-                    raise RegistryError(f"repeated entry in {index}: {line!r}")
-                path = os.path.join(directory, f"{digest}.xiset")
-                with open(path, "rb") as xfh:
-                    raw = xfh.read()
-                try:
-                    iv = AlgebraicInterval(parse_xiset(raw.decode("utf-8"), path))
-                    stored = IntervalClass(iv, digest)
-                    if hashlib.sha256(raw).hexdigest() != digest:
-                        stored = canonicalize(iv)
-                except (ValueError, KeyError) as exc:
-                    raise RegistryError(
-                        f"stored entry {digest[:12]} is damaged: {exc}")
-                if stored.digest != digest:
-                    raise RegistryError(
-                        f"stored entry {digest[:12]} does not match its digest")
-                reg.entries[digest] = RegistryEntry(
-                    digest, name, mobius == "1", stored)
-                reg.names[name] = digest
+        try:
+            with open(index, encoding="utf-8") as fh:
+                lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise RegistryError(f"{index} is not UTF-8 text: {exc.reason}")
+        for line in lines:
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise RegistryError(f"malformed line in {index}: {line!r}")
+            digest, name, mobius, _cap = fields
+            if name in reg.names or digest in reg.entries:
+                raise RegistryError(f"repeated entry in {index}: {line!r}")
+            path = os.path.join(directory, f"{digest}.xiset")
+            with open(path, "rb") as xfh:
+                raw = xfh.read()
+            try:
+                iv = AlgebraicInterval(parse_xiset(raw.decode("utf-8"), path))
+                stored = IntervalClass(iv, digest)
+                if hashlib.sha256(raw).hexdigest() != digest:
+                    stored = canonicalize(iv)
+            except (ValueError, KeyError) as exc:
+                raise RegistryError(
+                    f"stored entry {digest[:12]} is damaged: {exc}")
+            if stored.digest != digest:
+                raise RegistryError(
+                    f"stored entry {digest[:12]} does not match its digest")
+            reg.entries[digest] = RegistryEntry(
+                digest, name, mobius == "1", stored)
+            reg.names[name] = digest
         return reg
 
 

@@ -8,15 +8,18 @@ against the dict-keyed refinement that recomputes every signature each
 round, presheaf actions against the generator-by-generator walk of each
 word, the bulk interval cut against the cut of one arrow at a time,
 nondegeneracy by degeneracy images against the principal-edge test, and
-the nerve of a category against the string-by-string build.
+the nerves of posets, partial monoids and categories against the
+string-by-string builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from sys import intern
 
 from decomp.labeling import UnarySystem
+from decomp.presheaf import FinSSet
 from decomp.simplex import MonotoneMap, all_monotone, compose, is_free, is_generic
 
 
@@ -417,17 +420,74 @@ def factorisation_interval(X, a):
 
 
 # ---------------------------------------------------------------------------
-# the nerve of a category: every string extended and every face composed afresh
+# nerves: every string built as a tuple, every face sliced or composed afresh
+
+
+def nerve_poset(spec, cap):
+    """One simplex per weakly increasing chain, ids joined by '≤'; each face
+    and degeneracy slices the chain's vertex tuple."""
+    ups = spec.up_sets()
+    sep = "≤"
+    chains = {0: [(e,) for e in spec.elements]}
+    for k in range(1, cap + 1):
+        chains[k] = [c + (b,) for c in chains[k - 1] for b in ups[c[-1]]]
+    name = {c: intern(sep.join(c)) for k in chains for c in chains[k]}
+    levels = {k: [name[c] for c in sorted(chains[k])] for k in range(cap + 1)}
+    faces = {}
+    degens = {}
+    for k in range(1, cap + 1):
+        for i in range(k + 1):
+            faces[(k, i)] = {name[c]: name[c[:i] + c[i + 1:]] for c in chains[k]}
+    for k in range(cap):
+        for j in range(k + 1):
+            degens[(k, j)] = {name[c]: name[c[:j + 1] + c[j:]] for c in chains[k]}
+    return FinSSet(cap, levels, faces, degens,
+                   stable_from=min(spec.longest_strict_chain(), cap))
+
+
+def nerve_monoid(spec, cap):
+    """One object; k-simplices are strings with every product defined, ids
+    joined by '+'; each inner face asks the spec for its product."""
+    e = spec.unit
+    strings = {0: [()]}
+    products = {(): e}
+    for k in range(1, cap + 1):
+        nxt = []
+        for s in strings[k - 1]:
+            for m in spec.elements:
+                p = spec.mul(products[s], m)
+                if p is not None:
+                    t = s + (m,)
+                    products[t] = p
+                    nxt.append(t)
+        strings[k] = sorted(nxt)
+    name = {s: intern("+".join(s) if s else "*") for k in strings for s in strings[k]}
+    levels = {k: [name[s] for s in strings[k]] for k in range(cap + 1)}
+    faces = {}
+    degens = {}
+    for k in range(1, cap + 1):
+        for i in range(k + 1):
+            table = {}
+            for s in strings[k]:
+                if i == 0:
+                    out = s[1:]
+                elif i == k:
+                    out = s[:-1]
+                else:
+                    out = s[:i - 1] + (spec.mul(s[i - 1], s[i]),) + s[i + 1:]
+                table[name[s]] = name[out]
+            faces[(k, i)] = table
+    for k in range(cap):
+        for j in range(k + 1):
+            degens[(k, j)] = {name[s]: name[s[:j] + (e,) + s[j:]] for s in strings[k]}
+    return FinSSet(cap, levels, faces, degens,
+                   stable_from=min(spec.chain_bound(), cap))
 
 
 def nerve_category(spec, cap):
     """k-simplices are composable arrow strings, ids joined by '*'; each
     level re-sorts the arrows for every string, and each inner face asks
     the spec for its composite."""
-    from sys import intern
-
-    from decomp.presheaf import FinSSet
-
     strings = {1: [(f,) for f in sorted(spec.arrows)]}
     for k in range(2, cap + 1):
         strings[k] = [s + (g,) for s in strings[k - 1] for g in sorted(spec.arrows)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +7,7 @@ from decomp.cli import main
 from decomp.formats import load, save
 from decomp.ingest import divisor_poset, nerve, truncated_addition
 from decomp.interval import factorisation_interval
-from decomp.presheaf import truncate
+from decomp.presheaf import truncate, u_star
 from decomp.registry import Registry
 from conftest import spine_object
 
@@ -246,6 +247,16 @@ def test_registry_add_refuses_invalid_interval(tmp_path, d6_sset, capsys, direct
     assert not reg.exists()
 
 
+def test_registry_add_refuses_unreduced_interval(tmp_path, d6_sset, capsys):
+    """u* of a whole nerve has one degree -1 element per vertex."""
+    save(u_star(load(d6_sset)), tmp_path / "u.xiset")
+    reg = tmp_path / "reg"
+    capsys.readouterr()
+    assert main(["registry", "add", str(reg), str(tmp_path / "u.xiset")]) == 2
+    assert "not reduced" in capsys.readouterr().err
+    assert not reg.exists()
+
+
 def _counit_smap(tmp_path, d6_sset):
     from decomp.formats import load, write_smap
     from decomp.presheaf import dec_bot
@@ -259,6 +270,30 @@ def _counit_smap(tmp_path, d6_sset):
 
 def test_culf_check(tmp_path, d6_sset, capsys):
     assert main(["check", "culf", str(_counit_smap(tmp_path, d6_sset))]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["mobius", "garbled.sset"],
+    ["check", "segal", "garbled.sset"],
+    ["nerve", "adir", "-o", "x.sset"],
+    ["check", "culf", "cod-is-adir.smap"],
+    ["registry", "list", "garbled-reg"],
+])
+def test_unreadable_input_exits_two(tmp_path, d6_sset, capsys, monkeypatch, argv):
+    """Bytes that are not UTF-8, or a directory where a file belongs, are
+    input errors: exit 2 with one error line and no traceback."""
+    (tmp_path / "garbled.sset").write_bytes(b"\xff" + Path(d6_sset).read_bytes())
+    (tmp_path / "adir").mkdir()
+    smap = _counit_smap(tmp_path, d6_sset).read_text(encoding="utf-8")
+    (tmp_path / "cod-is-adir.smap").write_text(smap.replace("d6.sset", "adir"),
+                                               encoding="utf-8")
+    (tmp_path / "garbled-reg").mkdir()
+    (tmp_path / "garbled-reg" / "index.tsv").write_bytes(b"\xff\n")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_culf_check_refuses_repeated_level(tmp_path, d6_sset, capsys):

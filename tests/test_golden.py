@@ -54,14 +54,19 @@ def test_xi_generator_names_and_order():
 
 
 @st.composite
-def poset_nerves(draw):
+def poset_specs(draw):
+    """(spec, cap) for a poset on at most four elements."""
     n = draw(st.integers(1, 4))
     names = [f"e{i}" for i in range(n)]
     relations = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         .filter(lambda ij: ij[0] < ij[1]), max_size=5))
     spec = PosetSpec.from_pairs(names, [(names[i], names[j]) for i, j in relations])
-    return nerve_poset(spec, draw(st.integers(2, 5)))
+    return spec, draw(st.integers(2, 5))
+
+
+def poset_nerves():
+    return poset_specs().map(lambda spec_cap: nerve_poset(*spec_cap))
 
 
 @settings(max_examples=60, deadline=None, database=None)

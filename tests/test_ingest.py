@@ -1,10 +1,14 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from test_golden import poset_specs
 
 from decomp.axioms import check_complete, check_decomposition, check_segal
+from decomp.formats import parse_category
 from decomp.ingest import (
     CategorySpec,
     MonoidSpec,
@@ -152,15 +156,65 @@ def _categories():
                              {"x": "ix"}, {("f", "f"): "f"}), 4
 
 
+F_PRIME_CAT = """CAT v1
+objects: x y z
+id x: ix
+id y: iy
+id z: iz
+arrow f: x -> y
+arrow f': x -> y
+arrow g: y -> z
+arrow h: x -> z
+compose f g: h
+compose f' g: h
+"""
+
+
+def _shapes():
+    """(spec, cap) of every kind: the bench shapes, the categories above,
+    and a CAT file where 'f*g' sorts after "f'*g" but ('f', 'g') before
+    ("f'", 'g')."""
+    yield divisor_poset(12), None
+    yield boolean_poset(3), None
+    yield chain_poset(5), 8
+    yield divisor_poset(60), 7
+    yield truncated_addition(3), None
+    yield truncated_addition(5), 8
+    yield truncated_addition(6), 9
+    iv, _ = factorisation_interval(nerve(boolean_poset(4)), "o≤abcd")
+    yield interval_category(iv.data)[0], 6
+    yield from _categories()
+    yield parse_category(F_PRIME_CAT), 5
+
+
+_REFERENCE = {PosetSpec: oracles.nerve_poset, MonoidSpec: oracles.nerve_monoid,
+              CategorySpec: oracles.nerve_category}
+
+
+def _assert_matches_reference(spec, cap):
+    got = nerve(spec, cap)
+    want = _REFERENCE[type(spec)](spec, got.cap)
+    assert got == want
+    for tables in ("faces", "degens"):
+        g, w = getattr(got, tables), getattr(want, tables)
+        assert list(g) == list(w)
+        assert all(list(g[key]) == list(w[key]) for key in g)
+
+
 def test_nerve_category_matches_reference():
-    """Levels, tables, and the order of tables and of their keys."""
-    for spec, cap in _categories():
-        got, want = nerve_category(spec, cap), oracles.nerve_category(spec, cap)
-        assert got == want
-        for tables in ("faces", "degens"):
-            g, w = getattr(got, tables), getattr(want, tables)
-            assert list(g) == list(w)
-            assert all(list(g[key]) == list(w[key]) for key in g)
+    """Nerves of posets, partial monoids and categories: levels in order,
+    tables, the order of tables and of their keys, and stable_from."""
+    for spec, cap in _shapes():
+        _assert_matches_reference(spec, cap)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.one_of(
+    poset_specs(),
+    st.tuples(st.builds(truncated_addition, st.integers(0, 5)), st.integers(2, 7))))
+def test_drawn_nerves_match_reference(spec_cap):
+    """Drawn posets and truncated additions, compared as the shapes above."""
+    _assert_matches_reference(*spec_cap)
 
 
 def test_level_guard(monkeypatch):
