@@ -13,7 +13,10 @@ from .presheaf import (
     FinXiSet,
     SSetMap,
     XiSetMap,
+    _component_indices,
+    _counted_pullback,
     _generator_table,
+    _index_view,
     actions,
     dec_bot,
     dec_top,
@@ -29,10 +32,15 @@ from .report import Report
 from .simplex import MonotoneMap, free_generators, generic_generators, pushout_generic_free
 
 
-def _pullback_issue(P, A, B, p, q, f, g) -> str | None:
-    """Pullback failure reason, treating a non-commuting square as one."""
+def _pullback_issue(square, named) -> str | None:
+    """None if the square (p, q, f, g) of index lists is a pullback, else
+    the failure `pullback_failure` names on the square of id tables that
+    named() returns as (P, A, B, p, q, f, g), a non-commuting square
+    included.  Only a failing square is ever named."""
+    if _counted_pullback(*square):
+        return None
     try:
-        return pullback_failure(P, A, B, p, q, f, g)
+        return pullback_failure(*named())
     except ValueError as exc:
         return str(exc)
 
@@ -79,18 +87,16 @@ def check_segal(X: FinSSet) -> Report:
     act = actions(X)
     before = act.compositions
     for k in range(2, X.cap + 1):
-        tables = [act(MonotoneMap(1, k, (i, i + 1))) for i in range(k)]
-        spine = {x: tuple(t[x] for t in tables) for x in X.levels[k]}
-        seen: dict[tuple[str, ...], str] = {}
-        collision = False
-        for x, s in spine.items():
-            if s in seen:
-                rep.fail(degree=k, witness=(seen[s], x), note="spine-collision")
-                collision = True
-            seen[s] = x
-        want = _composable_count(X, k)
-        if not collision and len(spine) != want:
-            missing = next(s for s in _composable_strings(X, k) if s not in seen)
+        spines = list(zip(*[act.index(MonotoneMap(1, k, (i, i + 1))) for i in range(k)]))
+        if len(set(spines)) != len(spines):
+            seen: dict[tuple[int, ...], str] = {}
+            for x, s in zip(X.levels[k], spines):
+                if s in seen:
+                    rep.fail(degree=k, witness=(seen[s], x), note="spine-collision")
+                seen[s] = x
+        elif len(spines) != _composable_count(X, k):
+            named = {tuple(map(X.levels[1].__getitem__, s)) for s in spines}
+            missing = next(s for s in _composable_strings(X, k) if s not in named)
             rep.fail(degree=k, witness=missing, note="no-filler")
     rep.data["compositions"] = act.compositions - before
     rep.verified_upto = X.cap
@@ -162,9 +168,9 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
                 squares[corner] = squares.get(corner, 0) + 1
                 f2, g2 = pushout_generic_free(g, f)
                 bad = _pullback_issue(
-                    X.levels[f2.tgt],
-                    X.levels[g.tgt], X.levels[f.tgt],
-                    act(f2), act(g2), act(g), act(f),
+                    tuple(map(act.index, (f2, g2, g, f))),
+                    lambda: (X.levels[f2.tgt], X.levels[g.tgt], X.levels[f.tgt],
+                             act(f2), act(g2), act(g), act(f)),
                 )
                 if bad is not None:
                     rep.fail(degree=corner, note=f"pushout({g},{f}):{bad}")
@@ -186,13 +192,15 @@ def check_map_class(F: SSetMap, cls: str = "culf") -> Report:
     Y, X = F.dom, F.cod
     if Y.cap > X.cap:
         raise CapError("map components exceed the codomain cap")
+    vY, vX, comp = _index_view(Y), _index_view(X), _component_indices(F, 0)
     if cls in ("conservative", "culf"):
         for k in range(0, Y.cap):
             for j in range(k + 1):
                 bad = _pullback_issue(
-                    Y.levels[k], Y.levels[k + 1], X.levels[k],
-                    Y.degens[(k, j)], F.components[k],
-                    F.components[k + 1], X.degens[(k, j)],
+                    (vY.degens[(k, j)], comp[k], comp[k + 1], vX.degens[(k, j)]),
+                    lambda: (Y.levels[k], Y.levels[k + 1], X.levels[k],
+                             Y.degens[(k, j)], F.components[k],
+                             F.components[k + 1], X.degens[(k, j)]),
                 )
                 if bad is not None:
                     rep.fail(degree=k, note=f"s{j}:{bad}")
@@ -200,9 +208,10 @@ def check_map_class(F: SSetMap, cls: str = "culf") -> Report:
         for k in range(2, Y.cap + 1):
             for i in range(1, k):
                 bad = _pullback_issue(
-                    Y.levels[k], Y.levels[k - 1], X.levels[k],
-                    Y.faces[(k, i)], F.components[k],
-                    F.components[k - 1], X.faces[(k, i)],
+                    (vY.faces[(k, i)], comp[k], comp[k - 1], vX.faces[(k, i)]),
+                    lambda: (Y.levels[k], Y.levels[k - 1], X.levels[k],
+                             Y.faces[(k, i)], F.components[k],
+                             F.components[k - 1], X.faces[(k, i)]),
                 )
                 if bad is not None:
                     rep.fail(degree=k, note=f"d{i}:{bad}")
@@ -214,20 +223,26 @@ def check_map_class(F: SSetMap, cls: str = "culf") -> Report:
 # flanked presheaves and interval-site map classes
 
 
+def _outer_square(A: FinXiSet, n: int, down: int, up: int, pick) -> str | None:
+    """The issue of the square of A's tables that pick(T) takes from T, A or
+    its index view, as (p, q, f, g), over levels n, n + down and n + up."""
+    return _pullback_issue(
+        pick(_index_view(A)),
+        lambda: (A.levels[n], A.levels[n + down], A.levels[n + up], *pick(A)))
+
+
 def check_flanked(A: FinXiSet, bonus: bool = False) -> Report:
     """Do the extra outer degeneracies form pullbacks against the opposite
     outer faces?  With bonus=True also checks the derived square families
     against every face and degeneracy."""
     rep = Report("check_flanked")
-    d, s = A.faces, A.degens
     for n in range(0, A.cap):
-        P, below, above = A.levels[n], A.levels[n - 1], A.levels[n + 1]
-        bad = _pullback_issue(P, below, above, d[(n, n)], s[(n, -1)],
-                              s[(n - 1, -1)], d[(n + 1, n + 1)])
+        bad = _outer_square(A, n, -1, 1, lambda T: (
+            T.faces[(n, n)], T.degens[(n, -1)], T.degens[(n - 1, -1)], T.faces[(n + 1, n + 1)]))
         if bad is not None:
             rep.fail(degree=n, note=f"sbot-vs-dtop:{bad}")
-        bad = _pullback_issue(P, below, above, d[(n, 0)], s[(n, n + 1)],
-                              s[(n - 1, n)], d[(n + 1, 0)])
+        bad = _outer_square(A, n, -1, 1, lambda T: (
+            T.faces[(n, 0)], T.degens[(n, n + 1)], T.degens[(n - 1, n)], T.faces[(n + 1, 0)]))
         if bad is not None:
             rep.fail(degree=n, note=f"stop-vs-dbot:{bad}")
     if bonus:
@@ -237,27 +252,28 @@ def check_flanked(A: FinXiSet, bonus: bool = False) -> Report:
 
 
 def _bonus_pullbacks(A: FinXiSet, rep: Report) -> None:
-    d, s = A.faces, A.degens
     for n in range(0, A.cap):
-        P, below, above = A.levels[n], A.levels[n - 1], A.levels[n + 1]
         for i in range(n + 1):
-            bad = _pullback_issue(P, below, above, d[(n, i)], s[(n, -1)],
-                                  s[(n - 1, -1)], d[(n + 1, i + 1)])
+            bad = _outer_square(A, n, -1, 1, lambda T: (
+                T.faces[(n, i)], T.degens[(n, -1)], T.degens[(n - 1, -1)],
+                T.faces[(n + 1, i + 1)]))
             if bad is not None:
                 rep.fail(degree=n, note=f"bonus-sbot-d{i}:{bad}")
-            bad = _pullback_issue(P, below, above, d[(n, i)], s[(n, n + 1)],
-                                  s[(n - 1, n)], d[(n + 1, i)])
+            bad = _outer_square(A, n, -1, 1, lambda T: (
+                T.faces[(n, i)], T.degens[(n, n + 1)], T.degens[(n - 1, n)],
+                T.faces[(n + 1, i)]))
             if bad is not None:
                 rep.fail(degree=n, note=f"bonus-stop-d{i}:{bad}")
     for n in range(0, A.cap - 1):
-        P, above = A.levels[n], A.levels[n + 1]
         for j in range(-1, n + 1):
-            bad = _pullback_issue(P, above, above, s[(n, j)], s[(n, -1)],
-                                  s[(n + 1, -1)], s[(n + 1, j + 1)])
+            bad = _outer_square(A, n, 1, 1, lambda T: (
+                T.degens[(n, j)], T.degens[(n, -1)], T.degens[(n + 1, -1)],
+                T.degens[(n + 1, j + 1)]))
             if bad is not None:
                 rep.fail(degree=n, note=f"bonus-sbot-s{j}:{bad}")
-            bad = _pullback_issue(P, above, above, s[(n, j)], s[(n, n + 1)],
-                                  s[(n + 1, n + 2)], s[(n + 1, j)])
+            bad = _outer_square(A, n, 1, 1, lambda T: (
+                T.degens[(n, j)], T.degens[(n, n + 1)], T.degens[(n + 1, n + 2)],
+                T.degens[(n + 1, j)]))
             if bad is not None:
                 rep.fail(degree=n, note=f"bonus-stop-s{j}:{bad}")
 
@@ -275,12 +291,13 @@ def cartesian_report(g: XiSetMap) -> Report:
     A, B = g.dom, g.cod
     if A.cap > B.cap:
         raise CapError("map components exceed the codomain cap")
-    for name, arrow, tA in xi_generators(A):
-        tB = _generator_table(B, arrow.rep, 2)
+    vB, comp = _index_view(B), _component_indices(g, -1)
+    for (name, arrow, tA), (_, _, iA) in zip(xi_generators(A), xi_generators(_index_view(A))):
         bad = _pullback_issue(
-            A.levels[arrow.tgt], A.levels[arrow.src], B.levels[arrow.tgt],
-            tA, g.components[arrow.tgt],
-            g.components[arrow.src], tB,
+            (iA, comp[arrow.tgt], comp[arrow.src], _generator_table(vB, arrow.rep, 2)),
+            lambda: (A.levels[arrow.tgt], A.levels[arrow.src], B.levels[arrow.tgt],
+                     tA, g.components[arrow.tgt],
+                     g.components[arrow.src], _generator_table(B, arrow.rep, 2)),
         )
         if bad is not None:
             rep.fail(degree=arrow.tgt, note=f"{name}:{bad}")

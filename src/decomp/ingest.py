@@ -49,6 +49,20 @@ def _guard_level(k: int, size: int) -> None:
         )
 
 
+# A nerve's face and degeneracy tables may hold this many entries per unit
+# of the level-size limit: 2,000,000 at the default limit.
+_TABLE_ENTRIES_PER_LEVEL_SIZE = 20
+
+
+def _guard_tables(k: int, entries: int) -> None:
+    limit = _TABLE_ENTRIES_PER_LEVEL_SIZE * max_level_size()
+    if entries > limit:
+        raise SpecError(
+            f"the tables up to level {k} would hold {entries} entries, over the "
+            f"limit {limit} ({_TABLE_ENTRIES_PER_LEVEL_SIZE} x {MAX_LEVEL_ENV})"
+        )
+
+
 _FORBIDDEN = ("->", ";", "#", "≤", "*", "+", "&")
 
 
@@ -76,6 +90,11 @@ def _nerve(objects, arrows, identities, comp, link, bound, cap, sort_levels=Fals
     extended by one arrow: one lookup in the index of the level below or
     above, keyed by (prefix id, arrow).  Levels keep the order of
     generation unless sort_levels sorts them by id.
+
+    Each simplex of level k is the source of k + 1 face entries (k >= 1)
+    and k + 1 degeneracy entries (k < cap).  The entries are counted from
+    the rows as each level is generated, and past the limit of
+    `_guard_tables` the build stops before any table exists.
     """
     if cap is None:
         if bound is None:
@@ -89,10 +108,13 @@ def _nerve(objects, arrows, identities, comp, link, bound, cap, sort_levels=Fals
     # a row is (id, prefix id, last arrow, composite, last two arrows composed)
     rows = {1: [(g, s, g, g, None) for g, (s, _) in arrows.items()]}
     _guard_level(1, len(rows[1]))
+    entries = len(objects) + 2 * len(rows[1])
     for k in range(2, cap + 1):
         rows[k] = [(intern(p + link[g]), p, g, h, comp[f][g])
                    for p, _, f, c, _ in rows[k - 1] for g, h in comp[c].items()]
         _guard_level(k, len(rows[k]))
+        entries += (k + 1) * len(rows[k]) + k * len(rows[k - 1])
+        _guard_tables(k, entries)
     levels = {0: objects, **{k: [row[0] for row in rows[k]] for k in rows}}
     if sort_levels:
         levels = {k: sorted(ids) for k, ids in levels.items()}

@@ -16,9 +16,19 @@ stored in its level list (parsers and nerve builders by `sys.intern`), so
 a lookup matches by pointer.  Objects are frozen, and each memoises its
 `actions`, `i_star`, `u_star`, `nondegenerate` levels, long-edge `fibres`
 and its `validate_sset`/`validate_xiset`/`check_decomposition`/`check_tight`
-verdicts.  act(a) = X(a) gives shared, uncopied tables that equal the
-generator-by-generator walk of a's word whenever the tables are total on
-their levels.  A changed object is a new one (`dataclasses.replace`).
+verdicts.  A changed object is a new one (`dataclasses.replace`).
+
+The checks run on integers.  Each object memoises one index view: a
+position map per level, and every face and degeneracy table as a list of
+positions in level order, each made on first use.  Making all of them is
+the totality check of validation; the identities and relations are then
+whole-level comparisons of composed index lists.  act.index(a) composes
+X(a) from those lists; act(a) gives name-based callers the same map as a
+table of ids, built once per requested map.  Every pullback square is
+decided by one counting kernel on index lists, `_counted_pullback`;
+`pullback_failure` indexes its id tables to call it, and names the fault
+of a failing square by enumeration.  Decalage, `u_star`, `i_star` and
+`truncate` pass on the levels and tables the view has already made.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce, wraps
+from itertools import repeat
 from sys import intern
 
 from .report import Report
@@ -118,8 +129,20 @@ def _compose_tables(outer: dict[str, str], inner: dict[str, str]) -> dict[str, s
     return dict(zip(inner, map(outer.__getitem__, inner.values())))
 
 
-def _generator_table(X, gen: MonotoneMap, shift: int) -> dict[str, str]:
-    """Table of one coface or codegeneracy acting on X.
+def _table_keys(cap: int, xi: bool) -> tuple[list, list]:
+    """The keys of the face and degeneracy tables an object of this cap
+    must have, in the order validation reports them; xi adds the extra
+    interval-site maps."""
+    faces = [(k, i) for k in range(1, cap + 1) for i in range(k + 1)]
+    degens = [(k, j) for k in range(cap) for j in range(k + 1)]
+    if xi:
+        faces += [(0, 0)]
+        degens += [(k, j) for k in range(-1, cap) for j in (-1, k + 1)]
+    return faces, degens
+
+
+def _generator_table(X, gen: MonotoneMap, shift: int):
+    """Table of one coface or codegeneracy acting on X, or on X's index view.
 
     shift is 0 for a simplicial set and 2 for an interval-site presheaf,
     whose arrows are represented two degrees up with one index more.
@@ -132,33 +155,131 @@ def _generator_table(X, gen: MonotoneMap, shift: int) -> dict[str, str]:
     return X.degens[(gen.tgt - shift, j - shift // 2)]
 
 
-class _Actions:
-    """X(a) for monotone maps a, each composed once and kept.
+class _Made(dict):
+    """A dict that makes a missing value with make(key) and keeps it."""
 
-    It holds X's levels and tables but not X, so the memo of X that keeps
-    it makes no reference cycle, and X is freed with its last reference.
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
+class _IndexView:
+    """An object's levels as positions and its tables as index lists.
+
+    pos[k] maps each id of level k to its position in levels[k], and
+    faces[key] and degens[key] list, in level order, the position of each
+    simplex's image; each is made on first use.  The view has the object's
+    cap and table keys, so the functions that read tables by key read it as
+    well.  It holds the object's levels and tables but not the object.
     """
 
     def __init__(self, X):
-        self.levels, self.faces, self.degens = X.levels, X.faces, X.degens
+        self.cap, self.levels = X.cap, X.levels
+        self.xi = isinstance(X, FinXiSet)
+        levels = X.levels
+
+        def positions(k):
+            at = dict(zip(levels[k], range(len(levels[k]))))
+            if len(at) != len(levels[k]):
+                raise ValueError(f"level {k} repeats an id")
+            return at
+
+        def indexed(tables, step):
+            def index(key):
+                table, ids = tables[key], levels[key[0]]
+                if len(table) != len(ids):
+                    raise ValueError(f"table {key} has sources outside level {key[0]}")
+                return list(map(pos[key[0] + step].__getitem__, map(table.__getitem__, ids)))
+            return _Made(index)
+
+        self.pos = pos = _Made(positions)
+        self.faces, self.degens = indexed(X.faces, -1), indexed(X.degens, 1)
+
+    def check(self) -> None:
+        """Make every level and table the object must have; the first that
+        cannot be made, being missing or not total, raises KeyError or
+        ValueError."""
+        if sorted(self.levels) != list(range(-1 if self.xi else 0, self.cap + 1)):
+            raise ValueError("levels do not match the cap")
+        for k in self.levels:
+            self.pos[k]
+        face_keys, degen_keys = _table_keys(self.cap, self.xi)
+        for key in face_keys:
+            self.faces[key]
+        for key in degen_keys:
+            self.degens[key]
+
+
+def _index_view(X) -> _IndexView:
+    """X's memoised index view."""
+    view = X._memo.get("index_view")
+    if view is None:
+        view = X._memo["index_view"] = _IndexView(X)
+    return view
+
+
+def _rekeyed(X, Y, shift: int, face_at, degen_at):
+    """Y, whose level k is X's level k + shift and whose tables are X's
+    tables at face_at(key) and degen_at(key).  Y's index view starts with
+    every level and table X's view has already made, re-keyed the same way."""
+    view = X._memo.get("index_view")
+    if view is not None:
+        new = _index_view(Y)
+        for k in Y.levels:
+            if k + shift in view.pos:
+                new.pos[k] = view.pos[k + shift]
+        for tables, mine, theirs, at in ((Y.faces, new.faces, view.faces, face_at),
+                                         (Y.degens, new.degens, view.degens, degen_at)):
+            for key in tables:
+                if at(key) in theirs:
+                    mine[key] = theirs[at(key)]
+    return Y
+
+
+class _Actions:
+    """X(a) for monotone maps a, each composed once as an index list.
+
+    It holds X's index view but not X, so the memo of X that keeps it makes
+    no reference cycle, and X is freed with its last reference.
+    """
+
+    def __init__(self, X):
+        self.view = _index_view(X)
         self.shift = 2 if isinstance(X, FinXiSet) else 0
-        self.tables: dict[MonotoneMap, dict[str, str]] = {}
+        self.tables: dict[MonotoneMap, list[int]] = {}
+        self.named: dict[MonotoneMap, dict[str, str]] = {}
         self.compositions = 0
 
     def __call__(self, a: MonotoneMap) -> dict[str, str]:
+        """X(a) as a table of ids, built on the first request for a."""
+        table = self.named.get(a)
+        if table is None:
+            levels = self.view.levels
+            image = map(levels[a.src - self.shift].__getitem__, self.index(a))
+            table = self.named[a] = dict(zip(levels[a.tgt - self.shift], image))
+        return table
+
+    def index(self, a: MonotoneMap) -> list[int]:
+        """X(a) as positions: entry n is the position of the image of the
+        n-th simplex of levels[a.tgt]."""
         table = self.tables.get(a)
         return self._walk(a, generator_word(a)) if table is None else table
 
-    def _walk(self, a: MonotoneMap, word: list[MonotoneMap]) -> dict[str, str]:
+    def _walk(self, a: MonotoneMap, word: list[MonotoneMap]) -> list[int]:
         table = self.tables.get(a)
         if table is None:
             if word:
                 prefix = reduce(compose, word[:-1], identity(a.src))
-                table = _compose_tables(self._walk(prefix, word[:-1]),
-                                        _generator_table(self, word[-1], self.shift))
+                outer = self._walk(prefix, word[:-1])
+                table = list(map(outer.__getitem__,
+                                 _generator_table(self.view, word[-1], self.shift)))
                 self.compositions += 1
             else:
-                table = {x: x for x in self.levels[a.tgt - self.shift]}
+                table = list(range(len(self.view.levels[a.tgt - self.shift])))
             self.tables[a] = table
         return table
 
@@ -168,10 +289,12 @@ def actions(X) -> _Actions:
     """X's memoised act(a), the action X(a): levels[a.tgt] -> levels[a.src].
 
     An interval-site presheaf takes the representing monotone map of a site
-    arrow.  X(a) is one `_compose_tables`: the table of the last generator
-    of a's word, then the memoised X(p) of the composite p of the rest of
-    the word, which is p's own word.  act.compositions counts the
-    compositions made on X so far.
+    arrow.  act.index(a) is one composition of index lists: the list of the
+    last generator of a's word, then the memoised X(p) of the composite p of
+    the rest of the word, which is p's own word.  act(a) is the same map
+    as a table of ids.  act.compositions counts the compositions made on X
+    so far.  A walk that meets a table that is not total raises KeyError or
+    ValueError.
     """
     return _Actions(X)
 
@@ -200,28 +323,27 @@ def _check_totality(report, label, table, src_ids, tgt_ids):
             report.fail(witness=(x, y), note=f"{label}-target-outside-level")
 
 
+def _compare(rep: Report, ids, note: str, got: list, want: list, degree: int) -> None:
+    """Two images of the level ids, as lists; only a mismatch walks the
+    level, failing once per simplex whose images differ."""
+    if got != want:
+        for x, u, v in zip(ids, got, want):
+            if u != v:
+                rep.fail(degree=degree, witness=(x,), note=note)
+
+
 def validate(X) -> Report:
     if isinstance(X, FinXiSet):
         return validate_xiset(X)
     return validate_sset(X)
 
 
-@memoised
-def validate_sset(X: FinSSet) -> Report:
-    """Check level/table shape and every simplicial identity under the cap.
-
-    Each identity is checked on a whole level at once: both sides are
-    mapped over levels[k] as lists and the two lists compared.  The images
-    d_i(levels[k]) and s_j(levels[k]) are computed once and shared by every
-    relation; only a relation whose lists differ walks the level simplex by
-    simplex to name its witnesses.
-    """
-    rep = Report("validate")
-    lo = 0
-    if sorted(X.levels) != list(range(lo, X.cap + 1)):
+def _sset_shape(rep: Report, X: FinSSet) -> None:
+    """Name every shape fault: levels, identifiers and totality of tables."""
+    if sorted(X.levels) != list(range(0, X.cap + 1)):
         rep.fail(note="levels-do-not-match-cap")
-        return rep
-    for k in range(lo, X.cap + 1):
+        return
+    for k in range(0, X.cap + 1):
         if len(set(X.levels[k])) != len(X.levels[k]):
             rep.fail(degree=k, note="duplicate-identifiers")
     for k in range(1, X.cap + 1):
@@ -238,44 +360,55 @@ def validate_sset(X: FinSSet) -> Report:
             else:
                 _check_totality(rep, f"s[{k},{j}]", X.degens[(k, j)],
                                 X.levels[k], X.levels[k + 1])
-    if not rep.ok:
+
+
+@memoised
+def validate_sset(X: FinSSet) -> Report:
+    """Check level/table shape and every simplicial identity under the cap.
+
+    Shape is checked by making every level and table of X's index view;
+    only when that fails are the tables walked to name the faults.  Each
+    identity is then checked on a whole level at once: both sides are
+    composed as index lists over levels[k] and the two lists compared.
+    Only a relation whose lists differ walks the level simplex by simplex
+    to name its witnesses.
+    """
+    rep = Report("validate")
+    view = _index_view(X)
+    try:
+        view.check()
+    except (KeyError, ValueError):
+        _sset_shape(rep, X)
         return rep
+    levels, faces, degens = X.levels, view.faces, view.degens
 
-    levels, faces, degens = X.levels, X.faces, X.degens
-    d_img = {(k, i): list(map(faces[(k, i)].__getitem__, levels[k]))
-             for k in range(1, X.cap + 1) for i in range(k + 1)}
-    s_img = {(k, j): list(map(degens[(k, j)].__getitem__, levels[k]))
-             for k in range(X.cap) for j in range(k + 1)}
-
-    def compare(k, note, got, want):
-        if got != want:
-            for x, u, v in zip(levels[k], got, want):
-                if u != v:
-                    rep.fail(degree=k, witness=(x,), note=note)
+    def composite(outer, inner):
+        return list(map(outer.__getitem__, inner))
 
     for k in range(2, X.cap + 1):
         for j in range(1, k + 1):
             for i in range(j):
-                compare(k, f"d{i}d{j}",
-                        list(map(faces[(k - 1, i)].__getitem__, d_img[(k, j)])),
-                        list(map(faces[(k - 1, j - 1)].__getitem__, d_img[(k, i)])))
+                _compare(rep, levels[k], f"d{i}d{j}",
+                         composite(faces[(k - 1, i)], faces[(k, j)]),
+                         composite(faces[(k - 1, j - 1)], faces[(k, i)]), k)
     for k in range(0, X.cap - 1):
         for j in range(k + 1):
             for i in range(j + 1):
-                compare(k, f"s{i}s{j}",
-                        list(map(degens[(k + 1, i)].__getitem__, s_img[(k, j)])),
-                        list(map(degens[(k + 1, j + 1)].__getitem__, s_img[(k, i)])))
+                _compare(rep, levels[k], f"s{i}s{j}",
+                         composite(degens[(k + 1, i)], degens[(k, j)]),
+                         composite(degens[(k + 1, j + 1)], degens[(k, i)]), k)
     for k in range(0, X.cap):
+        same = list(range(len(levels[k])))
         for j in range(k + 1):
             for i in range(k + 2):
-                got = list(map(faces[(k + 1, i)].__getitem__, s_img[(k, j)]))
                 if i == j or i == j + 1:
-                    want = levels[k]
+                    want = same
                 elif i < j:
-                    want = list(map(degens[(k - 1, j - 1)].__getitem__, d_img[(k, i)]))
+                    want = composite(degens[(k - 1, j - 1)], faces[(k, i)])
                 else:
-                    want = list(map(degens[(k - 1, j)].__getitem__, d_img[(k, i - 1)]))
-                compare(k, f"d{i}s{j}", got, want)
+                    want = composite(degens[(k - 1, j)], faces[(k, i - 1)])
+                _compare(rep, levels[k], f"d{i}s{j}",
+                         composite(faces[(k + 1, i)], degens[(k, j)]), want, k)
     _check_stable(rep, X)
     rep.verified_upto = X.cap
     return rep
@@ -301,11 +434,10 @@ def xi_generators(A: FinXiSet):
     """All site generators acting on A: (name, arrow, table) triples.
 
     The names follow the XISET directives: d_0 at degree 0 is `dnew`, and
-    s_{-1} and s_{k+1} at degree k are `sbot[k]` and `stop[k]`.
+    s_{-1} and s_{k+1} at degree k are `sbot[k]` and `stop[k]`.  Given A's
+    index view, the tables are its index lists.
     """
-    faces = [(k, i) for k in range(1, A.cap + 1) for i in range(k + 1)] + [(0, 0)]
-    degens = [(k, j) for k in range(A.cap) for j in range(k + 1)]
-    degens += [(k, j) for k in range(-1, A.cap) for j in (-1, k + 1)]
+    faces, degens = _table_keys(A.cap, True)
     gens = [("dnew" if k == 0 else f"d[{k},{i}]", _face_arrow(k, i), A.faces[(k, i)])
             for k, i in faces]
     gens += [({-1: f"sbot[{k}]", k + 1: f"stop[{k}]"}.get(j, f"s[{k},{j}]"),
@@ -313,18 +445,11 @@ def xi_generators(A: FinXiSet):
     return gens
 
 
-@memoised
-def validate_xiset(A: FinXiSet) -> Report:
-    """Shape checks plus functoriality on all composable generator pairs.
-
-    Every relation is verified through the representing monotone maps: the
-    composite arrow's canonical action must agree with composing the two
-    stored generator tables.
-    """
-    rep = Report("validate")
+def _xiset_shape(rep: Report, A: FinXiSet) -> None:
+    """Name every shape fault: levels, identifiers and totality of tables."""
     if sorted(A.levels) != list(range(-1, A.cap + 1)):
         rep.fail(note="levels-do-not-match-cap")
-        return rep
+        return
     for k in range(-1, A.cap + 1):
         if len(set(A.levels[k])) != len(A.levels[k]):
             rep.fail(degree=k, note="duplicate-identifiers")
@@ -332,29 +457,53 @@ def validate_xiset(A: FinXiSet) -> Report:
         gens = xi_generators(A)
     except KeyError as exc:
         rep.fail(note=f"missing-structure-map:{exc}")
-        return rep
+        return
     for name, arrow, table in gens:
         _check_totality(rep, name, table, A.levels[arrow.tgt], A.levels[arrow.src])
-    if not rep.ok:
-        return rep
 
+
+@memoised
+def validate_xiset(A: FinXiSet) -> Report:
+    """Shape checks plus functoriality on all composable generator pairs.
+
+    Shape is checked on A's index view, as for `validate_sset`.
+    Every relation is verified through the representing monotone maps: the
+    composite arrow's canonical action must agree with composing the two
+    stored generator tables, compared as index lists on a whole level.
+    """
+    rep = Report("validate")
+    view = _index_view(A)
+    try:
+        view.check()
+    except (KeyError, ValueError):
+        _xiset_shape(rep, A)
+        return rep
+    act = actions(A)
+    gens = xi_generators(view)
     for uname, u, tu in gens:
         for vname, v, tv in gens:
             if u.tgt != v.src:
                 continue
             w = xi_compose(u, v)
-            canon = actions(A)(w.rep)
-            for x in A.levels[w.tgt]:
-                if tu[tv[x]] != canon[x]:
-                    rep.fail(degree=w.tgt, witness=(x,),
-                             note=f"relation:{uname};{vname}")
+            _compare(rep, A.levels[w.tgt], f"relation:{uname};{vname}",
+                     list(map(tu.__getitem__, tv)), act.index(w.rep), w.tgt)
     _check_stable(rep, A)
     rep.verified_upto = A.cap
     return rep
 
 
+def _component_indices(F, lo: int) -> dict[int, list[int]]:
+    """The components of a map whose tables are total, as index lists from
+    its domain's levels into its codomain's, degrees lo to dom.cap."""
+    pos = _index_view(F.cod).pos
+    return {k: list(map(pos[k].__getitem__, map(F.components[k].__getitem__,
+                                                F.dom.levels[k])))
+            for k in range(lo, F.dom.cap + 1)}
+
+
 def validate_sset_map(F: SSetMap) -> Report:
-    """Totality plus naturality against every generator under dom.cap."""
+    """Totality plus naturality against every generator under dom.cap,
+    each square compared as index lists on a whole level."""
     rep = Report("validate_map")
     X, Y = F.dom, F.cod
     if X.cap > Y.cap:
@@ -367,20 +516,17 @@ def validate_sset_map(F: SSetMap) -> Report:
         _check_totality(rep, f"F[{k}]", F.components[k], X.levels[k], Y.levels[k])
     if not rep.ok:
         return rep
+    vX, vY, comp = _index_view(X), _index_view(Y), _component_indices(F, 0)
     for k in range(1, X.cap + 1):
         for i in range(k + 1):
-            fk, fk1 = F.components[k], F.components[k - 1]
-            dX, dY = X.faces[(k, i)], Y.faces[(k, i)]
-            for x in X.levels[k]:
-                if fk1[dX[x]] != dY[fk[x]]:
-                    rep.fail(degree=k, witness=(x,), note=f"naturality-d{i}")
+            _compare(rep, X.levels[k], f"naturality-d{i}",
+                     list(map(comp[k - 1].__getitem__, vX.faces[(k, i)])),
+                     list(map(vY.faces[(k, i)].__getitem__, comp[k])), k)
     for k in range(0, X.cap):
         for j in range(k + 1):
-            fk, fk1 = F.components[k], F.components[k + 1]
-            sX, sY = X.degens[(k, j)], Y.degens[(k, j)]
-            for x in X.levels[k]:
-                if fk1[sX[x]] != sY[fk[x]]:
-                    rep.fail(degree=k, witness=(x,), note=f"naturality-s{j}")
+            _compare(rep, X.levels[k], f"naturality-s{j}",
+                     list(map(comp[k + 1].__getitem__, vX.degens[(k, j)])),
+                     list(map(vY.degens[(k, j)].__getitem__, comp[k])), k)
     rep.verified_upto = X.cap
     return rep
 
@@ -398,18 +544,22 @@ def validate_xiset_map(G: XiSetMap) -> Report:
         _check_totality(rep, f"G[{k}]", G.components[k], A.levels[k], B.levels[k])
     if not rep.ok:
         return rep
-    for name, arrow, tA in xi_generators(A):
-        tB = _generator_table(B, arrow.rep, 2)
-        ga, gb = G.components[arrow.src], G.components[arrow.tgt]
-        for x in A.levels[arrow.tgt]:
-            if ga[tA[x]] != tB[gb[x]]:
-                rep.fail(degree=arrow.tgt, witness=(x,), note=f"naturality-{name}")
+    vB, comp = _index_view(B), _component_indices(G, -1)
+    for name, arrow, tA in xi_generators(_index_view(A)):
+        tB = _generator_table(vB, arrow.rep, 2)
+        _compare(rep, A.levels[arrow.tgt], f"naturality-{name}",
+                 list(map(comp[arrow.src].__getitem__, tA)),
+                 list(map(tB.__getitem__, comp[arrow.tgt])), arrow.tgt)
     rep.verified_upto = A.cap
     return rep
 
 
 # ---------------------------------------------------------------------------
 # decalage and the basic adjunction
+
+
+def _same(key):
+    return key
 
 
 def _stable_under(X, cap: int) -> int | None:
@@ -428,7 +578,8 @@ def _decalage(X: FinSSet, bottom: bool) -> tuple[FinSSet, SSetMap]:
              for k in range(1, cap + 1) for i in range(k + 1)}
     degens = {(k, j): X.degens[(k + 1, j + o)]
               for k in range(cap) for j in range(k + 1)}
-    D = FinSSet(cap, levels, faces, degens, _stable_under(X, cap))
+    D = _rekeyed(X, FinSSet(cap, levels, faces, degens, _stable_under(X, cap)), 1,
+                 lambda ki: (ki[0] + 1, ki[1] + o), lambda kj: (kj[0] + 1, kj[1] + o))
     counit = {k: X.faces[(k + 1, 0 if bottom else k + 1)] for k in range(cap + 1)}
     return D, SSetMap(D, X, counit)
 
@@ -455,7 +606,8 @@ def u_star(X: FinSSet) -> FinXiSet:
              for k in range(cap + 1) for i in range(k + 1)}
     degens = {(k, j): X.degens[(k + 2, j + 1)]
               for k in range(-1, cap) for j in range(-1, k + 2)}
-    return FinXiSet(cap, levels, faces, degens, _stable_under(X, cap))
+    return _rekeyed(X, FinXiSet(cap, levels, faces, degens, _stable_under(X, cap)), 2,
+                    lambda ki: (ki[0] + 2, ki[1] + 1), lambda kj: (kj[0] + 2, kj[1] + 1))
 
 
 @memoised
@@ -464,7 +616,8 @@ def i_star(A: FinXiSet) -> FinSSet:
     levels = {k: A.levels[k] for k in range(A.cap + 1)}
     faces = {(k, i): t for (k, i), t in A.faces.items() if k >= 1}
     degens = {(k, j): t for (k, j), t in A.degens.items() if 0 <= j <= k}
-    return FinSSet(A.cap, levels, faces, degens, A.stable_from)
+    return _rekeyed(A, FinSSet(A.cap, levels, faces, degens, A.stable_from), 0,
+                    _same, _same)
 
 
 def u_star_map(F: SSetMap) -> XiSetMap:
@@ -484,7 +637,8 @@ def truncate(X, cap: int):
     levels = {k: ids for k, ids in X.levels.items() if k <= cap}
     faces = {ki: t for ki, t in X.faces.items() if ki[0] <= cap}
     degens = {kj: t for kj, t in X.degens.items() if kj[0] < cap}
-    return type(X)(cap, levels, faces, degens, _stable_under(X, cap))
+    return _rekeyed(X, type(X)(cap, levels, faces, degens, _stable_under(X, cap)), 0,
+                    _same, _same)
 
 
 def unit_eta(A: FinXiSet) -> XiSetMap:
@@ -539,10 +693,16 @@ def long_edge_table(X: FinSSet, r: int) -> dict[str, str]:
 def fibres(X: FinSSet, k: int, nondeg: bool) -> dict[str, list[str]]:
     """Every arrow's k-simplices, those whose long edge it is, in level
     order; with nondeg only the nondegenerate ones."""
-    table = long_edge_table(X, k)
+    table = actions(X).index(MonotoneMap(1, k, (0, k)))
     out: dict[str, list[str]] = {a: [] for a in X.levels[1]}
-    for x in nondegenerate(X, k) if nondeg else X.levels[k]:
-        out[table[x]].append(x)
+    over = list(out.values())
+    if nondeg:
+        at = _index_view(X).pos[k]
+        for x in nondegenerate(X, k):
+            over[table[at[x]]].append(x)
+    else:
+        for x, a in zip(X.levels[k], table):
+            over[a].append(x)
     return out
 
 
@@ -592,15 +752,13 @@ def pullback_failure(P, A, B, p, q, f, g) -> str | None:
     The square is p: P -> A, q: P -> B over f: A -> C, g: B -> C; it must
     commute (f.p = g.q), otherwise ValueError.
 
-    The common case is decided by counting.  When the square commutes and
-    the pairs (p x, q x) are distinct and all lie in A x B, they are
-    distinct elements of A x_C B, so the comparison is onto, and the square
-    a pullback, exactly when there are |A x_C B| of them: the sum over a in
-    A of |g^-1(f a) & B|, read off fibre counts of g.  Any other square is
-    enumerated element by element, which names the first failure.
+    The square is indexed and decided by `_counted_pullback`.  Any square
+    that fails there, or cannot be indexed because a table is not total or
+    maps outside A or B, is enumerated element by element, which names the
+    first failure.
     """
     try:
-        if _pullback_by_counting(P, A, B, p, q, f, g):
+        if _counted_pullback(*_indexed_square(P, A, B, p, q, f, g)):
             return None
     except KeyError:
         pass  # the enumeration raises it again, at the same element
@@ -623,19 +781,34 @@ def pullback_failure(P, A, B, p, q, f, g) -> str | None:
     return None
 
 
-def _pullback_by_counting(P, A, B, p, q, f, g) -> bool:
-    """True if the square commutes, P injects into A x B, and the pairs
-    are as many as A x_C B has elements."""
-    pa = list(map(p.__getitem__, P))
-    qb = list(map(q.__getitem__, P))
-    if list(map(f.__getitem__, pa)) != list(map(g.__getitem__, qb)):
+def _indexed_square(P, A, B, p, q, f, g) -> tuple[list[int], ...]:
+    """The square of id tables as index lists: p and q into positions of
+    A and B, f and g into positions of the ids of C they reach."""
+    at_a = dict(zip(A, range(len(A))))
+    at_b = dict(zip(B, range(len(B))))
+    corner: dict[str, int] = {}
+    return (list(map(at_a.__getitem__, map(p.__getitem__, P))),
+            list(map(at_b.__getitem__, map(q.__getitem__, P))),
+            [corner.setdefault(f[a], len(corner)) for a in A],
+            [corner.setdefault(g[b], len(corner)) for b in B])
+
+
+def _counted_pullback(p: list[int], q: list[int], f: list[int], g: list[int]) -> bool:
+    """Is the square of index lists p: P -> A, q: P -> B over f: A -> C,
+    g: B -> C a pullback?
+
+    The entries of p, q index A and B, which f and g list.  When the square
+    commutes and the pairs (p x, q x) are distinct, they are distinct
+    elements of A x_C B, so the comparison is onto, and the square a
+    pullback, exactly when there are |A x_C B| of them: the sum over a in A
+    of the number of b with g b = f a, read off the fibre counts of g.
+    """
+    if list(map(f.__getitem__, p)) != list(map(g.__getitem__, q)):
         return False
-    if len(set(zip(pa, qb))) != len(P):
+    if len(set(zip(p, q))) != len(p):
         return False
-    if not (set(A).issuperset(pa) and set(B).issuperset(qb)):
-        return False
-    over_b = Counter(map(g.__getitem__, B))
-    return len(P) == sum(map(over_b.__getitem__, map(f.__getitem__, A)))
+    over = Counter(g)
+    return len(p) == sum(map(over.get, f, repeat(0)))
 
 
 # ---------------------------------------------------------------------------

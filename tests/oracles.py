@@ -7,9 +7,11 @@ factorisations against exhaustive two-step search, canonical labeling
 against the dict-keyed refinement that recomputes every signature each
 round, presheaf actions against the generator-by-generator walk of each
 word, the bulk interval cut against the cut of one arrow at a time,
-nondegeneracy by degeneracy images against the principal-edge test, and
-the nerves of posets, partial monoids and categories against the
-string-by-string builds.
+nondegeneracy by degeneracy images against the principal-edge test, the
+nerves of posets, partial monoids and categories against the
+string-by-string builds, the index-list axiom checks against the same
+checks counted on id tables, and map validation against the walk of every
+naturality square simplex by simplex.
 """
 
 from __future__ import annotations
@@ -523,3 +525,211 @@ def nerve_category(spec, cap):
     bound = spec.chain_bound()
     stable = None if bound is None else min(bound, cap)
     return FinSSet(cap, levels, faces, degens, stable_from=stable)
+
+
+# ---------------------------------------------------------------------------
+# axiom checks on id tables: pullback squares counted on names, spines as
+# tuples of ids, every naturality square one simplex at a time
+
+
+def pullback_by_counting(P, A, B, p, q, f, g) -> bool:
+    """True if the square commutes, P injects into A x B, and the pairs
+    are as many as A x_C B has elements, all counted on ids."""
+    from collections import Counter
+
+    pa = list(map(p.__getitem__, P))
+    qb = list(map(q.__getitem__, P))
+    if list(map(f.__getitem__, pa)) != list(map(g.__getitem__, qb)):
+        return False
+    if len(set(zip(pa, qb))) != len(P):
+        return False
+    if not (set(A).issuperset(pa) and set(B).issuperset(qb)):
+        return False
+    over_b = Counter(map(g.__getitem__, B))
+    return len(P) == sum(map(over_b.__getitem__, map(f.__getitem__, A)))
+
+
+def pullback_issue(P, A, B, p, q, f, g):
+    """None for a pullback square, else the reason the enumeration names,
+    a non-commuting square included."""
+    try:
+        if pullback_by_counting(P, A, B, p, q, f, g):
+            return None
+    except KeyError:
+        pass
+    try:
+        return pullback_failure_by_enumeration(P, A, B, p, q, f, g)
+    except ValueError as exc:
+        return str(exc)
+
+
+def check_segal_by_spines(X):
+    """Segal, with each simplex's spine a tuple of edge ids read from the
+    principal-edge tables of `actions`, which record the compositions."""
+    from decomp.axioms import _composable_count, _composable_strings
+    from decomp.presheaf import actions
+    from decomp.report import Report
+
+    rep = Report("check_segal")
+    act = actions(X)
+    before = act.compositions
+    for k in range(2, X.cap + 1):
+        tables = [act(MonotoneMap(1, k, (i, i + 1))) for i in range(k)]
+        spine = {x: tuple(t[x] for t in tables) for x in X.levels[k]}
+        seen = {}
+        collision = False
+        for x, s in spine.items():
+            if s in seen:
+                rep.fail(degree=k, witness=(seen[s], x), note="spine-collision")
+                collision = True
+            seen[s] = x
+        want = _composable_count(X, k)
+        if not collision and len(spine) != want:
+            missing = next(s for s in _composable_strings(X, k) if s not in seen)
+            rep.fail(degree=k, witness=missing, note="no-filler")
+    rep.data["compositions"] = act.compositions - before
+    rep.verified_upto = X.cap
+    return rep
+
+
+def check_map_class_by_names(F, cls="culf"):
+    """Each naturality square on degeneracies and inner faces, on ids."""
+    from decomp.report import Report
+
+    rep = Report(f"check_map_class[{cls}]")
+    Y, X = F.dom, F.cod
+    if cls in ("conservative", "culf"):
+        for k in range(0, Y.cap):
+            for j in range(k + 1):
+                bad = pullback_issue(Y.levels[k], Y.levels[k + 1], X.levels[k],
+                                     Y.degens[(k, j)], F.components[k],
+                                     F.components[k + 1], X.degens[(k, j)])
+                if bad is not None:
+                    rep.fail(degree=k, note=f"s{j}:{bad}")
+    if cls in ("ulf", "culf"):
+        for k in range(2, Y.cap + 1):
+            for i in range(1, k):
+                bad = pullback_issue(Y.levels[k], Y.levels[k - 1], X.levels[k],
+                                     Y.faces[(k, i)], F.components[k],
+                                     F.components[k - 1], X.faces[(k, i)])
+                if bad is not None:
+                    rep.fail(degree=k, note=f"d{i}:{bad}")
+    rep.verified_upto = Y.cap
+    return rep
+
+
+def check_decomposition_by_names(X, method):
+    """The exactness check, every pullback square on id tables: the direct
+    squares of all generic-free pushouts under the cap, or both decalages
+    Segal with culf counits, or both cross-checked."""
+    from decomp.presheaf import CapError, actions, dec_bot, dec_top
+    from decomp.report import Report
+    from decomp.simplex import free_generators, generic_generators, pushout_generic_free
+
+    rep = Report(f"check_decomposition[{method}]")
+    if X.cap < 3:
+        raise CapError("decomposition check needs cap >= 3")
+    base = validate_sset_by_simplex(X)
+    if not base.ok:
+        rep.absorb(base)
+        return rep
+    if method == "both":
+        direct = check_decomposition_by_names(X, "direct")
+        deca = check_decomposition_by_names(X, "decalage")
+        if direct.status != deca.status:
+            rep.fail(note=f"methods-disagree:{direct.status}/{deca.status}")
+        rep.absorb(direct)
+        rep.absorb(deca)
+    elif method == "decalage":
+        for which, dec in (("top", dec_top), ("bot", dec_bot)):
+            D, counit = dec(X)
+            seg = check_segal_by_spines(D)
+            if not seg.ok:
+                rep.fail(note=f"dec_{which}-not-segal")
+                rep.absorb(seg)
+            culf = check_map_class_by_names(counit, "culf")
+            if not culf.ok:
+                rep.fail(note=f"dec_{which}-counit-not-culf")
+                rep.absorb(culf)
+    else:
+        act = actions(X)
+        before = act.compositions
+        squares = {}
+        for m in range(0, X.cap + 1):
+            for g in generic_generators(m):
+                for f in free_generators(m):
+                    corner = g.tgt + 1
+                    if corner > X.cap or f.tgt > X.cap:
+                        continue
+                    squares[corner] = squares.get(corner, 0) + 1
+                    f2, g2 = pushout_generic_free(g, f)
+                    bad = pullback_issue(X.levels[f2.tgt], X.levels[g.tgt], X.levels[f.tgt],
+                                         act(f2), act(g2), act(g), act(f))
+                    if bad is not None:
+                        rep.fail(degree=corner, note=f"pushout({g},{f}):{bad}")
+        rep.data["squares"] = squares
+        rep.data["compositions"] = act.compositions - before
+    rep.verified_upto = X.cap
+    return rep
+
+
+def validate_sset_map_by_simplex(F):
+    """Totality of each component, then naturality simplex by simplex."""
+    from decomp.report import Report
+
+    rep = Report("validate_map")
+    X, Y = F.dom, F.cod
+    if X.cap > Y.cap:
+        rep.fail(note="dom-cap-exceeds-cod-cap")
+        return rep
+    for k in range(0, X.cap + 1):
+        if k not in F.components:
+            rep.fail(degree=k, note="missing-component")
+            continue
+        _totality_by_item(rep, f"F[{k}]", F.components[k], X.levels[k], Y.levels[k])
+    if not rep.ok:
+        return rep
+    for k in range(1, X.cap + 1):
+        for i in range(k + 1):
+            fk, fk1 = F.components[k], F.components[k - 1]
+            dX, dY = X.faces[(k, i)], Y.faces[(k, i)]
+            for x in X.levels[k]:
+                if fk1[dX[x]] != dY[fk[x]]:
+                    rep.fail(degree=k, witness=(x,), note=f"naturality-d{i}")
+    for k in range(0, X.cap):
+        for j in range(k + 1):
+            fk, fk1 = F.components[k], F.components[k + 1]
+            sX, sY = X.degens[(k, j)], Y.degens[(k, j)]
+            for x in X.levels[k]:
+                if fk1[sX[x]] != sY[fk[x]]:
+                    rep.fail(degree=k, witness=(x,), note=f"naturality-s{j}")
+    rep.verified_upto = X.cap
+    return rep
+
+
+def validate_xiset_map_by_simplex(G):
+    """Totality of each component, then naturality against every site
+    generator, simplex by simplex."""
+    from decomp.presheaf import _generator_table, xi_generators
+    from decomp.report import Report
+
+    rep = Report("validate_map")
+    A, B = G.dom, G.cod
+    if A.cap > B.cap:
+        rep.fail(note="dom-cap-exceeds-cod-cap")
+        return rep
+    for k in range(-1, A.cap + 1):
+        if k not in G.components:
+            rep.fail(degree=k, note="missing-component")
+            continue
+        _totality_by_item(rep, f"G[{k}]", G.components[k], A.levels[k], B.levels[k])
+    if not rep.ok:
+        return rep
+    for name, arrow, tA in xi_generators(A):
+        tB = _generator_table(B, arrow.rep, 2)
+        ga, gb = G.components[arrow.src], G.components[arrow.tgt]
+        for x in A.levels[arrow.tgt]:
+            if ga[tA[x]] != tB[gb[x]]:
+                rep.fail(degree=arrow.tgt, witness=(x,), note=f"naturality-{name}")
+    rep.verified_upto = A.cap
+    return rep

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -198,6 +199,16 @@ def test_max_level_size_must_be_a_positive_integer(monkeypatch, d6_file, tmp_pat
     monkeypatch.setenv("DECOMP_MAX_LEVEL_SIZE", "ten")
     assert main(["nerve", d6_file, "-o", str(tmp_path / "x.sset")]) == 2
     assert "DECOMP_MAX_LEVEL_SIZE='ten'" in capsys.readouterr().err
+
+
+def test_nerve_refuses_tables_over_the_budget(d6_file, tmp_path, capsys):
+    """d6 at cap 100 has no level over the level-size limit, but its tables
+    would hold about 5.3e7 entries: the build stops before making any."""
+    started = time.perf_counter()
+    assert main(["nerve", d6_file, "--cap", "100", "-o", str(tmp_path / "x.sset")]) == 2
+    assert time.perf_counter() - started < 5
+    assert "DECOMP_MAX_LEVEL_SIZE" in capsys.readouterr().err
+    assert not (tmp_path / "x.sset").exists()
 
 
 def test_registry_add_refuses_damaged_registry(tmp_path, capsys):

@@ -8,12 +8,12 @@ from math import factorial, prod
 
 import oracles
 import pytest
-from conftest import assert_isomorphism
+from conftest import assert_isomorphism, filter_nerve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decomp import labeling
-from decomp.axioms import check_decomposition, check_tight
+from decomp.axioms import check_decomposition, check_map_class, check_segal, check_tight
 from decomp.formats import (
     parse_smap_text,
     parse_sset,
@@ -40,14 +40,19 @@ from decomp.interval import (
     xi_system,
 )
 from decomp.presheaf import (
+    FinXiSet,
     actions,
     dec_bot,
+    dec_top,
     fibres,
     long_edge_table,
     nondegenerate,
     pullback_failure,
     truncate,
+    u_star_map,
     validate_sset,
+    validate_sset_map,
+    validate_xiset_map,
 )
 from decomp.simplex import all_monotone
 from oracles import pullback_failure_by_enumeration, validate_sset_by_simplex
@@ -134,6 +139,42 @@ def test_pullback_reference_reports_each_kind():
 
 
 @st.composite
+def drawn_posets(draw, least=1, chain=0):
+    """A poset on least to 4 elements e0, e1, ..., with e0 < ... < e{chain}
+    and up to five more drawn relations."""
+    n = draw(st.integers(least, 4))
+    names = [f"e{i}" for i in range(n)]
+    relations = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda ij: ij[0] < ij[1]), max_size=5))
+    relations += [(i, i + 1) for i in range(chain)]
+    return PosetSpec.from_pairs(names, [(names[i], names[j]) for i, j in relations])
+
+
+def small_poset_nerves():
+    return st.builds(nerve_poset, drawn_posets(), st.integers(2, 4))
+
+
+@st.composite
+def planted_removals(draw):
+    """A poset nerve with every chain through one strict 2-chain a < b < c
+    removed: its edges stay, but no 2-simplex fills a <= b <= c."""
+    X = nerve_poset(draw(drawn_posets(least=3, chain=2)), draw(st.integers(3, 5)))
+    corners = set(draw(st.sampled_from(nondegenerate(X, 2))).split("≤"))
+    return filter_nerve(X, lambda vs: not corners <= set(vs))
+
+
+def exactness_inputs():
+    """Poset nerves, truncated additions and planted removals at caps the
+    exactness check accepts."""
+    return st.one_of(
+        st.builds(nerve_poset, drawn_posets(), st.integers(3, 5)),
+        st.builds(lambda b, cap: nerve(truncated_addition(b), cap),
+                  st.integers(0, 4), st.integers(3, 6)),
+        planted_removals())
+
+
+@st.composite
 def rewired_nerves(draw):
     """A small poset nerve with one structure-map entry changed.
 
@@ -142,13 +183,7 @@ def rewired_nerves(draw):
     level; the stabilization claim is sometimes lowered so that it fails
     too.
     """
-    n = draw(st.integers(1, 4))
-    names = [f"e{i}" for i in range(n)]
-    relations = draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-        .filter(lambda ij: ij[0] < ij[1]), max_size=5))
-    spec = PosetSpec.from_pairs(names, [(names[i], names[j]) for i, j in relations])
-    X = nerve_poset(spec, draw(st.integers(2, 4)))
+    X = draw(small_poset_nerves())
     if draw(st.booleans()):
         X = replace(X, stable_from=draw(st.integers(0, X.cap)))
     if draw(st.booleans()):
@@ -172,7 +207,7 @@ def rewired_nerves(draw):
 
 
 @SETTINGS
-@given(rewired_nerves())
+@given(st.one_of(rewired_nerves(), exactness_inputs()))
 def test_validate_sset_matches_per_simplex_check(X):
     assert validate_sset(X).lines() == validate_sset_by_simplex(X).lines()
 
@@ -316,17 +351,6 @@ def test_pruned_search_keeps_a_late_least_leaf(leaf_keys):
     assert len(leaf_keys) <= 10
 
 
-@st.composite
-def small_poset_nerves(draw):
-    n = draw(st.integers(1, 4))
-    names = [f"e{i}" for i in range(n)]
-    relations = draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-        .filter(lambda ij: ij[0] < ij[1]), max_size=5))
-    spec = PosetSpec.from_pairs(names, [(names[i], names[j]) for i, j in relations])
-    return nerve_poset(spec, draw(st.integers(2, 4)))
-
-
 @settings(max_examples=40, deadline=None, database=None)
 @given(small_poset_nerves())
 def test_actions_match_the_per_word_walk(X):
@@ -435,3 +459,98 @@ def test_factorisation_intervals_match_per_arrow_cut():
             assert iv.data.stable_from == want.data.stable_from
             assert iv.provenance == want.provenance
             assert embed.components == want_embed.components
+
+
+# ---------------------------------------------------------------------------
+# the index-list kernels against the same checks on id tables
+
+
+def _report(check, *args):
+    """The lines and data of check(*args), or what it raised."""
+    got = outcome(check, *args)
+    return (got[1].lines(), got[1].data) if got[0] == "value" else got
+
+
+def _total(X):
+    """Does every table map its whole level into the next?"""
+    shape = ("-not-total", "-extra-source", "-target-outside-level")
+    return not any(note in line for line in validate_sset_by_simplex(X).lines()
+                   for note in shape)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(exactness_inputs(), rewired_nerves()))
+def test_index_kernels_match_checks_on_ids(X):
+    """Every check run on index lists renders, data included, as the same
+    check counted on id tables, each on a fresh copy of the object."""
+    for method in ("direct", "decalage", "both"):
+        assert (_report(check_decomposition, replace(X), method)
+                == _report(oracles.check_decomposition_by_names, replace(X), method))
+    if not _total(X):
+        return
+    assert _report(check_segal, replace(X)) == _report(oracles.check_segal_by_spines, replace(X))
+    for dec in (dec_top, dec_bot):
+        for cls in ("conservative", "ulf", "culf"):
+            assert (_report(check_map_class, dec(replace(X))[1], cls)
+                    == _report(oracles.check_map_class_by_names, dec(replace(X))[1], cls))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(exactness_inputs())
+def test_direct_and_decalage_verdicts_agree(X):
+    """The generic-free pushout squares are pullbacks exactly when both
+    decalages are Segal with culf counits (GKT I); a planted removal fails."""
+    direct = check_decomposition(X, "direct")
+    assert direct.status == check_decomposition(X, "decalage").status
+    assert check_decomposition(X, "both").status == direct.status
+
+
+def test_planted_removals_fail_exactness_inside_a_longer_chain():
+    """Removing the chains through one triangle of a nerve leaves a valid
+    simplicial set, never Segal.  Inside a 3-chain both methods find it not
+    exact; the 2-chain without its triangle is exact, 0 < 2 having become
+    indecomposable through 1."""
+    for spec in (chain_poset(2), chain_poset(3), divisor_poset(12), boolean_poset(3)):
+        X = nerve_poset(spec, 4)
+        for t in nondegenerate(X, 2):
+            corners = set(t.split("≤"))
+            Y = filter_nerve(X, lambda vs: not corners <= set(vs))
+            assert validate_sset(Y).ok and not check_segal(Y).ok
+            want = "PASS" if len(spec.elements) == 3 else "FAIL"
+            assert check_decomposition(Y, "direct").status == want
+            assert check_decomposition(Y, "decalage").status == want
+
+
+@st.composite
+def rewired_maps(draw):
+    """A decalage counit of a poset nerve, or its image under u*, with one
+    component entry retargeted within its level, sent outside it, deleted
+    or renamed, or left alone."""
+    X = nerve_poset(draw(drawn_posets()), draw(st.integers(3, 4)))
+    _, F = draw(st.sampled_from([dec_top, dec_bot]))(X)
+    if draw(st.booleans()):
+        F = u_star_map(F)
+    comps = dict(F.components)
+    k = draw(st.sampled_from(sorted(comps)))
+    table = dict(comps[k])
+    x = draw(st.sampled_from(sorted(table)))
+    how = draw(st.sampled_from(["retarget", "retarget", "outside", "delete", "rename", "none"]))
+    if how == "retarget":
+        table[x] = draw(st.sampled_from(F.cod.levels[k]))
+    elif how == "outside":
+        table[x] = "nowhere"
+    elif how == "delete":
+        del table[x]
+    elif how == "rename":
+        table["nowhere"] = table.pop(x)
+    comps[k] = table
+    return replace(F, components=comps)
+
+
+@SETTINGS
+@given(rewired_maps())
+def test_map_validation_matches_per_simplex_check(F):
+    if isinstance(F.dom, FinXiSet):
+        assert validate_xiset_map(F).lines() == oracles.validate_xiset_map_by_simplex(F).lines()
+    else:
+        assert validate_sset_map(F).lines() == oracles.validate_sset_map_by_simplex(F).lines()

@@ -224,6 +224,20 @@ def test_level_guard(monkeypatch):
     assert "DECOMP_MAX_LEVEL_SIZE" in str(err.value)
 
 
+def test_table_guard_counts_every_entry(monkeypatch):
+    """d12 at cap 6 has 6,546 table entries and at most 288 simplices a
+    level; the table limit is 20 times the level-size limit."""
+    X = nerve_poset(divisor_poset(12), 6)
+    entries = sum(map(len, X.faces.values())) + sum(map(len, X.degens.values()))
+    assert entries == 6546 and max(map(len, X.levels.values())) == 288
+    monkeypatch.setenv("DECOMP_MAX_LEVEL_SIZE", "328")
+    assert nerve_poset(divisor_poset(12), 6).faces == X.faces
+    monkeypatch.setenv("DECOMP_MAX_LEVEL_SIZE", "327")
+    with pytest.raises(SpecError) as err:
+        nerve_poset(divisor_poset(12), 6)
+    assert "6546 entries" in str(err.value) and "DECOMP_MAX_LEVEL_SIZE" in str(err.value)
+
+
 @pytest.mark.parametrize("raw", ["ten", "0", "-3", "1.5"])
 def test_level_guard_rejects_a_bad_limit(monkeypatch, raw):
     monkeypatch.setenv("DECOMP_MAX_LEVEL_SIZE", raw)
