@@ -14,7 +14,6 @@ from .presheaf import (
     SSetMap,
     XiSetMap,
     _component_indices,
-    _counted_pullback,
     _generator_table,
     _index_view,
     actions,
@@ -30,19 +29,6 @@ from .presheaf import (
 )
 from .report import Report
 from .simplex import MonotoneMap, free_generators, generic_generators, pushout_generic_free
-
-
-def _pullback_issue(square, named) -> str | None:
-    """None if the square (p, q, f, g) of index lists is a pullback, else
-    the failure `pullback_failure` names on the square of id tables that
-    named() returns as (P, A, B, p, q, f, g), a non-commuting square
-    included.  Only a failing square is ever named."""
-    if _counted_pullback(*square):
-        return None
-    try:
-        return pullback_failure(*named())
-    except ValueError as exc:
-        return str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +153,8 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
                     continue
                 squares[corner] = squares.get(corner, 0) + 1
                 f2, g2 = pushout_generic_free(g, f)
-                bad = _pullback_issue(
-                    tuple(map(act.index, (f2, g2, g, f))),
-                    lambda: (X.levels[f2.tgt], X.levels[g.tgt], X.levels[f.tgt],
-                             act(f2), act(g2), act(g), act(f)),
-                )
+                bad = pullback_failure(X.levels[f2.tgt], X.levels[g.tgt], X.levels[f.tgt],
+                                       *map(act.index, (f2, g2, g, f)))
                 if bad is not None:
                     rep.fail(degree=corner, note=f"pushout({g},{f}):{bad}")
     rep.data["squares"] = squares
@@ -196,23 +179,17 @@ def check_map_class(F: SSetMap, cls: str = "culf") -> Report:
     if cls in ("conservative", "culf"):
         for k in range(0, Y.cap):
             for j in range(k + 1):
-                bad = _pullback_issue(
-                    (vY.degens[(k, j)], comp[k], comp[k + 1], vX.degens[(k, j)]),
-                    lambda: (Y.levels[k], Y.levels[k + 1], X.levels[k],
-                             Y.degens[(k, j)], F.components[k],
-                             F.components[k + 1], X.degens[(k, j)]),
-                )
+                bad = pullback_failure(Y.levels[k], Y.levels[k + 1], X.levels[k],
+                                       vY.degens[(k, j)], comp[k], comp[k + 1],
+                                       vX.degens[(k, j)])
                 if bad is not None:
                     rep.fail(degree=k, note=f"s{j}:{bad}")
     if cls in ("ulf", "culf"):
         for k in range(2, Y.cap + 1):
             for i in range(1, k):
-                bad = _pullback_issue(
-                    (vY.faces[(k, i)], comp[k], comp[k - 1], vX.faces[(k, i)]),
-                    lambda: (Y.levels[k], Y.levels[k - 1], X.levels[k],
-                             Y.faces[(k, i)], F.components[k],
-                             F.components[k - 1], X.faces[(k, i)]),
-                )
+                bad = pullback_failure(Y.levels[k], Y.levels[k - 1], X.levels[k],
+                                       vY.faces[(k, i)], comp[k], comp[k - 1],
+                                       vX.faces[(k, i)])
                 if bad is not None:
                     rep.fail(degree=k, note=f"d{i}:{bad}")
     rep.verified_upto = Y.cap
@@ -223,12 +200,12 @@ def check_map_class(F: SSetMap, cls: str = "culf") -> Report:
 # flanked presheaves and interval-site map classes
 
 
-def _outer_square(A: FinXiSet, n: int, down: int, up: int, pick) -> str | None:
-    """The issue of the square of A's tables that pick(T) takes from T, A or
-    its index view, as (p, q, f, g), over levels n, n + down and n + up."""
-    return _pullback_issue(
-        pick(_index_view(A)),
-        lambda: (A.levels[n], A.levels[n + down], A.levels[n + up], *pick(A)))
+def _outer_square(A: FinXiSet, rep: Report, n: int, step: int, note: str, *square) -> None:
+    """Fail rep at degree n, naming the fault, unless the square (p, q, f, g)
+    of A's index lists over levels n, n + step and n + 1 is a pullback."""
+    bad = pullback_failure(A.levels[n], A.levels[n + step], A.levels[n + 1], *square)
+    if bad is not None:
+        rep.fail(degree=n, note=f"{note}:{bad}")
 
 
 def check_flanked(A: FinXiSet, bonus: bool = False) -> Report:
@@ -236,15 +213,12 @@ def check_flanked(A: FinXiSet, bonus: bool = False) -> Report:
     outer faces?  With bonus=True also checks the derived square families
     against every face and degeneracy."""
     rep = Report("check_flanked")
+    T = _index_view(A)
     for n in range(0, A.cap):
-        bad = _outer_square(A, n, -1, 1, lambda T: (
-            T.faces[(n, n)], T.degens[(n, -1)], T.degens[(n - 1, -1)], T.faces[(n + 1, n + 1)]))
-        if bad is not None:
-            rep.fail(degree=n, note=f"sbot-vs-dtop:{bad}")
-        bad = _outer_square(A, n, -1, 1, lambda T: (
-            T.faces[(n, 0)], T.degens[(n, n + 1)], T.degens[(n - 1, n)], T.faces[(n + 1, 0)]))
-        if bad is not None:
-            rep.fail(degree=n, note=f"stop-vs-dbot:{bad}")
+        _outer_square(A, rep, n, -1, "sbot-vs-dtop", T.faces[(n, n)], T.degens[(n, -1)],
+                      T.degens[(n - 1, -1)], T.faces[(n + 1, n + 1)])
+        _outer_square(A, rep, n, -1, "stop-vs-dbot", T.faces[(n, 0)], T.degens[(n, n + 1)],
+                      T.degens[(n - 1, n)], T.faces[(n + 1, 0)])
     if bonus:
         _bonus_pullbacks(A, rep)
     rep.verified_upto = A.cap - 1
@@ -252,30 +226,19 @@ def check_flanked(A: FinXiSet, bonus: bool = False) -> Report:
 
 
 def _bonus_pullbacks(A: FinXiSet, rep: Report) -> None:
+    T = _index_view(A)
     for n in range(0, A.cap):
         for i in range(n + 1):
-            bad = _outer_square(A, n, -1, 1, lambda T: (
-                T.faces[(n, i)], T.degens[(n, -1)], T.degens[(n - 1, -1)],
-                T.faces[(n + 1, i + 1)]))
-            if bad is not None:
-                rep.fail(degree=n, note=f"bonus-sbot-d{i}:{bad}")
-            bad = _outer_square(A, n, -1, 1, lambda T: (
-                T.faces[(n, i)], T.degens[(n, n + 1)], T.degens[(n - 1, n)],
-                T.faces[(n + 1, i)]))
-            if bad is not None:
-                rep.fail(degree=n, note=f"bonus-stop-d{i}:{bad}")
+            _outer_square(A, rep, n, -1, f"bonus-sbot-d{i}", T.faces[(n, i)],
+                          T.degens[(n, -1)], T.degens[(n - 1, -1)], T.faces[(n + 1, i + 1)])
+            _outer_square(A, rep, n, -1, f"bonus-stop-d{i}", T.faces[(n, i)],
+                          T.degens[(n, n + 1)], T.degens[(n - 1, n)], T.faces[(n + 1, i)])
     for n in range(0, A.cap - 1):
         for j in range(-1, n + 1):
-            bad = _outer_square(A, n, 1, 1, lambda T: (
-                T.degens[(n, j)], T.degens[(n, -1)], T.degens[(n + 1, -1)],
-                T.degens[(n + 1, j + 1)]))
-            if bad is not None:
-                rep.fail(degree=n, note=f"bonus-sbot-s{j}:{bad}")
-            bad = _outer_square(A, n, 1, 1, lambda T: (
-                T.degens[(n, j)], T.degens[(n, n + 1)], T.degens[(n + 1, n + 2)],
-                T.degens[(n + 1, j)]))
-            if bad is not None:
-                rep.fail(degree=n, note=f"bonus-stop-s{j}:{bad}")
+            _outer_square(A, rep, n, 1, f"bonus-sbot-s{j}", T.degens[(n, j)],
+                          T.degens[(n, -1)], T.degens[(n + 1, -1)], T.degens[(n + 1, j + 1)])
+            _outer_square(A, rep, n, 1, f"bonus-stop-s{j}", T.degens[(n, j)],
+                          T.degens[(n, n + 1)], T.degens[(n + 1, n + 2)], T.degens[(n + 1, j)])
 
 
 def check_wide(g: XiSetMap) -> bool:
@@ -292,13 +255,10 @@ def cartesian_report(g: XiSetMap) -> Report:
     if A.cap > B.cap:
         raise CapError("map components exceed the codomain cap")
     vB, comp = _index_view(B), _component_indices(g, -1)
-    for (name, arrow, tA), (_, _, iA) in zip(xi_generators(A), xi_generators(_index_view(A))):
-        bad = _pullback_issue(
-            (iA, comp[arrow.tgt], comp[arrow.src], _generator_table(vB, arrow.rep, 2)),
-            lambda: (A.levels[arrow.tgt], A.levels[arrow.src], B.levels[arrow.tgt],
-                     tA, g.components[arrow.tgt],
-                     g.components[arrow.src], _generator_table(B, arrow.rep, 2)),
-        )
+    for name, arrow, tA in xi_generators(_index_view(A)):
+        bad = pullback_failure(A.levels[arrow.tgt], A.levels[arrow.src], B.levels[arrow.tgt],
+                               tA, comp[arrow.tgt], comp[arrow.src],
+                               _generator_table(vB, arrow.rep, 2))
         if bad is not None:
             rep.fail(degree=arrow.tgt, note=f"{name}:{bad}")
     rep.verified_upto = A.cap

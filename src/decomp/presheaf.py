@@ -25,10 +25,11 @@ the totality check of validation; the identities and relations are then
 whole-level comparisons of composed index lists.  act.index(a) composes
 X(a) from those lists; act(a) gives name-based callers the same map as a
 table of ids, built once per requested map.  Every pullback square is
-decided by one counting kernel on index lists, `_counted_pullback`;
-`pullback_failure` indexes its id tables to call it, and names the fault
-of a failing square by enumeration.  Decalage, `u_star`, `i_star` and
-`truncate` pass on the levels and tables the view has already made.
+given as index lists with the id lists of its three corners and goes
+through `pullback_failure`: one counting kernel decides it, and only a
+failing square is enumerated, on the same lists, to name its fault by
+id.  Decalage, `u_star`, `i_star` and `truncate` pass on the levels and
+tables the view has already made.
 """
 
 from __future__ import annotations
@@ -746,51 +747,36 @@ def ez_decompose(X: FinSSet, k: int, x: str) -> tuple[list[int], str]:
 # finite pullback squares
 
 
-def pullback_failure(P, A, B, p, q, f, g) -> str | None:
-    """Why P -> A x_C B fails to be a bijection, or None if it is one.
+def pullback_failure(P: list, A: list, B: list, p: list[int], q: list[int],
+                     f: list[int], g: list[int]) -> str | None:
+    """Why the square p: P -> A, q: P -> B over f: A -> C, g: B -> C fails
+    to be a pullback, or None if it is one.
 
-    The square is p: P -> A, q: P -> B over f: A -> C, g: B -> C; it must
-    commute (f.p = g.q), otherwise ValueError.
-
-    The square is indexed and decided by `_counted_pullback`.  Any square
-    that fails there, or cannot be indexed because a table is not total or
-    maps outside A or B, is enumerated element by element, which names the
-    first failure.
+    p, q, f and g are index lists, as `_counted_pullback` takes them: entry
+    n of p is the position in A of the image of P[n], and f and g list the
+    positions in C that A and B reach.  P, A and B list the ids that name
+    those positions.  Only a square the kernel rejects is enumerated, in
+    the order of P, then of A and B, to name its first fault: a position
+    where the square does not commute, two elements of P with the same
+    pair, or a pair of A x_C B that P misses.
     """
-    try:
-        if _counted_pullback(*_indexed_square(P, A, B, p, q, f, g)):
-            return None
-    except KeyError:
-        pass  # the enumeration raises it again, at the same element
-    seen: dict[tuple[str, str], str] = {}
-    for x in P:
-        a, b = p[x], q[x]
+    if _counted_pullback(p, q, f, g):
+        return None
+    seen: dict[tuple[int, int], int] = {}
+    for n, (a, b) in enumerate(zip(p, q)):
         if f[a] != g[b]:
-            raise ValueError(f"square does not commute at {x}")
-        key = (a, b)
-        if key in seen:
-            return f"comparison-not-injective:{seen[key]},{x}"
-        seen[key] = x
-    by_corner: dict[str, list[str]] = {}
-    for b in B:
-        by_corner.setdefault(g[b], []).append(b)
-    for a in A:
-        for b in by_corner.get(f[a], ()):
+            return f"square does not commute at {P[n]}"
+        if (a, b) in seen:
+            return f"comparison-not-injective:{P[seen[a, b]]},{P[n]}"
+        seen[a, b] = n
+    by_corner: dict[int, list[int]] = {}
+    for b, c in enumerate(g):
+        by_corner.setdefault(c, []).append(b)
+    for a, c in enumerate(f):
+        for b in by_corner.get(c, ()):
             if (a, b) not in seen:
-                return f"missing-fiber-pair:{a},{b}"
+                return f"missing-fiber-pair:{A[a]},{B[b]}"
     return None
-
-
-def _indexed_square(P, A, B, p, q, f, g) -> tuple[list[int], ...]:
-    """The square of id tables as index lists: p and q into positions of
-    A and B, f and g into positions of the ids of C they reach."""
-    at_a = dict(zip(A, range(len(A))))
-    at_b = dict(zip(B, range(len(B))))
-    corner: dict[str, int] = {}
-    return (list(map(at_a.__getitem__, map(p.__getitem__, P))),
-            list(map(at_b.__getitem__, map(q.__getitem__, P))),
-            [corner.setdefault(f[a], len(corner)) for a in A],
-            [corner.setdefault(g[b], len(corner)) for b in B])
 
 
 def _counted_pullback(p: list[int], q: list[int], f: list[int], g: list[int]) -> bool:

@@ -27,7 +27,7 @@ from .interval import (
     factorisation_intervals,
 )
 from .interval import factorisation_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .presheaf import actions, i_star, long_edge_table, validate_xiset
+from .presheaf import _index_view, actions, i_star, long_edge_table, validate_xiset
 from .report import Report
 from .simplex import MonotoneMap
 
@@ -212,7 +212,7 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
     cache: dict[tuple[str, str], tuple] = {}
 
     def subinterval(digest: str, arrow: str):
-        """Canonical class, level-1 relabeling and actions of an arrow's
+        """Canonical class, level-1 relabeling and presheaf of an arrow's
         interval; every interval of an extension is cut at its first use."""
         key = (digest, arrow)
         if key not in cache:
@@ -223,7 +223,7 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
             if cls.digest not in reg.entries:
                 raise RegistryError(
                     f"registry is not closed: missing {cls.digest[:12]}")
-            cache[key] = (cls.digest, relabel[1], actions(sub.data))
+            cache[key] = (cls.digest, relabel[1], sub.data)
         return cache[key]
 
     def outer_face(digest: str, x: str, k: int, i: int) -> tuple[str, str]:
@@ -232,14 +232,14 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
         tau = data.faces[(k, i)][x]
         ell = long_edge_table(i_star(data), k - 1)[tau]
         arrow = ext.embed.components[1][ell]
-        sub_digest, sub_arrows, sub_act = subinterval(digest, arrow)
+        sub_digest, sub_arrows, sub = subinterval(digest, arrow)
         N = ext.nerve
         tau_n = ext.embed.components[k - 1][tau]
         flank = N.degens[(k, 0)][N.degens[(k - 1, k - 1)][tau_n]]
-        chain = []
-        for pos in range(1, k + 2):
-            rep = MonotoneMap(3, k + 1, (0, pos - 1, pos, k + 1))
-            chain.append(sub_act(rep)[flank])
+        at = _index_view(sub).pos[k - 1][flank]
+        act = actions(sub)
+        chain = [sub.levels[1][act.index(MonotoneMap(3, k + 1, (0, pos - 1, pos, k + 1)))[at]]
+                 for pos in range(1, k + 2)]
         target_ext = exts[sub_digest]
         new_id = target_ext.chain_id([sub_arrows[h] for h in chain])
         return (sub_digest, new_id)
@@ -277,7 +277,6 @@ def fragment_square_report(frag: Fragment) -> Report:
         return rep
     d = frag.faces
     u3, u2, u1, u0 = (frag.levels[k] for k in (3, 2, 1, 0))
-    d0d0 = {x: d[(2, 0)][d[(3, 0)][x]] for x in u3}
     fp1 = []
     by_vertex: dict = {}
     for y in u1:
@@ -285,19 +284,19 @@ def fragment_square_report(frag: Fragment) -> Report:
     for t in u2:
         for y in by_vertex.get(d[(1, 0)][d[(2, 0)][t]], ()):
             fp1.append((t, y))
-    fp1_ids = {p: f"fp1#{n}" for n, p in enumerate(sorted(fp1))}
-    q_table = {x: fp1_ids[(d[(3, 3)][x], d0d0[x])] for x in u3}
-    lower_pair = {t: (d[(2, 2)][t], d[(2, 0)][t]) for t in u2}
-    fp0 = []
+    fp1.sort()
+    at1 = dict(zip(fp1, range(len(fp1))))
+    fp0 = {}
     for y in u1:
         for y2 in by_vertex.get(d[(1, 0)][y], ()):
-            fp0.append((y, y2))
-    fp0_ids = {p: f"fp0#{n}" for n, p in enumerate(sorted(fp0))}
-    f_table = {t: fp0_ids[lower_pair[t]] for t in u2}
-    g_table = {fp1_ids[(t, y)]: fp0_ids[(d[(2, 1)][t], y)] for (t, y) in fp1}
+            fp0[(y, y2)] = len(fp0)
+    at2 = dict(zip(u2, range(len(u2))))
     bad = pullback_failure(
-        u3, u2, list(fp1_ids.values()),
-        d[(3, 1)], q_table, f_table, g_table,
+        u3, u2, [f"fp1#{n}" for n in range(len(fp1))],
+        [at2[d[(3, 1)][x]] for x in u3],
+        [at1[(d[(3, 3)][x], d[(2, 0)][d[(3, 0)][x]])] for x in u3],
+        [fp0[(d[(2, 2)][t], d[(2, 0)][t])] for t in u2],
+        [fp0[(d[(2, 1)][t], y)] for t, y in fp1],
     )
     if bad is not None:
         rep.fail(degree=3, note=bad)

@@ -549,6 +549,21 @@ def pullback_by_counting(P, A, B, p, q, f, g) -> bool:
     return len(P) == sum(map(over_b.__getitem__, map(f.__getitem__, A)))
 
 
+def indexed_square(P, A, B, p, q, f, g):
+    """The square of id tables as `pullback_failure` takes it: the id lists
+    P, A and B, then p and q as positions in A and B, and f and g as
+    positions of the ids of C they reach.  A table that is not total, or
+    an image outside A or B, raises KeyError."""
+    at_a = dict(zip(A, range(len(A))))
+    at_b = dict(zip(B, range(len(B))))
+    corner = {}
+    return (P, A, B,
+            list(map(at_a.__getitem__, map(p.__getitem__, P))),
+            list(map(at_b.__getitem__, map(q.__getitem__, P))),
+            [corner.setdefault(f[a], len(corner)) for a in A],
+            [corner.setdefault(g[b], len(corner)) for b in B])
+
+
 def pullback_issue(P, A, B, p, q, f, g):
     """None for a pullback square, else the reason the enumeration names,
     a non-commuting square included."""

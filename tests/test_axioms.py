@@ -50,6 +50,38 @@ def test_direct_exactness_and_segal_record_their_work():
     assert check_decomposition(X, "direct").data["compositions"] == 48
 
 
+def test_every_square_is_decided_by_pullback_failure(monkeypatch):
+    """Each check sends every square it decides, passing ones included,
+    through the module-level `pullback_failure`, so a wrapper bound to that
+    name sees them all."""
+    import decomp.axioms
+
+    calls = []
+    decide = decomp.axioms.pullback_failure
+
+    def counted(*square):
+        calls.append(square)
+        return decide(*square)
+
+    monkeypatch.setattr(decomp.axioms, "pullback_failure", counted)
+    for X in (nerve_poset(divisor_poset(12), 6), chipped_object()):
+        calls.clear()
+        rep = check_decomposition(X, "direct")
+        assert len(calls) == sum(rep.data["squares"].values())
+    assert not rep.ok
+    _, counit = dec_bot(nerve_poset(divisor_poset(12), 5))
+    calls.clear()
+    assert check_map_class(counit, "culf").ok
+    cap = counit.dom.cap
+    degeneracies = sum(k + 1 for k in range(cap))
+    inner_faces = sum(k - 1 for k in range(2, cap + 1))
+    assert len(calls) == degeneracies + inner_faces
+    A = u_star(nerve_poset(divisor_poset(12), 6))
+    calls.clear()
+    assert check_flanked(A).ok
+    assert len(calls) == 2 * A.cap
+
+
 def test_segal_point():
     assert check_segal(point_sset(4)).ok
 

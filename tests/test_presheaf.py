@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 from math import comb
 
 import pytest
+from oracles import indexed_square, pullback_issue
 
 from decomp.axioms import check_cartesian, check_flanked, check_map_class
 from decomp.ingest import chain_poset, divisor_poset, nerve_poset
@@ -226,10 +227,18 @@ def test_ez_bijection_counts(poset_nerves):
             assert total == len(X.levels[k])
 
 
+def square_issue(*square):
+    """pullback_failure on the indexed square of id tables, checked against
+    the reason the reference enumeration names on the id tables."""
+    got = pullback_failure(*indexed_square(*square))
+    assert got == pullback_issue(*square)
+    return got
+
+
 def test_pullback_identity_square():
     ids = ["a", "b"]
     table = {x: x for x in ids}
-    assert pullback_failure(ids, ids, ids, table, table, table, table) is None
+    assert square_issue(ids, ids, ids, table, table, table, table) is None
 
 
 def test_pullback_of_constructed_fiber_product():
@@ -240,18 +249,18 @@ def test_pullback_of_constructed_fiber_product():
     P = [f"{a}|{b}" for a in A for b in B if f[a] == g[b]]
     p = {x: x.split("|")[0] for x in P}
     q = {x: x.split("|")[1] for x in P}
-    assert pullback_failure(P, A, B, p, q, f, g) is None
+    assert square_issue(P, A, B, p, q, f, g) is None
     # plant a duplicate: collapsing two fiber points breaks injectivity
     P2 = P + ["extra"]
     p2 = dict(p, extra="a1")
     q2 = dict(q, extra="b1")
-    assert pullback_failure(P2, A, B, p2, q2, f, g) is not None
+    assert square_issue(P2, A, B, p2, q2, f, g) == "comparison-not-injective:a1|b1,extra"
 
 
 def test_pullback_rejects_noncommuting():
-    with pytest.raises(ValueError):
-        pullback_failure(["x"], ["a"], ["b"], {"x": "a"}, {"x": "b"},
+    assert (square_issue(["x"], ["a"], ["b"], {"x": "a"}, {"x": "b"},
                          {"a": "c1"}, {"b": "c2"})
+            == "square does not commute at x")
 
 
 def test_u_star_of_culf_is_cartesian(poset_nerves):
