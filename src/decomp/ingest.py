@@ -7,7 +7,10 @@ a category's are its arrows.  Monoid multiplication tables may be partial:
 a string is a simplex only when all its contiguous products are defined.
 That is what makes truncations of infinite monoids (the additive naturals
 cut at a bound, say) ingestible while genuinely non-stabilizing monoids
-are rejected up front.
+are rejected up front.  `mobius_length` reads the longest string of
+non-identity arrows with a defined composite off the composite table: it
+is the nerve's stable degree, and plus 3 its default cap.  Categories with
+composable cycles have no such bound and need an explicit cap.
 """
 
 from __future__ import annotations
@@ -79,7 +82,23 @@ def check_name(name: str) -> str:
 # the one nerve builder
 
 
-def _nerve(objects, arrows, identities, comp, link, bound, cap, sort_levels=False) -> FinSSet:
+def mobius_length(comp, units) -> tuple[int, frozenset]:
+    """The Möbius length: the longest string of arrows outside units whose
+    composite is defined, where comp[f][g] is the composite f then g.
+
+    Frontier n holds the composites of the n-strings; each fixes the next.
+    Returns the number of non-empty frontiers and the first frontier met
+    twice, which is empty exactly when the length is bounded.
+    """
+    frontier = frozenset(f for f in comp if f not in units)
+    seen = set()
+    while frontier and frontier not in seen:
+        seen.add(frontier)
+        frontier = frozenset(h for c in frontier for g, h in comp[c].items() if g not in units)
+    return len(seen), frontier
+
+
+def _nerve(objects, arrows, identities, comp, link, cap, sort_levels=False) -> FinSSet:
     """Level k holds the strings p·g of a (k-1)-string p and an arrow g
     whose composite with p's composite is defined.
 
@@ -96,10 +115,11 @@ def _nerve(objects, arrows, identities, comp, link, bound, cap, sort_levels=Fals
     the rows as each level is generated, and past the limit of
     `_guard_tables` the build stops before any table exists.
     """
+    length, loop = mobius_length(comp, set(identities.values()))
     if cap is None:
-        if bound is None:
+        if loop:
             raise SpecError("category has composable cycles; pass an explicit cap")
-        cap = bound + 3
+        cap = length + 3
     if cap < 2:
         raise SpecError("nerve needs cap >= 2")
     objects = [intern(x) for x in objects]
@@ -137,7 +157,7 @@ def _nerve(objects, arrows, identities, comp, link, bound, cap, sort_levels=Fals
         degens[k - 1, k - 1] = {s: ext[s, ident_after[g]] for s, _, g, _, _ in rows[k - 1]}
         below = ext
         del rows[k - 1]
-    stable = None if bound is None else min(bound, cap)
+    stable = None if loop else min(length, cap)
     return FinSSet(cap, levels, faces, degens, stable_from=stable)
 
 
@@ -201,16 +221,6 @@ class PosetSpec:
         keep = {p for p in self.le if p[0] in elems and p[1] in elems}
         return PosetSpec(elems, keep)
 
-    def longest_strict_chain(self) -> int:
-        depth = {e: 0 for e in self.elements}
-        order = sorted(self.elements, key=lambda e: sum(
-            1 for z in self.elements if self.leq(z, e)))
-        for b in order:
-            for a in self.elements:
-                if a != b and self.leq(a, b):
-                    depth[b] = max(depth[b], depth[a] + 1)
-        return max(depth.values(), default=0)
-
 
 def nerve_poset(spec: PosetSpec, cap: int | None = None) -> FinSSet:
     """Nerve with one simplex per weakly increasing chain, ids joined by ≤."""
@@ -219,8 +229,7 @@ def nerve_poset(spec: PosetSpec, cap: int | None = None) -> FinSSet:
     comp = {f: {arrow[b, c]: arrow[a, c] for c in ups[b]} for (a, b), f in arrow.items()}
     return _nerve(spec.elements, {f: ab for ab, f in arrow.items()},
                   {a: arrow[a, a] for a in spec.elements}, comp,
-                  {f: "≤" + b for (_, b), f in arrow.items()},
-                  spec.longest_strict_chain(), cap)
+                  {f: "≤" + b for (_, b), f in arrow.items()}, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -275,38 +284,22 @@ class MonoidSpec:
                 raise SpecError(
                     f"decomposition property fails: {a}.{b} = unit")
         # factorisations into non-units must die out, else no Mobius inversion
-        nonunits = frozenset(x for x in self.elements if x != e)
-        current = nonunits
-        seen = set()
-        length = 0
-        while current:
-            if current in seen:
-                witness = sorted(current)[0]
-                raise SpecError(
-                    "decomposition property fails: element "
-                    f"{witness} admits arbitrarily long factorisations")
-            seen.add(current)
-            length += 1
-            nxt = set()
-            for x in current:
-                for u in nonunits:
-                    xu = self.mul(x, u)
-                    if xu is not None:
-                        nxt.add(xu)
-            current = frozenset(nxt)
-        self._chain_bound = length
+        _, loop = mobius_length(self.composites(), {e})
+        if loop:
+            raise SpecError(
+                "decomposition property fails: element "
+                f"{min(loop)} admits arbitrarily long factorisations")
 
-    def chain_bound(self) -> int:
-        """Longest defined product of non-unit elements."""
-        return self._chain_bound
+    def composites(self) -> dict[str, dict[str, str]]:
+        """comp[a][b] = a.b wherever it is defined, keys in element order."""
+        elems, table = self.elements, self.table
+        return {a: {b: table[a, b] for b in elems if (a, b) in table} for a in elems}
 
 
 def nerve_monoid(spec: MonoidSpec, cap: int | None = None) -> FinSSet:
     """One-object nerve; k-simplices are strings with all products defined."""
-    elems = spec.elements
-    comp = {a: {b: spec.table[a, b] for b in elems if (a, b) in spec.table} for a in elems}
-    return _nerve(["*"], {m: ("*", "*") for m in elems}, {"*": spec.unit}, comp,
-                  {m: "+" + m for m in elems}, spec.chain_bound(), cap)
+    return _nerve(["*"], {m: ("*", "*") for m in spec.elements}, {"*": spec.unit},
+                  spec.composites(), {m: "+" + m for m in spec.elements}, cap)
 
 
 def truncated_addition(bound: int) -> MonoidSpec:
@@ -397,22 +390,6 @@ class CategorySpec:
                             self.compose(f, self.compose(g, h)):
                         raise SpecError(f"associativity fails on ({f},{g},{h})")
 
-    def chain_bound(self) -> int | None:
-        """Longest identity-free composable string, None when unbounded."""
-        nonid = [f for f in self.arrows if not self.is_identity(f)]
-        frontier = set(nonid)
-        seen = set()
-        length = 0
-        while frontier:
-            key = frozenset(frontier)
-            if key in seen:
-                return None
-            seen.add(key)
-            length += 1
-            frontier = {g for f in frontier for g in nonid
-                        if self.tgt(f) == self.src(g)}
-        return length
-
 
 def nerve_category(spec: CategorySpec, cap: int | None = None) -> FinSSet:
     """k-simplices are composable arrow strings, ids joined by '*', sorted."""
@@ -420,7 +397,7 @@ def nerve_category(spec: CategorySpec, cap: int | None = None) -> FinSSet:
     after = {x: [g for g in arrows if spec.src(g) == x] for x in spec.objects}
     comp = {f: {g: spec.compose(f, g) for g in after[t]} for f, (_, t) in arrows.items()}
     return _nerve(spec.objects, arrows, spec.identities, comp,
-                  {f: "*" + f for f in arrows}, spec.chain_bound(), cap, sort_levels=True)
+                  {f: "*" + f for f in arrows}, cap, sort_levels=True)
 
 
 def nerve(spec, cap: int | None = None) -> FinSSet:

@@ -334,6 +334,13 @@ def extend_interval(A: AlgebraicInterval | FinXiSet, xi_cap: int) -> ExtendedInt
     return ExtendedInterval(interval, X, embed, arr_name, top_arrow)
 
 
+def _extension(c: IntervalClass, minimum: int = 1) -> ExtendedInterval:
+    """c rebuilt at the cap minimum, or at its stabilization degree if that
+    is higher."""
+    bound = c.canonical.data.stable_from or 0
+    return extend_interval(c.canonical, max(minimum, bound, 1))
+
+
 # ---------------------------------------------------------------------------
 # subdivisions and certification
 
@@ -362,7 +369,7 @@ def certify_mobius_interval(c: IntervalClass) -> Report:
     """Mobius conditions on the underlying simplicial set, plus the finite
     total of nondegenerate simplices and the longest-edge profile."""
     bound = c.canonical.data.stable_from or 0
-    ext = extend_interval(c.canonical, max(1, bound + 2))
+    ext = _extension(c, minimum=bound + 2)
     under = i_star(ext.interval.data)
     rep = check_mobius(under)
     rep.check = "certify_mobius_interval"

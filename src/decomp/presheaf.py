@@ -181,6 +181,7 @@ class _IndexView:
     def __init__(self, X):
         self.cap, self.levels = X.cap, X.levels
         self.xi = isinstance(X, FinXiSet)
+        self.keys = X.faces.keys(), X.degens.keys()
         levels = X.levels
 
         def positions(k):
@@ -203,12 +204,14 @@ class _IndexView:
     def check(self) -> None:
         """Make every level and table the object must have; the first that
         cannot be made, being missing or not total, raises KeyError or
-        ValueError."""
+        ValueError, as does a table the cap does not allow."""
         if sorted(self.levels) != list(range(-1 if self.xi else 0, self.cap + 1)):
             raise ValueError("levels do not match the cap")
         for k in self.levels:
             self.pos[k]
         face_keys, degen_keys = _table_keys(self.cap, self.xi)
+        if self.keys != (set(face_keys), set(degen_keys)):
+            raise ValueError("tables do not match the cap")
         for key in face_keys:
             self.faces[key]
         for key in degen_keys:
@@ -347,20 +350,23 @@ def _sset_shape(rep: Report, X: FinSSet) -> None:
     for k in range(0, X.cap + 1):
         if len(set(X.levels[k])) != len(X.levels[k]):
             rep.fail(degree=k, note="duplicate-identifiers")
-    for k in range(1, X.cap + 1):
-        for i in range(k + 1):
-            if (k, i) not in X.faces:
-                rep.fail(degree=k, note=f"missing-face-d{i}")
-            else:
-                _check_totality(rep, f"d[{k},{i}]", X.faces[(k, i)],
-                                X.levels[k], X.levels[k - 1])
-    for k in range(0, X.cap):
-        for j in range(k + 1):
-            if (k, j) not in X.degens:
-                rep.fail(degree=k, note=f"missing-degeneracy-s{j}")
-            else:
-                _check_totality(rep, f"s[{k},{j}]", X.degens[(k, j)],
-                                X.levels[k], X.levels[k + 1])
+    faces, degens = _table_keys(X.cap, False)
+    for k, i in faces:
+        if (k, i) not in X.faces:
+            rep.fail(degree=k, note=f"missing-face-d{i}")
+        else:
+            _check_totality(rep, f"d[{k},{i}]", X.faces[(k, i)],
+                            X.levels[k], X.levels[k - 1])
+    for k, j in degens:
+        if (k, j) not in X.degens:
+            rep.fail(degree=k, note=f"missing-degeneracy-s{j}")
+        else:
+            _check_totality(rep, f"s[{k},{j}]", X.degens[(k, j)],
+                            X.levels[k], X.levels[k + 1])
+    for k, i in sorted(X.faces.keys() - set(faces)):
+        rep.fail(degree=k, note=f"extra-face-d{i}")
+    for k, j in sorted(X.degens.keys() - set(degens)):
+        rep.fail(degree=k, note=f"extra-degeneracy-s{j}")
 
 
 @memoised
@@ -431,6 +437,14 @@ def _degen_arrow(k: int, j: int) -> XiMap:
     return XiMap(k + 1, k, codegeneracy(k + 3, j + 1))
 
 
+def _face_name(k: int, i: int) -> str:
+    return "dnew" if (k, i) == (0, 0) else f"d[{k},{i}]"
+
+
+def _degen_name(k: int, j: int) -> str:
+    return {-1: f"sbot[{k}]", k + 1: f"stop[{k}]"}.get(j, f"s[{k},{j}]")
+
+
 def xi_generators(A: FinXiSet):
     """All site generators acting on A: (name, arrow, table) triples.
 
@@ -439,10 +453,8 @@ def xi_generators(A: FinXiSet):
     index view, the tables are its index lists.
     """
     faces, degens = _table_keys(A.cap, True)
-    gens = [("dnew" if k == 0 else f"d[{k},{i}]", _face_arrow(k, i), A.faces[(k, i)])
-            for k, i in faces]
-    gens += [({-1: f"sbot[{k}]", k + 1: f"stop[{k}]"}.get(j, f"s[{k},{j}]"),
-              _degen_arrow(k, j), A.degens[(k, j)]) for k, j in degens]
+    gens = [(_face_name(k, i), _face_arrow(k, i), A.faces[(k, i)]) for k, i in faces]
+    gens += [(_degen_name(k, j), _degen_arrow(k, j), A.degens[(k, j)]) for k, j in degens]
     return gens
 
 
@@ -461,6 +473,11 @@ def _xiset_shape(rep: Report, A: FinXiSet) -> None:
         return
     for name, arrow, table in gens:
         _check_totality(rep, name, table, A.levels[arrow.tgt], A.levels[arrow.src])
+    faces, degens = _table_keys(A.cap, True)
+    for k, i in sorted(A.faces.keys() - set(faces)):
+        rep.fail(degree=k, note=f"extra-structure-map:{_face_name(k, i)}")
+    for k, j in sorted(A.degens.keys() - set(degens)):
+        rep.fail(degree=k, note=f"extra-structure-map:{_degen_name(k, j)}")
 
 
 @memoised

@@ -19,14 +19,15 @@ from .interval import (
     AlgebraicInterval,
     ExtendedInterval,
     IntervalClass,
+    _extension,
     _fiber,
     canonicalize,
     canonicalize_with_map,
     certify_mobius_interval,
-    extend_interval,
     factorisation_intervals,
 )
-from .interval import factorisation_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
+# perfbench/tracer.py wraps these two here
+from .interval import extend_interval, factorisation_interval  # noqa: F401
 from .presheaf import _index_view, actions, i_star, long_edge_table, validate_xiset
 from .report import Report
 from .simplex import MonotoneMap
@@ -173,11 +174,6 @@ def _replace_file(path: str, text: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-
-
-def _extension(cls: IntervalClass, minimum: int = 1) -> ExtendedInterval:
-    bound = cls.canonical.data.stable_from or 0
-    return extend_interval(cls.canonical, max(minimum, bound, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,12 @@ def validate_sset_by_simplex(X):
             else:
                 _totality_by_item(rep, f"s[{k},{j}]", X.degens[(k, j)],
                                   X.levels[k], X.levels[k + 1])
+    for k, i in sorted(X.faces):
+        if not (1 <= k <= X.cap and 0 <= i <= k):
+            rep.fail(degree=k, note=f"extra-face-d{i}")
+    for k, j in sorted(X.degens):
+        if not (0 <= k < X.cap and 0 <= j <= k):
+            rep.fail(degree=k, note=f"extra-degeneracy-s{j}")
     if not rep.ok:
         return rep
 
@@ -422,6 +428,69 @@ def factorisation_interval(X, a):
 
 
 # ---------------------------------------------------------------------------
+# Möbius lengths: one computation per kind of spec, on its own relation
+
+
+def longest_strict_chain(spec):
+    """The longest strict chain of a poset, by depth over all pairs."""
+    depth = {e: 0 for e in spec.elements}
+    order = sorted(spec.elements, key=lambda e: sum(
+        1 for z in spec.elements if spec.leq(z, e)))
+    for b in order:
+        for a in spec.elements:
+            if a != b and spec.leq(a, b):
+                depth[b] = max(depth[b], depth[a] + 1)
+    return max(depth.values(), default=0)
+
+
+def monoid_chain_bound(spec):
+    """Longest defined product of non-unit elements; a monoid whose
+    factorisations never die out raises the SpecError that names the
+    least element of the first repeated frontier of products."""
+    from decomp.ingest import SpecError
+
+    e = spec.unit
+    nonunits = frozenset(x for x in spec.elements if x != e)
+    current = nonunits
+    seen = set()
+    length = 0
+    while current:
+        if current in seen:
+            witness = sorted(current)[0]
+            raise SpecError(
+                "decomposition property fails: element "
+                f"{witness} admits arbitrarily long factorisations")
+        seen.add(current)
+        length += 1
+        nxt = set()
+        for x in current:
+            for u in nonunits:
+                xu = spec.mul(x, u)
+                if xu is not None:
+                    nxt.add(xu)
+        current = frozenset(nxt)
+    return length
+
+
+def category_chain_bound(spec):
+    """Longest identity-free composable string, None when unbounded, by a
+    frontier of last arrows."""
+    nonid = [f for f in spec.arrows if not spec.is_identity(f)]
+    frontier = set(nonid)
+    seen = set()
+    length = 0
+    while frontier:
+        key = frozenset(frontier)
+        if key in seen:
+            return None
+        seen.add(key)
+        length += 1
+        frontier = {g for f in frontier for g in nonid
+                    if spec.tgt(f) == spec.src(g)}
+    return length
+
+
+# ---------------------------------------------------------------------------
 # nerves: every string built as a tuple, every face sliced or composed afresh
 
 
@@ -444,7 +513,7 @@ def nerve_poset(spec, cap):
         for j in range(k + 1):
             degens[(k, j)] = {name[c]: name[c[:j + 1] + c[j:]] for c in chains[k]}
     return FinSSet(cap, levels, faces, degens,
-                   stable_from=min(spec.longest_strict_chain(), cap))
+                   stable_from=min(longest_strict_chain(spec), cap))
 
 
 def nerve_monoid(spec, cap):
@@ -483,7 +552,7 @@ def nerve_monoid(spec, cap):
         for j in range(k + 1):
             degens[(k, j)] = {name[s]: name[s[:j] + (e,) + s[j:]] for s in strings[k]}
     return FinSSet(cap, levels, faces, degens,
-                   stable_from=min(spec.chain_bound(), cap))
+                   stable_from=min(monoid_chain_bound(spec), cap))
 
 
 def nerve_category(spec, cap):
@@ -522,7 +591,7 @@ def nerve_category(spec, cap):
                 at = spec.src(s[0]) if j == 0 else spec.tgt(s[j - 1])
                 table[name[s]] = name[s[:j] + (spec.identities[at],) + s[j:]]
             degens[(k, j)] = table
-    bound = spec.chain_bound()
+    bound = category_chain_bound(spec)
     stable = None if bound is None else min(bound, cap)
     return FinSSet(cap, levels, faces, degens, stable_from=stable)
 

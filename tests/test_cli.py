@@ -106,14 +106,18 @@ def test_sset_commands_refuse_other_inputs(tmp_path, d6_file, capsys, argv):
     ["coalg-table", "{input}"],
     ["classify", "{input}", "--registry", "{out}"],
 ], ids=lambda argv: argv[0])
-@pytest.mark.parametrize("directive", ["s 0 0:", "d 2 1:"])
+@pytest.mark.parametrize("directive", ["s 0 0:", "d 2 1:", "d 9 0: zz->yy"])
 def test_sset_commands_validate_their_input(tmp_path, d6_sset, capsys, argv, directive):
-    """An SSET without one structure-map line fails validation, exits 2 and
-    writes nothing, instead of raising KeyError or writing a file."""
+    """An SSET without one structure-map line, or with a table above its cap
+    of 5, fails validation, exits 2 and writes nothing, instead of raising
+    KeyError or writing a file.  A directive of the file is deleted, and
+    the one it lacks is appended."""
     text = (tmp_path / "d6.sset").read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    kept = [ln for ln in lines if not ln.startswith(directive)]
     broken = tmp_path / "broken.sset"
-    broken.write_text("".join(ln for ln in text.splitlines(keepends=True)
-                              if not ln.startswith(directive)), encoding="utf-8")
+    broken.write_text("".join(kept if kept != lines else lines + [directive + "\n"]),
+                      encoding="utf-8")
     assert text != broken.read_text(encoding="utf-8")
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
@@ -121,6 +125,8 @@ def test_sset_commands_validate_their_input(tmp_path, d6_sset, capsys, argv, dir
     assert main([arg.format(input=broken, out=out) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out.startswith("FAIL validate")
+    if directive.startswith("d 9 0"):
+        assert captured.out == "FAIL validate degree=9 note=extra-face-d0\n"
     assert "Traceback" not in captured.out + captured.err
     assert sorted(tmp_path.iterdir()) == before
 
@@ -242,12 +248,15 @@ def test_registry_add_refuses_damaged_registry(tmp_path, capsys):
     assert index.read_bytes() == before + b"not-a-digest\n"
 
 
-@pytest.mark.parametrize("directive", ["sbot 0:", "level -1:", "dnew:"])
+@pytest.mark.parametrize("directive", ["sbot 0:", "level -1:", "dnew:", "sbot 9: a->b"])
 def test_registry_add_refuses_invalid_interval(tmp_path, d6_sset, capsys, directive):
+    """A directive of the interval file is deleted; the one it lacks, a map
+    above its cap, is appended."""
     iv = tmp_path / "i.xiset"
     assert main(["interval", d6_sset, "--arrow", f"1{SEP}6", "-o", str(iv)]) == 0
     lines = iv.read_text(encoding="utf-8").splitlines(keepends=True)
-    iv.write_text("".join(ln for ln in lines if not ln.startswith(directive)),
+    kept = [ln for ln in lines if not ln.startswith(directive)]
+    iv.write_text("".join(kept if kept != lines else lines + [directive + "\n"]),
                   encoding="utf-8")
     reg = tmp_path / "reg"
     capsys.readouterr()
@@ -255,6 +264,8 @@ def test_registry_add_refuses_invalid_interval(tmp_path, d6_sset, capsys, direct
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "FAIL validate" in captured.err
+    if directive.startswith("sbot 9"):
+        assert "FAIL validate degree=9 note=extra-structure-map:sbot[9]" in captured.err
     assert not reg.exists()
 
 

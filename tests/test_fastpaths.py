@@ -197,9 +197,9 @@ def rewired_nerves(draw):
     """A small poset nerve with one structure-map entry changed.
 
     The new target is another simplex of the right level or a name outside
-    it, the entry is deleted, or its source is renamed to a name outside the
-    level; the stabilization claim is sometimes lowered so that it fails
-    too.
+    it, the entry is deleted, its source is renamed to a name outside the
+    level, or a table above the cap is added beside it; the stabilization
+    claim is sometimes lowered so that it fails too.
     """
     X = draw(small_poset_nerves())
     if draw(st.booleans()):
@@ -211,15 +211,18 @@ def rewired_nerves(draw):
     key = draw(st.sampled_from(sorted(tables)))
     table = dict(tables[key])
     x = draw(st.sampled_from(sorted(table)))
-    how = draw(st.sampled_from(["retarget", "retarget", "outside", "delete", "rename"]))
+    how = draw(st.sampled_from(["retarget", "retarget", "outside", "delete", "rename",
+                                "extra"]))
     if how == "retarget":
         table[x] = draw(st.sampled_from(X.levels[key[0] + shift]))
     elif how == "outside":
         table[x] = "nowhere"
     elif how == "delete":
         del table[x]
-    else:
+    elif how == "rename":
         table["nowhere"] = table.pop(x)
+    else:
+        tables[X.cap + 1, key[1]] = {"nowhere": "elsewhere"}
     tables[key] = table
     return X
 

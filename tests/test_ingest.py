@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -24,7 +25,7 @@ from decomp.ingest import (
     truncated_addition,
 )
 from decomp.interval import factorisation_interval, interval_category, ssets_isomorphic
-from decomp.presheaf import nondegenerate, point_sset, validate_sset
+from decomp.presheaf import nondeg_bound, nondegenerate, point_sset, validate_sset
 
 
 def test_poset_closure_and_interval():
@@ -33,7 +34,7 @@ def test_poset_closure_and_interval():
     assert not spec.leq("4", "6")
     sub = spec.interval("2", "12")
     assert sorted(sub.elements) == ["12", "2", "4", "6"]
-    assert spec.longest_strict_chain() == 3
+    assert nerve_poset(sub).stable_from == 2  # 2 < 4 < 12
 
 
 def test_poset_antisymmetry_rejected():
@@ -92,13 +93,14 @@ def test_monoid_rejects_idempotent():
             ["0", "1"], "0",
             {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1",
              ("1", "1"): "1"})
-    assert "factorisations" in str(err.value)
+    assert str(err.value) == (
+        "decomposition property fails: element 1 admits arbitrarily long factorisations")
 
 
 def test_truncated_addition_monoid():
     spec = truncated_addition(3)
-    assert spec.chain_bound() == 3
     X = nerve_monoid(spec, 5)
+    assert X.stable_from == 3
     assert validate_sset(X).ok
     # level k holds the <=3 sums split into k ordered parts
     for k in range(6):
@@ -135,9 +137,9 @@ def test_category_cycle_has_no_default_cap():
         {("f", "f"): "f"},
     )
     # an idempotent endo-arrow composes with itself forever
-    assert spec.chain_bound() is None
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError) as err:
         nerve_category(spec)
+    assert str(err.value) == "category has composable cycles; pass an explicit cap"
     X = nerve_category(spec, 4)
     assert X.stable_from is None
     assert validate_sset(X).ok
@@ -208,13 +210,80 @@ def test_nerve_category_matches_reference():
         _assert_matches_reference(spec, cap)
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@st.composite
+def truncated_free_monoids(draw):
+    """Words of length at most n over a drawn alphabet, the empty word named
+    1 and the unit; a product is defined when its word is no longer than n.
+    The spec is drawn unbuilt, with a cap."""
+    letters = "abc"[:draw(st.integers(1, 3))]
+    n = draw(st.integers(0, 3))
+    words = ["".join(w) for m in range(n + 1) for w in product(letters, repeat=m)]
+    name = {w: w or "1" for w in words}
+    table = {(name[u], name[v]): name[u + v] for u in words for v in words
+             if len(u + v) <= n}
+    return MonoidSpec(sorted(name.values()), "1", table), draw(st.integers(2, 5))
+
+
+@st.composite
+def max_monoids(draw):
+    """{0..n} under max with unit 0, drawn unbuilt with a cap: every element
+    is idempotent, so for n >= 1 its factorisations never die out."""
+    elems = [str(i) for i in range(draw(st.integers(0, 4)) + 1)]
+    table = {(a, b): max(a, b, key=int) for a in elems for b in elems}
+    return MonoidSpec(elems, "0", table), draw(st.integers(2, 5))
+
+
+@st.composite
+def free_categories(draw):
+    """The free category on a drawn acyclic multigraph: its arrows are the
+    paths, and composition concatenates them."""
+    n = draw(st.integers(1, 4))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] < e[1]), max_size=5))
+    paths = [(e,) for e in range(len(edges))]
+    for path in paths:  # the list grows as it is walked, by one edge a step
+        paths += [path + (e,) for e, (s, _) in enumerate(edges) if s == edges[path[-1]][1]]
+    name = {p: ".".join(f"a{e}" for e in p) for p in paths}
+    arrows = {name[p]: (f"x{edges[p[0]][0]}", f"x{edges[p[-1]][1]}") for p in paths}
+    objects = [f"x{i}" for i in range(n)]
+    arrows.update({f"i{x}": (x, x) for x in objects})
+    comp = {(name[p], name[q]): name[p + q] for p in paths for q in paths
+            if edges[p[-1]][1] == edges[q[0]][0]}
+    spec = CategorySpec.build(objects, arrows, {x: f"i{x}" for x in objects}, comp)
+    return spec, draw(st.integers(2, 5))
+
+
+_REFERENCE_LENGTH = {PosetSpec: oracles.longest_strict_chain,
+                     MonoidSpec: oracles.monoid_chain_bound,
+                     CategorySpec: oracles.category_chain_bound}
+
+
+@settings(max_examples=100, deadline=None, database=None)
 @given(st.one_of(
     poset_specs(),
-    st.tuples(st.builds(truncated_addition, st.integers(0, 5)), st.integers(2, 7))))
+    st.tuples(st.builds(truncated_addition, st.integers(0, 5)), st.integers(2, 7)),
+    truncated_free_monoids(), max_monoids(), free_categories()))
 def test_drawn_nerves_match_reference(spec_cap):
-    """Drawn posets and truncated additions, compared as the shapes above."""
-    _assert_matches_reference(*spec_cap)
+    """Drawn posets, truncated additions and free monoids, max-monoids and
+    free categories, compared as the shapes above.  A monoid is built here:
+    it is refused with the reference's message exactly when the reference
+    finds its factorisations unbounded.  The Möbius length, the stable
+    degree of a nerve one level above it, is the last level that holds a
+    nondegenerate simplex."""
+    spec, cap = spec_cap
+    if isinstance(spec, MonoidSpec):
+        try:
+            oracles.monoid_chain_bound(spec)
+        except SpecError as want:
+            with pytest.raises(SpecError) as err:
+                MonoidSpec.build(spec.elements, spec.unit, spec.table)
+            assert str(err.value) == str(want)
+            return
+        spec = MonoidSpec.build(spec.elements, spec.unit, spec.table)
+    _assert_matches_reference(spec, cap)
+    length = _REFERENCE_LENGTH[type(spec)](spec)
+    X = nerve(spec, max(2, length + 1))
+    assert X.stable_from == length == nondeg_bound(X)
 
 
 def test_level_guard(monkeypatch):
@@ -261,4 +330,4 @@ def test_nerve_dispatch():
 def test_boolean_poset_shape():
     b3 = boolean_poset(3)
     assert len(b3.elements) == 8
-    assert b3.longest_strict_chain() == 3
+    assert nerve(b3).stable_from == 3
