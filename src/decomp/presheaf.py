@@ -519,21 +519,30 @@ def _component_indices(F, lo: int) -> dict[int, list[int]]:
             for k in range(lo, F.dom.cap + 1)}
 
 
-def validate_sset_map(F: SSetMap) -> Report:
-    """Totality plus naturality against every generator under dom.cap,
-    each square compared as index lists on a whole level."""
+def _map_shape(F, lo: int, label: str) -> Report:
+    """One total component per degree lo to dom.cap, and none other."""
     rep = Report("validate_map")
     X, Y = F.dom, F.cod
     if X.cap > Y.cap:
         rep.fail(note="dom-cap-exceeds-cod-cap")
         return rep
-    for k in range(0, X.cap + 1):
+    for k in range(lo, X.cap + 1):
         if k not in F.components:
             rep.fail(degree=k, note="missing-component")
             continue
-        _check_totality(rep, f"F[{k}]", F.components[k], X.levels[k], Y.levels[k])
+        _check_totality(rep, f"{label}[{k}]", F.components[k], X.levels[k], Y.levels[k])
+    for k in sorted(set(F.components).difference(range(lo, X.cap + 1))):
+        rep.fail(degree=k, note="extra-component")
+    return rep
+
+
+def validate_sset_map(F: SSetMap) -> Report:
+    """Totality plus naturality against every generator under dom.cap,
+    each square compared as index lists on a whole level."""
+    rep = _map_shape(F, 0, "F")
     if not rep.ok:
         return rep
+    X, Y = F.dom, F.cod
     vX, vY, comp = _index_view(X), _index_view(Y), _component_indices(F, 0)
     for k in range(1, X.cap + 1):
         for i in range(k + 1):
@@ -550,18 +559,10 @@ def validate_sset_map(F: SSetMap) -> Report:
 
 
 def validate_xiset_map(G: XiSetMap) -> Report:
-    rep = Report("validate_map")
-    A, B = G.dom, G.cod
-    if A.cap > B.cap:
-        rep.fail(note="dom-cap-exceeds-cod-cap")
-        return rep
-    for k in range(-1, A.cap + 1):
-        if k not in G.components:
-            rep.fail(degree=k, note="missing-component")
-            continue
-        _check_totality(rep, f"G[{k}]", G.components[k], A.levels[k], B.levels[k])
+    rep = _map_shape(G, -1, "G")
     if not rep.ok:
         return rep
+    A, B = G.dom, G.cod
     vB, comp = _index_view(B), _component_indices(G, -1)
     for name, arrow, tA in xi_generators(_index_view(A)):
         tB = _generator_table(vB, arrow.rep, 2)

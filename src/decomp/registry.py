@@ -1,6 +1,10 @@
 """Content-addressed registry of interval classes, closure under
 subintervals, and the finite fragment of the space of subdivided intervals.
 
+Each entry keeps its arrow table, the degree-1 outer faces: the digest of
+the interval of every arrow of its canonical form.  Closing the registry
+fills the tables, and the registry coalgebra is read off them.
+
 Level k of the fragment collects, over every registered class, the
 k-simplices whose long edge is the longest edge; inner faces act within a
 class, outer faces pass to the subinterval of the dropped-vertex long edge
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -25,6 +30,7 @@ from .interval import (
     canonicalize_with_map,
     certify_mobius_interval,
     factorisation_intervals,
+    longest_edge,
 )
 # perfbench/tracer.py wraps these two here
 from .interval import extend_interval, factorisation_interval  # noqa: F401
@@ -37,12 +43,17 @@ class RegistryError(ValueError):
     pass
 
 
+_DIGEST = re.compile("[0-9a-f]{64}")
+
+
 @dataclass
 class RegistryEntry:
     digest: str
     name: str
     mobius: bool
     interval: IntervalClass
+    # level-1 id of the canonical form -> digest of that arrow's interval
+    arrows: dict[str, str] | None = None
 
 
 @dataclass
@@ -85,7 +96,8 @@ class Registry:
             raise RegistryError(f"unknown digest {digest}")
 
     def close(self) -> Registry:
-        """Insert the interval of every arrow of every entry to fixpoint."""
+        """Insert the interval of every arrow of every entry to fixpoint,
+        giving every entry its arrow table."""
         for cls in self._missing():
             self.insert(cls)
         return self
@@ -93,24 +105,45 @@ class Registry:
     def is_closed(self) -> bool:
         return next(self._missing(), None) is None
 
+    def arrow_table(self, digest: str) -> dict[str, str]:
+        """The entry's arrow table, cut and labelled if it has none yet."""
+        entry = self.get(digest)
+        if entry.arrows is None:
+            entry.arrows = {j: c.digest for j, c in _arrow_classes(entry.interval).items()}
+        return entry.arrows
+
     def _missing(self):
-        """Lazily, the classes of arrow intervals of entries' extensions
-        that are not entries, walking on into each class it yields.  A class
-        is yielded again at its next sight unless the caller inserts it."""
+        """Lazily, the classes of arrow intervals of entries that are not
+        entries, walking on into each class it yields.  An entry without an
+        arrow table is cut and labelled whole and gets one; of an entry with
+        one, only an arrow of each digest missing from the registry is.  A
+        class is yielded again at its next sight unless the caller inserts
+        it."""
         queue = [entry.interval for entry in self.entries.values()]
         while queue:
-            ext = _extension(queue.pop(), minimum=1)
-            for sub, _ in factorisation_intervals(ext.nerve).values():
-                cls = canonicalize(sub)
-                if cls.digest not in self.entries:
-                    yield cls
-                    queue.append(cls)
+            cls = queue.pop()
+            entry = self.entries.get(cls.digest)
+            if entry is None or entry.arrows is None:
+                found = _arrow_classes(cls)
+                if entry is not None:
+                    entry.arrows = {j: c.digest for j, c in found.items()}
+            else:
+                first: dict[str, str] = {}
+                for j, digest in sorted(entry.arrows.items()):
+                    if digest not in self.entries:
+                        first.setdefault(digest, j)
+                found = _arrow_classes(cls, list(first.values())) if first else {}
+            for sub in found.values():
+                if sub.digest not in self.entries:
+                    yield sub
+                    queue.append(sub)
 
     # -- persistence --------------------------------------------------------
 
     def save(self, directory: str) -> None:
-        """Write every entry, then the index.  Each file is replaced whole,
-        so a failure part way leaves every stored file as it was or new."""
+        """Write every entry and its arrow table, if it has one, then the
+        index.  Each file is replaced whole, so a failure part way leaves
+        every stored file as it was or new."""
         os.makedirs(directory, exist_ok=True)
         rows = []
         for digest in sorted(self.entries):
@@ -119,13 +152,18 @@ class Registry:
                         f"{e.interval.canonical.data.cap}")
             _replace_file(os.path.join(directory, f"{digest}.xiset"),
                           write_xiset(e.interval.canonical.data))
+            if e.arrows is not None:
+                _replace_file(os.path.join(directory, f"{digest}.arrows"),
+                              _arrows_text(digest, e.arrows))
         _replace_file(os.path.join(directory, "index.tsv"),
                       "\n".join(rows) + ("\n" if rows else ""))
 
     @classmethod
     def load(cls, directory: str) -> Registry:
         """Read a saved registry.  An entry whose bytes hash to its digest is
-        as `save` wrote it; any other must re-canonicalize to its digest."""
+        as `save` wrote it; any other must re-canonicalize to its digest.
+        An arrow table is read only if it is intact; any other is left for
+        `close` to recompute."""
         reg = cls()
         index = os.path.join(directory, "index.tsv")
         if not os.path.exists(index):
@@ -139,7 +177,7 @@ class Registry:
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) != 4:
+            if len(fields) != 4 or not _DIGEST.fullmatch(fields[0]):
                 raise RegistryError(f"malformed line in {index}: {line!r}")
             digest, name, mobius, _cap = fields
             if name in reg.names or digest in reg.entries:
@@ -159,9 +197,48 @@ class Registry:
                 raise RegistryError(
                     f"stored entry {digest[:12]} does not match its digest")
             reg.entries[digest] = RegistryEntry(
-                digest, name, mobius == "1", stored)
+                digest, name, mobius == "1", stored,
+                _read_arrows(os.path.join(directory, f"{digest}.arrows"), digest,
+                             stored.canonical.data.levels[1]))
             reg.names[name] = digest
         return reg
+
+
+def _arrow_classes(cls: IntervalClass,
+                   ids: list[str] | None = None) -> dict[str, IntervalClass]:
+    """The class of the interval of each level-1 id of cls (every one by
+    default), cut from its extension, whose arrows those ids name."""
+    ext = _extension(cls, minimum=1)
+    arrows = None if ids is None else [ext.arrow_name[j] for j in ids]
+    level1 = {a: j for j, a in ext.arrow_name.items()}
+    return {level1[a]: canonicalize(sub)
+            for a, (sub, _) in factorisation_intervals(ext.nerve, arrows).items()}
+
+
+def _arrows_text(digest: str, table: dict[str, str]) -> str:
+    """An arrow table file: a header naming the entry, one id and digest
+    per line, and the SHA-256 of those lines last."""
+    body = f"arrows {digest}\n" + "".join(f"{j}\t{table[j]}\n" for j in sorted(table))
+    return body + hashlib.sha256(body.encode("utf-8")).hexdigest() + "\n"
+
+
+def _read_arrows(path: str, digest: str, ids: list[str]) -> dict[str, str] | None:
+    """The arrow table at path, or None unless it is intact: its checksum
+    holds, its header names digest, and it maps exactly ids to digests."""
+    try:
+        with open(path, "rb") as fh:
+            body, _, check = fh.read().removesuffix(b"\n").rpartition(b"\n")
+        body += b"\n"
+        if hashlib.sha256(body).hexdigest().encode() != check:
+            return None
+        header, *rows = body.decode("utf-8").split("\n")[:-1]
+        table = dict(row.split("\t") for row in rows)
+    except (OSError, UnicodeDecodeError, ValueError):
+        return None
+    if (header != f"arrows {digest}" or len(table) != len(rows) or set(table) != set(ids)
+            or not all(map(_DIGEST.fullmatch, table.values()))):
+        return None
+    return table
 
 
 def _replace_file(path: str, text: str) -> None:
@@ -311,20 +388,34 @@ def fragment_square_report(frag: Fragment) -> Report:
 # the registry coalgebra
 
 
-def registry_comult(reg: Registry, frag: Fragment | None = None):
-    """Comultiplication by midpoint subdivision, per registered class.
+def registry_comult(reg: Registry):
+    """Comultiplication by midpoint subdivision, per registered class, read
+    off the arrow tables.
 
     Returns (pairs, counit): pairs maps a digest to the multiset of
-    (lower digest, upper digest) over its 2-subdivisions; the counit is 1
-    exactly on classes admitting a 0-subdivision.
+    (lower digest, upper digest) over its 2-subdivisions, the classes of
+    their d2 and d0 edges; the counit is 1 exactly on classes admitting a
+    0-subdivision.
     """
-    if frag is None:
-        frag = build_fragment(reg, top=2)
-    pairs: dict[str, Counter] = {d: Counter() for d in reg.entries}
-    for digest, x in frag.levels[2]:
-        lower = frag.faces[(2, 2)][(digest, x)][0]
-        upper = frag.faces[(2, 0)][(digest, x)][0]
-        pairs[digest][(lower, upper)] += 1
-    zero = {d for d, _ in frag.levels[0]}
-    counit = {d: 1 if d in zero else 0 for d in reg.entries}
+    pairs: dict[str, Counter] = {}
+    counit: dict[str, int] = {}
+    for digest, entry in reg.entries.items():
+        table = reg.arrow_table(digest)
+        missing = sorted(set(table.values()).difference(reg.entries))
+        if missing:
+            raise RegistryError(f"registry is not closed: missing {missing[0][:12]}")
+        data = entry.interval.canonical.data
+        pairs[digest] = Counter((table[lo], table[up]) for lo, up in _midpoints(data))
+        counit[digest] = 1 if _fiber(data, 0, False) else 0
     return pairs, counit
+
+
+def _midpoints(data) -> list[tuple[str, str]]:
+    """The d2 and d0 edges of each 2-simplex over the longest edge.  Below
+    cap 2 no 2-simplex is nondegenerate, so these are the two degeneracies
+    of the longest edge, which coincide when it is degenerate itself."""
+    if data.cap >= 2:
+        d2, d0 = data.faces[(2, 2)], data.faces[(2, 0)]
+        return [(d2[x], d0[x]) for x in _fiber(data, 2, False)]
+    top, s0 = longest_edge(data), data.degens[(0, 0)]
+    return sorted({(s0[data.faces[(1, 1)][top]], top), (top, s0[data.faces[(1, 0)][top]])})

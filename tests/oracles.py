@@ -10,12 +10,14 @@ word, the bulk interval cut against the cut of one arrow at a time,
 nondegeneracy by degeneracy images against the principal-edge test, the
 nerves of posets, partial monoids and categories against the
 string-by-string builds, the index-list axiom checks against the same
-checks counted on id tables, and map validation against the walk of every
-naturality square simplex by simplex.
+checks counted on id tables, map validation against the walk of every
+naturality square simplex by simplex, and the registry coalgebra read off
+the arrow tables against the degree-2 level of the fragment.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from sys import intern
@@ -604,8 +606,6 @@ def nerve_category(spec, cap):
 def pullback_by_counting(P, A, B, p, q, f, g) -> bool:
     """True if the square commutes, P injects into A x B, and the pairs
     are as many as A x_C B has elements, all counted on ids."""
-    from collections import Counter
-
     pa = list(map(p.__getitem__, P))
     qb = list(map(q.__getitem__, P))
     if list(map(f.__getitem__, pa)) != list(map(g.__getitem__, qb)):
@@ -771,6 +771,9 @@ def validate_sset_map_by_simplex(F):
             rep.fail(degree=k, note="missing-component")
             continue
         _totality_by_item(rep, f"F[{k}]", F.components[k], X.levels[k], Y.levels[k])
+    for k in sorted(F.components):
+        if not 0 <= k <= X.cap:
+            rep.fail(degree=k, note="extra-component")
     if not rep.ok:
         return rep
     for k in range(1, X.cap + 1):
@@ -807,6 +810,9 @@ def validate_xiset_map_by_simplex(G):
             rep.fail(degree=k, note="missing-component")
             continue
         _totality_by_item(rep, f"G[{k}]", G.components[k], A.levels[k], B.levels[k])
+    for k in sorted(G.components):
+        if not -1 <= k <= A.cap:
+            rep.fail(degree=k, note="extra-component")
     if not rep.ok:
         return rep
     for name, arrow, tA in xi_generators(A):
@@ -817,3 +823,19 @@ def validate_xiset_map_by_simplex(G):
                 rep.fail(degree=arrow.tgt, witness=(x,), note=f"naturality-{name}")
     rep.verified_upto = A.cap
     return rep
+
+
+def registry_comult_by_fragment(reg):
+    """The registry coalgebra on the degree-2 level of the fragment, whose
+    outer faces cut and label the interval of every edge they meet."""
+    from decomp.registry import build_fragment
+
+    frag = build_fragment(reg, top=2)
+    pairs = {d: Counter() for d in reg.entries}
+    for digest, x in frag.levels[2]:
+        lower = frag.faces[(2, 2)][(digest, x)][0]
+        upper = frag.faces[(2, 0)][(digest, x)][0]
+        pairs[digest][(lower, upper)] += 1
+    zero = {d for d, _ in frag.levels[0]}
+    counit = {d: 1 if d in zero else 0 for d in reg.entries}
+    return pairs, counit

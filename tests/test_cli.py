@@ -230,6 +230,9 @@ def test_registry_add_refuses_damaged_registry(tmp_path, capsys):
     before = index.read_bytes()
     digests = [line.split("\t")[0] for line in before.decode().splitlines()]
     assert len(digests) == 5
+    listing = sorted(p.name for p in reg.iterdir())
+    assert listing == sorted(["index.tsv"] + [f"{d}.xiset" for d in digests]
+                             + [f"{d}.arrows" for d in digests])
     # damage one entry: another entry's content under its digest
     damaged = reg / f"{digests[0]}.xiset"
     intact = damaged.read_bytes()
@@ -238,8 +241,7 @@ def test_registry_add_refuses_damaged_registry(tmp_path, capsys):
     assert main(["registry", "add", str(reg), iv]) == 2
     assert "error:" in capsys.readouterr().err
     assert index.read_bytes() == before
-    assert sorted(p.name for p in reg.iterdir()) == sorted(
-        ["index.tsv"] + [f"{d}.xiset" for d in digests])
+    assert sorted(p.name for p in reg.iterdir()) == listing
     # a malformed index line is refused the same way, without a traceback
     damaged.write_bytes(intact)
     index.write_bytes(before + b"not-a-digest\n")
@@ -328,6 +330,30 @@ def test_culf_check_refuses_repeated_level(tmp_path, d6_sset, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "duplicate directive 'level 1'" in captured.err
+
+
+@pytest.mark.parametrize("xi, extra", [(False, "level 9: zz->yy"), (True, "level 9:"),
+                                       (True, "level -5:")])
+def test_culf_check_refuses_extra_component(tmp_path, d6_sset, capsys, xi, extra):
+    """A component outside the domain's degrees fails map validation; it
+    used to be ignored, and the check passed."""
+    from decomp.formats import load_smap, write_smap
+    from decomp.presheaf import u_star_map
+
+    path = _counit_smap(tmp_path, d6_sset)
+    if xi:
+        M = u_star_map(load_smap(str(path)))
+        save(M.dom, tmp_path / "dom.xiset")
+        save(M.cod, tmp_path / "cod.xiset")
+        path.write_text(write_smap(M, "dom.xiset", "cod.xiset"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "culf", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(path.read_text(encoding="utf-8") + extra + "\n", encoding="utf-8")
+    assert main(["check", "culf", str(path)]) == 1
+    degree = extra.split()[1].rstrip(":")
+    assert capsys.readouterr().out == (
+        f"FAIL validate_map degree={degree} note=extra-component\n")
 
 
 def test_culf_check_validates_both_ends(tmp_path, d6_sset, capsys):

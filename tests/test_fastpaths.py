@@ -546,7 +546,8 @@ def test_planted_removals_fail_exactness_inside_a_longer_chain():
 def rewired_maps(draw):
     """A decalage counit of a poset nerve, or its image under u*, with one
     component entry retargeted within its level, sent outside it, deleted
-    or renamed, or left alone."""
+    or renamed, with a component added outside the domain's degrees, or
+    left alone."""
     X = nerve_poset(draw(drawn_posets()), draw(st.integers(3, 4)))
     _, F = draw(st.sampled_from([dec_top, dec_bot]))(X)
     if draw(st.booleans()):
@@ -555,8 +556,12 @@ def rewired_maps(draw):
     k = draw(st.sampled_from(sorted(comps)))
     table = dict(comps[k])
     x = draw(st.sampled_from(sorted(table)))
-    how = draw(st.sampled_from(["retarget", "retarget", "outside", "delete", "rename", "none"]))
-    if how == "retarget":
+    how = draw(st.sampled_from(["retarget", "retarget", "outside", "delete", "rename",
+                                "extra", "none"]))
+    if how == "extra":
+        extra = draw(st.sampled_from([min(comps) - 4, F.dom.cap + 1, F.dom.cap + 5]))
+        comps[extra] = {x: table[x]} if draw(st.booleans()) else {}
+    elif how == "retarget":
         table[x] = draw(st.sampled_from(F.cod.levels[k]))
     elif how == "outside":
         table[x] = "nowhere"
@@ -572,6 +577,10 @@ def rewired_maps(draw):
 @given(rewired_maps())
 def test_map_validation_matches_per_simplex_check(F):
     if isinstance(F.dom, FinXiSet):
-        assert validate_xiset_map(F).lines() == oracles.validate_xiset_map_by_simplex(F).lines()
+        lines, lo = validate_xiset_map(F).lines(), -1
+        assert lines == oracles.validate_xiset_map_by_simplex(F).lines()
     else:
-        assert validate_sset_map(F).lines() == oracles.validate_sset_map_by_simplex(F).lines()
+        lines, lo = validate_sset_map(F).lines(), 0
+        assert lines == oracles.validate_sset_map_by_simplex(F).lines()
+    for k in set(F.components).difference(range(lo, F.dom.cap + 1)):
+        assert f"FAIL validate_map degree={k} note=extra-component" in lines
