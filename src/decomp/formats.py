@@ -2,7 +2,9 @@
 
 All writers emit UTF-8 with LF line endings, sorted identifiers and no
 trailing whitespace, so identical objects serialize identically; parsers
-accept '#' comments and blank lines and report positions on errors.
+accept '#' comments and blank lines and report positions on errors.  The
+SSET/XISET writers refuse level ids their parser could not read back, and
+that parser reads the tables they write against the level lines.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import os
 from sys import intern
 
 from .ingest import CategorySpec, MonoidSpec, PosetSpec, SpecError
-from .presheaf import FinSSet, FinXiSet, SSetMap, XiSetMap
+from .presheaf import FinSSet, FinXiSet, SSetMap, XiSetMap, seed_index_view
 
 
 class ParseError(ValueError):
@@ -95,16 +97,25 @@ def _int(tok: str, source: str, lineno: int) -> int:
 # SSET v1 / XISET v1
 
 
+_RESERVED = ("#", "->", ";")
+
+
 def _write_levelled(X: FinSSet | FinXiSet, header: str, xi: bool) -> str:
     """Shared writer; an XISET adds level -1 and the dnew (d_0 at degree
-    0), sbot k (s_{-1}) and stop k (s_{k+1}) lines."""
+    0), sbot k (s_{-1}) and stop k (s_{k+1}) lines.  A level id that is
+    empty or holds whitespace, '#', '->' or ';' raises ValueError."""
     cap, faces, degens = X.cap, X.faces, X.degens
     out = [header, f"cap {cap}"]
     if X.stable_from is not None:
         out.append(f"stable {X.stable_from}")
     for k in range(-1 if xi else 0, cap + 1):
-        ids = " ".join(sorted(X.levels[k]))
-        out.append(f"level {k}:" + (f" {ids}" if ids else ""))
+        ids = sorted(X.levels[k])
+        line = " ".join(ids)
+        if line.split() != ids or any(c in line for c in _RESERVED):
+            bad = next(x for x in ids if x.split() != [x] or any(c in x for c in _RESERVED))
+            raise ValueError(f"level {k} id {bad!r} is empty or holds whitespace, "
+                             "'#', '->' or ';'")
+        out.append(f"level {k}:" + (f" {line}" if line else ""))
     maps = [(f"d {k} {i}", faces[(k, i)]) for k in range(1, cap + 1) for i in range(k + 1)]
     if xi:
         maps.append(("dnew", faces[(0, 0)]))
@@ -126,21 +137,53 @@ def write_xiset(A: FinXiSet) -> str:
     return _write_levelled(A, "XISET v1", xi=True)
 
 
-def _parse_levelled(text: str, source: str, header: str):
-    """The cap, stable degree, levels and the two tables of a levelled file,
-    plus whether any interval-site directive (dnew, sbot, stop) occurred.
+def _table(body: str, keys: list[str], prefixes: list[str], ids: list[str], at: dict):
+    """The table and target positions of a body of 'key->id' entries joined
+    by ' ; ', keys in order and ids positioned by at (prefixes[n] is
+    keys[n] + '->'), as `_fmt_entries` writes them; None for any other."""
+    body = body.strip()
+    entries = body.split(" ; ") if body else []
+    if len(entries) != len(keys) or not all(map(str.startswith, entries, prefixes)):
+        return None
+    try:
+        positions = list(map(at.__getitem__, map(str.removeprefix, entries, prefixes)))
+    except KeyError:
+        return None
+    return dict(zip(keys, map(ids.__getitem__, positions))), positions
 
-    Those directives fill the boundary indices d_0 at degree 0 and s_{-1},
-    s_{k+1} at degree k, so `d` and `s` lines are held to the simplicial
-    index ranges and may not alias them.
+
+def _parse_levelled(text: str, source: str, header: str, cls):
+    """The FinSSet or FinXiSet (cls) a levelled file holds, its index view
+    seeded with the position maps and index lists read on the way.
+
+    The interval-site directives dnew, sbot and stop (refused in an SSET)
+    fill the boundary indices d_0 at degree 0 and s_{-1}, s_{k+1} at degree
+    k, so `d` and `s` lines are held to the simplicial index ranges and may
+    not alias them.  A table body is read by `_table` against the level
+    lines above it when neither repeats an id, or else by `_entries`.
     """
     cap = None
     stable = None
     levels: dict[int, list[str]] = {}
+    read: dict[int, tuple | None] = {}  # position map, entry prefixes; None on repeats
     faces: dict[tuple[int, int], dict[str, str]] = {}
     degens: dict[tuple[int, int], dict[str, str]] = {}
+    face_index, degen_index = {}, {}  # index lists of the tables _table reads
     xi = False
     seen: set = set()
+
+    def store(key, step, directive, body, lineno):
+        tables, index = (faces, face_index) if step < 0 else (degens, degen_index)
+        if key in tables:
+            raise ParseError(source, lineno, f"duplicate directive '{directive}'")
+        src, tgt = read.get(key[0]), read.get(key[0] + step)
+        made = src and tgt and _table(body, levels[key[0]], src[1],
+                                      levels[key[0] + step], tgt[0])
+        if made:
+            tables[key], index[key] = made
+        else:
+            tables[key] = _entries(body, source, lineno)
+
     for lineno, line in _directives(text, source, header):
         key, _, rest = line.partition(" ")
         head, _, body = rest.partition(":")
@@ -157,7 +200,8 @@ def _parse_levelled(text: str, source: str, header: str):
             ids = [intern(_check_token(t, source, lineno)) for t in body.split()]
             if k in levels:
                 raise ParseError(source, lineno, f"duplicate level {k}")
-            levels[k] = ids
+            levels[k], at = ids, dict(zip(ids, range(len(ids))))
+            read[k] = (at, [x + "->" for x in ids]) if len(at) == len(ids) else None
         elif key in ("d", "s"):
             parts = head.split()
             if len(parts) != 2:
@@ -165,41 +209,32 @@ def _parse_levelled(text: str, source: str, header: str):
             k, i = (_int(p, source, lineno) for p in parts)
             if not 0 <= i <= k or (key == "d" and k < 1):
                 raise ParseError(source, lineno, f"index out of range in '{key} {k} {i}'")
-            _store(faces if key == "d" else degens, (k, i), f"{key} {k} {i}",
-                   body, source, lineno)
+            store((k, i), -1 if key == "d" else 1, f"{key} {k} {i}", body, lineno)
         elif line.partition(":")[0].rstrip() == "dnew":
             xi = True
-            _store(faces, (0, 0), "dnew", line.partition(":")[2], source, lineno)
+            store((0, 0), -1, "dnew", line.partition(":")[2], lineno)
         elif key in ("sbot", "stop"):
             xi = True
             k = _int(head.strip(), source, lineno)
             if k < -1:
                 raise ParseError(source, lineno, f"index out of range in '{key} {k}'")
-            _store(degens, (k, -1 if key == "sbot" else k + 1),
-                   f"{key} {k}", body, source, lineno)
+            store((k, -1 if key == "sbot" else k + 1), 1, f"{key} {k}", body, lineno)
         else:
             raise ParseError(source, lineno, f"unknown directive {key!r}")
     if cap is None:
         raise ParseError(source, 0, "missing cap")
-    return cap, stable, levels, faces, degens, xi
-
-
-def _store(table, key, directive: str, body: str, source: str, lineno: int) -> None:
-    if key in table:
-        raise ParseError(source, lineno, f"duplicate directive '{directive}'")
-    table[key] = _entries(body, source, lineno)
+    if xi and cls is FinSSet:
+        raise ParseError(source, 0, "interval-site directives in an SSET file")
+    pos = {k: r[0] for k, r in read.items() if r}
+    return seed_index_view(cls(cap, levels, faces, degens, stable), pos, face_index, degen_index)
 
 
 def parse_sset(text: str, source: str = "<sset>") -> FinSSet:
-    cap, stable, levels, faces, degens, xi = _parse_levelled(text, source, "SSET v1")
-    if xi:
-        raise ParseError(source, 0, "interval-site directives in an SSET file")
-    return FinSSet(cap, levels, faces, degens, stable)
+    return _parse_levelled(text, source, "SSET v1", FinSSet)
 
 
 def parse_xiset(text: str, source: str = "<xiset>") -> FinXiSet:
-    cap, stable, levels, faces, degens, _ = _parse_levelled(text, source, "XISET v1")
-    return FinXiSet(cap, levels, faces, degens, stable)
+    return _parse_levelled(text, source, "XISET v1", FinXiSet)
 
 
 # ---------------------------------------------------------------------------
@@ -414,5 +449,6 @@ def write_any(obj) -> str:
 
 
 def save(obj, path: str) -> None:
+    text = write_any(obj)  # before the file is opened, so a refusal empties nothing
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(write_any(obj))
+        fh.write(text)

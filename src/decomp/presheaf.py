@@ -12,15 +12,17 @@ All structure-map bookkeeping is reduced to monotone-map words, so there
 is a single source of truth for the relations.
 
 Every constructor makes each table key and value the very string object
-stored in its level list (parsers and nerve builders by `sys.intern`), so
-a lookup matches by pointer.  Objects are frozen, and each memoises its
-`actions`, `i_star`, `u_star`, `nondegenerate` levels, long-edge `fibres`
-and its `validate_sset`/`validate_xiset`/`check_decomposition`/`check_tight`
+stored in its level list (nerve builders and parsers by `sys.intern`, or
+by reading a table against its level lines), so a lookup matches by
+pointer.  Objects are frozen, and each memoises its `actions`, `i_star`,
+`u_star`, `nondegenerate` levels, long-edge `fibres` and its
+`validate_sset`/`validate_xiset`/`check_decomposition`/`check_tight`
 verdicts.  A changed object is a new one (`dataclasses.replace`).
 
 The checks run on integers.  Each object memoises one index view: a
 position map per level, and every face and degeneracy table as a list of
-positions in level order, each made on first use.  Making all of them is
+positions in level order, each made on first use unless the parser or a
+construction hands it over (`seed_index_view`).  Making all of them is
 the totality check of validation; the identities and relations are then
 whole-level comparisons of composed index lists.  act.index(a) composes
 X(a) from those lists; act(a) gives name-based callers the same map as a
@@ -226,22 +228,28 @@ def _index_view(X) -> _IndexView:
     return view
 
 
+def seed_index_view(X, pos: dict, faces: dict, degens: dict):
+    """X, its index view started with position maps and index lists made
+    elsewhere, as by a parser; each must be what the view would make."""
+    view = _index_view(X)
+    for mine, given in ((view.pos, pos), (view.faces, faces), (view.degens, degens)):
+        mine.update(given)
+    return X
+
+
 def _rekeyed(X, Y, shift: int, face_at, degen_at):
     """Y, whose level k is X's level k + shift and whose tables are X's
     tables at face_at(key) and degen_at(key).  Y's index view starts with
     every level and table X's view has already made, re-keyed the same way."""
     view = X._memo.get("index_view")
-    if view is not None:
-        new = _index_view(Y)
-        for k in Y.levels:
-            if k + shift in view.pos:
-                new.pos[k] = view.pos[k + shift]
-        for tables, mine, theirs, at in ((Y.faces, new.faces, view.faces, face_at),
-                                         (Y.degens, new.degens, view.degens, degen_at)):
-            for key in tables:
-                if at(key) in theirs:
-                    mine[key] = theirs[at(key)]
-    return Y
+    if view is None:
+        return Y
+    pos = {k: view.pos[k + shift] for k in Y.levels if k + shift in view.pos}
+
+    def moved(tables, theirs, at):
+        return {key: theirs[at(key)] for key in tables if at(key) in theirs}
+    return seed_index_view(Y, pos, moved(Y.faces, view.faces, face_at),
+                           moved(Y.degens, view.degens, degen_at))
 
 
 class _Actions:

@@ -11,8 +11,10 @@ nondegeneracy by degeneracy images against the principal-edge test, the
 nerves of posets, partial monoids and categories against the
 string-by-string builds, the index-list axiom checks against the same
 checks counted on id tables, map validation against the walk of every
-naturality square simplex by simplex, and the registry coalgebra read off
-the arrow tables against the degree-2 level of the fragment.
+naturality square simplex by simplex, the registry coalgebra read off
+the arrow tables against the degree-2 level of the fragment, and the SSET
+and XISET parser, which reads a writer's tables against their level lines,
+against the parse of every table body entry by entry.
 """
 
 from __future__ import annotations
@@ -839,3 +841,72 @@ def registry_comult_by_fragment(reg):
     zero = {d for d, _ in frag.levels[0]}
     counit = {d: 1 if d in zero else 0 for d in reg.entries}
     return pairs, counit
+
+
+# ---------------------------------------------------------------------------
+# SSET/XISET text: every table body parsed entry by entry
+
+
+def parse_levelled_by_entries(text, source, header):
+    """The FinSSet or FinXiSet of a levelled file, every table body read by
+    `formats._entries`, and its ParseError texts those of the library."""
+    from decomp.formats import ParseError, _directives, _entries, _int, _once
+    from decomp.presheaf import FinXiSet
+
+    cap = stable = None
+    levels, faces, degens = {}, {}, {}
+    xi = False
+    seen = set()
+
+    def store(table, key, directive, body, lineno):
+        if key in table:
+            raise ParseError(source, lineno, f"duplicate directive '{directive}'")
+        table[key] = _entries(body, source, lineno)
+
+    for lineno, line in _directives(text, source, header):
+        key, _, rest = line.partition(" ")
+        head, _, body = rest.partition(":")
+        if key == "cap":
+            _once(seen, key, source, lineno)
+            cap = _int(rest.strip(), source, lineno)
+        elif key == "stable":
+            _once(seen, key, source, lineno)
+            stable = _int(rest.strip(), source, lineno)
+            if stable < -1:
+                raise ParseError(source, lineno, f"stable degree {stable} below -1")
+        elif key == "level":
+            k = _int(head.strip(), source, lineno)
+            ids = body.split()
+            for tok in ids:
+                if "->" in tok or ";" in tok:
+                    raise ParseError(source, lineno,
+                                     f"identifier {tok!r} uses reserved characters")
+            if k in levels:
+                raise ParseError(source, lineno, f"duplicate level {k}")
+            levels[k] = [intern(tok) for tok in ids]
+        elif key in ("d", "s"):
+            parts = head.split()
+            if len(parts) != 2:
+                raise ParseError(source, lineno, f"expected '{key} <k> <i>:'")
+            k, i = (_int(p, source, lineno) for p in parts)
+            if not 0 <= i <= k or (key == "d" and k < 1):
+                raise ParseError(source, lineno, f"index out of range in '{key} {k} {i}'")
+            store(faces if key == "d" else degens, (k, i), f"{key} {k} {i}", body, lineno)
+        elif line.partition(":")[0].rstrip() == "dnew":
+            xi = True
+            store(faces, (0, 0), "dnew", line.partition(":")[2], lineno)
+        elif key in ("sbot", "stop"):
+            xi = True
+            k = _int(head.strip(), source, lineno)
+            if k < -1:
+                raise ParseError(source, lineno, f"index out of range in '{key} {k}'")
+            store(degens, (k, -1 if key == "sbot" else k + 1), f"{key} {k}", body, lineno)
+        else:
+            raise ParseError(source, lineno, f"unknown directive {key!r}")
+    if cap is None:
+        raise ParseError(source, 0, "missing cap")
+    if header == "SSET v1":
+        if xi:
+            raise ParseError(source, 0, "interval-site directives in an SSET file")
+        return FinSSet(cap, levels, faces, degens, stable)
+    return FinXiSet(cap, levels, faces, degens, stable)

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decomp import labeling
-from decomp.axioms import check_decomposition, check_map_class, check_segal, check_tight
+from decomp.axioms import (
+    check_decomposition,
+    check_flanked,
+    check_map_class,
+    check_segal,
+    check_tight,
+)
 from decomp.formats import (
     parse_smap_text,
     parse_sset,
@@ -42,6 +48,8 @@ from decomp.interval import (
 )
 from decomp.presheaf import (
     FinXiSet,
+    _index_view,
+    _IndexView,
     actions,
     dec_bot,
     dec_top,
@@ -50,7 +58,9 @@ from decomp.presheaf import (
     nondegenerate,
     pullback_failure,
     truncate,
+    u_star,
     u_star_map,
+    validate,
     validate_sset,
     validate_sset_map,
     validate_xiset_map,
@@ -584,3 +594,179 @@ def test_map_validation_matches_per_simplex_check(F):
         assert lines == oracles.validate_sset_map_by_simplex(F).lines()
     for k in set(F.components).difference(range(lo, F.dom.cap + 1)):
         assert f"FAIL validate_map degree={k} note=extra-component" in lines
+
+
+# ---------------------------------------------------------------------------
+# SSET/XISET text: tables read against their level lines, the index view
+# handed over by the parser
+
+
+def _table_lines(lines):
+    return [n for n, line in enumerate(lines)
+            if line.split() and line.split()[0] in ("d", "s", "dnew:", "sbot", "stop")]
+
+
+def _source_level(line):
+    """The source level of a table line, and the level step to its target."""
+    words = line.partition(":")[0].split()
+    if words[0] == "dnew":
+        return 0, -1
+    return int(words[1]), -1 if words[0] == "d" else 1
+
+
+def _split_body(line):
+    head, _, body = line.partition(":")
+    return head, [e.strip() for e in body.split(";") if e.strip()]
+
+
+def _perturb(draw, lines, how):
+    """Apply one perturbation to the lines of a levelled file, in place."""
+    tables = _table_lines(lines)
+    full = [n for n in tables if _split_body(lines[n])[1]]
+    level_lines = [n for n, line in enumerate(lines) if line.startswith("level ")]
+    if how == "comment":
+        n = draw(st.integers(0, len(lines) - 1))
+        lines[n] += draw(st.sampled_from([" # note", "\t#x", "#", "  # a->b ; c"]))
+    elif how == "above" and tables:
+        n = draw(st.sampled_from(tables))
+        k, step = _source_level(lines[n])
+        row = lines.pop(n)
+        at = [m for m, line in enumerate(lines)
+              if line.startswith((f"level {k}:", f"level {k + step}:"))]
+        lines.insert(draw(st.sampled_from(at)) if at else 1, row)
+    elif how == "repeat-id":
+        n = draw(st.sampled_from([n for n in level_lines if lines[n].partition(":")[2].split()]
+                                 or level_lines))
+        ids = lines[n].partition(":")[2].split()
+        if ids:
+            lines[n] += " " + draw(st.sampled_from(ids))
+    elif full:
+        n = draw(st.sampled_from(full))
+        head, entries = _split_body(lines[n])
+        e = draw(st.integers(0, len(entries) - 1))
+        if how == "reorder":
+            entries = draw(st.permutations(entries))
+        elif how == "outside":
+            others = [x for m in level_lines for x in lines[m].partition(":")[2].split()]
+            src = entries[e].split("->")[0]
+            entries[e] = f"{src}->{draw(st.sampled_from(others + ['nowhere']))}"
+        elif how == "dup-source":
+            src = entries[e].split("->")[0]
+            entries.insert(draw(st.integers(0, len(entries))),
+                           draw(st.sampled_from([entries[e], f"{src}->nowhere"])))
+        elif how == "drop":
+            del entries[e]
+        elif how == "bare":
+            entries[e] = entries[e].split("->")[-1]
+        body = " ; ".join(entries)
+        if how == "spacing":
+            body = body.replace("->", draw(st.sampled_from(["\t->", "-> ", "  ->", "->\t\t"])))
+            body = body.replace(" ; ", draw(st.sampled_from([";", " ;\t", "\t;  ", " ; "])))
+        lines[n] = f"{head}: {body}"
+
+
+PERTURBATIONS = ["reorder", "spacing", "comment", "above", "outside", "repeat-id",
+                 "dup-source", "drop", "bare"]
+
+
+@st.composite
+def levelled_texts(draw):
+    """(header, text): the SSET of a drawn nerve, or the XISET of one of its
+    arrows' intervals or of its u*, with zero to three perturbations."""
+    X = draw(st.one_of(st.builds(nerve_poset, drawn_posets(), st.integers(3, 4)),
+                       st.builds(lambda b, cap: nerve(truncated_addition(b), cap),
+                                 st.integers(0, 3), st.integers(3, 4))))
+    kind = draw(st.sampled_from(["sset", "interval", "u_star"]))
+    if kind == "sset":
+        header, text = "SSET v1", write_sset(X)
+    else:
+        A = (u_star(X) if kind == "u_star" else
+             factorisation_interval(X, draw(st.sampled_from(X.levels[1])))[0].data)
+        header, text = "XISET v1", write_xiset(A)
+    lines = text.splitlines()
+    for how in draw(st.lists(st.sampled_from(PERTURBATIONS), max_size=3)):
+        _perturb(draw, lines, how)
+    return header, "\n".join(lines) + "\n"
+
+
+def _parse_levelled(header, text):
+    return (parse_sset if header == "SSET v1" else parse_xiset)(text)
+
+
+def _render(X):
+    """Everything a parse gives, table and key order included."""
+    return (type(X).__name__, X.cap, X.stable_from, list(X.levels.items()),
+            [(key, list(t.items())) for key, t in X.faces.items()],
+            [(key, list(t.items())) for key, t in X.degens.items()])
+
+
+@SETTINGS
+@given(levelled_texts())
+def test_parser_matches_entry_by_entry_reference(case):
+    """Tables read against their level lines, or entry by entry when that
+    fails, give the reference's levels, tables and stable degree, or the
+    reference's ParseError text."""
+    header, text = case
+    source = "<sset>" if header == "SSET v1" else "<xiset>"
+    got = outcome(_parse_levelled, header, text)
+    want = outcome(oracles.parse_levelled_by_entries, text, source, header)
+    if got[0] == "value" and want[0] == "value":
+        assert _render(got[1]) == _render(want[1])
+        if validate(got[1]).ok:
+            assert _interned(got[1])
+    else:
+        assert got == want
+
+
+def _assert_view_handed_over(X):
+    """X's index view, seeded by the parser, against one made afresh, and
+    every check on X against the same check on a copy with no view."""
+    seeded, fresh = _index_view(X), _IndexView(X)
+    for k, ids in X.levels.items():
+        if len(set(ids)) != len(ids):
+            assert k not in seeded.pos
+    for k, at in seeded.pos.items():
+        assert at == fresh.pos[k]
+    for key, index in seeded.faces.items():
+        assert index == fresh.faces[key]
+    for key, index in seeded.degens.items():
+        assert index == fresh.degens[key]
+    checks = [(validate,)]
+    if validate(replace(X)).ok:
+        checks += ([(check_flanked,)] if isinstance(X, FinXiSet)
+                   else [(check_segal,), (check_decomposition, "both")])
+    for check, *args in checks:
+        assert _report(check, X, *args) == _report(check, replace(X), *args)
+
+
+@pytest.mark.parametrize("spec, cap, top", [
+    (chain_poset(5), 8, "0≤5"), (truncated_addition(5), 8, "5"),
+    (divisor_poset(12), 6, "1≤12"), (boolean_poset(3), 6, "o≤abc"),
+], ids=["chain5", "trunc5", "d12", "B3"])
+def test_parser_hands_over_the_whole_index_view(spec, cap, top):
+    """A writer's text seeds every level and table of the view, and the
+    view equals one made afresh; so does the top interval's XISET."""
+    X = parse_sset(write_sset(nerve(spec, cap)))
+    A = parse_xiset(write_xiset(factorisation_interval(X, top)[0].data))
+    for Y in (X, A):
+        view = _index_view(Y)
+        assert (view.pos.keys(), view.faces.keys(), view.degens.keys()) == (
+            Y.levels.keys(), Y.faces.keys(), Y.degens.keys())
+        _assert_view_handed_over(Y)
+
+
+@SETTINGS
+@given(levelled_texts())
+def test_handed_over_view_matches_a_fresh_one(case):
+    X = outcome(_parse_levelled, *case)
+    if X[0] == "value":
+        _assert_view_handed_over(X[1])
+
+
+def test_repeated_level_id_gets_no_seeded_positions():
+    lines = write_sset(nerve(divisor_poset(12), 4)).splitlines()
+    n = next(n for n, line in enumerate(lines) if line.startswith("level 1:"))
+    lines[n] += " 1≤2"
+    X = parse_sset("\n".join(lines) + "\n")
+    assert 1 not in _index_view(X).pos and 0 in _index_view(X).pos
+    assert "FAIL validate degree=1 note=duplicate-identifiers" in validate(X).lines()

@@ -1,9 +1,21 @@
-import pytest
+import contextlib
+import io
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import poset_specs
+from test_ingest import free_categories, truncated_free_monoids
+
+from decomp.cli import main
 from decomp.formats import (
     ParseError,
     load,
     load_smap,
+    parse_any,
     parse_category,
     parse_monoid,
     parse_poset,
@@ -11,6 +23,7 @@ from decomp.formats import (
     parse_sset,
     parse_xiset,
     save,
+    write_any,
     write_category,
     write_monoid,
     write_poset,
@@ -18,8 +31,18 @@ from decomp.formats import (
     write_sset,
     write_xiset,
 )
-from decomp.ingest import divisor_poset, nerve_poset, truncated_addition
-from decomp.presheaf import SSetMap, dec_bot, u_star
+from decomp.ingest import MonoidSpec, divisor_poset, nerve, nerve_poset, truncated_addition
+from decomp.interval import factorisation_interval
+from decomp.presheaf import (
+    FinXiSet,
+    SSetMap,
+    dec_bot,
+    dec_top,
+    point_sset,
+    point_xiset,
+    u_star,
+    validate,
+)
 
 
 def test_sset_roundtrip_is_canonical():
@@ -213,3 +236,169 @@ def test_load_sniffs_format(tmp_path):
     assert spec.leq("2", "6")
     with pytest.raises(ParseError):
         load(__file__)
+
+
+# ---------------------------------------------------------------------------
+# failed saves, unreadable ids, round trips and mutated text
+
+
+def test_failed_save_keeps_the_file(tmp_path):
+    """The text is made before the file is opened, so a save that fails
+    leaves the file's bytes as they were."""
+    path = tmp_path / "kept.poset"
+    save(divisor_poset(6), path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        save(object(), path)
+    with pytest.raises(ValueError, match="'p#q'"):
+        save(point_sset(3, "p#q"), path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("bad", ["p#q", "", "a b", "a\tb", "a\u2028b", "a->b", "a;b"])
+@pytest.mark.parametrize("write, make", [(write_sset, point_sset), (write_xiset, point_xiset)],
+                         ids=["sset", "xiset"])
+def test_writers_refuse_ids_their_parser_cannot_read(bad, write, make):
+    """A valid object whose level id is empty or holds whitespace, '#', '->'
+    or ';' is refused by the writer, naming the first such id."""
+    X = make(3, bad)
+    assert validate(X).ok
+    lo = -1 if write is write_xiset else 0
+    with pytest.raises(ValueError) as err:
+        write(X)
+    assert str(err.value) == (f"level {lo} id {bad!r} is empty or holds whitespace, "
+                              "'#', '->' or ';'")
+
+
+def test_writer_names_the_first_unreadable_id():
+    X = nerve_poset(divisor_poset(6), 3)
+    levels = dict(X.levels)
+    levels[2] = ["zz z", *X.levels[2], "a#"]
+    with pytest.raises(ValueError, match="level 2 id 'a#'"):
+        write_sset(replace(X, levels=levels))
+
+
+@st.composite
+def levelled_objects(draw):
+    """A drawn poset nerve, truncated addition, free monoid or free category
+    nerve, or the XISET of one of its arrows' intervals or of its u*."""
+    spec, cap = draw(st.one_of(poset_specs(), truncated_free_monoids(), free_categories(),
+                               st.tuples(st.builds(truncated_addition, st.integers(0, 4)),
+                                         st.integers(2, 5))))
+    if isinstance(spec, MonoidSpec):
+        spec = MonoidSpec.build(spec.elements, spec.unit, spec.table)
+    X = nerve(spec, max(cap, 3))
+    kind = draw(st.sampled_from(["sset", "interval", "u_star"]))
+    if kind == "sset":
+        return X
+    return (u_star(X) if kind == "u_star"
+            else factorisation_interval(X, draw(st.sampled_from(X.levels[1])))[0].data)
+
+
+def _spec_objects():
+    return st.one_of(poset_specs(), truncated_free_monoids(), free_categories()).map(
+        lambda spec_cap: spec_cap[0] if not isinstance(spec_cap[0], MonoidSpec)
+        else MonoidSpec.build(spec_cap[0].elements, spec_cap[0].unit, spec_cap[0].table))
+
+
+ROUNDTRIP = settings(max_examples=60, deadline=None, database=None)
+
+
+@ROUNDTRIP
+@given(levelled_objects())
+def test_levelled_write_parse_roundtrip(X):
+    text = write_any(X)
+    again = parse_any(text)
+    assert type(again) is type(X) and again == X
+    assert write_any(again) == text
+
+
+@ROUNDTRIP
+@given(_spec_objects())
+def test_spec_write_parse_roundtrip(spec):
+    """POSET, MONOID and CAT text parses back to a spec that writes the
+    same text and builds the same nerve."""
+    text = write_any(spec)
+    again = parse_any(text)
+    assert type(again) is type(spec)
+    assert write_any(again) == text
+    assert write_sset(nerve(again, 3)) == write_sset(nerve(spec, 3))
+
+
+@ROUNDTRIP
+@given(levelled_objects().filter(lambda X: not isinstance(X, FinXiSet)),
+       st.sampled_from([dec_bot, dec_top]))
+def test_smap_write_parse_roundtrip(X, dec):
+    _, counit = dec(X)
+    text = write_smap(counit, "dom.sset", "cod.sset")
+    assert parse_smap_text(text) == ("dom.sset", "cod.sset", counit.components)
+
+
+def _mutated(draw, text):
+    """text with one to three edits: a character deleted, a token inserted,
+    or a line deleted, repeated or swapped with the next."""
+    lines = text.splitlines()
+    for how in draw(st.lists(st.sampled_from(["delete", "insert", "drop", "repeat", "swap"]),
+                             min_size=1, max_size=3)):
+        n = draw(st.integers(0, len(lines) - 1))
+        if how in ("delete", "insert"):
+            at = draw(st.integers(0, len(lines[n])))
+            if how == "delete":
+                lines[n] = lines[n][:at] + lines[n][at + 1:]
+            else:
+                token = draw(st.sampled_from([" ", "\t", "#", ";", "->", ":", "-", "9", "0",
+                                              "x", "≤", " ; ", "\n", "level 9: x"]))
+                lines[n] = lines[n][:at] + token + lines[n][at:]
+        elif how == "drop":
+            del lines[n]
+        elif how == "repeat":
+            lines.insert(n, lines[n])
+        elif n + 1 < len(lines):
+            lines[n], lines[n + 1] = lines[n + 1], lines[n]
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mutated_files(draw):
+    """(files, commands): the text of a drawn object of one of the six
+    formats with a few edits, and the CLI commands that read it, with {d}
+    for the directory that holds the files."""
+    kind = draw(st.sampled_from(["sset", "xiset", "smap", "spec"]))
+    if kind == "spec":
+        text = write_any(draw(_spec_objects()))
+        return {"in.txt": _mutated(draw, text)}, [["nerve", "{d}/in.txt", "-o", "{d}/out.sset"]]
+    X = draw(levelled_objects().filter(lambda X: isinstance(X, FinXiSet) == (kind == "xiset")))
+    if kind == "xiset":
+        return ({"in.xiset": _mutated(draw, write_xiset(X))},
+                [["check", "flanked", "{d}/in.xiset"], ["registry", "add", "{d}/r", "{d}/in.xiset"]])
+    if kind == "smap":
+        D, counit = dec_bot(X)
+        files = {"dom.sset": write_sset(D), "cod.sset": write_sset(X),
+                 "in.smap": write_smap(counit, "dom.sset", "cod.sset")}
+        name = draw(st.sampled_from(sorted(files)))
+        files[name] = _mutated(draw, files[name])
+        return files, [["check", "culf", "{d}/in.smap"]]
+    arrow = draw(st.sampled_from(X.levels[1]))
+    return {"in.sset": _mutated(draw, write_sset(X))}, [
+        ["check", what, "{d}/in.sset"] for what in ("segal", "decomp", "complete", "mobius")
+    ] + [["mobius", "{d}/in.sset"], ["coalg-table", "{d}/in.sset"],
+         ["dec", "bot", "{d}/in.sset", "-o", "{d}/out.sset"],
+         ["interval", "{d}/in.sset", "--arrow", arrow, "-o", "{d}/out.xiset"]]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(mutated_files())
+def test_cli_on_mutated_text_exits_with_a_code(case):
+    """Every command on edited text of every format exits 0, 1 or 2 and
+    raises nothing."""
+    files, commands = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        for argv in commands:
+            argv = [a.replace("{d}", tmp) for a in argv]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2), argv
