@@ -14,8 +14,9 @@ from .presheaf import (
     SSetMap,
     XiSetMap,
     _component_indices,
-    _generator_table,
     _index_view,
+    _label,
+    _table_keys,
     actions,
     dec_bot,
     dec_top,
@@ -25,7 +26,6 @@ from .presheaf import (
     pullback_failure,
     sset_action,  # noqa: F401 -- perfbench/tracer.py counts calls through this name
     validate_sset,
-    xi_generators,
 )
 from .report import Report
 from .simplex import MonotoneMap, free_generators, generic_generators, pushout_generic_free
@@ -167,33 +167,37 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
 # map classes
 
 
+def _cartesian(F: SSetMap | XiSetMap, check: str, degens: bool, faces: bool) -> Report:
+    """Is each naturality square of F on a degeneracy (with degens) and on
+    an inner face (with faces) a pullback?
+
+    In simplicial coordinates an interval-site map's generators are all
+    degeneracies and inner faces, so its squares are those on every one of
+    its structure maps."""
+    rep = Report(check)
+    Y, X = F.dom, F.cod
+    if Y.cap > X.cap:
+        raise CapError("map components exceed the codomain cap")
+    xi = isinstance(Y, FinXiSet)
+    vY, vX, comp = _index_view(Y), _index_view(X), _component_indices(F, -xi)
+    face_keys, degen_keys = _table_keys(Y.cap, xi)
+    squares = [("s", key, 1, vY.degens, vX.degens) for key in degen_keys if degens]
+    squares += [("d", (k, i), -1, vY.faces, vX.faces) for k, i in face_keys
+                if faces and 0 < i + xi < k + 2 * xi]
+    for letter, (k, i), step, tY, tX in squares:
+        bad = pullback_failure(Y.levels[k], Y.levels[k + step], X.levels[k],
+                               tY[(k, i)], comp[k], comp[k + step], tX[(k, i)])
+        if bad is not None:
+            rep.fail(degree=k, note=f"{_label(xi, letter, k, i)}:{bad}")
+    rep.verified_upto = Y.cap
+    return rep
+
+
 def check_map_class(F: SSetMap, cls: str = "culf") -> Report:
     """Cartesianness of naturality squares on degeneracies and inner faces."""
     if cls not in ("conservative", "ulf", "culf"):
         raise ValueError(f"unknown map class {cls!r}")
-    rep = Report(f"check_map_class[{cls}]")
-    Y, X = F.dom, F.cod
-    if Y.cap > X.cap:
-        raise CapError("map components exceed the codomain cap")
-    vY, vX, comp = _index_view(Y), _index_view(X), _component_indices(F, 0)
-    if cls in ("conservative", "culf"):
-        for k in range(0, Y.cap):
-            for j in range(k + 1):
-                bad = pullback_failure(Y.levels[k], Y.levels[k + 1], X.levels[k],
-                                       vY.degens[(k, j)], comp[k], comp[k + 1],
-                                       vX.degens[(k, j)])
-                if bad is not None:
-                    rep.fail(degree=k, note=f"s{j}:{bad}")
-    if cls in ("ulf", "culf"):
-        for k in range(2, Y.cap + 1):
-            for i in range(1, k):
-                bad = pullback_failure(Y.levels[k], Y.levels[k - 1], X.levels[k],
-                                       vY.faces[(k, i)], comp[k], comp[k - 1],
-                                       vX.faces[(k, i)])
-                if bad is not None:
-                    rep.fail(degree=k, note=f"d{i}:{bad}")
-    rep.verified_upto = Y.cap
-    return rep
+    return _cartesian(F, f"check_map_class[{cls}]", cls != "ulf", cls != "conservative")
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +254,8 @@ def check_wide(g: XiSetMap) -> bool:
 
 
 def cartesian_report(g: XiSetMap) -> Report:
-    rep = Report("check_cartesian")
-    A, B = g.dom, g.cod
-    if A.cap > B.cap:
-        raise CapError("map components exceed the codomain cap")
-    vB, comp = _index_view(B), _component_indices(g, -1)
-    for name, arrow, tA in xi_generators(_index_view(A)):
-        bad = pullback_failure(A.levels[arrow.tgt], A.levels[arrow.src], B.levels[arrow.tgt],
-                               tA, comp[arrow.tgt], comp[arrow.src],
-                               _generator_table(vB, arrow.rep, 2))
-        if bad is not None:
-            rep.fail(degree=arrow.tgt, note=f"{name}:{bad}")
-    rep.verified_upto = A.cap
-    return rep
+    """Cartesianness of the naturality squares on every site generator."""
+    return _cartesian(g, "check_cartesian", True, True)
 
 
 def check_cartesian(g: XiSetMap) -> bool:

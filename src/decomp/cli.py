@@ -18,13 +18,10 @@ from .presheaf import (
     CapError,
     FinSSet,
     FinXiSet,
-    SSetMap,
-    XiSetMap,
     dec_bot,
     dec_top,
     validate,
-    validate_sset_map,
-    validate_xiset_map,
+    validate_map,
 )
 from .registry import Registry, RegistryError
 
@@ -87,15 +84,12 @@ def _check_one(what: str, path: str) -> int:
             base = validate(end)
             if not base.ok:
                 return _print(base)
-        base = (validate_sset_map(M) if isinstance(M, SSetMap)
-                else validate_xiset_map(M))
+        base = validate_map(M)
         if not base.ok:
             return _print(base)
-        if isinstance(M, XiSetMap):
-            rep = axioms.cartesian_report(M)
-        else:
-            rep = axioms.check_map_class(M, "culf")
-        return _print(rep)
+        if isinstance(M.dom, FinXiSet):
+            return _print(axioms.cartesian_report(M))
+        return _print(axioms.check_map_class(M, "culf"))
     obj = load(path)
     if what == "flanked":
         if not isinstance(obj, FinXiSet):

@@ -242,6 +242,12 @@ def parse_xiset(text: str, source: str = "<xiset>") -> FinXiSet:
 
 
 def write_smap(M: SSetMap | XiSetMap, dom_path: str, cod_path: str) -> str:
+    """SMAP text; a dom or cod path that is empty or holds '#', a line
+    break, or leading or trailing whitespace raises ValueError."""
+    for key, path in (("dom", dom_path), ("cod", cod_path)):
+        if "#" in path or path.splitlines() != [path] or path != path.strip():
+            raise ValueError(f"{key} path {path!r} is empty or holds '#', a line break, "
+                             "or leading or trailing whitespace")
     out = ["SMAP v1", f"dom {dom_path}", f"cod {cod_path}"]
     kmin = -1 if isinstance(M, XiSetMap) else 0
     for k in range(kmin, M.dom.cap + 1):
@@ -285,8 +291,10 @@ def _read(path: str) -> str:
 def load_smap(path: str) -> SSetMap | XiSetMap:
     dom_path, cod_path, comps = parse_smap_text(_read(path), path)
     base = os.path.dirname(os.path.abspath(path))
-    dom = load(os.path.join(base, dom_path))
-    cod = load(os.path.join(base, cod_path))
+    dom, cod = (load(os.path.join(base, p)) for p in (dom_path, cod_path))
+    for key, p, obj in (("dom", dom_path, dom), ("cod", cod_path, cod)):
+        if not isinstance(obj, (FinSSet, FinXiSet)):
+            raise ParseError(path, 0, f"{key} file {p!r} is not an SSET or XISET")
     if isinstance(dom, FinXiSet) and isinstance(cod, FinXiSet):
         return XiSetMap(dom, cod, comps)
     if isinstance(dom, FinSSet) and isinstance(cod, FinSSet):

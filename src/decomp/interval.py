@@ -28,6 +28,8 @@ from .presheaf import (
     FinXiSet,
     SSetMap,
     XiSetMap,
+    _name,
+    _table_keys,
     actions,
     fibres,
     i_star,
@@ -36,7 +38,6 @@ from .presheaf import (
     truncate,
     u_star,
     validate_xiset,
-    xi_generators,
 )
 from .report import Report
 from .simplex import xi_initial
@@ -200,18 +201,15 @@ def factorisation_interval(X: FinSSet, a: str) -> tuple[AlgebraicInterval, SSetM
 # canonical forms
 
 
-def sset_system(X: FinSSet) -> UnarySystem:
-    maps = [(f"d[{k},{i}]", k, k - 1, X.faces[(k, i)])
-            for k in range(1, X.cap + 1) for i in range(k + 1)]
-    maps += [(f"s[{k},{j}]", k, k + 1, X.degens[(k, j)])
-             for k in range(X.cap) for j in range(k + 1)]
-    return UnarySystem({k: list(X.levels[k]) for k in range(X.cap + 1)}, maps)
-
-
-def xi_system(A: FinXiSet) -> UnarySystem:
-    maps = [(name, arrow.tgt, arrow.src, table)
-            for name, arrow, table in xi_generators(A)]
-    return UnarySystem({k: list(A.levels[k]) for k in range(-1, A.cap + 1)}, maps)
+def labelling_system(X: FinSSet | FinXiSet) -> UnarySystem:
+    """X's levels as sorts and its face and degeneracy tables as maps, in
+    the order validation reports them, each labelled with its XISET name."""
+    xi = isinstance(X, FinXiSet)
+    kinds = (("d", X.faces, -1), ("s", X.degens, 1))
+    maps = [(_name(letter, k, i), k, k + step, tables[(k, i)])
+            for (letter, tables, step), keys in zip(kinds, _table_keys(X.cap, xi))
+            for k, i in keys]
+    return UnarySystem({k: list(X.levels[k]) for k in range(-xi, X.cap + 1)}, maps)
 
 
 def canonicalize_with_map(
@@ -234,7 +232,7 @@ def canonicalize_with_map(
         raise IntervalError(
             f"stabilization degree {data.stable_from} exceeds cap {data.cap}")
     T = truncate(data, canon_cap)
-    order = canonical_order(xi_system(T))
+    order = canonical_order(labelling_system(T))
     relabel = {k: {x: f"n{k}_{order[k][x]}" for x in T.levels[k]}
                for k in range(-1, canon_cap + 1)}
     levels = {k: sorted(relabel[k].values()) for k in range(-1, canon_cap + 1)}
@@ -263,13 +261,13 @@ def intervals_isomorphic(
     db = B.data if isinstance(B, AlgebraicInterval) else B
     if da.cap != db.cap:
         raise CapError("isomorphism search needs equal caps")
-    return find_isomorphism(xi_system(da), xi_system(db))
+    return find_isomorphism(labelling_system(da), labelling_system(db))
 
 
 def ssets_isomorphic(X: FinSSet, Y: FinSSet) -> dict[int, dict[str, str]] | None:
     if X.cap != Y.cap:
         raise CapError("isomorphism search needs equal caps")
-    return find_isomorphism(sset_system(X), sset_system(Y))
+    return find_isomorphism(labelling_system(X), labelling_system(Y))
 
 
 # ---------------------------------------------------------------------------

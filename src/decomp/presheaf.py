@@ -11,6 +11,14 @@ degeneracies at degree k are s_{-1} and s_{k+1} (`sbot k` and `stop k`).
 All structure-map bookkeeping is reduced to monotone-map words, so there
 is a single source of truth for the relations.
 
+The checks read an interval-site presheaf in simplicial coordinates: its
+degree k and index i are degree k + 2 and index i + 1 of a simplicial set
+that has only its inner faces and all its degeneracies, the generic maps
+(GKT III).  So one loop serves both kinds for each of the relations, the
+naturality of a map, the pullback squares of a culf map (GKT I: cartesian
+on the generic maps) and the labelling system; only the names in FAIL
+lines differ.
+
 Every constructor makes each table key and value the very string object
 stored in its level list (nerve builders and parsers by `sys.intern`, or
 by reading a table against its level lines), so a lookup matches by
@@ -142,6 +150,21 @@ def _table_keys(cap: int, xi: bool) -> tuple[list, list]:
         faces += [(0, 0)]
         degens += [(k, j) for k in range(-1, cap) for j in (-1, k + 1)]
     return faces, degens
+
+
+def _name(letter: str, k: int, i: int) -> str:
+    """The face ("d") or degeneracy ("s") of key (k, i) as XISET text names
+    it: d_0 at degree 0 is `dnew`, s_{-1} and s_{k+1} at degree k are
+    `sbot[k]` and `stop[k]`, and any other is `d[k,i]` or `s[k,i]`."""
+    special = {(0, 0): "dnew"} if letter == "d" else {(k, -1): f"sbot[{k}]",
+                                                      (k, k + 1): f"stop[{k}]"}
+    return special.get((k, i), f"{letter}[{k},{i}]")
+
+
+def _label(xi: bool, letter: str, k: int, i: int) -> str:
+    """How a check's FAIL lines name a structure map: by its index alone in
+    a simplicial set (`d2`), by its `_name` in an interval-site presheaf."""
+    return _name(letter, k, i) if xi else f"{letter}{i}"
 
 
 def _generator_table(X, gen: MonotoneMap, shift: int):
@@ -350,83 +373,121 @@ def validate(X) -> Report:
     return validate_sset(X)
 
 
-def _sset_shape(rep: Report, X: FinSSet) -> None:
-    """Name every shape fault: levels, identifiers and totality of tables."""
-    if sorted(X.levels) != list(range(0, X.cap + 1)):
+def _shape(rep: Report, X) -> None:
+    """Name every shape fault: levels, identifiers and totality of tables.
+
+    A simplicial set names each missing table; an interval-site presheaf
+    names its first missing table and stops there."""
+    xi = isinstance(X, FinXiSet)
+    if sorted(X.levels) != list(range(-xi, X.cap + 1)):
         rep.fail(note="levels-do-not-match-cap")
         return
-    for k in range(0, X.cap + 1):
+    for k in range(-xi, X.cap + 1):
         if len(set(X.levels[k])) != len(X.levels[k]):
             rep.fail(degree=k, note="duplicate-identifiers")
-    faces, degens = _table_keys(X.cap, False)
-    for k, i in faces:
-        if (k, i) not in X.faces:
-            rep.fail(degree=k, note=f"missing-face-d{i}")
-        else:
-            _check_totality(rep, f"d[{k},{i}]", X.faces[(k, i)],
-                            X.levels[k], X.levels[k - 1])
-    for k, j in degens:
-        if (k, j) not in X.degens:
-            rep.fail(degree=k, note=f"missing-degeneracy-s{j}")
-        else:
-            _check_totality(rep, f"s[{k},{j}]", X.degens[(k, j)],
-                            X.levels[k], X.levels[k + 1])
-    for k, i in sorted(X.faces.keys() - set(faces)):
-        rep.fail(degree=k, note=f"extra-face-d{i}")
-    for k, j in sorted(X.degens.keys() - set(degens)):
-        rep.fail(degree=k, note=f"extra-degeneracy-s{j}")
+    kinds = (("d", "face", X.faces, -1), ("s", "degeneracy", X.degens, 1))
+    keys = _table_keys(X.cap, xi)
+    missing = [key for (_, _, tables, _), ks in zip(kinds, keys) for key in ks
+               if key not in tables]
+    if xi and missing:
+        rep.fail(note=f"missing-structure-map:{missing[0]}")
+        return
+    for (letter, kind, tables, step), ks in zip(kinds, keys):
+        for k, i in ks:
+            if (k, i) not in tables:
+                rep.fail(degree=k, note=f"missing-{kind}-{letter}{i}")
+            else:
+                _check_totality(rep, _name(letter, k, i), tables[(k, i)],
+                                X.levels[k], X.levels[k + step])
+    for (letter, kind, tables, _), ks in zip(kinds, keys):
+        for k, i in sorted(tables.keys() - set(ks)):
+            rep.fail(degree=k, note=f"extra-structure-map:{_name(letter, k, i)}" if xi
+                     else f"extra-{kind}-{letter}{i}")
 
 
-@memoised
-def validate_sset(X: FinSSet) -> Report:
-    """Check level/table shape and every simplicial identity under the cap.
+def _check_relations(rep: Report, X) -> None:
+    """Check every simplicial identity among X's structure maps, each on a
+    whole level at once, in simplicial coordinates.
 
-    Shape is checked by making every level and table of X's index view;
-    only when that fails are the tables walked to name the faults.  Each
-    identity is then checked on a whole level at once: both sides are
-    composed as index lists over levels[k] and the two lists compared.
-    Only a relation whose lists differ walks the level simplex by simplex
-    to name its witnesses.
+    Degree K and index I are X's own degree and index for a simplicial set,
+    and X's degree K - 2 and index I - 1 for an interval-site presheaf,
+    which has the inner faces (0 < I < K) and all the degeneracies; the
+    identities among these maps are the relations of its site.  Both sides of an identity are composed
+    as index lists over level K and the two lists compared; only a relation
+    whose lists differ walks the level to name its witnesses.  A simplicial
+    set names the relation d{i}d{j}, s{i}s{j} or d{i}s{j}; an interval-site
+    presheaf names its side that is not in `generator_word`'s normal form,
+    as relation:<outer>;<inner> with the map applied last first.
     """
-    rep = Report("validate")
-    view = _index_view(X)
-    try:
-        view.check()
-    except (KeyError, ValueError):
-        _sset_shape(rep, X)
-        return rep
-    levels, faces, degens = X.levels, view.faces, view.degens
+    xi = isinstance(X, FinXiSet)
+    view, (face_keys, degen_keys) = _index_view(X), _table_keys(X.cap, xi)
+    d = {(k + 2 * xi, i + xi): view.faces[(k, i)] for k, i in face_keys}
+    s = {(k + 2 * xi, j + xi): view.degens[(k, j)] for k, j in degen_keys}
+    tables = {"d": d, "s": s}
 
     def composite(outer, inner):
         return list(map(outer.__getitem__, inner))
 
-    for k in range(2, X.cap + 1):
-        for j in range(1, k + 1):
-            for i in range(j):
-                _compare(rep, levels[k], f"d{i}d{j}",
-                         composite(faces[(k - 1, i)], faces[(k, j)]),
-                         composite(faces[(k - 1, j - 1)], faces[(k, i)]), k)
-    for k in range(0, X.cap - 1):
-        for j in range(k + 1):
+    def relation(K, note, outer, inner, want):
+        """Compare want with the side outer after inner over level K."""
+        (a, L, I), (b, M, J) = outer, inner
+        got = composite(tables[a][L, I], tables[b][M, J])
+        if got != want:
+            if xi:
+                note = f"relation:{_name(a, L - 2, I - 1)};{_name(b, M - 2, J - 1)}"
+            _compare(rep, X.levels[K - 2 * xi], note, got, want, K - 2 * xi)
+
+    top = X.cap + 2 * xi
+    for K in range(2, top + 1):
+        for j in range(1, K + 1 - xi):
+            for i in range(xi, j):
+                relation(K, f"d{i}d{j}", ("d", K - 1, i), ("d", K, j),
+                         composite(d[K - 1, j - 1], d[K, i]))
+    for K in range(xi, top - 1):
+        for j in range(K + 1):
             for i in range(j + 1):
-                _compare(rep, levels[k], f"s{i}s{j}",
-                         composite(degens[(k + 1, i)], degens[(k, j)]),
-                         composite(degens[(k + 1, j + 1)], degens[(k, i)]), k)
-    for k in range(0, X.cap):
-        same = list(range(len(levels[k])))
-        for j in range(k + 1):
-            for i in range(k + 2):
+                relation(K, f"s{i}s{j}", ("s", K + 1, j + 1), ("s", K, i),
+                         composite(s[K + 1, i], s[K, j]))
+    for K in range(xi, top):
+        same = list(range(len(X.levels[K - 2 * xi])))
+        for j in range(K + 1):
+            for i in range(xi, K + 2 - xi):
                 if i == j or i == j + 1:
                     want = same
                 elif i < j:
-                    want = composite(degens[(k - 1, j - 1)], faces[(k, i)])
+                    want = composite(s[K - 1, j - 1], d[K, i])
                 else:
-                    want = composite(degens[(k - 1, j)], faces[(k, i - 1)])
-                _compare(rep, levels[k], f"d{i}s{j}",
-                         composite(faces[(k + 1, i)], degens[(k, j)]), want, k)
+                    want = composite(s[K - 1, j], d[K, i - 1])
+                relation(K, f"d{i}s{j}", ("d", K + 1, i), ("s", K, j), want)
+
+
+def _validated(X) -> Report:
+    """Shape, then every relation and the stabilization claim.
+
+    Shape is checked by making every level and table of X's index view;
+    only when that fails are the tables walked to name the faults."""
+    rep = Report("validate")
+    try:
+        _index_view(X).check()
+    except (KeyError, ValueError):
+        _shape(rep, X)
+        return rep
+    _check_relations(rep, X)
     _check_stable(rep, X)
     rep.verified_upto = X.cap
     return rep
+
+
+@memoised
+def validate_sset(X: FinSSet) -> Report:
+    """Check level/table shape and every simplicial identity under the cap."""
+    return _validated(X)
+
+
+@memoised
+def validate_xiset(A: FinXiSet) -> Report:
+    """Check level/table shape and every relation of the site under the cap."""
+    return _validated(A)
 
 
 def _check_stable(rep: Report, X) -> None:
@@ -443,79 +504,6 @@ def _face_arrow(k: int, i: int) -> XiMap:
 
 def _degen_arrow(k: int, j: int) -> XiMap:
     return XiMap(k + 1, k, codegeneracy(k + 3, j + 1))
-
-
-def _face_name(k: int, i: int) -> str:
-    return "dnew" if (k, i) == (0, 0) else f"d[{k},{i}]"
-
-
-def _degen_name(k: int, j: int) -> str:
-    return {-1: f"sbot[{k}]", k + 1: f"stop[{k}]"}.get(j, f"s[{k},{j}]")
-
-
-def xi_generators(A: FinXiSet):
-    """All site generators acting on A: (name, arrow, table) triples.
-
-    The names follow the XISET directives: d_0 at degree 0 is `dnew`, and
-    s_{-1} and s_{k+1} at degree k are `sbot[k]` and `stop[k]`.  Given A's
-    index view, the tables are its index lists.
-    """
-    faces, degens = _table_keys(A.cap, True)
-    gens = [(_face_name(k, i), _face_arrow(k, i), A.faces[(k, i)]) for k, i in faces]
-    gens += [(_degen_name(k, j), _degen_arrow(k, j), A.degens[(k, j)]) for k, j in degens]
-    return gens
-
-
-def _xiset_shape(rep: Report, A: FinXiSet) -> None:
-    """Name every shape fault: levels, identifiers and totality of tables."""
-    if sorted(A.levels) != list(range(-1, A.cap + 1)):
-        rep.fail(note="levels-do-not-match-cap")
-        return
-    for k in range(-1, A.cap + 1):
-        if len(set(A.levels[k])) != len(A.levels[k]):
-            rep.fail(degree=k, note="duplicate-identifiers")
-    try:
-        gens = xi_generators(A)
-    except KeyError as exc:
-        rep.fail(note=f"missing-structure-map:{exc}")
-        return
-    for name, arrow, table in gens:
-        _check_totality(rep, name, table, A.levels[arrow.tgt], A.levels[arrow.src])
-    faces, degens = _table_keys(A.cap, True)
-    for k, i in sorted(A.faces.keys() - set(faces)):
-        rep.fail(degree=k, note=f"extra-structure-map:{_face_name(k, i)}")
-    for k, j in sorted(A.degens.keys() - set(degens)):
-        rep.fail(degree=k, note=f"extra-structure-map:{_degen_name(k, j)}")
-
-
-@memoised
-def validate_xiset(A: FinXiSet) -> Report:
-    """Shape checks plus functoriality on all composable generator pairs.
-
-    Shape is checked on A's index view, as for `validate_sset`.
-    Every relation is verified through the representing monotone maps: the
-    composite arrow's canonical action must agree with composing the two
-    stored generator tables, compared as index lists on a whole level.
-    """
-    rep = Report("validate")
-    view = _index_view(A)
-    try:
-        view.check()
-    except (KeyError, ValueError):
-        _xiset_shape(rep, A)
-        return rep
-    act = actions(A)
-    gens = xi_generators(view)
-    for uname, u, tu in gens:
-        for vname, v, tv in gens:
-            if u.tgt != v.src:
-                continue
-            w = xi_compose(u, v)
-            _compare(rep, A.levels[w.tgt], f"relation:{uname};{vname}",
-                     list(map(tu.__getitem__, tv)), act.index(w.rep), w.tgt)
-    _check_stable(rep, A)
-    rep.verified_upto = A.cap
-    return rep
 
 
 def _component_indices(F, lo: int) -> dict[int, list[int]]:
@@ -544,40 +532,22 @@ def _map_shape(F, lo: int, label: str) -> Report:
     return rep
 
 
-def validate_sset_map(F: SSetMap) -> Report:
-    """Totality plus naturality against every generator under dom.cap,
-    each square compared as index lists on a whole level."""
-    rep = _map_shape(F, 0, "F")
-    if not rep.ok:
-        return rep
+def validate_map(F: SSetMap | XiSetMap) -> Report:
+    """Totality plus naturality against every face and degeneracy under
+    dom.cap, each square compared as index lists on a whole level."""
     X, Y = F.dom, F.cod
-    vX, vY, comp = _index_view(X), _index_view(Y), _component_indices(F, 0)
-    for k in range(1, X.cap + 1):
-        for i in range(k + 1):
-            _compare(rep, X.levels[k], f"naturality-d{i}",
-                     list(map(comp[k - 1].__getitem__, vX.faces[(k, i)])),
-                     list(map(vY.faces[(k, i)].__getitem__, comp[k])), k)
-    for k in range(0, X.cap):
-        for j in range(k + 1):
-            _compare(rep, X.levels[k], f"naturality-s{j}",
-                     list(map(comp[k + 1].__getitem__, vX.degens[(k, j)])),
-                     list(map(vY.degens[(k, j)].__getitem__, comp[k])), k)
-    rep.verified_upto = X.cap
-    return rep
-
-
-def validate_xiset_map(G: XiSetMap) -> Report:
-    rep = _map_shape(G, -1, "G")
+    xi = isinstance(X, FinXiSet)
+    rep = _map_shape(F, -xi, "G" if xi else "F")
     if not rep.ok:
         return rep
-    A, B = G.dom, G.cod
-    vB, comp = _index_view(B), _component_indices(G, -1)
-    for name, arrow, tA in xi_generators(_index_view(A)):
-        tB = _generator_table(vB, arrow.rep, 2)
-        _compare(rep, A.levels[arrow.tgt], f"naturality-{name}",
-                 list(map(comp[arrow.src].__getitem__, tA)),
-                 list(map(tB.__getitem__, comp[arrow.tgt])), arrow.tgt)
-    rep.verified_upto = A.cap
+    vX, vY, comp = _index_view(X), _index_view(Y), _component_indices(F, -xi)
+    kinds = (("d", vX.faces, vY.faces, -1), ("s", vX.degens, vY.degens, 1))
+    for (letter, tX, tY, step), keys in zip(kinds, _table_keys(X.cap, xi)):
+        for k, i in keys:
+            _compare(rep, X.levels[k], f"naturality-{_label(xi, letter, k, i)}",
+                     list(map(comp[k + step].__getitem__, tX[(k, i)])),
+                     list(map(tY[(k, i)].__getitem__, comp[k])), k)
+    rep.verified_upto = X.cap
     return rep
 
 

@@ -11,10 +11,13 @@ nondegeneracy by degeneracy images against the principal-edge test, the
 nerves of posets, partial monoids and categories against the
 string-by-string builds, the index-list axiom checks against the same
 checks counted on id tables, map validation against the walk of every
-naturality square simplex by simplex, the registry coalgebra read off
-the arrow tables against the degree-2 level of the fragment, and the SSET
-and XISET parser, which reads a writer's tables against their level lines,
-against the parse of every table body entry by entry.
+naturality square simplex by simplex, the interval-site relations and
+culf squares checked in simplicial coordinates against every composable
+pair of site generators and the square on every generator, the registry
+coalgebra read off the arrow tables against the degree-2 level of the
+fragment, and the SSET and XISET parser, which reads a writer's tables
+against their level lines, against the parse of every table body entry
+by entry.
 """
 
 from __future__ import annotations
@@ -799,7 +802,7 @@ def validate_sset_map_by_simplex(F):
 def validate_xiset_map_by_simplex(G):
     """Totality of each component, then naturality against every site
     generator, simplex by simplex."""
-    from decomp.presheaf import _generator_table, xi_generators
+    from decomp.presheaf import _generator_table
     from decomp.report import Report
 
     rep = Report("validate_map")
@@ -823,6 +826,106 @@ def validate_xiset_map_by_simplex(G):
         for x in A.levels[arrow.tgt]:
             if ga[tA[x]] != tB[gb[x]]:
                 rep.fail(degree=arrow.tgt, witness=(x,), note=f"naturality-{name}")
+    rep.verified_upto = A.cap
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# interval-site presheaves through their site arrows: each generator as the
+# monotone map two degrees up that represents it, each relation as a
+# composable pair of generators
+
+
+def _xi_keys(cap):
+    """The face and degeneracy keys of an interval-site presheaf of cap."""
+    faces = [(k, i) for k in range(1, cap + 1) for i in range(k + 1)] + [(0, 0)]
+    degens = [(k, j) for k in range(cap) for j in range(k + 1)]
+    return faces, degens + [(k, j) for k in range(-1, cap) for j in (-1, k + 1)]
+
+
+def _xi_name(letter, k, i):
+    if letter == "d":
+        return "dnew" if (k, i) == (0, 0) else f"d[{k},{i}]"
+    return {-1: f"sbot[{k}]", k + 1: f"stop[{k}]"}.get(i, f"s[{k},{i}]")
+
+
+def xi_generators(A):
+    """All site generators acting on A, as (name, arrow, table) triples in
+    XISET order: d_0 at degree 0 is `dnew`, and s_{-1} and s_{k+1} at
+    degree k are `sbot[k]` and `stop[k]`."""
+    from decomp.simplex import XiMap, codegeneracy, coface
+
+    faces, degens = _xi_keys(A.cap)
+    gens = [(_xi_name("d", k, i), XiMap(k - 1, k, coface(k + 1, i + 1)), A.faces[(k, i)])
+            for k, i in faces]
+    gens += [(_xi_name("s", k, j), XiMap(k + 1, k, codegeneracy(k + 3, j + 1)),
+              A.degens[(k, j)]) for k, j in degens]
+    return gens
+
+
+def validate_xiset_by_pairs(A):
+    """The interval-site validator through site arrows: shape on the
+    generators, then every composable pair of generators (u, v) against
+    the walk of the normal-form word of their composite, one simplex at a
+    time.  A pair in normal form is compared with itself and passes."""
+    from decomp.report import Report
+    from decomp.simplex import xi_compose
+
+    rep = Report("validate")
+    if sorted(A.levels) != list(range(-1, A.cap + 1)):
+        rep.fail(note="levels-do-not-match-cap")
+        return rep
+    for k in range(-1, A.cap + 1):
+        if len(set(A.levels[k])) != len(A.levels[k]):
+            rep.fail(degree=k, note="duplicate-identifiers")
+    try:
+        gens = xi_generators(A)
+    except KeyError as exc:
+        rep.fail(note=f"missing-structure-map:{exc}")
+        return rep
+    for name, arrow, table in gens:
+        _totality_by_item(rep, name, table, A.levels[arrow.tgt], A.levels[arrow.src])
+    faces, degens = _xi_keys(A.cap)
+    for letter, tables, keys in (("d", A.faces, faces), ("s", A.degens, degens)):
+        for k, i in sorted(tables.keys() - set(keys)):
+            rep.fail(degree=k, note=f"extra-structure-map:{_xi_name(letter, k, i)}")
+    if not rep.ok:
+        return rep
+    for uname, u, tu in gens:
+        for vname, v, tv in gens:
+            if u.tgt != v.src:
+                continue
+            w = xi_compose(u, v)
+            want = _action(A, w.rep, 2)
+            for x in A.levels[w.tgt]:
+                if tu[tv[x]] != want[x]:
+                    rep.fail(degree=w.tgt, witness=(x,), note=f"relation:{uname};{vname}")
+    if A.stable_from is not None:
+        for k in range(A.stable_from + 1, A.cap + 1):
+            degenerate = set()
+            for j in range(k):
+                degenerate.update(A.degens[(k - 1, j)].values())
+            for x in A.levels[k]:
+                if x not in degenerate:
+                    rep.fail(degree=k, witness=(x,), note="stable_from-violated")
+    rep.verified_upto = A.cap
+    return rep
+
+
+def cartesian_report_by_generators(G):
+    """Cartesianness of an interval-site map, one naturality square per
+    site generator, each counted on ids."""
+    from decomp.presheaf import _generator_table
+    from decomp.report import Report
+
+    rep = Report("check_cartesian")
+    A, B = G.dom, G.cod
+    for name, arrow, tA in xi_generators(A):
+        bad = pullback_issue(A.levels[arrow.tgt], A.levels[arrow.src], B.levels[arrow.tgt],
+                             tA, G.components[arrow.tgt], G.components[arrow.src],
+                             _generator_table(B, arrow.rep, 2))
+        if bad is not None:
+            rep.fail(degree=arrow.tgt, note=f"{name}:{bad}")
     rep.verified_upto = A.cap
     return rep
 

@@ -380,6 +380,79 @@ def test_culf_check_validates_both_ends(tmp_path, d6_sset, capsys):
     assert "missing-structure-map:(0, -1)" in out
 
 
+_RELATION_FAILURES = {
+    "sbot 0:": """\
+FAIL validate degree=-1 witness=1≤2 note=relation:s[0,0];sbot[-1]
+FAIL validate degree=0 witness=1≤1≤2 note=relation:s[1,1];sbot[0]
+FAIL validate degree=0 witness=1≤1≤2 note=relation:stop[1];sbot[0]
+FAIL validate degree=0 witness=1≤1≤2 note=relation:d[1,0];sbot[0]
+FAIL validate degree=1 witness=1≤1≤1≤2 note=relation:d[2,1];sbot[1]
+FAIL validate degree=1 witness=1≤1≤1≤2 note=relation:d[2,2];sbot[1]
+FAIL validate degree=1 witness=1≤1≤2≤2 note=relation:d[2,2];sbot[1]
+""",
+    "s 1 0:": """\
+FAIL validate degree=0 witness=1≤1≤2 note=relation:s[1,0];sbot[0]
+FAIL validate degree=0 witness=1≤1≤2 note=relation:s[1,1];s[0,0]
+FAIL validate degree=1 witness=1≤1≤1≤2 note=relation:s[2,1];sbot[1]
+FAIL validate degree=1 witness=1≤1≤1≤2 note=relation:s[2,2];s[1,0]
+FAIL validate degree=1 witness=1≤1≤1≤2 note=relation:stop[2];s[1,0]
+FAIL validate degree=1 witness=1≤1≤1≤2 note=relation:d[2,0];s[1,0]
+FAIL validate degree=1 witness=1≤1≤1≤2 note=relation:d[2,1];s[1,0]
+FAIL validate degree=2 witness=1≤1≤1≤1≤2 note=relation:d[3,2];s[2,0]
+FAIL validate degree=2 witness=1≤1≤1≤1≤2 note=relation:d[3,3];s[2,0]
+FAIL validate degree=2 witness=1≤1≤1≤2≤2 note=relation:d[3,3];s[2,0]
+FAIL validate degree=2 witness=1≤1≤1≤1≤2 note=relation:d[3,0];s[2,1]
+""",
+}
+
+
+@pytest.mark.parametrize("directive", sorted(_RELATION_FAILURES))
+def test_check_flanked_names_broken_relations(tmp_path, d6_sset, capsys, directive):
+    """One sbot or s entry of the interval of 1≤2 sent to another simplex
+    of its level: validation names every relation it breaks, by the side
+    not in normal form, and the check exits 1."""
+    iv = tmp_path / "i12.xiset"
+    assert main(["interval", d6_sset, "--arrow", f"1{SEP}2", "-o", str(iv)]) == 0
+    lines = iv.read_text(encoding="utf-8").splitlines()
+    n = next(n for n, line in enumerate(lines) if line.startswith(directive))
+    head, body = lines[n].split(": ")
+    src, _ = body.split(" ; ")[0].split("->")
+    wrong = body.split(" ; ")[1].split("->")[1]
+    lines[n] = f"{head}: {src}->{wrong} ; " + " ; ".join(body.split(" ; ")[1:])
+    iv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "flanked", str(iv)]) == 1
+    assert capsys.readouterr().out == _RELATION_FAILURES[directive]
+
+
+def test_culf_check_fails_a_map_to_the_point(tmp_path, d6_sset, capsys):
+    """The interval of 1≤2 at cap 1 mapped to the point: naturality holds,
+    but no square on a generator is a pullback."""
+    from decomp.formats import write_smap
+    from decomp.presheaf import XiSetMap, point_xiset
+
+    iv = tmp_path / "i12.xiset"
+    assert main(["interval", d6_sset, "--arrow", f"1{SEP}2", "-o", str(iv)]) == 0
+    A = truncate(load(str(iv)), 1)
+    save(A, iv)
+    save(point_xiset(1), tmp_path / "pt.xiset")
+    G = XiSetMap(A, point_xiset(1), {k: dict.fromkeys(A.levels[k], "pt") for k in range(-1, 2)})
+    smap = tmp_path / "to-pt.smap"
+    smap.write_text(write_smap(G, "i12.xiset", "pt.xiset"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "culf", str(smap)]) == 1
+    assert capsys.readouterr().out == """\
+FAIL check_cartesian degree=0 note=s[0,0]:missing-fiber-pair:1≤1≤2≤2,pt
+FAIL check_cartesian degree=-1 note=sbot[-1]:missing-fiber-pair:1≤2≤2,pt
+FAIL check_cartesian degree=-1 note=stop[-1]:missing-fiber-pair:1≤1≤2,pt
+FAIL check_cartesian degree=0 note=sbot[0]:missing-fiber-pair:1≤2≤2≤2,pt
+FAIL check_cartesian degree=0 note=stop[0]:missing-fiber-pair:1≤1≤1≤2,pt
+FAIL check_cartesian degree=1 note=d[1,0]:comparison-not-injective:1≤1≤2≤2,1≤2≤2≤2
+FAIL check_cartesian degree=1 note=d[1,1]:comparison-not-injective:1≤1≤1≤2,1≤1≤2≤2
+FAIL check_cartesian degree=0 note=dnew:comparison-not-injective:1≤1≤2,1≤2≤2
+"""
+
+
 def test_monoid_nerve_via_cli(tmp_path, capsys):
     save(truncated_addition(3), tmp_path / "add.monoid")
     out = str(tmp_path / "add.sset")

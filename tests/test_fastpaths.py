@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from decomp import labeling
 from decomp.axioms import (
+    cartesian_report,
     check_decomposition,
     check_flanked,
     check_map_class,
@@ -44,10 +45,11 @@ from decomp.interval import (
     factorisation_interval,
     factorisation_intervals,
     interval_category,
-    xi_system,
+    labelling_system,
 )
 from decomp.presheaf import (
     FinXiSet,
+    XiSetMap,
     _index_view,
     _IndexView,
     actions,
@@ -56,17 +58,19 @@ from decomp.presheaf import (
     fibres,
     long_edge_table,
     nondegenerate,
+    point_xiset,
     pullback_failure,
     truncate,
     u_star,
     u_star_map,
     validate,
+    validate_map,
     validate_sset,
-    validate_sset_map,
-    validate_xiset_map,
+    validate_xiset,
 )
 from decomp.simplex import all_monotone
 from oracles import pullback_failure_by_enumeration, validate_sset_by_simplex
+from test_ingest import quotient_categories
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None)
 
@@ -179,6 +183,18 @@ def test_mobius_of_drawn_posets_matches_rota_and_series_inverse(spec):
         assert mu[a] == rota(x, y) == inverse[a], a
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(quotient_categories())
+def test_mobius_of_quotient_categories_matches_series_inverse(spec_cap):
+    """The Mobius vector of a category whose composites are not free is the
+    convolution inverse of zeta."""
+    X = nerve(spec_cap[0])
+    mu = mobius(X)
+    inverse = oracles.convolution_inverse(comult(X))
+    for a in X.levels[1]:
+        assert mu[a] == inverse[a], a
+
+
 def small_poset_nerves():
     return st.builds(nerve_poset, drawn_posets(), st.integers(2, 4))
 
@@ -193,13 +209,16 @@ def planted_removals(draw):
 
 
 def exactness_inputs():
-    """Poset nerves, truncated additions and planted removals at caps the
-    exactness check accepts."""
+    """Poset nerves, truncated additions, planted removals and the nerves
+    of categories whose composites are not free, at caps the exactness
+    check accepts."""
     return st.one_of(
         st.builds(nerve_poset, drawn_posets(), st.integers(3, 5)),
         st.builds(lambda b, cap: nerve(truncated_addition(b), cap),
                   st.integers(0, 4), st.integers(3, 6)),
-        planted_removals())
+        planted_removals(),
+        st.builds(lambda spec_cap, cap: nerve(spec_cap[0], cap),
+                  quotient_categories(), st.integers(3, 4)))
 
 
 @st.composite
@@ -341,7 +360,7 @@ def test_canonical_order_matches_reference_on_intervals():
         X = nerve(spec)
         for arrow in X.levels[1]:
             data = factorisation_interval(X, arrow)[0].data
-            _assert_same_order(xi_system(truncate(data, max(1, data.stable_from))))
+            _assert_same_order(labelling_system(truncate(data, max(1, data.stable_from))))
 
 
 @pytest.fixture()
@@ -359,7 +378,7 @@ def test_pruned_search_on_b4(leaf_keys):
     reaches 24 leaves, all serializing alike; orbit pruning and jumps back
     to the first path leave at most 4."""
     data = factorisation_interval(nerve(boolean_poset(4)), "o≤abcd")[0].data
-    sys = xi_system(truncate(data, max(1, data.stable_from)))
+    sys = labelling_system(truncate(data, max(1, data.stable_from)))
     got = labeling.canonical_order(sys)
     assert 1 < len(leaf_keys) <= 4
     assert got == oracles.canonical_order(sys)
@@ -587,13 +606,101 @@ def rewired_maps(draw):
 @given(rewired_maps())
 def test_map_validation_matches_per_simplex_check(F):
     if isinstance(F.dom, FinXiSet):
-        lines, lo = validate_xiset_map(F).lines(), -1
+        lines, lo = validate_map(F).lines(), -1
         assert lines == oracles.validate_xiset_map_by_simplex(F).lines()
     else:
-        lines, lo = validate_sset_map(F).lines(), 0
+        lines, lo = validate_map(F).lines(), 0
         assert lines == oracles.validate_sset_map_by_simplex(F).lines()
     for k in set(F.components).difference(range(lo, F.dom.cap + 1)):
         assert f"FAIL validate_map degree={k} note=extra-component" in lines
+
+
+# ---------------------------------------------------------------------------
+# interval-site presheaves in simplicial coordinates against the checks
+# through site arrows
+
+
+def drawn_xisets():
+    """The u* of a drawn exactness input, or the interval of one of its
+    arrows when it is complete."""
+    def cut(X, data):
+        if not data.draw(st.booleans()):
+            return u_star(X)
+        return factorisation_interval(X, data.draw(st.sampled_from(X.levels[1])))[0].data
+    return st.builds(cut, exactness_inputs(), st.data())
+
+
+@st.composite
+def rewired_xisets(draw):
+    """A drawn XISET with one or two structure-map entries changed as in
+    `rewired_nerves`, most often sent to another simplex of their level,
+    the stabilization claim sometimes changed, or left alone."""
+    A = draw(drawn_xisets())
+    faces = {key: dict(t) for key, t in A.faces.items()}
+    degens = {key: dict(t) for key, t in A.degens.items()}
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        tables, step, keys = draw(st.sampled_from([(faces, -1, sorted(A.faces)),
+                                                   (degens, 1, sorted(A.degens))]))
+        key = draw(st.sampled_from(keys))
+        table = tables[key]
+        if not table:
+            continue
+        x = draw(st.sampled_from(sorted(table)))
+        how = draw(st.sampled_from(["retarget"] * 8 + ["outside", "delete", "rename", "extra"]))
+        if how == "retarget":
+            others = [y for y in A.levels[key[0] + step] if y != table[x]]
+            table[x] = draw(st.sampled_from(others or [table[x]]))
+        elif how == "outside":
+            table[x] = "nowhere"
+        elif how == "delete":
+            del table[x]
+        elif how == "rename":
+            table["nowhere"] = table.pop(x)
+        else:
+            tables[A.cap + 1, key[1]] = {"nowhere": "elsewhere"}
+    if draw(st.integers(0, 3)) == 0:
+        A = replace(A, stable_from=draw(st.sampled_from([None, *range(-1, A.cap + 1)])))
+    return FinXiSet(A.cap, A.levels, faces, degens, A.stable_from)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rewired_xisets())
+def test_validate_xiset_matches_pairs_reference(A):
+    """The relations checked as simplicial identities two degrees up find
+    what comparing every composable pair of site generators finds, line
+    for line up to order: each identity is named by its side that is not
+    in normal form."""
+    assert sorted(validate_xiset(A).lines()) == sorted(oracles.validate_xiset_by_pairs(A).lines())
+
+
+@st.composite
+def xiset_maps(draw):
+    """An interval-site map: u* of a decalage counit of a drawn exactness
+    input, or a drawn XISET mapped to the point; sometimes with one
+    component entry sent to another element of its level."""
+    if draw(st.booleans()):
+        X = draw(exactness_inputs())
+        G = u_star_map(draw(st.sampled_from([dec_bot, dec_top]))(X)[1])
+    else:
+        A = draw(drawn_xisets())
+        P = point_xiset(A.cap)
+        G = XiSetMap(A, P, {k: dict.fromkeys(A.levels[k], "pt") for k in range(-1, A.cap + 1)})
+    if draw(st.booleans()):
+        k = draw(st.sampled_from(sorted(G.components)))
+        if G.dom.levels[k]:
+            table = dict(G.components[k])
+            table[draw(st.sampled_from(G.dom.levels[k]))] = draw(st.sampled_from(G.cod.levels[k]))
+            G = replace(G, components={**G.components, k: table})
+    return G
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(xiset_maps())
+def test_cartesian_report_matches_per_generator_reference(G):
+    """One loop over the squares on degeneracies and inner faces, two
+    degrees up, finds what the square on every site generator finds."""
+    assert (sorted(cartesian_report(G).lines())
+            == sorted(oracles.cartesian_report_by_generators(G).lines()))
 
 
 # ---------------------------------------------------------------------------

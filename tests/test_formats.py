@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -278,6 +279,34 @@ def test_writer_names_the_first_unreadable_id():
         write_sset(replace(X, levels=levels))
 
 
+@pytest.mark.parametrize("bad", ["", "a#b.sset", " lead.sset", "trail.sset ", "a\nb.sset",
+                                 "a\rb.sset", "a\u2028b.sset", "end.sset\n"])
+@pytest.mark.parametrize("which", ["dom", "cod"])
+def test_write_smap_refuses_paths_its_parser_cannot_read(bad, which):
+    """A dom or cod path that is empty or holds '#', a line break, or
+    leading or trailing whitespace would not read back: `a#b.sset` would
+    read as `a` and ` lead.sset` as `lead.sset`."""
+    _, counit = dec_bot(nerve_poset(divisor_poset(6), 4))
+    paths = {"dom": "dom.sset", "cod": "cod.sset", which: bad}
+    with pytest.raises(ValueError) as err:
+        write_smap(counit, paths["dom"], paths["cod"])
+    assert str(err.value) == (f"{which} path {bad!r} is empty or holds '#', a line break, "
+                              "or leading or trailing whitespace")
+
+
+def test_load_smap_names_a_file_that_is_not_a_presheaf(tmp_path, capsys):
+    save(divisor_poset(6), tmp_path / "d6.poset")
+    smap = tmp_path / "p.smap"
+    smap.write_text("SMAP v1\ndom d6.poset\ncod d6.poset\nlevel 0:\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_smap(str(smap))
+    assert str(err.value) == f"{smap}:0: dom file 'd6.poset' is not an SSET or XISET"
+    assert main(["check", "culf", str(smap)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {smap}:0: dom file 'd6.poset' is not an SSET or XISET\n"
+
+
 @st.composite
 def levelled_objects(draw):
     """A drawn poset nerve, truncated addition, free monoid or free category
@@ -325,13 +354,35 @@ def test_spec_write_parse_roundtrip(spec):
     assert write_sset(nerve(again, 3)) == write_sset(nerve(spec, 3))
 
 
+def _reads_back(path):
+    """Does an SMAP dom line read back as this path, naming a file?"""
+    try:
+        return parse_smap_text(f"SMAP v1\ndom {path}\ncod c\n")[0] == path != ""
+    except ParseError:
+        return False
+
+
+_PATHS = st.one_of(st.just("dom.sset"),
+                   st.text(st.sampled_from("ab./é #\t\n\r\x0b\x0c\x1c\x85\u2028\u3000"),
+                           max_size=5))
+
+
 @ROUNDTRIP
 @given(levelled_objects().filter(lambda X: not isinstance(X, FinXiSet)),
-       st.sampled_from([dec_bot, dec_top]))
-def test_smap_write_parse_roundtrip(X, dec):
+       st.sampled_from([dec_bot, dec_top]), _PATHS, _PATHS)
+def test_smap_write_parse_roundtrip(X, dec, dom, cod):
+    """Paths that read back make the round trip; the writer refuses the
+    first path that does not, naming it."""
     _, counit = dec(X)
-    text = write_smap(counit, "dom.sset", "cod.sset")
-    assert parse_smap_text(text) == ("dom.sset", "cod.sset", counit.components)
+    unreadable = [(which, path) for which, path in (("dom", dom), ("cod", cod))
+                  if not _reads_back(path)]
+    if unreadable:
+        which, path = unreadable[0]
+        with pytest.raises(ValueError, match=f"^{which} path {re.escape(repr(path))} "):
+            write_smap(counit, dom, cod)
+        return
+    text = write_smap(counit, dom, cod)
+    assert parse_smap_text(text) == (dom, cod, counit.components)
 
 
 def _mutated(draw, text):

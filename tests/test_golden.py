@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from decomp.formats import parse_xiset, write_xiset
 from decomp.ingest import PosetSpec, boolean_poset, divisor_poset, nerve, nerve_poset
-from decomp.interval import canonicalize, factorisation_interval
-from decomp.presheaf import actions, sset_action, u_star, xi_generators
+from decomp.interval import canonicalize, factorisation_interval, labelling_system
+from decomp.presheaf import actions, sset_action, u_star
 from decomp.registry import Registry
 from decomp.simplex import all_xi_maps
 
@@ -48,7 +48,7 @@ def test_b3_registry_closure_digests():
 def test_xi_generator_names_and_order():
     A = u_star(nerve_poset(divisor_poset(6), 4))
     assert A.cap == 2
-    assert [name for name, _, _ in xi_generators(A)] == (
+    assert [name for name, *_ in labelling_system(A).maps] == (
         "d[1,0] d[1,1] d[2,0] d[2,1] d[2,2] dnew s[0,0] s[1,0] s[1,1] "
         "sbot[-1] stop[-1] sbot[0] stop[0] sbot[1] stop[1]").split()
 

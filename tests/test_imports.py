@@ -1,0 +1,66 @@
+"""Import hygiene: every name a module of `decomp` imports is used there.
+
+Two kinds of import are exempt: the re-exports of `decomp/__init__.py`, and
+the bindings that perfbench/tracer.py's PLAN wraps, which a module may
+import only so that the tracer can count calls through it.  An import
+marked `# noqa: F401` must be such a binding.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "decomp"
+
+
+def _plan_bindings() -> set:
+    """The (module, name) pairs that PLAN lists, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    plan = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "PLAN" for t in node.targets))
+    return {(owner, attr) for owner, attr, _, _ in ast.literal_eval(plan)}
+
+
+def _faults(source: str, module: str, plan: set) -> list:
+    """Each import of source that is never used and not a PLAN binding,
+    and each `# noqa: F401` import that is not a PLAN binding."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    lines = source.splitlines()
+    faults = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            traced = (module, name) in plan
+            if name not in used and not traced:
+                faults.append(f"{module} imports {name} and never uses it")
+            if "# noqa: F401" in lines[alias.lineno - 1] and not traced:
+                faults.append(f"{module} marks {name} noqa but PLAN does not wrap it")
+    return faults
+
+
+def test_every_import_is_used_or_traced():
+    plan = _plan_bindings()
+    faults = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            faults += _faults(path.read_text(encoding="utf-8"), f"decomp.{path.stem}", plan)
+    assert faults == []
+
+
+def test_unused_and_stray_noqa_imports_are_named():
+    source = ("from .presheaf import (\n"
+              "    SSetMap,\n"
+              "    validate,  # noqa: F401\n"
+              "    sset_action,  # noqa: F401\n"
+              ")\n")
+    assert _faults(source, "decomp.axioms", _plan_bindings()) == [
+        "decomp.axioms imports SSetMap and never uses it",
+        "decomp.axioms imports validate and never uses it",
+        "decomp.axioms marks validate noqa but PLAN does not wrap it",
+    ]

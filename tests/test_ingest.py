@@ -233,6 +233,15 @@ def max_monoids(draw):
     return MonoidSpec(elems, "0", table), draw(st.integers(2, 5))
 
 
+def _paths(edges):
+    """Every nonempty path of an acyclic multigraph, as tuples of edge
+    numbers, shortest first."""
+    paths = [(e,) for e in range(len(edges))]
+    for path in paths:  # the list grows as it is walked, by one edge a step
+        paths += [path + (e,) for e, (s, _) in enumerate(edges) if s == edges[path[-1]][1]]
+    return paths
+
+
 @st.composite
 def free_categories(draw):
     """The free category on a drawn acyclic multigraph: its arrows are the
@@ -240,15 +249,64 @@ def free_categories(draw):
     n = draw(st.integers(1, 4))
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                           .filter(lambda e: e[0] < e[1]), max_size=5))
-    paths = [(e,) for e in range(len(edges))]
-    for path in paths:  # the list grows as it is walked, by one edge a step
-        paths += [path + (e,) for e, (s, _) in enumerate(edges) if s == edges[path[-1]][1]]
+    paths = _paths(edges)
     name = {p: ".".join(f"a{e}" for e in p) for p in paths}
     arrows = {name[p]: (f"x{edges[p[0]][0]}", f"x{edges[p[-1]][1]}") for p in paths}
     objects = [f"x{i}" for i in range(n)]
     arrows.update({f"i{x}": (x, x) for x in objects})
     comp = {(name[p], name[q]): name[p + q] for p in paths for q in paths
             if edges[p[-1]][1] == edges[q[0]][0]}
+    spec = CategorySpec.build(objects, arrows, {x: f"i{x}" for x in objects}, comp)
+    return spec, draw(st.integers(2, 5))
+
+
+@st.composite
+def quotient_categories(draw):
+    """The free category on a drawn acyclic multigraph modulo a drawn
+    congruence, so that some composites are not free.
+
+    Two parallel edges a, b: u -> v and an edge c: v -> w are added, and
+    a.c is identified with b.c and with up to two more drawn pairs of
+    parallel paths of length at least 2.  Union-find closes the
+    identification under composition: whenever p ~ q, the paths with one
+    more edge before or after are identified too.  No edge is identified
+    with anything, so the edges stay indecomposable, and a.c = b.c with
+    a != b: the quotient is not free.  An arrow is named by the least path
+    of its class; the spec is drawn with a cap."""
+    n = draw(st.integers(3, 4))
+    u, v, w = sorted(draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
+                                   unique=True)))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] < e[1]), max_size=4))
+    edges += [(u, v), (u, v), (v, w)]
+    paths = _paths(edges)
+    ends = {p: (edges[p[0]][0], edges[p[-1]][1]) for p in paths}
+    parallel = [(p, q) for p in paths for q in paths
+                if p < q and ends[p] == ends[q] and min(len(p), len(q)) >= 2]
+    m = len(edges)
+    work = [((m - 3, m - 1), (m - 2, m - 1))]
+    work += draw(st.lists(st.sampled_from(parallel), max_size=2))
+    root = {p: p for p in paths}
+
+    def find(p):
+        while root[p] != p:
+            p = root[p]
+        return p
+
+    while work:
+        p, q = work.pop()
+        a, b = sorted([find(p), find(q)], key=lambda r: (len(r), r))
+        if a == b:
+            continue
+        root[b] = a
+        work += [((e,) + p, (e,) + q) for e, (_, t) in enumerate(edges) if t == ends[p][0]]
+        work += [(p + (e,), q + (e,)) for e, (s, _) in enumerate(edges) if s == ends[p][1]]
+    name = {p: ".".join(f"a{e}" for e in find(p)) for p in paths}
+    arrows = {name[p]: (f"x{ends[p][0]}", f"x{ends[p][1]}") for p in paths}
+    objects = [f"x{i}" for i in range(n)]
+    arrows.update({f"i{x}": (x, x) for x in objects})
+    comp = {(name[p], name[q]): name[p + q] for p in paths for q in paths
+            if ends[p][1] == ends[q][0]}
     spec = CategorySpec.build(objects, arrows, {x: f"i{x}" for x in objects}, comp)
     return spec, draw(st.integers(2, 5))
 
@@ -262,10 +320,10 @@ _REFERENCE_LENGTH = {PosetSpec: oracles.longest_strict_chain,
 @given(st.one_of(
     poset_specs(),
     st.tuples(st.builds(truncated_addition, st.integers(0, 5)), st.integers(2, 7)),
-    truncated_free_monoids(), max_monoids(), free_categories()))
+    truncated_free_monoids(), max_monoids(), free_categories(), quotient_categories()))
 def test_drawn_nerves_match_reference(spec_cap):
-    """Drawn posets, truncated additions and free monoids, max-monoids and
-    free categories, compared as the shapes above.  A monoid is built here:
+    """Drawn posets, truncated additions and free monoids, max-monoids,
+    free categories and their quotients, compared as the shapes above.  A monoid is built here:
     it is refused with the reference's message exactly when the reference
     finds its factorisations unbounded.  The Möbius length, the stable
     degree of a nerve one level above it, is the last level that holds a

@@ -13,12 +13,12 @@ from decomp.interval import (
     extend_interval,
     factorisation_interval,
     intervals_isomorphic,
+    labelling_system,
     longest_edge,
     ssets_isomorphic,
     subdivisions,
     validate_interval,
     wide_cartesian_factor,
-    xi_system,
 )
 from decomp.presheaf import (
     CapError,
@@ -28,7 +28,7 @@ from decomp.presheaf import (
     transpose_arrow,
     truncate,
     u_star,
-    validate_xiset_map,
+    validate_map,
 )
 from conftest import assert_isomorphism
 
@@ -99,7 +99,7 @@ def test_canonical_digests_identify_isomorphic(poset_nerves):
     b = factorisation_interval(d10, arrow("1", "10"))[0]
     iso = intervals_isomorphic(truncate(a.data, 2), truncate(b.data, 2))
     assert iso is not None
-    assert_isomorphism(xi_system(truncate(a.data, 2)), xi_system(truncate(b.data, 2)), iso)
+    assert_isomorphism(labelling_system(truncate(a.data, 2)), labelling_system(truncate(b.data, 2)), iso)
     assert intervals_isomorphic(
         truncate(canonicalize(a).canonical.data, 2),
         truncate(factorisation_interval(d4, arrow("1", "4"))[0].data, 2),
@@ -112,7 +112,7 @@ def test_isomorphism_of_symmetric_intervals(poset_nerves):
     b = factorisation_interval(poset_nerves["d30"], arrow("1", "30"))[0].data
     iso = intervals_isomorphic(a, b)
     assert iso is not None
-    assert_isomorphism(xi_system(a), xi_system(b), iso)
+    assert_isomorphism(labelling_system(a), labelling_system(b), iso)
 
 
 def test_cap_zero_interval_is_refused(diamond):
@@ -200,8 +200,8 @@ def test_extension_roundtrip(diamond):
 def test_wide_cartesian_factorisation(d12):
     g = transpose_arrow(d12, arrow("1", "12"))
     wide, cart = wide_cartesian_factor(g)
-    assert validate_xiset_map(wide).ok
-    assert validate_xiset_map(cart).ok
+    assert validate_map(wide).ok
+    assert validate_map(cart).ok
     assert check_wide(wide)
     assert check_cartesian(cart)
     assert len(wide.cod.levels[0]) == 6  # midpoints of the fiber

@@ -27,10 +27,9 @@ from decomp.presheaf import (
     u_star_map,
     unit_eta,
     validate,
+    validate_map,
     validate_sset,
-    validate_sset_map,
     validate_xiset,
-    validate_xiset_map,
     xi_representable,
 )
 
@@ -94,7 +93,7 @@ def test_dec_bot_level_zero_counts():
     D, counit = dec_bot(X)
     assert len(D.levels[0]) == len(X.levels[1]) == 6
     assert validate_sset(D).ok
-    assert validate_sset_map(counit).ok
+    assert validate_map(counit).ok
     assert check_map_class(counit, "culf").ok
 
 
@@ -155,11 +154,11 @@ def test_unit_identity_on_point():
 def test_unit_counit_classes(poset_nerves):
     X = poset_nerves["d6"]
     eps = counit_eps(X)
-    assert validate_sset_map(eps).ok
+    assert validate_map(eps).ok
     assert check_map_class(eps, "culf").ok
     A = u_star(X)
     eta = unit_eta(A)
-    assert validate_xiset_map(eta).ok
+    assert validate_map(eta).ok
     assert check_cartesian(eta)
 
 
@@ -268,7 +267,7 @@ def test_u_star_of_culf_is_cartesian(poset_nerves):
     _, counit = dec_bot(nerve_poset(divisor_poset(6), 5))
     # restriction: u* needs two spare degrees on the domain side
     F = u_star_map(counit)
-    assert validate_xiset_map(F).ok
+    assert validate_map(F).ok
     assert check_cartesian(F)
 
 
@@ -276,7 +275,7 @@ def test_i_star_of_cartesian_is_culf(poset_nerves):
     A = u_star(poset_nerves["d6"])
     eta = unit_eta(A)
     F = i_star_map(eta)
-    assert validate_sset_map(F).ok
+    assert validate_map(F).ok
     assert check_map_class(F, "culf").ok
 
 
