@@ -45,9 +45,8 @@ from .interval import (
     certify_mobius_interval,
     extend_interval,
     factorisation_interval,
-    intervals_isomorphic,
+    isomorphic,
     longest_edge,
-    ssets_isomorphic,
     subdivisions,
     wide_cartesian_factor,
 )

@@ -2,7 +2,9 @@
 
 Everything reduces to finite pullback checks and spine enumeration; each
 checker reports the degree range it actually verified, and tightness is
-never claimed without a certified stabilization degree.
+never claimed without a certified stabilization degree.  `check_map_class`
+takes maps of either presheaf kind: an interval-site map, read in
+simplicial coordinates, is cartesian exactly when it is culf.
 """
 
 from __future__ import annotations
@@ -167,23 +169,25 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
 # map classes
 
 
-def _cartesian(F: SSetMap | XiSetMap, check: str, degens: bool, faces: bool) -> Report:
-    """Is each naturality square of F on a degeneracy (with degens) and on
-    an inner face (with faces) a pullback?
+def check_map_class(F: SSetMap | XiSetMap, cls: str = "culf") -> Report:
+    """Is each naturality square of F on a degeneracy (unless cls is "ulf")
+    and on an inner face (unless cls is "conservative") a pullback?
 
     In simplicial coordinates an interval-site map's generators are all
-    degeneracies and inner faces, so its squares are those on every one of
-    its structure maps."""
-    rep = Report(check)
+    degeneracies and inner faces, so "culf" tests the square on every one
+    of its structure maps: such a map is cartesian exactly when culf."""
+    if cls not in ("conservative", "ulf", "culf"):
+        raise ValueError(f"unknown map class {cls!r}")
+    rep = Report(f"check_map_class[{cls}]")
     Y, X = F.dom, F.cod
     if Y.cap > X.cap:
         raise CapError("map components exceed the codomain cap")
     xi = isinstance(Y, FinXiSet)
     vY, vX, comp = _index_view(Y), _index_view(X), _component_indices(F, -xi)
     face_keys, degen_keys = _table_keys(Y.cap, xi)
-    squares = [("s", key, 1, vY.degens, vX.degens) for key in degen_keys if degens]
+    squares = [("s", key, 1, vY.degens, vX.degens) for key in degen_keys if cls != "ulf"]
     squares += [("d", (k, i), -1, vY.faces, vX.faces) for k, i in face_keys
-                if faces and 0 < i + xi < k + 2 * xi]
+                if cls != "conservative" and 0 < i + xi < k + 2 * xi]
     for letter, (k, i), step, tY, tX in squares:
         bad = pullback_failure(Y.levels[k], Y.levels[k + step], X.levels[k],
                                tY[(k, i)], comp[k], comp[k + step], tX[(k, i)])
@@ -193,56 +197,25 @@ def _cartesian(F: SSetMap | XiSetMap, check: str, degens: bool, faces: bool) -> 
     return rep
 
 
-def check_map_class(F: SSetMap, cls: str = "culf") -> Report:
-    """Cartesianness of naturality squares on degeneracies and inner faces."""
-    if cls not in ("conservative", "ulf", "culf"):
-        raise ValueError(f"unknown map class {cls!r}")
-    return _cartesian(F, f"check_map_class[{cls}]", cls != "ulf", cls != "conservative")
-
-
 # ---------------------------------------------------------------------------
 # flanked presheaves and interval-site map classes
 
 
-def _outer_square(A: FinXiSet, rep: Report, n: int, step: int, note: str, *square) -> None:
-    """Fail rep at degree n, naming the fault, unless the square (p, q, f, g)
-    of A's index lists over levels n, n + step and n + 1 is a pullback."""
-    bad = pullback_failure(A.levels[n], A.levels[n + step], A.levels[n + 1], *square)
-    if bad is not None:
-        rep.fail(degree=n, note=f"{note}:{bad}")
-
-
-def check_flanked(A: FinXiSet, bonus: bool = False) -> Report:
+def check_flanked(A: FinXiSet) -> Report:
     """Do the extra outer degeneracies form pullbacks against the opposite
-    outer faces?  With bonus=True also checks the derived square families
-    against every face and degeneracy."""
+    outer faces: sbot against the top face, stop against the bottom one?"""
     rep = Report("check_flanked")
     T = _index_view(A)
     for n in range(0, A.cap):
-        _outer_square(A, rep, n, -1, "sbot-vs-dtop", T.faces[(n, n)], T.degens[(n, -1)],
-                      T.degens[(n - 1, -1)], T.faces[(n + 1, n + 1)])
-        _outer_square(A, rep, n, -1, "stop-vs-dbot", T.faces[(n, 0)], T.degens[(n, n + 1)],
-                      T.degens[(n - 1, n)], T.faces[(n + 1, 0)])
-    if bonus:
-        _bonus_pullbacks(A, rep)
+        for note, d, s, s_below, d_above in (("sbot-vs-dtop", n, -1, -1, n + 1),
+                                             ("stop-vs-dbot", 0, n + 1, n, 0)):
+            bad = pullback_failure(A.levels[n], A.levels[n - 1], A.levels[n + 1],
+                                   T.faces[(n, d)], T.degens[(n, s)],
+                                   T.degens[(n - 1, s_below)], T.faces[(n + 1, d_above)])
+            if bad is not None:
+                rep.fail(degree=n, note=f"{note}:{bad}")
     rep.verified_upto = A.cap - 1
     return rep
-
-
-def _bonus_pullbacks(A: FinXiSet, rep: Report) -> None:
-    T = _index_view(A)
-    for n in range(0, A.cap):
-        for i in range(n + 1):
-            _outer_square(A, rep, n, -1, f"bonus-sbot-d{i}", T.faces[(n, i)],
-                          T.degens[(n, -1)], T.degens[(n - 1, -1)], T.faces[(n + 1, i + 1)])
-            _outer_square(A, rep, n, -1, f"bonus-stop-d{i}", T.faces[(n, i)],
-                          T.degens[(n, n + 1)], T.degens[(n - 1, n)], T.faces[(n + 1, i)])
-    for n in range(0, A.cap - 1):
-        for j in range(-1, n + 1):
-            _outer_square(A, rep, n, 1, f"bonus-sbot-s{j}", T.degens[(n, j)],
-                          T.degens[(n, -1)], T.degens[(n + 1, -1)], T.degens[(n + 1, j + 1)])
-            _outer_square(A, rep, n, 1, f"bonus-stop-s{j}", T.degens[(n, j)],
-                          T.degens[(n, n + 1)], T.degens[(n + 1, n + 2)], T.degens[(n + 1, j)])
 
 
 def check_wide(g: XiSetMap) -> bool:
@@ -253,13 +226,9 @@ def check_wide(g: XiSetMap) -> bool:
             and set(comp) == set(g.dom.levels[-1]))
 
 
-def cartesian_report(g: XiSetMap) -> Report:
-    """Cartesianness of the naturality squares on every site generator."""
-    return _cartesian(g, "check_cartesian", True, True)
-
-
 def check_cartesian(g: XiSetMap) -> bool:
-    return cartesian_report(g).ok
+    """Is the naturality square on every site generator a pullback?"""
+    return check_map_class(g, "culf").ok
 
 
 # ---------------------------------------------------------------------------

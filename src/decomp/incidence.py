@@ -16,7 +16,7 @@ from fractions import Fraction
 from .axioms import check_decomposition, check_map_class, check_mobius
 from .interval import _fiber, canonicalize, factorisation_intervals
 from .interval import factorisation_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .presheaf import FinSSet, SSetMap, fibres
+from .presheaf import FinSSet, SSetMap, fibres, validate_map
 from .registry import Registry, RegistryError, registry_comult
 from .registry import build_fragment  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .report import Report
@@ -175,29 +175,37 @@ def verify_inversion(X: FinSSet) -> Report:
 # functoriality
 
 
-def _push(pairs: Counter, m: dict) -> Counter:
-    """A multiset of arrow pairs pushed through the arrow map m."""
-    out: Counter = Counter()
-    for (l, r), mult in pairs.items():
-        out[(m[l], m[r])] += mult
-    return out
+def _homomorphism(rep: Report, X: FinSSet, m: dict, pairs: dict, counit: dict,
+                  note: str) -> None:
+    """Fail rep at each arrow a of X whose comultiplication, pushed through
+    the arrow map m, is not pairs[m[a]] (with note), or whose counit is not
+    counit[m[a]]."""
+    table = comult(X, check=False)
+    for a in X.levels[1]:
+        pushed: Counter = Counter()
+        for (l, r), mult in table.pairs[a].items():
+            pushed[(m[l], m[r])] += mult
+        if pushed != pairs[m[a]]:
+            rep.fail(degree=2, witness=(a,), note=note)
+        if table.counit[a] != counit[m[a]]:
+            rep.fail(degree=1, witness=(a,), note="counit-not-preserved")
+    rep.verified_upto = X.cap
 
 
 def culf_pushforward(F: SSetMap) -> tuple[dict[str, str], Report]:
-    """The arrow-level map, checked to be a coalgebra homomorphism."""
+    """The arrow-level map of a valid culf map, checked to be a coalgebra
+    homomorphism."""
     rep = Report("culf_pushforward")
+    base = validate_map(F)
+    if not base.ok:
+        raise NotCertified("map is not valid:\n" + str(base))
     culf = check_map_class(F, "culf")
     if not culf.ok:
         raise NotCertified("map is not cartesian on generics:\n" + str(culf))
     m1 = F.components[1]
-    table_y = comult(F.dom, check=False)
     table_x = comult(F.cod, check=False)
-    for b in F.dom.levels[1]:
-        if _push(table_y.pairs[b], m1) != table_x.pairs[m1[b]]:
-            rep.fail(degree=2, witness=(b,), note="comultiplication-not-preserved")
-        if table_y.counit[b] != table_x.counit[m1[b]]:
-            rep.fail(degree=1, witness=(b,), note="counit-not-preserved")
-    rep.verified_upto = F.dom.cap
+    _homomorphism(rep, F.dom, m1, table_x.pairs, table_x.counit,
+                  "comultiplication-not-preserved")
     return m1, rep
 
 
@@ -216,14 +224,7 @@ def classify(X: FinSSet, reg: Registry) -> tuple[dict[str, str], Report]:
                 f"registry is not closed: arrow {a!r} classifies to "
                 f"{digest[:12]} which is missing")
         mapping[a] = digest
-    pairs_r, counit_r = registry_comult(reg)
-    table = comult(X, check=False)
-    for a in X.levels[1]:
-        if _push(table.pairs[a], mapping) != pairs_r[mapping[a]]:
-            rep.fail(degree=2, witness=(a,), note="not-a-coalgebra-homomorphism")
-        if table.counit[a] != counit_r[mapping[a]]:
-            rep.fail(degree=1, witness=(a,), note="counit-not-preserved")
-    rep.verified_upto = X.cap
+    _homomorphism(rep, X, mapping, *registry_comult(reg), "not-a-coalgebra-homomorphism")
     return mapping, rep
 
 

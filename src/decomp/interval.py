@@ -253,21 +253,12 @@ def canonicalize(A: AlgebraicInterval) -> IntervalClass:
     return canonicalize_with_map(A)[0]
 
 
-def intervals_isomorphic(
-    A: AlgebraicInterval | FinXiSet, B: AlgebraicInterval | FinXiSet
-) -> dict[int, dict[str, str]] | None:
-    """Levelwise bijection commuting with all structure maps, or None."""
-    da = A.data if isinstance(A, AlgebraicInterval) else A
-    db = B.data if isinstance(B, AlgebraicInterval) else B
-    if da.cap != db.cap:
+def isomorphic(A: FinSSet | FinXiSet, B: FinSSet | FinXiSet) -> dict[int, dict[str, str]] | None:
+    """A levelwise bijection from A to B commuting with every structure
+    map, or None; A and B have the same kind and cap."""
+    if A.cap != B.cap:
         raise CapError("isomorphism search needs equal caps")
-    return find_isomorphism(labelling_system(da), labelling_system(db))
-
-
-def ssets_isomorphic(X: FinSSet, Y: FinSSet) -> dict[int, dict[str, str]] | None:
-    if X.cap != Y.cap:
-        raise CapError("isomorphism search needs equal caps")
-    return find_isomorphism(labelling_system(X), labelling_system(Y))
+    return find_isomorphism(labelling_system(A), labelling_system(B))
 
 
 # ---------------------------------------------------------------------------

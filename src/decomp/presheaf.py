@@ -14,10 +14,13 @@ is a single source of truth for the relations.
 The checks read an interval-site presheaf in simplicial coordinates: its
 degree k and index i are degree k + 2 and index i + 1 of a simplicial set
 that has only its inner faces and all its degeneracies, the generic maps
-(GKT III).  So one loop serves both kinds for each of the relations, the
-naturality of a map, the pullback squares of a culf map (GKT I: cartesian
-on the generic maps) and the labelling system; only the names in FAIL
-lines differ.
+(GKT III).  So one loop serves both kinds for each of the shape faults,
+the relations, the validation of a map (its ends first), the pullback
+squares of a culf map (GKT I: cartesian on the generic maps, so an
+interval-site map is cartesian exactly when it is culf) and the labelling
+system; only the labels in FAIL lines differ: `d0` or `s1` in a
+simplicial set, `dnew`, `sbot[0]` or `d[2,1]` in an interval-site
+presheaf.
 
 Every constructor makes each table key and value the very string object
 stored in its level list (nerve builders and parsers by `sys.intern`, or
@@ -163,7 +166,8 @@ def _name(letter: str, k: int, i: int) -> str:
 
 def _label(xi: bool, letter: str, k: int, i: int) -> str:
     """How a check's FAIL lines name a structure map: by its index alone in
-    a simplicial set (`d2`), by its `_name` in an interval-site presheaf."""
+    a simplicial set (`d2`), by its `_name` in an interval-site presheaf
+    (`d[2,1]`, `dnew`, `sbot[0]`)."""
     return _name(letter, k, i) if xi else f"{letter}{i}"
 
 
@@ -374,10 +378,9 @@ def validate(X) -> Report:
 
 
 def _shape(rep: Report, X) -> None:
-    """Name every shape fault: levels, identifiers and totality of tables.
-
-    A simplicial set names each missing table; an interval-site presheaf
-    names its first missing table and stops there."""
+    """Name every shape fault: levels, identifiers, and each missing, not
+    total or extra table, as missing-face-d0 or extra-degeneracy-sbot[9],
+    by its degree and `_label`."""
     xi = isinstance(X, FinXiSet)
     if sorted(X.levels) != list(range(-xi, X.cap + 1)):
         rep.fail(note="levels-do-not-match-cap")
@@ -387,22 +390,16 @@ def _shape(rep: Report, X) -> None:
             rep.fail(degree=k, note="duplicate-identifiers")
     kinds = (("d", "face", X.faces, -1), ("s", "degeneracy", X.degens, 1))
     keys = _table_keys(X.cap, xi)
-    missing = [key for (_, _, tables, _), ks in zip(kinds, keys) for key in ks
-               if key not in tables]
-    if xi and missing:
-        rep.fail(note=f"missing-structure-map:{missing[0]}")
-        return
     for (letter, kind, tables, step), ks in zip(kinds, keys):
         for k, i in ks:
             if (k, i) not in tables:
-                rep.fail(degree=k, note=f"missing-{kind}-{letter}{i}")
+                rep.fail(degree=k, note=f"missing-{kind}-{_label(xi, letter, k, i)}")
             else:
                 _check_totality(rep, _name(letter, k, i), tables[(k, i)],
                                 X.levels[k], X.levels[k + step])
     for (letter, kind, tables, _), ks in zip(kinds, keys):
         for k, i in sorted(tables.keys() - set(ks)):
-            rep.fail(degree=k, note=f"extra-structure-map:{_name(letter, k, i)}" if xi
-                     else f"extra-{kind}-{letter}{i}")
+            rep.fail(degree=k, note=f"extra-{kind}-{_label(xi, letter, k, i)}")
 
 
 def _check_relations(rep: Report, X) -> None:
@@ -533,9 +530,14 @@ def _map_shape(F, lo: int, label: str) -> Report:
 
 
 def validate_map(F: SSetMap | XiSetMap) -> Report:
-    """Totality plus naturality against every face and degeneracy under
-    dom.cap, each square compared as index lists on a whole level."""
+    """Both ends valid, then totality plus naturality against every face
+    and degeneracy under dom.cap, each square compared as index lists on a
+    whole level.  An end that is not valid gets its own `validate` report
+    back, the domain's first."""
     X, Y = F.dom, F.cod
+    for end in map(validate, (X, Y)):
+        if not end.ok:
+            return end
     xi = isinstance(X, FinXiSet)
     rep = _map_shape(F, -xi, "G" if xi else "F")
     if not rep.ok:
@@ -761,7 +763,7 @@ def pullback_failure(P: list, A: list, B: list, p: list[int], q: list[int],
     seen: dict[tuple[int, int], int] = {}
     for n, (a, b) in enumerate(zip(p, q)):
         if f[a] != g[b]:
-            return f"square does not commute at {P[n]}"
+            return f"square-does-not-commute:{P[n]}"
         if (a, b) in seen:
             return f"comparison-not-injective:{P[seen[a, b]]},{P[n]}"
         seen[a, b] = n

@@ -182,7 +182,7 @@ def pullback_failure_by_enumeration(P, A, B, p, q, f, g):
     for x in P:
         a, b = p[x], q[x]
         if f[a] != g[b]:
-            raise ValueError(f"square does not commute at {x}")
+            raise ValueError(f"square-does-not-commute:{x}")
         key = (a, b)
         if key in seen:
             return f"comparison-not-injective:{seen[key]},{x}"
@@ -850,22 +850,23 @@ def _xi_name(letter, k, i):
 
 
 def xi_generators(A):
-    """All site generators acting on A, as (name, arrow, table) triples in
-    XISET order: d_0 at degree 0 is `dnew`, and s_{-1} and s_{k+1} at
-    degree k are `sbot[k]` and `stop[k]`."""
+    """The site generators acting on A whose tables A has, as (name, arrow,
+    table) triples in XISET order: d_0 at degree 0 is `dnew`, and s_{-1}
+    and s_{k+1} at degree k are `sbot[k]` and `stop[k]`."""
     from decomp.simplex import XiMap, codegeneracy, coface
 
     faces, degens = _xi_keys(A.cap)
     gens = [(_xi_name("d", k, i), XiMap(k - 1, k, coface(k + 1, i + 1)), A.faces[(k, i)])
-            for k, i in faces]
+            for k, i in faces if (k, i) in A.faces]
     gens += [(_xi_name("s", k, j), XiMap(k + 1, k, codegeneracy(k + 3, j + 1)),
-              A.degens[(k, j)]) for k, j in degens]
+              A.degens[(k, j)]) for k, j in degens if (k, j) in A.degens]
     return gens
 
 
 def validate_xiset_by_pairs(A):
     """The interval-site validator through site arrows: shape on the
-    generators, then every composable pair of generators (u, v) against
+    generators (each missing or extra table named by its degree, kind and
+    XISET name), then every composable pair of generators (u, v) against
     the walk of the normal-form word of their composite, one simplex at a
     time.  A pair in normal form is compared with itself and passes."""
     from decomp.report import Report
@@ -878,17 +879,17 @@ def validate_xiset_by_pairs(A):
     for k in range(-1, A.cap + 1):
         if len(set(A.levels[k])) != len(A.levels[k]):
             rep.fail(degree=k, note="duplicate-identifiers")
-    try:
-        gens = xi_generators(A)
-    except KeyError as exc:
-        rep.fail(note=f"missing-structure-map:{exc}")
-        return rep
+    gens = xi_generators(A)
     for name, arrow, table in gens:
         _totality_by_item(rep, name, table, A.levels[arrow.tgt], A.levels[arrow.src])
     faces, degens = _xi_keys(A.cap)
-    for letter, tables, keys in (("d", A.faces, faces), ("s", A.degens, degens)):
+    for letter, kind, tables, keys in (("d", "face", A.faces, faces),
+                                       ("s", "degeneracy", A.degens, degens)):
+        for k, i in keys:
+            if (k, i) not in tables:
+                rep.fail(degree=k, note=f"missing-{kind}-{_xi_name(letter, k, i)}")
         for k, i in sorted(tables.keys() - set(keys)):
-            rep.fail(degree=k, note=f"extra-structure-map:{_xi_name(letter, k, i)}")
+            rep.fail(degree=k, note=f"extra-{kind}-{_xi_name(letter, k, i)}")
     if not rep.ok:
         return rep
     for uname, u, tu in gens:
@@ -918,7 +919,7 @@ def cartesian_report_by_generators(G):
     from decomp.presheaf import _generator_table
     from decomp.report import Report
 
-    rep = Report("check_cartesian")
+    rep = Report("check_map_class[culf]")
     A, B = G.dom, G.cod
     for name, arrow, tA in xi_generators(A):
         bad = pullback_issue(A.levels[arrow.tgt], A.levels[arrow.src], B.levels[arrow.tgt],
@@ -927,6 +928,32 @@ def cartesian_report_by_generators(G):
         if bad is not None:
             rep.fail(degree=arrow.tgt, note=f"{name}:{bad}")
     rep.verified_upto = A.cap
+    return rep
+
+
+def flanked_bonus_report(A):
+    """The squares of each extra outer degeneracy, sbot and stop, against
+    every face d_i and every degeneracy s_j, each counted on ids; the two
+    per degree that `check_flanked` tests are among them."""
+    from decomp.report import Report
+
+    rep = Report("flanked_bonus")
+
+    def square(n, step, note, p, q, f, g):
+        bad = pullback_issue(A.levels[n], A.levels[n + step], A.levels[n + 1], p, q, f, g)
+        if bad is not None:
+            rep.fail(degree=n, note=f"{note}:{bad}")
+
+    d, s = A.faces, A.degens
+    for n in range(A.cap):
+        for i in range(n + 1):
+            square(n, -1, f"sbot-d{i}", d[n, i], s[n, -1], s[n - 1, -1], d[n + 1, i + 1])
+            square(n, -1, f"stop-d{i}", d[n, i], s[n, n + 1], s[n - 1, n], d[n + 1, i])
+    for n in range(A.cap - 1):
+        for j in range(-1, n + 1):
+            square(n, 1, f"sbot-s{j}", s[n, j], s[n, -1], s[n + 1, -1], s[n + 1, j + 1])
+            square(n, 1, f"stop-s{j}", s[n, j], s[n, n + 1], s[n + 1, n + 2], s[n + 1, j])
+    rep.verified_upto = A.cap - 1
     return rep
 
 

@@ -28,7 +28,7 @@ from decomp.ingest import nerve_poset
 from decomp.interval import (
     canonicalize,
     factorisation_interval,
-    ssets_isomorphic,
+    isomorphic,
 )
 from decomp.presheaf import (
     counit_eps,
@@ -110,7 +110,7 @@ def test_criterion_4_interval_correctness(posets, poset_nerves):
             x, y = a.split(SEP)
             iv, embed = factorisation_interval(X, a)
             model = nerve_poset(spec.interval(x, y), X.cap - 2)
-            ok = ok and ssets_isomorphic(i_star(iv.data), model) is not None
+            ok = ok and isomorphic(i_star(iv.data), model) is not None
             ok = ok and check_map_class(embed, "culf").ok
     _verdict("acceptance-4-interval-correctness", ok, started, 30.0)
 

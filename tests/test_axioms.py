@@ -23,6 +23,7 @@ from decomp.presheaf import (
     xi_representable,
 )
 from conftest import chipped_object, spine_object
+from oracles import flanked_bonus_report
 
 SEP = "≤"
 
@@ -181,18 +182,19 @@ def test_map_class_subposet_inclusion():
 def test_flanked_examples(poset_nerves):
     assert check_flanked(u_star(poset_nerves["d6"])).ok
     assert check_flanked(xi_representable(1, 4)).ok
-    assert check_flanked(xi_representable(1, 4), bonus=True).ok
+    assert flanked_bonus_report(xi_representable(1, 4)).ok
 
 
 def test_flanked_planted_failure(poset_nerves):
+    """An extra outer degeneracy into degree 0 retargeted at 1≤1: only its
+    square against the opposite outer face fails, and the line names it."""
     A = u_star(poset_nerves["d6"])
-    table = dict(A.degens[(-1, -1)])
-    src = next(iter(table))
-    others = [v for v in A.levels[0] if v != table[src]]
-    table[src] = others[0]
-    A = replace(A, degens={**A.degens, (-1, -1): table})
-    rep = check_flanked(A)
-    assert not rep.ok
+    for key, square in (((-1, -1), "sbot-vs-dtop"), ((-1, 0), "stop-vs-dbot")):
+        table = dict(A.degens[key])
+        table[f"1{SEP}1"] = next(v for v in A.levels[0] if v != table[f"1{SEP}1"])
+        rep = check_flanked(replace(A, degens={**A.degens, key: table}))
+        assert rep.lines() == [
+            f"FAIL check_flanked degree=0 note={square}:square-does-not-commute:1{SEP}1{SEP}1"]
 
 
 def test_wide_and_cartesian(poset_nerves):

@@ -1,3 +1,5 @@
+import hashlib
+import shutil
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -250,10 +252,19 @@ def test_registry_add_refuses_damaged_registry(tmp_path, capsys):
     assert index.read_bytes() == before + b"not-a-digest\n"
 
 
-@pytest.mark.parametrize("directive", ["sbot 0:", "level -1:", "dnew:", "sbot 9: a->b"])
+_INVALID_INTERVAL = {
+    "sbot 0:": "FAIL validate degree=0 note=missing-degeneracy-sbot[0]",
+    "level -1:": "FAIL validate note=levels-do-not-match-cap",
+    "dnew:": "FAIL validate degree=0 note=missing-face-dnew",
+    "sbot 9: a->b": "FAIL validate degree=9 note=extra-degeneracy-sbot[9]",
+}
+
+
+@pytest.mark.parametrize("directive", sorted(_INVALID_INTERVAL))
 def test_registry_add_refuses_invalid_interval(tmp_path, d6_sset, capsys, directive):
     """A directive of the interval file is deleted; the one it lacks, a map
-    above its cap, is appended."""
+    above its cap, is appended.  Validation names the table by its degree,
+    kind and XISET name."""
     iv = tmp_path / "i.xiset"
     assert main(["interval", d6_sset, "--arrow", f"1{SEP}6", "-o", str(iv)]) == 0
     lines = iv.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -265,9 +276,8 @@ def test_registry_add_refuses_invalid_interval(tmp_path, d6_sset, capsys, direct
     assert main(["registry", "add", str(reg), str(iv)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:") and "FAIL validate" in captured.err
-    if directive.startswith("sbot 9"):
-        assert "FAIL validate degree=9 note=extra-structure-map:sbot[9]" in captured.err
+    assert captured.err.startswith("error:")
+    assert _INVALID_INTERVAL[directive] in captured.err.splitlines()
     assert not reg.exists()
 
 
@@ -358,7 +368,8 @@ def test_culf_check_refuses_extra_component(tmp_path, d6_sset, capsys, xi, extra
 
 def test_culf_check_validates_both_ends(tmp_path, d6_sset, capsys):
     """A map whose XISET ends lack a map line fails validation of that end
-    instead of raising in the naturality check."""
+    instead of raising in the naturality check; the line names the missing
+    table with its degree."""
     from decomp.formats import load, write_smap
     from decomp.presheaf import XiSetMap
 
@@ -375,9 +386,7 @@ def test_culf_check_validates_both_ends(tmp_path, d6_sset, capsys):
                           if not ln.startswith("sbot 0:")), encoding="utf-8")
     capsys.readouterr()
     assert main(["check", "culf", str(smap)]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("FAIL validate")
-    assert "missing-structure-map:(0, -1)" in out
+    assert capsys.readouterr().out == "FAIL validate degree=0 note=missing-degeneracy-sbot[0]\n"
 
 
 _RELATION_FAILURES = {
@@ -442,14 +451,14 @@ def test_culf_check_fails_a_map_to_the_point(tmp_path, d6_sset, capsys):
     capsys.readouterr()
     assert main(["check", "culf", str(smap)]) == 1
     assert capsys.readouterr().out == """\
-FAIL check_cartesian degree=0 note=s[0,0]:missing-fiber-pair:1≤1≤2≤2,pt
-FAIL check_cartesian degree=-1 note=sbot[-1]:missing-fiber-pair:1≤2≤2,pt
-FAIL check_cartesian degree=-1 note=stop[-1]:missing-fiber-pair:1≤1≤2,pt
-FAIL check_cartesian degree=0 note=sbot[0]:missing-fiber-pair:1≤2≤2≤2,pt
-FAIL check_cartesian degree=0 note=stop[0]:missing-fiber-pair:1≤1≤1≤2,pt
-FAIL check_cartesian degree=1 note=d[1,0]:comparison-not-injective:1≤1≤2≤2,1≤2≤2≤2
-FAIL check_cartesian degree=1 note=d[1,1]:comparison-not-injective:1≤1≤1≤2,1≤1≤2≤2
-FAIL check_cartesian degree=0 note=dnew:comparison-not-injective:1≤1≤2,1≤2≤2
+FAIL check_map_class[culf] degree=0 note=s[0,0]:missing-fiber-pair:1≤1≤2≤2,pt
+FAIL check_map_class[culf] degree=-1 note=sbot[-1]:missing-fiber-pair:1≤2≤2,pt
+FAIL check_map_class[culf] degree=-1 note=stop[-1]:missing-fiber-pair:1≤1≤2,pt
+FAIL check_map_class[culf] degree=0 note=sbot[0]:missing-fiber-pair:1≤2≤2≤2,pt
+FAIL check_map_class[culf] degree=0 note=stop[0]:missing-fiber-pair:1≤1≤1≤2,pt
+FAIL check_map_class[culf] degree=1 note=d[1,0]:comparison-not-injective:1≤1≤2≤2,1≤2≤2≤2
+FAIL check_map_class[culf] degree=1 note=d[1,1]:comparison-not-injective:1≤1≤1≤2,1≤1≤2≤2
+FAIL check_map_class[culf] degree=0 note=dnew:comparison-not-injective:1≤1≤2,1≤2≤2
 """
 
 
@@ -468,6 +477,44 @@ def d6_registry(tmp_path_factory) -> str:
     out = str(tmp_path_factory.mktemp("reg"))
     reg.close().save(out)
     return out
+
+
+# The classes of d6's closed registry: a point, a two-element chain and
+# the square.
+_POINT = "787d3aac08169252df3c51162e479092e8a47782de1c7258493f1d659d4bbc08"
+_CHAIN = "5747e2f1a673282d879e22bb76344b439cf4a9c1683e216fe49849a226cf0adf"
+_SQUARE = "a7fa97992f921925eac6b6bb737f0f3c0712952a79407f028c1bd6cc40f81858"
+
+
+def test_registry_coalgebra_checks_fail_on_a_rewired_arrow_table(
+        tmp_path, d6_sset, d6_registry, capsys):
+    """The chain's own row of its arrow table pointed at the point, and the
+    checksum line rewritten so that the table is read: the registry
+    coalgebra no longer inverts the universal Mobius function, and no arrow
+    of d6 classified to the chain maps its comultiplication over."""
+    reg = tmp_path / "reg"
+    shutil.copytree(d6_registry, reg)
+    path = reg / f"{_CHAIN}.arrows"
+    body = path.read_text(encoding="utf-8").splitlines(keepends=True)[:-1]
+    assert body[3] == f"n1_2\t{_CHAIN}\n"
+    body[3] = f"n1_2\t{_POINT}\n"
+    text = "".join(body)
+    path.write_text(text + hashlib.sha256(text.encode("utf-8")).hexdigest() + "\n",
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(["registry", "mu", str(reg)]) == 1
+    assert capsys.readouterr().out == (
+        f"{_CHAIN}\tiv-{_CHAIN[:10]}\t-1/1\n"
+        f"{_POINT}\tiv-{_POINT[:10]}\t1/1\n"
+        f"{_SQUARE}\tiv-{_SQUARE[:10]}\t1/1\n"
+        "FAIL universal_mobius note=registry-inversion-fails\n")
+    assert main(["classify", d6_sset, "--registry", str(reg)]) == 1
+    classes = {"1≤1": _POINT, "1≤2": _CHAIN, "1≤3": _CHAIN, "1≤6": _SQUARE, "2≤2": _POINT,
+               "2≤6": _CHAIN, "3≤3": _POINT, "3≤6": _CHAIN, "6≤6": _POINT}
+    assert capsys.readouterr().out == "".join(
+        [f"{a}\t{d}\n" for a, d in classes.items()]
+        + [f"FAIL classify degree=2 witness={a} note=not-a-coalgebra-homomorphism\n"
+           for a in ("1≤2", "1≤3", "2≤6", "3≤6")])
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ integer-indexed fast paths against the element-by-element reference
 implementations in `oracles`, and the shared-identifier invariant the
 fast paths rely on."""
 
+import re
 from dataclasses import replace
 from math import factorial, prod
 
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from decomp import labeling
 from decomp.axioms import (
-    cartesian_report,
     check_decomposition,
     check_flanked,
     check_map_class,
@@ -73,6 +73,18 @@ from oracles import pullback_failure_by_enumeration, validate_sset_by_simplex
 from test_ingest import quotient_categories
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None)
+
+# A report line reads as its status, its check and key=value fields, each
+# value one token.
+_REPORT_LINE = re.compile(r"^(PASS|FAIL|INCONCLUSIVE) \S+( (degree|witness|note|via)=\S+)*$")
+
+
+def parsed_lines(report):
+    """The report's lines, each checked to read as _REPORT_LINE."""
+    lines = report.lines()
+    for line in lines:
+        assert _REPORT_LINE.match(line), line
+    return lines
 
 
 def outcome(fn, *args):
@@ -259,7 +271,7 @@ def rewired_nerves(draw):
 @SETTINGS
 @given(st.one_of(rewired_nerves(), exactness_inputs()))
 def test_validate_sset_matches_per_simplex_check(X):
-    assert validate_sset(X).lines() == validate_sset_by_simplex(X).lines()
+    assert parsed_lines(validate_sset(X)) == validate_sset_by_simplex(X).lines()
 
 
 def _shuffled(draw, sizes, tables):
@@ -541,8 +553,9 @@ def test_index_kernels_match_checks_on_ids(X):
     assert _report(check_segal, replace(X)) == _report(oracles.check_segal_by_spines, replace(X))
     for dec in (dec_top, dec_bot):
         for cls in ("conservative", "ulf", "culf"):
-            assert (_report(check_map_class, dec(replace(X))[1], cls)
-                    == _report(oracles.check_map_class_by_names, dec(replace(X))[1], cls))
+            got = _report(check_map_class, dec(replace(X))[1], cls)
+            assert got == _report(oracles.check_map_class_by_names, dec(replace(X))[1], cls)
+            assert got[0] == "raised" or all(map(_REPORT_LINE.match, got[0])), got
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -606,10 +619,10 @@ def rewired_maps(draw):
 @given(rewired_maps())
 def test_map_validation_matches_per_simplex_check(F):
     if isinstance(F.dom, FinXiSet):
-        lines, lo = validate_map(F).lines(), -1
+        lines, lo = parsed_lines(validate_map(F)), -1
         assert lines == oracles.validate_xiset_map_by_simplex(F).lines()
     else:
-        lines, lo = validate_map(F).lines(), 0
+        lines, lo = parsed_lines(validate_map(F)), 0
         assert lines == oracles.validate_sset_map_by_simplex(F).lines()
     for k in set(F.components).difference(range(lo, F.dom.cap + 1)):
         assert f"FAIL validate_map degree={k} note=extra-component" in lines
@@ -634,7 +647,8 @@ def drawn_xisets():
 def rewired_xisets(draw):
     """A drawn XISET with one or two structure-map entries changed as in
     `rewired_nerves`, most often sent to another simplex of their level,
-    the stabilization claim sometimes changed, or left alone."""
+    or a whole table dropped, the stabilization claim sometimes changed,
+    or left alone."""
     A = draw(drawn_xisets())
     faces = {key: dict(t) for key, t in A.faces.items()}
     degens = {key: dict(t) for key, t in A.degens.items()}
@@ -642,12 +656,15 @@ def rewired_xisets(draw):
         tables, step, keys = draw(st.sampled_from([(faces, -1, sorted(A.faces)),
                                                    (degens, 1, sorted(A.degens))]))
         key = draw(st.sampled_from(keys))
-        table = tables[key]
+        table = tables.get(key)
         if not table:
             continue
         x = draw(st.sampled_from(sorted(table)))
-        how = draw(st.sampled_from(["retarget"] * 8 + ["outside", "delete", "rename", "extra"]))
-        if how == "retarget":
+        how = draw(st.sampled_from(["retarget"] * 8
+                                   + ["outside", "delete", "rename", "extra", "drop"]))
+        if how == "drop":
+            del tables[key]
+        elif how == "retarget":
             others = [y for y in A.levels[key[0] + step] if y != table[x]]
             table[x] = draw(st.sampled_from(others or [table[x]]))
         elif how == "outside":
@@ -670,7 +687,19 @@ def test_validate_xiset_matches_pairs_reference(A):
     what comparing every composable pair of site generators finds, line
     for line up to order: each identity is named by its side that is not
     in normal form."""
-    assert sorted(validate_xiset(A).lines()) == sorted(oracles.validate_xiset_by_pairs(A).lines())
+    got = sorted(parsed_lines(validate_xiset(A)))
+    assert got == sorted(oracles.validate_xiset_by_pairs(A).lines())
+
+
+def test_two_missing_xiset_tables_are_both_named():
+    """Each missing table is named with its degree, as a simplicial set's
+    is, by its XISET name."""
+    A = u_star(nerve_poset(divisor_poset(6), 4))
+    B = FinXiSet(A.cap, A.levels, {key: t for key, t in A.faces.items() if key != (0, 0)},
+                 {key: t for key, t in A.degens.items() if key != (1, 0)}, A.stable_from)
+    assert validate_xiset(B).lines() == ["FAIL validate degree=0 note=missing-face-dnew",
+                                         "FAIL validate degree=1 note=missing-degeneracy-s[1,0]"]
+    assert sorted(validate_xiset(B).lines()) == sorted(oracles.validate_xiset_by_pairs(B).lines())
 
 
 @st.composite
@@ -696,10 +725,10 @@ def xiset_maps(draw):
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(xiset_maps())
-def test_cartesian_report_matches_per_generator_reference(G):
+def test_culf_check_matches_per_generator_reference(G):
     """One loop over the squares on degeneracies and inner faces, two
     degrees up, finds what the square on every site generator finds."""
-    assert (sorted(cartesian_report(G).lines())
+    assert (sorted(parsed_lines(check_map_class(G, "culf")))
             == sorted(oracles.cartesian_report_by_generators(G).lines()))
 
 

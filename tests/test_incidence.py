@@ -204,6 +204,25 @@ def test_culf_pushforward_needs_a_comultiplication(d6):
         culf_pushforward(F)
 
 
+@pytest.mark.parametrize("how, line", [
+    ("delete", "FAIL validate_map witness=1≤1≤1 note=F[1]-not-total"),
+    ("outside", "FAIL validate_map witness=1≤1≤1,zz note=F[1]-target-outside-level"),
+], ids=["delete", "outside"])
+def test_culf_pushforward_refuses_a_map_that_is_not_valid(d6, how, line):
+    """A level-1 component entry of the counit deleted or sent outside the
+    codomain: the map's validation lines, not a KeyError."""
+    _, counit = dec_bot(d6)
+    table = dict(counit.components[1])
+    if how == "delete":
+        del table[f"1{SEP}1{SEP}1"]
+    else:
+        table[f"1{SEP}1{SEP}1"] = "zz"
+    F = replace(counit, components={**counit.components, 1: table})
+    with pytest.raises(NotCertified) as info:
+        culf_pushforward(F)
+    assert str(info.value) == f"map is not valid:\n{line}"
+
+
 def test_phi_pulls_back_along_interval_embedding(poset_nerves):
     X = poset_nerves["d12"]
     a = arrow("1", "12")

@@ -24,7 +24,7 @@ from decomp.ingest import (
     nerve_poset,
     truncated_addition,
 )
-from decomp.interval import factorisation_interval, interval_category, ssets_isomorphic
+from decomp.interval import factorisation_interval, interval_category, isomorphic
 from decomp.presheaf import nondeg_bound, nondegenerate, point_sset, validate_sset
 
 
@@ -75,7 +75,7 @@ def test_nerve_stable_from_certified(poset_nerves):
 def test_trivial_monoid_is_point():
     spec = MonoidSpec.build(["e"], "e", {("e", "e"): "e"})
     X = nerve_monoid(spec, 4)
-    assert ssets_isomorphic(X, point_sset(4)) is not None
+    assert isomorphic(X, point_sset(4)) is not None
 
 
 def test_monoid_rejects_unit_factorisation():
@@ -116,7 +116,7 @@ def test_two_object_category_matches_chain():
     )
     X = nerve_category(spec, 3)
     Y = nerve_poset(chain_poset(1), 3)
-    assert ssets_isomorphic(X, Y) is not None
+    assert isomorphic(X, Y) is not None
 
 
 def test_category_requires_composites():

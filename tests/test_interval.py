@@ -12,10 +12,9 @@ from decomp.interval import (
     certify_mobius_interval,
     extend_interval,
     factorisation_interval,
-    intervals_isomorphic,
+    isomorphic,
     labelling_system,
     longest_edge,
-    ssets_isomorphic,
     subdivisions,
     validate_interval,
     wide_cartesian_factor,
@@ -70,7 +69,7 @@ def test_interval_matches_subposet_nerve(d12):
     spec = divisor_poset(12)
     iv, _ = factorisation_interval(d12, arrow("2", "12"))
     model = nerve_poset(spec.interval("2", "12"), d12.cap - 2)
-    assert ssets_isomorphic(i_star(iv.data), model) is not None
+    assert isomorphic(i_star(iv.data), model) is not None
 
 
 def test_interval_is_segal(diamond):
@@ -97,10 +96,10 @@ def test_canonical_digests_identify_isomorphic(poset_nerves):
     # commutes with every structure map
     a = factorisation_interval(d6, arrow("1", "6"))[0]
     b = factorisation_interval(d10, arrow("1", "10"))[0]
-    iso = intervals_isomorphic(truncate(a.data, 2), truncate(b.data, 2))
+    iso = isomorphic(truncate(a.data, 2), truncate(b.data, 2))
     assert iso is not None
     assert_isomorphism(labelling_system(truncate(a.data, 2)), labelling_system(truncate(b.data, 2)), iso)
-    assert intervals_isomorphic(
+    assert isomorphic(
         truncate(canonicalize(a).canonical.data, 2),
         truncate(factorisation_interval(d4, arrow("1", "4"))[0].data, 2),
     ) is None
@@ -110,7 +109,7 @@ def test_isomorphism_of_symmetric_intervals(poset_nerves):
     """B3 and d30 are both the cube, whose top interval has automorphisms."""
     a = factorisation_interval(poset_nerves["b3"], arrow("o", "abc"))[0].data
     b = factorisation_interval(poset_nerves["d30"], arrow("1", "30"))[0].data
-    iso = intervals_isomorphic(a, b)
+    iso = isomorphic(a, b)
     assert iso is not None
     assert_isomorphism(labelling_system(a), labelling_system(b), iso)
 
@@ -145,7 +144,7 @@ def test_relabel_map_is_an_isomorphism(diamond):
 
 
 def test_identity_isomorphism(diamond):
-    iso = intervals_isomorphic(diamond.data, diamond.data)
+    iso = isomorphic(diamond.data, diamond.data)
     assert iso is not None
 
 
@@ -187,7 +186,7 @@ def test_interval_idempotence(d12):
     iv, _ = factorisation_interval(d12, arrow("1", "12"))
     under = i_star(iv.data)
     again, _ = factorisation_interval(under, longest_edge(iv.data))
-    assert intervals_isomorphic(
+    assert isomorphic(
         again.data, truncate(iv.data, iv.data.cap - 2)) is not None
 
 

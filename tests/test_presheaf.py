@@ -4,11 +4,11 @@ from dataclasses import FrozenInstanceError, replace
 from math import comb
 
 import pytest
-from oracles import indexed_square, pullback_issue
+from oracles import flanked_bonus_report, indexed_square, pullback_issue
 
 from decomp.axioms import check_cartesian, check_flanked, check_map_class
 from decomp.ingest import chain_poset, divisor_poset, nerve_poset
-from decomp.interval import ssets_isomorphic
+from decomp.interval import isomorphic
 from decomp.presheaf import (
     counit_eps,
     dec_bot,
@@ -126,13 +126,13 @@ def test_u_star_point():
 def test_u_star_flanked_on_decomposition_corpus(poset_nerves):
     for X in poset_nerves.values():
         assert check_flanked(u_star(X)).ok
-        assert check_flanked(u_star(X), bonus=True).ok
+        assert flanked_bonus_report(u_star(X)).ok
 
 
 def test_i_star_representable_is_simplex():
     R = xi_representable(1, 4)
     model = nerve_poset(chain_poset(3), 4)
-    assert ssets_isomorphic(i_star(R), model) is not None
+    assert isomorphic(i_star(R), model) is not None
 
 
 def test_i_star_point():
@@ -259,7 +259,22 @@ def test_pullback_of_constructed_fiber_product():
 def test_pullback_rejects_noncommuting():
     assert (square_issue(["x"], ["a"], ["b"], {"x": "a"}, {"x": "b"},
                          {"a": "c1"}, {"b": "c2"})
-            == "square does not commute at x")
+            == "square-does-not-commute:x")
+
+
+def test_validate_map_reports_an_invalid_end():
+    """An end that is not valid gets its own validation report back, the
+    domain's first, where the naturality check would raise."""
+    _, counit = dec_bot(nerve_poset(divisor_poset(6), 5))
+    levels = dict(counit.cod.levels)
+    levels[0] = levels[0] + levels[0][:1]
+    bad_cod = replace(counit, cod=replace(counit.cod, levels=levels))
+    assert validate_map(bad_cod).lines() == ["FAIL validate degree=0 note=duplicate-identifiers"]
+    faces = {key: t for key, t in counit.dom.faces.items() if key != (1, 0)}
+    bad_dom = replace(counit, dom=replace(counit.dom, faces=faces))
+    assert validate_map(bad_dom).lines() == ["FAIL validate degree=1 note=missing-face-d0"]
+    both = replace(bad_dom, cod=bad_cod.cod)
+    assert validate_map(both).lines() == validate_map(bad_dom).lines()
 
 
 def test_u_star_of_culf_is_cartesian(poset_nerves):
