@@ -3,7 +3,6 @@ incidence coalgebras with exact Mobius inversion, and a content-addressed
 registry of interval classes."""
 
 from .axioms import (
-    check_cartesian,
     check_complete,
     check_decomposition,
     check_flanked,

@@ -18,6 +18,7 @@ from .presheaf import (
     _component_indices,
     _index_view,
     _label,
+    _map_shape,
     _table_keys,
     actions,
     dec_bot,
@@ -175,7 +176,9 @@ def check_map_class(F: SSetMap | XiSetMap, cls: str = "culf") -> Report:
 
     In simplicial coordinates an interval-site map's generators are all
     degeneracies and inner faces, so "culf" tests the square on every one
-    of its structure maps: such a map is cartesian exactly when culf."""
+    of its structure maps: such a map is cartesian exactly when culf.  A map
+    whose components are not total gets the `validate_map` lines naming the
+    fault instead."""
     if cls not in ("conservative", "ulf", "culf"):
         raise ValueError(f"unknown map class {cls!r}")
     rep = Report(f"check_map_class[{cls}]")
@@ -183,7 +186,11 @@ def check_map_class(F: SSetMap | XiSetMap, cls: str = "culf") -> Report:
     if Y.cap > X.cap:
         raise CapError("map components exceed the codomain cap")
     xi = isinstance(Y, FinXiSet)
-    vY, vX, comp = _index_view(Y), _index_view(X), _component_indices(F, -xi)
+    try:
+        comp = _component_indices(F, -xi)
+    except KeyError:
+        return _map_shape(F, -xi, "G" if xi else "F")
+    vY, vX = _index_view(Y), _index_view(X)
     face_keys, degen_keys = _table_keys(Y.cap, xi)
     squares = [("s", key, 1, vY.degens, vX.degens) for key in degen_keys if cls != "ulf"]
     squares += [("d", (k, i), -1, vY.faces, vX.faces) for k, i in face_keys
@@ -224,11 +231,6 @@ def check_wide(g: XiSetMap) -> bool:
     return (len(set(comp.values())) == len(comp)
             and set(comp.values()) == set(g.cod.levels[-1])
             and set(comp) == set(g.dom.levels[-1]))
-
-
-def check_cartesian(g: XiSetMap) -> bool:
-    """Is the naturality square on every site generator a pullback?"""
-    return check_map_class(g, "culf").ok
 
 
 # ---------------------------------------------------------------------------

@@ -190,10 +190,8 @@ def cmd_registry(args) -> int:
         print(f"PASS registry-close note=entries:{before}->{len(reg.entries)}")
         return 0
     if args.action == "list":
-        for digest in sorted(reg.entries):
-            e = reg.entries[digest]
-            print(f"{e.digest}\t{e.name}\t{int(e.mobius)}\t"
-                  f"{e.interval.canonical.data.cap}")
+        for row in reg.index_rows():
+            print(row)
         return 0
     if args.action == "mu":
         mu, rep = incidence.universal_mobius(reg)

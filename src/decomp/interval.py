@@ -80,15 +80,15 @@ def longest_edge(A: FinXiSet) -> str:
 
 
 def validate_interval(A: AlgebraicInterval) -> Report:
-    """Reduced + valid + complete + flanked (+ exactness when cap allows)."""
-    rep = Report("validate_interval")
+    """Valid + reduced + complete + flanked (+ exactness when cap allows).
+    An input that is not valid gets its own `validate` report back."""
     data = A.data
-    if len(data.levels[-1]) != 1:
-        rep.fail(degree=-1, note="not-reduced")
-        return rep
     base = validate_xiset(data)
     if not base.ok:
-        rep.absorb(base)
+        return base
+    rep = Report("validate_interval")
+    if len(data.levels[-1]) != 1:
+        rep.fail(degree=-1, note="not-reduced")
         return rep
     under = i_star(data)
     if not check_complete(under):
@@ -273,7 +273,6 @@ class ExtendedInterval:
     nerve: FinSSet
     embed: SSetMap
     arrow_name: dict[str, str]
-    longest: str
 
     def chain_id(self, arrows: list[str]) -> str:
         """Nerve id of a composable chain given by source-interval arrows."""
@@ -311,23 +310,24 @@ def interval_category(data: FinXiSet) -> tuple[CategorySpec, dict[str, str]]:
     return spec, arr_name
 
 
-def extend_interval(A: AlgebraicInterval | FinXiSet, xi_cap: int) -> ExtendedInterval:
+def category_nerve(c: IntervalClass) -> tuple[FinSSet, dict[str, str]]:
+    """The nerve of c's arrow category at cap max(1, stable_from) + 2, and
+    the nerve id of each level-1 id of c.  The category has an initial and
+    a terminal object, so the nerve is c's underlying simplicial set, its
+    longest edge the arrow from the one to the other."""
+    data = c.canonical.data
+    spec, arr_name = interval_category(data)
+    return nerve_category(spec, max(1, data.stable_from or 0) + 2), arr_name
+
+
+def extend_interval(A: AlgebraicInterval, xi_cap: int) -> ExtendedInterval:
     """Rebuild the interval at the requested cap via its arrow category."""
-    data = A.data if isinstance(A, AlgebraicInterval) else A
     if xi_cap < 1:
         raise CapError("extension cap must be >= 1")
-    spec, arr_name = interval_category(data)
+    spec, arr_name = interval_category(A.data)
     X = nerve_category(spec, xi_cap + 2)
-    top_arrow = arr_name[longest_edge(data)]
-    interval, embed = factorisation_interval(X, top_arrow)
-    return ExtendedInterval(interval, X, embed, arr_name, top_arrow)
-
-
-def _extension(c: IntervalClass, minimum: int = 1) -> ExtendedInterval:
-    """c rebuilt at the cap minimum, or at its stabilization degree if that
-    is higher."""
-    bound = c.canonical.data.stable_from or 0
-    return extend_interval(c.canonical, max(minimum, bound, 1))
+    interval, embed = factorisation_interval(X, arr_name[longest_edge(A.data)])
+    return ExtendedInterval(interval, X, embed, arr_name)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +357,12 @@ def subdivisions(
 def certify_mobius_interval(c: IntervalClass) -> Report:
     """Mobius conditions on the underlying simplicial set, plus the finite
     total of nondegenerate simplices and the longest-edge profile."""
-    bound = c.canonical.data.stable_from or 0
-    ext = _extension(c, minimum=bound + 2)
-    under = i_star(ext.interval.data)
-    rep = check_mobius(under)
+    data = c.canonical.data
+    N, arr_name = category_nerve(c)
+    rep = check_mobius(N)
     rep.check = "certify_mobius_interval"
-    profile = []
-    for r in range(0, bound + 1):
-        profile.append(len(_fiber(ext.interval.data, r, True)))
-    rep.data["phi_profile"] = profile
-    rep.data["nondegenerate_total"] = sum(
-        len(nondegenerate(under, r)) for r in range(under.cap + 1))
+    longest = arr_name[longest_edge(data)]
+    rep.data["phi_profile"] = [len(fibres(N, r, True)[longest])
+                               for r in range((data.stable_from or 0) + 1)]
+    rep.data["nondegenerate_total"] = sum(len(nondegenerate(N, r)) for r in range(N.cap + 1))
     return rep

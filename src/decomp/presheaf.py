@@ -264,19 +264,26 @@ def seed_index_view(X, pos: dict, faces: dict, degens: dict):
     return X
 
 
-def _rekeyed(X, Y, shift: int, face_at, degen_at):
-    """Y, whose level k is X's level k + shift and whose tables are X's
-    tables at face_at(key) and degen_at(key).  Y's index view starts with
-    every level and table X's view has already made, re-keyed the same way."""
+def _reindexed(X, kind, cap: int, shift: int, offset: int, stable: int | None):
+    """The object of kind at cap whose level k is X's level k + shift and
+    whose table at (k, i) is X's table at (k + shift, i + offset), for each
+    key `_table_keys` gives.  Its index view starts with every level and
+    table X's view has already made, re-keyed the same way."""
+    xi = kind is FinXiSet
+    face_keys, degen_keys = _table_keys(cap, xi)
+    levels = {k: X.levels[k + shift] for k in range(-xi, cap + 1)}
+    faces = {(k, i): X.faces[(k + shift, i + offset)] for k, i in face_keys}
+    degens = {(k, j): X.degens[(k + shift, j + offset)] for k, j in degen_keys}
+    Y = kind(cap, levels, faces, degens, stable)
     view = X._memo.get("index_view")
     if view is None:
         return Y
-    pos = {k: view.pos[k + shift] for k in Y.levels if k + shift in view.pos}
 
-    def moved(tables, theirs, at):
-        return {key: theirs[at(key)] for key in tables if at(key) in theirs}
-    return seed_index_view(Y, pos, moved(Y.faces, view.faces, face_at),
-                           moved(Y.degens, view.degens, degen_at))
+    def moved(keys, theirs):
+        return {(k, i): theirs[(k + shift, i + offset)] for k, i in keys
+                if (k + shift, i + offset) in theirs}
+    return seed_index_view(Y, {k: view.pos[k + shift] for k in levels if k + shift in view.pos},
+                           moved(face_keys, view.faces), moved(degen_keys, view.degens))
 
 
 class _Actions:
@@ -557,10 +564,6 @@ def validate_map(F: SSetMap | XiSetMap) -> Report:
 # decalage and the basic adjunction
 
 
-def _same(key):
-    return key
-
-
 def _stable_under(X, cap: int) -> int | None:
     return X.stable_from if X.stable_from is not None and X.stable_from <= cap else None
 
@@ -571,14 +574,7 @@ def _decalage(X: FinSSet, bottom: bool) -> tuple[FinSSet, SSetMap]:
     if X.cap < 1:
         raise CapError("decalage needs cap >= 1")
     cap = X.cap - 1
-    o = 1 if bottom else 0
-    levels = {k: X.levels[k + 1] for k in range(cap + 1)}
-    faces = {(k, i): X.faces[(k + 1, i + o)]
-             for k in range(1, cap + 1) for i in range(k + 1)}
-    degens = {(k, j): X.degens[(k + 1, j + o)]
-              for k in range(cap) for j in range(k + 1)}
-    D = _rekeyed(X, FinSSet(cap, levels, faces, degens, _stable_under(X, cap)), 1,
-                 lambda ki: (ki[0] + 1, ki[1] + o), lambda kj: (kj[0] + 1, kj[1] + o))
+    D = _reindexed(X, FinSSet, cap, 1, int(bottom), _stable_under(X, cap))
     counit = {k: X.faces[(k + 1, 0 if bottom else k + 1)] for k in range(cap + 1)}
     return D, SSetMap(D, X, counit)
 
@@ -600,23 +596,13 @@ def u_star(X: FinSSet) -> FinXiSet:
     if X.cap < 2:
         raise CapError("u* needs cap >= 2")
     cap = X.cap - 2
-    levels = {k: X.levels[k + 2] for k in range(-1, cap + 1)}
-    faces = {(k, i): X.faces[(k + 2, i + 1)]
-             for k in range(cap + 1) for i in range(k + 1)}
-    degens = {(k, j): X.degens[(k + 2, j + 1)]
-              for k in range(-1, cap) for j in range(-1, k + 2)}
-    return _rekeyed(X, FinXiSet(cap, levels, faces, degens, _stable_under(X, cap)), 2,
-                    lambda ki: (ki[0] + 2, ki[1] + 1), lambda kj: (kj[0] + 2, kj[1] + 1))
+    return _reindexed(X, FinXiSet, cap, 2, 1, _stable_under(X, cap))
 
 
 @memoised
 def i_star(A: FinXiSet) -> FinSSet:
     """Forget the degree -1 level and all the extra structure maps."""
-    levels = {k: A.levels[k] for k in range(A.cap + 1)}
-    faces = {(k, i): t for (k, i), t in A.faces.items() if k >= 1}
-    degens = {(k, j): t for (k, j), t in A.degens.items() if 0 <= j <= k}
-    return _rekeyed(A, FinSSet(A.cap, levels, faces, degens, A.stable_from), 0,
-                    _same, _same)
+    return _reindexed(A, FinSSet, A.cap, 0, 0, A.stable_from)
 
 
 def u_star_map(F: SSetMap) -> XiSetMap:
@@ -633,11 +619,7 @@ def truncate(X, cap: int):
     """The same simplicial set or interval-site presheaf, capped lower."""
     if cap > X.cap or cap < 0:
         raise CapError(f"cannot truncate cap {X.cap} to {cap}")
-    levels = {k: ids for k, ids in X.levels.items() if k <= cap}
-    faces = {ki: t for ki, t in X.faces.items() if ki[0] <= cap}
-    degens = {kj: t for kj, t in X.degens.items() if kj[0] < cap}
-    return _rekeyed(X, type(X)(cap, levels, faces, degens, _stable_under(X, cap)), 0,
-                    _same, _same)
+    return _reindexed(X, type(X), cap, 0, 0, _stable_under(X, cap))
 
 
 def unit_eta(A: FinXiSet) -> XiSetMap:

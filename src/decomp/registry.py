@@ -24,17 +24,18 @@ from .interval import (
     AlgebraicInterval,
     ExtendedInterval,
     IntervalClass,
-    _extension,
     _fiber,
     canonicalize,
     canonicalize_with_map,
+    category_nerve,
     certify_mobius_interval,
+    extend_interval,
     factorisation_intervals,
     longest_edge,
+    validate_interval,
 )
-# perfbench/tracer.py wraps these two here
-from .interval import extend_interval, factorisation_interval  # noqa: F401
-from .presheaf import _index_view, actions, i_star, long_edge_table, validate_xiset
+from .interval import factorisation_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
+from .presheaf import _index_view, actions, i_star, long_edge_table
 from .report import Report
 from .simplex import MonotoneMap
 
@@ -50,7 +51,6 @@ _DIGEST = re.compile("[0-9a-f]{64}")
 class RegistryEntry:
     digest: str
     name: str
-    mobius: bool
     interval: IntervalClass
     # level-1 id of the canonical form -> digest of that arrow's interval
     arrows: dict[str, str] | None = None
@@ -68,12 +68,9 @@ class Registry:
         if isinstance(A, IntervalClass):
             cls = A
         else:
-            base = validate_xiset(A.data)
-            if not base.ok:
-                raise RegistryError("entry fails validation:\n" + str(base))
-            if len(A.data.levels[-1]) != 1:
-                raise RegistryError("entry is not reduced: level -1 holds "
-                                    f"{len(A.data.levels[-1])} elements")
+            rep = validate_interval(A)
+            if not rep.ok:
+                raise RegistryError("entry fails validation:\n" + str(rep))
             cls = canonicalize(A)
         if cls.digest in self.entries:
             return cls.digest
@@ -85,7 +82,7 @@ class Registry:
             name = f"iv-{cls.digest[:10]}"
         if name in self.names:
             raise RegistryError(f"name {name!r} already in use")
-        self.entries[cls.digest] = RegistryEntry(cls.digest, name, True, cls)
+        self.entries[cls.digest] = RegistryEntry(cls.digest, name, cls)
         self.names[name] = cls.digest
         return cls.digest
 
@@ -140,23 +137,25 @@ class Registry:
 
     # -- persistence --------------------------------------------------------
 
+    def index_rows(self) -> list[str]:
+        """The index.tsv row of each entry, in digest order: its digest, name,
+        1 (every entry is certified Mobius) and cap, tab-separated."""
+        return [f"{digest}\t{e.name}\t1\t{e.interval.canonical.data.cap}"
+                for digest, e in sorted(self.entries.items())]
+
     def save(self, directory: str) -> None:
         """Write every entry and its arrow table, if it has one, then the
         index.  Each file is replaced whole, so a failure part way leaves
         every stored file as it was or new."""
         os.makedirs(directory, exist_ok=True)
-        rows = []
-        for digest in sorted(self.entries):
-            e = self.entries[digest]
-            rows.append(f"{e.digest}\t{e.name}\t{int(e.mobius)}\t"
-                        f"{e.interval.canonical.data.cap}")
+        for digest, e in sorted(self.entries.items()):
             _replace_file(os.path.join(directory, f"{digest}.xiset"),
                           write_xiset(e.interval.canonical.data))
             if e.arrows is not None:
                 _replace_file(os.path.join(directory, f"{digest}.arrows"),
                               _arrows_text(digest, e.arrows))
         _replace_file(os.path.join(directory, "index.tsv"),
-                      "\n".join(rows) + ("\n" if rows else ""))
+                      "".join(row + "\n" for row in self.index_rows()))
 
     @classmethod
     def load(cls, directory: str) -> Registry:
@@ -177,9 +176,9 @@ class Registry:
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) != 4 or not _DIGEST.fullmatch(fields[0]):
+            if len(fields) != 4 or not _DIGEST.fullmatch(fields[0]) or fields[2] != "1":
                 raise RegistryError(f"malformed line in {index}: {line!r}")
-            digest, name, mobius, _cap = fields
+            digest, name = fields[:2]
             if name in reg.names or digest in reg.entries:
                 raise RegistryError(f"repeated entry in {index}: {line!r}")
             path = os.path.join(directory, f"{digest}.xiset")
@@ -197,7 +196,7 @@ class Registry:
                 raise RegistryError(
                     f"stored entry {digest[:12]} does not match its digest")
             reg.entries[digest] = RegistryEntry(
-                digest, name, mobius == "1", stored,
+                digest, name, stored,
                 _read_arrows(os.path.join(directory, f"{digest}.arrows"), digest,
                              stored.canonical.data.levels[1]))
             reg.names[name] = digest
@@ -207,12 +206,12 @@ class Registry:
 def _arrow_classes(cls: IntervalClass,
                    ids: list[str] | None = None) -> dict[str, IntervalClass]:
     """The class of the interval of each level-1 id of cls (every one by
-    default), cut from its extension, whose arrows those ids name."""
-    ext = _extension(cls, minimum=1)
-    arrows = None if ids is None else [ext.arrow_name[j] for j in ids]
-    level1 = {a: j for j, a in ext.arrow_name.items()}
+    default), cut from the nerve of its arrow category."""
+    N, arr_name = category_nerve(cls)
+    arrows = None if ids is None else [arr_name[j] for j in ids]
+    level1 = {a: j for j, a in arr_name.items()}
     return {level1[a]: canonicalize(sub)
-            for a, (sub, _) in factorisation_intervals(ext.nerve, arrows).items()}
+            for a, (sub, _) in factorisation_intervals(N, arrows).items()}
 
 
 def _arrows_text(digest: str, table: dict[str, str]) -> str:
@@ -271,7 +270,8 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
     """Materialize degrees 0..top of the subdivided-interval space."""
     exts: dict[str, ExtendedInterval] = {}
     for digest, entry in reg.entries.items():
-        exts[digest] = _extension(entry.interval, minimum=top + 1)
+        canon = entry.interval.canonical
+        exts[digest] = extend_interval(canon, max(top + 1, canon.data.stable_from or 0))
 
     levels: dict[int, list[tuple[str, str]]] = {}
     for k in range(top + 1):

@@ -6,18 +6,19 @@ and against power-series inversion of zeta computed on raw tables,
 factorisations against exhaustive two-step search, canonical labeling
 against the dict-keyed refinement that recomputes every signature each
 round, presheaf actions against the generator-by-generator walk of each
-word, the bulk interval cut against the cut of one arrow at a time,
-nondegeneracy by degeneracy images against the principal-edge test, the
-nerves of posets, partial monoids and categories against the
-string-by-string builds, the index-list axiom checks against the same
-checks counted on id tables, map validation against the walk of every
-naturality square simplex by simplex, the interval-site relations and
-culf squares checked in simplicial coordinates against every composable
-pair of site generators and the square on every generator, the registry
-coalgebra read off the arrow tables against the degree-2 level of the
-fragment, and the SSET and XISET parser, which reads a writer's tables
-against their level lines, against the parse of every table body entry
-by entry.
+word, the bulk interval cut against the cut of one arrow at a time, an
+interval's Mobius certificate against the one read off its top interval cut
+from a nerve two levels larger, nondegeneracy by degeneracy images against
+the principal-edge test, the nerves of posets, partial monoids and
+categories against the string-by-string builds, the index-list axiom checks
+against the same checks counted on id tables, map validation against the
+walk of every naturality square simplex by simplex, the interval-site
+relations and culf squares checked in simplicial coordinates against every
+composable pair of site generators and the square on every generator, the
+registry coalgebra read off the arrow tables against the degree-2 level of
+the fragment, and the SSET and XISET parser, which reads a writer's tables
+against their level lines, against the parse of every table body entry by
+entry.
 """
 
 from __future__ import annotations
@@ -432,6 +433,23 @@ def factorisation_interval(X, a):
         comps[k] = {x: top[bot[x]] for x in fibers[k]}
     embed = SSetMap(i_star(data), X, comps)
     return interval, embed
+
+
+def certify_by_top_interval(c):
+    """The status, longest-edge profile and nondegenerate total of the
+    Mobius certificate of the interval class c, read off the top interval
+    cut from the nerve of its category built two levels higher, rather than
+    off that nerve itself."""
+    from decomp.axioms import check_mobius
+    from decomp.interval import extend_interval, longest_edge
+    from decomp.presheaf import fibres, i_star, nondegenerate
+
+    bound = c.canonical.data.stable_from or 0
+    top = extend_interval(c.canonical, bound + 2).interval.data
+    under = i_star(top)
+    profile = [len(fibres(under, r, True)[longest_edge(top)]) for r in range(bound + 1)]
+    total = sum(len(nondegenerate(under, r)) for r in range(under.cap + 1))
+    return check_mobius(under).status, profile, total
 
 
 # ---------------------------------------------------------------------------

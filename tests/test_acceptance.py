@@ -11,7 +11,6 @@ from decomp.axioms import (
     check_decomposition,
     check_flanked,
     check_map_class,
-    check_cartesian,
     check_segal,
 )
 from decomp.incidence import (
@@ -181,7 +180,7 @@ def test_criterion_8_axiom_suite(corpus, mobius_corpus):
         A = u_star(X)
         ok = ok and check_flanked(A).ok                     # u* lands flanked
         ok = ok and check_map_class(counit_eps(X), "culf").ok
-        ok = ok and check_cartesian(unit_eta(A))
+        ok = ok and check_map_class(unit_eta(A), "culf").ok
         ok = ok and check_segal(i_star(A)).ok               # intervals are Segal
         table = comult(X, check=False)
         for a in table.basis:

@@ -1,7 +1,6 @@
 from dataclasses import replace
 
 from decomp.axioms import (
-    check_cartesian,
     check_complete,
     check_decomposition,
     check_flanked,
@@ -166,6 +165,20 @@ def test_map_class_counit(poset_nerves):
     assert check_map_class(counit, "ulf").ok
 
 
+def test_map_class_names_a_component_that_is_not_total(poset_nerves):
+    """The counit's components are the codomain's own face tables, so the
+    entry is deleted from a copy; the map is reported, not raised on."""
+    from decomp.presheaf import SSetMap
+
+    _, counit = dec_bot(poset_nerves["d6"])
+    comps = {k: dict(t) for k, t in counit.components.items()}
+    del comps[1]["1≤1≤1"]
+    for cls in ("conservative", "ulf", "culf"):
+        assert check_map_class(SSetMap(counit.dom, counit.cod, comps), cls).lines() == [
+            "FAIL validate_map witness=1≤1≤1 note=F[1]-not-total"]
+    assert "1≤1≤1" in counit.components[1]
+
+
 def test_map_class_subposet_inclusion():
     """The edge 0<=1 includes the 1-chain into the 2-chain as a full
     subcategory closed under factorisations, hence cartesian on generics."""
@@ -201,14 +214,14 @@ def test_wide_and_cartesian(poset_nerves):
     X = poset_nerves["d12"]
     A = u_star(X)
     eta = unit_eta(A)
-    assert check_cartesian(eta)
+    assert check_map_class(eta, "culf").ok
     g = transpose_arrow(X, SEP.join(["1", "12"]))
     assert not check_wide(g)  # codomain degree -1 has many arrows
     from decomp.presheaf import XiSetMap
 
     ident = XiSetMap(A, A, {k: {x: x for x in A.levels[k]}
                             for k in range(-1, A.cap + 1)})
-    assert check_wide(ident) and check_cartesian(ident)
+    assert check_wide(ident) and check_map_class(ident, "culf").ok
 
 
 def test_tight_requires_certificate(poset_nerves):

@@ -8,11 +8,11 @@ import pytest
 
 from decomp.cli import main
 from decomp.formats import load, save
-from decomp.ingest import divisor_poset, nerve, truncated_addition
+from decomp.ingest import chain_poset, divisor_poset, nerve, truncated_addition
 from decomp.interval import factorisation_interval
 from decomp.presheaf import truncate, u_star
 from decomp.registry import Registry
-from conftest import spine_object
+from conftest import filter_nerve, spine_object
 
 SEP = "≤"
 
@@ -287,7 +287,35 @@ def test_registry_add_refuses_unreduced_interval(tmp_path, d6_sset, capsys):
     reg = tmp_path / "reg"
     capsys.readouterr()
     assert main(["registry", "add", str(reg), str(tmp_path / "u.xiset")]) == 2
-    assert "not reduced" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: entry fails validation:\n"
+        "FAIL validate_interval degree=-1 note=not-reduced\n")
+    assert not reg.exists()
+
+
+def test_registry_add_refuses_an_interval_that_is_not_exact(tmp_path, capsys):
+    """The interval of 0≤4 in the nerve of the 4-chain without the chains
+    through 1 < 2 < 3 is valid, reduced, complete and flanked, but not
+    exact: `registry add` prints the exactness check's lines and stores
+    nothing."""
+    X = nerve(chain_poset(4))
+    planted = replace(filter_nerve(X, lambda vs: not {"1", "2", "3"} <= set(vs)),
+                      stable_from=X.stable_from)
+    iv, _ = factorisation_interval(planted, f"0{SEP}4")
+    save(iv.data, tmp_path / "planted.xiset")
+    reg = tmp_path / "reg"
+    capsys.readouterr()
+    assert main(["registry", "add", str(reg), str(tmp_path / "planted.xiset")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    head, *lines = captured.err.splitlines()
+    assert head == "error: entry fails validation:"
+    assert lines[0] == (
+        "FAIL validate_interval degree=3 note=pushout(<[1]->[2]:0,2>,<[1]->[2]:1,2>)"
+        ":missing-fiber-pair:0≤2≤3≤4≤4,0≤1≤2≤4≤4 via=check_decomposition[direct]")
+    assert len(lines) == 12
+    assert all(line.startswith("FAIL validate_interval degree=") and ":missing-fiber-pair:"
+               in line and line.endswith(" via=check_decomposition[direct]") for line in lines)
     assert not reg.exists()
 
 

@@ -31,6 +31,7 @@ from decomp.formats import (
 )
 from decomp.incidence import comult, mobius
 from decomp.ingest import (
+    MonoidSpec,
     PosetSpec,
     boolean_poset,
     chain_poset,
@@ -42,6 +43,8 @@ from decomp.ingest import (
     truncated_addition,
 )
 from decomp.interval import (
+    canonicalize,
+    certify_mobius_interval,
     factorisation_interval,
     factorisation_intervals,
     interval_category,
@@ -70,7 +73,7 @@ from decomp.presheaf import (
 )
 from decomp.simplex import all_monotone
 from oracles import pullback_failure_by_enumeration, validate_sset_by_simplex
-from test_ingest import quotient_categories
+from test_ingest import free_categories, quotient_categories, truncated_free_monoids
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None)
 
@@ -521,6 +524,31 @@ def test_factorisation_intervals_match_per_arrow_cut():
             assert iv.data.stable_from == want.data.stable_from
             assert iv.provenance == want.provenance
             assert embed.components == want_embed.components
+
+
+def _built(spec_cap):
+    spec = spec_cap[0]
+    if isinstance(spec, MonoidSpec):
+        return MonoidSpec.build(spec.elements, spec.unit, spec.table)
+    return spec
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.one_of(drawn_posets(), st.builds(truncated_addition, st.integers(0, 4)),
+                 truncated_free_monoids().map(_built), free_categories().map(_built),
+                 quotient_categories().map(_built)))
+def test_certificates_match_the_top_interval_cut(spec):
+    """Every arrow class's certificate, read off the nerve of its category,
+    against the one read off the top interval cut from a nerve two levels
+    higher: status, longest-edge profile and nondegenerate total."""
+    seen = set()
+    for iv, _ in factorisation_intervals(nerve(spec)).values():
+        c = canonicalize(iv)
+        if c.digest not in seen:
+            seen.add(c.digest)
+            rep = certify_mobius_interval(c)
+            got = rep.status, rep.data["phi_profile"], rep.data["nondegenerate_total"]
+            assert got == oracles.certify_by_top_interval(c)
 
 
 # ---------------------------------------------------------------------------

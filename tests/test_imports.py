@@ -3,7 +3,8 @@
 Two kinds of import are exempt: the re-exports of `decomp/__init__.py`, and
 the bindings that perfbench/tracer.py's PLAN wraps, which a module may
 import only so that the tracer can count calls through it.  An import
-marked `# noqa: F401` must be such a binding.
+marked `# noqa: F401` must be such a binding, and one its module does not
+use: a marker on a used name is stale.
 """
 
 import ast
@@ -23,7 +24,7 @@ def _plan_bindings() -> set:
 
 def _faults(source: str, module: str, plan: set) -> list:
     """Each import of source that is never used and not a PLAN binding,
-    and each `# noqa: F401` import that is not a PLAN binding."""
+    and each `# noqa: F401` import that is not a PLAN binding or is used."""
     tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -39,8 +40,11 @@ def _faults(source: str, module: str, plan: set) -> list:
             traced = (module, name) in plan
             if name not in used and not traced:
                 faults.append(f"{module} imports {name} and never uses it")
-            if "# noqa: F401" in lines[alias.lineno - 1] and not traced:
-                faults.append(f"{module} marks {name} noqa but PLAN does not wrap it")
+            if "# noqa: F401" in lines[alias.lineno - 1]:
+                if not traced:
+                    faults.append(f"{module} marks {name} noqa but PLAN does not wrap it")
+                if name in used:
+                    faults.append(f"{module} marks {name} noqa but uses it")
     return faults
 
 
@@ -58,9 +62,12 @@ def test_unused_and_stray_noqa_imports_are_named():
               "    SSetMap,\n"
               "    validate,  # noqa: F401\n"
               "    sset_action,  # noqa: F401\n"
-              ")\n")
+              ")\n"
+              "from .presheaf import dec_bot, dec_top  # noqa: F401\n"
+              "dec_bot(X)\n")
     assert _faults(source, "decomp.axioms", _plan_bindings()) == [
         "decomp.axioms imports SSetMap and never uses it",
         "decomp.axioms imports validate and never uses it",
         "decomp.axioms marks validate noqa but PLAN does not wrap it",
+        "decomp.axioms marks dec_bot noqa but uses it",
     ]

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from decomp.axioms import check_cartesian, check_map_class, check_segal, check_wide
+from decomp.axioms import check_map_class, check_segal, check_wide
 from decomp.ingest import divisor_poset, nerve_poset
 from decomp.interval import (
     AlgebraicInterval,
@@ -119,6 +119,14 @@ def test_cap_zero_interval_is_refused(diamond):
         validate_interval(AlgebraicInterval(truncate(diamond.data, 0)))
 
 
+def test_validate_interval_returns_an_invalid_inputs_validate_report(diamond):
+    """Validity comes first, so an interval without level -1 is named by
+    `validate` rather than raised on while counting that level."""
+    levels = {k: ids for k, ids in diamond.data.levels.items() if k != -1}
+    rep = validate_interval(AlgebraicInterval(replace(diamond.data, levels=levels)))
+    assert rep.lines() == ["FAIL validate note=levels-do-not-match-cap"]
+
+
 def test_canonicalize_is_stable_and_idempotent(diamond):
     c1 = canonicalize(diamond)
     c2 = canonicalize(diamond)
@@ -202,7 +210,7 @@ def test_wide_cartesian_factorisation(d12):
     assert validate_map(wide).ok
     assert validate_map(cart).ok
     assert check_wide(wide)
-    assert check_cartesian(cart)
+    assert check_map_class(cart, "culf").ok
     assert len(wide.cod.levels[0]) == 6  # midpoints of the fiber
     for n in range(-1, g.dom.cap + 1):
         composite = {y: cart.components[n][wide.components[n][y]]
@@ -228,8 +236,8 @@ def test_wide_cartesian_on_identity(poset_nerves):
     ident = XiSetMap(A, A, {k: {x: x for x in A.levels[k]}
                             for k in range(-1, A.cap + 1)})
     wide, cart = wide_cartesian_factor(ident)
-    assert check_wide(wide) and check_cartesian(cart)
-    assert check_cartesian(wide)  # both parts invertible here
+    assert check_wide(wide) and check_map_class(cart, "culf").ok
+    assert check_map_class(wide, "culf").ok  # both parts invertible here
 
 
 def test_zero_subdivisions_at_most_one(poset_nerves):

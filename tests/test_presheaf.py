@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from oracles import flanked_bonus_report, indexed_square, pullback_issue
 
-from decomp.axioms import check_cartesian, check_flanked, check_map_class
+from decomp.axioms import check_flanked, check_map_class
 from decomp.ingest import chain_poset, divisor_poset, nerve_poset
 from decomp.interval import isomorphic
 from decomp.presheaf import (
@@ -159,7 +159,7 @@ def test_unit_counit_classes(poset_nerves):
     A = u_star(X)
     eta = unit_eta(A)
     assert validate_map(eta).ok
-    assert check_cartesian(eta)
+    assert check_map_class(eta, "culf").ok
 
 
 def test_triangle_identities(poset_nerves):
@@ -283,7 +283,7 @@ def test_u_star_of_culf_is_cartesian(poset_nerves):
     # restriction: u* needs two spare degrees on the domain side
     F = u_star_map(counit)
     assert validate_map(F).ok
-    assert check_cartesian(F)
+    assert check_map_class(F, "culf").ok
 
 
 def test_i_star_of_cartesian_is_culf(poset_nerves):

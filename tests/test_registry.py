@@ -414,3 +414,20 @@ def test_load_refuses_malformed_digest(tmp_path, diamond_registry, bad):
                      encoding="utf-8")
     with pytest.raises(RegistryError, match="malformed line"):
         Registry.load(str(root))
+
+
+@pytest.mark.parametrize("flag", ["0", "", "true"])
+def test_load_refuses_a_third_field_other_than_one(tmp_path, diamond_registry, capsys, flag):
+    """Every entry is certified, so the index writes 1 in its third field;
+    a row with anything else there is malformed, and the CLI exits 2."""
+    root = tmp_path / "reg"
+    diamond_registry.save(str(root))
+    index = root / "index.tsv"
+    rows = [row.split("\t") for row in index.read_text(encoding="utf-8").splitlines()]
+    assert {row[2] for row in rows} == {"1"}
+    rows[0][2] = flag
+    index.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(RegistryError, match="malformed line"):
+        Registry.load(str(root))
+    assert main(["registry", "list", str(root)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed line in ")
