@@ -265,20 +265,6 @@ def isomorphic(A: FinSSet | FinXiSet, B: FinSSet | FinXiSet) -> dict[int, dict[s
 # rebuilding the category and extending the level data
 
 
-@dataclass
-class ExtendedInterval:
-    """An interval rebuilt at a larger cap from its arrow category."""
-
-    interval: AlgebraicInterval
-    nerve: FinSSet
-    embed: SSetMap
-    arrow_name: dict[str, str]
-
-    def chain_id(self, arrows: list[str]) -> str:
-        """Nerve id of a composable chain given by source-interval arrows."""
-        return "*".join(self.arrow_name[f] for f in arrows)
-
-
 def interval_category(data: FinXiSet) -> tuple[CategorySpec, dict[str, str]]:
     """The finite category with objects A_0 and arrows A_1.
 
@@ -310,24 +296,24 @@ def interval_category(data: FinXiSet) -> tuple[CategorySpec, dict[str, str]]:
     return spec, arr_name
 
 
-def category_nerve(c: IntervalClass) -> tuple[FinSSet, dict[str, str]]:
-    """The nerve of c's arrow category at cap max(1, stable_from) + 2, and
-    the nerve id of each level-1 id of c.  The category has an initial and
-    a terminal object, so the nerve is c's underlying simplicial set, its
-    longest edge the arrow from the one to the other."""
+def category_nerve(c: IntervalClass, cap: int = 0) -> tuple[FinSSet, dict[str, str]]:
+    """The nerve of c's arrow category at the larger of cap and
+    max(1, stable_from) + 2, and the nerve id of each level-1 id of c.  The
+    category has an initial and a terminal object, so the nerve is c's
+    underlying simplicial set, its longest edge the arrow from the one to
+    the other."""
     data = c.canonical.data
     spec, arr_name = interval_category(data)
-    return nerve_category(spec, max(1, data.stable_from or 0) + 2), arr_name
+    return nerve_category(spec, max(cap, max(1, data.stable_from or 0) + 2)), arr_name
 
 
-def extend_interval(A: AlgebraicInterval, xi_cap: int) -> ExtendedInterval:
+def extend_interval(A: AlgebraicInterval, xi_cap: int) -> AlgebraicInterval:
     """Rebuild the interval at the requested cap via its arrow category."""
     if xi_cap < 1:
         raise CapError("extension cap must be >= 1")
     spec, arr_name = interval_category(A.data)
     X = nerve_category(spec, xi_cap + 2)
-    interval, embed = factorisation_interval(X, arr_name[longest_edge(A.data)])
-    return ExtendedInterval(interval, X, embed, arr_name)
+    return factorisation_interval(X, arr_name[longest_edge(A.data)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +335,7 @@ def subdivisions(
     if k <= c.canonical.data.cap:
         data = c.canonical.data
     else:
-        data = extend_interval(c.canonical, k).interval.data
+        data = extend_interval(c.canonical, k).data
     return [SubdividedInterval(k, c.digest, x)
             for x in sorted(_fiber(data, k, nondegenerate))]
 

@@ -6,9 +6,11 @@ the interval of every arrow of its canonical form.  Closing the registry
 fills the tables, and the registry coalgebra is read off them.
 
 Level k of the fragment collects, over every registered class, the
-k-simplices whose long edge is the longest edge; inner faces act within a
-class, outer faces pass to the subinterval of the dropped-vertex long edge
-and transport the simplex along its arrow chain.
+k-simplices of the nerve of its arrow category (the class's underlying
+simplicial set) whose long edge is the longest edge.  Inner faces are the
+nerve's own.  An outer face passes to the class of the interval of the
+face's long edge, where the face is named by its arrow chain with an
+identity on each side, which that class's nerve then strips.
 """
 
 from __future__ import annotations
@@ -18,24 +20,24 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 
 from .formats import parse_xiset, write_xiset
 from .interval import (
     AlgebraicInterval,
-    ExtendedInterval,
     IntervalClass,
     _fiber,
     canonicalize,
     canonicalize_with_map,
     category_nerve,
     certify_mobius_interval,
-    extend_interval,
+    factorisation_interval,
     factorisation_intervals,
     longest_edge,
     validate_interval,
 )
-from .interval import factorisation_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .presheaf import _index_view, actions, i_star, long_edge_table
+from .interval import extend_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
+from .presheaf import CapError, FinSSet, actions, fibres, long_edge_table
 from .report import Report
 from .simplex import MonotoneMap
 
@@ -263,76 +265,59 @@ class Fragment:
     top: int
     levels: dict[int, list[tuple[str, str]]]
     faces: dict[tuple[int, int], dict[tuple[str, str], tuple[str, str]]]
-    extensions: dict[str, ExtendedInterval]
+    nerves: dict[str, FinSSet]
 
 
 def build_fragment(reg: Registry, top: int = 3) -> Fragment:
-    """Materialize degrees 0..top of the subdivided-interval space."""
-    exts: dict[str, ExtendedInterval] = {}
+    """Materialize degrees 0..top of the subdivided-interval space, each
+    class read in the nerve of its arrow category."""
+    if top < 0:
+        raise CapError(f"fragment degree must be >= 0, got {top}")
+    nerves, names, longest = {}, {}, {}
     for digest, entry in reg.entries.items():
-        canon = entry.interval.canonical
-        exts[digest] = extend_interval(canon, max(top + 1, canon.data.stable_from or 0))
+        nerves[digest], names[digest] = category_nerve(entry.interval, top + 1)
+        longest[digest] = names[digest][longest_edge(entry.interval.canonical.data)]
+    levels = {k: [(digest, x) for digest in sorted(nerves)
+                  for x in sorted(fibres(nerves[digest], k, False)[longest[digest]])]
+              for k in range(top + 1)}
 
-    levels: dict[int, list[tuple[str, str]]] = {}
-    for k in range(top + 1):
-        members = []
-        for digest in sorted(reg.entries):
-            members += [(digest, x)
-                        for x in sorted(_fiber(exts[digest].interval.data, k, False))]
-        levels[k] = members
-
-    cuts: dict[str, dict] = {}
-    cache: dict[tuple[str, str], tuple] = {}
-
-    def subinterval(digest: str, arrow: str):
-        """Canonical class, level-1 relabeling and presheaf of an arrow's
-        interval; every interval of an extension is cut at its first use."""
-        key = (digest, arrow)
-        if key not in cache:
-            if digest not in cuts:
-                cuts[digest] = factorisation_intervals(exts[digest].nerve)
-            sub, _ = cuts[digest][arrow]
-            cls, relabel = canonicalize_with_map(sub)
-            if cls.digest not in reg.entries:
-                raise RegistryError(
-                    f"registry is not closed: missing {cls.digest[:12]}")
-            cache[key] = (cls.digest, relabel[1], sub.data)
-        return cache[key]
+    @cache
+    def label(digest: str, arrow: str) -> tuple[str, dict[str, str]]:
+        """The digest of an arrow's interval and its level-1 relabeling, the
+        interval cut and labelled at its first use."""
+        cls, relabel = canonicalize_with_map(factorisation_interval(nerves[digest], arrow)[0])
+        if cls.digest not in reg.entries:
+            raise RegistryError(f"registry is not closed: missing {cls.digest[:12]}")
+        return cls.digest, relabel[1]
 
     def outer_face(digest: str, x: str, k: int, i: int) -> tuple[str, str]:
-        ext = exts[digest]
-        data = ext.interval.data
-        tau = data.faces[(k, i)][x]
-        ell = long_edge_table(i_star(data), k - 1)[tau]
-        arrow = ext.embed.components[1][ell]
-        sub_digest, sub_arrows, sub = subinterval(digest, arrow)
-        N = ext.nerve
-        tau_n = ext.embed.components[k - 1][tau]
-        flank = N.degens[(k, 0)][N.degens[(k - 1, k - 1)][tau_n]]
-        at = _index_view(sub).pos[k - 1][flank]
-        act = actions(sub)
-        chain = [sub.levels[1][act.index(MonotoneMap(3, k + 1, (0, pos - 1, pos, k + 1)))[at]]
-                 for pos in range(1, k + 2)]
-        target_ext = exts[sub_digest]
-        new_id = target_ext.chain_id([sub_arrows[h] for h in chain])
-        return (sub_digest, new_id)
+        """The face tau lies in the interval of its long edge.  Flanked by an
+        identity on each side, its edges (0, pos - 1, pos, k + 1) are
+        3-simplices over that long edge, the interval's arrows; named in the
+        target class's nerve they chain into a (k + 1)-simplex whose outer
+        faces strip the flanks."""
+        N = nerves[digest]
+        tau = N.faces[(k, i)][x]
+        target, relabel = label(digest, long_edge_table(N, k - 1)[tau])
+        flank = N.degens[(k, 0)][N.degens[(k - 1, k - 1)][tau]]
+        edges = (actions(N)(MonotoneMap(3, k + 1, (0, pos - 1, pos, k + 1)))[flank]
+                 for pos in range(1, k + 2))
+        chain = "*".join(names[target][relabel[e]] for e in edges)
+        M = nerves[target]
+        return (target, M.faces[(k, 0)][M.faces[(k + 1, k + 1)][chain]])
 
     faces: dict[tuple[int, int], dict] = {}
     for k in range(1, top + 1):
         for i in range(k + 1):
-            table = {}
-            for digest, x in levels[k]:
-                if 0 < i < k:
-                    table[(digest, x)] = (digest, exts[digest].interval.data.faces[(k, i)][x])
-                else:
-                    table[(digest, x)] = outer_face(digest, x, k, i)
-            faces[(k, i)] = table
+            faces[(k, i)] = {(digest, x): outer_face(digest, x, k, i) if i in (0, k)
+                             else (digest, nerves[digest].faces[(k, i)][x])
+                             for digest, x in levels[k]}
     level_sets = {k: set(members) for k, members in levels.items()}
     for (k, _i), table in faces.items():
         for value in table.values():
             if value not in level_sets[k - 1]:
                 raise RegistryError(f"fragment face left the fragment: {value}")
-    return Fragment(top, levels, faces, exts)
+    return Fragment(top, levels, faces, nerves)
 
 
 def fragment_square_report(frag: Fragment) -> Report:
@@ -374,7 +359,7 @@ def fragment_square_report(frag: Fragment) -> Report:
     if bad is not None:
         rep.fail(degree=3, note=bad)
     counts = {}
-    for digest in frag.extensions:
+    for digest in frag.nerves:
         counts[digest] = {
             k: sum(1 for c, _ in frag.levels[k] if c == digest)
             for k in range(4)

@@ -445,7 +445,7 @@ def certify_by_top_interval(c):
     from decomp.presheaf import fibres, i_star, nondegenerate
 
     bound = c.canonical.data.stable_from or 0
-    top = extend_interval(c.canonical, bound + 2).interval.data
+    top = extend_interval(c.canonical, bound + 2).data
     under = i_star(top)
     profile = [len(fibres(under, r, True)[longest_edge(top)]) for r in range(bound + 1)]
     total = sum(len(nondegenerate(under, r)) for r in range(under.cap + 1))
@@ -989,6 +989,73 @@ def registry_comult_by_fragment(reg):
     zero = {d for d, _ in frag.levels[0]}
     counit = {d: 1 if d in zero else 0 for d in reg.entries}
     return pairs, counit
+
+
+def fragment_by_extensions(reg, top):
+    """The fragment of U read on extended intervals: each class rebuilt from
+    its arrow category at cap max(top + 1, stable_from) + 2, its top interval
+    cut out with the embedding back, and its ids read in interval coordinates
+    (flanked chains, an identity on each side).  Every arrow interval of an
+    extension is cut at its first use, and each outer face is carried through
+    the embedding and then through the cut subinterval."""
+    from decomp.ingest import nerve_category
+    from decomp.interval import (
+        _fiber,
+        canonicalize_with_map,
+        factorisation_interval,
+        factorisation_intervals,
+        interval_category,
+        longest_edge,
+    )
+    from decomp.presheaf import _index_view, actions, i_star, long_edge_table
+    from decomp.registry import Fragment, RegistryError
+    from decomp.simplex import MonotoneMap
+
+    exts = {}
+    for digest, entry in reg.entries.items():
+        canon = entry.interval.canonical
+        spec, arr_name = interval_category(canon.data)
+        X = nerve_category(spec, max(top + 1, canon.data.stable_from or 0) + 2)
+        interval, embed = factorisation_interval(X, arr_name[longest_edge(canon.data)])
+        exts[digest] = (interval.data, X, embed, arr_name)
+
+    levels = {k: [(digest, x) for digest in sorted(reg.entries)
+                  for x in sorted(_fiber(exts[digest][0], k, False))]
+              for k in range(top + 1)}
+    cuts, cache = {}, {}
+
+    def subinterval(digest, arrow):
+        if (digest, arrow) not in cache:
+            if digest not in cuts:
+                cuts[digest] = factorisation_intervals(exts[digest][1])
+            sub, _ = cuts[digest][arrow]
+            cls, relabel = canonicalize_with_map(sub)
+            if cls.digest not in reg.entries:
+                raise RegistryError(f"registry is not closed: missing {cls.digest[:12]}")
+            cache[(digest, arrow)] = (cls.digest, relabel[1], sub.data)
+        return cache[(digest, arrow)]
+
+    def outer_face(digest, x, k, i):
+        data, N, embed, _ = exts[digest]
+        tau = data.faces[(k, i)][x]
+        ell = long_edge_table(i_star(data), k - 1)[tau]
+        sub_digest, sub_arrows, sub = subinterval(digest, embed.components[1][ell])
+        tau_n = embed.components[k - 1][tau]
+        flank = N.degens[(k, 0)][N.degens[(k - 1, k - 1)][tau_n]]
+        at = _index_view(sub).pos[k - 1][flank]
+        act = actions(sub)
+        chain = [sub.levels[1][act.index(MonotoneMap(3, k + 1, (0, pos - 1, pos, k + 1)))[at]]
+                 for pos in range(1, k + 2)]
+        return sub_digest, "*".join(exts[sub_digest][3][sub_arrows[h]] for h in chain)
+
+    faces = {}
+    for k in range(1, top + 1):
+        for i in range(k + 1):
+            faces[(k, i)] = {
+                (digest, x): (digest, exts[digest][0].faces[(k, i)][x]) if 0 < i < k
+                else outer_face(digest, x, k, i)
+                for digest, x in levels[k]}
+    return Fragment(top, levels, faces, {digest: ext[1] for digest, ext in exts.items()})
 
 
 # ---------------------------------------------------------------------------

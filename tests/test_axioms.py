@@ -179,6 +179,19 @@ def test_map_class_names_a_component_that_is_not_total(poset_nerves):
     assert "1≤1≤1" in counit.components[1]
 
 
+def test_map_class_reports_components_above_the_codomain_cap():
+    """The identity components of the 1-chain nerve at cap 5 into the same
+    nerve at cap 4 get the `validate_map` report, not a raise."""
+    from decomp.presheaf import SSetMap, validate_map
+
+    dom, cod = nerve_poset(chain_poset(1), 5), nerve_poset(chain_poset(1), 4)
+    F = SSetMap(dom, cod, {k: {x: x for x in dom.levels[k]} for k in range(dom.cap + 1)})
+    want = ["FAIL validate_map note=dom-cap-exceeds-cod-cap"]
+    assert validate_map(F).lines() == want
+    for cls in ("conservative", "ulf", "culf"):
+        assert check_map_class(F, cls).lines() == want
+
+
 def test_map_class_subposet_inclusion():
     """The edge 0<=1 includes the 1-chain into the 2-chain as a full
     subcategory closed under factorisations, hence cartesian on generics."""

@@ -71,6 +71,7 @@ from decomp.presheaf import (
     validate_sset,
     validate_xiset,
 )
+from decomp.registry import Registry, build_fragment, fragment_square_report
 from decomp.simplex import all_monotone
 from oracles import pullback_failure_by_enumeration, validate_sset_by_simplex
 from test_ingest import free_categories, quotient_categories, truncated_free_monoids
@@ -549,6 +550,60 @@ def test_certificates_match_the_top_interval_cut(spec):
             rep = certify_mobius_interval(c)
             got = rep.status, rep.data["phi_profile"], rep.data["nondegenerate_total"]
             assert got == oracles.certify_by_top_interval(c)
+
+
+def _flanks_stripped(frag, k, element):
+    """The nerve id of a fragment element read in interval coordinates: the
+    flanked chain without its two identities, or at level 0 the one object."""
+    digest, x = element
+    if k == 0:
+        (x,) = frag.nerves[digest].levels[0]
+        return digest, x
+    return digest, "*".join(x.split("*")[1:-1])
+
+
+def _assert_fragment_matches_extended_intervals(reg):
+    """Levels and every face table at top 2 and 3 once the flanks are
+    stripped, then the degree-3 square's lines and counts."""
+    for top in (2, 3):
+        frag, want = build_fragment(reg, top), oracles.fragment_by_extensions(reg, top)
+        for k in range(top + 1):
+            assert [_flanks_stripped(frag, k, e) for e in want.levels[k]] == frag.levels[k]
+        for (k, i), table in want.faces.items():
+            assert {_flanks_stripped(frag, k, e): _flanks_stripped(frag, k - 1, f)
+                    for e, f in table.items()} == frag.faces[(k, i)]
+    got, expected = fragment_square_report(frag), fragment_square_report(want)
+    assert got.lines() == expected.lines()
+    assert got.data["counts"] == expected.data["counts"]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.one_of(drawn_posets(), st.builds(truncated_addition, st.integers(0, 4)),
+                 truncated_free_monoids().map(_built), free_categories().map(_built),
+                 quotient_categories().map(_built)), st.integers(0, 10**6))
+def test_fragment_matches_the_fragment_of_extended_intervals(spec, n):
+    """The fragment of the closure of a drawn nondegenerate arrow's interval
+    (an identity's if there is none), read in each class's category nerve,
+    against the one read on extended intervals with their embeddings and
+    bulk cuts."""
+    X = nerve(spec)
+    arrows = nondegenerate(X, 1) or X.levels[1]
+    reg = Registry()
+    reg.insert(factorisation_interval(X, arrows[n % len(arrows)])[0])
+    _assert_fragment_matches_extended_intervals(reg.close())
+
+
+@pytest.mark.parametrize("spec, cap, top", [
+    (divisor_poset(12), None, "1≤12"),
+    (boolean_poset(3), None, "o≤abc"),
+    (chain_poset(4), None, "0≤4"),
+    (divisor_poset(60), 7, "1≤60"),
+    (truncated_addition(5), 8, "5"),
+], ids=["d12", "B3", "chain4", "d60", "trunc5"])
+def test_fragment_of_closed_registries_matches_extended_intervals(spec, cap, top):
+    reg = Registry()
+    reg.insert(factorisation_interval(nerve(spec, cap), top)[0])
+    _assert_fragment_matches_extended_intervals(reg.close())
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ Two kinds of import are exempt: the re-exports of `decomp/__init__.py`, and
 the bindings that perfbench/tracer.py's PLAN wraps, which a module may
 import only so that the tracer can count calls through it.  An import
 marked `# noqa: F401` must be such a binding, and one its module does not
-use: a marker on a used name is stale.
+use: a marker on a used name is stale.  Every PLAN binding must in turn be
+bound, or the traced benchmark run fails to install its tracer.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,6 +57,21 @@ def test_every_import_is_used_or_traced():
         if path.name != "__init__.py":
             faults += _faults(path.read_text(encoding="utf-8"), f"decomp.{path.stem}", plan)
     assert faults == []
+
+
+def test_every_plan_binding_is_bound():
+    """Tracer.install reads each PLAN binding from its module or class, so a
+    refactor that drops a traced import must drop its PLAN entry as well."""
+    missing = []
+    for owner, attr in sorted(_plan_bindings()):
+        try:
+            target = importlib.import_module(owner)
+        except ModuleNotFoundError:
+            module, _, cls = owner.rpartition(".")
+            target = getattr(importlib.import_module(module), cls)
+        if attr not in vars(target):
+            missing.append(f"{owner}.{attr}")
+    assert missing == []
 
 
 def test_unused_and_stray_noqa_imports_are_named():

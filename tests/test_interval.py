@@ -175,7 +175,7 @@ def test_subdivision_counts_stable_under_extension(diamond):
     from decomp.interval import _fiber
 
     for k in range(0, 3):
-        assert len(_fiber(ext.interval.data, k, False)) == \
+        assert len(_fiber(ext.data, k, False)) == \
             len(subdivisions(cd, k))
 
 
@@ -201,7 +201,7 @@ def test_interval_idempotence(d12):
 def test_extension_roundtrip(diamond):
     cd = canonicalize(diamond)
     ext = extend_interval(cd.canonical, 4)
-    assert canonicalize(ext.interval).digest == cd.digest
+    assert canonicalize(ext).digest == cd.digest
 
 
 def test_wide_cartesian_factorisation(d12):

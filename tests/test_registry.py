@@ -15,7 +15,7 @@ from decomp.cli import main
 from decomp.formats import save
 from decomp.ingest import boolean_poset, chain_poset, divisor_poset, nerve_poset
 from decomp.interval import AlgebraicInterval, canonicalize, factorisation_interval
-from decomp.presheaf import FinXiSet, point_sset, truncate
+from decomp.presheaf import CapError, FinXiSet, point_sset, truncate
 from decomp.registry import (
     Registry,
     RegistryError,
@@ -174,6 +174,19 @@ def test_fragment_faces_satisfy_simplicial_identities(diamond_registry):
                 for e in frag.levels[k]:
                     assert left[frag.faces[(k, j)][e]] == \
                         right[frag.faces[(k, i)][e]]
+
+
+def test_fragment_refuses_a_negative_degree(diamond_registry):
+    with pytest.raises(CapError, match="^fragment degree must be >= 0, got -1$"):
+        build_fragment(diamond_registry, top=-1)
+
+
+def test_fragment_names_a_missing_class(diamond_registry):
+    point = next(d for d, e in diamond_registry.entries.items()
+                 if len(e.interval.canonical.data.levels[0]) == 1)
+    del diamond_registry.entries[point]
+    with pytest.raises(RegistryError, match=f"^registry is not closed: missing {point[:12]}$"):
+        build_fragment(diamond_registry, top=1)
 
 
 def test_fragment_square(diamond_registry):
