@@ -39,7 +39,6 @@ from .ingest import (
 from .interval import (
     AlgebraicInterval,
     IntervalClass,
-    SubdividedInterval,
     canonicalize,
     certify_mobius_interval,
     extend_interval,

@@ -273,11 +273,7 @@ class MonoidSpec:
                     bc = self.mul(b, c)
                     left = self.mul(ab, c) if ab is not None else None
                     right = self.mul(a, bc) if bc is not None else None
-                    if ab is not None and left is not None:
-                        if bc is None or right is None or left != right:
-                            raise SpecError(
-                                f"associativity fails on ({a},{b},{c})")
-                    elif bc is not None and right is not None:
+                    if left != right:
                         raise SpecError(f"associativity fails on ({a},{b},{c})")
         for (a, b), c in self.table.items():
             if c == e and (a, b) != (e, e):

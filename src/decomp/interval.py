@@ -63,15 +63,6 @@ class IntervalClass:
     digest: str
 
 
-@dataclass
-class SubdividedInterval:
-    """A k-simplex of an interval whose long edge is the longest edge."""
-
-    k: int
-    target: str
-    widemap: str
-
-
 def longest_edge(A: FinXiSet) -> str:
     """The image of the unique degree -1 element under both outer
     degeneracies."""
@@ -325,19 +316,14 @@ def _fiber(data: FinXiSet, k: int, nondeg: bool) -> list[str]:
     return fibres(i_star(data), k, nondeg)[longest_edge(data)]
 
 
-def subdivisions(
-    c: IntervalClass, k: int, nondegenerate: bool = False
-) -> list[SubdividedInterval]:
-    """All k-simplices over the longest edge; the degree-k fiber of the
-    forget-the-subdivision projection over this interval."""
+def subdivisions(c: IntervalClass, k: int, nondegenerate: bool = False) -> list[str]:
+    """All k-simplices over the longest edge, the degree-k fiber of the
+    forget-the-subdivision projection over this interval, named in c's
+    category nerve as the fragment names them."""
     if k < 0:
         raise CapError("subdivision degree must be >= 0")
-    if k <= c.canonical.data.cap:
-        data = c.canonical.data
-    else:
-        data = extend_interval(c.canonical, k).data
-    return [SubdividedInterval(k, c.digest, x)
-            for x in sorted(_fiber(data, k, nondegenerate))]
+    N, arr_name = category_nerve(c, k)
+    return sorted(fibres(N, k, nondegenerate)[arr_name[longest_edge(c.canonical.data)]])
 
 
 def certify_mobius_interval(c: IntervalClass) -> Report:

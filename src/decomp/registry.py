@@ -3,11 +3,12 @@ subintervals, and the finite fragment of the space of subdivided intervals.
 
 Each entry keeps its arrow table, the degree-1 outer faces: the digest of
 the interval of every arrow of its canonical form.  Closing the registry
-fills the tables, and the registry coalgebra is read off them.
+fills the tables by a work-list over entry digests.  The coalgebra is read
+off each class's objects x and its table: [bottom, x] (x) [x, top].
 
-Level k of the fragment collects, over every registered class, the
-k-simplices of the nerve of its arrow category (the class's underlying
-simplicial set) whose long edge is the longest edge.  Inner faces are the
+Level k of the fragment collects, over every registered class, its
+k-subdivisions (`interval.subdivisions`): the k-simplices of the nerve of
+its arrow category whose long edge is the longest edge.  Inner faces are the
 nerve's own.  An outer face passes to the class of the interval of the
 face's long edge, where the face is named by its arrow chain with an
 identity on each side, which that class's nerve then strips.
@@ -26,7 +27,6 @@ from .formats import parse_xiset, write_xiset
 from .interval import (
     AlgebraicInterval,
     IntervalClass,
-    _fiber,
     canonicalize,
     canonicalize_with_map,
     category_nerve,
@@ -97,45 +97,40 @@ class Registry:
     def close(self) -> Registry:
         """Insert the interval of every arrow of every entry to fixpoint,
         giving every entry its arrow table."""
-        for cls in self._missing():
-            self.insert(cls)
+        queue = list(self.entries)
+        while queue:
+            for cls in self._subclasses(queue.pop()):
+                if cls.digest not in self.entries:
+                    queue.append(self.insert(cls))
         return self
 
     def is_closed(self) -> bool:
-        return next(self._missing(), None) is None
+        """Does every entry's arrow table, filled where missing, name only
+        entries?"""
+        return all(set(self.arrow_table(digest).values()) <= self.entries.keys()
+                   for digest in self.entries)
 
     def arrow_table(self, digest: str) -> dict[str, str]:
         """The entry's arrow table, cut and labelled if it has none yet."""
         entry = self.get(digest)
         if entry.arrows is None:
-            entry.arrows = {j: c.digest for j, c in _arrow_classes(entry.interval).items()}
+            self._subclasses(digest)
         return entry.arrows
 
-    def _missing(self):
-        """Lazily, the classes of arrow intervals of entries that are not
-        entries, walking on into each class it yields.  An entry without an
-        arrow table is cut and labelled whole and gets one; of an entry with
-        one, only an arrow of each digest missing from the registry is.  A
-        class is yielded again at its next sight unless the caller inserts
-        it."""
-        queue = [entry.interval for entry in self.entries.values()]
-        while queue:
-            cls = queue.pop()
-            entry = self.entries.get(cls.digest)
-            if entry is None or entry.arrows is None:
-                found = _arrow_classes(cls)
-                if entry is not None:
-                    entry.arrows = {j: c.digest for j, c in found.items()}
-            else:
-                first: dict[str, str] = {}
-                for j, digest in sorted(entry.arrows.items()):
-                    if digest not in self.entries:
-                        first.setdefault(digest, j)
-                found = _arrow_classes(cls, list(first.values())) if first else {}
-            for sub in found.values():
-                if sub.digest not in self.entries:
-                    yield sub
-                    queue.append(sub)
+    def _subclasses(self, digest: str):
+        """Classes of the entry's arrow intervals.  Without an arrow table,
+        every arrow is cut and labelled and the table filled; with one,
+        only an arrow of each digest it names that is not an entry."""
+        entry = self.entries[digest]
+        if entry.arrows is None:
+            found = _arrow_classes(entry.interval)
+            entry.arrows = {j: c.digest for j, c in found.items()}
+            return found.values()
+        first: dict[str, str] = {}
+        for j, sub in sorted(entry.arrows.items()):
+            if sub not in self.entries:
+                first.setdefault(sub, j)
+        return _arrow_classes(entry.interval, list(first.values())).values() if first else ()
 
     # -- persistence --------------------------------------------------------
 
@@ -374,13 +369,13 @@ def fragment_square_report(frag: Fragment) -> Report:
 
 
 def registry_comult(reg: Registry):
-    """Comultiplication by midpoint subdivision, per registered class, read
-    off the arrow tables.
+    """Comultiplication per registered class, read off its objects and its
+    arrow table.
 
-    Returns (pairs, counit): pairs maps a digest to the multiset of
-    (lower digest, upper digest) over its 2-subdivisions, the classes of
-    their d2 and d0 edges; the counit is 1 exactly on classes admitting a
-    0-subdivision.
+    Returns (pairs, counit): pairs maps a digest to the multiset, over the
+    objects x, of the classes of the arrows bottom -> x and x -> top, each
+    unique as the bottom is initial and the top terminal; the counit is 1
+    exactly on the class with one object.
     """
     pairs: dict[str, Counter] = {}
     counit: dict[str, int] = {}
@@ -390,17 +385,9 @@ def registry_comult(reg: Registry):
         if missing:
             raise RegistryError(f"registry is not closed: missing {missing[0][:12]}")
         data = entry.interval.canonical.data
-        pairs[digest] = Counter((table[lo], table[up]) for lo, up in _midpoints(data))
-        counit[digest] = 1 if _fiber(data, 0, False) else 0
+        d0, d1, top = data.faces[(1, 0)], data.faces[(1, 1)], longest_edge(data)
+        lower = {d0[f]: table[f] for f in data.levels[1] if d1[f] == d1[top]}
+        upper = {d1[f]: table[f] for f in data.levels[1] if d0[f] == d0[top]}
+        pairs[digest] = Counter((lower[x], upper[x]) for x in data.levels[0])
+        counit[digest] = int(len(data.levels[0]) == 1)
     return pairs, counit
-
-
-def _midpoints(data) -> list[tuple[str, str]]:
-    """The d2 and d0 edges of each 2-simplex over the longest edge.  Below
-    cap 2 no 2-simplex is nondegenerate, so these are the two degeneracies
-    of the longest edge, which coincide when it is degenerate itself."""
-    if data.cap >= 2:
-        d2, d0 = data.faces[(2, 2)], data.faces[(2, 0)]
-        return [(d2[x], d0[x]) for x in _fiber(data, 2, False)]
-    top, s0 = longest_edge(data), data.degens[(0, 0)]
-    return sorted({(s0[data.faces[(1, 1)][top]], top), (top, s0[data.faces[(1, 0)][top]])})

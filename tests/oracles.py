@@ -15,8 +15,10 @@ against the same checks counted on id tables, map validation against the
 walk of every naturality square simplex by simplex, the interval-site
 relations and culf squares checked in simplicial coordinates against every
 composable pair of site generators and the square on every generator, the
-registry coalgebra read off the arrow tables against the degree-2 level of
-the fragment, and the SSET and XISET parser, which reads a writer's tables
+registry coalgebra read off the objects of each class against the degree-2
+level of the fragment and against the 2-simplices over the longest edge of
+its canonical form, subdivisions named in the category nerve against those
+of the interval extended to their degree, and the SSET and XISET parser, which reads a writer's tables
 against their level lines, against the parse of every table body entry by
 entry.
 """
@@ -450,6 +452,18 @@ def certify_by_top_interval(c):
     profile = [len(fibres(under, r, True)[longest_edge(top)]) for r in range(bound + 1)]
     total = sum(len(nondegenerate(under, r)) for r in range(under.cap + 1))
     return check_mobius(under).status, profile, total
+
+
+def subdivisions_by_extension(c, k, nondegenerate=False):
+    """The k-simplices over the longest edge of the interval class c, read
+    on its canonical form up to its cap and, above it, on the interval
+    rebuilt at cap k through its arrow category and cut out of that nerve."""
+    from decomp.interval import _fiber, extend_interval
+
+    data = c.canonical.data
+    if k > data.cap:
+        data = extend_interval(c.canonical, k).data
+    return sorted(_fiber(data, k, nondegenerate))
 
 
 # ---------------------------------------------------------------------------
@@ -988,6 +1002,29 @@ def registry_comult_by_fragment(reg):
         pairs[digest][(lower, upper)] += 1
     zero = {d for d, _ in frag.levels[0]}
     counit = {d: 1 if d in zero else 0 for d in reg.entries}
+    return pairs, counit
+
+
+def registry_comult_by_midpoints(reg):
+    """The registry coalgebra read off level 2 of each class's canonical
+    form: the classes of the d2 and d0 edges of each 2-simplex over the
+    longest edge.  Below cap 2 those are the two degeneracies of the
+    longest edge, which coincide when it is degenerate itself.  The counit
+    is 1 exactly on classes with a 0-simplex over the longest edge."""
+    from decomp.interval import _fiber, longest_edge
+
+    pairs, counit = {}, {}
+    for digest, entry in reg.entries.items():
+        table, data = reg.arrow_table(digest), entry.interval.canonical.data
+        if data.cap >= 2:
+            d2, d0 = data.faces[(2, 2)], data.faces[(2, 0)]
+            mids = [(d2[x], d0[x]) for x in _fiber(data, 2, False)]
+        else:
+            top, s0 = longest_edge(data), data.degens[(0, 0)]
+            mids = sorted({(s0[data.faces[(1, 1)][top]], top),
+                           (top, s0[data.faces[(1, 0)][top]])})
+        pairs[digest] = Counter((table[lo], table[up]) for lo, up in mids)
+        counit[digest] = 1 if _fiber(data, 0, False) else 0
     return pairs, counit
 
 

@@ -49,6 +49,7 @@ from decomp.interval import (
     factorisation_intervals,
     interval_category,
     labelling_system,
+    subdivisions,
 )
 from decomp.presheaf import (
     FinXiSet,
@@ -71,7 +72,7 @@ from decomp.presheaf import (
     validate_sset,
     validate_xiset,
 )
-from decomp.registry import Registry, build_fragment, fragment_square_report
+from decomp.registry import Registry, build_fragment, fragment_square_report, registry_comult
 from decomp.simplex import all_monotone
 from oracles import pullback_failure_by_enumeration, validate_sset_by_simplex
 from test_ingest import free_categories, quotient_categories, truncated_free_monoids
@@ -534,22 +535,59 @@ def _built(spec_cap):
     return spec
 
 
+# Posets, truncated additions, truncated free monoids, and free and
+# quotient categories.
+DRAWN_SPECS = st.one_of(drawn_posets(), st.builds(truncated_addition, st.integers(0, 4)),
+                        truncated_free_monoids().map(_built), free_categories().map(_built),
+                        quotient_categories().map(_built))
+
+
+def _interval_classes(spec):
+    """The class of each arrow's interval in the nerve of spec, once each."""
+    found = {}
+    for iv, _ in factorisation_intervals(nerve(spec)).values():
+        c = canonicalize(iv)
+        found.setdefault(c.digest, c)
+    return list(found.values())
+
+
 @settings(max_examples=40, deadline=None, database=None)
-@given(st.one_of(drawn_posets(), st.builds(truncated_addition, st.integers(0, 4)),
-                 truncated_free_monoids().map(_built), free_categories().map(_built),
-                 quotient_categories().map(_built)))
+@given(DRAWN_SPECS)
 def test_certificates_match_the_top_interval_cut(spec):
     """Every arrow class's certificate, read off the nerve of its category,
     against the one read off the top interval cut from a nerve two levels
     higher: status, longest-edge profile and nondegenerate total."""
-    seen = set()
-    for iv, _ in factorisation_intervals(nerve(spec)).values():
-        c = canonicalize(iv)
-        if c.digest not in seen:
-            seen.add(c.digest)
-            rep = certify_mobius_interval(c)
-            got = rep.status, rep.data["phi_profile"], rep.data["nondegenerate_total"]
-            assert got == oracles.certify_by_top_interval(c)
+    for c in _interval_classes(spec):
+        rep = certify_mobius_interval(c)
+        got = rep.status, rep.data["phi_profile"], rep.data["nondegenerate_total"]
+        assert got == oracles.certify_by_top_interval(c)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(DRAWN_SPECS)
+def test_subdivisions_match_the_extended_interval(spec):
+    """Every arrow class's k-subdivisions, all and nondegenerate ones, for
+    k up to four above its cap, as many in its category nerve as on its
+    canonical form or the interval extended to degree k."""
+    for c in _interval_classes(spec):
+        for k in range(c.canonical.data.cap + 5):
+            for nondeg in (False, True):
+                assert (len(subdivisions(c, k, nondeg))
+                        == len(oracles.subdivisions_by_extension(c, k, nondeg)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(DRAWN_SPECS)
+def test_registry_comult_off_objects_matches_midpoints(spec):
+    """The registry coalgebra of every arrow class, closed, read off each
+    class's objects against the one read off the 2-simplices over its
+    longest edge, the two cap-1 classes (the point and the single arrow)
+    included."""
+    reg = Registry()
+    for c in _interval_classes(spec):
+        reg.insert(c)
+    reg.close()
+    assert registry_comult(reg) == oracles.registry_comult_by_midpoints(reg)
 
 
 def _flanks_stripped(frag, k, element):
@@ -578,9 +616,7 @@ def _assert_fragment_matches_extended_intervals(reg):
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(st.one_of(drawn_posets(), st.builds(truncated_addition, st.integers(0, 4)),
-                 truncated_free_monoids().map(_built), free_categories().map(_built),
-                 quotient_categories().map(_built)), st.integers(0, 10**6))
+@given(DRAWN_SPECS, st.integers(0, 10**6))
 def test_fragment_matches_the_fragment_of_extended_intervals(spec, n):
     """The fragment of the closure of a drawn nondegenerate arrow's interval
     (an identity's if there is none), read in each class's category nerve,
@@ -604,6 +640,24 @@ def test_fragment_of_closed_registries_matches_extended_intervals(spec, cap, top
     reg = Registry()
     reg.insert(factorisation_interval(nerve(spec, cap), top)[0])
     _assert_fragment_matches_extended_intervals(reg.close())
+
+
+@pytest.mark.parametrize("spec, cap, top", [
+    (divisor_poset(12), None, "1≤12"),
+    (boolean_poset(3), None, "o≤abc"),
+    (chain_poset(4), None, "0≤4"),
+    (truncated_addition(5), 8, "5"),
+], ids=["d12", "B3", "chain4", "trunc5"])
+def test_subdivisions_are_the_fragment_levels(spec, cap, top):
+    """Each class's slice of every level of the fragment at top 3 is its
+    subdivisions, ids and order alike."""
+    reg = Registry()
+    reg.insert(factorisation_interval(nerve(spec, cap), top)[0])
+    frag = build_fragment(reg.close(), 3)
+    for digest, entry in reg.entries.items():
+        for k in range(4):
+            assert ([(d, x) for d, x in frag.levels[k] if d == digest]
+                    == [(digest, x) for x in subdivisions(entry.interval, k)])
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,20 @@ def test_monoid_rejects_idempotent():
         "decomposition property fails: element 1 admits arbitrarily long factorisations")
 
 
+@pytest.mark.parametrize("products", [
+    {("a", "a"): "b", ("b", "a"): "c"},
+    {("a", "a"): "b", ("a", "b"): "c"},
+    {("a", "a"): "b", ("b", "a"): "c", ("a", "b"): "d"},
+], ids=["only-left-defined", "only-right-defined", "both-defined-unequal"])
+def test_monoid_rejects_non_associative_products(products):
+    """(aa)a defined and a(aa) not, the other way round, or both defined
+    and unequal: each is an associativity failure on (a,a,a)."""
+    elements = ["e", "a", "b", "c", "d"]
+    units = {(x, "e"): x for x in elements} | {("e", x): x for x in elements}
+    with pytest.raises(SpecError, match=r"^associativity fails on \(a,a,a\)$"):
+        MonoidSpec.build(elements, "e", units | products)
+
+
 def test_truncated_addition_monoid():
     spec = truncated_addition(3)
     X = nerve_monoid(spec, 5)

@@ -169,6 +169,16 @@ def test_subdivision_counts(diamond, poset_nerves):
     assert len(subdivisions(cd, 0)) == 0
 
 
+def test_subdivision_counts_of_d12(d12):
+    """Subdivisions of d12's top interval, of cap 3, up to degree 6: all of
+    them and the nondegenerate ones."""
+    c = canonicalize(factorisation_interval(d12, arrow("1", "12"))[0])
+    assert c.canonical.data.cap == 3
+    assert [len(subdivisions(c, k)) for k in range(7)] == [0, 1, 6, 18, 40, 75, 126]
+    assert [len(subdivisions(c, k, nondegenerate=True)) for k in range(7)] == (
+        [0, 1, 4, 3, 0, 0, 0])
+
+
 def test_subdivision_counts_stable_under_extension(diamond):
     cd = canonicalize(diamond)
     ext = extend_interval(cd.canonical, 4)

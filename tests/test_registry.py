@@ -13,7 +13,7 @@ from test_fastpaths import drawn_posets
 from decomp import registry
 from decomp.cli import main
 from decomp.formats import save
-from decomp.ingest import boolean_poset, chain_poset, divisor_poset, nerve_poset
+from decomp.ingest import PosetSpec, boolean_poset, chain_poset, divisor_poset, nerve_poset
 from decomp.interval import AlgebraicInterval, canonicalize, factorisation_interval
 from decomp.presheaf import CapError, FinXiSet, point_sset, truncate
 from decomp.registry import (
@@ -101,6 +101,47 @@ def test_closure_of_diamond(diamond_registry):
     caps = sorted(e.interval.canonical.data.cap
                   for e in diamond_registry.entries.values())
     assert caps == [1, 1, 2]  # terminal, one-step chain, diamond
+
+
+def test_is_closed_of_closed_registry_labels_nothing(diamond_registry, labelling_calls):
+    labelling_calls.clear()
+    assert diamond_registry.is_closed()
+    assert labelling_calls == []
+
+
+def test_close_inserts_the_class_a_stored_table_names(tmp_path, labelling_calls):
+    """B3's closed registry with one index row dropped: a stored table
+    names the class it lacks, so it is not closed, which the tables show
+    without labelling anything; close inserts exactly that class."""
+    reg = Registry()
+    top = reg.insert(factorisation_interval(nerve_poset(boolean_poset(3)), arrow("o", "abc"))[0])
+    reg.close()
+    root = tmp_path / "reg"
+    reg.save(str(root))
+    index = root / "index.tsv"
+    rows = index.read_text(encoding="utf-8").splitlines(keepends=True)
+    dropped = next(row for row in rows if not row.startswith(top))
+    index.write_text("".join(row for row in rows if row != dropped), encoding="utf-8")
+    again = Registry.load(str(root))
+    labelling_calls.clear()
+    assert not again.is_closed()
+    assert labelling_calls == []
+    before = set(again.entries)
+    again.close()
+    assert set(again.entries) - before == {dropped.split("\t")[0]}
+    assert set(again.entries) == set(reg.entries) and again.is_closed()
+
+
+def test_closed_registry_without_arrow_tables_is_closed(tmp_path, diamond_registry):
+    """Tables left unsaved are filled when asked for, and name only entries."""
+    root = tmp_path / "reg"
+    diamond_registry.save(str(root))
+    for path in root.glob("*.arrows"):
+        path.unlink()
+    again = Registry.load(str(root))
+    assert all(e.arrows is None for e in again.entries.values())
+    assert again.is_closed()
+    assert all(e.arrows is not None for e in again.entries.values())
 
 
 def test_closure_of_chain2(poset_nerves):
@@ -207,7 +248,11 @@ def _closed(spec, top: str) -> Registry:
     (divisor_poset(12), arrow("1", "12")),
     (boolean_poset(3), arrow("o", "abc")),
     (chain_poset(4), arrow("0", "4")),
-], ids=["diamond", "d12", "B3", "chain4"])
+    # not self-dual: a lower and an upper interval read the wrong way round differ
+    (PosetSpec.from_pairs(["0", "a", "b", "c", "1"],
+                          [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"), ("c", "1")]),
+     arrow("0", "1")),
+], ids=["diamond", "d12", "B3", "chain4", "diamond-below-an-edge"])
 def test_registry_comult_matches_fragment(spec, top):
     reg = _closed(spec, top)
     assert registry_comult(reg) == oracles.registry_comult_by_fragment(reg)
@@ -282,6 +327,8 @@ def test_registry_comult_matches_midpoints(diamond_registry):
     })
     assert counit[diamond_registry.names[triv]] == 1
     assert counit[diamond] == 0
+    # the point and the single arrow have cap 1: no level 2 to read midpoints off
+    assert (pairs, counit) == oracles.registry_comult_by_midpoints(diamond_registry)
 
 
 def _is_chain1(reg, name):
