@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .axioms import check_decomposition, check_map_class, check_mobius
-from .interval import _fiber, canonicalize, factorisation_intervals
+from .interval import canonicalize, certify_mobius_interval, factorisation_intervals
 from .interval import factorisation_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .presheaf import FinSSet, SSetMap, fibres, validate_map
 from .registry import Registry, RegistryError, registry_comult
@@ -226,14 +226,17 @@ def classify(X: FinSSet, reg: Registry) -> tuple[dict[str, str], Report]:
 
 
 def universal_mobius(reg: Registry) -> tuple[QVec, Report]:
-    """Per-class Mobius values with the registry-level inversion check."""
+    """Per-class Mobius values, the alternating sums of the certified
+    longest-edge profiles, with the registry-level inversion check."""
     rep = Report("universal_mobius")
     basis = frozenset(reg.entries)
     values: dict[str, int] = {}
     for digest, entry in reg.entries.items():
-        data = entry.interval.canonical.data
-        counts = [len(_fiber(data, k, True)) for k in range((data.stable_from or 0) + 1)]
-        values[digest] = sum(counts[0::2]) - sum(counts[1::2])
+        cert = certify_mobius_interval(entry.interval)
+        if not cert.ok:
+            raise NotCertified(f"stored entry {digest[:12]} is not certified Mobius:\n{cert}")
+        profile = cert.data["phi_profile"]
+        values[digest] = sum(profile[0::2]) - sum(profile[1::2])
     mu = QVec(basis, values)
     pairs, counit = registry_comult(reg)
     table = CoalgebraTable(basis, pairs, counit)

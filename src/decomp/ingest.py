@@ -7,9 +7,9 @@ a category's are its arrows.  Monoid multiplication tables may be partial:
 a string is a simplex only when all its contiguous products are defined.
 That is what makes truncations of infinite monoids (the additive naturals
 cut at a bound, say) ingestible while genuinely non-stabilizing monoids
-are rejected up front.  `mobius_length` reads the longest string of
-non-identity arrows with a defined composite off the composite table: it
-is the nerve's stable degree, and plus 3 its default cap.  Categories with
+are rejected up front.  `mobius_length` counts the strings of non-identity
+arrows by length and composite off the composite table: the longest is the
+nerve's stable degree, and plus 3 its default cap.  Categories with
 composable cycles have no such bound and need an explicit cap.
 """
 
@@ -82,20 +82,22 @@ def check_name(name: str) -> str:
 # the one nerve builder
 
 
-def mobius_length(comp, units) -> tuple[int, frozenset]:
-    """The Möbius length: the longest string of arrows outside units whose
-    composite is defined, where comp[f][g] is the composite f then g.
-
-    Frontier n holds the composites of the n-strings; each fixes the next.
-    Returns the number of non-empty frontiers and the first frontier met
-    twice, which is empty exactly when the length is bounded.
+def mobius_length(comp, units) -> tuple[list[dict], frozenset]:
+    """The strings of arrows outside units with a defined composite, where
+    comp[f][g] is the composite f then g: frontier n maps each composite h
+    to the number of n-strings composing to h, and its keys fix the next.
+    Returns the frontiers before the first key set met twice, whose number
+    is the Möbius length, and that key set, empty exactly when it is bounded.
     """
-    frontier = frozenset(f for f in comp if f not in units)
-    seen = set()
-    while frontier and frontier not in seen:
-        seen.add(frontier)
-        frontier = frozenset(h for c in frontier for g, h in comp[c].items() if g not in units)
-    return len(seen), frontier
+    counts, frontier = [], {f: 1 for f in comp if f not in units}
+    while frontier and all(frontier.keys() != old.keys() for old in counts):
+        counts.append(frontier)
+        frontier = {}
+        for c, n in counts[-1].items():
+            for g, h in comp[c].items():
+                if g not in units:
+                    frontier[h] = frontier.get(h, 0) + n
+    return counts, frozenset(frontier)
 
 
 def _nerve(objects, arrows, identities, comp, link, cap, sort_levels=False) -> FinSSet:
@@ -115,11 +117,11 @@ def _nerve(objects, arrows, identities, comp, link, cap, sort_levels=False) -> F
     the rows as each level is generated, and past the limit of
     `_guard_tables` the build stops before any table exists.
     """
-    length, loop = mobius_length(comp, set(identities.values()))
+    counts, loop = mobius_length(comp, set(identities.values()))
     if cap is None:
         if loop:
             raise SpecError("category has composable cycles; pass an explicit cap")
-        cap = length + 3
+        cap = len(counts) + 3
     if cap < 2:
         raise SpecError("nerve needs cap >= 2")
     objects = [intern(x) for x in objects]
@@ -157,7 +159,7 @@ def _nerve(objects, arrows, identities, comp, link, cap, sort_levels=False) -> F
         degens[k - 1, k - 1] = {s: ext[s, ident_after[g]] for s, _, g, _, _ in rows[k - 1]}
         below = ext
         del rows[k - 1]
-    stable = None if loop else min(length, cap)
+    stable = None if loop else min(len(counts), cap)
     return FinSSet(cap, levels, faces, degens, stable_from=stable)
 
 
@@ -386,13 +388,17 @@ class CategorySpec:
                             self.compose(f, self.compose(g, h)):
                         raise SpecError(f"associativity fails on ({f},{g},{h})")
 
+    def composites(self) -> dict[str, dict[str, str]]:
+        """comp[f][g] = f then g for every g leaving f's target, in name order."""
+        arrows = sorted(self.arrows)
+        after = {x: [g for g in arrows if self.src(g) == x] for x in self.objects}
+        return {f: {g: self.compose(f, g) for g in after[self.tgt(f)]} for f in arrows}
+
 
 def nerve_category(spec: CategorySpec, cap: int | None = None) -> FinSSet:
     """k-simplices are composable arrow strings, ids joined by '*', sorted."""
     arrows = {f: spec.arrows[f] for f in sorted(spec.arrows)}
-    after = {x: [g for g in arrows if spec.src(g) == x] for x in spec.objects}
-    comp = {f: {g: spec.compose(f, g) for g in after[t]} for f, (_, t) in arrows.items()}
-    return _nerve(spec.objects, arrows, spec.identities, comp,
+    return _nerve(spec.objects, arrows, spec.identities, spec.composites(),
                   {f: "*" + f for f in arrows}, cap, sort_levels=True)
 
 

@@ -14,13 +14,9 @@ import hashlib
 from dataclasses import dataclass, replace
 from sys import intern
 
-from .axioms import (
-    check_complete,
-    check_decomposition,
-    check_flanked,
-    check_mobius,
-)
-from .ingest import CategorySpec, nerve_category
+from .axioms import check_complete, check_decomposition, check_flanked
+from .axioms import check_mobius  # noqa: F401 -- perfbench/tracer.py wraps it here
+from .ingest import CategorySpec, mobius_length, nerve_category
 from .labeling import UnarySystem, canonical_order, find_isomorphism
 from .presheaf import (
     CapError,
@@ -34,7 +30,6 @@ from .presheaf import (
     fibres,
     i_star,
     nondeg_bound,
-    nondegenerate,
     truncate,
     u_star,
     validate_xiset,
@@ -311,11 +306,6 @@ def extend_interval(A: AlgebraicInterval, xi_cap: int) -> AlgebraicInterval:
 # subdivisions and certification
 
 
-def _fiber(data: FinXiSet, k: int, nondeg: bool) -> list[str]:
-    """The k-simplices over the longest edge: the memoised list, not a copy."""
-    return fibres(i_star(data), k, nondeg)[longest_edge(data)]
-
-
 def subdivisions(c: IntervalClass, k: int, nondegenerate: bool = False) -> list[str]:
     """All k-simplices over the longest edge, the degree-k fiber of the
     forget-the-subdivision projection over this interval, named in c's
@@ -327,14 +317,23 @@ def subdivisions(c: IntervalClass, k: int, nondegenerate: bool = False) -> list[
 
 
 def certify_mobius_interval(c: IntervalClass) -> Report:
-    """Mobius conditions on the underlying simplicial set, plus the finite
-    total of nondegenerate simplices and the longest-edge profile."""
-    data = c.canonical.data
-    N, arr_name = category_nerve(c)
-    rep = check_mobius(N)
-    rep.check = "certify_mobius_interval"
-    longest = arr_name[longest_edge(data)]
-    rep.data["phi_profile"] = [len(fibres(N, r, True)[longest])
-                               for r in range((data.stable_from or 0) + 1)]
-    rep.data["nondegenerate_total"] = sum(len(nondegenerate(N, r)) for r in range(N.cap + 1))
+    """Leroux's Mobius conditions off the composite table of c's arrow
+    category, where N_r(h) counts the strings of r non-identity arrows
+    composing to h.  PASS, at the Möbius length, when the strings die out by
+    max(1, stable_from), with the longest-edge profile N_r(top) and the total
+    of nondegenerate simplices; INCONCLUSIVE otherwise."""
+    data, bound = c.canonical.data, c.canonical.data.stable_from or 0
+    spec, arr_name = interval_category(data)
+    counts, loop = mobius_length(spec.composites(), set(spec.identities.values()))
+    rep = Report("certify_mobius_interval")
+    if loop:
+        rep.inconclusive(note="composable-cycle")
+        return rep
+    if len(counts) > max(1, bound):
+        rep.inconclusive(degree=len(counts), note="mobius-length-above-stable-from")
+    top = arr_name[longest_edge(data)]
+    profile = [int(spec.is_identity(top))] + [n.get(top, 0) for n in counts]
+    rep.data["phi_profile"] = (profile + [0] * bound)[:bound + 1]
+    rep.data["nondegenerate_total"] = len(spec.objects) + sum(sum(n.values()) for n in counts)
+    rep.verified_upto = len(counts)
     return rep

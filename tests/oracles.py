@@ -437,6 +437,15 @@ def factorisation_interval(X, a):
     return interval, embed
 
 
+def longest_edge_fiber(data, k, nondegenerate=False):
+    """The k-simplices over the longest edge of the interval data, read off
+    the long-edge fibres of its underlying simplicial set."""
+    from decomp.interval import longest_edge
+    from decomp.presheaf import fibres, i_star
+
+    return fibres(i_star(data), k, nondegenerate)[longest_edge(data)]
+
+
 def certify_by_top_interval(c):
     """The status, longest-edge profile and nondegenerate total of the
     Mobius certificate of the interval class c, read off the top interval
@@ -458,12 +467,12 @@ def subdivisions_by_extension(c, k, nondegenerate=False):
     """The k-simplices over the longest edge of the interval class c, read
     on its canonical form up to its cap and, above it, on the interval
     rebuilt at cap k through its arrow category and cut out of that nerve."""
-    from decomp.interval import _fiber, extend_interval
+    from decomp.interval import extend_interval
 
     data = c.canonical.data
     if k > data.cap:
         data = extend_interval(c.canonical, k).data
-    return sorted(_fiber(data, k, nondegenerate))
+    return sorted(longest_edge_fiber(data, k, nondegenerate))
 
 
 # ---------------------------------------------------------------------------
@@ -1011,20 +1020,20 @@ def registry_comult_by_midpoints(reg):
     longest edge.  Below cap 2 those are the two degeneracies of the
     longest edge, which coincide when it is degenerate itself.  The counit
     is 1 exactly on classes with a 0-simplex over the longest edge."""
-    from decomp.interval import _fiber, longest_edge
+    from decomp.interval import longest_edge
 
     pairs, counit = {}, {}
     for digest, entry in reg.entries.items():
         table, data = reg.arrow_table(digest), entry.interval.canonical.data
         if data.cap >= 2:
             d2, d0 = data.faces[(2, 2)], data.faces[(2, 0)]
-            mids = [(d2[x], d0[x]) for x in _fiber(data, 2, False)]
+            mids = [(d2[x], d0[x]) for x in longest_edge_fiber(data, 2)]
         else:
             top, s0 = longest_edge(data), data.degens[(0, 0)]
             mids = sorted({(s0[data.faces[(1, 1)][top]], top),
                            (top, s0[data.faces[(1, 0)][top]])})
         pairs[digest] = Counter((table[lo], table[up]) for lo, up in mids)
-        counit[digest] = 1 if _fiber(data, 0, False) else 0
+        counit[digest] = 1 if longest_edge_fiber(data, 0) else 0
     return pairs, counit
 
 
@@ -1037,7 +1046,6 @@ def fragment_by_extensions(reg, top):
     the embedding and then through the cut subinterval."""
     from decomp.ingest import nerve_category
     from decomp.interval import (
-        _fiber,
         canonicalize_with_map,
         factorisation_interval,
         factorisation_intervals,
@@ -1057,7 +1065,7 @@ def fragment_by_extensions(reg, top):
         exts[digest] = (interval.data, X, embed, arr_name)
 
     levels = {k: [(digest, x) for digest in sorted(reg.entries)
-                  for x in sorted(_fiber(exts[digest][0], k, False))]
+                  for x in sorted(longest_edge_fiber(exts[digest][0], k))]
               for k in range(top + 1)}
     cuts, cache = {}, {}
 

@@ -10,7 +10,7 @@ from math import factorial, prod
 import oracles
 import pytest
 from conftest import assert_isomorphism, filter_nerve
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decomp import labeling
@@ -29,13 +29,14 @@ from decomp.formats import (
     write_sset,
     write_xiset,
 )
-from decomp.incidence import comult, mobius
+from decomp.incidence import comult, mobius, universal_mobius
 from decomp.ingest import (
     MonoidSpec,
     PosetSpec,
     boolean_poset,
     chain_poset,
     divisor_poset,
+    mobius_length,
     nerve,
     nerve_category,
     nerve_monoid,
@@ -44,6 +45,7 @@ from decomp.ingest import (
 )
 from decomp.interval import (
     canonicalize,
+    category_nerve,
     certify_mobius_interval,
     factorisation_interval,
     factorisation_intervals,
@@ -535,9 +537,26 @@ def _built(spec_cap):
     return spec
 
 
-# Posets, truncated additions, truncated free monoids, and free and
-# quotient categories.
-DRAWN_SPECS = st.one_of(drawn_posets(), st.builds(truncated_addition, st.integers(0, 4)),
+def bounded_poset(mid, below):
+    """A bottom, a top and the three middle elements mid, with mid[i] below
+    mid[j] for each (i, j) in below."""
+    return PosetSpec.from_pairs(["bot", *mid, "top"],
+                                [("bot", m) for m in mid] + [(m, "top") for m in mid]
+                                + [(mid[i], mid[j]) for i, j in below])
+
+
+# The middle ordered as an antichain, one relation, a chain, a V or a Λ
+# under a drawn labelling, which reaches all 19 labelled orders on three
+# elements.  The V and the Λ give a top interval that is not self-dual.
+BOUNDED_POSETS = st.builds(bounded_poset, st.permutations(["m0", "m1", "m2"]),
+                           st.sampled_from([[], [(0, 1)], [(0, 1), (1, 2)],
+                                            [(0, 1), (0, 2)], [(0, 2), (1, 2)]]))
+
+
+# Posets, bounded posets on five elements, truncated additions, truncated
+# free monoids, and free and quotient categories.
+DRAWN_SPECS = st.one_of(drawn_posets(), BOUNDED_POSETS,
+                        st.builds(truncated_addition, st.integers(0, 4)),
                         truncated_free_monoids().map(_built), free_categories().map(_built),
                         quotient_categories().map(_built))
 
@@ -553,14 +572,38 @@ def _interval_classes(spec):
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(DRAWN_SPECS)
+def test_string_counts_match_the_category_nerve(spec):
+    """Every arrow class's strings of r non-identity arrows composing to h,
+    counted off its composite table, are the nondegenerate r-simplices over
+    h in its category nerve, for every arrow h and r up to the nerve's cap."""
+    for c in _interval_classes(spec):
+        category, _ = interval_category(c.canonical.data)
+        counts, loop = mobius_length(category.composites(), set(category.identities.values()))
+        N = category_nerve(c)[0]
+        assert not loop
+        for r in range(1, N.cap + 1):
+            over = fibres(N, r, True)
+            for h in category.arrows:
+                assert (counts[r - 1].get(h, 0) if r <= len(counts) else 0) == len(over[h])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(DRAWN_SPECS)
 def test_certificates_match_the_top_interval_cut(spec):
-    """Every arrow class's certificate, read off the nerve of its category,
-    against the one read off the top interval cut from a nerve two levels
-    higher: status, longest-edge profile and nondegenerate total."""
+    """Every arrow class's certificate, read off the composite table of its
+    category, against the one read off the top interval cut from a nerve
+    two levels higher: status, longest-edge profile and nondegenerate total;
+    and the Möbius value of the closed registry, against the alternating sum
+    of that profile."""
+    reg, want = Registry(), {}
     for c in _interval_classes(spec):
         rep = certify_mobius_interval(c)
         got = rep.status, rep.data["phi_profile"], rep.data["nondegenerate_total"]
-        assert got == oracles.certify_by_top_interval(c)
+        expected = oracles.certify_by_top_interval(c)
+        assert got == expected
+        want[reg.insert(c)] = sum(expected[1][0::2]) - sum(expected[1][1::2])
+    mu, _ = universal_mobius(reg.close())
+    assert {digest: mu[digest] for digest in want} == want
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -578,11 +621,12 @@ def test_subdivisions_match_the_extended_interval(spec):
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(DRAWN_SPECS)
+@example(bounded_poset(["m0", "m1", "m2"], [(0, 1), (0, 2)]))
 def test_registry_comult_off_objects_matches_midpoints(spec):
     """The registry coalgebra of every arrow class, closed, read off each
     class's objects against the one read off the 2-simplices over its
     longest edge, the two cap-1 classes (the point and the single arrow)
-    included."""
+    included; a V under the top, whose interval is not self-dual, always."""
     reg = Registry()
     for c in _interval_classes(spec):
         reg.insert(c)

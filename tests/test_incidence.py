@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from decomp.cli import main
 from decomp.incidence import (
     NotCertified,
     QVec,
@@ -19,9 +20,9 @@ from decomp.incidence import (
     zeta,
 )
 from decomp.ingest import chain_poset, divisor_poset, nerve_poset
-from decomp.interval import factorisation_interval, longest_edge
+from decomp.interval import canonicalize, factorisation_interval, longest_edge
 from decomp.presheaf import dec_bot, i_star, point_sset
-from decomp.registry import Registry
+from decomp.registry import Registry, RegistryEntry
 from oracles import convolution_inverse, rota_mobius
 
 SEP = "≤"
@@ -286,3 +287,20 @@ def test_qvec_guards():
         QVec(basis, {"b": Fraction(1)})
     v = QVec(basis, {"a": Fraction(0)})
     assert not v.coeffs
+
+
+def test_universal_mobius_refuses_an_uncertified_entry(tmp_path, capsys):
+    """A stored class whose certificate fails, chain6's top interval claiming
+    stabilization at 2, is named rather than summed over a cut profile, in
+    the library and by `registry mu`."""
+    iv, _ = factorisation_interval(nerve_poset(chain_poset(6), 9), arrow("0", "6"))
+    c = canonicalize(replace(iv, data=replace(iv.data, stable_from=2)))
+    reg = Registry()
+    reg.entries[c.digest] = RegistryEntry(c.digest, "understated", c)
+    reg.names["understated"] = c.digest
+    with pytest.raises(NotCertified, match=c.digest[:12]):
+        universal_mobius(reg)
+    reg.save(str(tmp_path))
+    assert main(["registry", "mu", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: stored entry {c.digest[:12]} ")

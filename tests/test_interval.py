@@ -1,9 +1,10 @@
 from dataclasses import replace
 
+import oracles
 import pytest
 
 from decomp.axioms import check_map_class, check_segal, check_wide
-from decomp.ingest import divisor_poset, nerve_poset
+from decomp.ingest import CategorySpec, chain_poset, divisor_poset, nerve_category, nerve_poset
 from decomp.interval import (
     AlgebraicInterval,
     IntervalError,
@@ -182,10 +183,8 @@ def test_subdivision_counts_of_d12(d12):
 def test_subdivision_counts_stable_under_extension(diamond):
     cd = canonicalize(diamond)
     ext = extend_interval(cd.canonical, 4)
-    from decomp.interval import _fiber
-
     for k in range(0, 3):
-        assert len(_fiber(ext.data, k, False)) == \
+        assert len(oracles.longest_edge_fiber(ext.data, k)) == \
             len(subdivisions(cd, k))
 
 
@@ -197,6 +196,21 @@ def test_certification_profiles(diamond):
     pt = canonicalize(factorisation_interval(point_sset(5), "pt")[0])
     rep = certify_mobius_interval(pt)
     assert rep.ok and rep.data["phi_profile"] == [1]
+
+
+@pytest.mark.parametrize("build, arrow_id", [
+    (lambda: nerve_poset(chain_poset(6), 9), "0≤6"),
+    (lambda: nerve_category(CategorySpec.build(
+        ["x"], {"1": ("x", "x"), "e": ("x", "x")}, {"x": "1"}, {("e", "e"): "e"}), 6), "e"),
+], ids=["chain6-length-6", "idempotent-cycle"])
+def test_certificate_is_inconclusive_past_the_claimed_degree(build, arrow_id):
+    """A class claiming stabilization at 2 with longer strings is
+    INCONCLUSIVE, not a PASS on a cut profile: chain6's top interval has
+    Möbius length 6, and in the category {1, e; e.e = e} the strings of e
+    compose to e at every length."""
+    iv, _ = factorisation_interval(build(), arrow_id)
+    c = canonicalize(replace(iv, data=replace(iv.data, stable_from=2)))
+    assert certify_mobius_interval(c).status == "INCONCLUSIVE"
 
 
 def test_interval_idempotence(d12):

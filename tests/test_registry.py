@@ -59,6 +59,22 @@ def test_insert_requires_certificate(diamond_interval):
         Registry().insert(loose)
 
 
+def test_insert_builds_no_nerve_and_close_one_per_class(monkeypatch):
+    """Certification reads the composite table, so B3's top interval goes in
+    without a category nerve, and closing builds one nerve per class."""
+    import decomp.interval
+
+    calls = []
+    real = decomp.interval.nerve_category
+    monkeypatch.setattr(decomp.interval, "nerve_category",
+                        lambda spec, cap=None: calls.append(spec) or real(spec, cap))
+    reg = Registry()
+    reg.insert(factorisation_interval(nerve_poset(boolean_poset(3)), "o≤abc")[0])
+    assert calls == []
+    reg.close()
+    assert len(calls) == len(reg.entries) == 4
+
+
 def test_failed_save_keeps_stored_files(diamond_registry, tmp_path, monkeypatch):
     """A save that fails part way, writing an entry or an arrow table,
     leaves every stored file as it was."""
