@@ -3,8 +3,9 @@
 Comultiplication tables store multisets of arrow pairs read off the
 degree-2 fibers; convolution, the nondegenerate-simplex counting vectors,
 and their alternating sum all stay in exact rational arithmetic.  The
-classifying map sends an arrow to the content digest of its interval and
-is checked to be a homomorphism into the registry coalgebra.
+classifying map sends an arrow to the content digest of its interval, read
+off the arrow tables of the maximal arrows' classes, and is checked to be a
+homomorphism into the registry coalgebra.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .axioms import check_decomposition, check_map_class, check_mobius
-from .interval import canonicalize, certify_mobius_interval, factorisation_intervals
+from .interval import certify_mobius_interval
 from .interval import factorisation_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .presheaf import FinSSet, SSetMap, fibres, validate_map
-from .registry import Registry, RegistryError, registry_comult
+from .registry import Registry, RegistryError, maximal_cuts, registry_comult
 from .registry import build_fragment  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .report import Report
 
@@ -207,20 +208,24 @@ def culf_pushforward(F: SSetMap) -> tuple[dict[str, str], Report]:
 
 
 def classify(X: FinSSet, reg: Registry) -> tuple[dict[str, str], Report]:
-    """Arrow -> digest of its interval, checked against the registry
-    comultiplication; the registry must be closed under subintervals."""
+    """The classifying culf map X -> U, arrow -> digest of its interval, read
+    off the tables of the maximal arrows' classes and checked against the
+    registry comultiplication; the registry must be closed under subintervals."""
     rep = Report("classify")
     cert = check_mobius(X)
     if not cert.ok:
         raise NotCertified("Mobius conditions not certified:\n" + str(cert))
     mapping: dict[str, str] = {}
-    for a, (iv, _) in factorisation_intervals(X).items():
-        digest = canonicalize(iv).digest
-        if digest not in reg.entries:
+    for a, cls, pairs in maximal_cuts(X):
+        mapping[a] = cls.digest
+        if cls.digest not in reg.entries:
+            break
+        mapping.update((x, reg.arrow_table(cls.digest)[t]) for x, t in pairs)
+    for a in X.levels[1]:
+        if a in mapping and mapping[a] not in reg.entries:
             raise RegistryError(
                 f"registry is not closed: arrow {a!r} classifies to "
-                f"{digest[:12]} which is missing")
-        mapping[a] = digest
+                f"{mapping[a][:12]} which is missing")
     _homomorphism(rep, X, mapping, *registry_comult(reg), "not-a-coalgebra-homomorphism")
     return mapping, rep
 

@@ -16,7 +16,7 @@ from sys import intern
 
 from .axioms import check_complete, check_decomposition, check_flanked
 from .axioms import check_mobius  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .ingest import CategorySpec, mobius_length, nerve_category
+from .ingest import CategorySpec, SpecError, mobius_length, nerve_category
 from .labeling import UnarySystem, canonical_order, find_isomorphism
 from .presheaf import (
     CapError,
@@ -139,48 +139,30 @@ def wide_cartesian_factor(g: XiSetMap) -> tuple[XiSetMap, XiSetMap]:
 # factorisation intervals
 
 
-def factorisation_intervals(
-    X: FinSSet, arrows: list[str] | None = None
-) -> dict[str, tuple[AlgebraicInterval, SSetMap]]:
-    """The interval of each arrow (every arrow of X by default), with the
-    embedding of its underlying simplicial set back into X.
+def factorisation_interval(X: FinSSet, a: str) -> tuple[AlgebraicInterval, SSetMap]:
+    """The interval of the arrow a, with the embedding of its underlying
+    simplicial set back into X.
 
-    Level k of the interval of a is a copy of the fibre over a of the
-    X_{k+2} long-edge table, read from X's memoised `fibres`.  The embedding
-    is the double outer face, which is cartesian on all generic maps.
+    Level k of the interval is a copy of the fibre over a of the X_{k+2}
+    long-edge table, read from X's memoised `fibres`.  The embedding is the
+    double outer face, which is cartesian on all generic maps.
     """
     if X.cap < 3:
         raise CapError("factorisation interval needs cap >= 3")
-    arrows = list(X.levels[1]) if arrows is None else arrows
-    known = set(X.levels[1])
-    for a in arrows:
-        if a not in known:
-            raise IntervalError(f"{a!r} is not an arrow of the input")
+    if a not in X.levels[1]:
+        raise IntervalError(f"{a!r} is not an arrow of the input")
     if not check_complete(X):
         raise IntervalError("input fails completeness")
     U = u_star(X)
-    cap = U.cap
-    out = {}
-    for a in arrows:
-        fibers = {k: list(fibres(X, k + 2, False)[a]) for k in range(-1, cap + 1)}
-        data = FinXiSet(cap, fibers,
-                        {key: {x: t[x] for x in fibers[key[0]]} for key, t in U.faces.items()},
-                        {key: {x: t[x] for x in fibers[key[0]]} for key, t in U.degens.items()})
-        if U.stable_from is not None:
-            data = replace(data, stable_from=nondeg_bound(i_star(data)))
-        interval = AlgebraicInterval(data, provenance=("interval", a))
-        comps = {}
-        for k in range(0, cap + 1):
-            top = X.faces[(k + 1, k + 1)]
-            bot = X.faces[(k + 2, 0)]
-            comps[k] = {x: top[bot[x]] for x in fibers[k]}
-        out[a] = (interval, SSetMap(i_star(data), X, comps))
-    return out
-
-
-def factorisation_interval(X: FinSSet, a: str) -> tuple[AlgebraicInterval, SSetMap]:
-    """The interval of the arrow a and its embedding into X."""
-    return factorisation_intervals(X, [a])[a]
+    fibers = {k: list(fibres(X, k + 2, False)[a]) for k in range(-1, U.cap + 1)}
+    data = FinXiSet(U.cap, fibers,
+                    {key: {x: t[x] for x in fibers[key[0]]} for key, t in U.faces.items()},
+                    {key: {x: t[x] for x in fibers[key[0]]} for key, t in U.degens.items()})
+    if U.stable_from is not None:
+        data = replace(data, stable_from=nondeg_bound(i_star(data)))
+    comps = {k: {x: X.faces[(k + 1, k + 1)][X.faces[(k + 2, 0)][x]] for x in fibers[k]}
+             for k in range(U.cap + 1)}
+    return AlgebraicInterval(data, provenance=("interval", a)), SSetMap(i_star(data), X, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +303,15 @@ def certify_mobius_interval(c: IntervalClass) -> Report:
     category, where N_r(h) counts the strings of r non-identity arrows
     composing to h.  PASS, at the Möbius length, when the strings die out by
     max(1, stable_from), with the longest-edge profile N_r(top) and the total
-    of nondegenerate simplices; INCONCLUSIVE otherwise."""
+    of nondegenerate simplices; INCONCLUSIVE otherwise or if no category has it."""
     data, bound = c.canonical.data, c.canonical.data.stable_from or 0
-    spec, arr_name = interval_category(data)
-    counts, loop = mobius_length(spec.composites(), set(spec.identities.values()))
     rep = Report("certify_mobius_interval")
+    try:
+        spec, arr_name = interval_category(data)
+    except (SpecError, IntervalError):
+        rep.inconclusive(note="composite-table-refused")
+        return rep
+    counts, loop = mobius_length(spec.composites(), set(spec.identities.values()))
     if loop:
         rep.inconclusive(note="composable-cycle")
         return rep

@@ -3,7 +3,9 @@ subintervals, and the finite fragment of the space of subdivided intervals.
 
 Each entry keeps its arrow table, the degree-1 outer faces: the digest of
 the interval of every arrow of its canonical form.  Closing the registry
-fills the tables by a work-list over entry digests.  The coalgebra is read
+fills the tables by a work-list over entry digests, each table transported
+along the culf embeddings of its maximal arrows' intervals off their
+classes' tables, so only those arrows are labelled.  The coalgebra is read
 off each class's objects x and its table: [bottom, x] (x) [x, top].
 
 Level k of the fragment collects, over every registered class, its
@@ -24,15 +26,16 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .formats import parse_xiset, write_xiset
+from .ingest import SpecError
 from .interval import (
     AlgebraicInterval,
     IntervalClass,
+    IntervalError,
     canonicalize,
     canonicalize_with_map,
     category_nerve,
     certify_mobius_interval,
     factorisation_interval,
-    factorisation_intervals,
     longest_edge,
     validate_interval,
 )
@@ -95,13 +98,13 @@ class Registry:
             raise RegistryError(f"unknown digest {digest}")
 
     def close(self) -> Registry:
-        """Insert the interval of every arrow of every entry to fixpoint,
-        giving every entry its arrow table."""
+        """Insert the class of every arrow of every entry to fixpoint, giving
+        every entry its arrow table; each class's table is made once."""
+        found: dict[str, tuple[IntervalClass, dict[str, str]]] = {}
         queue = list(self.entries)
         while queue:
-            for cls in self._subclasses(queue.pop()):
-                if cls.digest not in self.entries:
-                    queue.append(self.insert(cls))
+            for cls in self._subclasses(queue.pop(), found):
+                queue.append(self.insert(cls))
         return self
 
     def is_closed(self) -> bool:
@@ -111,26 +114,37 @@ class Registry:
                    for digest in self.entries)
 
     def arrow_table(self, digest: str) -> dict[str, str]:
-        """The entry's arrow table, cut and labelled if it has none yet."""
-        entry = self.get(digest)
-        if entry.arrows is None:
-            self._subclasses(digest)
-        return entry.arrows
+        """The entry's arrow table, transported if it has none yet."""
+        return self._table(self.get(digest).interval, {})
 
-    def _subclasses(self, digest: str):
-        """Classes of the entry's arrow intervals.  Without an arrow table,
-        every arrow is cut and labelled and the table filled; with one,
-        only an arrow of each digest it names that is not an entry."""
+    def _table(self, cls: IntervalClass, found: dict) -> dict[str, str]:
+        """cls's arrow table: its entry's, or one kept in found, or else read
+        off the tables of its maximal proper arrows' classes, made first and
+        kept by their entries, if any."""
+        entry = self.entries.get(cls.digest)
+        if entry is not None and entry.arrows is not None:
+            return entry.arrows
+        if cls.digest not in found:
+            N, arr_name = _category_nerve(cls)
+            top = arr_name[longest_edge(cls.canonical.data)]
+            table = {top: cls.digest}
+            for _, sub, pairs in maximal_cuts(N, top):
+                table.update((a, self._table(sub, found)[t]) for a, t in pairs)
+            found[cls.digest] = cls, {j: table[a] for j, a in arr_name.items()}
+        if entry is not None:
+            entry.arrows = found[cls.digest][1]
+        return found[cls.digest][1]
+
+    def _subclasses(self, digest: str, found: dict) -> list[IntervalClass]:
+        """The classes that are not entries that the entry's table, made if
+        missing, names: as found, or else cut from the first arrow naming it."""
         entry = self.entries[digest]
-        if entry.arrows is None:
-            found = _arrow_classes(entry.interval)
-            entry.arrows = {j: c.digest for j, c in found.items()}
-            return found.values()
         first: dict[str, str] = {}
-        for j, sub in sorted(entry.arrows.items()):
+        for j, sub in sorted(self._table(entry.interval, found).items()):
             if sub not in self.entries:
                 first.setdefault(sub, j)
-        return _arrow_classes(entry.interval, list(first.values())).values() if first else ()
+        return [found[sub][0] if sub in found else _arrow_class(entry.interval, j)
+                for sub, j in first.items()]
 
     # -- persistence --------------------------------------------------------
 
@@ -200,15 +214,37 @@ class Registry:
         return reg
 
 
-def _arrow_classes(cls: IntervalClass,
-                   ids: list[str] | None = None) -> dict[str, IntervalClass]:
-    """The class of the interval of each level-1 id of cls (every one by
-    default), cut from the nerve of its arrow category."""
-    N, arr_name = category_nerve(cls)
-    arrows = None if ids is None else [arr_name[j] for j in ids]
-    level1 = {a: j for j, a in arr_name.items()}
-    return {level1[a]: canonicalize(sub)
-            for a, (sub, _) in factorisation_intervals(N, arrows).items()}
+def maximal_cuts(X: FinSSet, skip: str | None = None):
+    """Cut and label the interval of each maximal arrow a of X, the middle
+    edge of no 3-simplex whose long edge is another arrow but skip, and then
+    of any arrow no cut reached.  Yield a, its class and, along the culf
+    embedding, (arrow of X, level-1 id of the class with that arrow's class)."""
+    if X.cap < 3:
+        raise CapError("factorisation interval needs cap >= 3")
+    mid, long = actions(X)(MonotoneMap(1, 3, (1, 2))), long_edge_table(X, 3)
+    covered = {mid[s] for s in X.levels[3] if long[s] not in (mid[s], skip)}
+    reached = {skip}
+    for a in [a for a in X.levels[1] if a not in covered] + X.levels[1]:
+        if a not in reached:
+            iv, embed = factorisation_interval(X, a)
+            cls, relabel = canonicalize_with_map(iv)
+            pairs = [(embed.components[1][j], relabel[1][j]) for j in iv.data.levels[1]]
+            reached.update(x for x, _ in pairs)
+            yield a, cls, pairs
+
+
+def _category_nerve(cls: IntervalClass, cap: int = 0) -> tuple[FinSSet, dict[str, str]]:
+    """category_nerve(cls, cap), what it refuses named by cls's digest."""
+    try:
+        return category_nerve(cls, cap)
+    except (SpecError, IntervalError) as exc:
+        raise RegistryError(f"registry entry {cls.digest[:12]}: {exc}")
+
+
+def _arrow_class(cls: IntervalClass, j: str) -> IntervalClass:
+    """The class of the interval of cls's level-1 id j, cut from its nerve."""
+    N, arr_name = _category_nerve(cls)
+    return canonicalize(factorisation_interval(N, arr_name[j])[0])
 
 
 def _arrows_text(digest: str, table: dict[str, str]) -> str:
@@ -270,7 +306,7 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
         raise CapError(f"fragment degree must be >= 0, got {top}")
     nerves, names, longest = {}, {}, {}
     for digest, entry in reg.entries.items():
-        nerves[digest], names[digest] = category_nerve(entry.interval, top + 1)
+        nerves[digest], names[digest] = _category_nerve(entry.interval, top + 1)
         longest[digest] = names[digest][longest_edge(entry.interval.canonical.data)]
     levels = {k: [(digest, x) for digest in sorted(nerves)
                   for x in sorted(fibres(nerves[digest], k, False)[longest[digest]])]

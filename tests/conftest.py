@@ -120,3 +120,15 @@ def mobius_corpus(poset_nerves, trunc_add) -> dict[str, FinSSet]:
     out["point"] = point_sset(4)
     out["trunc_add"] = trunc_add
     return out
+
+
+@pytest.fixture()
+def labelling_calls(monkeypatch):
+    """The systems handed to canonical_order from here on."""
+    import decomp.interval
+
+    calls = []
+    real = decomp.interval.canonical_order
+    monkeypatch.setattr(decomp.interval, "canonical_order",
+                        lambda sys: calls.append(sys) or real(sys))
+    return calls

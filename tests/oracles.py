@@ -6,7 +6,10 @@ and against power-series inversion of zeta computed on raw tables,
 factorisations against exhaustive two-step search, canonical labeling
 against the dict-keyed refinement that recomputes every signature each
 round, presheaf actions against the generator-by-generator walk of each
-word, the bulk interval cut against the cut of one arrow at a time, an
+word, the interval cut against one that walks every long-edge table afresh
+and against the bulk cut of every arrow in one sweep, the classifying map
+and the arrow tables, each read through interval embeddings off the tables
+of maximal arrows' classes, against the labelling of every arrow, an
 interval's Mobius certificate against the one read off its top interval cut
 from a nerve two levels larger, nondegeneracy by degeneracy images against
 the principal-edge test, the nerves of posets, partial monoids and
@@ -435,6 +438,77 @@ def factorisation_interval(X, a):
         comps[k] = {x: top[bot[x]] for x in fibers[k]}
     embed = SSetMap(i_star(data), X, comps)
     return interval, embed
+
+
+def factorisation_intervals(X, arrows=None):
+    """The interval and embedding of each arrow (every arrow of X by
+    default), cut in one sweep over X's memoised long-edge `fibres`."""
+    from decomp.axioms import check_complete
+    from decomp.interval import AlgebraicInterval, IntervalError
+    from decomp.presheaf import CapError, FinXiSet, SSetMap, fibres, i_star, nondeg_bound, u_star
+
+    if X.cap < 3:
+        raise CapError("factorisation interval needs cap >= 3")
+    arrows = list(X.levels[1]) if arrows is None else arrows
+    known = set(X.levels[1])
+    for a in arrows:
+        if a not in known:
+            raise IntervalError(f"{a!r} is not an arrow of the input")
+    if not check_complete(X):
+        raise IntervalError("input fails completeness")
+    U = u_star(X)
+    cap = U.cap
+    out = {}
+    for a in arrows:
+        fibers = {k: list(fibres(X, k + 2, False)[a]) for k in range(-1, cap + 1)}
+        data = FinXiSet(cap, fibers,
+                        {key: {x: t[x] for x in fibers[key[0]]} for key, t in U.faces.items()},
+                        {key: {x: t[x] for x in fibers[key[0]]} for key, t in U.degens.items()})
+        if U.stable_from is not None:
+            data = replace(data, stable_from=nondeg_bound(i_star(data)))
+        comps = {}
+        for k in range(0, cap + 1):
+            top = X.faces[(k + 1, k + 1)]
+            bot = X.faces[(k + 2, 0)]
+            comps[k] = {x: top[bot[x]] for x in fibers[k]}
+        out[a] = (AlgebraicInterval(data, provenance=("interval", a)),
+                  SSetMap(i_star(data), X, comps))
+    return out
+
+
+def classify_by_arrow(X, reg):
+    """The classifying map with every arrow's interval cut and labelled,
+    none read off an arrow table, and the same homomorphism check."""
+    from decomp.axioms import check_mobius
+    from decomp.incidence import NotCertified, _homomorphism
+    from decomp.interval import canonicalize
+    from decomp.registry import RegistryError, registry_comult
+    from decomp.report import Report
+
+    rep = Report("classify")
+    cert = check_mobius(X)
+    if not cert.ok:
+        raise NotCertified("Mobius conditions not certified:\n" + str(cert))
+    mapping = {}
+    for a, (iv, _) in factorisation_intervals(X).items():
+        digest = canonicalize(iv).digest
+        if digest not in reg.entries:
+            raise RegistryError(
+                f"registry is not closed: arrow {a!r} classifies to "
+                f"{digest[:12]} which is missing")
+        mapping[a] = digest
+    _homomorphism(rep, X, mapping, *registry_comult(reg), "not-a-coalgebra-homomorphism")
+    return mapping, rep
+
+
+def arrow_table_by_arrow(c):
+    """The arrow table of the interval class c with every arrow's interval
+    cut from c's category nerve and labelled, none read off another table."""
+    from decomp.interval import canonicalize, category_nerve
+
+    N, arr_name = category_nerve(c)
+    cut = factorisation_intervals(N)
+    return {j: canonicalize(cut[a][0]).digest for j, a in arr_name.items()}
 
 
 def longest_edge_fiber(data, k, nondegenerate=False):
@@ -1048,7 +1122,6 @@ def fragment_by_extensions(reg, top):
     from decomp.interval import (
         canonicalize_with_map,
         factorisation_interval,
-        factorisation_intervals,
         interval_category,
         longest_edge,
     )

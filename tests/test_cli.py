@@ -319,6 +319,22 @@ def test_registry_add_refuses_an_interval_that_is_not_exact(tmp_path, capsys):
     assert not reg.exists()
 
 
+def test_registry_add_refuses_a_cap_one_interval_with_no_composites(tmp_path, capsys):
+    """chain2's interval of 0≤2 written at cap 1 and claiming `stable 1`:
+    with no level 2 there are no composites, so no category has its table,
+    and the certificate is inconclusive rather than a bare refusal of the
+    table; nothing is stored."""
+    iv, _ = factorisation_interval(nerve(chain_poset(2)), f"0{SEP}2")
+    save(replace(truncate(iv.data, 1), stable_from=1), tmp_path / "low.xiset")
+    reg = tmp_path / "reg"
+    capsys.readouterr()
+    assert main(["registry", "add", str(reg), str(tmp_path / "low.xiset")]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: entry fails interval certification:\n"
+        "INCONCLUSIVE certify_mobius_interval note=composite-table-refused\n"))
+    assert not reg.exists()
+
+
 def _counit_smap(tmp_path, d6_sset):
     from decomp.formats import load, write_smap
     from decomp.presheaf import dec_bot

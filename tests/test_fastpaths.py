@@ -6,6 +6,7 @@ fast paths rely on."""
 import re
 from dataclasses import replace
 from math import factorial, prod
+from unittest.mock import patch
 
 import oracles
 import pytest
@@ -29,7 +30,7 @@ from decomp.formats import (
     write_sset,
     write_xiset,
 )
-from decomp.incidence import comult, mobius, universal_mobius
+from decomp.incidence import classify, comult, mobius, universal_mobius
 from decomp.ingest import (
     MonoidSpec,
     PosetSpec,
@@ -48,12 +49,12 @@ from decomp.interval import (
     category_nerve,
     certify_mobius_interval,
     factorisation_interval,
-    factorisation_intervals,
     interval_category,
     labelling_system,
     subdivisions,
 )
 from decomp.presheaf import (
+    FinSSet,
     FinXiSet,
     XiSetMap,
     _index_view,
@@ -515,19 +516,21 @@ def test_constructors_intern_identifiers():
 
 
 def test_factorisation_intervals_match_per_arrow_cut():
-    """Every arrow's interval and embedding, cut in one sweep, against the
-    cut of that arrow alone."""
+    """Every arrow's interval and embedding, cut from the memoised fibres,
+    against the cut that walks every long-edge table afresh and against the
+    bulk cut of every arrow in one sweep."""
     for X in (nerve(divisor_poset(12)), nerve(boolean_poset(3)),
               nerve(chain_poset(4)), nerve(truncated_addition(5))):
-        cut = factorisation_intervals(X)
-        assert list(cut) == X.levels[1]
+        bulk = oracles.factorisation_intervals(X)
+        assert list(bulk) == X.levels[1]
         for a in X.levels[1]:
-            (iv, embed), (want, want_embed) = cut[a], oracles.factorisation_interval(X, a)
-            assert iv.data.levels == want.data.levels  # level order included
-            assert write_xiset(iv.data) == write_xiset(want.data)
-            assert iv.data.stable_from == want.data.stable_from
-            assert iv.provenance == want.provenance
-            assert embed.components == want_embed.components
+            iv, embed = factorisation_interval(X, a)
+            for want, want_embed in (oracles.factorisation_interval(X, a), bulk[a]):
+                assert iv.data.levels == want.data.levels  # level order included
+                assert write_xiset(iv.data) == write_xiset(want.data)
+                assert iv.data.stable_from == want.data.stable_from
+                assert iv.provenance == want.provenance
+                assert embed.components == want_embed.components
 
 
 def _built(spec_cap):
@@ -563,9 +566,9 @@ DRAWN_SPECS = st.one_of(drawn_posets(), BOUNDED_POSETS,
 
 def _interval_classes(spec):
     """The class of each arrow's interval in the nerve of spec, once each."""
-    found = {}
-    for iv, _ in factorisation_intervals(nerve(spec)).values():
-        c = canonicalize(iv)
+    found, X = {}, nerve(spec)
+    for a in X.levels[1]:
+        c = canonicalize(factorisation_interval(X, a)[0])
         found.setdefault(c.digest, c)
     return list(found.values())
 
@@ -632,6 +635,72 @@ def test_registry_comult_off_objects_matches_midpoints(spec):
         reg.insert(c)
     reg.close()
     assert registry_comult(reg) == oracles.registry_comult_by_midpoints(reg)
+
+
+def _closed_registry_of(spec):
+    """The nerve of spec and the closed registry of every arrow's class."""
+    X, reg = nerve(spec), Registry()
+    for c in _interval_classes(spec):
+        reg.insert(c)
+    return X, reg.close()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(DRAWN_SPECS)
+def test_transported_classes_match_labelling_every_arrow(spec):
+    """The classifying map, read off the tables of the maximal arrows'
+    classes, and every entry's arrow table, read off the tables of its
+    maximal proper arrows' classes, against labelling every arrow: mapping,
+    report lines and tables; and the closure of the top class alone makes
+    the same tables."""
+    X, reg = _closed_registry_of(spec)
+    mapping, rep = classify(X, reg)
+    want, want_rep = oracles.classify_by_arrow(X, reg)
+    assert mapping == want and rep.lines() == want_rep.lines()
+    for entry in reg.entries.values():
+        assert entry.arrows == oracles.arrow_table_by_arrow(entry.interval)
+    top = max(reg.entries.values(), key=lambda e: len(e.interval.canonical.data.levels[1]))
+    alone = Registry()
+    alone.insert(top.interval)
+    assert {d: e.arrows for d, e in alone.close().entries.items()} == {
+        d: reg.entries[d].arrows for d in alone.entries}
+
+
+def _relabelled(X, rnd):
+    """X with every id renamed by a drawn bijection and every level
+    reordered."""
+    new = {}
+    for k, ids in X.levels.items():
+        names = [f"r{k}.{i}" for i in range(len(ids))]
+        rnd.shuffle(names)
+        new[k] = dict(zip(ids, names))
+    return FinSSet(X.cap, {k: rnd.sample(sorted(names.values()), len(names))
+                           for k, names in new.items()},
+                   {(k, i): {new[k][x]: new[k - 1][y] for x, y in t.items()}
+                    for (k, i), t in X.faces.items()},
+                   {(k, j): {new[k][x]: new[k + 1][y] for x, y in t.items()}
+                    for (k, j), t in X.degens.items()}, X.stable_from), new[1]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(DRAWN_SPECS, st.randoms(use_true_random=False))
+def test_labelling_calls_ignore_a_relabelling_of_the_input(spec, rnd):
+    """Closing the registry of every arrow's class and classifying the input
+    labels as many intervals, and gives the same classes, when the input's
+    ids are renamed and its levels reordered."""
+    X = nerve(spec)
+    Y, renamed = _relabelled(X, rnd)
+    runs = []
+    for Z in (X, Y):
+        reg, calls = Registry(), []
+        for a in Z.levels[1]:
+            reg.insert(canonicalize(factorisation_interval(Z, a)[0]))
+        with patch("decomp.interval.canonical_order",
+                   lambda sys: calls.append(sys) or labeling.canonical_order(sys)):
+            mapping, _ = classify(Z, reg.close())
+        runs.append((len(calls), mapping))
+    assert runs[0][0] == runs[1][0]
+    assert {renamed[a]: d for a, d in runs[0][1].items()} == runs[1][1]
 
 
 def _flanks_stripped(frag, k, element):

@@ -70,6 +70,20 @@ def test_readme_walkthrough_output_is_pinned(tmp_path, monkeypatch, capsys):
     assert written == WALKTHROUGH_FILES
 
 
+def test_readme_walkthrough_labels_only_maximal_arrows(tmp_path, monkeypatch, capsys,
+                                                      labelling_calls):
+    """A count, not a time: `registry add` labels its entry, and `close` and
+    `classify` label only the maximal arrows of each class and of the input,
+    reading every other arrow's class off a table.  Labelling every arrow
+    again, as `close` and `classify` once did, takes 23 labellings here."""
+    name, text, commands = walkthrough()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    for argv in commands:
+        assert main(argv) == 0
+    assert len(labelling_calls) <= 16
+
+
 def library_rows() -> list[tuple[str, list[str]]]:
     """Each row of the "Library layout" table: its module, and the
     identifiers among the code spans of its contents cell."""

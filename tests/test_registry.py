@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 from collections import Counter
@@ -6,14 +7,22 @@ from dataclasses import replace
 
 import oracles
 import pytest
+from conftest import filter_nerve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fastpaths import drawn_posets
 
 from decomp import registry
 from decomp.cli import main
-from decomp.formats import save
-from decomp.ingest import PosetSpec, boolean_poset, chain_poset, divisor_poset, nerve_poset
+from decomp.formats import save, write_xiset
+from decomp.ingest import (
+    PosetSpec,
+    boolean_poset,
+    chain_poset,
+    divisor_poset,
+    nerve,
+    nerve_poset,
+)
 from decomp.interval import AlgebraicInterval, canonicalize, factorisation_interval
 from decomp.presheaf import CapError, FinXiSet, point_sset, truncate
 from decomp.registry import (
@@ -312,8 +321,9 @@ def test_digest_ignores_relabelling(iv, rnd):
 
 def test_registry_comult_names_a_missing_class(diamond_registry, labelling_calls):
     """A table digest missing from the registry is reported; close cuts and
-    labels one arrow to get its class back, and then labels the interval
-    of each arrow of that class, which has no table yet."""
+    labels one arrow to get its class back.  That class, the point, has no
+    table yet, but its one arrow is its longest edge, so making the table
+    labels nothing."""
     point = next(d for d, e in diamond_registry.entries.items()
                  if len(e.interval.canonical.data.levels[0]) == 1)
     del diamond_registry.names[diamond_registry.entries.pop(point).name]
@@ -322,7 +332,7 @@ def test_registry_comult_names_a_missing_class(diamond_registry, labelling_calls
     labelling_calls.clear()
     diamond_registry.close()
     assert point in diamond_registry.entries
-    assert len(labelling_calls) == 2
+    assert len(labelling_calls) == 1
     assert registry_comult(diamond_registry) == (
         oracles.registry_comult_by_fragment(diamond_registry))
 
@@ -353,24 +363,60 @@ def _is_chain1(reg, name):
 
 
 def test_classify_requires_closed_registry(poset_nerves, diamond_interval):
-    reg = Registry()
-    reg.insert(diamond_interval, name="diamond")
+    """The diamond's table, made without inserting anything, names classes
+    the registry lacks: the first arrow of d6 that it sends to one is named,
+    as when every arrow was labelled.  In an empty registry the one maximal
+    arrow, 1≤6, is labelled and named; labelling every arrow named 1≤1."""
     from decomp.incidence import classify
 
-    with pytest.raises(RegistryError):
-        classify(poset_nerves["d6"], reg)
+    X, reg = poset_nerves["d6"], Registry()
+    with pytest.raises(RegistryError, match="^registry is not closed: arrow '1≤6' classifies to "
+                       f"{canonicalize(diamond_interval).digest[:12]} which is missing$"):
+        classify(X, reg)
+    reg.insert(diamond_interval, name="diamond")
+    point = canonicalize(factorisation_interval(X, arrow("1", "1"))[0]).digest
+    with pytest.raises(RegistryError, match="^registry is not closed: arrow '1≤1' classifies to "
+                       f"{point[:12]} which is missing$"):
+        classify(X, reg)
+    assert list(reg.entries) == [reg.names["diamond"]]
+    assert reg.entries[reg.names["diamond"]].arrows is not None
 
 
-@pytest.fixture()
-def labelling_calls(monkeypatch):
-    """The systems handed to canonical_order from here on."""
-    import decomp.interval
-
-    calls = []
-    real = decomp.interval.canonical_order
-    monkeypatch.setattr(decomp.interval, "canonical_order",
-                        lambda sys: calls.append(sys) or real(sys))
-    return calls
+def test_a_stored_entry_without_a_category_is_named(tmp_path, capsys):
+    """A hand-built registry whose one entry, trusted because its bytes hash
+    to its digest, is the canonical form of the interval of 0≤4 in the
+    nerve of the 4-chain without the chains through 1 < 2 < 3: valid but
+    not exact, so its composite table misses a composite.  `registry close`
+    and `classify` of that nerve exit 2 naming the entry, `registry mu`
+    names its inconclusive certificate, and the fragment names it too;
+    nothing is written."""
+    X = nerve(chain_poset(4))
+    planted = replace(filter_nerve(X, lambda vs: not {"1", "2", "3"} <= set(vs)),
+                      stable_from=X.stable_from)
+    c = canonicalize(factorisation_interval(planted, arrow("0", "4"))[0])
+    text, digest = write_xiset(c.canonical.data), c.digest
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    root = tmp_path / "reg"
+    root.mkdir()
+    (root / f"{digest}.xiset").write_text(text, encoding="utf-8")
+    (root / "index.tsv").write_text(f"{digest}\tplanted\t1\t{c.canonical.data.cap}\n",
+                                    encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    sset = str(tmp_path / "planted.sset")
+    save(planted, sset)
+    refused = f"error: registry entry {digest[:12]}: missing composite for "
+    for argv in (["registry", "close", str(root)], ["classify", sset, "--registry", str(root)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(refused) and err.count("\n") == 1
+    assert main(["registry", "mu", str(root)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: stored entry {digest[:12]} is not certified Mobius:\n"
+        "INCONCLUSIVE certify_mobius_interval note=composite-table-refused\n")
+    with pytest.raises(RegistryError, match=f"^registry entry {digest[:12]}: "):
+        build_fragment(Registry.load(str(root)), 2)
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == before
 
 
 def test_intact_load_runs_no_labelling(tmp_path, diamond_registry, labelling_calls):
