@@ -1,11 +1,12 @@
 """Algebraic intervals and the factorisation-interval construction.
 
 An interval is a reduced complete flanked presheaf on the strict-interval
-site whose underlying simplicial set satisfies the exactness axiom.  The
-interval of an arrow is cut out of the ambient object by the long-edge
-fiber formula; canonicalization truncates at the intrinsic nondegeneracy
-bound and relabels by canonical position, so isomorphic intervals get
-identical serializations and content digests.
+site whose underlying simplicial set is Segal, hence a decomposition space
+(GKT I).  The interval of an arrow is cut out of the ambient object by the
+long-edge fiber formula.  A Segal interval is fixed by its 2-truncation,
+its arrow category, so canonicalization truncates at cap 2 and relabels by
+canonical position: isomorphic intervals get identical serializations and
+content digests, and the Möbius length is read off the composite table.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import hashlib
 from dataclasses import dataclass, replace
 from sys import intern
 
-from .axioms import check_complete, check_decomposition, check_flanked
+from .axioms import check_complete, check_flanked, check_segal
+from .axioms import check_decomposition  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .axioms import check_mobius  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .ingest import CategorySpec, SpecError, mobius_length, nerve_category
 from .labeling import UnarySystem, canonical_order, find_isomorphism
@@ -44,7 +46,7 @@ class IntervalError(ValueError):
 
 @dataclass
 class AlgebraicInterval:
-    """A reduced complete flanked exact presheaf, with optional provenance."""
+    """A reduced complete flanked Segal presheaf, with optional provenance."""
 
     data: FinXiSet
     provenance: tuple[str, str] | None = None
@@ -66,8 +68,8 @@ def longest_edge(A: FinXiSet) -> str:
 
 
 def validate_interval(A: AlgebraicInterval) -> Report:
-    """Valid + reduced + complete + flanked (+ exactness when cap allows).
-    An input that is not valid gets its own `validate` report back."""
+    """Valid + reduced + complete + flanked + Segal (from cap 2).  An input
+    that is not valid gets its own `validate` report back."""
     data = A.data
     base = validate_xiset(data)
     if not base.ok:
@@ -79,13 +81,8 @@ def validate_interval(A: AlgebraicInterval) -> Report:
     under = i_star(data)
     if not check_complete(under):
         rep.fail(degree=0, note="not-complete")
-    fl = check_flanked(data)
-    if not fl.ok:
-        rep.absorb(fl)
-    if data.cap >= 3:
-        dc = check_decomposition(under, "direct")
-        if not dc.ok:
-            rep.absorb(dc)
+    rep.absorb(check_flanked(data))
+    rep.absorb(check_segal(under))
     rep.verified_upto = data.cap
     return rep
 
@@ -185,20 +182,19 @@ def canonicalize_with_map(
 ) -> tuple[IntervalClass, dict[int, dict[str, str]]]:
     """Canonical form plus the relabeling from the truncated input.
 
-    The interval is truncated at its certified nondegeneracy bound (which
-    pins down everything above it) and relabeled n<degree>_<position>; the
-    digest is the hash of the canonical serialization, so it agrees for
-    isomorphic intervals regardless of provenance or ambient cap.
+    The interval is truncated at cap 2, its arrow category, which pins down
+    a Segal interval (at cap 1 when it has at most two objects and so no
+    composable pair of non-identity arrows), and relabeled
+    n<degree>_<position>; the digest is the hash of the canonical
+    serialization, so it agrees for isomorphic intervals regardless of
+    provenance or ambient cap.
     """
     data = A.data
-    if data.stable_from is None:
-        raise IntervalError(
-            "interval has no certified stabilization degree; "
-            "canonical truncation would be unsound")
-    canon_cap = max(1, data.stable_from)
+    canon_cap = 1 if len(data.levels[0]) <= 2 else 2
     if canon_cap > data.cap:
         raise IntervalError(
-            f"stabilization degree {data.stable_from} exceeds cap {data.cap}")
+            f"interval has {len(data.levels[0])} objects at cap {data.cap}; "
+            "its canonical form needs cap 2")
     T = truncate(data, canon_cap)
     order = canonical_order(labelling_system(T))
     relabel = {k: {x: f"n{k}_{order[k][x]}" for x in T.levels[k]}
@@ -208,7 +204,7 @@ def canonicalize_with_map(
              for (k, i), t in T.faces.items()}
     degens = {(k, j): {relabel[k][x]: relabel[k + 1][y] for x, y in t.items()}
               for (k, j), t in T.degens.items()}
-    canon = FinXiSet(canon_cap, levels, faces, degens, stable_from=T.stable_from)
+    canon = FinXiSet(canon_cap, levels, faces, degens)
     from .formats import write_xiset
 
     text = write_xiset(canon)
@@ -265,14 +261,12 @@ def interval_category(data: FinXiSet) -> tuple[CategorySpec, dict[str, str]]:
 
 
 def category_nerve(c: IntervalClass, cap: int = 0) -> tuple[FinSSet, dict[str, str]]:
-    """The nerve of c's arrow category at the larger of cap and
-    max(1, stable_from) + 2, and the nerve id of each level-1 id of c.  The
-    category has an initial and a terminal object, so the nerve is c's
-    underlying simplicial set, its longest edge the arrow from the one to
-    the other."""
-    data = c.canonical.data
-    spec, arr_name = interval_category(data)
-    return nerve_category(spec, max(cap, max(1, data.stable_from or 0) + 2)), arr_name
+    """The nerve of c's arrow category at the larger of cap and 4, and the
+    nerve id of each level-1 id of c.  The category has an initial and a
+    terminal object, so the nerve is c's underlying simplicial set, its
+    longest edge the arrow from the one to the other."""
+    spec, arr_name = interval_category(c.canonical.data)
+    return nerve_category(spec, max(cap, 4)), arr_name
 
 
 def extend_interval(A: AlgebraicInterval, xi_cap: int) -> AlgebraicInterval:
@@ -301,10 +295,11 @@ def subdivisions(c: IntervalClass, k: int, nondegenerate: bool = False) -> list[
 def certify_mobius_interval(c: IntervalClass) -> Report:
     """Leroux's Mobius conditions off the composite table of c's arrow
     category, where N_r(h) counts the strings of r non-identity arrows
-    composing to h.  PASS, at the Möbius length, when the strings die out by
-    max(1, stable_from), with the longest-edge profile N_r(top) and the total
-    of nondegenerate simplices; INCONCLUSIVE otherwise or if no category has it."""
-    data, bound = c.canonical.data, c.canonical.data.stable_from or 0
+    composing to h.  PASS, at the Möbius length, when no composable cycle
+    keeps the strings alive, with the longest-edge profile N_r(top) and the
+    total of nondegenerate simplices; INCONCLUSIVE otherwise or if no
+    category has the table."""
+    data = c.canonical.data
     rep = Report("certify_mobius_interval")
     try:
         spec, arr_name = interval_category(data)
@@ -315,11 +310,8 @@ def certify_mobius_interval(c: IntervalClass) -> Report:
     if loop:
         rep.inconclusive(note="composable-cycle")
         return rep
-    if len(counts) > max(1, bound):
-        rep.inconclusive(degree=len(counts), note="mobius-length-above-stable-from")
     top = arr_name[longest_edge(data)]
-    profile = [int(spec.is_identity(top))] + [n.get(top, 0) for n in counts]
-    rep.data["phi_profile"] = (profile + [0] * bound)[:bound + 1]
+    rep.data["phi_profile"] = [int(spec.is_identity(top))] + [n.get(top, 0) for n in counts]
     rep.data["nondegenerate_total"] = len(spec.objects) + sum(sum(n.values()) for n in counts)
     rep.verified_upto = len(counts)
     return rep

@@ -170,10 +170,11 @@ class Registry:
 
     @classmethod
     def load(cls, directory: str) -> Registry:
-        """Read a saved registry.  An entry whose bytes hash to its digest is
-        as `save` wrote it; any other must re-canonicalize to its digest.
-        An arrow table is read only if it is intact; any other is left for
-        `close` to recompute."""
+        """Read a saved registry.  An entry stored as a v1 canonical form,
+        with a `stable` line or a cap above 2, is refused.  An entry whose
+        bytes hash to its digest is as `save` wrote it; any other must
+        re-canonicalize to its digest.  An arrow table is read only if it is
+        intact; any other is left for `close` to recompute."""
         reg = cls()
         index = os.path.join(directory, "index.tsv")
         if not os.path.exists(index):
@@ -197,9 +198,15 @@ class Registry:
                 raw = xfh.read()
             try:
                 iv = AlgebraicInterval(parse_xiset(raw.decode("utf-8"), path))
+                if iv.data.stable_from is not None or iv.data.cap > 2:
+                    raise RegistryError(
+                        f"stored entry {digest[:12]} is a v1 canonical form "
+                        "(a stable line or a cap above 2); rebuild the registry")
                 stored = IntervalClass(iv, digest)
                 if hashlib.sha256(raw).hexdigest() != digest:
                     stored = canonicalize(iv)
+            except RegistryError:
+                raise
             except (ValueError, KeyError) as exc:
                 raise RegistryError(
                     f"stored entry {digest[:12]} is damaged: {exc}")

@@ -7,14 +7,17 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from decomp.ingest import (
+    CategorySpec,
     PosetSpec,
     boolean_poset,
     chain_poset,
     divisor_poset,
+    nerve_category,
     nerve_monoid,
     nerve_poset,
     truncated_addition,
 )
+from decomp.interval import AlgebraicInterval, factorisation_interval
 from decomp.presheaf import FinSSet, point_sset
 
 
@@ -61,6 +64,15 @@ def invalid_object() -> FinSSet:
     bad[sep.join(["0", "0", "1"])] = sep.join(["0", "0"])
     X.faces[(2, 0)] = bad
     return X
+
+
+def idempotent_interval() -> AlgebraicInterval:
+    """The interval of e in the category {1, e; e.e = e}: its objects are
+    the factorisations (1, e), (e, e) and (e, 1), and e acts on the middle
+    one, so the strings of e compose to e at every length."""
+    spec = CategorySpec.build(["x"], {"1": ("x", "x"), "e": ("x", "x")}, {"x": "1"},
+                              {("e", "e"): "e"})
+    return factorisation_interval(nerve_category(spec, 6), "e")[0]
 
 
 def assert_isomorphism(a, b, iso) -> None:

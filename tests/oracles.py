@@ -523,18 +523,22 @@ def longest_edge_fiber(data, k, nondegenerate=False):
 def certify_by_top_interval(c):
     """The status, longest-edge profile and nondegenerate total of the
     Mobius certificate of the interval class c, read off the top interval
-    cut from the nerve of its category built two levels higher, rather than
-    off that nerve itself."""
+    cut from the nerve of its category built two levels above its object
+    count less one, which bounds the length of a string of non-identity
+    arrows when no such string closes a cycle, rather than off that nerve
+    itself.  The profile runs up to the longest edge's tightness bound."""
     from decomp.axioms import check_mobius
     from decomp.interval import extend_interval, longest_edge
     from decomp.presheaf import fibres, i_star, nondegenerate
 
-    bound = c.canonical.data.stable_from or 0
+    bound = len(c.canonical.data.levels[0]) - 1
     top = extend_interval(c.canonical, bound + 2).data
     under = i_star(top)
-    profile = [len(fibres(under, r, True)[longest_edge(top)]) for r in range(bound + 1)]
+    cert = check_mobius(under)
+    length = cert.data["bounds"][longest_edge(top)] if cert.ok else bound
+    profile = [len(fibres(under, r, True)[longest_edge(top)]) for r in range(length + 1)]
     total = sum(len(nondegenerate(under, r)) for r in range(under.cap + 1))
-    return check_mobius(under).status, profile, total
+    return cert.status, profile, total
 
 
 def subdivisions_by_extension(c, k, nondegenerate=False):
@@ -1113,7 +1117,7 @@ def registry_comult_by_midpoints(reg):
 
 def fragment_by_extensions(reg, top):
     """The fragment of U read on extended intervals: each class rebuilt from
-    its arrow category at cap max(top + 1, stable_from) + 2, its top interval
+    its arrow category at cap max(top + 1, objects - 1) + 2, its top interval
     cut out with the embedding back, and its ids read in interval coordinates
     (flanked chains, an identity on each side).  Every arrow interval of an
     extension is cut at its first use, and each outer face is carried through
@@ -1133,7 +1137,7 @@ def fragment_by_extensions(reg, top):
     for digest, entry in reg.entries.items():
         canon = entry.interval.canonical
         spec, arr_name = interval_category(canon.data)
-        X = nerve_category(spec, max(top + 1, canon.data.stable_from or 0) + 2)
+        X = nerve_category(spec, max(top + 1, len(canon.data.levels[0]) - 1) + 2)
         interval, embed = factorisation_interval(X, arr_name[longest_edge(canon.data)])
         exts[digest] = (interval.data, X, embed, arr_name)
 

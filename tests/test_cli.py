@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from decomp.cli import main
-from decomp.formats import load, save
+from decomp.formats import load, save, write_xiset
 from decomp.ingest import chain_poset, divisor_poset, nerve, truncated_addition
-from decomp.interval import factorisation_interval
+from decomp.interval import canonicalize, factorisation_interval
 from decomp.presheaf import truncate, u_star
 from decomp.registry import Registry
 from conftest import filter_nerve, spine_object
@@ -295,9 +295,9 @@ def test_registry_add_refuses_unreduced_interval(tmp_path, d6_sset, capsys):
 
 def test_registry_add_refuses_an_interval_that_is_not_exact(tmp_path, capsys):
     """The interval of 0≤4 in the nerve of the 4-chain without the chains
-    through 1 < 2 < 3 is valid, reduced, complete and flanked, but not
-    exact: `registry add` prints the exactness check's lines and stores
-    nothing."""
+    through 1 < 2 < 3 is valid, reduced, complete and flanked, but neither
+    Segal nor exact: `registry add` prints the Segal check's lines, one per
+    degree from 2, and stores nothing."""
     X = nerve(chain_poset(4))
     planted = replace(filter_nerve(X, lambda vs: not {"1", "2", "3"} <= set(vs)),
                       stable_from=X.stable_from)
@@ -311,27 +311,26 @@ def test_registry_add_refuses_an_interval_that_is_not_exact(tmp_path, capsys):
     head, *lines = captured.err.splitlines()
     assert head == "error: entry fails validation:"
     assert lines[0] == (
-        "FAIL validate_interval degree=3 note=pushout(<[1]->[2]:0,2>,<[1]->[2]:1,2>)"
-        ":missing-fiber-pair:0≤2≤3≤4≤4,0≤1≤2≤4≤4 via=check_decomposition[direct]")
-    assert len(lines) == 12
-    assert all(line.startswith("FAIL validate_interval degree=") and ":missing-fiber-pair:"
-               in line and line.endswith(" via=check_decomposition[direct]") for line in lines)
+        "FAIL validate_interval degree=2 witness=0≤1≤2≤4,0≤2≤3≤4 note=no-filler"
+        " via=check_segal")
+    assert [line.split()[2] for line in lines] == [f"degree={k}" for k in range(2, 6)]
+    assert all(line.startswith("FAIL validate_interval degree=")
+               and line.endswith(" note=no-filler via=check_segal") for line in lines)
     assert not reg.exists()
 
 
 def test_registry_add_refuses_a_cap_one_interval_with_no_composites(tmp_path, capsys):
     """chain2's interval of 0≤2 written at cap 1 and claiming `stable 1`:
-    with no level 2 there are no composites, so no category has its table,
-    and the certificate is inconclusive rather than a bare refusal of the
-    table; nothing is stored."""
+    with three objects and no level 2 it has no composites, so it has no
+    canonical 2-truncation, and the refusal names its object count and cap;
+    nothing is stored."""
     iv, _ = factorisation_interval(nerve(chain_poset(2)), f"0{SEP}2")
     save(replace(truncate(iv.data, 1), stable_from=1), tmp_path / "low.xiset")
     reg = tmp_path / "reg"
     capsys.readouterr()
     assert main(["registry", "add", str(reg), str(tmp_path / "low.xiset")]) == 2
-    assert capsys.readouterr() == ("", (
-        "error: entry fails interval certification:\n"
-        "INCONCLUSIVE certify_mobius_interval note=composite-table-refused\n"))
+    assert capsys.readouterr() == (
+        "", "error: interval has 3 objects at cap 1; its canonical form needs cap 2\n")
     assert not reg.exists()
 
 
@@ -525,9 +524,39 @@ def d6_registry(tmp_path_factory) -> str:
 
 # The classes of d6's closed registry: a point, a two-element chain and
 # the square.
-_POINT = "787d3aac08169252df3c51162e479092e8a47782de1c7258493f1d659d4bbc08"
-_CHAIN = "5747e2f1a673282d879e22bb76344b439cf4a9c1683e216fe49849a226cf0adf"
-_SQUARE = "a7fa97992f921925eac6b6bb737f0f3c0712952a79407f028c1bd6cc40f81858"
+_POINT = "a24da4aa746ba8159d6a1c9939cc628fe4169dc00cd374f425149d193ef34cb5"
+_CHAIN = "d34c284e64d2a122e32227080e11876b06722e24896538777a7ab16d5a6ecb8b"
+_SQUARE = "f545f5367cf6a843ade3bb056359fa0405590fd2264f1864185137ee2600faa6"
+
+
+def test_a_v1_registry_is_refused_and_left_as_it_was(tmp_path, d6_sset, capsys):
+    """A registry saved before canonical forms became 2-truncations: d6's
+    top interval truncated at its stable degree 2, with its `stable 2` line,
+    stored under its SHA-256.  Every registry command exits 2 naming the
+    entry and its version, and no file changes."""
+    iv, _ = factorisation_interval(load(d6_sset), f"1{SEP}6")
+    save(iv.data, tmp_path / "i16.xiset")
+    text = write_xiset(replace(canonicalize(iv).canonical.data, stable_from=2))
+    old = "a7fa97992f921925eac6b6bb737f0f3c0712952a79407f028c1bd6cc40f81858"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == old
+    reg = tmp_path / "reg"
+    reg.mkdir()
+    (reg / f"{old}.xiset").write_text(text, encoding="utf-8")
+    (reg / "index.tsv").write_text(f"{old}\tiv-{old[:10]}\t1\t2\n", encoding="utf-8")
+
+    def hashes():
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in reg.iterdir()}
+
+    before = hashes()
+    for argv in (["registry", "list", str(reg)], ["registry", "close", str(reg)],
+                 ["registry", "mu", str(reg)],
+                 ["registry", "add", str(reg), str(tmp_path / "i16.xiset")]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", (
+            f"error: stored entry {old[:12]} is a v1 canonical form "
+            "(a stable line or a cap above 2); rebuild the registry\n"))
+        assert hashes() == before
 
 
 def test_registry_coalgebra_checks_fail_on_a_rewired_arrow_table(
@@ -548,8 +577,8 @@ def test_registry_coalgebra_checks_fail_on_a_rewired_arrow_table(
     capsys.readouterr()
     assert main(["registry", "mu", str(reg)]) == 1
     assert capsys.readouterr().out == (
-        f"{_CHAIN}\tiv-{_CHAIN[:10]}\t-1/1\n"
         f"{_POINT}\tiv-{_POINT[:10]}\t1/1\n"
+        f"{_CHAIN}\tiv-{_CHAIN[:10]}\t-1/1\n"
         f"{_SQUARE}\tiv-{_SQUARE[:10]}\t1/1\n"
         "FAIL universal_mobius note=registry-inversion-fails\n")
     assert main(["classify", d6_sset, "--registry", str(reg)]) == 1

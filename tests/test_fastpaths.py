@@ -4,8 +4,10 @@ implementations in `oracles`, and the shared-identifier invariant the
 fast paths rely on."""
 
 import re
+import tempfile
 from dataclasses import replace
 from math import factorial, prod
+from pathlib import Path
 from unittest.mock import patch
 
 import oracles
@@ -50,6 +52,7 @@ from decomp.interval import (
     certify_mobius_interval,
     factorisation_interval,
     interval_category,
+    isomorphic,
     labelling_system,
     subdivisions,
 )
@@ -63,6 +66,7 @@ from decomp.presheaf import (
     dec_bot,
     dec_top,
     fibres,
+    i_star,
     long_edge_table,
     nondegenerate,
     point_xiset,
@@ -373,6 +377,12 @@ def test_find_isomorphism_agrees_with_reference_forms(pair):
     assert_isomorphism(a, b, iso)
 
 
+def _canonical_cap(data):
+    """The cap canonicalization truncates an interval at: 2, its arrow
+    category, or 1 with at most two objects."""
+    return 1 if len(data.levels[0]) <= 2 else 2
+
+
 def test_canonical_order_matches_reference_on_intervals():
     """Every factorisation interval of d12 and B3, truncated as
     canonicalization truncates it."""
@@ -380,7 +390,7 @@ def test_canonical_order_matches_reference_on_intervals():
         X = nerve(spec)
         for arrow in X.levels[1]:
             data = factorisation_interval(X, arrow)[0].data
-            _assert_same_order(labelling_system(truncate(data, max(1, data.stable_from))))
+            _assert_same_order(labelling_system(truncate(data, _canonical_cap(data))))
 
 
 @pytest.fixture()
@@ -398,7 +408,7 @@ def test_pruned_search_on_b4(leaf_keys):
     reaches 24 leaves, all serializing alike; orbit pruning and jumps back
     to the first path leave at most 4."""
     data = factorisation_interval(nerve(boolean_poset(4)), "o≤abcd")[0].data
-    sys = labelling_system(truncate(data, max(1, data.stable_from)))
+    sys = labelling_system(truncate(data, _canonical_cap(data)))
     got = labeling.canonical_order(sys)
     assert 1 < len(leaf_keys) <= 4
     assert got == oracles.canonical_order(sys)
@@ -666,6 +676,36 @@ def test_transported_classes_match_labelling_every_arrow(spec):
         d: reg.entries[d].arrows for d in alone.entries}
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(DRAWN_SPECS)
+def test_stored_forms_are_2_truncations(spec):
+    """A count, not a time: every class of a closed registry is stored as
+    its 2-truncation, at cap 2 or less and with no stable line."""
+    _, reg = _closed_registry_of(spec)
+    with tempfile.TemporaryDirectory() as root:
+        reg.save(root)
+        for path in Path(root).glob("*.xiset"):
+            text = path.read_text(encoding="utf-8")
+            assert parse_xiset(text).cap <= 2
+            assert not any(line.startswith("stable") for line in text.splitlines())
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(DRAWN_SPECS, st.integers(3, 5), st.randoms(use_true_random=False), exactness_inputs())
+def test_segal_objects_pass_direct_exactness(spec, cap, rnd, other):
+    """A Segal space is a decomposition space (GKT I), the theorem by which
+    `validate_interval` checks Segal alone.  A drawn arrow's interval in the
+    nerve of a drawn spec is Segal, a fibre of the double decalage; it, that
+    nerve (not Segal for a truncated addition) and a drawn exactness input,
+    each truncated at a drawn cap >= 3, pass direct exactness when Segal."""
+    X = nerve(spec, cap + 2)
+    iv, _ = factorisation_interval(X, rnd.choice(X.levels[1]))
+    assert check_segal(i_star(iv.data)).ok
+    for Y in (i_star(iv.data), truncate(X, cap), other):
+        if check_segal(Y).ok:
+            assert check_decomposition(Y, "direct").ok
+
+
 def _relabelled(X, rnd):
     """X with every id renamed by a drawn bijection and every level
     reordered."""
@@ -781,6 +821,24 @@ def _report(check, *args):
     """The lines and data of check(*args), or what it raised."""
     got = outcome(check, *args)
     return (got[1].lines(), got[1].data) if got[0] == "value" else got
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(DRAWN_SPECS, st.randoms(use_true_random=False))
+def test_equal_digests_are_isomorphic_intervals(spec, rnd):
+    """Canonicalization reads the 2-truncation, yet two intervals get one
+    digest exactly when their full truncations are isomorphic: every arrow's
+    interval in the nerve of a drawn spec against every arrow's interval in
+    a drawn relabelling of that nerve."""
+    X = nerve(spec)
+    Y, renamed = _relabelled(X, rnd)
+    cuts = [{a: factorisation_interval(Z, a)[0] for a in Z.levels[1]} for Z in (X, Y)]
+    digests = [{a: canonicalize(iv).digest for a, iv in cut.items()} for cut in cuts]
+    for a, iv in cuts[0].items():
+        assert digests[0][a] == digests[1][renamed[a]]
+        for b, other in cuts[1].items():
+            iso = isomorphic(iv.data, other.data)
+            assert (digests[0][a] == digests[1][b]) == (iso is not None), (a, b)
 
 
 def _total(X):

@@ -13,8 +13,8 @@ from decomp.registry import Registry
 from decomp.simplex import all_xi_maps
 
 SEP = "≤"
-D6_DIGEST = "a7fa97992f921925eac6b6bb737f0f3c0712952a79407f028c1bd6cc40f81858"
-B4_DIGEST = "0fac40dd5651389899036b1b183392d252696d6cbe73930333d5f61bf8496e97"
+D6_DIGEST = "f545f5367cf6a843ade3bb056359fa0405590fd2264f1864185137ee2600faa6"
+B4_DIGEST = "f1bcc0d3acb3c2a39224f007696fefd02c5d6288817c2cfd022455a550179fe0"
 
 
 def test_d6_interval_digest():
@@ -31,6 +31,15 @@ def test_b4_interval_digest():
     assert canonicalize(iv).digest == B4_DIGEST
 
 
+def test_b4_top_class_is_its_2_truncation():
+    """A count, not a time: B4's top class is stored as its arrow category,
+    at cap 2 with no stable degree and at most 354 elements."""
+    iv, _ = factorisation_interval(nerve(boolean_poset(4)), SEP.join(["o", "abcd"]))
+    data = canonicalize(iv).canonical.data
+    assert data.cap == 2 and data.stable_from is None
+    assert sum(len(ids) for ids in data.levels.values()) <= 354
+
+
 def test_b3_registry_closure_digests():
     X = nerve(boolean_poset(3))
     iv, _ = factorisation_interval(X, SEP.join(["o", "abc"]))
@@ -38,9 +47,9 @@ def test_b3_registry_closure_digests():
     reg.insert(iv)
     reg.close()
     assert sorted(reg.entries) == [
-        "3764ca33c2aa92c03c7a97323ffc9c397dfb13e46ad451b1b306ad3db08a77c5",
-        "5747e2f1a673282d879e22bb76344b439cf4a9c1683e216fe49849a226cf0adf",
-        "787d3aac08169252df3c51162e479092e8a47782de1c7258493f1d659d4bbc08",
+        "575ef25a2413ad620d8b9ec2ae51d160a93c637092d216346e574f8fb5509d57",
+        "a24da4aa746ba8159d6a1c9939cc628fe4169dc00cd374f425149d193ef34cb5",
+        "d34c284e64d2a122e32227080e11876b06722e24896538777a7ab16d5a6ecb8b",
         D6_DIGEST,
     ]
 

@@ -23,6 +23,7 @@ from decomp.ingest import chain_poset, divisor_poset, nerve_poset
 from decomp.interval import canonicalize, factorisation_interval, longest_edge
 from decomp.presheaf import dec_bot, i_star, point_sset
 from decomp.registry import Registry, RegistryEntry
+from conftest import idempotent_interval
 from oracles import convolution_inverse, rota_mobius
 
 SEP = "≤"
@@ -290,14 +291,13 @@ def test_qvec_guards():
 
 
 def test_universal_mobius_refuses_an_uncertified_entry(tmp_path, capsys):
-    """A stored class whose certificate fails, chain6's top interval claiming
-    stabilization at 2, is named rather than summed over a cut profile, in
-    the library and by `registry mu`."""
-    iv, _ = factorisation_interval(nerve_poset(chain_poset(6), 9), arrow("0", "6"))
-    c = canonicalize(replace(iv, data=replace(iv.data, stable_from=2)))
+    """A stored class whose certificate fails, the interval of an idempotent
+    with its composable cycle, is named rather than summed over a cut
+    profile, in the library and by `registry mu`."""
+    c = canonicalize(idempotent_interval())
     reg = Registry()
-    reg.entries[c.digest] = RegistryEntry(c.digest, "understated", c)
-    reg.names["understated"] = c.digest
+    reg.entries[c.digest] = RegistryEntry(c.digest, "cycle", c)
+    reg.names["cycle"] = c.digest
     with pytest.raises(NotCertified, match=c.digest[:12]):
         universal_mobius(reg)
     reg.save(str(tmp_path))

@@ -30,7 +30,7 @@ from decomp.presheaf import (
     u_star,
     validate_map,
 )
-from conftest import assert_isomorphism
+from conftest import assert_isomorphism, idempotent_interval
 
 SEP = "≤"
 
@@ -115,6 +115,32 @@ def test_isomorphism_of_symmetric_intervals(poset_nerves):
     assert_isomorphism(labelling_system(a), labelling_system(b), iso)
 
 
+def _two_paths_interval(p2_q):
+    """The interval b -> t through a middle x => y -> z with two arrows
+    x -> z, where p1;q = r1 and p2;q = p2_q."""
+    arrows = {"bx": ("b", "x"), "by": ("b", "y"), "bz": ("b", "z"), "bt": ("b", "t"),
+              "xt": ("x", "t"), "yt": ("y", "t"), "zt": ("z", "t"), "p1": ("x", "y"),
+              "p2": ("x", "y"), "q": ("y", "z"), "r1": ("x", "z"), "r2": ("x", "z")}
+    idents = {o: f"1{o}" for o in "bxyzt"}
+    arrows.update({i: (o, o) for o, i in idents.items()})
+    comp = {("bx", "xt"): "bt", ("by", "yt"): "bt", ("bz", "zt"): "bt",
+            ("bx", "p1"): "by", ("bx", "p2"): "by", ("by", "q"): "bz", ("bx", "r1"): "bz",
+            ("bx", "r2"): "bz", ("p1", "yt"): "xt", ("p2", "yt"): "xt", ("q", "zt"): "yt",
+            ("r1", "zt"): "xt", ("r2", "zt"): "xt", ("p1", "q"): "r1", ("p2", "q"): p2_q}
+    spec = CategorySpec.build(list("bxyzt"), arrows, idents, comp)
+    return factorisation_interval(nerve_category(spec, 6), "bt")[0]
+
+
+def test_digests_tell_apart_intervals_that_differ_only_in_composites():
+    """Two intervals with one graph of arrows, isomorphic at cap 1, whose
+    composite tables differ (p2;q is r2 in one, r1 in the other): the 2-truncation
+    keeps them apart, as their full truncations are not isomorphic."""
+    a, b = _two_paths_interval("r2"), _two_paths_interval("r1")
+    assert isomorphic(truncate(a.data, 1), truncate(b.data, 1)) is not None
+    assert isomorphic(a.data, b.data) is None
+    assert canonicalize(a).digest != canonicalize(b).digest
+
+
 def test_cap_zero_interval_is_refused(diamond):
     with pytest.raises(CapError, match="completeness needs cap >= 1"):
         validate_interval(AlgebraicInterval(truncate(diamond.data, 0)))
@@ -136,11 +162,30 @@ def test_canonicalize_is_stable_and_idempotent(diamond):
     assert again.digest == c1.digest
 
 
-def test_canonicalize_requires_certificate(diamond):
-    loose = AlgebraicInterval(replace(truncate(diamond.data, diamond.data.cap),
-                                      stable_from=None))
-    with pytest.raises(IntervalError):
-        canonicalize(loose)
+def test_canonicalize_refuses_a_cap_one_interval_with_three_objects(diamond):
+    """An interval with three or more objects is canonical at cap 2, its
+    arrow category; at cap 1 it has no composites, and the refusal names its
+    object count and cap.  With at most two objects cap 1 is enough."""
+    with pytest.raises(IntervalError, match="^interval has 4 objects at cap 1; "):
+        canonicalize(AlgebraicInterval(truncate(diamond.data, 1)))
+    pt, _ = factorisation_interval(point_sset(3), "pt")
+    assert canonicalize(AlgebraicInterval(truncate(pt.data, 1))).canonical.data.cap == 1
+
+
+@pytest.mark.parametrize("stable", [None, 2, 6])
+def test_a_stable_line_leaves_the_digest_unchanged(stable):
+    """The canonical form is the 2-truncation and carries no stable degree:
+    chain6's top interval, with no stable line, a claim of 2 or its own
+    Möbius length 6, gets one digest, and its certificate, read off the
+    composite table, passes at length 6 whatever the input claimed."""
+    iv, _ = factorisation_interval(nerve_poset(chain_poset(6), 9), arrow("0", "6"))
+    assert iv.data.stable_from == 6
+    c = canonicalize(replace(iv, data=replace(iv.data, stable_from=stable)))
+    assert c.digest == canonicalize(iv).digest
+    assert c.canonical.data.cap == 2 and c.canonical.data.stable_from is None
+    rep = certify_mobius_interval(c)
+    assert rep.ok and rep.verified_upto == 6
+    assert rep.data["phi_profile"] == [0, 1, 5, 10, 10, 5, 1]
 
 
 def test_relabel_map_is_an_isomorphism(diamond):
@@ -171,10 +216,10 @@ def test_subdivision_counts(diamond, poset_nerves):
 
 
 def test_subdivision_counts_of_d12(d12):
-    """Subdivisions of d12's top interval, of cap 3, up to degree 6: all of
+    """Subdivisions of d12's top interval, of cap 2, up to degree 6: all of
     them and the nondegenerate ones."""
     c = canonicalize(factorisation_interval(d12, arrow("1", "12"))[0])
-    assert c.canonical.data.cap == 3
+    assert c.canonical.data.cap == 2
     assert [len(subdivisions(c, k)) for k in range(7)] == [0, 1, 6, 18, 40, 75, 126]
     assert [len(subdivisions(c, k, nondegenerate=True)) for k in range(7)] == (
         [0, 1, 4, 3, 0, 0, 0])
@@ -198,19 +243,14 @@ def test_certification_profiles(diamond):
     assert rep.ok and rep.data["phi_profile"] == [1]
 
 
-@pytest.mark.parametrize("build, arrow_id", [
-    (lambda: nerve_poset(chain_poset(6), 9), "0≤6"),
-    (lambda: nerve_category(CategorySpec.build(
-        ["x"], {"1": ("x", "x"), "e": ("x", "x")}, {"x": "1"}, {("e", "e"): "e"}), 6), "e"),
-], ids=["chain6-length-6", "idempotent-cycle"])
-def test_certificate_is_inconclusive_past_the_claimed_degree(build, arrow_id):
-    """A class claiming stabilization at 2 with longer strings is
-    INCONCLUSIVE, not a PASS on a cut profile: chain6's top interval has
-    Möbius length 6, and in the category {1, e; e.e = e} the strings of e
-    compose to e at every length."""
-    iv, _ = factorisation_interval(build(), arrow_id)
-    c = canonicalize(replace(iv, data=replace(iv.data, stable_from=2)))
-    assert certify_mobius_interval(c).status == "INCONCLUSIVE"
+def test_certificate_is_inconclusive_on_a_composable_cycle():
+    """In the category {1, e; e.e = e} the strings of e compose to e at
+    every length, so the interval of e, valid and Segal, has no Möbius
+    length: its certificate is INCONCLUSIVE, never a PASS on a cut profile."""
+    iv = idempotent_interval()
+    assert validate_interval(iv).ok
+    assert certify_mobius_interval(canonicalize(iv)).lines() == [
+        "INCONCLUSIVE certify_mobius_interval note=composable-cycle"]
 
 
 def test_interval_idempotence(d12):

@@ -36,23 +36,22 @@ def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
 
 # The SHA-256 of the walkthrough's joined stdout and of every file its
 # commands write.  A stored .xiset hashes to its own digest.
-WALKTHROUGH_STDOUT = "ba4bda783d49afa6c92f06cc32c0a7d7f830b0fe92d09022bfe85cd582db9d86"
+WALKTHROUGH_STDOUT = "3f0a3ba6ba719a297bc5287d99c9ff53215afe73a975533e548c280348cbdae8"
 WALKTHROUGH_FILES = {
     "d6.sset": "c4da7e28c137e43712b2b2d9bc53f7803ce239a9f92f046f931e5b31b8063f82",
     "d6dec.sset": "eb764ca70f142e3cb947e88d4f5d61b2971a4e458ba48bd870af20647534a420",
     "i16.xiset": "813b25c905f2c227660fe9c85f8da735e60a58bebaab0cbfbb2a23c05b2ae55d",
-    "reg/index.tsv": "22fb5cb92734dffeda8c8844e8817243a0ca450afd651908730426d3528d496d",
-    "reg/5747e2f1a673282d879e22bb76344b439cf4a9c1683e216fe49849a226cf0adf.arrows":
-        "1e0044c5437be2c740c2cd8cc03e5cc429acf018f24b66cba6ad1b2c05c32e03",
-    "reg/787d3aac08169252df3c51162e479092e8a47782de1c7258493f1d659d4bbc08.arrows":
-        "2e0e8bc688215650491b3cee4c9bf23661fbd79a5b33e8952c79dea459742e85",
-    "reg/a7fa97992f921925eac6b6bb737f0f3c0712952a79407f028c1bd6cc40f81858.arrows":
-        "2723c92f2a1e02880da349f94566d4d39c8699dbfa8911ffafb53b54950ef089",
+    "reg/index.tsv": "acc4da6318eb494dec2e5149d0e58d02023a7e15b3b6df24842c9015680fd16b",
+    "reg/a24da4aa746ba8159d6a1c9939cc628fe4169dc00cd374f425149d193ef34cb5.arrows":
+        "87e18fe3db0caaeb5fae8158b4f5f68234f291b8c3cfb0e0fc6219e77ed5c6a1",
+    "reg/d34c284e64d2a122e32227080e11876b06722e24896538777a7ab16d5a6ecb8b.arrows":
+        "b79285b59924f6cf364ec222a36eda45e43ed1a391ae23bfd9bc7a3869135fa5",
+    "reg/f545f5367cf6a843ade3bb056359fa0405590fd2264f1864185137ee2600faa6.arrows":
+        "f4026d32fd55f02d31ced03e2ea2e443b991805f27e4ac28f3a1fcd3f2a752e1",
 } | {f"reg/{digest}.xiset": digest for digest in (
-    "5747e2f1a673282d879e22bb76344b439cf4a9c1683e216fe49849a226cf0adf",
-    "787d3aac08169252df3c51162e479092e8a47782de1c7258493f1d659d4bbc08",
-    "a7fa97992f921925eac6b6bb737f0f3c0712952a79407f028c1bd6cc40f81858")}
-
+    "a24da4aa746ba8159d6a1c9939cc628fe4169dc00cd374f425149d193ef34cb5",
+    "d34c284e64d2a122e32227080e11876b06722e24896538777a7ab16d5a6ecb8b",
+    "f545f5367cf6a843ade3bb056359fa0405590fd2264f1864185137ee2600faa6")}
 
 def test_readme_walkthrough_output_is_pinned(tmp_path, monkeypatch, capsys):
     """The walkthrough's stdout and every file it writes are byte for byte

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import oracles
 import pytest
-from conftest import filter_nerve
+from conftest import filter_nerve, idempotent_interval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fastpaths import drawn_posets
@@ -61,11 +61,20 @@ def test_insert_deduplicates(diamond_interval):
     assert d1 == d2 and len(reg.entries) == 1
 
 
-def test_insert_requires_certificate(diamond_interval):
-    loose = AlgebraicInterval(replace(
-        truncate(diamond_interval.data, diamond_interval.data.cap), stable_from=None))
-    with pytest.raises(ValueError):
-        Registry().insert(loose)
+def test_insert_refuses_a_composable_cycle(tmp_path, capsys):
+    """The interval of an idempotent is valid and Segal, but its strings of
+    non-identity arrows never die out: insert refuses it with its
+    certificate, and `registry add` exits 2 and writes nothing."""
+    iv = idempotent_interval()
+    with pytest.raises(RegistryError, match="note=composable-cycle"):
+        Registry().insert(iv)
+    save(iv.data, tmp_path / "cycle.xiset")
+    capsys.readouterr()
+    assert main(["registry", "add", str(tmp_path / "reg"), str(tmp_path / "cycle.xiset")]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: entry fails interval certification:\n"
+        "INCONCLUSIVE certify_mobius_interval note=composable-cycle\n"))
+    assert not (tmp_path / "reg").exists()
 
 
 def test_insert_builds_no_nerve_and_close_one_per_class(monkeypatch):
@@ -199,14 +208,34 @@ def test_load_ignores_consistent_renaming(tmp_path, diamond_registry):
 
 
 def test_load_detects_tampering(tmp_path, diamond_registry):
+    """The square's stored form with the inner face of one 2-simplex moved:
+    its bytes no longer hash to its digest, and it re-canonicalizes to
+    another."""
     root = tmp_path / "reg"
     diamond_registry.save(str(root))
     victim = next(p for p in root.glob("*.xiset")
-                  if "stable 2" in p.read_text(encoding="utf-8"))
+                  if "cap 2" in p.read_text(encoding="utf-8"))
     text = victim.read_text(encoding="utf-8")
-    victim.write_text(text.replace("stable 2", "stable 1"), encoding="utf-8")
-    with pytest.raises(RegistryError):
+    row = next(line for line in text.splitlines() if line.startswith("d 2 1: "))
+    first, second = row[len("d 2 1: "):].split(" ; ")[:2]
+    moved = f"{first.split('->')[0]}->{second.split('->')[1]}"
+    assert moved != first
+    victim.write_text(text.replace(row, row.replace(first, moved, 1)), encoding="utf-8")
+    with pytest.raises(RegistryError, match=f"stored entry {victim.stem[:12]} does not match"):
         Registry.load(str(root))
+
+
+def test_load_refuses_an_entry_above_cap_2(tmp_path, poset_nerves):
+    """An entry stored above cap 2 is a v1 canonical form even with no
+    stable line: d12's top interval at cap 3, stored under its SHA-256, is
+    refused by digest before it is canonicalized again."""
+    iv, _ = factorisation_interval(poset_nerves["d12"], arrow("1", "12"))
+    text = write_xiset(replace(truncate(iv.data, 3), stable_from=None))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    (tmp_path / f"{digest}.xiset").write_text(text, encoding="utf-8")
+    (tmp_path / "index.tsv").write_text(f"{digest}\td12\t1\t3\n", encoding="utf-8")
+    with pytest.raises(RegistryError, match=f"^stored entry {digest[:12]} is a v1 canonical"):
+        Registry.load(str(tmp_path))
 
 
 @pytest.mark.parametrize("damage", [b"# \xff\n", b"cap 1\n"], ids=["not-utf8", "second-cap"])
