@@ -35,7 +35,7 @@ def _print(report) -> int:
 def cmd_nerve(args) -> int:
     spec = load(args.input)
     if isinstance(spec, (FinSSet, FinXiSet)):
-        print(f"FAIL nerve note={args.input}-is-already-a-presheaf")
+        print("FAIL nerve note=input-is-already-a-presheaf")
         return 2
     X = nerve(spec, args.cap)
     rep = validate(X)
@@ -87,14 +87,14 @@ def _check_one(what: str, path: str) -> int:
     obj = load(path)
     if what == "flanked":
         if not isinstance(obj, FinXiSet):
-            print(f"FAIL check_flanked note={path}-is-not-an-XISET")
+            print("FAIL check_flanked note=input-is-not-an-XISET")
             return 2
         base = validate(obj)
         if not base.ok:
             return _print(base)
         return _print(axioms.check_flanked(obj))
     if not isinstance(obj, FinSSet):
-        print(f"FAIL check note={path}-is-not-an-SSET")
+        print("FAIL check note=input-is-not-an-SSET")
         return 2
     base = validate(obj)
     if not base.ok:
@@ -176,7 +176,7 @@ def cmd_registry(args) -> int:
         for path in args.files:
             data = load(path)
             if not isinstance(data, FinXiSet):
-                print(f"FAIL registry-add note={path}-is-not-an-XISET")
+                print("FAIL registry-add note=input-is-not-an-XISET")
                 return 2
             digest = reg.insert(AlgebraicInterval(data))
             print(f"{digest}\t{reg.entries[digest].name}")

@@ -46,10 +46,9 @@ class IntervalError(ValueError):
 
 @dataclass
 class AlgebraicInterval:
-    """A reduced complete flanked Segal presheaf, with optional provenance."""
+    """A reduced complete flanked Segal presheaf: its data alone."""
 
     data: FinXiSet
-    provenance: tuple[str, str] | None = None
 
 
 @dataclass
@@ -159,7 +158,7 @@ def factorisation_interval(X: FinSSet, a: str) -> tuple[AlgebraicInterval, SSetM
         data = replace(data, stable_from=nondeg_bound(i_star(data)))
     comps = {k: {x: X.faces[(k + 1, k + 1)][X.faces[(k + 2, 0)][x]] for x in fibers[k]}
              for k in range(U.cap + 1)}
-    return AlgebraicInterval(data, provenance=("interval", a)), SSetMap(i_star(data), X, comps)
+    return AlgebraicInterval(data), SSetMap(i_star(data), X, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,7 @@ def canonicalize_with_map(
     composable pair of non-identity arrows), and relabeled
     n<degree>_<position>; the digest is the hash of the canonical
     serialization, so it agrees for isomorphic intervals regardless of
-    provenance or ambient cap.
+    where they were cut or their ambient cap.
     """
     data = A.data
     canon_cap = 1 if len(data.levels[0]) <= 2 else 2
@@ -209,7 +208,7 @@ def canonicalize_with_map(
 
     text = write_xiset(canon)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    cls = IntervalClass(AlgebraicInterval(canon, A.provenance), digest)
+    cls = IntervalClass(AlgebraicInterval(canon), digest)
     return cls, relabel
 
 
@@ -229,21 +228,12 @@ def isomorphic(A: FinSSet | FinXiSet, B: FinSSet | FinXiSet) -> dict[int, dict[s
 # rebuilding the category and extending the level data
 
 
-def interval_category(data: FinXiSet) -> tuple[CategorySpec, dict[str, str]]:
-    """The finite category with objects A_0 and arrows A_1.
-
-    Composition is read off the (unique, by the Segal property) level-2
-    fillers; elements are renamed to neutral identifiers since ambient
-    simplex names may use reserved characters.
-    """
-    objs = sorted(data.levels[0])
-    arrs = sorted(data.levels[1])
-    obj_name = {x: f"o{i}" for i, x in enumerate(objs)}
-    arr_name = {f: f"a{i}" for i, f in enumerate(arrs)}
+def interval_category(data: FinXiSet) -> CategorySpec:
+    """The finite category with objects A_0 and arrows A_1 under data's own
+    ids, element names as a canonical form's are; composition is read off
+    the (unique, by the Segal property) level-2 fillers."""
     d0, d1 = data.faces[(1, 0)], data.faces[(1, 1)]
     s0 = data.degens[(0, 0)]
-    arrows = {arr_name[f]: (obj_name[d1[f]], obj_name[d0[f]]) for f in arrs}
-    idents = {obj_name[x]: arr_name[s0[x]] for x in objs}
     comp: dict[tuple[str, str], str] = {}
     if data.cap >= 2:
         ident_set = set(s0.values())
@@ -252,30 +242,28 @@ def interval_category(data: FinXiSet) -> tuple[CategorySpec, dict[str, str]]:
             f, g, h = dd2[sig], dd0[sig], dd1[sig]
             if f in ident_set or g in ident_set:
                 continue
-            key = (arr_name[f], arr_name[g])
-            if key in comp and comp[key] != arr_name[h]:
+            if comp.setdefault((f, g), h) != h:
                 raise IntervalError(f"ambiguous composite for {f};{g}")
-            comp[key] = arr_name[h]
-    spec = CategorySpec.build(list(obj_name.values()), arrows, idents, comp)
-    return spec, arr_name
+    arrows = {f: (d1[f], d0[f]) for f in data.levels[1]}
+    return CategorySpec.build(data.levels[0], arrows, s0, comp)
 
 
-def category_nerve(c: IntervalClass, cap: int = 0) -> tuple[FinSSet, dict[str, str]]:
-    """The nerve of c's arrow category at the larger of cap and 4, and the
-    nerve id of each level-1 id of c.  The category has an initial and a
+def category_nerve(c: IntervalClass, cap: int = 0) -> FinSSet:
+    """The nerve of c's arrow category at the larger of cap and 4.  Its
+    levels 0 and 1 and their tables are c's own, and a k-simplex is the
+    '*'-join of k level-1 ids of c.  The category has an initial and a
     terminal object, so the nerve is c's underlying simplicial set, its
     longest edge the arrow from the one to the other."""
-    spec, arr_name = interval_category(c.canonical.data)
-    return nerve_category(spec, max(cap, 4)), arr_name
+    return nerve_category(interval_category(c.canonical.data), max(cap, 4))
 
 
 def extend_interval(A: AlgebraicInterval, xi_cap: int) -> AlgebraicInterval:
-    """Rebuild the interval at the requested cap via its arrow category."""
+    """Rebuild the interval at the requested cap via its arrow category, in
+    A's own ids: canonicalize a cut interval, whose ids are not element names."""
     if xi_cap < 1:
         raise CapError("extension cap must be >= 1")
-    spec, arr_name = interval_category(A.data)
-    X = nerve_category(spec, xi_cap + 2)
-    return factorisation_interval(X, arr_name[longest_edge(A.data)])[0]
+    X = nerve_category(interval_category(A.data), xi_cap + 2)
+    return factorisation_interval(X, longest_edge(A.data))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +272,11 @@ def extend_interval(A: AlgebraicInterval, xi_cap: int) -> AlgebraicInterval:
 
 def subdivisions(c: IntervalClass, k: int, nondegenerate: bool = False) -> list[str]:
     """All k-simplices over the longest edge, the degree-k fiber of the
-    forget-the-subdivision projection over this interval, named in c's
-    category nerve as the fragment names them."""
+    forget-the-subdivision projection over this interval: c's category
+    nerve's, '*'-joins of k level-1 ids of c, as the fragment reads them."""
     if k < 0:
         raise CapError("subdivision degree must be >= 0")
-    N, arr_name = category_nerve(c, k)
-    return sorted(fibres(N, k, nondegenerate)[arr_name[longest_edge(c.canonical.data)]])
+    return sorted(fibres(category_nerve(c, k), k, nondegenerate)[longest_edge(c.canonical.data)])
 
 
 def certify_mobius_interval(c: IntervalClass) -> Report:
@@ -302,7 +289,7 @@ def certify_mobius_interval(c: IntervalClass) -> Report:
     data = c.canonical.data
     rep = Report("certify_mobius_interval")
     try:
-        spec, arr_name = interval_category(data)
+        spec = interval_category(data)
     except (SpecError, IntervalError):
         rep.inconclusive(note="composite-table-refused")
         return rep
@@ -310,7 +297,7 @@ def certify_mobius_interval(c: IntervalClass) -> Report:
     if loop:
         rep.inconclusive(note="composable-cycle")
         return rep
-    top = arr_name[longest_edge(data)]
+    top = longest_edge(data)
     rep.data["phi_profile"] = [int(spec.is_identity(top))] + [n.get(top, 0) for n in counts]
     rep.data["nondegenerate_total"] = len(spec.objects) + sum(sum(n.values()) for n in counts)
     rep.verified_upto = len(counts)

@@ -9,11 +9,12 @@ classes' tables, so only those arrows are labelled.  The coalgebra is read
 off each class's objects x and its table: [bottom, x] (x) [x, top].
 
 Level k of the fragment collects, over every registered class, its
-k-subdivisions (`interval.subdivisions`): the k-simplices of the nerve of
-its arrow category whose long edge is the longest edge.  Inner faces are the
-nerve's own.  An outer face passes to the class of the interval of the
-face's long edge, where the face is named by its arrow chain with an
-identity on each side, which that class's nerve then strips.
+k-subdivisions (`interval.subdivisions`): the k-simplices over the longest
+edge of its category nerve, whose ids, like its arrow table's, are the
+class's own, a k-simplex the '*'-join of k level-1 ids.  Inner faces are the
+nerve's own.  An outer face passes to the class of the face's long edge: its
+arrow chain, flanked by identities, is relabelled onto that class's ids, and
+its nerve strips the flanks.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ _DIGEST = re.compile("[0-9a-f]{64}")
 
 @dataclass
 class RegistryEntry:
-    digest: str
     name: str
     interval: IntervalClass
     # level-1 id of the canonical form -> digest of that arrow's interval
@@ -87,7 +87,7 @@ class Registry:
             name = f"iv-{cls.digest[:10]}"
         if name in self.names:
             raise RegistryError(f"name {name!r} already in use")
-        self.entries[cls.digest] = RegistryEntry(cls.digest, name, cls)
+        self.entries[cls.digest] = RegistryEntry(name, cls)
         self.names[name] = cls.digest
         return cls.digest
 
@@ -125,12 +125,11 @@ class Registry:
         if entry is not None and entry.arrows is not None:
             return entry.arrows
         if cls.digest not in found:
-            N, arr_name = _category_nerve(cls)
-            top = arr_name[longest_edge(cls.canonical.data)]
+            top = longest_edge(cls.canonical.data)
             table = {top: cls.digest}
-            for _, sub, pairs in maximal_cuts(N, top):
+            for _, sub, pairs in maximal_cuts(_category_nerve(cls), top):
                 table.update((a, self._table(sub, found)[t]) for a, t in pairs)
-            found[cls.digest] = cls, {j: table[a] for j, a in arr_name.items()}
+            found[cls.digest] = cls, table
         if entry is not None:
             entry.arrows = found[cls.digest][1]
         return found[cls.digest][1]
@@ -214,7 +213,7 @@ class Registry:
                 raise RegistryError(
                     f"stored entry {digest[:12]} does not match its digest")
             reg.entries[digest] = RegistryEntry(
-                digest, name, stored,
+                name, stored,
                 _read_arrows(os.path.join(directory, f"{digest}.arrows"), digest,
                              stored.canonical.data.levels[1]))
             reg.names[name] = digest
@@ -240,7 +239,7 @@ def maximal_cuts(X: FinSSet, skip: str | None = None):
             yield a, cls, pairs
 
 
-def _category_nerve(cls: IntervalClass, cap: int = 0) -> tuple[FinSSet, dict[str, str]]:
+def _category_nerve(cls: IntervalClass, cap: int = 0) -> FinSSet:
     """category_nerve(cls, cap), what it refuses named by cls's digest."""
     try:
         return category_nerve(cls, cap)
@@ -250,8 +249,7 @@ def _category_nerve(cls: IntervalClass, cap: int = 0) -> tuple[FinSSet, dict[str
 
 def _arrow_class(cls: IntervalClass, j: str) -> IntervalClass:
     """The class of the interval of cls's level-1 id j, cut from its nerve."""
-    N, arr_name = _category_nerve(cls)
-    return canonicalize(factorisation_interval(N, arr_name[j])[0])
+    return canonicalize(factorisation_interval(_category_nerve(cls), j)[0])
 
 
 def _arrows_text(digest: str, table: dict[str, str]) -> str:
@@ -311,18 +309,18 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
     class read in the nerve of its arrow category."""
     if top < 0:
         raise CapError(f"fragment degree must be >= 0, got {top}")
-    nerves, names, longest = {}, {}, {}
-    for digest, entry in reg.entries.items():
-        nerves[digest], names[digest] = _category_nerve(entry.interval, top + 1)
-        longest[digest] = names[digest][longest_edge(entry.interval.canonical.data)]
+    nerves = {digest: _category_nerve(entry.interval, top + 1)
+              for digest, entry in reg.entries.items()}
+    longest = {digest: longest_edge(entry.interval.canonical.data)
+               for digest, entry in reg.entries.items()}
     levels = {k: [(digest, x) for digest in sorted(nerves)
                   for x in sorted(fibres(nerves[digest], k, False)[longest[digest]])]
               for k in range(top + 1)}
 
     @cache
     def label(digest: str, arrow: str) -> tuple[str, dict[str, str]]:
-        """The digest of an arrow's interval and its level-1 relabeling, the
-        interval cut and labelled at its first use."""
+        """The digest of an arrow's interval and its level-1 relabeling onto
+        that class's ids, the interval cut and labelled at its first use."""
         cls, relabel = canonicalize_with_map(factorisation_interval(nerves[digest], arrow)[0])
         if cls.digest not in reg.entries:
             raise RegistryError(f"registry is not closed: missing {cls.digest[:12]}")
@@ -331,16 +329,16 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
     def outer_face(digest: str, x: str, k: int, i: int) -> tuple[str, str]:
         """The face tau lies in the interval of its long edge.  Flanked by an
         identity on each side, its edges (0, pos - 1, pos, k + 1) are
-        3-simplices over that long edge, the interval's arrows; named in the
-        target class's nerve they chain into a (k + 1)-simplex whose outer
-        faces strip the flanks."""
+        3-simplices over that long edge, the interval's arrows; relabelled
+        as the target class's they chain into a (k + 1)-simplex of its nerve
+        whose outer faces strip the flanks."""
         N = nerves[digest]
         tau = N.faces[(k, i)][x]
         target, relabel = label(digest, long_edge_table(N, k - 1)[tau])
         flank = N.degens[(k, 0)][N.degens[(k - 1, k - 1)][tau]]
         edges = (actions(N)(MonotoneMap(3, k + 1, (0, pos - 1, pos, k + 1)))[flank]
                  for pos in range(1, k + 2))
-        chain = "*".join(names[target][relabel[e]] for e in edges)
+        chain = "*".join(relabel[e] for e in edges)
         M = nerves[target]
         return (target, M.faces[(k, 0)][M.faces[(k + 1, k + 1)][chain]])
 
@@ -350,11 +348,6 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
             faces[(k, i)] = {(digest, x): outer_face(digest, x, k, i) if i in (0, k)
                              else (digest, nerves[digest].faces[(k, i)][x])
                              for digest, x in levels[k]}
-    level_sets = {k: set(members) for k, members in levels.items()}
-    for (k, _i), table in faces.items():
-        for value in table.values():
-            if value not in level_sets[k - 1]:
-                raise RegistryError(f"fragment face left the fragment: {value}")
     return Fragment(top, levels, faces, nerves)
 
 

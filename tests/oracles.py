@@ -429,7 +429,7 @@ def factorisation_interval(X, a):
                     {key: restrict(key, t) for key, t in U.degens.items()})
     if U.stable_from is not None:
         data = replace(data, stable_from=nondeg_bound(i_star(data)))
-    interval = AlgebraicInterval(data, provenance=("interval", a))
+    interval = AlgebraicInterval(data)
 
     comps = {}
     for k in range(0, cap + 1):
@@ -471,7 +471,7 @@ def factorisation_intervals(X, arrows=None):
             top = X.faces[(k + 1, k + 1)]
             bot = X.faces[(k + 2, 0)]
             comps[k] = {x: top[bot[x]] for x in fibers[k]}
-        out[a] = (AlgebraicInterval(data, provenance=("interval", a)),
+        out[a] = (AlgebraicInterval(data),
                   SSetMap(i_star(data), X, comps))
     return out
 
@@ -506,9 +506,8 @@ def arrow_table_by_arrow(c):
     cut from c's category nerve and labelled, none read off another table."""
     from decomp.interval import canonicalize, category_nerve
 
-    N, arr_name = category_nerve(c)
-    cut = factorisation_intervals(N)
-    return {j: canonicalize(cut[a][0]).digest for j, a in arr_name.items()}
+    return {j: canonicalize(iv).digest
+            for j, (iv, _) in factorisation_intervals(category_nerve(c)).items()}
 
 
 def longest_edge_fiber(data, k, nondegenerate=False):
@@ -1136,10 +1135,10 @@ def fragment_by_extensions(reg, top):
     exts = {}
     for digest, entry in reg.entries.items():
         canon = entry.interval.canonical
-        spec, arr_name = interval_category(canon.data)
-        X = nerve_category(spec, max(top + 1, len(canon.data.levels[0]) - 1) + 2)
-        interval, embed = factorisation_interval(X, arr_name[longest_edge(canon.data)])
-        exts[digest] = (interval.data, X, embed, arr_name)
+        X = nerve_category(interval_category(canon.data),
+                           max(top + 1, len(canon.data.levels[0]) - 1) + 2)
+        interval, embed = factorisation_interval(X, longest_edge(canon.data))
+        exts[digest] = (interval.data, X, embed)
 
     levels = {k: [(digest, x) for digest in sorted(reg.entries)
                   for x in sorted(longest_edge_fiber(exts[digest][0], k))]
@@ -1158,7 +1157,7 @@ def fragment_by_extensions(reg, top):
         return cache[(digest, arrow)]
 
     def outer_face(digest, x, k, i):
-        data, N, embed, _ = exts[digest]
+        data, N, embed = exts[digest]
         tau = data.faces[(k, i)][x]
         ell = long_edge_table(i_star(data), k - 1)[tau]
         sub_digest, sub_arrows, sub = subinterval(digest, embed.components[1][ell])
@@ -1168,7 +1167,7 @@ def fragment_by_extensions(reg, top):
         act = actions(sub)
         chain = [sub.levels[1][act.index(MonotoneMap(3, k + 1, (0, pos - 1, pos, k + 1)))[at]]
                  for pos in range(1, k + 2)]
-        return sub_digest, "*".join(exts[sub_digest][3][sub_arrows[h]] for h in chain)
+        return sub_digest, "*".join(sub_arrows[h] for h in chain)
 
     faces = {}
     for k in range(1, top + 1):

@@ -13,6 +13,7 @@ from decomp.interval import canonicalize, factorisation_interval
 from decomp.presheaf import truncate, u_star
 from decomp.registry import Registry
 from conftest import filter_nerve, spine_object
+from test_fastpaths import _REPORT_LINE
 
 SEP = "≤"
 
@@ -85,6 +86,29 @@ def test_dec(tmp_path, d6_sset, capsys):
     out = str(tmp_path / "dec.sset")
     assert main(["dec", "bot", d6_sset, "-o", out]) == 0
     assert main(["check", "segal", out]) == 0
+
+
+@pytest.mark.parametrize("argv, note", [
+    (["check", "segal", "{poset}"], "check note=input-is-not-an-SSET"),
+    (["check", "flanked", "{poset}"], "check_flanked note=input-is-not-an-XISET"),
+    (["registry", "add", "{out}", "{poset}"], "registry-add note=input-is-not-an-XISET"),
+    (["nerve", "{sset}", "-o", "{out}"], "nerve note=input-is-already-a-presheaf"),
+], ids=["check", "check-flanked", "registry-add", "nerve"])
+def test_notes_keep_the_line_grammar_for_any_path(tmp_path, argv, note, capsys):
+    """A refused input's note names what the input is not, never its path,
+    so a path with a space still prints lines of the key=value grammar."""
+    where = tmp_path / "my dir"
+    where.mkdir()
+    save(divisor_poset(6), where / "d6 x.poset")
+    save(nerve(divisor_poset(6)), where / "d6 x.sset")
+    paths = {"poset": str(where / "d6 x.poset"), "sset": str(where / "d6 x.sset"),
+             "out": str(where / "out put")}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    out = capsys.readouterr().out
+    assert out == f"FAIL {note}\n"
+    assert all(_REPORT_LINE.match(line) for line in out.splitlines())
+    assert not (where / "out put").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -174,7 +198,7 @@ def test_check_rejects_unknown_dnew_directive(tmp_path, d6_sset, capsys):
 
 def test_repeated_directive_exits_two(tmp_path, d6_sset, capsys):
     path = tmp_path / "twice.sset"
-    text = open(d6_sset, encoding="utf-8").read()
+    text = Path(d6_sset).read_text(encoding="utf-8")
     line = next(ln for ln in text.splitlines() if ln.startswith("d 1 0:"))
     path.write_text(text + line + "\n", encoding="utf-8")
     capsys.readouterr()

@@ -296,7 +296,7 @@ def test_universal_mobius_refuses_an_uncertified_entry(tmp_path, capsys):
     profile, in the library and by `registry mu`."""
     c = canonicalize(idempotent_interval())
     reg = Registry()
-    reg.entries[c.digest] = RegistryEntry(c.digest, "cycle", c)
+    reg.entries[c.digest] = RegistryEntry("cycle", c)
     reg.names["cycle"] = c.digest
     with pytest.raises(NotCertified, match=c.digest[:12]):
         universal_mobius(reg)

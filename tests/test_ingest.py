@@ -24,7 +24,7 @@ from decomp.ingest import (
     nerve_poset,
     truncated_addition,
 )
-from decomp.interval import factorisation_interval, interval_category, isomorphic
+from decomp.interval import canonicalize, factorisation_interval, interval_category, isomorphic
 from decomp.presheaf import nondeg_bound, nondegenerate, point_sset, validate_sset
 
 
@@ -165,7 +165,7 @@ def _categories():
     for spec, arrow in ((boolean_poset(3), "o≤abc"), (divisor_poset(12), "1≤12"),
                         (chain_poset(3), "0≤3")):
         iv, _ = factorisation_interval(nerve(spec), arrow)
-        yield interval_category(iv.data)[0], 5
+        yield interval_category(canonicalize(iv).canonical.data), 5
     yield CategorySpec.build(["x", "y"], {"ix": ("x", "x"), "iy": ("y", "y"),
                                           "f": ("x", "y")}, {"x": "ix", "y": "iy"}, {}), 3
     yield CategorySpec.build(["x"], {"ix": ("x", "x"), "f": ("x", "x")},
@@ -198,7 +198,7 @@ def _shapes():
     yield truncated_addition(5), 8
     yield truncated_addition(6), 9
     iv, _ = factorisation_interval(nerve(boolean_poset(4)), "o≤abcd")
-    yield interval_category(iv.data)[0], 6
+    yield interval_category(canonicalize(iv).canonical.data), 6
     yield from _categories()
     yield parse_category(F_PRIME_CAT), 5
 

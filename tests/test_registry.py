@@ -416,9 +416,10 @@ def test_a_stored_entry_without_a_category_is_named(tmp_path, capsys):
     to its digest, is the canonical form of the interval of 0≤4 in the
     nerve of the 4-chain without the chains through 1 < 2 < 3: valid but
     not exact, so its composite table misses a composite.  `registry close`
-    and `classify` of that nerve exit 2 naming the entry, `registry mu`
-    names its inconclusive certificate, and the fragment names it too;
-    nothing is written."""
+    and `classify` of that nerve exit 2 naming the entry and the missing
+    pair by two level-1 ids of its stored file, `registry mu` names its
+    inconclusive certificate, and the fragment names it too; nothing is
+    written."""
     X = nerve(chain_poset(4))
     planted = replace(filter_nerve(X, lambda vs: not {"1", "2", "3"} <= set(vs)),
                       stable_from=X.stable_from)
@@ -439,6 +440,8 @@ def test_a_stored_entry_without_a_category_is_named(tmp_path, capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(refused) and err.count("\n") == 1
+        f, g = err.removeprefix(refused).rstrip("\n").split(";")
+        assert {f, g} <= set(c.canonical.data.levels[1])
     assert main(["registry", "mu", str(root)]) == 2
     assert capsys.readouterr().err == (
         f"error: stored entry {digest[:12]} is not certified Mobius:\n"
@@ -448,18 +451,42 @@ def test_a_stored_entry_without_a_category_is_named(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in root.iterdir()} == before
 
 
+def test_a_stored_entry_with_reserved_ids_is_named(tmp_path, diamond_interval, capsys):
+    """A hand-built entry, trusted because its bytes hash to its digest,
+    that keeps the cut ids of d6's top interval truncated at cap 2: every
+    id holds the reserved '≤', so no category is read off it.  `registry
+    close` exits 2 naming the entry, `registry mu` names its inconclusive
+    certificate, and nothing is written."""
+    text = write_xiset(replace(truncate(diamond_interval.data, 2), stable_from=None))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    root = tmp_path / "reg"
+    root.mkdir()
+    (root / f"{digest}.xiset").write_text(text, encoding="utf-8")
+    (root / "index.tsv").write_text(f"{digest}\thand\t1\t2\n", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    capsys.readouterr()
+    assert main(["registry", "close", str(root)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: registry entry {digest[:12]}: element name ")
+    assert err.endswith(f" contains reserved {SEP!r}\n") and err.count("\n") == 1
+    assert main(["registry", "mu", str(root)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: stored entry {digest[:12]} is not certified Mobius:\n"
+        "INCONCLUSIVE certify_mobius_interval note=composite-table-refused\n")
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+
 def test_intact_load_runs_no_labelling(tmp_path, diamond_registry, labelling_calls):
     """Entries whose bytes hash to their digests are read as stored, and
-    equal the classes that re-canonicalizing them gives (provenance aside:
-    a stored entry has none)."""
+    equal the classes that re-canonicalizing them gives and the classes
+    that were saved."""
     root = str(tmp_path / "reg")
     diamond_registry.save(root)
     again = Registry.load(root)
     assert labelling_calls == []
     for digest, entry in again.entries.items():
         assert entry.interval == canonicalize(entry.interval.canonical)
-        assert entry.interval.canonical.data == (
-            diamond_registry.entries[digest].interval.canonical.data)
+        assert entry.interval == diamond_registry.entries[digest].interval
     assert labelling_calls
 
 
