@@ -174,7 +174,8 @@ class PosetSpec:
 
     @classmethod
     def from_pairs(cls, elements, pairs) -> PosetSpec:
-        """Build the reflexive-transitive closure and check antisymmetry."""
+        """Build the reflexive-transitive closure (Warshall) and check
+        antisymmetry, naming the first violating pair in sorted order."""
         elems = [check_name(e) for e in elements]
         if len(set(elems)) != len(elems):
             raise SpecError("duplicate poset elements")
@@ -184,15 +185,11 @@ class PosetSpec:
             if a not in known or b not in known:
                 raise SpecError(f"relation {a} <= {b} uses unknown element")
             rel.add((a, b))
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for c in elems:
-                    if (b, c) in rel and (a, c) not in rel:
-                        rel.add((a, c))
-                        changed = True
-        for a, b in rel:
+        for b in elems:
+            for a in elems:
+                if (a, b) in rel:
+                    rel.update((a, c) for c in elems if (b, c) in rel)
+        for a, b in sorted(rel):
             if a != b and (b, a) in rel:
                 raise SpecError(f"antisymmetry violated by {a} and {b}")
         return cls(sorted(elems), rel)

@@ -12,9 +12,9 @@ Level k of the fragment collects, over every registered class, its
 k-subdivisions (`interval.subdivisions`): the k-simplices over the longest
 edge of its category nerve, whose ids, like its arrow table's, are the
 class's own, a k-simplex the '*'-join of k level-1 ids.  Inner faces are the
-nerve's own.  An outer face passes to the class of the face's long edge: its
-arrow chain, flanked by identities, is relabelled onto that class's ids, and
-its nerve strips the flanks.
+nerve's own.  An outer face passes to the class of the face's long edge, and
+is read off the face itself: its edges from its first to its last vertex
+through each of its steps are that class's arrows, relabelled onto its ids.
 """
 
 from __future__ import annotations
@@ -309,7 +309,7 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
     class read in the nerve of its arrow category."""
     if top < 0:
         raise CapError(f"fragment degree must be >= 0, got {top}")
-    nerves = {digest: _category_nerve(entry.interval, top + 1)
+    nerves = {digest: _category_nerve(entry.interval, top)
               for digest, entry in reg.entries.items()}
     longest = {digest: longest_edge(entry.interval.canonical.data)
                for digest, entry in reg.entries.items()}
@@ -327,20 +327,16 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
         return cls.digest, relabel[1]
 
     def outer_face(digest: str, x: str, k: int, i: int) -> tuple[str, str]:
-        """The face tau lies in the interval of its long edge.  Flanked by an
-        identity on each side, its edges (0, pos - 1, pos, k + 1) are
-        3-simplices over that long edge, the interval's arrows; relabelled
-        as the target class's they chain into a (k + 1)-simplex of its nerve
-        whose outer faces strip the flanks."""
+        """The face tau subdivides the interval T of its long edge: its edges
+        (0, p - 1, p, k - 1) are 3-simplices over that edge, T's arrows
+        from bottom to top, which relabelled as T's ids join into tau's
+        simplex of T's nerve; at k = 1 tau is T's one object."""
         N = nerves[digest]
         tau = N.faces[(k, i)][x]
         target, relabel = label(digest, long_edge_table(N, k - 1)[tau])
-        flank = N.degens[(k, 0)][N.degens[(k - 1, k - 1)][tau]]
-        edges = (actions(N)(MonotoneMap(3, k + 1, (0, pos - 1, pos, k + 1)))[flank]
-                 for pos in range(1, k + 2))
-        chain = "*".join(relabel[e] for e in edges)
-        M = nerves[target]
-        return (target, M.faces[(k, 0)][M.faces[(k + 1, k + 1)][chain]])
+        chain = [relabel[actions(N)(MonotoneMap(3, k - 1, (0, p - 1, p, k - 1)))[tau]]
+                 for p in range(1, k)]
+        return target, "*".join(chain) if chain else nerves[target].levels[0][0]
 
     faces: dict[tuple[int, int], dict] = {}
     for k in range(1, top + 1):

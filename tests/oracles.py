@@ -150,34 +150,6 @@ def convolution_inverse(table):
     raise ValueError("zeta minus counit is not convolution-nilpotent")
 
 
-def poset_chain_count(poset, k):
-    """Number of weakly increasing chains of length k+1, by dynamic
-    programming over the order relation."""
-    counts = {e: 1 for e in poset.elements}
-    for _ in range(k):
-        counts = {e: sum(counts[d] for d in poset.elements if poset.leq(d, e))
-                  for e in poset.elements}
-    return sum(counts.values())
-
-
-def strict_chains_between(poset, x, y, length):
-    """Strict chains x < z_1 < ... < z_{length-1} < y, by enumeration."""
-
-    def extend(chain, remaining):
-        last = chain[-1]
-        if remaining == 0:
-            return 1 if (poset.leq(last, y) and last != y) else 0
-        total = 0
-        for z in poset.elements:
-            if z != last and z != y and poset.leq(last, z) and poset.leq(z, y):
-                total += extend(chain + [z], remaining - 1)
-        return total
-
-    if length == 1:
-        return 1 if (poset.leq(x, y) and x != y) else 0
-    return extend([x], length - 1)
-
-
 def pullback_failure_by_enumeration(P, A, B, p, q, f, g):
     """Why P -> A x_C B is not a bijection, element by element.
 

@@ -19,6 +19,7 @@ from decomp.presheaf import (
     transpose_arrow,
     u_star,
     unit_eta,
+    validate,
     xi_representable,
 )
 from conftest import chipped_object, spine_object
@@ -92,6 +93,19 @@ def test_segal_fails_on_spine_with_witness():
     lines = "\n".join(rep.lines())
     assert "degree=2" in lines
     assert SEP.join(["0", "1"]) in lines and SEP.join(["1", "2"]) in lines
+
+
+def test_segal_fails_on_a_second_filler_with_both_witnesses():
+    """A second filler of (0≤1, 1≤2) with the same long edge is a valid
+    object whose spines collide at degree 2."""
+    X = nerve_poset(chain_poset(2), 2)
+    faces = {key: dict(table) for key, table in X.faces.items()}
+    for i, edge in enumerate(["1≤2", "0≤2", "0≤1"]):
+        faces[(2, i)]["twin"] = edge
+    twin = FinSSet(2, {**X.levels, 2: X.levels[2] + ["twin"]}, faces, X.degens)
+    assert validate(twin).ok
+    assert check_segal(twin).lines() == [
+        "FAIL check_segal degree=2 witness=0≤1≤2,twin note=spine-collision"]
 
 
 def test_decomposition_on_nerves(poset_nerves):

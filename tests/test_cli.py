@@ -1,11 +1,15 @@
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import decomp
 from decomp.cli import main
 from decomp.formats import load, save, write_xiset
 from decomp.ingest import chain_poset, divisor_poset, nerve, truncated_addition
@@ -52,6 +56,38 @@ def test_parse_error_exits_two(tmp_path, capsys):
     bad.write_text("POSET v1\nelements: a b\nle a b\nle b a\n", encoding="utf-8")
     assert main(["nerve", str(bad), "-o", str(tmp_path / "x.sset")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_antisymmetry_witness_is_the_first_pair_under_any_hash_seed(tmp_path):
+    """The closure is a set of string pairs, so its order follows the
+    string hash; the refusal names the first violating pair in sorted order."""
+    bad = tmp_path / "two.poset"
+    bad.write_text("POSET v1\nelements: a b c d\nle a b\nle b a\nle c d\nle d c\n",
+                   encoding="utf-8")
+    src = str(Path(decomp.__file__).parents[1])
+    errs = set()
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-m", "decomp.cli", "nerve", str(bad),
+                              "-o", str(tmp_path / "two.sset")],
+                             capture_output=True, text=True, env=env, check=False)
+        assert (run.returncode, run.stdout) == (2, "")
+        errs.add(run.stderr)
+    assert errs == {f"error: {bad}:0: antisymmetry violated by a and b\n"}
+
+
+@pytest.mark.parametrize("command", ["mobius", "interval"])
+@pytest.mark.parametrize("arrow", ["x y", "a,b", ""])
+def test_an_unknown_arrow_is_refused_before_any_output(tmp_path, d6_sset, capsys,
+                                                       command, arrow):
+    """An arrow that is not one of the input's is refused on stderr, so no
+    report line carries the user's string as a witness."""
+    out = tmp_path / "out.xiset"
+    argv = [command, d6_sset, "--arrow", arrow] + (["-o", str(out)] if command == "interval" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {arrow!r} is not an arrow of the input\n")
+    assert not out.exists()
 
 
 def test_mobius_output(d6_sset, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from decomp.axioms import check_mobius
 from decomp.cli import main
 from decomp.incidence import (
     NotCertified,
@@ -21,9 +22,9 @@ from decomp.incidence import (
 )
 from decomp.ingest import chain_poset, divisor_poset, nerve_poset
 from decomp.interval import canonicalize, factorisation_interval, longest_edge
-from decomp.presheaf import dec_bot, i_star, point_sset
-from decomp.registry import Registry, RegistryEntry
-from conftest import idempotent_interval
+from decomp.presheaf import dec_bot, i_star, point_sset, validate
+from decomp.registry import Registry, RegistryEntry, maximal_cuts
+from conftest import chipped_object, idempotent_interval
 from oracles import convolution_inverse, rota_mobius
 
 SEP = "≤"
@@ -68,8 +69,6 @@ def test_comult_point():
 
 
 def test_comult_refuses_non_decomposition():
-    from conftest import chipped_object
-
     with pytest.raises(NotCertified):
         comult(chipped_object())
 
@@ -158,6 +157,34 @@ def test_mobius_refuses_uncertified(d6):
 def test_inversion_reports(mobius_corpus):
     for name in ("d60", "trunc_add", "point"):
         assert verify_inversion(mobius_corpus[name]).ok
+
+
+def test_inversion_fails_where_the_certificate_overclaims():
+    """The chipped object passes validation and the Mobius check with a
+    claimed stable degree of 2, but mu is not the convolution inverse of zeta."""
+    X = replace(chipped_object(), stable_from=2)
+    assert validate(X).ok and check_mobius(X).ok
+    assert verify_inversion(X).lines() == [
+        "FAIL verify_inversion witness=0≤3 note=mu*zeta-differs-from-counit"]
+
+
+def test_classify_maps_an_arrow_no_maximal_cut_reached():
+    """In the certified chipped object, the one maximal arrow is 0≤3, and its
+    cut misses 1≤2 though 1≤2 is the middle edge of 0≤1≤2≤2, so only the
+    second pass of maximal_cuts reaches it.  Against the closure of the
+    arrows' intervals every arrow is classified, and the comultiplication
+    is not preserved."""
+    X = replace(chipped_object(), stable_from=2)
+    assert X.faces[(2, 0)][X.faces[(3, 3)]["0≤1≤2≤2"]] == "1≤2"
+    assert [a for a, _, _ in maximal_cuts(X)] == ["0≤3", "1≤2"]
+    reg = Registry()
+    for a in X.levels[1]:
+        reg.insert(factorisation_interval(X, a)[0])
+    mapping, rep = classify(X, reg.close())
+    assert sorted(mapping) == sorted(X.levels[1])
+    assert set(mapping.values()) <= reg.entries.keys()
+    assert rep.lines() == [
+        "FAIL classify degree=2 witness=0≤2 note=not-a-coalgebra-homomorphism"]
 
 
 def test_mobius_agrees_with_series_inverse(mobius_corpus):
