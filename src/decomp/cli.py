@@ -46,24 +46,26 @@ def cmd_nerve(args) -> int:
     return 0
 
 
-def _load_sset(path: str, command: str) -> FinSSet | None:
-    """The valid SSET stored at path, or None after printing why it is not
-    one.  The verdict stays in the object's memo for later checks."""
+class _Refused(Exception):
+    """An input the command refuses, why already printed: exit 2."""
+
+
+def _load_sset(path: str, command: str) -> FinSSet:
+    """The valid SSET stored at path; else print why it is not one and
+    refuse.  The verdict stays in the object's memo for later checks."""
     X = load(path)
     if not isinstance(X, FinSSet):
         print(f"FAIL {command} note=input-is-not-an-SSET")
-        return None
+        raise _Refused
     rep = validate(X)
     if not rep.ok:
         _print(rep)
-        return None
+        raise _Refused
     return X
 
 
 def cmd_dec(args) -> int:
     X = _load_sset(args.input, "dec")
-    if X is None:
-        return 2
     D, _counit = (dec_top if args.which == "top" else dec_bot)(X)
     save(D, args.output)
     print(f"PASS dec_{args.which} degree={D.cap}")
@@ -105,8 +107,6 @@ def _check_one(what: str, path: str) -> int:
 
 def cmd_interval(args) -> int:
     X = _load_sset(args.input, "interval")
-    if X is None:
-        return 2
     iv, _embed = factorisation_interval(X, args.arrow)
     save(iv.data, args.output)
     print(f"PASS interval degree={iv.data.cap} witness={args.arrow}")
@@ -119,8 +119,6 @@ def _fraction(q) -> str:
 
 def cmd_mobius(args) -> int:
     X = _load_sset(args.input, "mobius")
-    if X is None:
-        return 2
     if args.arrow is not None and args.arrow not in X.levels[1]:
         raise IntervalError(f"{args.arrow!r} is not an arrow of the input")
     mu = incidence.mobius(X)
@@ -131,8 +129,6 @@ def cmd_mobius(args) -> int:
 
 def cmd_coalg_table(args) -> int:
     X = _load_sset(args.input, "coalg-table")
-    if X is None:
-        return 2
     table = incidence.comult(X)
     for a in sorted(table.pairs):
         for (l, r), mult in sorted(table.pairs[a].items()):
@@ -142,8 +138,6 @@ def cmd_coalg_table(args) -> int:
 
 def cmd_classify(args) -> int:
     X = _load_sset(args.input, "classify")
-    if X is None:
-        return 2
     reg = Registry.load(args.registry)
     mapping, rep = incidence.classify(X, reg)
     for a in sorted(mapping):
@@ -181,15 +175,14 @@ def cmd_registry(args) -> int:
         for row in reg.index_rows():
             print(row)
         return 0
-    if args.action == "mu":
-        mu, rep = incidence.universal_mobius(reg)
-        for digest in sorted(reg.entries):
-            name = reg.entries[digest].name
-            print(f"{digest}\t{name}\t{_fraction(mu[digest])}")
-        for line in rep.lines():
-            print(line)
-        return rep.exit_code()
-    raise AssertionError(args.action)
+    # "mu", the one action left
+    mu, rep = incidence.universal_mobius(reg)
+    for digest in sorted(reg.entries):
+        name = reg.entries[digest].name
+        print(f"{digest}\t{name}\t{_fraction(mu[digest])}")
+    for line in rep.lines():
+        print(line)
+    return rep.exit_code()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,6 +245,8 @@ def main(argv=None) -> int:
     except (ParseError, SpecError, CapError, IntervalError, RegistryError,
             incidence.NotCertified, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except _Refused:
         return 2
 
 

@@ -72,14 +72,10 @@ class CapError(ValueError):
 
 
 @dataclass(frozen=True)
-class FinSSet:
-    """A simplicial set truncated at degree `cap`.
-
-    faces[(k, i)] is d_i: levels[k] -> levels[k-1] for 1 <= k <= cap;
-    degens[(k, j)] is s_j: levels[k] -> levels[k+1] for 0 <= k < cap.
-    stable_from, when set, claims every simplex above that degree is
-    degenerate (the claim is checked by `validate`).
-    """
+class _Presheaf:
+    """Levels of ids with face and degeneracy tables, truncated at degree
+    `cap`.  stable_from, when set, claims every simplex above that degree
+    is degenerate (the claim is checked by `validate`)."""
 
     cap: int
     levels: dict[int, list[str]]
@@ -89,38 +85,34 @@ class FinSSet:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class FinXiSet:
-    """An interval-site presheaf truncated at degree `cap`, levels from -1.
+class FinSSet(_Presheaf):
+    """A simplicial set: faces[(k, i)] is d_i: levels[k] -> levels[k-1] for
+    1 <= k <= cap; degens[(k, j)] is s_j: levels[k] -> levels[k+1] for
+    0 <= k < cap."""
 
-    faces[(k, i)] is d_i: levels[k] -> levels[k-1] for 0 <= i <= k <= cap;
-    degens[(k, j)] is s_j: levels[k] -> levels[k+1] for -1 <= k < cap and
-    -1 <= j <= k+1.  The extra face is faces[(0, 0)]; the extra outer
-    degeneracies are degens[(k, -1)] and degens[(k, k+1)].
-    """
 
-    cap: int
-    levels: dict[int, list[str]]
-    faces: dict[tuple[int, int], dict[str, str]]
-    degens: dict[tuple[int, int], dict[str, str]]
-    stable_from: int | None = None
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class FinXiSet(_Presheaf):
+    """An interval-site presheaf, levels from -1: faces[(k, i)] is d_i for
+    0 <= i <= k <= cap, the extra face faces[(0, 0)]; degens[(k, j)] is s_j
+    for -1 <= k < cap and -1 <= j <= k+1, the extra outer degeneracies
+    degens[(k, -1)] and degens[(k, k+1)]."""
 
 
 @dataclass
-class SSetMap:
-    """A simplicial map given by per-level components; dom.cap <= cod.cap."""
+class _Map:
+    """A map given by per-level components; dom.cap <= cod.cap."""
 
-    dom: FinSSet
-    cod: FinSSet
+    dom: FinSSet | FinXiSet
+    cod: FinSSet | FinXiSet
     components: dict[int, dict[str, str]]
 
 
-@dataclass
-class XiSetMap:
-    dom: FinXiSet
-    cod: FinXiSet
-    components: dict[int, dict[str, str]]
+class SSetMap(_Map):
+    """A simplicial map."""
+
+
+class XiSetMap(_Map):
+    """A map of interval-site presheaves."""
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 subintervals, and the finite fragment of the space of subdivided intervals.
 
 Each entry keeps its arrow table, the degree-1 outer faces: the digest of
-the interval of every arrow of its canonical form.  Closing the registry
-fills the tables by a work-list over entry digests, each table transported
-along the culf embeddings of its maximal arrows' intervals off their
-classes' tables, so only those arrows are labelled.  The coalgebra is read
-off each class's objects x and its table: [bottom, x] (x) [x, top].
+the interval of every arrow of its canonical form.  `arrow_classes`
+transports: only maximal arrows' intervals are cut, at cap 2, and labelled,
+and every other arrow reads its class off their tables along the culf
+embeddings.  An entry's table is that transport in its category nerve,
+made by `close`'s work-list over entry digests.  The coalgebra is read off
+each class's objects x and its table: [bottom, x] (x) [x, top].
 
 Level k of the fragment collects, over every registered class, its
 k-subdivisions (`interval.subdivisions`): the k-simplices over the longest
@@ -41,7 +42,7 @@ from .interval import (
     validate_interval,
 )
 from .interval import extend_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .presheaf import CapError, FinSSet, actions, fibres, long_edge_table
+from .presheaf import CapError, FinSSet, actions, fibres, long_edge_table, truncate
 from .report import Report
 from .simplex import MonotoneMap
 
@@ -117,19 +118,28 @@ class Registry:
         """The entry's arrow table, transported if it has none yet."""
         return self._table(self.get(digest).interval, {})
 
+    def arrow_classes(self, X: FinSSet) -> dict[str, str]:
+        """The digest of each arrow's interval: a maximal arrow's is cut from
+        X truncated at cap 4, so at cap 2, and labelled, and every arrow its
+        culf embedding reaches reads its class off that class's table."""
+        return self._transport(truncate(X, 4) if X.cap > 4 else X, None, {})
+
+    def _transport(self, X: FinSSet, skip: str | None, found: dict) -> dict[str, str]:
+        """arrow_classes(X) but for skip; found keeps the table of each class
+        that is not an entry."""
+        return {x: self._table(cls, found)[t]
+                for _, cls, pairs in maximal_cuts(X, skip) for x, t in pairs}
+
     def _table(self, cls: IntervalClass, found: dict) -> dict[str, str]:
-        """cls's arrow table: its entry's, or one kept in found, or else read
-        off the tables of its maximal proper arrows' classes, made first and
-        kept by their entries, if any."""
+        """cls's arrow table: its entry's, or one kept in found, or else
+        transported in its category nerve, its longest edge its own."""
         entry = self.entries.get(cls.digest)
         if entry is not None and entry.arrows is not None:
             return entry.arrows
         if cls.digest not in found:
             top = longest_edge(cls.canonical.data)
-            table = {top: cls.digest}
-            for _, sub, pairs in maximal_cuts(_category_nerve(cls), top):
-                table.update((a, self._table(sub, found)[t]) for a, t in pairs)
-            found[cls.digest] = cls, table
+            nerve = _category_nerve(cls, 0, "interval class" if entry is None else "registry entry")
+            found[cls.digest] = cls, {top: cls.digest, **self._transport(nerve, top, found)}
         if entry is not None:
             entry.arrows = found[cls.digest][1]
         return found[cls.digest][1]
@@ -239,12 +249,12 @@ def maximal_cuts(X: FinSSet, skip: str | None = None):
             yield a, cls, pairs
 
 
-def _category_nerve(cls: IntervalClass, cap: int = 0) -> FinSSet:
-    """category_nerve(cls, cap), what it refuses named by cls's digest."""
+def _category_nerve(cls: IntervalClass, cap: int = 0, kind: str = "registry entry") -> FinSSet:
+    """category_nerve(cls, cap), what it refuses named by kind and cls's digest."""
     try:
         return category_nerve(cls, cap)
     except (SpecError, IntervalError) as exc:
-        raise RegistryError(f"registry entry {cls.digest[:12]}: {exc}")
+        raise RegistryError(f"{kind} {cls.digest[:12]}: {exc}")
 
 
 def _arrow_class(cls: IntervalClass, j: str) -> IntervalClass:

@@ -81,9 +81,17 @@ from decomp.presheaf import (
     validate_sset,
     validate_xiset,
 )
-from decomp.registry import Registry, build_fragment, fragment_square_report, registry_comult
+from decomp.registry import (
+    Registry,
+    RegistryError,
+    build_fragment,
+    fragment_square_report,
+    maximal_cuts,
+    registry_comult,
+)
 from decomp.simplex import all_monotone
 from oracles import pullback_failure_by_enumeration, validate_sset_by_simplex
+from test_incidence import assert_sign_free_inversion
 from test_ingest import free_categories, quotient_categories, truncated_free_monoids
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None)
@@ -705,6 +713,52 @@ def test_transported_classes_match_labelling_every_arrow(spec):
     alone.insert(top.interval)
     assert {d: e.arrows for d, e in alone.close().entries.items()} == {
         d: reg.entries[d].arrows for d in alone.entries}
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(DRAWN_SPECS, st.randoms(use_true_random=False))
+def test_classify_refuses_an_unclosed_registry_as_labelling_every_arrow(spec, rnd):
+    """Against a registry that lacks the class of some arrow, holding a drawn
+    proper subset of the classes, unclosed, `classify` names the first arrow
+    in level order whose class is missing, as labelling every arrow does."""
+    X, classes, reg = nerve(spec), _interval_classes(spec), Registry()
+    for c in rnd.sample(classes, rnd.randrange(len(classes))):
+        reg.insert(c)
+    with pytest.raises(RegistryError) as want:
+        oracles.classify_by_arrow(X, reg)
+    with pytest.raises(RegistryError) as got:
+        classify(X, reg)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(DRAWN_SPECS, st.integers(0, 3))
+def test_registry_cuts_stop_at_cap_2(spec, extra):
+    """A count, not a time: every interval the registry cuts, in closing the
+    classes of the maximal arrows, classifying the nerve at a drawn cap and
+    building the fragment to degree 3, is cut at cap 2 or less."""
+    caps = []
+
+    def cut(X, a):
+        iv, embed = factorisation_interval(X, a)
+        caps.append(iv.data.cap)
+        return iv, embed
+
+    X = nerve(spec)
+    X, reg = nerve(spec, X.cap + extra), Registry()
+    for _, c, _ in maximal_cuts(X):
+        reg.insert(c)
+    with patch("decomp.registry.factorisation_interval", cut):
+        classify(X, reg.close())
+        build_fragment(reg, 3)
+    assert caps and max(caps) <= 2
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(DRAWN_SPECS)
+def test_sign_free_inversion_on_drawn_nerves(spec):
+    """Mobius inversion with no minus sign, both sides, on each drawn nerve."""
+    assert_sign_free_inversion(nerve(spec))
 
 
 @settings(max_examples=30, deadline=None, database=None)

@@ -159,6 +159,24 @@ def test_inversion_reports(mobius_corpus):
         assert verify_inversion(mobius_corpus[name]).ok
 
 
+def assert_sign_free_inversion(X):
+    """zeta*Phi_even = counit + zeta*Phi_odd and Phi_even*zeta = counit +
+    Phi_odd*zeta: Mobius inversion with no minus sign (GKT II), the even and
+    odd sums of the nondegenerate counting vectors up to X's stable degree."""
+    table = comult(X, check=False)
+    z, eps = zeta(table), counit_vec(table)
+    terms = [phi(X, k) for k in range(X.stable_from + 1)]
+    even = sum(terms[0::2], QVec(table.basis))
+    odd = sum(terms[1::2], QVec(table.basis))
+    assert convolve(table, z, even) == eps + convolve(table, z, odd)
+    assert convolve(table, even, z) == eps + convolve(table, odd, z)
+
+
+def test_sign_free_inversion(mobius_corpus):
+    for X in mobius_corpus.values():
+        assert_sign_free_inversion(X)
+
+
 def test_inversion_fails_where_the_certificate_overclaims():
     """The chipped object passes validation and the Mobius check with a
     claimed stable degree of 2, but mu is not the convolution inverse of zeta."""

@@ -392,21 +392,22 @@ def _is_chain1(reg, name):
 
 
 def test_classify_requires_closed_registry(poset_nerves, diamond_interval):
-    """The diamond's table, made without inserting anything, names classes
-    the registry lacks: the first arrow of d6 that it sends to one is named,
-    as when every arrow was labelled.  In an empty registry the one maximal
-    arrow, 1≤6, is labelled and named; labelling every arrow named 1≤1."""
+    """A registry that lacks a class of d6, empty or the diamond alone: the
+    first arrow of d6 in level order whose class is missing is named, as
+    when every arrow is labelled.  The diamond's table, made without
+    inserting anything, names the classes the registry lacks."""
     from decomp.incidence import classify
 
     X, reg = poset_nerves["d6"], Registry()
-    with pytest.raises(RegistryError, match="^registry is not closed: arrow '1≤6' classifies to "
-                       f"{canonicalize(diamond_interval).digest[:12]} which is missing$"):
-        classify(X, reg)
-    reg.insert(diamond_interval, name="diamond")
     point = canonicalize(factorisation_interval(X, arrow("1", "1"))[0]).digest
-    with pytest.raises(RegistryError, match="^registry is not closed: arrow '1≤1' classifies to "
-                       f"{point[:12]} which is missing$"):
-        classify(X, reg)
+    for fill in (lambda: None, lambda: reg.insert(diamond_interval, name="diamond")):
+        fill()
+        with pytest.raises(RegistryError) as want:
+            oracles.classify_by_arrow(X, reg)
+        with pytest.raises(RegistryError, match="^registry is not closed: arrow '1≤1' "
+                           f"classifies to {point[:12]} which is missing$") as got:
+            classify(X, reg)
+        assert str(got.value) == str(want.value)
     assert list(reg.entries) == [reg.names["diamond"]]
     assert reg.entries[reg.names["diamond"]].arrows is not None
 
@@ -419,7 +420,10 @@ def test_a_stored_entry_without_a_category_is_named(tmp_path, capsys):
     and `classify` of that nerve exit 2 naming the entry and the missing
     pair by two level-1 ids of its stored file, `registry mu` names its
     inconclusive certificate, and the fragment names it too; nothing is
-    written."""
+    written.  Against an empty registry, `classify` names the class as an
+    interval class, not an entry."""
+    from decomp.incidence import classify
+
     X = nerve(chain_poset(4))
     planted = replace(filter_nerve(X, lambda vs: not {"1", "2", "3"} <= set(vs)),
                       stable_from=X.stable_from)
@@ -448,6 +452,8 @@ def test_a_stored_entry_without_a_category_is_named(tmp_path, capsys):
         "INCONCLUSIVE certify_mobius_interval note=composite-table-refused\n")
     with pytest.raises(RegistryError, match=f"^registry entry {digest[:12]}: "):
         build_fragment(Registry.load(str(root)), 2)
+    with pytest.raises(RegistryError, match=f"^interval class {digest[:12]}: missing composite"):
+        classify(planted, Registry())
     assert {p.name: p.read_bytes() for p in root.iterdir()} == before
 
 
