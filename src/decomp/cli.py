@@ -155,14 +155,16 @@ def cmd_registry(args) -> int:
             reg = Registry.load(args.dir)
         else:
             reg = Registry()
+        digests = []
         for path in args.files:
             data = load(path)
             if not isinstance(data, FinXiSet):
                 print("FAIL registry-add note=input-is-not-an-XISET")
                 return 2
-            digest = reg.insert(AlgebraicInterval(data))
-            print(f"{digest}\t{reg.entries[digest].name}")
+            digests.append(reg.insert(AlgebraicInterval(data)))
         reg.save(args.dir)
+        for digest in digests:
+            print(f"{digest}\t{reg.entries[digest].name}")
         return 0
     reg = Registry.load(args.dir)
     if args.action == "close":

@@ -2,11 +2,11 @@
 subintervals, and the finite fragment of the space of subdivided intervals.
 
 Each entry keeps its arrow table, the degree-1 outer faces: the digest of
-the interval of every arrow of its canonical form.  `arrow_classes`
-transports: only maximal arrows' intervals are cut, at cap 2, and labelled,
-and every other arrow reads its class off their tables along the culf
-embeddings.  An entry's table is that transport in its category nerve,
-made by `close`'s work-list over entry digests.  The coalgebra is read off
+each arrow's interval.  `arrow_classes` transports: only maximal arrows'
+intervals are cut and labelled, and every other arrow reads its class off
+their tables along the culf embeddings.  An entry's table is that transport
+in its category nerve, made by `close` in one pass.  `_cut` makes every cut,
+from an object at cap 4 or less, so at cap 2.  The coalgebra is read off
 each class's objects x and its table: [bottom, x] (x) [x, top].
 
 Level k of the fragment collects, over every registered class, its
@@ -99,13 +99,16 @@ class Registry:
             raise RegistryError(f"unknown digest {digest}")
 
     def close(self) -> Registry:
-        """Insert the class of every arrow of every entry to fixpoint, giving
-        every entry its arrow table; each class's table is made once."""
+        """Give every entry its arrow table in one pass, keeping in found each
+        class a transport meets, and each class only a stored table names, cut
+        at the first arrow naming it; then insert every class found."""
         found: dict[str, tuple[IntervalClass, dict[str, str]]] = {}
-        queue = list(self.entries)
-        while queue:
-            for cls in self._subclasses(queue.pop(), found):
-                queue.append(self.insert(cls))
+        for entry in list(self.entries.values()):
+            for j, sub in sorted(self._table(entry.interval, found).items()):
+                if sub not in self.entries and sub not in found:
+                    self._table(_cut(_category_nerve(entry.interval), j)[0], found)
+        for cls, table in found.values():
+            self.entries[self.insert(cls)].arrows = table
         return self
 
     def is_closed(self) -> bool:
@@ -119,10 +122,10 @@ class Registry:
         return self._table(self.get(digest).interval, {})
 
     def arrow_classes(self, X: FinSSet) -> dict[str, str]:
-        """The digest of each arrow's interval: a maximal arrow's is cut from
-        X truncated at cap 4, so at cap 2, and labelled, and every arrow its
-        culf embedding reaches reads its class off that class's table."""
-        return self._transport(truncate(X, 4) if X.cap > 4 else X, None, {})
+        """The digest of each arrow's interval: a maximal arrow's is cut and
+        labelled, and every arrow its culf embedding reaches reads its class
+        off that class's table."""
+        return self._transport(X, None, {})
 
     def _transport(self, X: FinSSet, skip: str | None, found: dict) -> dict[str, str]:
         """arrow_classes(X) but for skip; found keeps the table of each class
@@ -143,17 +146,6 @@ class Registry:
         if entry is not None:
             entry.arrows = found[cls.digest][1]
         return found[cls.digest][1]
-
-    def _subclasses(self, digest: str, found: dict) -> list[IntervalClass]:
-        """The classes that are not entries that the entry's table, made if
-        missing, names: as found, or else cut from the first arrow naming it."""
-        entry = self.entries[digest]
-        first: dict[str, str] = {}
-        for j, sub in sorted(self._table(entry.interval, found).items()):
-            if sub not in self.entries:
-                first.setdefault(sub, j)
-        return [found[sub][0] if sub in found else _arrow_class(entry.interval, j)
-                for sub, j in first.items()]
 
     # -- persistence --------------------------------------------------------
 
@@ -182,8 +174,9 @@ class Registry:
         """Read a saved registry.  An entry stored as a v1 canonical form,
         with a `stable` line or a cap above 2, is refused.  An entry whose
         bytes hash to its digest is as `save` wrote it; any other must
-        re-canonicalize to its digest.  An arrow table is read only if it is
-        intact; any other is left for `close` to recompute."""
+        re-canonicalize to its digest.  Its index row must give its cap.  An
+        arrow table is read only if it is intact; any other is left for
+        `close` to recompute."""
         reg = cls()
         index = os.path.join(directory, "index.tsv")
         if not os.path.exists(index):
@@ -222,6 +215,8 @@ class Registry:
             if stored.digest != digest:
                 raise RegistryError(
                     f"stored entry {digest[:12]} does not match its digest")
+            if fields[3] != str(stored.canonical.data.cap):
+                raise RegistryError(f"malformed line in {index}: {line!r}")
             reg.entries[digest] = RegistryEntry(
                 name, stored,
                 _read_arrows(os.path.join(directory, f"{digest}.arrows"), digest,
@@ -231,20 +226,20 @@ class Registry:
 
 
 def maximal_cuts(X: FinSSet, skip: str | None = None):
-    """Cut and label the interval of each maximal arrow a of X, the middle
-    edge of no 3-simplex whose long edge is another arrow but skip, and then
-    of any arrow no cut reached.  Yield a, its class and, along the culf
-    embedding, (arrow of X, level-1 id of the class with that arrow's class)."""
+    """Cut and label, in X truncated at cap 4, the interval of each maximal
+    arrow a, the middle edge of no 3-simplex whose long edge is another arrow
+    but skip, then of any arrow no cut reached.  Yield a, its class and, along
+    the culf embedding, (middle edge, the class's level-1 id with its class)."""
     if X.cap < 3:
         raise CapError("factorisation interval needs cap >= 3")
+    X = truncate(X, 4) if X.cap > 4 else X
     mid, long = actions(X)(MonotoneMap(1, 3, (1, 2))), long_edge_table(X, 3)
     covered = {mid[s] for s in X.levels[3] if long[s] not in (mid[s], skip)}
     reached = {skip}
     for a in [a for a in X.levels[1] if a not in covered] + X.levels[1]:
         if a not in reached:
-            iv, embed = factorisation_interval(X, a)
-            cls, relabel = canonicalize_with_map(iv)
-            pairs = [(embed.components[1][j], relabel[1][j]) for j in iv.data.levels[1]]
+            cls, relabel = _cut(X, a)
+            pairs = [(mid[s], j) for s, j in relabel.items()]
             reached.update(x for x, _ in pairs)
             yield a, cls, pairs
 
@@ -257,9 +252,11 @@ def _category_nerve(cls: IntervalClass, cap: int = 0, kind: str = "registry entr
         raise RegistryError(f"{kind} {cls.digest[:12]}: {exc}")
 
 
-def _arrow_class(cls: IntervalClass, j: str) -> IntervalClass:
-    """The class of the interval of cls's level-1 id j, cut from its nerve."""
-    return canonicalize(factorisation_interval(_category_nerve(cls), j)[0])
+def _cut(X: FinSSet, a: str) -> tuple[IntervalClass, dict[str, str]]:
+    """The class of the interval of X's arrow a and the relabelling of its
+    level 1 onto the class's ids; X's cap is at most 4, so the cut's is 2."""
+    cls, relabel = canonicalize_with_map(factorisation_interval(X, a)[0])
+    return cls, relabel[1]
 
 
 def _arrows_text(digest: str, table: dict[str, str]) -> str:
@@ -321,6 +318,7 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
         raise CapError(f"fragment degree must be >= 0, got {top}")
     nerves = {digest: _category_nerve(entry.interval, top)
               for digest, entry in reg.entries.items()}
+    low = {digest: truncate(N, 4) if top > 4 else N for digest, N in nerves.items()}
     longest = {digest: longest_edge(entry.interval.canonical.data)
                for digest, entry in reg.entries.items()}
     levels = {k: [(digest, x) for digest in sorted(nerves)
@@ -331,10 +329,10 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
     def label(digest: str, arrow: str) -> tuple[str, dict[str, str]]:
         """The digest of an arrow's interval and its level-1 relabeling onto
         that class's ids, the interval cut and labelled at its first use."""
-        cls, relabel = canonicalize_with_map(factorisation_interval(nerves[digest], arrow)[0])
+        cls, relabel = _cut(low[digest], arrow)
         if cls.digest not in reg.entries:
             raise RegistryError(f"registry is not closed: missing {cls.digest[:12]}")
-        return cls.digest, relabel[1]
+        return cls.digest, relabel
 
     def outer_face(digest: str, x: str, k: int, i: int) -> tuple[str, str]:
         """The face tau subdivides the interval T of its long edge: its edges

@@ -1086,6 +1086,27 @@ def registry_comult_by_midpoints(reg):
     return pairs, counit
 
 
+def close_by_work_list(reg):
+    """The closure as a work-list over entry digests: pop an entry, make its
+    arrow table if it has none, and insert and queue each class the table
+    names that is not an entry, as a table made on the way found it, or
+    else cut from the entry's category nerve at the first arrow naming it."""
+    from decomp.interval import canonicalize, category_nerve, factorisation_interval
+
+    found, queue = {}, list(reg.entries)
+    while queue:
+        entry = reg.entries[queue.pop()]
+        first = {}
+        for j, sub in sorted(reg._table(entry.interval, found).items()):
+            if sub not in reg.entries:
+                first.setdefault(sub, j)
+        for sub, j in first.items():
+            cls = found[sub][0] if sub in found else canonicalize(
+                factorisation_interval(category_nerve(entry.interval), j)[0])
+            queue.append(reg.insert(cls))
+    return reg
+
+
 def fragment_by_extensions(reg, top):
     """The fragment of U read on extended intervals: each class rebuilt from
     its arrow category at cap max(top + 1, objects - 1) + 2, its top interval

@@ -353,6 +353,24 @@ def test_registry_add_refuses_unreduced_interval(tmp_path, d6_sset, capsys):
     assert not reg.exists()
 
 
+@pytest.mark.parametrize("later", ["sset", "unreduced"])
+def test_registry_add_prints_no_row_when_a_later_file_is_refused(tmp_path, d6_sset, capsys,
+                                                                 later):
+    """A valid interval followed by an SSET, or by an interval that fails
+    validation: nothing is stored, so no digest row is printed."""
+    save(factorisation_interval(load(d6_sset), f"1{SEP}6")[0].data, tmp_path / "top.xiset")
+    save(u_star(load(d6_sset)), tmp_path / "u.xiset")
+    files = {"sset": d6_sset, "unreduced": str(tmp_path / "u.xiset")}
+    reg = tmp_path / "reg"
+    capsys.readouterr()
+    assert main(["registry", "add", str(reg), str(tmp_path / "top.xiset"), files[later]]) == 2
+    assert capsys.readouterr() == {
+        "sset": ("FAIL registry-add note=input-is-not-an-XISET\n", ""),
+        "unreduced": ("", "error: entry fails validation:\n"
+                          "FAIL validate_interval degree=-1 note=not-reduced\n")}[later]
+    assert not reg.exists()
+
+
 def test_registry_add_refuses_an_interval_that_is_not_exact(tmp_path, capsys):
     """The interval of 0≤4 in the nerve of the 4-chain without the chains
     through 1 < 2 < 3 is valid, reduced, complete and flanked, but neither

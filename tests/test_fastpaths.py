@@ -736,7 +736,7 @@ def test_classify_refuses_an_unclosed_registry_as_labelling_every_arrow(spec, rn
 def test_registry_cuts_stop_at_cap_2(spec, extra):
     """A count, not a time: every interval the registry cuts, in closing the
     classes of the maximal arrows, classifying the nerve at a drawn cap and
-    building the fragment to degree 3, is cut at cap 2 or less."""
+    building the fragment to degrees 3 and 5, is cut at cap 2 or less."""
     caps = []
 
     def cut(X, a):
@@ -751,6 +751,7 @@ def test_registry_cuts_stop_at_cap_2(spec, extra):
     with patch("decomp.registry.factorisation_interval", cut):
         classify(X, reg.close())
         build_fragment(reg, 3)
+        build_fragment(reg, 5)
     assert caps and max(caps) <= 2
 
 
@@ -860,10 +861,10 @@ def _flanks_stripped(frag, k, element):
     return digest, "*".join(x.split("*")[1:-1])
 
 
-def _assert_fragment_matches_extended_intervals(reg):
-    """Levels and every face table at top 2 and 3 once the flanks are
-    stripped, then the degree-3 square's lines and counts."""
-    for top in (2, 3):
+def _assert_fragment_matches_extended_intervals(reg, tops=(2, 3)):
+    """Levels and every face table at each top once the flanks are stripped,
+    then the degree-3 square's lines and counts at the last."""
+    for top in tops:
         frag, want = build_fragment(reg, top), oracles.fragment_by_extensions(reg, top)
         for k in range(top + 1):
             assert [_flanks_stripped(frag, k, e) for e in want.levels[k]] == frag.levels[k]
@@ -900,6 +901,36 @@ def test_fragment_of_closed_registries_matches_extended_intervals(spec, cap, top
     reg = Registry()
     reg.insert(factorisation_interval(nerve(spec, cap), top)[0])
     _assert_fragment_matches_extended_intervals(reg.close())
+
+
+def test_fragment_at_degree_5_matches_extended_intervals():
+    """Above degree 4 the fragment still cuts its arrow intervals from each
+    class nerve truncated at cap 4; the closure of B3's top class, at
+    degree 5, against the fragment of extended intervals."""
+    reg = Registry()
+    reg.insert(factorisation_interval(nerve(boolean_poset(3)), "o≤abc")[0])
+    _assert_fragment_matches_extended_intervals(reg.close(), (5,))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(DRAWN_SPECS, st.randoms(use_true_random=False))
+def test_one_pass_close_matches_the_work_list(spec, rnd):
+    """`close` in one pass against the work-list over entry digests, from a
+    drawn subset of the arrow classes, some with their tables made: the same
+    entries and the same arrow table per entry."""
+    classes = _interval_classes(spec)
+    picked = rnd.sample(classes, rnd.randrange(1, len(classes) + 1))
+    tabled = rnd.sample(picked, rnd.randrange(len(picked) + 1))
+    regs = Registry(), Registry()
+    for reg in regs:
+        for c in picked:
+            reg.insert(c)
+        for c in tabled:
+            reg.arrow_table(c.digest)
+    got, want = regs[0].close(), oracles.close_by_work_list(regs[1])
+    assert {d: e.arrows for d, e in got.entries.items()} == {
+        d: e.arrows for d, e in want.entries.items()}
+    assert got.names == want.names
 
 
 @pytest.mark.parametrize("spec, cap, top", [

@@ -615,3 +615,23 @@ def test_load_refuses_a_third_field_other_than_one(tmp_path, diamond_registry, c
         Registry.load(str(root))
     assert main(["registry", "list", str(root)]) == 2
     assert capsys.readouterr().err.startswith("error: malformed line in ")
+
+
+@pytest.mark.parametrize("cap", ["zz", "", "3"])
+def test_load_refuses_a_cap_field_other_than_the_entry_cap(tmp_path, diamond_registry,
+                                                            capsys, cap):
+    """The index's fourth field is the stored entry's cap; a row with any
+    other is malformed, `registry close` exits 2, and nothing is rewritten."""
+    root = tmp_path / "reg"
+    diamond_registry.save(str(root))
+    index = root / "index.tsv"
+    rows = [row.split("\t") for row in index.read_text(encoding="utf-8").splitlines()]
+    rows[0][3] = cap
+    index.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    files = {p.name: p.read_bytes() for p in root.iterdir()}
+    with pytest.raises(RegistryError, match="malformed line"):
+        Registry.load(str(root))
+    assert main(["registry", "close", str(root)]) == 2
+    line = "\t".join(rows[0])
+    assert capsys.readouterr() == ("", f"error: malformed line in {index}: {line!r}\n")
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == files
