@@ -22,6 +22,7 @@ from .incidence import (
     culf_pushforward,
     mobius,
     phi,
+    registry_comult,
     universal_mobius,
     verify_inversion,
     zeta,
@@ -63,7 +64,7 @@ from .presheaf import (
     unit_eta,
     validate,
 )
-from .registry import Registry, build_fragment, fragment_square_report, registry_comult
+from .registry import Registry, build_fragment, fragment_square_report
 from .simplex import (
     MonotoneMap,
     XiMap,

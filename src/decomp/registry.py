@@ -6,8 +6,7 @@ each arrow's interval.  `arrow_classes` transports: only maximal arrows'
 intervals are cut and labelled, and every other arrow reads its class off
 their tables along the culf embeddings.  An entry's table is that transport
 in its category nerve, made by `close` in one pass.  `_cut` makes every cut,
-from an object at cap 4 or less, so at cap 2.  The coalgebra is read off
-each class's objects x and its table: [bottom, x] (x) [x, top].
+from an object at cap 4 or less, so at cap 2.
 
 Level k of the fragment collects, over every registered class, its
 k-subdivisions (`interval.subdivisions`): the k-simplices over the longest
@@ -23,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -174,9 +172,9 @@ class Registry:
         """Read a saved registry.  An entry stored as a v1 canonical form,
         with a `stable` line or a cap above 2, is refused.  An entry whose
         bytes hash to its digest is as `save` wrote it; any other must
-        re-canonicalize to its digest.  Its index row must give its cap.  An
-        arrow table is read only if it is intact; any other is left for
-        `close` to recompute."""
+        re-canonicalize to its digest.  Either must be an interval, and its
+        index row must give its cap.  An arrow table is read only if it is
+        intact; any other is left for `close` to recompute."""
         reg = cls()
         index = os.path.join(directory, "index.tsv")
         if not os.path.exists(index):
@@ -215,6 +213,9 @@ class Registry:
             if stored.digest != digest:
                 raise RegistryError(
                     f"stored entry {digest[:12]} does not match its digest")
+            rep = validate_interval(stored.canonical)
+            if not rep.ok:
+                raise RegistryError(f"stored entry {digest[:12]} is not an interval:\n{rep}")
             if fields[3] != str(stored.canonical.data.cap):
                 raise RegistryError(f"malformed line in {index}: {line!r}")
             reg.entries[digest] = RegistryEntry(
@@ -402,32 +403,3 @@ def fragment_square_report(frag: Fragment) -> Report:
     rep.data["counts"] = counts
     rep.verified_upto = 3
     return rep
-
-
-# ---------------------------------------------------------------------------
-# the registry coalgebra
-
-
-def registry_comult(reg: Registry):
-    """Comultiplication per registered class, read off its objects and its
-    arrow table.
-
-    Returns (pairs, counit): pairs maps a digest to the multiset, over the
-    objects x, of the classes of the arrows bottom -> x and x -> top, each
-    unique as the bottom is initial and the top terminal; the counit is 1
-    exactly on the class with one object.
-    """
-    pairs: dict[str, Counter] = {}
-    counit: dict[str, int] = {}
-    for digest, entry in reg.entries.items():
-        table = reg.arrow_table(digest)
-        missing = sorted(set(table.values()).difference(reg.entries))
-        if missing:
-            raise RegistryError(f"registry is not closed: missing {missing[0][:12]}")
-        data = entry.interval.canonical.data
-        d0, d1, top = data.faces[(1, 0)], data.faces[(1, 1)], longest_edge(data)
-        lower = {d0[f]: table[f] for f in data.levels[1] if d1[f] == d1[top]}
-        upper = {d1[f]: table[f] for f in data.levels[1] if d0[f] == d0[top]}
-        pairs[digest] = Counter((lower[x], upper[x]) for x in data.levels[0])
-        counit[digest] = int(len(data.levels[0]) == 1)
-    return pairs, counit

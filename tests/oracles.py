@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths they certify: pushouts are checked
 against the raw universal property, Mobius vectors against Rota's recursion
-and against power-series inversion of zeta computed on raw tables,
+and against power-series inversion of zeta computed on raw tables and against the alternating sum of one
+counting vector per degree, the inversion check's failing sides against
+their supports on raw tables,
 factorisations against exhaustive two-step search, canonical labeling
 against the dict-keyed refinement that recomputes every signature each
 round, presheaf actions against the generator-by-generator walk of each
@@ -148,6 +150,51 @@ def convolution_inverse(table):
         for a in basis:
             total[a] += sign * power[a]
     raise ValueError("zeta minus counit is not convolution-nilpotent")
+
+
+def mobius_by_phi(X):
+    """The Mobius vector as one QVec per degree: the alternating sum of
+    phi(X, k) up to X's stable degree, under the same certificate."""
+    from decomp.axioms import check_mobius
+    from decomp.incidence import NotCertified, QVec, phi
+
+    cert = check_mobius(X)
+    if not cert.ok:
+        raise NotCertified("Mobius conditions not certified:\n" + str(cert))
+    out = QVec(frozenset(X.levels[1]))
+    for k in range(X.stable_from + 1):
+        term = phi(X, k)
+        sign = 1 if k % 2 == 0 else -1
+        out = out + QVec(term.basis, {a: sign * v for a, v in term.coeffs.items()})
+    return out
+
+
+def inversion_lines_by_support(table, mu):
+    """The FAIL lines of verify_inversion for mu, each convolution taken on
+    raw dicts: a side of zeta * mu = counit = mu * zeta fails at the arrows
+    in the symmetric difference of its support and the counit's, and at
+    those in its support where the two differ."""
+    basis = sorted(table.basis)
+    eps = {a: Fraction(table.counit[a]) for a in basis if table.counit[a]}
+    m = {a: Fraction(mu[a]) for a in basis}
+
+    def support(u, v):
+        out = {}
+        for a in basis:
+            total = sum((mult * u[l] * v[r] for (l, r), mult in table.pairs[a].items()),
+                        Fraction(0))
+            if total:
+                out[a] = total
+        return out
+
+    one = dict.fromkeys(basis, Fraction(1))
+    lines = []
+    for side, got in (("zeta*mu", support(one, m)), ("mu*zeta", support(m, one))):
+        if got != eps:
+            bad = sorted(set(got) ^ set(eps) | {a for a in got if got[a] != eps.get(a)})
+            lines.append(f"FAIL verify_inversion witness={','.join(bad[:3])} "
+                         f"note={side}-differs-from-counit")
+    return lines
 
 
 def pullback_failure_by_enumeration(P, A, B, p, q, f, g):
@@ -452,9 +499,9 @@ def classify_by_arrow(X, reg):
     """The classifying map with every arrow's interval cut and labelled,
     none read off an arrow table, and the same homomorphism check."""
     from decomp.axioms import check_mobius
-    from decomp.incidence import NotCertified, _homomorphism
+    from decomp.incidence import NotCertified, _homomorphism, registry_comult
     from decomp.interval import canonicalize
-    from decomp.registry import RegistryError, registry_comult
+    from decomp.registry import RegistryError
     from decomp.report import Report
 
     rep = Report("classify")
@@ -469,7 +516,7 @@ def classify_by_arrow(X, reg):
                 f"registry is not closed: arrow {a!r} classifies to "
                 f"{digest[:12]} which is missing")
         mapping[a] = digest
-    _homomorphism(rep, X, mapping, *registry_comult(reg), "not-a-coalgebra-homomorphism")
+    _homomorphism(rep, X, mapping, registry_comult(reg), "not-a-coalgebra-homomorphism")
     return mapping, rep
 
 

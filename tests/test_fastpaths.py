@@ -32,7 +32,7 @@ from decomp.formats import (
     write_sset,
     write_xiset,
 )
-from decomp.incidence import classify, comult, mobius, universal_mobius
+from decomp.incidence import classify, comult, mobius, registry_comult, universal_mobius
 from decomp.ingest import (
     MonoidSpec,
     PosetSpec,
@@ -87,7 +87,6 @@ from decomp.registry import (
     build_fragment,
     fragment_square_report,
     maximal_cuts,
-    registry_comult,
 )
 from decomp.simplex import all_monotone
 from oracles import pullback_failure_by_enumeration, validate_sset_by_simplex
@@ -584,6 +583,16 @@ DRAWN_SPECS = st.one_of(drawn_posets(), BOUNDED_POSETS,
                         quotient_categories().map(_built))
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(DRAWN_SPECS)
+def test_mobius_matches_the_sum_of_phi_vectors(spec):
+    """The Mobius vector of a drawn nerve, its alternating counts summed in
+    one vector, against the sum of one counting vector per degree; an
+    uncertified nerve is refused by both."""
+    X = nerve(spec)
+    assert outcome(mobius, X) == outcome(oracles.mobius_by_phi, X)
+
+
 def _interval_classes(spec):
     """The class of each arrow's interval in the nerve of spec, once each."""
     found, X = {}, nerve(spec)
@@ -683,7 +692,9 @@ def test_registry_comult_off_objects_matches_midpoints(spec):
     for c in _interval_classes(spec):
         reg.insert(c)
     reg.close()
-    assert registry_comult(reg) == oracles.registry_comult_by_midpoints(reg)
+    t = registry_comult(reg)
+    assert t.basis == frozenset(reg.entries)
+    assert (t.pairs, t.counit) == oracles.registry_comult_by_midpoints(reg)
 
 
 def _closed_registry_of(spec):

@@ -25,7 +25,7 @@ from decomp.interval import canonicalize, factorisation_interval, longest_edge
 from decomp.presheaf import dec_bot, i_star, point_sset, validate
 from decomp.registry import Registry, RegistryEntry, maximal_cuts
 from conftest import chipped_object, idempotent_interval
-from oracles import convolution_inverse, rota_mobius
+from oracles import convolution_inverse, inversion_lines_by_support, mobius_by_phi, rota_mobius
 
 SEP = "≤"
 
@@ -186,6 +186,26 @@ def test_inversion_fails_where_the_certificate_overclaims():
         "FAIL verify_inversion witness=0≤3 note=mu*zeta-differs-from-counit"]
 
 
+def test_inversion_names_both_sides_of_a_perturbed_mu(d6, monkeypatch):
+    """verify_inversion of d6 with its mu off at 1≤1 and at 2≤6: both sides
+    fail, each with the witnesses that the supports on raw tables give."""
+    import decomp.incidence
+
+    real = decomp.incidence.mobius
+    off = {arrow("1", "1"): 1, arrow("2", "6"): -2}
+    monkeypatch.setattr(decomp.incidence, "mobius",
+                        lambda X: real(X) + QVec(frozenset(X.levels[1]), off))
+    lines = verify_inversion(d6).lines()
+    assert [line.rsplit(" note=", 1)[1] for line in lines] == [
+        "zeta*mu-differs-from-counit", "mu*zeta-differs-from-counit"]
+    assert lines == inversion_lines_by_support(comult(d6), decomp.incidence.mobius(d6))
+
+
+def test_mobius_matches_the_sum_of_phi_vectors(mobius_corpus):
+    for X in mobius_corpus.values():
+        assert mobius(X) == mobius_by_phi(X)
+
+
 def test_classify_maps_an_arrow_no_maximal_cut_reached():
     """In the certified chipped object, the one maximal arrow is 0≤3, and its
     cut misses 1≤2 though 1≤2 is the middle edge of 0≤1≤2≤2, so only the
@@ -242,11 +262,12 @@ def test_culf_pushforward_identity(d6):
     assert rep.ok and all(m[x] == x for x in m)
 
 
-def test_culf_pushforward_needs_a_comultiplication(d6):
+@pytest.mark.parametrize("cap", [0, 1])
+def test_culf_pushforward_needs_a_comultiplication(d6, cap):
     from decomp.presheaf import SSetMap, truncate
 
-    low = truncate(d6, 1)
-    F = SSetMap(low, d6, {k: {x: x for x in low.levels[k]} for k in range(2)})
+    low = truncate(d6, cap)
+    F = SSetMap(low, d6, {k: {x: x for x in low.levels[k]} for k in range(cap + 1)})
     with pytest.raises(NotCertified, match="comultiplication needs cap >= 2"):
         culf_pushforward(F)
 

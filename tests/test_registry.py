@@ -23,14 +23,14 @@ from decomp.ingest import (
     nerve,
     nerve_poset,
 )
+from decomp.incidence import registry_comult
 from decomp.interval import AlgebraicInterval, canonicalize, factorisation_interval
-from decomp.presheaf import CapError, FinXiSet, point_sset, truncate
+from decomp.presheaf import CapError, FinXiSet, point_sset, truncate, u_star
 from decomp.registry import (
     Registry,
     RegistryError,
     build_fragment,
     fragment_square_report,
-    registry_comult,
 )
 
 SEP = "≤"
@@ -309,7 +309,9 @@ def _closed(spec, top: str) -> Registry:
 ], ids=["diamond", "d12", "B3", "chain4", "diamond-below-an-edge"])
 def test_registry_comult_matches_fragment(spec, top):
     reg = _closed(spec, top)
-    assert registry_comult(reg) == oracles.registry_comult_by_fragment(reg)
+    t = registry_comult(reg)
+    assert t.basis == frozenset(reg.entries)
+    assert (t.pairs, t.counit) == oracles.registry_comult_by_fragment(reg)
 
 
 @st.composite
@@ -325,7 +327,9 @@ def test_registry_comult_of_drawn_intervals_matches_fragment(iv):
     reg = Registry()
     reg.insert(iv)
     reg.close()
-    assert registry_comult(reg) == oracles.registry_comult_by_fragment(reg)
+    t = registry_comult(reg)
+    assert t.basis == frozenset(reg.entries)
+    assert (t.pairs, t.counit) == oracles.registry_comult_by_fragment(reg)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -362,12 +366,14 @@ def test_registry_comult_names_a_missing_class(diamond_registry, labelling_calls
     diamond_registry.close()
     assert point in diamond_registry.entries
     assert len(labelling_calls) == 1
-    assert registry_comult(diamond_registry) == (
-        oracles.registry_comult_by_fragment(diamond_registry))
+    t = registry_comult(diamond_registry)
+    assert t.basis == frozenset(diamond_registry.entries)
+    assert (t.pairs, t.counit) == oracles.registry_comult_by_fragment(diamond_registry)
 
 
 def test_registry_comult_matches_midpoints(diamond_registry):
-    pairs, counit = registry_comult(diamond_registry)
+    t = registry_comult(diamond_registry)
+    pairs, counit = t.pairs, t.counit
     names = {d: e.name for d, e in diamond_registry.entries.items()}
     diamond = diamond_registry.names["diamond"]
     labelled = Counter(
@@ -413,15 +419,14 @@ def test_classify_requires_closed_registry(poset_nerves, diamond_interval):
 
 
 def test_a_stored_entry_without_a_category_is_named(tmp_path, capsys):
-    """A hand-built registry whose one entry, trusted because its bytes hash
-    to its digest, is the canonical form of the interval of 0≤4 in the
-    nerve of the 4-chain without the chains through 1 < 2 < 3: valid but
-    not exact, so its composite table misses a composite.  `registry close`
-    and `classify` of that nerve exit 2 naming the entry and the missing
-    pair by two level-1 ids of its stored file, `registry mu` names its
-    inconclusive certificate, and the fragment names it too; nothing is
-    written.  Against an empty registry, `classify` names the class as an
-    interval class, not an entry."""
+    """A hand-built registry whose one entry, whose bytes hash to its
+    digest, is the canonical form of the interval of 0≤4 in the nerve of the
+    4-chain without the chains through 1 < 2 < 3: valid but not Segal, so its
+    composite table misses a composite.  Loading refuses it by digest with
+    its `check_segal` line: `registry close`, `classify` of that nerve and
+    `registry mu` exit 2 with that refusal, and nothing is written.  Against
+    an empty registry, `classify` names the class as an interval class, and
+    the missing composite by two of its level-1 ids."""
     from decomp.incidence import classify
 
     X = nerve(chain_poset(4))
@@ -438,23 +443,47 @@ def test_a_stored_entry_without_a_category_is_named(tmp_path, capsys):
     before = {p.name: p.read_bytes() for p in root.iterdir()}
     sset = str(tmp_path / "planted.sset")
     save(planted, sset)
-    refused = f"error: registry entry {digest[:12]}: missing composite for "
-    for argv in (["registry", "close", str(root)], ["classify", sset, "--registry", str(root)]):
+    refused = (f"stored entry {digest[:12]} is not an interval:\n"
+               "FAIL validate_interval degree=2 witness=n1_8,n1_6 note=no-filler via=check_segal")
+    for argv in (["registry", "close", str(root)], ["classify", sset, "--registry", str(root)],
+                 ["registry", "mu", str(root)]):
         capsys.readouterr()
         assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(refused) and err.count("\n") == 1
-        f, g = err.removeprefix(refused).rstrip("\n").split(";")
-        assert {f, g} <= set(c.canonical.data.levels[1])
-    assert main(["registry", "mu", str(root)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: stored entry {digest[:12]} is not certified Mobius:\n"
-        "INCONCLUSIVE certify_mobius_interval note=composite-table-refused\n")
-    with pytest.raises(RegistryError, match=f"^registry entry {digest[:12]}: "):
-        build_fragment(Registry.load(str(root)), 2)
-    with pytest.raises(RegistryError, match=f"^interval class {digest[:12]}: missing composite"):
+        assert capsys.readouterr() == ("", f"error: {refused}\n")
+    with pytest.raises(RegistryError) as got:
+        Registry.load(str(root))
+    assert str(got.value) == refused
+    with pytest.raises(RegistryError, match=f"^interval class {digest[:12]}: missing composite") as got:
         classify(planted, Registry())
+    f, g = str(got.value).split(" missing composite for ")[1].split(";")
+    assert {f, g} <= set(c.canonical.data.levels[1])
     assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+
+def test_a_stored_entry_that_is_not_an_interval_is_refused(tmp_path, capsys):
+    """A hand-built entry whose bytes hash to its digest, the canonical form
+    of u*(N(d6)): nine elements at degree -1, so not reduced.  Every command
+    that loads the registry exits 2 naming the entry and its
+    `validate_interval` line, and nothing is written."""
+    c = canonicalize(AlgebraicInterval(u_star(nerve(divisor_poset(6)))))
+    text = write_xiset(c.canonical.data)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert len(c.canonical.data.levels[-1]) == 9
+    root = tmp_path / "reg"
+    root.mkdir()
+    (root / f"{digest}.xiset").write_text(text, encoding="utf-8")
+    (root / "index.tsv").write_text(f"{digest}\tbad\t1\t2\n", encoding="utf-8")
+    sset = str(tmp_path / "d6.sset")
+    save(nerve(divisor_poset(6)), sset)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    refused = (f"error: stored entry {digest[:12]} is not an interval:\n"
+               "FAIL validate_interval degree=-1 note=not-reduced\n")
+    for argv in (["registry", "list", str(root)], ["registry", "mu", str(root)],
+                 ["registry", "close", str(root)], ["classify", sset, "--registry", str(root)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", refused)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def test_a_stored_entry_with_reserved_ids_is_named(tmp_path, diamond_interval, capsys):
