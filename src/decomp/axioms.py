@@ -31,7 +31,8 @@ from .presheaf import (
     validate_sset,
 )
 from .report import Report
-from .simplex import MonotoneMap, free_generators, generic_generators, pushout_generic_free
+from .simplex import MonotoneMap, codegeneracy, coface, free_generators
+from .simplex import generic_generators, pushout_generic_free
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +70,7 @@ def _composable_strings(X: FinSSet, k: int):
         yield from extend([e])
 
 
+@memoised
 def check_segal(X: FinSSet) -> Report:
     """Is every level the fibre product of its principal edges?  Records the
     table compositions it made itself in data["compositions"]."""
@@ -109,10 +111,10 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
     """Check that images of generic-free pushouts are pullbacks.
 
     `direct` tests the pushout squares of all generator pairs fitting under
-    the cap; `decalage` tests that both decalages are Segal with cartesian-
-    on-generics counits; `both` cross-validates the two verdicts.
-    `direct` records the pullback squares per corner degree in
-    data["squares"] and its own table compositions in data["compositions"].
+    the cap, recording them per corner degree in data["squares"] and its own
+    table compositions in data["compositions"]; `decalage` tests that both
+    decalages are Segal with culf counits, deciding no counit square that a
+    passing `direct` holds transposed; `both` cross-validates the verdicts.
     """
     if method not in ("direct", "decalage", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -133,12 +135,15 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
         rep.verified_upto = X.cap
         return rep
     if method == "decalage":
+        direct = check_decomposition(X, "direct")
         for which, dec in (("top", dec_top), ("bot", dec_bot)):
             D, counit = dec(X)
             seg = check_segal(D)
             if not seg.ok:
                 rep.fail(note=f"dec_{which}-not-segal")
                 rep.absorb(seg)
+            if direct.ok and _squares_shared(counit, actions(X), which == "top"):
+                continue
             culf = check_map_class(counit, "culf")
             if not culf.ok:
                 rep.fail(note=f"dec_{which}-counit-not-culf")
@@ -166,6 +171,19 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
     return rep
 
 
+def _squares_shared(counit: SSetMap, act, top: bool) -> bool:
+    """Is each culf square of a decalage counit of X, whose actions are act,
+    X's generic-free square of (sigma^j or inner delta^i, the deleted outer
+    coface) for the counit's s_j or d_i, transposed, as index lists?"""
+    for letter, k, i, square in _class_squares(counit, _component_indices(counit, 0), "culf"):
+        g = codegeneracy(k + 1, i) if letter == "s" else coface(k - 1, i)
+        f = free_generators(g.src)[top]
+        f2, g2 = pushout_generic_free(g, f)
+        if square[3:] != tuple(map(act.index, (g2, f2, f, g))):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # map classes
 
@@ -182,24 +200,33 @@ def check_map_class(F: SSetMap | XiSetMap, cls: str = "culf") -> Report:
     if cls not in ("conservative", "ulf", "culf"):
         raise ValueError(f"unknown map class {cls!r}")
     rep = Report(f"check_map_class[{cls}]")
-    Y, X = F.dom, F.cod
-    xi = isinstance(Y, FinXiSet)
+    xi = isinstance(F.dom, FinXiSet)
     try:
         comp = _component_indices(F, -xi)
     except KeyError:
         return _map_shape(F, -xi, "G" if xi else "F")
+    for letter, k, i, square in _class_squares(F, comp, cls):
+        bad = pullback_failure(*square)
+        if bad is not None:
+            rep.fail(degree=k, note=f"{_label(xi, letter, k, i)}:{bad}")
+    rep.verified_upto = F.dom.cap
+    return rep
+
+
+def _class_squares(F: SSetMap | XiSetMap, comp: dict[int, list[int]], cls: str):
+    """Each naturality square of F that cls tests, as (letter, k, i, square)
+    for the structure map of key (k, i), square in the argument order of
+    `pullback_failure`; comp holds F's components as index lists."""
+    Y, X = F.dom, F.cod
+    xi = isinstance(Y, FinXiSet)
     vY, vX = _index_view(Y), _index_view(X)
     face_keys, degen_keys = _table_keys(Y.cap, xi)
     squares = [("s", key, 1, vY.degens, vX.degens) for key in degen_keys if cls != "ulf"]
     squares += [("d", (k, i), -1, vY.faces, vX.faces) for k, i in face_keys
                 if cls != "conservative" and 0 < i + xi < k + 2 * xi]
     for letter, (k, i), step, tY, tX in squares:
-        bad = pullback_failure(Y.levels[k], Y.levels[k + step], X.levels[k],
-                               tY[(k, i)], comp[k], comp[k + step], tX[(k, i)])
-        if bad is not None:
-            rep.fail(degree=k, note=f"{_label(xi, letter, k, i)}:{bad}")
-    rep.verified_upto = Y.cap
-    return rep
+        yield letter, k, i, (Y.levels[k], Y.levels[k + step], X.levels[k],
+                             tY[(k, i)], comp[k], comp[k + step], tX[(k, i)])
 
 
 # ---------------------------------------------------------------------------

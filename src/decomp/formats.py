@@ -115,7 +115,7 @@ def _write_levelled(X: FinSSet | FinXiSet, header: str, xi: bool) -> str:
             bad = next(x for x in ids if x.split() != [x] or any(c in x for c in _RESERVED))
             raise ValueError(f"level {k} id {bad!r} is empty or holds whitespace, "
                              "'#', '->' or ';'")
-        out.append(f"level {k}:" + (f" {line}" if line else ""))
+        out.append(f"level {k}: {line}" if line else f"level {k}:")
     maps = [(f"d {k} {i}", faces[(k, i)]) for k in range(1, cap + 1) for i in range(k + 1)]
     if xi:
         maps.append(("dnew", faces[(0, 0)]))
@@ -125,8 +125,9 @@ def _write_levelled(X: FinSSet | FinXiSet, header: str, xi: bool) -> str:
         maps += [(f"stop {k}", degens[(k, k + 1)]) for k in range(-1, cap)]
     for directive, table in maps:
         body = _fmt_entries(table)
-        out.append(f"{directive}:" + (f" {body}" if body else ""))
-    return "\n".join(out) + "\n"
+        out.append(f"{directive}: {body}" if body else f"{directive}:")
+    out.append("")
+    return "\n".join(out)
 
 
 def write_sset(X: FinSSet) -> str:

@@ -54,7 +54,9 @@ def test_direct_exactness_and_segal_record_their_work():
 def test_every_square_is_decided_by_pullback_failure(monkeypatch):
     """Each check sends every square it decides, passing ones included,
     through the module-level `pullback_failure`, so a wrapper bound to that
-    name sees them all."""
+    name sees them all.  `both` decides each square of a decomposition space
+    once, its counits' culf squares being the direct ones; on an input that
+    fails direct exactness it decides both counits' squares as well."""
     import decomp.axioms
 
     calls = []
@@ -70,6 +72,16 @@ def test_every_square_is_decided_by_pullback_failure(monkeypatch):
         rep = check_decomposition(X, "direct")
         assert len(calls) == sum(rep.data["squares"].values())
     assert not rep.ok
+    X = nerve_poset(divisor_poset(12), 6)
+    calls.clear()
+    assert check_decomposition(X, "both").ok
+    assert len(calls) == sum(check_decomposition(X, "direct").data["squares"].values()) == 50
+    X = chipped_object()
+    calls.clear()
+    assert not check_decomposition(X, "both").ok
+    cap = X.cap - 1
+    culf = sum(k + 1 for k in range(cap)) + sum(k - 1 for k in range(2, cap + 1))
+    assert len(calls) == sum(check_decomposition(X, "direct").data["squares"].values()) + 2 * culf
     _, counit = dec_bot(nerve_poset(divisor_poset(12), 5))
     calls.clear()
     assert check_map_class(counit, "culf").ok

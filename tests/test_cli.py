@@ -118,6 +118,18 @@ def test_coalg_table(d6_sset, capsys):
     assert len(top) == 4
 
 
+def test_coalg_table_refuses_cap_two(tmp_path, capsys):
+    """Segal at cap 2 certifies nothing at degree 3: a cap-2 SSET is refused
+    by the exactness check's cap."""
+    from decomp.formats import write_sset
+    from decomp.ingest import nerve_poset
+
+    path = tmp_path / "d6.sset"
+    path.write_text(write_sset(nerve_poset(divisor_poset(6), 2)), encoding="utf-8")
+    assert main(["coalg-table", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: decomposition check needs cap >= 3\n")
+
+
 def test_dec(tmp_path, d6_sset, capsys):
     out = str(tmp_path / "dec.sset")
     assert main(["dec", "bot", d6_sset, "-o", out]) == 0

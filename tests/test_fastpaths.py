@@ -5,6 +5,7 @@ fast paths rely on."""
 
 import re
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from math import factorial, prod
 from pathlib import Path
@@ -60,6 +61,7 @@ from decomp.interval import (
 from decomp.presheaf import (
     FinSSet,
     FinXiSet,
+    SSetMap,
     XiSetMap,
     _index_view,
     _IndexView,
@@ -496,6 +498,8 @@ def test_memoised_verdicts_render_as_fresh_ones(X):
     calls = [(validate_sset,)] + [(check_decomposition, method)
                                   for method in ("direct", "decalage", "both")]
     calls += [(check_tight,)]
+    if validate_sset(X).ok:
+        calls += [(check_segal,)]
     for check, *args in calls:
         first = _rendered(check, X, *args)
         assert _rendered(check, X, *args) == first
@@ -1023,6 +1027,77 @@ def test_direct_and_decalage_verdicts_agree(X):
     direct = check_decomposition(X, "direct")
     assert direct.status == check_decomposition(X, "decalage").status
     assert check_decomposition(X, "both").status == direct.status
+
+
+def _decided(check, *args) -> list[tuple]:
+    """The squares check(*args) sends through `pullback_failure`, in order,
+    each its id lists and index lists as tuples."""
+    import decomp.axioms
+
+    seen = []
+    decide = decomp.axioms.pullback_failure
+
+    def recorded(*square):
+        seen.append(tuple(map(tuple, square)))
+        return decide(*square)
+    with patch.object(decomp.axioms, "pullback_failure", recorded):
+        check(*args)
+    return seen
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(exactness_inputs())
+def test_counit_squares_are_the_direct_squares_transposed(X):
+    """Each culf square of a decalage counit is X's generic-free square
+    whose free map is the outer coface the decalage deletes, its two legs
+    swapped; the two counits' squares are the direct ones, each once."""
+    from decomp.axioms import _squares_shared
+
+    X = replace(X)
+    direct = Counter((P, B, A, q, p, g, f)
+                     for P, A, B, p, q, f, g in _decided(check_decomposition, X, "direct"))
+    counits = Counter()
+    for dec in (dec_top, dec_bot):
+        counit = dec(X)[1]
+        counits.update(_decided(check_map_class, counit, "culf"))
+        assert _squares_shared(counit, actions(X), dec is dec_top)
+    assert counits == direct
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(exactness_inputs(), st.sampled_from(["dec_top", "dec_bot"]), st.data())
+def test_a_rewired_counit_is_decided_again(X, which, data):
+    """A decalage counit with one component entry sent to another simplex
+    of its level shares no longer X's direct squares, so `check_map_class`
+    decides it, and `both` renders as the check counted on id tables given
+    the same counit."""
+    import decomp.axioms
+    import decomp.presheaf
+
+    degrees = [k for k in range(X.cap) if len(X.levels[k]) > 1]
+    if not degrees:
+        return
+    k = data.draw(st.sampled_from(degrees))
+    x = data.draw(st.sampled_from(X.levels[k + 1]))
+    dec, decide = getattr(decomp.presheaf, which), decomp.axioms.check_map_class
+    y = data.draw(st.sampled_from([y for y in X.levels[k]
+                                   if y != dec(X)[1].components[k][x]]))
+    made, checked = [], []
+
+    def rewired(Y):
+        D, counit = dec(Y)
+        made.append(SSetMap(D, Y, {**counit.components, k: {**counit.components[k], x: y}}))
+        return D, made[-1]
+
+    def recorded(F, cls):
+        checked.append(F)
+        return decide(F, cls)
+    with patch.object(decomp.axioms, which, rewired), \
+            patch.object(decomp.presheaf, which, rewired), \
+            patch.object(decomp.axioms, "check_map_class", recorded):
+        got = check_decomposition(replace(X), "both").lines()
+        assert any(F is made[0] for F in checked)
+        assert got == oracles.check_decomposition_by_names(replace(X), "both").lines()
 
 
 def test_planted_removals_fail_exactness_inside_a_longer_chain():

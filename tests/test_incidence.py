@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from decomp.axioms import check_mobius
+import decomp.incidence
+from decomp.axioms import check_decomposition, check_mobius
 from decomp.cli import main
 from decomp.incidence import (
     NotCertified,
@@ -24,7 +25,7 @@ from decomp.ingest import chain_poset, divisor_poset, nerve_poset
 from decomp.interval import canonicalize, factorisation_interval, longest_edge
 from decomp.presheaf import dec_bot, i_star, point_sset, validate
 from decomp.registry import Registry, RegistryEntry, maximal_cuts
-from conftest import chipped_object, idempotent_interval
+from conftest import chipped_object, filter_nerve, idempotent_interval, invalid_object
 from oracles import convolution_inverse, inversion_lines_by_support, mobius_by_phi, rota_mobius
 
 SEP = "≤"
@@ -71,6 +72,44 @@ def test_comult_point():
 def test_comult_refuses_non_decomposition():
     with pytest.raises(NotCertified):
         comult(chipped_object())
+
+
+def test_comult_certifies_a_segal_input_without_direct_exactness(monkeypatch, trunc_add):
+    """A valid Segal input of cap at least 3 is a decomposition space, so
+    `comult` reads its memoised Segal verdict and runs no direct exactness
+    check; truncated (N,+) is not Segal and is certified through one."""
+    calls = []
+    decide = decomp.incidence.check_decomposition
+
+    def counted(X, method):
+        calls.append(method)
+        return decide(X, method)
+    monkeypatch.setattr(decomp.incidence, "check_decomposition", counted)
+    X = nerve_poset(divisor_poset(12), 4)
+    assert comult(X).pairs == comult(X, check=False).pairs
+    assert calls == []
+    comult(trunc_add)
+    assert calls == ["direct"]
+
+
+@pytest.mark.parametrize("make, lines, first", [
+    (chipped_object, 6, "degree=3 note=pushout(<[1]->[2]:0,2>,<[1]->[2]:0,1>):"
+                        "missing-fiber-pair:0≤1≤2,0≤2≤3"),
+    (invalid_object, 7, "degree=2 witness=0≤0≤1 note=d0d1 via=validate"),
+    (lambda: filter_nerve(nerve_poset(chain_poset(3), 4),
+                          lambda vs: not {"0", "1", "3"} <= set(vs)), 3,
+     "degree=3 note=pushout(<[1]->[2]:0,2>,<[1]->[2]:0,1>):missing-fiber-pair:0≤1≤2,0≤2≤3"),
+], ids=["chipped", "invalid", "planted"])
+def test_comult_refusals_quote_direct_exactness(make, lines, first):
+    """An input that is not a valid Segal space is refused with the lines
+    of its direct exactness check."""
+    X = make()
+    with pytest.raises(NotCertified) as info:
+        comult(X)
+    text = str(info.value).splitlines()
+    assert text[0] == "input fails the exactness axiom:"
+    assert text[1:] == check_decomposition(X, "direct").lines()
+    assert len(text) == 1 + lines and text[1] == f"FAIL check_decomposition[direct] {first}"
 
 
 def test_convolution_unit_laws(d6_table):
