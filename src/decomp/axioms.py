@@ -15,11 +15,10 @@ from .presheaf import (
     FinXiSet,
     SSetMap,
     XiSetMap,
-    _component_indices,
     _index_view,
     _label,
     _map_shape,
-    _table_keys,
+    _map_squares,
     actions,
     dec_bot,
     dec_top,
@@ -87,7 +86,10 @@ def check_segal(X: FinSSet) -> Report:
                 seen[s] = x
         elif len(spines) != _composable_count(X, k):
             named = {tuple(map(X.levels[1].__getitem__, s)) for s in spines}
-            missing = next(s for s in _composable_strings(X, k) if s not in named)
+            missing = next((s for s in _composable_strings(X, k) if s not in named), None)
+            if missing is None:  # X is not valid: a spine is not a string
+                rep.absorb(validate_sset(X))
+                break
             rep.fail(degree=k, witness=missing, note="no-filler")
     rep.data["compositions"] = act.compositions - before
     rep.verified_upto = X.cap
@@ -175,7 +177,7 @@ def _squares_shared(counit: SSetMap, act, top: bool) -> bool:
     """Is each culf square of a decalage counit of X, whose actions are act,
     X's generic-free square of (sigma^j or inner delta^i, the deleted outer
     coface) for the counit's s_j or d_i, transposed, as index lists?"""
-    for letter, k, i, square in _class_squares(counit, _component_indices(counit, 0), "culf"):
+    for letter, k, i, square in _map_squares(counit, "culf"):
         g = codegeneracy(k + 1, i) if letter == "s" else coface(k - 1, i)
         f = free_generators(g.src)[top]
         f2, g2 = pushout_generic_free(g, f)
@@ -201,32 +203,15 @@ def check_map_class(F: SSetMap | XiSetMap, cls: str = "culf") -> Report:
         raise ValueError(f"unknown map class {cls!r}")
     rep = Report(f"check_map_class[{cls}]")
     xi = isinstance(F.dom, FinXiSet)
-    try:
-        comp = _component_indices(F, -xi)
-    except KeyError:
+    squares = _map_squares(F, cls)
+    if squares is None:
         return _map_shape(F, -xi, "G" if xi else "F")
-    for letter, k, i, square in _class_squares(F, comp, cls):
+    for letter, k, i, square in squares:
         bad = pullback_failure(*square)
         if bad is not None:
             rep.fail(degree=k, note=f"{_label(xi, letter, k, i)}:{bad}")
     rep.verified_upto = F.dom.cap
     return rep
-
-
-def _class_squares(F: SSetMap | XiSetMap, comp: dict[int, list[int]], cls: str):
-    """Each naturality square of F that cls tests, as (letter, k, i, square)
-    for the structure map of key (k, i), square in the argument order of
-    `pullback_failure`; comp holds F's components as index lists."""
-    Y, X = F.dom, F.cod
-    xi = isinstance(Y, FinXiSet)
-    vY, vX = _index_view(Y), _index_view(X)
-    face_keys, degen_keys = _table_keys(Y.cap, xi)
-    squares = [("s", key, 1, vY.degens, vX.degens) for key in degen_keys if cls != "ulf"]
-    squares += [("d", (k, i), -1, vY.faces, vX.faces) for k, i in face_keys
-                if cls != "conservative" and 0 < i + xi < k + 2 * xi]
-    for letter, (k, i), step, tY, tX in squares:
-        yield letter, k, i, (Y.levels[k], Y.levels[k + step], X.levels[k],
-                             tY[(k, i)], comp[k], comp[k + step], tX[(k, i)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 fail, 2 inconclusive or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -187,6 +188,7 @@ def cmd_registry(args) -> int:
     return rep.exit_code()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="decomp",

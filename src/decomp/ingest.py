@@ -212,14 +212,6 @@ class PosetSpec:
         return {a: [b for b in self.elements if self.leq(a, b)]
                 for a in self.elements}
 
-    def interval(self, x: str, y: str) -> PosetSpec:
-        """The sub-poset of elements between x and y."""
-        if not self.leq(x, y):
-            raise SpecError(f"{x} is not below {y}")
-        elems = [z for z in self.elements if self.leq(x, z) and self.leq(z, y)]
-        keep = {p for p in self.le if p[0] in elems and p[1] in elems}
-        return PosetSpec(elems, keep)
-
 
 def nerve_poset(spec: PosetSpec, cap: int | None = None) -> FinSSet:
     """Nerve with one simplex per weakly increasing chain, ids joined by ≤."""

@@ -502,13 +502,26 @@ def _degen_arrow(k: int, j: int) -> XiMap:
     return XiMap(k + 1, k, codegeneracy(k + 3, j + 1))
 
 
-def _component_indices(F, lo: int) -> dict[int, list[int]]:
-    """The components of a map whose tables are total, as index lists from
-    its domain's levels into its codomain's, degrees lo to dom.cap."""
-    pos = _index_view(F.cod).pos
-    return {k: list(map(pos[k].__getitem__, map(F.components[k].__getitem__,
-                                                F.dom.levels[k])))
-            for k in range(lo, F.dom.cap + 1)}
+def _map_squares(F, cls: str | None = None) -> list | None:
+    """F's naturality squares as (letter, k, i, square) for the face "d" or
+    degeneracy "s" of key (k, i), square in `pullback_failure`'s argument
+    order: every face, then every degeneracy; for a map class, each
+    degeneracy unless cls is "ulf", then each inner face unless it is
+    "conservative".  None if a component is not total."""
+    Y, X, xi = F.dom, F.cod, isinstance(F.dom, FinXiSet)
+    vY, vX = _index_view(Y), _index_view(X)
+    try:
+        comp = {k: list(map(vX.pos[k].__getitem__, map(F.components[k].__getitem__, Y.levels[k])))
+                for k in range(-xi, Y.cap + 1)}
+    except KeyError:
+        return None
+    face_keys, degen_keys = _table_keys(Y.cap, xi)
+    d = [("d", k, i, -1, vY.faces, vX.faces) for k, i in face_keys
+         if cls is None or cls != "conservative" and 0 < i + xi < k + 2 * xi]
+    s = [("s", k, i, 1, vY.degens, vX.degens) for k, i in degen_keys if cls != "ulf"]
+    return [(letter, k, i, (Y.levels[k], Y.levels[k + step], X.levels[k],
+                            tY[k, i], comp[k], comp[k + step], tX[k, i]))
+            for letter, k, i, step, tY, tX in (d + s if cls is None else s + d)]
 
 
 def _map_shape(F, lo: int, label: str) -> Report:
@@ -541,13 +554,9 @@ def validate_map(F: SSetMap | XiSetMap) -> Report:
     rep = _map_shape(F, -xi, "G" if xi else "F")
     if not rep.ok:
         return rep
-    vX, vY, comp = _index_view(X), _index_view(Y), _component_indices(F, -xi)
-    kinds = (("d", vX.faces, vY.faces, -1), ("s", vX.degens, vY.degens, 1))
-    for (letter, tX, tY, step), keys in zip(kinds, _table_keys(X.cap, xi)):
-        for k, i in keys:
-            _compare(rep, X.levels[k], f"naturality-{_label(xi, letter, k, i)}",
-                     list(map(comp[k + step].__getitem__, tX[(k, i)])),
-                     list(map(tY[(k, i)].__getitem__, comp[k])), k)
+    for letter, k, i, (P, _, _, p, q, f, g) in _map_squares(F):
+        _compare(rep, P, f"naturality-{_label(xi, letter, k, i)}",
+                 list(map(f.__getitem__, p)), list(map(g.__getitem__, q)), k)
     rep.verified_upto = X.cap
     return rep
 

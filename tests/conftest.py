@@ -42,6 +42,13 @@ def filter_nerve(X: FinSSet, keep) -> FinSSet:
     return FinSSet(X.cap, levels, faces, degens, stable_from=None)
 
 
+def subposet(spec: PosetSpec, x: str, y: str) -> PosetSpec:
+    """The elements between x and y: the model, as a poset, of the
+    factorisation interval of the arrow x ≤ y of spec's nerve."""
+    elems = [z for z in spec.elements if spec.leq(x, z) and spec.leq(z, y)]
+    return PosetSpec(elems, {p for p in spec.le if p[0] in elems and p[1] in elems})
+
+
 def spine_object(cap: int = 4) -> FinSSet:
     """Two composable nondegenerate edges with no filler triangle."""
     big = nerve_poset(chain_poset(2), cap)

@@ -120,6 +120,17 @@ def test_segal_fails_on_a_second_filler_with_both_witnesses():
         "FAIL check_segal degree=2 witness=0≤1≤2,twin note=spine-collision"]
 
 
+def test_segal_names_the_fault_of_an_invalid_object():
+    """The one-element poset's edge with d0 sent outside level 0 has a
+    spine that is no string of edges, so no string lacks a filler: the
+    check reports the validation fault instead."""
+    X = nerve_poset(chain_poset(0), 2)
+    (edge,) = X.levels[1]
+    X.faces[(1, 0)] = {edge: "nowhere"}
+    assert check_segal(X).lines() == [
+        "FAIL check_segal witness=0≤0,nowhere note=d[1,0]-target-outside-level via=validate"]
+
+
 def test_decomposition_on_nerves(poset_nerves):
     X = poset_nerves["d12"]
     assert check_decomposition(X, "direct").ok

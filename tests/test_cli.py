@@ -595,6 +595,16 @@ FAIL check_map_class[culf] degree=0 note=dnew:comparison-not-injective:1≤1≤2
 """
 
 
+def test_main_builds_its_parser_once(d6_sset, capsys):
+    import decomp.cli
+
+    decomp.cli.build_parser.cache_clear()
+    assert main(["check", "segal", d6_sset]) == 0
+    assert main(["check", "complete", d6_sset]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS check_complete degree=0"
+    assert decomp.cli.build_parser.cache_info().misses == 1
+
+
 def test_monoid_nerve_via_cli(tmp_path, capsys):
     save(truncated_addition(3), tmp_path / "add.monoid")
     out = str(tmp_path / "add.sset")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import decomp.incidence
-from decomp.axioms import check_decomposition, check_mobius
+from decomp.axioms import check_decomposition, check_map_class, check_mobius
 from decomp.cli import main
 from decomp.incidence import (
     NotCertified,
@@ -225,6 +225,14 @@ def test_inversion_fails_where_the_certificate_overclaims():
         "FAIL verify_inversion witness=0≤3 note=mu*zeta-differs-from-counit"]
 
 
+def test_inversion_quotes_a_certificate_that_fails():
+    """Without a stable degree d6 has no Mobius certificate, so
+    verify_inversion quotes check_mobius and convolves nothing."""
+    loose = replace(nerve_poset(divisor_poset(6), 5), stable_from=None)
+    assert verify_inversion(loose).lines() == [
+        "INCONCLUSIVE verify_inversion note=no-stabilization-degree via=check_tight via=check_mobius"]
+
+
 def test_inversion_names_both_sides_of_a_perturbed_mu(d6, monkeypatch):
     """verify_inversion of d6 with its mu off at 1≤1 and at 2≤6: both sides
     fail, each with the witnesses that the supports on raw tables give."""
@@ -309,6 +317,22 @@ def test_culf_pushforward_needs_a_comultiplication(d6, cap):
     F = SSetMap(low, d6, {k: {x: x for x in low.levels[k]} for k in range(cap + 1)})
     with pytest.raises(NotCertified, match="comultiplication needs cap >= 2"):
         culf_pushforward(F)
+
+
+def test_culf_pushforward_refuses_a_valid_map_that_is_not_culf(d6):
+    """d6 sent to the point is a valid map whose squares on degeneracies
+    and inner faces are not pullbacks: the culf lines, no pushforward."""
+    from decomp.presheaf import SSetMap, validate_map
+
+    F = SSetMap(d6, point_sset(d6.cap), {k: dict.fromkeys(d6.levels[k], "pt")
+                                         for k in range(d6.cap + 1)})
+    assert validate_map(F).ok
+    with pytest.raises(NotCertified) as info:
+        culf_pushforward(F)
+    head, *lines = str(info.value).split("\n")
+    assert head == "map is not cartesian on generics:"
+    assert lines == check_map_class(F, "culf").lines()
+    assert lines[0] == f"FAIL check_map_class[culf] degree=0 note=s0:missing-fiber-pair:1{SEP}2,pt"
 
 
 @pytest.mark.parametrize("how, line", [

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import subposet
 from test_golden import poset_specs
 
 from decomp.axioms import check_complete, check_decomposition, check_segal
@@ -32,7 +33,7 @@ def test_poset_closure_and_interval():
     spec = divisor_poset(12)
     assert spec.leq("1", "12") and spec.leq("2", "4")
     assert not spec.leq("4", "6")
-    sub = spec.interval("2", "12")
+    sub = subposet(spec, "2", "12")
     assert sorted(sub.elements) == ["12", "2", "4", "6"]
     assert nerve_poset(sub).stable_from == 2  # 2 < 4 < 12
 

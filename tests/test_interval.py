@@ -30,7 +30,7 @@ from decomp.presheaf import (
     u_star,
     validate_map,
 )
-from conftest import assert_isomorphism, idempotent_interval
+from conftest import assert_isomorphism, idempotent_interval, subposet
 
 SEP = "≤"
 
@@ -69,7 +69,7 @@ def test_interval_of_degenerate_arrow_is_terminal(d12):
 def test_interval_matches_subposet_nerve(d12):
     spec = divisor_poset(12)
     iv, _ = factorisation_interval(d12, arrow("2", "12"))
-    model = nerve_poset(spec.interval("2", "12"), d12.cap - 2)
+    model = nerve_poset(subposet(spec, "2", "12"), d12.cap - 2)
     assert isomorphic(i_star(iv.data), model) is not None
 
 
@@ -152,6 +152,18 @@ def test_validate_interval_returns_an_invalid_inputs_validate_report(diamond):
     levels = {k: ids for k, ids in diamond.data.levels.items() if k != -1}
     rep = validate_interval(AlgebraicInterval(replace(diamond.data, levels=levels)))
     assert rep.lines() == ["FAIL validate note=levels-do-not-match-cap"]
+
+
+def test_an_interval_whose_s0_merges_two_objects_fails_validation(diamond):
+    """A valid input is complete, since d0 s0 = id at degree 0 is one of
+    the relations validation checks: an s0 that is not injective is named
+    by `validate`, before validate_interval reaches its completeness line."""
+    A = diamond.data
+    a, b = A.levels[0][:2]
+    s0 = {**A.degens[(0, 0)], b: A.degens[(0, 0)][a]}
+    rep = validate_interval(AlgebraicInterval(replace(A, degens={**A.degens, (0, 0): s0})))
+    assert rep.check == "validate"
+    assert f"FAIL validate degree=0 witness={b} note=relation:d[1,0];s[0,0]" in rep.lines()
 
 
 def test_canonicalize_is_stable_and_idempotent(diamond):

@@ -291,6 +291,11 @@ def test_fragment_square(diamond_registry):
     assert rep.data["counts"][diamond_registry.names["diamond"]][3] == 9
 
 
+def test_fragment_square_needs_degree_3(diamond_registry):
+    rep = fragment_square_report(build_fragment(diamond_registry, top=2))
+    assert rep.lines() == ["INCONCLUSIVE fragment_square note=fragment-too-shallow"]
+
+
 def _closed(spec, top: str) -> Registry:
     reg = Registry()
     reg.insert(factorisation_interval(nerve_poset(spec), top)[0])
