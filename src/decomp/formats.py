@@ -10,10 +10,11 @@ that parser reads the tables they write against the level lines.
 from __future__ import annotations
 
 import os
+import re
 from sys import intern
 
 from .ingest import CategorySpec, MonoidSpec, PosetSpec, SpecError
-from .presheaf import FinSSet, FinXiSet, SSetMap, XiSetMap, seed_index_view
+from .presheaf import FinSSet, FinXiSet, SSetMap, XiSetMap
 
 
 class ParseError(ValueError):
@@ -24,10 +25,15 @@ class ParseError(ValueError):
 
 
 def _lines(text: str, source: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if line:
-            yield lineno, line
+    """(lineno, line) for each line not blank once its comment is cut, as
+    `str.splitlines` numbers them, read one newline-ended slice at a time."""
+    lineno = 0
+    for piece in re.finditer(".*\n?", text):
+        for raw in piece.group().splitlines():
+            lineno += 1
+            line = raw.split("#", 1)[0].rstrip()
+            if line:
+                yield lineno, line
 
 
 def _directives(text: str, source: str, header: str):
@@ -103,28 +109,35 @@ _RESERVED = ("#", "->", ";")
 def _write_levelled(X: FinSSet | FinXiSet, header: str, xi: bool) -> str:
     """Shared writer; an XISET adds level -1 and the dnew (d_0 at degree
     0), sbot k (s_{-1}) and stop k (s_{k+1}) lines.  A level id that is
-    empty or holds whitespace, '#', '->' or ';' raises ValueError."""
+    empty or holds whitespace, '#', '->' or ';' raises ValueError.  Tables
+    are written from their positions, or their ids if kept as ids."""
     cap, faces, degens = X.cap, X.faces, X.degens
     out = [header, f"cap {cap}"]
     if X.stable_from is not None:
         out.append(f"stable {X.stable_from}")
+    order, ids = {}, {}  # each level's positions in the order of its ids, and the ids
     for k in range(-1 if xi else 0, cap + 1):
-        ids = sorted(X.levels[k])
-        line = " ".join(ids)
-        if line.split() != ids or any(c in line for c in _RESERVED):
-            bad = next(x for x in ids if x.split() != [x] or any(c in x for c in _RESERVED))
+        order[k] = sorted(range(len(X.levels[k])), key=X.levels[k].__getitem__)
+        ids[k] = [X.levels[k][n] for n in order[k]]
+        line = " ".join(ids[k])
+        if line.split() != ids[k] or any(c in line for c in _RESERVED):
+            bad = next(x for x in ids[k] if x.split() != [x] or any(c in x for c in _RESERVED))
             raise ValueError(f"level {k} id {bad!r} is empty or holds whitespace, "
                              "'#', '->' or ';'")
         out.append(f"level {k}: {line}" if line else f"level {k}:")
-    maps = [(f"d {k} {i}", faces[(k, i)]) for k in range(1, cap + 1) for i in range(k + 1)]
+    maps = [(f"d {k} {i}", faces, (k, i)) for k in range(1, cap + 1) for i in range(k + 1)]
     if xi:
-        maps.append(("dnew", faces[(0, 0)]))
-    maps += [(f"s {k} {j}", degens[(k, j)]) for k in range(cap) for j in range(k + 1)]
+        maps.append(("dnew", faces, (0, 0)))
+    maps += [(f"s {k} {j}", degens, (k, j)) for k in range(cap) for j in range(k + 1)]
     if xi:
-        maps += [(f"sbot {k}", degens[(k, -1)]) for k in range(-1, cap)]
-        maps += [(f"stop {k}", degens[(k, k + 1)]) for k in range(-1, cap)]
-    for directive, table in maps:
-        body = _fmt_entries(table)
+        maps += [(f"sbot {k}", degens, (k, -1)) for k in range(-1, cap)]
+        maps += [(f"stop {k}", degens, (k, k + 1)) for k in range(-1, cap)]
+    for directive, tables, (k, i) in maps:
+        table, tgt = tables.stored[(k, i)], X.levels[k + tables.step]
+        if isinstance(table, list):
+            body = " ; ".join([f"{x}->{tgt[table[n]]}" for x, n in zip(ids[k], order[k])])
+        else:
+            body = _fmt_entries(table)
         out.append(f"{directive}: {body}" if body else f"{directive}:")
     out.append("")
     return "\n".join(out)
@@ -138,52 +151,45 @@ def write_xiset(A: FinXiSet) -> str:
     return _write_levelled(A, "XISET v1", xi=True)
 
 
-def _table(body: str, keys: list[str], prefixes: list[str], ids: list[str], at: dict):
-    """The table and target positions of a body of 'key->id' entries joined
-    by ' ; ', keys in order and ids positioned by at (prefixes[n] is
-    keys[n] + '->'), as `_fmt_entries` writes them; None for any other."""
+def _table(body: str, prefixes: list[str], at: dict) -> list[int] | None:
+    """The target positions of a body of 'key->id' entries joined by ' ; ',
+    in the order of the source ids (prefixes[n] is the n-th + '->') and ids
+    positioned by at, as the writer writes them; None for any other."""
     body = body.strip()
     entries = body.split(" ; ") if body else []
-    if len(entries) != len(keys) or not all(map(str.startswith, entries, prefixes)):
+    if len(entries) != len(prefixes) or not all(map(str.startswith, entries, prefixes)):
         return None
     try:
-        positions = list(map(at.__getitem__, map(str.removeprefix, entries, prefixes)))
+        return list(map(at.__getitem__, map(str.removeprefix, entries, prefixes)))
     except KeyError:
         return None
-    return dict(zip(keys, map(ids.__getitem__, positions))), positions
 
 
 def _parse_levelled(text: str, source: str, header: str, cls):
-    """The FinSSet or FinXiSet (cls) a levelled file holds, its index view
-    seeded with the position maps and index lists read on the way.
+    """The FinSSet or FinXiSet (cls) a levelled file holds.
 
     The interval-site directives dnew, sbot and stop (refused in an SSET)
     fill the boundary indices d_0 at degree 0 and s_{-1}, s_{k+1} at degree
     k, so `d` and `s` lines are held to the simplicial index ranges and may
-    not alias them.  A table body is read by `_table` against the level
-    lines above it when neither repeats an id, or else by `_entries`.
+    not alias them.  A table body is read as positions by `_table` against
+    the level lines above it when neither repeats an id, or else by `_entries`.
     """
     cap = None
     stable = None
     levels: dict[int, list[str]] = {}
     read: dict[int, tuple | None] = {}  # position map, entry prefixes; None on repeats
-    faces: dict[tuple[int, int], dict[str, str]] = {}
-    degens: dict[tuple[int, int], dict[str, str]] = {}
-    face_index, degen_index = {}, {}  # index lists of the tables _table reads
+    faces: dict[tuple[int, int], list[int] | dict[str, str]] = {}
+    degens: dict[tuple[int, int], list[int] | dict[str, str]] = {}
     xi = False
     seen: set = set()
 
     def store(key, step, directive, body, lineno):
-        tables, index = (faces, face_index) if step < 0 else (degens, degen_index)
+        tables = faces if step < 0 else degens
         if key in tables:
             raise ParseError(source, lineno, f"duplicate directive '{directive}'")
         src, tgt = read.get(key[0]), read.get(key[0] + step)
-        made = src and tgt and _table(body, levels[key[0]], src[1],
-                                      levels[key[0] + step], tgt[0])
-        if made:
-            tables[key], index[key] = made
-        else:
-            tables[key] = _entries(body, source, lineno)
+        made = _table(body, src[1], tgt[0]) if src and tgt else None
+        tables[key] = _entries(body, source, lineno) if made is None else made
 
     for lineno, line in _directives(text, source, header):
         key, _, rest = line.partition(" ")
@@ -226,8 +232,7 @@ def _parse_levelled(text: str, source: str, header: str, cls):
         raise ParseError(source, 0, "missing cap")
     if xi and cls is FinSSet:
         raise ParseError(source, 0, "interval-site directives in an SSET file")
-    pos = {k: r[0] for k, r in read.items() if r}
-    return seed_index_view(cls(cap, levels, faces, degens, stable), pos, face_index, degen_index)
+    return cls(cap, levels, faces, degens, stable)
 
 
 def parse_sset(text: str, source: str = "<sset>") -> FinSSet:

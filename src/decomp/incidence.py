@@ -76,13 +76,13 @@ def comult(X: FinSSet, check: bool = True) -> CoalgebraTable:
         rep = check_decomposition(X, "direct")
         if not rep.ok:
             raise NotCertified("input fails the exactness axiom:\n" + str(rep))
-    d0, d1, d2 = X.faces[(2, 0)], X.faces[(2, 1)], X.faces[(2, 2)]
-    pairs: dict[str, Counter] = {a: Counter() for a in X.levels[1]}
-    for sig in X.levels[2]:
-        pairs[d1[sig]][(d2[sig], d0[sig])] += 1
-    degenerate = set(X.degens[(0, 0)].values())
-    counit = {a: 1 if a in degenerate else 0 for a in X.levels[1]}
-    return CoalgebraTable(frozenset(X.levels[1]), pairs, counit)
+    d, arrows = X.faces.index, X.levels[1]
+    pairs: dict[str, Counter] = {a: Counter() for a in arrows}
+    for a, left, right in zip(d[(2, 1)], d[(2, 2)], d[(2, 0)]):
+        pairs[arrows[a]][(arrows[left], arrows[right])] += 1
+    degenerate = set(X.degens.index[(0, 0)])
+    counit = {a: int(n in degenerate) for n, a in enumerate(arrows)}
+    return CoalgebraTable(frozenset(arrows), pairs, counit)
 
 
 def registry_comult(reg: Registry) -> CoalgebraTable:

@@ -109,8 +109,9 @@ def _nerve(objects, arrows, identities, comp, link, cap, sort_levels=False) -> F
     string's id is its prefix's id followed by link[g].  Every face and
     degeneracy of s = p·g is p, or a face or degeneracy of p, or s itself,
     extended by one arrow: one lookup in the index of the level below or
-    above, keyed by (prefix id, arrow).  Levels keep the order of
-    generation unless sort_levels sorts them by id.
+    above, keyed by (prefix position, arrow), and each table is handed over
+    as positions.  Levels keep the order of generation unless sort_levels
+    sorts each by id as it is generated.
 
     Each simplex of level k is the source of k + 1 face entries (k >= 1)
     and k + 1 degeneracy entries (k < cap).  The entries are counted from
@@ -126,37 +127,40 @@ def _nerve(objects, arrows, identities, comp, link, cap, sort_levels=False) -> F
         raise SpecError("nerve needs cap >= 2")
     objects = [intern(x) for x in objects]
     arrows = {intern(g): (intern(s), intern(t)) for g, (s, t) in arrows.items()}
-    ident_after = {g: intern(identities[t]) for g, (_, t) in arrows.items()}
-    # a row is (id, prefix id, last arrow, composite, last two arrows composed)
-    rows = {1: [(g, s, g, g, None) for g, (s, _) in arrows.items()]}
+    if sort_levels:
+        objects, arrows = sorted(objects), dict(sorted(arrows.items()))
+    at = dict(zip(objects, range(len(objects))))
+    ident_after = {g: identities[t] for g, (_, t) in arrows.items()}
+    # a row is (id, prefix position, last arrow, composite, last two arrows composed)
+    rows = {1: [(g, at[s], g, g, None) for g, (s, _) in arrows.items()]}
     _guard_level(1, len(rows[1]))
     entries = len(objects) + 2 * len(rows[1])
     for k in range(2, cap + 1):
-        rows[k] = [(intern(p + link[g]), p, g, h, comp[f][g])
-                   for p, _, f, c, _ in rows[k - 1] for g, h in comp[c].items()]
+        rows[k] = [(intern(x + link[g]), p, g, h, comp[f][g])
+                   for p, (x, _, f, c, _) in enumerate(rows[k - 1]) for g, h in comp[c].items()]
+        if sort_levels:
+            rows[k].sort()
         _guard_level(k, len(rows[k]))
         entries += (k + 1) * len(rows[k]) + k * len(rows[k - 1])
         _guard_tables(k, entries)
     levels = {0: objects, **{k: [row[0] for row in rows[k]] for k in rows}}
-    if sort_levels:
-        levels = {k: sorted(ids) for k, ids in levels.items()}
-    faces = {(1, 0): {g: t for g, (_, t) in arrows.items()},
-             (1, 1): {g: s for g, (s, _) in arrows.items()}}
-    degens = {(0, 0): {x: intern(identities[x]) for x in objects}}
-    below = {(s, g): g for g, (s, _) in arrows.items()}
+    faces = {(1, 0): [at[t] for _, t in arrows.values()],
+             (1, 1): [at[s] for s, _ in arrows.values()]}
+    below = {(at[s], g): n for n, (g, (s, _)) in enumerate(arrows.items())}
+    degens = {(0, 0): [below[at[x], identities[x]] for x in objects]}
     for k in range(2, cap + 1):
         # faces of level k look up in level k-1, degeneracies of level k-1 in level k
-        ext = {(p, g): s for s, p, g, _, _ in rows[k]}
+        ext = {(p, g): n for n, (_, p, g, _, _) in enumerate(rows[k])}
         for i in range(k - 1):
             fi = faces[k - 1, i]
-            faces[k, i] = {s: below[fi[p], g] for s, p, g, _, _ in rows[k]}
+            faces[k, i] = [below[fi[p], g] for _, p, g, _, _ in rows[k]]
         up = faces[k - 1, k - 1]
-        faces[k, k - 1] = {s: below[up[p], m] for s, p, _, _, m in rows[k]}
-        faces[k, k] = {s: p for s, p, _, _, _ in rows[k]}
+        faces[k, k - 1] = [below[up[p], m] for _, p, _, _, m in rows[k]]
+        faces[k, k] = [p for _, p, _, _, _ in rows[k]]
         for j in range(k - 1):
             sj = degens[k - 2, j]
-            degens[k - 1, j] = {s: ext[sj[p], g] for s, p, g, _, _ in rows[k - 1]}
-        degens[k - 1, k - 1] = {s: ext[s, ident_after[g]] for s, _, g, _, _ in rows[k - 1]}
+            degens[k - 1, j] = [ext[sj[p], g] for _, p, g, _, _ in rows[k - 1]]
+        degens[k - 1, k - 1] = [ext[n, ident_after[row[2]]] for n, row in enumerate(rows[k - 1])]
         below = ext
         del rows[k - 1]
     stable = None if loop else min(len(counts), cap)

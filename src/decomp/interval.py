@@ -26,6 +26,7 @@ from .presheaf import (
     FinXiSet,
     SSetMap,
     XiSetMap,
+    _fibre_positions,
     _name,
     _table_keys,
     actions,
@@ -77,9 +78,9 @@ def validate_interval(A: AlgebraicInterval) -> Report:
     if len(data.levels[-1]) != 1:
         rep.fail(degree=-1, note="not-reduced")
         return rep
+    if data.cap < 1:  # validation's d0 s0 = id makes s0 injective, so complete
+        raise CapError("completeness needs cap >= 1")
     under = i_star(data)
-    if not check_complete(under):
-        rep.fail(degree=0, note="not-complete")
     rep.absorb(check_flanked(data))
     rep.absorb(check_segal(under))
     rep.verified_upto = data.cap
@@ -139,9 +140,9 @@ def factorisation_interval(X: FinSSet, a: str) -> tuple[AlgebraicInterval, SSetM
     """The interval of the arrow a, with the embedding of its underlying
     simplicial set back into X.
 
-    Level k of the interval is a copy of the fibre over a of the X_{k+2}
-    long-edge table, read from X's memoised `fibres`.  The embedding is the
-    double outer face, which is cartesian on all generic maps.
+    Level k of the interval is the fibre over a of the X_{k+2} long-edge
+    table, and its tables are u*X's restricted to the fibres, as positions.
+    The embedding is the double outer face, cartesian on all generic maps.
     """
     if X.cap < 3:
         raise CapError("factorisation interval needs cap >= 3")
@@ -149,15 +150,17 @@ def factorisation_interval(X: FinSSet, a: str) -> tuple[AlgebraicInterval, SSetM
         raise IntervalError(f"{a!r} is not an arrow of the input")
     if not check_complete(X):
         raise IntervalError("input fails completeness")
-    U = u_star(X)
-    fibers = {k: list(fibres(X, k + 2, False)[a]) for k in range(-1, U.cap + 1)}
-    data = FinXiSet(U.cap, fibers,
-                    {key: {x: t[x] for x in fibers[key[0]]} for key, t in U.faces.items()},
-                    {key: {x: t[x] for x in fibers[key[0]]} for key, t in U.degens.items()})
+    U, at = u_star(X), X.levels[1].index(a)
+    keep = {k: _fibre_positions(X, k + 2)[at] for k in range(-1, U.cap + 1)}
+    new = {k: dict(zip(ns, range(len(ns)))) for k, ns in keep.items()}
+    data = FinXiSet(U.cap, {k: [U.levels[k][n] for n in ns] for k, ns in keep.items()},
+                    *({(k, i): [new[k + family.step][t[n]] for n in keep[k]]
+                       for (k, i), t in family.index.items()} for family in (U.faces, U.degens)))
     if U.stable_from is not None:
         data = replace(data, stable_from=nondeg_bound(i_star(data)))
-    comps = {k: {x: X.faces[(k + 1, k + 1)][X.faces[(k + 2, 0)][x]] for x in fibers[k]}
-             for k in range(U.cap + 1)}
+    d = X.faces.index
+    comps = {k: {x: X.levels[k][d[(k + 1, k + 1)][d[(k + 2, 0)][n]]]
+                 for x, n in zip(data.levels[k], keep[k])} for k in range(U.cap + 1)}
     return AlgebraicInterval(data), SSetMap(i_star(data), X, comps)
 
 

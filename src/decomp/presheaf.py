@@ -22,32 +22,31 @@ system; only the labels in FAIL lines differ: `d0` or `s1` in a
 simplicial set, `dnew`, `sbot[0]` or `d[2,1]` in an interval-site
 presheaf.
 
-Every constructor makes each table key and value the very string object
-stored in its level list (nerve builders and parsers by `sys.intern`, or
-by reading a table against its level lines), so a lookup matches by
-pointer.  Objects are frozen, and each memoises its `actions`, `i_star`,
+Each object stores its levels, lists of string ids, and every table once,
+as the position in its target level of each simplex's image, in level
+order.  The nerve builder, the parser, the cut, decalage, `u_star`,
+`i_star` and `truncate` hand tables over as positions; a constructor given
+id tables makes the positions, and keeps as given a table that is not
+total within levels that repeat no id, for `validate` to name its fault.
+`X.faces` and `X.degens` read the tables as ids (`_Tables`), each made on
+first read and kept, its keys and values the very strings of the level
+lists.  Objects are frozen, and each memoises its `actions`, `i_star`,
 `u_star`, `nondegenerate` levels, long-edge `fibres` and its
 `validate_sset`/`validate_xiset`/`check_decomposition`/`check_tight`
 verdicts.  A changed object is a new one (`dataclasses.replace`).
 
-The checks run on integers.  Each object memoises one index view: a
-position map per level, and every face and degeneracy table as a list of
-positions in level order, each made on first use unless the parser or a
-construction hands it over (`seed_index_view`).  Making all of them is
-the totality check of validation; the identities and relations are then
-whole-level comparisons of composed index lists.  act.index(a) composes
-X(a) from those lists; act(a) gives name-based callers the same map as a
-table of ids, built once per requested map.  Every pullback square is
-given as index lists with the id lists of its three corners and goes
-through `pullback_failure`: one counting kernel decides it, and only a
-failing square is enumerated, on the same lists, to name its fault by
-id.  Decalage, `u_star`, `i_star` and `truncate` pass on the levels and
-tables the view has already made.
+The checks run on positions: identities and relations are whole-level
+comparisons of composed position lists.  act.index(a) composes X(a) from
+them; act(a) is the same map as a table of ids, built once per map.  Every
+pullback square is given as position lists with the id lists of its three
+corners and goes through `pullback_failure`: one counting kernel decides
+it, and only a failing square is enumerated, to name its fault by id.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import reduce, wraps
 from itertools import repeat
@@ -71,18 +70,84 @@ class CapError(ValueError):
     pass
 
 
+class _Tables(Mapping):
+    """An object's faces (step -1) or degeneracies (step 1).  stored[key]
+    lists, in level order, the position in levels[key[0] + step] of each
+    image, or is an id table `_stored` could not make into one; index holds
+    the position lists.  Read by key, it is the id table, made from the
+    positions on first read and kept in ids."""
+
+    def __init__(self, levels: dict[int, list[str]], step: int, stored: dict):
+        self.levels, self.step, self.stored, self.ids = levels, step, stored, {}
+        self.index = {key: t for key, t in stored.items() if isinstance(t, list)}
+
+    def __getitem__(self, key) -> dict[str, str]:
+        table = self.ids.get(key)
+        if table is None:
+            table, k = self.stored[key], key[0]
+            if isinstance(table, list):
+                image = map(self.levels[k + self.step].__getitem__, table)
+                table = self.ids[key] = dict(zip(self.levels[k], image))
+        return table
+
+    def __contains__(self, key) -> bool:
+        return key in self.stored
+
+    def __iter__(self):
+        return iter(self.stored)
+
+    def __len__(self) -> int:
+        return len(self.stored)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _stored(table, levels: dict, at: dict, key, step: int):
+    """A position list as it is; an id table made into positions if at, the
+    levels that repeat no id, holds both its levels and it is total into
+    them, else as it is."""
+    k = key[0]
+    if isinstance(table, list) or k not in at or k + step not in at or len(table) != len(levels[k]):
+        return table
+    try:
+        return list(map(at[k + step].__getitem__, map(table.__getitem__, levels[k])))
+    except KeyError:
+        return table
+
+
+def _store(levels: dict, faces: Mapping, degens: Mapping) -> list[_Tables]:
+    """faces and degens as `_Tables` over levels; a producer's position
+    lists are trusted."""
+    given = [(t.stored if isinstance(t, _Tables) and t.levels is levels else t, step)
+             for t, step in ((faces, -1), (degens, 1))]
+    if all(isinstance(t, list) for tables, _ in given for t in tables.values()):
+        return [_Tables(levels, step, tables) for tables, step in given]
+    at = {k: dict(zip(ids, range(len(ids)))) for k, ids in levels.items()}
+    at = {k: pos for k, pos in at.items() if len(pos) == len(levels[k])}
+    return [_Tables(levels, step, {key: _stored(t, levels, at, key, step)
+                                   for key, t in tables.items()})
+            for tables, step in given]
+
+
 @dataclass(frozen=True)
 class _Presheaf:
     """Levels of ids with face and degeneracy tables, truncated at degree
     `cap`.  stable_from, when set, claims every simplex above that degree
-    is degenerate (the claim is checked by `validate`)."""
+    is degenerate (the claim is checked by `validate`).  Each table is given
+    as ids or, by a producer, as positions; `dataclasses.replace` hands the
+    stored tables on when the levels stay the same."""
 
     cap: int
     levels: dict[int, list[str]]
-    faces: dict[tuple[int, int], dict[str, str]]
-    degens: dict[tuple[int, int], dict[str, str]]
+    faces: Mapping[tuple[int, int], Mapping[str, str]]
+    degens: Mapping[tuple[int, int], Mapping[str, str]]
     stable_from: int | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, tables in zip(("faces", "degens"), _store(self.levels, self.faces, self.degens)):
+            object.__setattr__(self, name, tables)
 
 
 class FinSSet(_Presheaf):
@@ -164,7 +229,8 @@ def _label(xi: bool, letter: str, k: int, i: int) -> str:
 
 
 def _generator_table(X, gen: MonotoneMap, shift: int):
-    """Table of one coface or codegeneracy acting on X, or on X's index view.
+    """Table of one coface or codegeneracy acting on an object, as ids, or
+    on its `_Actions`, as positions.
 
     shift is 0 for a simplicial set and 2 for an interval-site presheaf,
     whose arrows are represented two degrees up with one index more.
@@ -177,116 +243,27 @@ def _generator_table(X, gen: MonotoneMap, shift: int):
     return X.degens[(gen.tgt - shift, j - shift // 2)]
 
 
-class _Made(dict):
-    """A dict that makes a missing value with make(key) and keeps it."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        self[key] = value = self.make(key)
-        return value
-
-
-class _IndexView:
-    """An object's levels as positions and its tables as index lists.
-
-    pos[k] maps each id of level k to its position in levels[k], and
-    faces[key] and degens[key] list, in level order, the position of each
-    simplex's image; each is made on first use.  The view has the object's
-    cap and table keys, so the functions that read tables by key read it as
-    well.  It holds the object's levels and tables but not the object.
-    """
-
-    def __init__(self, X):
-        self.cap, self.levels = X.cap, X.levels
-        self.xi = isinstance(X, FinXiSet)
-        self.keys = X.faces.keys(), X.degens.keys()
-        levels = X.levels
-
-        def positions(k):
-            at = dict(zip(levels[k], range(len(levels[k]))))
-            if len(at) != len(levels[k]):
-                raise ValueError(f"level {k} repeats an id")
-            return at
-
-        def indexed(tables, step):
-            def index(key):
-                table, ids = tables[key], levels[key[0]]
-                if len(table) != len(ids):
-                    raise ValueError(f"table {key} has sources outside level {key[0]}")
-                return list(map(pos[key[0] + step].__getitem__, map(table.__getitem__, ids)))
-            return _Made(index)
-
-        self.pos = pos = _Made(positions)
-        self.faces, self.degens = indexed(X.faces, -1), indexed(X.degens, 1)
-
-    def check(self) -> None:
-        """Make every level and table the object must have; the first that
-        cannot be made, being missing or not total, raises KeyError or
-        ValueError, as does a table the cap does not allow."""
-        if sorted(self.levels) != list(range(-1 if self.xi else 0, self.cap + 1)):
-            raise ValueError("levels do not match the cap")
-        for k in self.levels:
-            self.pos[k]
-        face_keys, degen_keys = _table_keys(self.cap, self.xi)
-        if self.keys != (set(face_keys), set(degen_keys)):
-            raise ValueError("tables do not match the cap")
-        for key in face_keys:
-            self.faces[key]
-        for key in degen_keys:
-            self.degens[key]
-
-
-def _index_view(X) -> _IndexView:
-    """X's memoised index view."""
-    view = X._memo.get("index_view")
-    if view is None:
-        view = X._memo["index_view"] = _IndexView(X)
-    return view
-
-
-def seed_index_view(X, pos: dict, faces: dict, degens: dict):
-    """X, its index view started with position maps and index lists made
-    elsewhere, as by a parser; each must be what the view would make."""
-    view = _index_view(X)
-    for mine, given in ((view.pos, pos), (view.faces, faces), (view.degens, degens)):
-        mine.update(given)
-    return X
-
-
 def _reindexed(X, kind, cap: int, shift: int, offset: int, stable: int | None):
     """The object of kind at cap whose level k is X's level k + shift and
     whose table at (k, i) is X's table at (k + shift, i + offset), for each
-    key `_table_keys` gives.  Its index view starts with every level and
-    table X's view has already made, re-keyed the same way."""
+    key `_table_keys` gives, handed over as X stores it."""
     xi = kind is FinXiSet
     face_keys, degen_keys = _table_keys(cap, xi)
-    levels = {k: X.levels[k + shift] for k in range(-xi, cap + 1)}
-    faces = {(k, i): X.faces[(k + shift, i + offset)] for k, i in face_keys}
-    degens = {(k, j): X.degens[(k + shift, j + offset)] for k, j in degen_keys}
-    Y = kind(cap, levels, faces, degens, stable)
-    view = X._memo.get("index_view")
-    if view is None:
-        return Y
-
-    def moved(keys, theirs):
-        return {(k, i): theirs[(k + shift, i + offset)] for k, i in keys
-                if (k + shift, i + offset) in theirs}
-    return seed_index_view(Y, {k: view.pos[k + shift] for k in levels if k + shift in view.pos},
-                           moved(face_keys, view.faces), moved(degen_keys, view.degens))
+    return kind(cap, {k: X.levels[k + shift] for k in range(-xi, cap + 1)},
+                {(k, i): X.faces.stored[(k + shift, i + offset)] for k, i in face_keys},
+                {(k, j): X.degens.stored[(k + shift, j + offset)] for k, j in degen_keys}, stable)
 
 
 class _Actions:
-    """X(a) for monotone maps a, each composed once as an index list.
+    """X(a) for monotone maps a, each composed once as a position list.
 
-    It holds X's index view but not X, so the memo of X that keeps it makes
-    no reference cycle, and X is freed with its last reference.
+    It holds X's levels and position tables but not X, so the memo of X
+    that keeps it makes no reference cycle, and X is freed with its last
+    reference.
     """
 
     def __init__(self, X):
-        self.view = _index_view(X)
+        self.levels, self.faces, self.degens = X.levels, X.faces.index, X.degens.index
         self.shift = 2 if isinstance(X, FinXiSet) else 0
         self.tables: dict[MonotoneMap, list[int]] = {}
         self.named: dict[MonotoneMap, dict[str, str]] = {}
@@ -296,7 +273,7 @@ class _Actions:
         """X(a) as a table of ids, built on the first request for a."""
         table = self.named.get(a)
         if table is None:
-            levels = self.view.levels
+            levels = self.levels
             image = map(levels[a.src - self.shift].__getitem__, self.index(a))
             table = self.named[a] = dict(zip(levels[a.tgt - self.shift], image))
         return table
@@ -314,10 +291,10 @@ class _Actions:
                 prefix = reduce(compose, word[:-1], identity(a.src))
                 outer = self._walk(prefix, word[:-1])
                 table = list(map(outer.__getitem__,
-                                 _generator_table(self.view, word[-1], self.shift)))
+                                 _generator_table(self, word[-1], self.shift)))
                 self.compositions += 1
             else:
-                table = list(range(len(self.view.levels[a.tgt - self.shift])))
+                table = list(range(len(self.levels[a.tgt - self.shift])))
             self.tables[a] = table
         return table
 
@@ -331,8 +308,8 @@ def actions(X) -> _Actions:
     last generator of a's word, then the memoised X(p) of the composite p of
     the rest of the word, which is p's own word.  act(a) is the same map
     as a table of ids.  act.compositions counts the compositions made on X
-    so far.  A walk that meets a table that is not total raises KeyError or
-    ValueError.
+    so far.  A walk that meets a table that is missing or kept as ids
+    raises KeyError.
     """
     return _Actions(X)
 
@@ -379,7 +356,8 @@ def validate(X) -> Report:
 def _shape(rep: Report, X) -> None:
     """Name every shape fault: levels, identifiers, and each missing, not
     total or extra table, as missing-face-d0 or extra-degeneracy-sbot[9],
-    by its degree and `_label`."""
+    by its degree and `_label`.  A table stored as positions is total, so
+    only the tables kept as ids are walked."""
     xi = isinstance(X, FinXiSet)
     if sorted(X.levels) != list(range(-xi, X.cap + 1)):
         rep.fail(note="levels-do-not-match-cap")
@@ -393,7 +371,7 @@ def _shape(rep: Report, X) -> None:
         for k, i in ks:
             if (k, i) not in tables:
                 rep.fail(degree=k, note=f"missing-{kind}-{_label(xi, letter, k, i)}")
-            else:
+            elif (k, i) not in tables.index:
                 _check_totality(rep, _name(letter, k, i), tables[(k, i)],
                                 X.levels[k], X.levels[k + step])
     for (letter, kind, tables, _), ks in zip(kinds, keys):
@@ -416,9 +394,9 @@ def _check_relations(rep: Report, X) -> None:
     as relation:<outer>;<inner> with the map applied last first.
     """
     xi = isinstance(X, FinXiSet)
-    view, (face_keys, degen_keys) = _index_view(X), _table_keys(X.cap, xi)
-    d = {(k + 2 * xi, i + xi): view.faces[(k, i)] for k, i in face_keys}
-    s = {(k + 2 * xi, j + xi): view.degens[(k, j)] for k, j in degen_keys}
+    face_keys, degen_keys = _table_keys(X.cap, xi)
+    d = {(k + 2 * xi, i + xi): X.faces.index[(k, i)] for k, i in face_keys}
+    s = {(k + 2 * xi, j + xi): X.degens.index[(k, j)] for k, j in degen_keys}
     tables = {"d": d, "s": s}
 
     def composite(outer, inner):
@@ -458,15 +436,10 @@ def _check_relations(rep: Report, X) -> None:
 
 
 def _validated(X) -> Report:
-    """Shape, then every relation and the stabilization claim.
-
-    Shape is checked by making every level and table of X's index view;
-    only when that fails are the tables walked to name the faults."""
+    """Shape, then every relation and the stabilization claim."""
     rep = Report("validate")
-    try:
-        _index_view(X).check()
-    except (KeyError, ValueError):
-        _shape(rep, X)
+    _shape(rep, X)
+    if not rep.ok:
         return rep
     _check_relations(rep, X)
     _check_stable(rep, X)
@@ -509,16 +482,16 @@ def _map_squares(F, cls: str | None = None) -> list | None:
     degeneracy unless cls is "ulf", then each inner face unless it is
     "conservative".  None if a component is not total."""
     Y, X, xi = F.dom, F.cod, isinstance(F.dom, FinXiSet)
-    vY, vX = _index_view(Y), _index_view(X)
+    at = {k: dict(zip(ids, range(len(ids)))) for k, ids in X.levels.items()}
     try:
-        comp = {k: list(map(vX.pos[k].__getitem__, map(F.components[k].__getitem__, Y.levels[k])))
+        comp = {k: list(map(at[k].__getitem__, map(F.components[k].__getitem__, Y.levels[k])))
                 for k in range(-xi, Y.cap + 1)}
     except KeyError:
         return None
     face_keys, degen_keys = _table_keys(Y.cap, xi)
-    d = [("d", k, i, -1, vY.faces, vX.faces) for k, i in face_keys
+    d = [("d", k, i, -1, Y.faces.index, X.faces.index) for k, i in face_keys
          if cls is None or cls != "conservative" and 0 < i + xi < k + 2 * xi]
-    s = [("s", k, i, 1, vY.degens, vX.degens) for k, i in degen_keys if cls != "ulf"]
+    s = [("s", k, i, 1, Y.degens.index, X.degens.index) for k, i in degen_keys if cls != "ulf"]
     return [(letter, k, i, (Y.levels[k], Y.levels[k + step], X.levels[k],
                             tY[k, i], comp[k], comp[k + step], tX[k, i]))
             for letter, k, i, step, tY, tX in (d + s if cls is None else s + d)]
@@ -658,12 +631,10 @@ def nondegenerate(X, k: int) -> list[str]:
     """
     if k < 0 or k > X.cap:
         raise CapError(f"degree {k} outside cap {X.cap}")
-    if k == 0:
-        return list(X.levels[0])
-    degenerate = set()
+    degens, degenerate = X.degens.index, set()
     for j in range(k):
-        degenerate.update(X.degens[(k - 1, j)].values())
-    return [x for x in X.levels[k] if x not in degenerate]
+        degenerate.update(degens[(k - 1, j)])
+    return [x for n, x in enumerate(X.levels[k]) if n not in degenerate]
 
 
 def long_edge_table(X: FinSSet, r: int) -> dict[str, str]:
@@ -672,20 +643,23 @@ def long_edge_table(X: FinSSet, r: int) -> dict[str, str]:
 
 
 @memoised
+def _fibre_positions(X: FinSSet, k: int) -> list[list[int]]:
+    """For each arrow, by position, the positions of the k-simplices whose
+    long edge it is, in level order."""
+    over: list[list[int]] = [[] for _ in X.levels[1]]
+    for n, a in enumerate(actions(X).index(MonotoneMap(1, k, (0, k)))):
+        over[a].append(n)
+    return over
+
+
+@memoised
 def fibres(X: FinSSet, k: int, nondeg: bool) -> dict[str, list[str]]:
     """Every arrow's k-simplices, those whose long edge it is, in level
     order; with nondeg only the nondegenerate ones."""
-    table = actions(X).index(MonotoneMap(1, k, (0, k)))
-    out: dict[str, list[str]] = {a: [] for a in X.levels[1]}
-    over = list(out.values())
-    if nondeg:
-        at = _index_view(X).pos[k]
-        for x in nondegenerate(X, k):
-            over[table[at[x]]].append(x)
-    else:
-        for x, a in zip(X.levels[k], table):
-            over[a].append(x)
-    return out
+    ids = X.levels[k]
+    keep = set(nondegenerate(X, k)) if nondeg else None
+    return {a: [ids[n] for n in over if keep is None or ids[n] in keep]
+            for a, over in zip(X.levels[1], _fibre_positions(X, k))}
 
 
 def nondeg_bound(X: FinSSet) -> int:
@@ -739,7 +713,8 @@ def pullback_failure(P: list, A: list, B: list, p: list[int], q: list[int],
     those positions.  Only a square the kernel rejects is enumerated, in
     the order of P, then of A and B, to name its first fault: a position
     where the square does not commute, two elements of P with the same
-    pair, or a pair of A x_C B that P misses.
+    pair, or a pair of A x_C B that P misses; if the enumeration finds none
+    of these, the fault is that it and the kernel disagree.
     """
     if _counted_pullback(p, q, f, g):
         return None
@@ -757,7 +732,7 @@ def pullback_failure(P: list, A: list, B: list, p: list[int], q: list[int],
         for b in by_corner.get(c, ()):
             if (a, b) not in seen:
                 return f"missing-fiber-pair:{A[a]},{B[b]}"
-    return None
+    return "kernel-and-enumeration-disagree"
 
 
 def _counted_pullback(p: list[int], q: list[int], f: list[int], g: list[int]) -> bool:

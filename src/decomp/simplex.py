@@ -37,9 +37,6 @@ class MonotoneMap:
             if i and vals[i - 1] > v:
                 raise ValueError(f"not monotone at position {i}: {vals}")
 
-    def __call__(self, i: int) -> int:
-        return self.values[i]
-
     def __repr__(self):
         vals = ",".join(map(str, self.values))
         return f"<[{self.src}]->[{self.tgt}]:{vals}>"

@@ -69,8 +69,7 @@ def invalid_object() -> FinSSet:
     sep = "≤"
     bad = dict(X.faces[(2, 0)])
     bad[sep.join(["0", "0", "1"])] = sep.join(["0", "0"])
-    X.faces[(2, 0)] = bad
-    return X
+    return replace(X, faces={**X.faces, (2, 0): bad})
 
 
 def idempotent_interval() -> AlgebraicInterval:

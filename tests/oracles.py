@@ -1168,7 +1168,7 @@ def fragment_by_extensions(reg, top):
         interval_category,
         longest_edge,
     )
-    from decomp.presheaf import _index_view, actions, i_star, long_edge_table
+    from decomp.presheaf import actions, i_star, long_edge_table
     from decomp.registry import Fragment, RegistryError
     from decomp.simplex import MonotoneMap
 
@@ -1203,7 +1203,7 @@ def fragment_by_extensions(reg, top):
         sub_digest, sub_arrows, sub = subinterval(digest, embed.components[1][ell])
         tau_n = embed.components[k - 1][tau]
         flank = N.degens[(k, 0)][N.degens[(k - 1, k - 1)][tau_n]]
-        at = _index_view(sub).pos[k - 1][flank]
+        at = sub.levels[k - 1].index(flank)
         act = actions(sub)
         chain = [sub.levels[1][act.index(MonotoneMap(3, k + 1, (0, pos - 1, pos, k + 1)))[at]]
                  for pos in range(1, k + 2)]
@@ -1221,6 +1221,15 @@ def fragment_by_extensions(reg, top):
 
 # ---------------------------------------------------------------------------
 # SSET/XISET text: every table body parsed entry by entry
+
+
+def lines_by_splitlines(text, source):
+    """(lineno, line) for each line of text that is not blank once its
+    comment is cut, from one `str.splitlines` of the whole text."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if line:
+            yield lineno, line
 
 
 def parse_levelled_by_entries(text, source, header):

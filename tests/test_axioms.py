@@ -126,7 +126,7 @@ def test_segal_names_the_fault_of_an_invalid_object():
     check reports the validation fault instead."""
     X = nerve_poset(chain_poset(0), 2)
     (edge,) = X.levels[1]
-    X.faces[(1, 0)] = {edge: "nowhere"}
+    X = replace(X, faces={**X.faces, (1, 0): {edge: "nowhere"}})
     assert check_segal(X).lines() == [
         "FAIL check_segal witness=0≤0,nowhere note=d[1,0]-target-outside-level via=validate"]
 

@@ -22,6 +22,7 @@ from decomp.axioms import (
     check_decomposition,
     check_flanked,
     check_map_class,
+    check_mobius,
     check_segal,
     check_tight,
 )
@@ -33,7 +34,14 @@ from decomp.formats import (
     write_sset,
     write_xiset,
 )
-from decomp.incidence import classify, comult, mobius, registry_comult, universal_mobius
+from decomp.incidence import (
+    classify,
+    comult,
+    mobius,
+    registry_comult,
+    universal_mobius,
+    verify_inversion,
+)
 from decomp.ingest import (
     MonoidSpec,
     PosetSpec,
@@ -63,8 +71,6 @@ from decomp.presheaf import (
     FinXiSet,
     SSetMap,
     XiSetMap,
-    _index_view,
-    _IndexView,
     actions,
     dec_bot,
     dec_top,
@@ -268,10 +274,8 @@ def rewired_nerves(draw):
     X = draw(small_poset_nerves())
     if draw(st.booleans()):
         X = replace(X, stable_from=draw(st.integers(0, X.cap)))
-    if draw(st.booleans()):
-        tables, shift = X.faces, -1
-    else:
-        tables, shift = X.degens, 1
+    family, shift = ("faces", -1) if draw(st.booleans()) else ("degens", 1)
+    tables = dict(getattr(X, family))
     key = draw(st.sampled_from(sorted(tables)))
     table = dict(tables[key])
     x = draw(st.sampled_from(sorted(table)))
@@ -288,7 +292,7 @@ def rewired_nerves(draw):
     else:
         tables[X.cap + 1, key[1]] = {"nowhere": "elsewhere"}
     tables[key] = table
-    return X
+    return replace(X, **{family: tables})
 
 
 @SETTINGS
@@ -1265,8 +1269,8 @@ def test_culf_check_matches_per_generator_reference(G):
 
 
 # ---------------------------------------------------------------------------
-# SSET/XISET text: tables read against their level lines, the index view
-# handed over by the parser
+# SSET/XISET text: tables read against their level lines, handed over by
+# the parser as positions; the tables each object stores once
 
 
 def _table_lines(lines):
@@ -1386,25 +1390,20 @@ def test_parser_matches_entry_by_entry_reference(case):
         assert got == want
 
 
-def _assert_view_handed_over(X):
-    """X's index view, seeded by the parser, against one made afresh, and
-    every check on X against the same check on a copy with no view."""
-    seeded, fresh = _index_view(X), _IndexView(X)
-    for k, ids in X.levels.items():
-        if len(set(ids)) != len(ids):
-            assert k not in seeded.pos
-    for k, at in seeded.pos.items():
-        assert at == fresh.pos[k]
-    for key, index in seeded.faces.items():
-        assert index == fresh.faces[key]
-    for key, index in seeded.degens.items():
-        assert index == fresh.degens[key]
+def _assert_handed_over(X):
+    """X's tables, as its producer handed them over, against the object the
+    constructor makes of X's id tables: the same tables as positions, the
+    same id tables, and every check on X renders as the same check on that
+    object."""
+    made = type(X)(X.cap, X.levels, dict(X.faces), dict(X.degens), X.stable_from)
+    assert (X.faces.index, X.degens.index) == (made.faces.index, made.degens.index)
+    assert (made.faces, made.degens) == (X.faces, X.degens)
     checks = [(validate,)]
-    if validate(replace(X)).ok:
+    if validate(made).ok:
         checks += ([(check_flanked,)] if isinstance(X, FinXiSet)
                    else [(check_segal,), (check_decomposition, "both")])
     for check, *args in checks:
-        assert _report(check, X, *args) == _report(check, replace(X), *args)
+        assert _report(check, X, *args) == _report(check, made, *args)
 
 
 @pytest.mark.parametrize("spec, cap, top", [
@@ -1412,15 +1411,15 @@ def _assert_view_handed_over(X):
     (divisor_poset(12), 6, "1≤12"), (boolean_poset(3), 6, "o≤abc"),
 ], ids=["chain5", "trunc5", "d12", "B3"])
 def test_parser_hands_over_the_whole_index_view(spec, cap, top):
-    """A writer's text seeds every level and table of the view, and the
-    view equals one made afresh; so does the top interval's XISET."""
+    """A writer's text is read into positions alone: the parsed SSET, and
+    the XISET of its top interval, hold every table as positions and no id
+    table, and those positions are the ones their id tables make."""
     X = parse_sset(write_sset(nerve(spec, cap)))
     A = parse_xiset(write_xiset(factorisation_interval(X, top)[0].data))
     for Y in (X, A):
-        view = _index_view(Y)
-        assert (view.pos.keys(), view.faces.keys(), view.degens.keys()) == (
-            Y.levels.keys(), Y.faces.keys(), Y.degens.keys())
-        _assert_view_handed_over(Y)
+        assert Y.faces.index.keys() == Y.faces.keys() and Y.degens.index.keys() == Y.degens.keys()
+        assert not Y.faces.ids and not Y.degens.ids
+        _assert_handed_over(Y)
 
 
 @SETTINGS
@@ -1428,13 +1427,66 @@ def test_parser_hands_over_the_whole_index_view(spec, cap, top):
 def test_handed_over_view_matches_a_fresh_one(case):
     X = outcome(_parse_levelled, *case)
     if X[0] == "value":
-        _assert_view_handed_over(X[1])
+        _assert_handed_over(X[1])
 
 
 def test_repeated_level_id_gets_no_seeded_positions():
+    """A level line that repeats an id leaves the tables that read that
+    level to `_entries`, and the object keeps them as id tables; validation
+    names the repeat."""
     lines = write_sset(nerve(divisor_poset(12), 4)).splitlines()
     n = next(n for n, line in enumerate(lines) if line.startswith("level 1:"))
     lines[n] += " 1≤2"
     X = parse_sset("\n".join(lines) + "\n")
-    assert 1 not in _index_view(X).pos and 0 in _index_view(X).pos
+    assert X.faces.keys() - X.faces.index.keys() == {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
+    assert X.degens.keys() - X.degens.index.keys() == {(0, 0), (1, 0), (1, 1)}
     assert "FAIL validate degree=1 note=duplicate-identifiers" in validate(X).lines()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(DRAWN_SPECS, st.data())
+def test_positions_handed_over_match_those_made_from_ids(spec, data):
+    """On a drawn nerve, the interval of one of its arrows and the parsed
+    text of each, every table is handed over as positions, and those are
+    the positions the constructor makes of the object's id tables; the id
+    view of the object so made is those id tables, entry order included."""
+    X = nerve(spec)
+    A = factorisation_interval(X, data.draw(st.sampled_from(X.levels[1])))[0].data
+    for Y in (X, A, parse_sset(write_sset(X)), parse_xiset(write_xiset(A))):
+        assert Y.faces.index.keys() == Y.faces.keys() and Y.degens.index.keys() == Y.degens.keys()
+        ids = [{key: dict(t) for key, t in family.items()} for family in (Y.faces, Y.degens)]
+        made = type(Y)(Y.cap, Y.levels, *ids, Y.stable_from)
+        assert (made.faces.index, made.degens.index) == (Y.faces.index, Y.degens.index)
+        for given_ids, view in zip(ids, (made.faces, made.degens)):
+            assert not view.ids
+            assert [(key, list(view[key].items())) for key in view] == [
+                (key, list(t.items())) for key, t in given_ids.items()]
+
+
+def test_certify_ops_build_no_id_table():
+    """The ops `certify` times read positions alone: after them neither
+    chain5's nerve at cap 8 nor its parsed copy holds an id table.  The
+    decalage check is left out, as its counits are maps of id tables read
+    off the object's outer faces."""
+    X = nerve(chain_poset(5), 8)
+    Y = parse_sset(write_sset(X))
+    assert validate(Y).ok and check_segal(Y).ok and check_decomposition(Y, "direct").ok
+    assert check_mobius(Y).ok and verify_inversion(Y).ok
+    assert mobius(Y)[X.levels[1][0]] is not None and comult(Y).pairs
+    for Z in (X, Y):
+        assert not Z.faces.ids and not Z.degens.ids
+
+
+def test_tables_compare_whole_before_any_read():
+    """Two objects whose stored tables differ in one entry compare unequal
+    through faces or degens, though neither was read as ids before."""
+    for family, other, key, step in (("faces", "degens", (2, 1), -1),
+                                     ("degens", "faces", (1, 0), 1)):
+        X = nerve(divisor_poset(12), 4)
+        stored = dict(getattr(X, family).stored)
+        table = list(stored[key])
+        table[0] = (table[0] + 1) % len(X.levels[key[0] + step])
+        Y = replace(X, **{family: {**stored, key: table}})
+        assert not getattr(X, family).ids and not getattr(Y, family).ids
+        assert getattr(Y, family) != getattr(X, family) and Y != X
+        assert getattr(Y, other) == getattr(X, other)

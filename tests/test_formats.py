@@ -5,8 +5,9 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import poset_specs
 from test_ingest import free_categories, truncated_free_monoids
@@ -14,6 +15,7 @@ from test_ingest import free_categories, truncated_free_monoids
 from decomp.cli import main
 from decomp.formats import (
     ParseError,
+    _lines,
     load,
     load_smap,
     parse_any,
@@ -181,6 +183,21 @@ def test_parse_error_carries_position():
     assert ":2:" in str(err.value)
 
 
+# Every line boundary `str.splitlines` knows, \r\n among them.
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.one_of(st.text(alphabet="a #\t", max_size=3), st.sampled_from(_LINE_BREAKS)),
+                max_size=16).map("".join))
+@example("".join(f"x{brk}" for brk in _LINE_BREAKS) + "end")
+@example("a\r\n\r\nb\n\rc\r")
+def test_lines_read_a_slice_at_a_time_as_splitlines_does(text):
+    """The lines and line numbers the parsers read, from one slice of text
+    up to a newline at a time, are those of one `str.splitlines` of it."""
+    assert list(_lines(text, "<t>")) == list(oracles.lines_by_splitlines(text, "<t>"))
+
+
 def test_comments_and_blanks_ignored():
     text = "# leading comment\n\nPOSET v1\nelements: a b  # trailing\nle a b\n"
     spec = parse_poset(text)
@@ -277,6 +294,20 @@ def test_writer_names_the_first_unreadable_id():
     levels[2] = ["zz z", *X.levels[2], "a#"]
     with pytest.raises(ValueError, match="level 2 id 'a#'"):
         write_sset(replace(X, levels=levels))
+
+
+def test_a_table_kept_as_ids_is_written_from_its_ids():
+    """A table that cannot be made into positions, one entry sent outside
+    its level, is kept and written as given, and reads back to the same
+    validation lines."""
+    X = nerve_poset(divisor_poset(6), 3)
+    key = X.levels[2][0]
+    Y = replace(X, faces={**X.faces, (2, 0): {**X.faces[(2, 0)], key: "nowhere"}})
+    assert (2, 0) in Y.faces and (2, 0) not in Y.faces.index
+    text = write_sset(Y)
+    assert f"{key}->nowhere" in text
+    assert validate(parse_sset(text)).lines() == validate(Y).lines() == [
+        f"FAIL validate witness={key},nowhere note=d[2,0]-target-outside-level"]
 
 
 @pytest.mark.parametrize("bad", ["", "a#b.sset", " lead.sset", "trail.sset ", "a\nb.sset",

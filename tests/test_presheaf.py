@@ -10,6 +10,7 @@ from decomp.axioms import check_flanked, check_map_class
 from decomp.ingest import chain_poset, divisor_poset, nerve_poset
 from decomp.interval import isomorphic
 from decomp.presheaf import (
+    FinSSet,
     counit_eps,
     dec_bot,
     dec_top,
@@ -82,10 +83,22 @@ def test_validate_reports_planted_violation():
     broken = dict(X.faces[(2, 0)])
     key = SEP.join(["0", "0", "1"])
     broken[key] = SEP.join(["0", "0"])
-    X.faces[(2, 0)] = broken
+    X = replace(X, faces={**X.faces, (2, 0): broken})
     rep = validate_sset(X)
     assert not rep.ok
     assert any(key in line for line in rep.lines())
+
+
+def test_a_table_from_a_level_that_repeats_an_id_is_kept_as_ids():
+    """An id table whose source level repeats an id stays an id table even
+    when an extra source makes it as long as that level, so validation
+    names the extra source as well as the repeat."""
+    X = nerve_poset(chain_poset(1), 2)
+    faces = {**X.faces, (1, 0): {**X.faces[(1, 0)], "extra": "0"}}
+    Y = FinSSet(2, {**X.levels, 1: X.levels[1] + [SEP.join("01")]}, faces, dict(X.degens))
+    assert (1, 0) not in Y.faces.index
+    assert validate(Y).lines() == ["FAIL validate degree=1 note=duplicate-identifiers",
+                                   "FAIL validate witness=extra note=d[1,0]-extra-source"]
 
 
 def test_dec_bot_level_zero_counts():
@@ -260,6 +273,19 @@ def test_pullback_rejects_noncommuting():
     assert (square_issue(["x"], ["a"], ["b"], {"x": "a"}, {"x": "b"},
                          {"a": "c1"}, {"b": "c2"})
             == "square-does-not-commute:x")
+
+
+def test_pullback_kernel_rejection_never_passes(monkeypatch):
+    """A square the counting kernel rejects is never a pullback: when the
+    enumeration names no fault in it, the fault is that the two disagree."""
+    import decomp.presheaf
+
+    ids = ["a", "b"]
+    table = {x: x for x in ids}
+    square = indexed_square(ids, ids, ids, table, table, table, table)
+    assert pullback_failure(*square) is None
+    monkeypatch.setattr(decomp.presheaf, "_counted_pullback", lambda p, q, f, g: False)
+    assert pullback_failure(*square) == "kernel-and-enumeration-disagree"
 
 
 def test_validate_map_reports_an_invalid_end():
