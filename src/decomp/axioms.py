@@ -16,7 +16,6 @@ from .presheaf import (
     SSetMap,
     XiSetMap,
     _label,
-    _map_shape,
     _map_squares,
     _table_keys,
     actions,
@@ -27,6 +26,7 @@ from .presheaf import (
     nondegenerate,
     pullback_failure,
     sset_action,  # noqa: F401 -- perfbench/tracer.py counts calls through this name
+    validate_map,
     validate_sset,
 )
 from .report import Report
@@ -201,15 +201,15 @@ def check_map_class(F: SSetMap | XiSetMap, cls: str = "culf") -> Report:
     In simplicial coordinates an interval-site map's generators are all
     degeneracies and inner faces, so "culf" tests the square on every one
     of its structure maps: such a map is cartesian exactly when culf.  A map
-    whose components are not total, or run above the codomain's cap, gets
-    the `validate_map` lines naming the fault instead."""
+    whose components are not total, run above the codomain's cap, or read
+    a level that repeats an id, gets its `validate_map` lines instead."""
     if cls not in ("conservative", "ulf", "culf"):
         raise ValueError(f"unknown map class {cls!r}")
     rep = Report(f"check_map_class[{cls}]")
     xi = isinstance(F.dom, FinXiSet)
     squares = _map_squares(F, cls)
     if squares is None:
-        return _map_shape(F, -xi, "G" if xi else "F")
+        return validate_map(F)
     for letter, k, i, square in squares:
         bad = pullback_failure(*square)
         if bad is not None:

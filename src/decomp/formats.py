@@ -133,11 +133,11 @@ def _write_levelled(X: FinSSet | FinXiSet, header: str, xi: bool) -> str:
         maps += [(f"sbot {k}", degens, (k, -1)) for k in range(-1, cap)]
         maps += [(f"stop {k}", degens, (k, k + 1)) for k in range(-1, cap)]
     for directive, tables, (k, i) in maps:
-        table, tgt = tables.stored[(k, i)], X.levels[k + tables.step]
-        if isinstance(table, list):
+        table, tgt = tables.index.get((k, i)), X.levels[k + tables.step]
+        if table is not None:
             body = " ; ".join([f"{x}->{tgt[table[n]]}" for x, n in zip(ids[k], order[k])])
         else:
-            body = _fmt_entries(table)
+            body = _fmt_entries(tables[(k, i)])
         out.append(f"{directive}: {body}" if body else f"{directive}:")
     out.append("")
     return "\n".join(out)

@@ -29,10 +29,10 @@ from .presheaf import (
     _fibre_positions,
     _name,
     _table_keys,
-    actions,
     fibres,
     i_star,
     nondeg_bound,
+    sset_action,
     truncate,
     u_star,
     validate_xiset,
@@ -104,7 +104,7 @@ def wide_cartesian_factor(g: XiSetMap) -> tuple[XiSetMap, XiSetMap]:
     cap = B.cap
     gm1 = g.components[-1]
 
-    to_init = {n: actions(A)(xi_initial(n).rep) for n in range(-1, cap + 1)}
+    to_init = {n: sset_action(A, xi_initial(n).rep) for n in range(-1, cap + 1)}
     levels: dict[int, list[str]] = {}
     pairs: dict[int, list[tuple[str, str]]] = {}
     for n in range(-1, cap + 1):
@@ -120,7 +120,7 @@ def wide_cartesian_factor(g: XiSetMap) -> tuple[XiSetMap, XiSetMap]:
     mid = FinXiSet(cap, levels, {key: lift(key, t) for key, t in T.faces.items()},
                    {key: lift(key, t) for key, t in T.degens.items()})
 
-    to_init_B = {n: actions(B)(xi_initial(n).rep) for n in range(-1, cap + 1)}
+    to_init_B = {n: sset_action(B, xi_initial(n).rep) for n in range(-1, cap + 1)}
     wide_comps = {
         n: {y: intern(f"{to_init_B[n][y]}&{g.components[n][y]}") for y in B.levels[n]}
         for n in range(-1, cap + 1)
@@ -142,7 +142,8 @@ def factorisation_interval(X: FinSSet, a: str) -> tuple[AlgebraicInterval, SSetM
 
     Level k of the interval is the fibre over a of the X_{k+2} long-edge
     table, and its tables are u*X's restricted to the fibres, as positions.
-    The embedding is the double outer face, cartesian on all generic maps.
+    The embedding is the double outer face, cartesian on all generic maps,
+    its components handed over as positions too.
     """
     if X.cap < 3:
         raise CapError("factorisation interval needs cap >= 3")
@@ -159,8 +160,7 @@ def factorisation_interval(X: FinSSet, a: str) -> tuple[AlgebraicInterval, SSetM
     if U.stable_from is not None:
         data = replace(data, stable_from=nondeg_bound(i_star(data)))
     d = X.faces.index
-    comps = {k: {x: X.levels[k][d[(k + 1, k + 1)][d[(k + 2, 0)][n]]]
-                 for x, n in zip(data.levels[k], keep[k])} for k in range(U.cap + 1)}
+    comps = {k: [d[(k + 1, k + 1)][d[(k + 2, 0)][n]] for n in keep[k]] for k in range(U.cap + 1)}
     return AlgebraicInterval(data), SSetMap(i_star(data), X, comps)
 
 

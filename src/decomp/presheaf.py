@@ -24,23 +24,26 @@ presheaf.
 
 Each object stores its levels, lists of string ids, and every table once,
 as the position in its target level of each simplex's image, in level
-order.  The nerve builder, the parser, the cut, decalage, `u_star`,
-`i_star` and `truncate` hand tables over as positions; a constructor given
-id tables makes the positions, and keeps as given a table that is not
-total within levels that repeat no id, for `validate` to name its fault.
-`X.faces` and `X.degens` read the tables as ids (`_Tables`), each made on
-first read and kept, its keys and values the very strings of the level
-lists.  Objects are frozen, and each memoises its `actions`, `i_star`,
-`u_star`, `nondegenerate` levels, long-edge `fibres` and its
+order; a map stores each component so, into the codomain's level.  The
+nerve builder, the parser, the cut, decalage, `u_star`, `i_star`,
+`truncate` and the map producers hand tables over as positions; a
+constructor given id tables makes the positions, and keeps as given a
+table that is not total within levels that repeat no id, for `validate`
+or `validate_map` to name its fault.  `X.faces`, `X.degens` and
+`F.components` read the tables as ids (`_Tables`), each made on first read
+and kept, its keys and values the very strings of the level lists.
+Objects are frozen, and each memoises its `actions`, `i_star`, `u_star`,
+`nondegenerate` levels, long-edge `fibres` and its
 `validate_sset`/`validate_xiset`/`check_decomposition`/`check_tight`
 verdicts.  A changed object is a new one (`dataclasses.replace`).
 
-The checks run on positions: identities and relations are whole-level
-comparisons of composed position lists.  act.index(a) composes X(a) from
-them; act(a) is the same map as a table of ids, built once per map.  Every
-pullback square is given as position lists with the id lists of its three
-corners and goes through `pullback_failure`: one counting kernel decides
-it, and only a failing square is enumerated, to name its fault by id.
+The checks run on positions: identities, relations and naturality are
+whole-level comparisons of composed position lists.  actions(X).index(a)
+composes X(a) from them and keeps it; `sset_action` names it in ids, made
+afresh on each call.  Every pullback square is given as position lists
+with the id lists of its three corners and goes through
+`pullback_failure`: one counting kernel decides it, and only a failing
+square is enumerated, to name its fault by id.
 """
 
 from __future__ import annotations
@@ -70,23 +73,30 @@ class CapError(ValueError):
     pass
 
 
+def _degree(key) -> int:
+    """The degree of a table's key: (k, i) for an object, k for a map."""
+    return key if isinstance(key, int) else key[0]
+
+
 class _Tables(Mapping):
-    """An object's faces (step -1) or degeneracies (step 1).  stored[key]
-    lists, in level order, the position in levels[key[0] + step] of each
-    image, or is an id table `_stored` could not make into one; index holds
+    """An object's faces (step -1) or degeneracies (step 1), or a map's
+    components (step 0).  stored[key] lists, in level order, the position in
+    targets[k + step] of the image of each simplex of levels[k], k the key's
+    degree, or is an id table `_stored` could not make into one; index holds
     the position lists.  Read by key, it is the id table, made from the
     positions on first read and kept in ids."""
 
-    def __init__(self, levels: dict[int, list[str]], step: int, stored: dict):
-        self.levels, self.step, self.stored, self.ids = levels, step, stored, {}
+    def __init__(self, levels: dict, targets: dict, step: int, stored: dict):
+        self.levels, self.targets, self.step, self.stored = levels, targets, step, stored
+        self.ids: dict = {}
         self.index = {key: t for key, t in stored.items() if isinstance(t, list)}
 
     def __getitem__(self, key) -> dict[str, str]:
         table = self.ids.get(key)
         if table is None:
-            table, k = self.stored[key], key[0]
+            table, k = self.stored[key], _degree(key)
             if isinstance(table, list):
-                image = map(self.levels[k + self.step].__getitem__, table)
+                image = map(self.targets[k + self.step].__getitem__, table)
                 table = self.ids[key] = dict(zip(self.levels[k], image))
         return table
 
@@ -104,11 +114,13 @@ class _Tables(Mapping):
 
 
 def _stored(table, levels: dict, at: dict, key, step: int):
-    """A position list as it is; an id table made into positions if at, the
-    levels that repeat no id, holds both its levels and it is total into
-    them, else as it is."""
-    k = key[0]
-    if isinstance(table, list) or k not in at or k + step not in at or len(table) != len(levels[k]):
+    """A position list as it is.  An id table is made into positions when
+    its degree is one of levels, at (the target levels that repeat no id;
+    an object's targets are its own levels) holds its degree and its
+    target's, and it is total into them; else it is kept as it is."""
+    k = _degree(key)
+    if (isinstance(table, list) or k not in levels or k not in at or k + step not in at
+            or len(table) != len(levels[k])):
         return table
     try:
         return list(map(at[k + step].__getitem__, map(table.__getitem__, levels[k])))
@@ -116,17 +128,17 @@ def _stored(table, levels: dict, at: dict, key, step: int):
         return table
 
 
-def _store(levels: dict, faces: Mapping, degens: Mapping) -> list[_Tables]:
-    """faces and degens as `_Tables` over levels; a producer's position
-    lists are trusted."""
-    given = [(t.stored if isinstance(t, _Tables) and t.levels is levels else t, step)
-             for t, step in ((faces, -1), (degens, 1))]
+def _store(levels: dict, targets: dict, families) -> list[_Tables]:
+    """Each (tables, step) of families as `_Tables` from levels into
+    targets; a producer's position lists are trusted."""
+    given = [(t.stored if isinstance(t, _Tables) and t.levels is levels and t.targets is targets
+              else t, step) for t, step in families]
     if all(isinstance(t, list) for tables, _ in given for t in tables.values()):
-        return [_Tables(levels, step, tables) for tables, step in given]
-    at = {k: dict(zip(ids, range(len(ids)))) for k, ids in levels.items()}
-    at = {k: pos for k, pos in at.items() if len(pos) == len(levels[k])}
-    return [_Tables(levels, step, {key: _stored(t, levels, at, key, step)
-                                   for key, t in tables.items()})
+        return [_Tables(levels, targets, step, tables) for tables, step in given]
+    at = {k: dict(zip(ids, range(len(ids)))) for k, ids in targets.items()}
+    at = {k: pos for k, pos in at.items() if len(pos) == len(targets[k])}
+    return [_Tables(levels, targets, step, {key: _stored(t, levels, at, key, step)
+                                            for key, t in tables.items()})
             for tables, step in given]
 
 
@@ -146,7 +158,8 @@ class _Presheaf:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, tables in zip(("faces", "degens"), _store(self.levels, self.faces, self.degens)):
+        families = ((self.faces, -1), (self.degens, 1))
+        for name, tables in zip(("faces", "degens"), _store(self.levels, self.levels, families)):
             object.__setattr__(self, name, tables)
 
 
@@ -165,11 +178,17 @@ class FinXiSet(_Presheaf):
 
 @dataclass
 class _Map:
-    """A map given by per-level components; dom.cap <= cod.cap."""
+    """A map given by per-level components; dom.cap <= cod.cap.
+    components[k], F_k: dom.levels[k] -> cod.levels[k], is stored as the
+    objects' tables are, in `_Tables` of step 0, given as ids or, by a
+    producer, as positions."""
 
     dom: FinSSet | FinXiSet
     cod: FinSSet | FinXiSet
-    components: dict[int, dict[str, str]]
+    components: Mapping[int, Mapping[str, str]]
+
+    def __post_init__(self):
+        self.components = _store(self.dom.levels, self.cod.levels, ((self.components, 0),))[0]
 
 
 class SSetMap(_Map):
@@ -194,10 +213,6 @@ def memoised(fn):
             X._memo[key] = fn(X, *args, **kwargs)
         return X._memo[key]
     return once
-
-
-def _compose_tables(outer: dict[str, str], inner: dict[str, str]) -> dict[str, str]:
-    return dict(zip(inner, map(outer.__getitem__, inner.values())))
 
 
 def _table_keys(cap: int, xi: bool) -> tuple[list, list]:
@@ -266,17 +281,7 @@ class _Actions:
         self.levels, self.faces, self.degens = X.levels, X.faces.index, X.degens.index
         self.shift = 2 if isinstance(X, FinXiSet) else 0
         self.tables: dict[MonotoneMap, list[int]] = {}
-        self.named: dict[MonotoneMap, dict[str, str]] = {}
         self.compositions = 0
-
-    def __call__(self, a: MonotoneMap) -> dict[str, str]:
-        """X(a) as a table of ids, built on the first request for a."""
-        table = self.named.get(a)
-        if table is None:
-            levels = self.levels
-            image = map(levels[a.src - self.shift].__getitem__, self.index(a))
-            table = self.named[a] = dict(zip(levels[a.tgt - self.shift], image))
-        return table
 
     def index(self, a: MonotoneMap) -> list[int]:
         """X(a) as positions: entry n is the position of the image of the
@@ -301,22 +306,26 @@ class _Actions:
 
 @memoised
 def actions(X) -> _Actions:
-    """X's memoised act(a), the action X(a): levels[a.tgt] -> levels[a.src].
+    """X's memoised actions X(a): levels[a.tgt] -> levels[a.src], as
+    positions.
 
     An interval-site presheaf takes the representing monotone map of a site
     arrow.  act.index(a) is one composition of index lists: the list of the
     last generator of a's word, then the memoised X(p) of the composite p of
-    the rest of the word, which is p's own word.  act(a) is the same map
-    as a table of ids.  act.compositions counts the compositions made on X
-    so far.  A walk that meets a table that is missing or kept as ids
-    raises KeyError.
+    the rest of the word, which is p's own word.  act.compositions counts
+    the compositions made on X so far.  A walk that meets a table that is
+    missing or kept as ids raises KeyError.
     """
     return _Actions(X)
 
 
-def sset_action(X: FinSSet, a: MonotoneMap) -> dict[str, str]:
-    """The action X(a): levels[a.tgt] -> levels[a.src] of a monotone map."""
-    return actions(X)(a)
+def sset_action(X, a: MonotoneMap) -> dict[str, str]:
+    """The action X(a): levels[a.tgt] -> levels[a.src] of a monotone map
+    (for an interval-site presheaf, a site arrow's representing map), as a
+    table of ids, named afresh from `actions(X).index(a)` on each call."""
+    act = actions(X)
+    tgt, src = (X.levels[end - act.shift] for end in (a.tgt, a.src))
+    return dict(zip(tgt, map(src.__getitem__, act.index(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +489,10 @@ def _map_squares(F, cls: str | None = None) -> list | None:
     degeneracy "s" of key (k, i), square in `pullback_failure`'s argument
     order: every face, then every degeneracy; for a map class, each
     degeneracy unless cls is "ulf", then each inner face unless it is
-    "conservative".  None if a component is not total."""
+    "conservative".  None if a component is missing or kept as ids."""
     Y, X, xi = F.dom, F.cod, isinstance(F.dom, FinXiSet)
-    at = {k: dict(zip(ids, range(len(ids)))) for k, ids in X.levels.items()}
-    try:
-        comp = {k: list(map(at[k].__getitem__, map(F.components[k].__getitem__, Y.levels[k])))
-                for k in range(-xi, Y.cap + 1)}
-    except KeyError:
+    comp = F.components.index
+    if not comp.keys() >= set(range(-xi, Y.cap + 1)):
         return None
     face_keys, degen_keys = _table_keys(Y.cap, xi)
     d = [("d", k, i, -1, Y.faces.index, X.faces.index) for k, i in face_keys
@@ -497,34 +503,28 @@ def _map_squares(F, cls: str | None = None) -> list | None:
             for letter, k, i, step, tY, tX in (d + s if cls is None else s + d)]
 
 
-def _map_shape(F, lo: int, label: str) -> Report:
-    """One total component per degree lo to dom.cap, and none other."""
-    rep = Report("validate_map")
-    X, Y = F.dom, F.cod
-    if X.cap > Y.cap:
-        rep.fail(note="dom-cap-exceeds-cod-cap")
-        return rep
-    for k in range(lo, X.cap + 1):
-        if k not in F.components:
-            rep.fail(degree=k, note="missing-component")
-            continue
-        _check_totality(rep, f"{label}[{k}]", F.components[k], X.levels[k], Y.levels[k])
-    for k in sorted(set(F.components).difference(range(lo, X.cap + 1))):
-        rep.fail(degree=k, note="extra-component")
-    return rep
-
-
 def validate_map(F: SSetMap | XiSetMap) -> Report:
-    """Both ends valid, then totality plus naturality against every face
-    and degeneracy under dom.cap, each square compared as index lists on a
-    whole level.  An end that is not valid gets its own `validate` report
-    back, the domain's first."""
+    """Both ends valid, then one total component per degree under dom.cap
+    and none other, then naturality against every face and degeneracy,
+    each square compared as index lists on a whole level.  An end that is
+    not valid gets its own `validate` report back, the domain's first.  A
+    component stored as positions is total, so only those kept as ids are
+    walked."""
     X, Y = F.dom, F.cod
     for end in map(validate, (X, Y)):
         if not end.ok:
             return end
-    xi = isinstance(X, FinXiSet)
-    rep = _map_shape(F, -xi, "G" if xi else "F")
+    rep, xi, comps = Report("validate_map"), isinstance(X, FinXiSet), F.components
+    if X.cap > Y.cap:
+        rep.fail(note="dom-cap-exceeds-cod-cap")
+        return rep
+    for k in range(-xi, X.cap + 1):
+        if k not in comps:
+            rep.fail(degree=k, note="missing-component")
+        elif k not in comps.index:
+            _check_totality(rep, f"{'G' if xi else 'F'}[{k}]", comps[k], X.levels[k], Y.levels[k])
+    for k in sorted(set(comps).difference(range(-xi, X.cap + 1))):
+        rep.fail(degree=k, note="extra-component")
     if not rep.ok:
         return rep
     for letter, k, i, (P, _, _, p, q, f, g) in _map_squares(F):
@@ -549,7 +549,7 @@ def _decalage(X: FinSSet, bottom: bool) -> tuple[FinSSet, SSetMap]:
         raise CapError("decalage needs cap >= 1")
     cap = X.cap - 1
     D = _reindexed(X, FinSSet, cap, 1, int(bottom), _stable_under(X, cap))
-    counit = {k: X.faces[(k + 1, 0 if bottom else k + 1)] for k in range(cap + 1)}
+    counit = {k: X.faces.stored[(k + 1, 0 if bottom else k + 1)] for k in range(cap + 1)}
     return D, SSetMap(D, X, counit)
 
 
@@ -580,12 +580,12 @@ def i_star(A: FinXiSet) -> FinSSet:
 
 
 def u_star_map(F: SSetMap) -> XiSetMap:
-    comps = {k: F.components[k + 2] for k in range(-1, F.dom.cap - 1)}
+    comps = {k: F.components.stored[k + 2] for k in range(-1, F.dom.cap - 1)}
     return XiSetMap(u_star(F.dom), u_star(F.cod), comps)
 
 
 def i_star_map(G: XiSetMap) -> SSetMap:
-    comps = {k: G.components[k] for k in range(G.dom.cap + 1)}
+    comps = {k: G.components.stored[k] for k in range(G.dom.cap + 1)}
     return SSetMap(i_star(G.dom), i_star(G.cod), comps)
 
 
@@ -598,24 +598,20 @@ def truncate(X, cap: int):
 
 def unit_eta(A: FinXiSet) -> XiSetMap:
     """The unit A -> u*i*A, the composite of the two extra degeneracies."""
-    if A.cap < 1:
-        raise CapError("unit needs cap >= 1")
-    cod = u_star(i_star(A))
-    comps = {}
-    for k in range(-1, A.cap - 1):
-        comps[k] = _compose_tables(A.degens[(k + 1, -1)], A.degens[(k, k + 1)])
-    return XiSetMap(truncate(A, A.cap - 2), cod, comps)
+    if A.cap < 2:
+        raise CapError("unit needs cap >= 2")
+    s = A.degens.index
+    comps = {k: list(map(s[(k + 1, -1)].__getitem__, s[(k, k + 1)])) for k in range(-1, A.cap - 1)}
+    return XiSetMap(truncate(A, A.cap - 2), u_star(i_star(A)), comps)
 
 
 def counit_eps(X: FinSSet) -> SSetMap:
     """The counit i*u*X -> X, the composite of the two outer faces."""
     if X.cap < 2:
         raise CapError("counit needs cap >= 2")
-    dom = i_star(u_star(X))
-    comps = {}
-    for k in range(0, X.cap - 1):
-        comps[k] = _compose_tables(X.faces[(k + 1, k + 1)], X.faces[(k + 2, 0)])
-    return SSetMap(dom, X, comps)
+    d = X.faces.index
+    comps = {k: list(map(d[(k + 1, k + 1)].__getitem__, d[(k + 2, 0)])) for k in range(X.cap - 1)}
+    return SSetMap(i_star(u_star(X)), X, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +635,7 @@ def nondegenerate(X, k: int) -> list[str]:
 
 def long_edge_table(X: FinSSet, r: int) -> dict[str, str]:
     """levels[r] -> levels[1]: restriction to the long edge (s_0 at r = 0)."""
-    return actions(X)(MonotoneMap(1, r, (0, r)))
+    return sset_action(X, MonotoneMap(1, r, (0, r)))
 
 
 @memoised
@@ -675,27 +671,27 @@ def ez_decompose(X: FinSSet, k: int, x: str) -> tuple[list[int], str]:
     """Unique degeneracy word (decreasing indices) and nondegenerate root.
 
     The word lists the indices outermost first: applying s_{w[-1]}, then
-    s_{w[-2]}, ..., to the root reproduces x.
+    s_{w[-2]}, ..., to the root reproduces x.  A degree outside the cap
+    raises CapError, an id outside level k ValueError.
     """
+    if k < 0 or k > X.cap:
+        raise CapError(f"degree {k} outside cap {X.cap}")
+    if x not in X.levels[k]:
+        raise ValueError(f"{x!r} is not a simplex of degree {k}")
     word: list[int] = []
-    deg = k
-    cur = x
-    while deg > 0:
-        stripped = False
-        for j in range(deg - 1, -1, -1):
-            table = X.degens[(deg - 1, j)]
-            pre = [y for y, v in table.items() if v == cur]
+    cur = X.levels[k].index(x)
+    while k > 0:
+        for j in range(k - 1, -1, -1):
+            pre = [n for n, v in enumerate(X.degens.index[(k - 1, j)]) if v == cur]
             if pre:
                 if len(pre) > 1:
-                    raise ValueError(f"degeneracy s_{j} not injective at {cur}")
+                    raise ValueError(f"degeneracy s_{j} not injective at {X.levels[k][cur]}")
                 word.append(j)
-                cur = pre[0]
-                deg -= 1
-                stripped = True
+                cur, k = pre[0], k - 1
                 break
-        if not stripped:
+        else:
             break
-    return word, cur
+    return word, X.levels[k][cur]
 
 
 # ---------------------------------------------------------------------------
@@ -782,10 +778,8 @@ def transpose_arrow(X: FinSSet, a: str) -> XiSetMap:
     """The map from the initial representable picking out the arrow a."""
     dom = xi_representable(-1, X.cap - 2)
     cod = u_star(X)
-    comps = {}
-    for n in range(-1, dom.cap + 1):
-        comps[n] = {intern("x" + "_".join(map(str, h.rep.values))): actions(cod)(h.rep)[a]
-                    for h in all_xi_maps(n, -1)}
+    comps = {n: {intern("x" + "_".join(map(str, h.rep.values))): sset_action(cod, h.rep)[a]
+                 for h in all_xi_maps(n, -1)} for n in range(-1, dom.cap + 1)}
     return XiSetMap(dom, cod, comps)
 
 

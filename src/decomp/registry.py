@@ -40,7 +40,7 @@ from .interval import (
     validate_interval,
 )
 from .interval import extend_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .presheaf import CapError, FinSSet, actions, fibres, long_edge_table, truncate
+from .presheaf import CapError, FinSSet, fibres, long_edge_table, sset_action, truncate
 from .report import Report
 from .simplex import MonotoneMap
 
@@ -234,7 +234,7 @@ def maximal_cuts(X: FinSSet, skip: str | None = None):
     if X.cap < 3:
         raise CapError("factorisation interval needs cap >= 3")
     X = truncate(X, 4) if X.cap > 4 else X
-    mid, long = actions(X)(MonotoneMap(1, 3, (1, 2))), long_edge_table(X, 3)
+    mid, long = sset_action(X, MonotoneMap(1, 3, (1, 2))), long_edge_table(X, 3)
     covered = {mid[s] for s in X.levels[3] if long[s] not in (mid[s], skip)}
     reached = {skip}
     for a in [a for a in X.levels[1] if a not in covered] + X.levels[1]:
@@ -335,15 +335,19 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
             raise RegistryError(f"registry is not closed: missing {cls.digest[:12]}")
         return cls.digest, relabel
 
+    @cache
+    def action(digest: str, a: MonotoneMap) -> dict[str, str]:
+        """The action of a on the class's nerve, in ids, named at its first use."""
+        return sset_action(nerves[digest], a)
+
     def outer_face(digest: str, x: str, k: int, i: int) -> tuple[str, str]:
         """The face tau subdivides the interval T of its long edge: its edges
         (0, p - 1, p, k - 1) are 3-simplices over that edge, T's arrows
         from bottom to top, which relabelled as T's ids join into tau's
         simplex of T's nerve; at k = 1 tau is T's one object."""
-        N = nerves[digest]
-        tau = N.faces[(k, i)][x]
-        target, relabel = label(digest, long_edge_table(N, k - 1)[tau])
-        chain = [relabel[actions(N)(MonotoneMap(3, k - 1, (0, p - 1, p, k - 1)))[tau]]
+        tau = nerves[digest].faces[(k, i)][x]
+        target, relabel = label(digest, action(digest, MonotoneMap(1, k - 1, (0, k - 1)))[tau])
+        chain = [relabel[action(digest, MonotoneMap(3, k - 1, (0, p - 1, p, k - 1)))[tau]]
                  for p in range(1, k)]
         return target, "*".join(chain) if chain else nerves[target].levels[0][0]
 

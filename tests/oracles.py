@@ -400,12 +400,13 @@ def canonical_order(sys: UnarySystem) -> dict:
 
 def _action(X, a, shift):
     """X(a) walked generator by generator from the identity of levels[a.tgt]."""
-    from decomp.presheaf import _compose_tables, _generator_table
+    from decomp.presheaf import _generator_table
     from decomp.simplex import generator_word
 
     table = {x: x for x in X.levels[a.tgt - shift]}
     for gen in reversed(generator_word(a)):
-        table = _compose_tables(_generator_table(X, gen, shift), table)
+        step = _generator_table(X, gen, shift)
+        table = {x: step[y] for x, y in table.items()}
     return table
 
 
@@ -793,14 +794,14 @@ def check_segal_by_spines(X):
     """Segal, with each simplex's spine a tuple of edge ids read from the
     principal-edge tables of `actions`, which record the compositions."""
     from decomp.axioms import _composable_count, _composable_strings
-    from decomp.presheaf import actions
+    from decomp.presheaf import actions, sset_action
     from decomp.report import Report
 
     rep = Report("check_segal")
     act = actions(X)
     before = act.compositions
     for k in range(2, X.cap + 1):
-        tables = [act(MonotoneMap(1, k, (i, i + 1))) for i in range(k)]
+        tables = [sset_action(X, MonotoneMap(1, k, (i, i + 1))) for i in range(k)]
         spine = {x: tuple(t[x] for t in tables) for x in X.levels[k]}
         seen = {}
         collision = False
@@ -848,7 +849,7 @@ def check_decomposition_by_names(X, method):
     """The exactness check, every pullback square on id tables: the direct
     squares of all generic-free pushouts under the cap, or both decalages
     Segal with culf counits, or both cross-checked."""
-    from decomp.presheaf import CapError, actions, dec_bot, dec_top
+    from decomp.presheaf import CapError, actions, dec_bot, dec_top, sset_action
     from decomp.report import Report
     from decomp.simplex import free_generators, generic_generators, pushout_generic_free
 
@@ -890,7 +891,7 @@ def check_decomposition_by_names(X, method):
                     squares[corner] = squares.get(corner, 0) + 1
                     f2, g2 = pushout_generic_free(g, f)
                     bad = pullback_issue(X.levels[f2.tgt], X.levels[g.tgt], X.levels[f.tgt],
-                                         act(f2), act(g2), act(g), act(f))
+                                         *(sset_action(X, a) for a in (f2, g2, g, f)))
                     if bad is not None:
                         rep.fail(degree=corner, note=f"pushout({g},{f}):{bad}")
         rep.data["squares"] = squares

@@ -16,7 +16,7 @@ from decomp.ingest import chain_poset, divisor_poset, nerve, truncated_addition
 from decomp.interval import canonicalize, factorisation_interval
 from decomp.presheaf import truncate, u_star
 from decomp.registry import Registry
-from conftest import filter_nerve, spine_object
+from conftest import filter_nerve, invalid_object, spine_object
 from test_fastpaths import _REPORT_LINE
 
 SEP = "≤"
@@ -49,6 +49,24 @@ def test_check_fails_with_exit_one(tmp_path, capsys):
     assert main(["check", "segal", str(tmp_path / "spine.sset")]) == 1
     out = capsys.readouterr().out
     assert "FAIL check_segal" in out
+
+
+def test_nerve_that_fails_validation_exits_one_and_writes_nothing(
+        d6_file, tmp_path, capsys, monkeypatch):
+    """A nerve the builder got wrong is not saved: `nerve` prints its
+    validation lines and exits 1."""
+    monkeypatch.setattr("decomp.cli.nerve", lambda spec, cap: invalid_object())
+    out = tmp_path / "bad.sset"
+    assert main(["nerve", d6_file, "-o", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL validate degree=2 witness=0{SEP}0{SEP}1 note=d0d1",
+        f"FAIL validate degree=3 witness=0{SEP}0{SEP}0{SEP}1 note=d0d2",
+        f"FAIL validate degree=3 witness=0{SEP}0{SEP}1{SEP}1 note=d0d2",
+        f"FAIL validate degree=3 witness=0{SEP}0{SEP}1{SEP}1 note=d0d3",
+        f"FAIL validate degree=1 witness=0{SEP}1 note=d0s0",
+        f"FAIL validate degree=2 witness=0{SEP}0{SEP}1 note=d0s1",
+        f"FAIL validate degree=2 witness=0{SEP}0{SEP}1 note=d0s2"]
+    assert not out.exists()
 
 
 def test_parse_error_exits_two(tmp_path, capsys):

@@ -72,18 +72,22 @@ from decomp.presheaf import (
     SSetMap,
     XiSetMap,
     actions,
+    counit_eps,
     dec_bot,
     dec_top,
     fibres,
     i_star,
+    i_star_map,
     long_edge_table,
     nondegenerate,
     point_xiset,
     pullback_failure,
+    sset_action,
     transpose_arrow,
     truncate,
     u_star,
     u_star_map,
+    unit_eta,
     validate,
     validate_map,
     validate_sset,
@@ -452,11 +456,10 @@ def test_actions_match_the_per_word_walk(X):
     """One memo serves every monotone map [m] -> [n] under the cap, on the
     nerve and on its parsed copy."""
     for Y in (X, parse_sset(write_sset(X))):
-        act = actions(Y)
         for m in range(Y.cap + 1):
             for n in range(Y.cap + 1):
                 for a in all_monotone(m, n):
-                    assert act(a) == oracles._action(Y, a, 0)
+                    assert sset_action(Y, a) == oracles._action(Y, a, 0)
 
 
 def complete_nerves():
@@ -1463,14 +1466,59 @@ def test_positions_handed_over_match_those_made_from_ids(spec, data):
                 (key, list(t.items())) for key, t in given_ids.items()]
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(DRAWN_SPECS, st.data())
+def test_map_positions_handed_over_match_those_made_from_ids(spec, data):
+    """On a drawn nerve, each map producer hands its components over as
+    positions, and those are the positions the constructor makes of the
+    map's id components: the two maps have equal components, validate and
+    classify alike, and write the same SMAP text."""
+    X = nerve(spec)
+    X = X if X.cap >= 4 else nerve(spec, 4)
+    counits = [dec(X)[1] for dec in (dec_bot, dec_top)]
+    eta = unit_eta(u_star(X))
+    embed = factorisation_interval(X, data.draw(st.sampled_from(X.levels[1])))[1]
+    for F in (*counits, *map(u_star_map, counits), eta, i_star_map(eta), counit_eps(X), embed):
+        assert F.components.index.keys() == F.components.keys() and not F.components.ids
+        made = type(F)(F.dom, F.cod, {k: dict(t) for k, t in F.components.items()})
+        assert made.components.index == F.components.index
+        assert made.components == F.components
+        assert validate_map(made).lines() == validate_map(F).lines()
+        for cls in ("conservative", "ulf", "culf"):
+            assert check_map_class(made, cls).lines() == check_map_class(F, cls).lines()
+        assert write_smap(made, "dom.sset", "cod.sset") == write_smap(F, "dom.sset", "cod.sset")
+
+
+def test_map_components_kept_as_ids_are_named_as_before():
+    """A component given as ids that is not total, or that reads into a
+    level repeating an id, is kept as given, and `validate_map` and
+    `check_map_class` name it: the first by the map's totality, the second
+    by the codomain's own validation."""
+    _, counit = dec_bot(nerve_poset(divisor_poset(6), 5))
+    comps = {k: dict(t) for k, t in counit.components.items()}
+    del comps[1]["1≤1≤1"]
+    F = SSetMap(counit.dom, counit.cod, comps)
+    assert F.components.keys() - F.components.index.keys() == {1}
+    levels = dict(counit.cod.levels)
+    levels[0] = levels[0] + levels[0][:1]
+    G = SSetMap(counit.dom, replace(counit.cod, levels=levels),
+                {k: dict(t) for k, t in counit.components.items()})
+    assert G.components.keys() - G.components.index.keys() == {0}
+    for M, want in ((F, "FAIL validate_map witness=1≤1≤1 note=F[1]-not-total"),
+                    (G, "FAIL validate degree=0 note=duplicate-identifiers")):
+        assert validate_map(M).lines() == [want]
+        for cls in ("conservative", "ulf", "culf"):
+            assert check_map_class(M, cls).lines() == [want]
+
+
 def test_certify_ops_build_no_id_table():
     """The ops `certify` times read positions alone: after them neither
-    chain5's nerve at cap 8 nor its parsed copy holds an id table.  The
-    decalage check is left out, as its counits are maps of id tables read
-    off the object's outer faces."""
+    chain5's nerve at cap 8 nor its parsed copy holds an id table, the
+    decalage check's counits included."""
     X = nerve(chain_poset(5), 8)
     Y = parse_sset(write_sset(X))
     assert validate(Y).ok and check_segal(Y).ok and check_decomposition(Y, "direct").ok
+    assert check_decomposition(Y, "both").ok
     assert check_mobius(Y).ok and verify_inversion(Y).ok
     assert mobius(Y)[X.levels[1][0]] is not None and comult(Y).pairs
     for Z in (X, Y):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from decomp.formats import parse_xiset, write_xiset
 from decomp.ingest import PosetSpec, boolean_poset, divisor_poset, nerve, nerve_poset
 from decomp.interval import canonicalize, factorisation_interval, labelling_system
-from decomp.presheaf import actions, sset_action, u_star
+from decomp.presheaf import sset_action, u_star
 from decomp.registry import Registry
 from decomp.simplex import all_xi_maps
 
@@ -87,6 +87,6 @@ def test_boundary_tables_act_as_their_site_maps(X):
     for m in range(-1, A.cap + 1):
         for n in range(-1, A.cap + 1):
             for h in all_xi_maps(m, n):
-                assert actions(A)(h.rep) == sset_action(X, h.rep)
+                assert sset_action(A, h.rep) == sset_action(X, h.rep)
     again = parse_xiset(write_xiset(A))
     assert again.faces == A.faces and again.degens == A.degens

@@ -1,4 +1,5 @@
-"""Import hygiene: every name a module of `decomp` imports is used there.
+"""Import hygiene: every name a module of `decomp` imports is used there,
+and only `presheaf` reads how a table is stored.
 
 Two kinds of import are exempt: the re-exports of `decomp/__init__.py`, and
 the bindings that perfbench/tracer.py's PLAN wraps, which a module may
@@ -88,3 +89,16 @@ def test_unused_and_stray_noqa_imports_are_named():
         "decomp.axioms marks validate noqa but PLAN does not wrap it",
         "decomp.axioms marks dec_bot noqa but uses it",
     ]
+
+
+def test_only_presheaf_reads_the_stored_form():
+    """How a table is stored, as positions or as an id table kept as given,
+    stays inside `presheaf`: every other module reads `index` or the id
+    view, never an attribute named `stored`."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "presheaf.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            readers += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and node.attr == "stored"]
+    assert readers == []

@@ -10,6 +10,7 @@ from decomp.cli import main
 from decomp.incidence import (
     NotCertified,
     QVec,
+    _homomorphism,
     classify,
     comult,
     convolve,
@@ -25,6 +26,7 @@ from decomp.ingest import chain_poset, divisor_poset, nerve_poset
 from decomp.interval import canonicalize, factorisation_interval, longest_edge
 from decomp.presheaf import dec_bot, i_star, point_sset, validate
 from decomp.registry import Registry, RegistryEntry, maximal_cuts
+from decomp.report import Report
 from conftest import chipped_object, filter_nerve, idempotent_interval, invalid_object
 from oracles import convolution_inverse, inversion_lines_by_support, mobius_by_phi, rota_mobius
 
@@ -433,3 +435,15 @@ def test_universal_mobius_refuses_an_uncertified_entry(tmp_path, capsys):
     assert main(["registry", "mu", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: stored entry {c.digest[:12]} ")
+
+
+def test_homomorphism_names_an_arrow_whose_counit_is_not_preserved(poset_nerves):
+    """A target table whose counit differs at one arrow, the comultiplication
+    the same: the identity arrow map fails there, on the counit alone."""
+    X = poset_nerves["d6"]
+    table = comult(X)
+    a = X.levels[1][0]
+    target = replace(table, counit={**table.counit, a: 1 - table.counit[a]})
+    rep = Report("culf_pushforward")
+    _homomorphism(rep, X, {b: b for b in X.levels[1]}, target, "comultiplication-not-preserved")
+    assert rep.lines() == [f"FAIL culf_pushforward degree=1 witness={a} note=counit-not-preserved"]

@@ -10,6 +10,7 @@ from decomp.axioms import check_flanked, check_map_class
 from decomp.ingest import chain_poset, divisor_poset, nerve_poset
 from decomp.interval import isomorphic
 from decomp.presheaf import (
+    CapError,
     FinSSet,
     counit_eps,
     dec_bot,
@@ -164,6 +165,14 @@ def test_unit_identity_on_point():
     assert all(t == {"pt": "pt"} for t in eta.components.values())
 
 
+def test_unit_refuses_a_cap_below_2():
+    """The unit's codomain u*i*A needs i*A at cap 2 or more, so a cap-1
+    interval-site presheaf is refused by the unit's own guard."""
+    A = truncate(u_star(nerve_poset(chain_poset(2), 4)), 1)
+    with pytest.raises(CapError, match=r"^unit needs cap >= 2$"):
+        unit_eta(A)
+
+
 def test_unit_counit_classes(poset_nerves):
     X = poset_nerves["d6"]
     eps = counit_eps(X)
@@ -215,6 +224,18 @@ def test_ez_decompose_examples():
     assert ez_decompose(X, 1, deg) == ([0], "0")
     double = SEP.join(["0", "0", "0"])
     assert ez_decompose(X, 2, double) == ([1, 0], "0")
+
+
+def test_ez_decompose_refuses_a_degree_outside_the_cap_or_an_id_outside_the_level():
+    """An edge is not a 2-simplex, nor is a made-up id; a degree above the
+    cap or below 0 is refused as `nondegenerate` refuses it."""
+    X = nerve_poset(chain_poset(1), 4)
+    for x in (SEP.join(["0", "1"]), "nope"):
+        with pytest.raises(ValueError, match=f"^{x!r} is not a simplex of degree 2$"):
+            ez_decompose(X, 2, x)
+    for k in (9, 5, -1):
+        with pytest.raises(CapError, match=f"^degree {k} outside cap 4$"):
+            ez_decompose(X, k, SEP.join(["0", "1"]))
 
 
 def test_ez_words_strictly_decreasing_and_reconstruct():

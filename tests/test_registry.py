@@ -291,6 +291,17 @@ def test_fragment_square(diamond_registry):
     assert rep.data["counts"][diamond_registry.names["diamond"]][3] == 9
 
 
+def test_fragment_square_names_a_changed_face_entry(diamond_registry):
+    """The inner face of one 3-subdivision sent to another 2-subdivision
+    breaks the square at that 3-subdivision."""
+    frag = build_fragment(diamond_registry, top=3)
+    x, y = frag.levels[3][-1], frag.levels[2][0]
+    assert frag.faces[(3, 1)][x] != y
+    frag.faces[(3, 1)] = {**frag.faces[(3, 1)], x: y}
+    assert fragment_square_report(frag).lines() == [
+        f"FAIL fragment_square degree=3 note=square-does-not-commute:{x}"]
+
+
 def test_fragment_square_needs_degree_3(diamond_registry):
     rep = fragment_square_report(build_fragment(diamond_registry, top=2))
     assert rep.lines() == ["INCONCLUSIVE fragment_square note=fragment-too-shallow"]
