@@ -51,10 +51,11 @@ def _composable_count(X: FinSSet, k: int) -> int:
 
 
 def _composable_strings(X: FinSSet, k: int):
-    d0, d1 = X.faces[(1, 0)], X.faces[(1, 1)]
-    by_tail: dict[str, list[str]] = {}
-    for e in X.levels[1]:
-        by_tail.setdefault(d1[e], []).append(e)
+    """Every k-string of edges glued tail to head, as edge positions."""
+    d0, d1 = X.faces.index[(1, 0)], X.faces.index[(1, 1)]
+    by_tail: dict[int, list[int]] = {}
+    for e, tail in enumerate(d1):
+        by_tail.setdefault(tail, []).append(e)
 
     def extend(prefix):
         if len(prefix) == k:
@@ -65,7 +66,7 @@ def _composable_strings(X: FinSSet, k: int):
             yield from extend(prefix)
             prefix.pop()
 
-    for e in X.levels[1]:
+    for e in range(len(d1)):
         yield from extend([e])
 
 
@@ -89,12 +90,13 @@ def check_segal(X: FinSSet) -> Report:
                     rep.fail(degree=k, witness=(seen[s], x), note="spine-collision")
                 seen[s] = x
         elif len(spines) != _composable_count(X, k):
-            named = {tuple(map(X.levels[1].__getitem__, s)) for s in spines}
-            missing = next((s for s in _composable_strings(X, k) if s not in named), None)
+            filled = set(spines)
+            missing = next((s for s in _composable_strings(X, k) if s not in filled), None)
             if missing is None:  # X is not valid: a spine is not a string
                 rep.absorb(validate_sset(X))
                 break
-            rep.fail(degree=k, witness=missing, note="no-filler")
+            rep.fail(degree=k, witness=tuple(map(X.levels[1].__getitem__, missing)),
+                     note="no-filler")
     rep.data["compositions"] = act.compositions - before
     rep.verified_upto = X.cap
     return rep
@@ -202,7 +204,8 @@ def check_map_class(F: SSetMap | XiSetMap, cls: str = "culf") -> Report:
     degeneracies and inner faces, so "culf" tests the square on every one
     of its structure maps: such a map is cartesian exactly when culf.  A map
     whose components are not total, run above the codomain's cap, or read
-    a level that repeats an id, gets its `validate_map` lines instead."""
+    a level that repeats an id, or one whose ends keep a face or degeneracy
+    as ids, gets its `validate_map` lines instead."""
     if cls not in ("conservative", "ulf", "culf"):
         raise ValueError(f"unknown map class {cls!r}")
     rep = Report(f"check_map_class[{cls}]")

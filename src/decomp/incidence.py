@@ -102,10 +102,11 @@ def registry_comult(reg: Registry) -> CoalgebraTable:
         if missing:
             raise RegistryError(f"registry is not closed: missing {missing[0][:12]}")
         data = entry.interval.canonical.data
-        d0, d1, top = data.faces[(1, 0)], data.faces[(1, 1)], longest_edge(data)
-        lower = {d0[f]: table[f] for f in data.levels[1] if d1[f] == d1[top]}
-        upper = {d1[f]: table[f] for f in data.levels[1] if d0[f] == d0[top]}
-        pairs[digest] = Counter((lower[x], upper[x]) for x in data.levels[0])
+        d0, d1, arrows = data.faces.index[(1, 0)], data.faces.index[(1, 1)], data.levels[1]
+        top = arrows.index(longest_edge(data))
+        lower = {d0[f]: table[a] for f, a in enumerate(arrows) if d1[f] == d1[top]}
+        upper = {d1[f]: table[a] for f, a in enumerate(arrows) if d0[f] == d0[top]}
+        pairs[digest] = Counter((lower[x], upper[x]) for x in range(len(data.levels[0])))
         counit[digest] = int(len(data.levels[0]) == 1)
     return CoalgebraTable(frozenset(reg.entries), pairs, counit)
 

@@ -63,8 +63,9 @@ class IntervalClass:
 def longest_edge(A: FinXiSet) -> str:
     """The image of the unique degree -1 element under both outer
     degeneracies."""
-    (base,) = A.levels[-1]
-    return A.degens[(0, -1)][A.degens[(-1, 0)][base]]
+    s = A.degens.index
+    (base,) = s[(-1, 0)]
+    return A.levels[1][s[(0, -1)][base]]
 
 
 def validate_interval(A: AlgebraicInterval) -> Report:
@@ -169,14 +170,15 @@ def factorisation_interval(X: FinSSet, a: str) -> tuple[AlgebraicInterval, SSetM
 
 
 def labelling_system(X: FinSSet | FinXiSet) -> UnarySystem:
-    """X's levels as sorts and its face and degeneracy tables as maps, in
-    the order validation reports them, each labelled with its XISET name."""
+    """X's level sizes as sorts and its face and degeneracy position tables
+    as maps, in the order validation reports them, each labelled with its
+    XISET name.  A table missing or kept as ids raises KeyError."""
     xi = isinstance(X, FinXiSet)
-    kinds = (("d", X.faces, -1), ("s", X.degens, 1))
+    kinds = (("d", X.faces.index, -1), ("s", X.degens.index, 1))
     maps = [(_name(letter, k, i), k, k + step, tables[(k, i)])
             for (letter, tables, step), keys in zip(kinds, _table_keys(X.cap, xi))
             for k, i in keys]
-    return UnarySystem({k: list(X.levels[k]) for k in range(-xi, X.cap + 1)}, maps)
+    return UnarySystem({k: len(X.levels[k]) for k in range(-xi, X.cap + 1)}, maps)
 
 
 def canonicalize_with_map(
@@ -189,7 +191,9 @@ def canonicalize_with_map(
     composable pair of non-identity arrows), and relabeled
     n<degree>_<position>; the digest is the hash of the canonical
     serialization, so it agrees for isomorphic intervals regardless of
-    where they were cut or their ambient cap.
+    where they were cut or their ambient cap.  source[k] lists the
+    truncation's elements in the string order of their names, place[k] the
+    inverse, and the tables are handed over as positions.
     """
     data = A.data
     canon_cap = 1 if len(data.levels[0]) <= 2 else 2
@@ -199,20 +203,19 @@ def canonicalize_with_map(
             "its canonical form needs cap 2")
     T = truncate(data, canon_cap)
     order = canonical_order(labelling_system(T))
-    relabel = {k: {x: f"n{k}_{order[k][x]}" for x in T.levels[k]}
-               for k in range(-1, canon_cap + 1)}
-    levels = {k: sorted(relabel[k].values()) for k in range(-1, canon_cap + 1)}
-    faces = {(k, i): {relabel[k][x]: relabel[k - 1][y] for x, y in t.items()}
-             for (k, i), t in T.faces.items()}
-    degens = {(k, j): {relabel[k][x]: relabel[k + 1][y] for x, y in t.items()}
-              for (k, j), t in T.degens.items()}
+    source = {k: sorted(range(len(o)), key=lambda n: str(o[n])) for k, o in order.items()}
+    place = {k: sorted(range(len(s)), key=s.__getitem__) for k, s in source.items()}
+    faces, degens = ({(k, i): [place[k + step][t[n]] for n in source[k]]
+                      for (k, i), t in family.index.items()}
+                     for family, step in ((T.faces, -1), (T.degens, 1)))
+    levels = {k: [f"n{k}_{order[k][n]}" for n in s] for k, s in source.items()}
     canon = FinXiSet(canon_cap, levels, faces, degens)
     from .formats import write_xiset
 
     text = write_xiset(canon)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    cls = IntervalClass(AlgebraicInterval(canon), digest)
-    return cls, relabel
+    relabel = {k: {x: f"n{k}_{p}" for x, p in zip(T.levels[k], o)} for k, o in order.items()}
+    return IntervalClass(AlgebraicInterval(canon), digest), relabel
 
 
 def canonicalize(A: AlgebraicInterval) -> IntervalClass:
@@ -224,7 +227,9 @@ def isomorphic(A: FinSSet | FinXiSet, B: FinSSet | FinXiSet) -> dict[int, dict[s
     map, or None; A and B have the same kind and cap."""
     if A.cap != B.cap:
         raise CapError("isomorphism search needs equal caps")
-    return find_isomorphism(labelling_system(A), labelling_system(B))
+    iso = find_isomorphism(labelling_system(A), labelling_system(B))
+    return None if iso is None else {
+        k: dict(zip(A.levels[k], map(B.levels[k].__getitem__, ps))) for k, ps in iso.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 by comparing canonical forms.
 
 A structure is a family of sorted carriers with labeled total functions
-between them (faces, degeneracies, the extra interval-site maps).  The
-search works on integer indices: the elements are numbered 0..n-1, sorts
-in order and each sort in its given order, and a partition is an ordered
-list of cells in which an element's color is the position of its cell.
+between them (faces, degeneracies, the extra interval-site maps), given
+as sort sizes and position tables.  The elements are numbered 0..n-1,
+sorts in order and each sort in its own order, and a partition is an
+ordered list of cells in which an element's color is the position of its
+cell.
 
 Colors are refined in synchronous rounds.  An element's signature is the
 colors of its out-neighbors in label order followed by its sorted in-edges,
@@ -36,29 +37,24 @@ from operator import add
 
 @dataclass
 class UnarySystem:
-    """sorts: sort-key -> element ids; maps: (label, src sort, tgt sort, table).
+    """sizes: sort-key -> element count; maps: (label, src sort, tgt sort,
+    table), table[p] the position in tgt of the image of element p of src.
 
-    Labels are distinct and every table is total on its source sort.
+    Labels are distinct; a table not of its source's size is a ValueError.
     """
 
-    sorts: dict
+    sizes: dict
     maps: list
-
-    def elements(self):
-        return [(s, x) for s in sorted(self.sorts) for x in self.sorts[s]]
 
 
 class _Indexed:
     """A system on indices 0..n-1: edges, per-sort members and map images."""
 
     def __init__(self, sys: UnarySystem):
-        self.elements = sys.elements()
-        n = len(self.elements)
-        index = {e: i for i, e in enumerate(self.elements)}
-        self.members = {s: [] for s in sorted(sys.sorts)}
-        for i, (s, _) in enumerate(self.elements):
-            self.members[s].append(i)
-        self.sizes = tuple(len(m) for m in self.members.values())
+        self.members, n = {}, 0
+        for s in sorted(sys.sizes):
+            self.members[s], n = range(n, n + sys.sizes[s]), n + sys.sizes[s]
+        self.sizes = tuple(map(len, self.members.values()))
         self.maps = sorted(sys.maps, key=lambda m: m[0])
         rank = {lbl: r for r, lbl in enumerate(sorted({m[0] for m in self.maps}))}
         self.out = [[] for _ in range(n)]
@@ -66,32 +62,23 @@ class _Indexed:
         self.in_src = [[] for _ in range(n)]
         self.images = []
         for label, src, tgt, table in self.maps:
+            members, offset = self.members[src], self.members[tgt].start
+            if len(table) != len(members):
+                raise ValueError(f"table {label} has {len(table)} entries, not {len(members)}")
             code = rank[label] * n
             image = [-1] * n
-            for x, y in table.items():
-                i = index[(src, x)]
-                j = index[(tgt, y)]
-                image[i] = j
+            for i, p in zip(members, table):
+                image[i] = j = offset + p
                 self.out[i].append(j)
                 self.in_code[j].append(code)
                 self.in_src[j].append(i)
             self.images.append(image)
-        # a partial map raises KeyError, as looking up its missing entry would
-        for (_, src, _, _), image in zip(self.maps, self.images):
-            for i in self.members[src]:
-                if image[i] < 0:
-                    raise KeyError(self.elements[i][1])
         self.neighbors = [o + s for o, s in zip(self.out, self.in_src)]
 
     def initial(self):
         """One cell per nonempty sort, every element touched."""
-        color = [0] * len(self.elements)
-        cells = []
-        for members in self.members.values():
-            if members:
-                for i in members:
-                    color[i] = len(cells)
-                cells.append(members)
+        cells = [list(m) for m in self.members.values() if m]
+        color = [c for c, cell in enumerate(cells) for _ in cell]
         return color, cells, range(len(color))
 
     def serialize(self, color):
@@ -179,7 +166,7 @@ def _canonical(sys: UnarySystem):
             top = first[0]
             d = next(d for d, (u, v) in enumerate(zip(top, path)) if u != v)
             if [auto[v] for v in top[:d + 1]] != path[:d + 1] or any(
-                    g.elements[i][0] != g.elements[j][0] for i, j in enumerate(auto)):
+                    auto[i] not in m for m in g.members.values() for i in m):
                 return None
             autos.append(auto)
             return d
@@ -204,39 +191,31 @@ def _canonical(sys: UnarySystem):
 def canonical_order(sys: UnarySystem) -> dict:
     """Canonical position of every element within its sort.
 
-    Returns {sort: {id: position}}; isomorphic systems produce orderings
-    under which their serializations coincide.
+    Returns {sort: [canonical position of element p, for each p]};
+    isomorphic systems produce orderings under which their serializations
+    coincide.
     """
     g, _, color = _canonical(sys)
-    result: dict = {}
-    for s in sys.sorts:
-        ranked = sorted(g.members[s], key=color.__getitem__)
-        result[s] = {g.elements[i][1]: p for p, i in enumerate(ranked)}
-    return result
+    ranked = {s: sorted(g.members[s], key=color.__getitem__) for s in sys.sizes}
+    return {s: sorted(range(len(r)), key=r.__getitem__) for s, r in ranked.items()}
 
 
 def find_isomorphism(sys_a: UnarySystem, sys_b: UnarySystem) -> dict | None:
     """A sort-preserving bijection commuting with every labeled map, or None.
 
     The systems are isomorphic exactly when their least serializations
-    agree.  The bijection returned sends each element of sys_a to the
-    element of sys_b at the same canonical position: the one with the same
-    color in the coloring that gives the least serialization.
+    agree.  The bijection returned, {sort: [position in sys_b of element p
+    of sys_a, for each p]}, sends each element to the element of sys_b at
+    the same canonical position: the one with the same color in the
+    coloring that gives the least serialization.
     """
-    if sorted(sys_a.sorts) != sorted(sys_b.sorts):
-        return None
-    for s in sys_a.sorts:
-        if len(sys_a.sorts[s]) != len(sys_b.sorts[s]):
-            return None
-    if (sorted(m[:3] for m in sys_a.maps)
-            != sorted(m[:3] for m in sys_b.maps)):
+    if (sys_a.sizes, sorted(m[:3] for m in sys_a.maps)) != (
+            sys_b.sizes, sorted(m[:3] for m in sys_b.maps)):
         return None
     ga, key_a, color_a = _canonical(sys_a)
-    gb, key_b, color_b = _canonical(sys_b)
+    _, key_b, color_b = _canonical(sys_b)
     if key_a != key_b:
         return None
-    by_color = {c: y for (_, y), c in zip(gb.elements, color_b)}
-    result: dict = {s: {} for s in sys_a.sorts}
-    for (s, x), c in zip(ga.elements, color_a):
-        result[s][x] = by_color[c]
-    return result
+    at = sorted(range(len(color_b)), key=color_b.__getitem__)
+    return {s: [at[color_a[i]] - ga.members[s].start for i in ga.members[s]]
+            for s in sys_a.sizes}

@@ -489,18 +489,20 @@ def _map_squares(F, cls: str | None = None) -> list | None:
     degeneracy "s" of key (k, i), square in `pullback_failure`'s argument
     order: every face, then every degeneracy; for a map class, each
     degeneracy unless cls is "ulf", then each inner face unless it is
-    "conservative".  None if a component is missing or kept as ids."""
+    "conservative".  None if a component, or a table it reads from either
+    end, is missing or kept as ids."""
     Y, X, xi = F.dom, F.cod, isinstance(F.dom, FinXiSet)
-    comp = F.components.index
-    if not comp.keys() >= set(range(-xi, Y.cap + 1)):
-        return None
-    face_keys, degen_keys = _table_keys(Y.cap, xi)
+    comp, (face_keys, degen_keys) = F.components.index, _table_keys(Y.cap, xi)
     d = [("d", k, i, -1, Y.faces.index, X.faces.index) for k, i in face_keys
          if cls is None or cls != "conservative" and 0 < i + xi < k + 2 * xi]
     s = [("s", k, i, 1, Y.degens.index, X.degens.index) for k, i in degen_keys if cls != "ulf"]
+    keyed = d + s if cls is None else s + d
+    if not comp.keys() >= set(range(-xi, Y.cap + 1)) or not all(
+            (k, i) in tY and (k, i) in tX for _, k, i, _, tY, tX in keyed):
+        return None
     return [(letter, k, i, (Y.levels[k], Y.levels[k + step], X.levels[k],
                             tY[k, i], comp[k], comp[k + step], tX[k, i]))
-            for letter, k, i, step, tY, tX in (d + s if cls is None else s + d)]
+            for letter, k, i, step, tY, tX in keyed]
 
 
 def validate_map(F: SSetMap | XiSetMap) -> Report:

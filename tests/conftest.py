@@ -83,13 +83,14 @@ def idempotent_interval() -> AlgebraicInterval:
 
 def assert_isomorphism(a, b, iso) -> None:
     """iso maps each sort of the UnarySystem a bijectively onto the same
-    sort of b and commutes with every labelled map."""
-    for s in a.sorts:
-        assert sorted(iso[s]) == sorted(a.sorts[s])
-        assert sorted(iso[s].values()) == sorted(b.sorts[s])
+    sort of b, iso[s][p] the position in b of element p of a, and commutes
+    with every labelled map."""
+    for s in a.sizes:
+        assert len(iso[s]) == a.sizes[s]
+        assert sorted(iso[s]) == list(range(b.sizes[s]))
     tables_b = {label: table for label, _, _, table in b.maps}
     for label, src, tgt, table in a.maps:
-        for x, y in table.items():
+        for x, y in enumerate(table):
             assert tables_b[label][iso[src][x]] == iso[tgt][y]
 
 

@@ -314,14 +314,18 @@ def validate_sset_by_simplex(X):
 
 
 # ---------------------------------------------------------------------------
-# canonical labeling: every signature recomputed each round on (sort, id) keys
+# canonical labeling: every signature recomputed each round on (sort, position) keys
+
+
+def _elements(sys: UnarySystem):
+    return [(s, p) for s in sorted(sys.sizes) for p in range(sys.sizes[s])]
 
 
 def _edges(sys: UnarySystem):
-    out_edges = {e: [] for e in sys.elements()}
-    in_edges = {e: [] for e in sys.elements()}
+    out_edges = {e: [] for e in _elements(sys)}
+    in_edges = {e: [] for e in _elements(sys)}
     for label, src, tgt, table in sorted(sys.maps, key=lambda m: m[0]):
-        for x, y in table.items():
+        for x, y in enumerate(table):
             out_edges[(src, x)].append((label, (tgt, y)))
             in_edges[(tgt, y)].append((label, (src, x)))
     return out_edges, in_edges
@@ -346,26 +350,27 @@ def _refine(elements, out_edges, in_edges, colors):
 
 
 def _initial_colors(sys: UnarySystem):
-    order = {s: i for i, s in enumerate(sorted(sys.sorts))}
-    return {(s, x): order[s] for s in sys.sorts for x in sys.sorts[s]}
+    order = {s: i for i, s in enumerate(sorted(sys.sizes))}
+    return {e: order[e[0]] for e in _elements(sys)}
 
 
 def canonical_order(sys: UnarySystem) -> dict:
     """Canonical position of every element within its sort.
 
-    Returns {sort: {id: position}}; isomorphic systems produce orderings
-    under which their serializations coincide.
+    Returns {sort: [canonical position of element p, for each p]};
+    isomorphic systems produce orderings under which their serializations
+    coincide.
     """
-    elements = sys.elements()
+    elements = _elements(sys)
     out_edges, in_edges = _edges(sys)
     maps = sorted(sys.maps, key=lambda m: m[0])
     best: list = [None, None]
 
     def serialize(order):
-        key = [tuple(len(sys.sorts[s]) for s in sorted(sys.sorts))]
+        key = [tuple(sys.sizes[s] for s in sorted(sys.sizes))]
         for label, src, tgt, table in maps:
-            ids = sorted(sys.sorts[src], key=lambda x: order[(src, x)])
-            key.append(tuple(order[(tgt, table[x])] for x in ids))
+            ranked = sorted(range(sys.sizes[src]), key=lambda x: order[(src, x)])
+            key.append(tuple(order[(tgt, table[x])] for x in ranked))
         return tuple(key)
 
     def descend(colors):
@@ -392,10 +397,38 @@ def canonical_order(sys: UnarySystem) -> dict:
     descend(_refine(elements, out_edges, in_edges, _initial_colors(sys)))
     order = best[1]
     result: dict = {}
-    for s in sys.sorts:
-        ranked = sorted(sys.sorts[s], key=lambda x: order[(s, x)])
-        result[s] = {x: i for i, x in enumerate(ranked)}
+    for s in sys.sizes:
+        ranked = sorted(range(sys.sizes[s]), key=lambda x: order[(s, x)])
+        result[s] = [0] * sys.sizes[s]
+        for i, x in enumerate(ranked):
+            result[s][x] = i
     return result
+
+
+def canonicalize_with_map_by_ids(A):
+    """Digest, relabelling and canonical form, made as id tables: the
+    truncation's tables read as ids, each entry relabelled
+    n<degree>_<position> by the reference canonical order, and the form
+    built from the relabelled id tables, its levels in string order."""
+    import hashlib
+
+    from decomp.formats import write_xiset
+    from decomp.interval import labelling_system
+    from decomp.presheaf import FinXiSet, truncate
+
+    data = A.data
+    canon_cap = 1 if len(data.levels[0]) <= 2 else 2
+    T = truncate(data, canon_cap)
+    order = canonical_order(labelling_system(T))
+    relabel = {k: {x: f"n{k}_{p}" for x, p in zip(T.levels[k], order[k])}
+               for k in range(-1, canon_cap + 1)}
+    levels = {k: sorted(relabel[k].values()) for k in range(-1, canon_cap + 1)}
+    faces = {(k, i): {relabel[k][x]: relabel[k - 1][y] for x, y in t.items()}
+             for (k, i), t in T.faces.items()}
+    degens = {(k, j): {relabel[k][x]: relabel[k + 1][y] for x, y in t.items()}
+              for (k, j), t in T.degens.items()}
+    canon = FinXiSet(canon_cap, levels, faces, degens)
+    return hashlib.sha256(write_xiset(canon).encode("utf-8")).hexdigest(), relabel, canon
 
 
 def _action(X, a, shift):
@@ -790,10 +823,20 @@ def pullback_issue(P, A, B, p, q, f, g):
         return str(exc)
 
 
+def _composable_strings_by_ids(X, k):
+    """Every k-string of edges glued tail to head, as edge ids, in the
+    order of level 1."""
+    d0, d1 = X.faces[(1, 0)], X.faces[(1, 1)]
+    strings = [(e,) for e in X.levels[1]]
+    for _ in range(k - 1):
+        strings = [s + (e,) for s in strings for e in X.levels[1] if d1[e] == d0[s[-1]]]
+    return strings
+
+
 def check_segal_by_spines(X):
     """Segal, with each simplex's spine a tuple of edge ids read from the
     principal-edge tables of `actions`, which record the compositions."""
-    from decomp.axioms import _composable_count, _composable_strings
+    from decomp.axioms import _composable_count
     from decomp.presheaf import actions, sset_action
     from decomp.report import Report
 
@@ -812,7 +855,7 @@ def check_segal_by_spines(X):
             seen[s] = x
         want = _composable_count(X, k)
         if not collision and len(spine) != want:
-            missing = next(s for s in _composable_strings(X, k) if s not in seen)
+            missing = next(s for s in _composable_strings_by_ids(X, k) if s not in seen)
             rep.fail(degree=k, witness=missing, note="no-filler")
     rep.data["compositions"] = act.compositions - before
     rep.verified_upto = X.cap

@@ -13,7 +13,7 @@ from unittest.mock import patch
 
 import oracles
 import pytest
-from conftest import assert_isomorphism, filter_nerve
+from conftest import assert_isomorphism, filter_nerve, spine_object
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -56,7 +56,9 @@ from decomp.ingest import (
     truncated_addition,
 )
 from decomp.interval import (
+    AlgebraicInterval,
     canonicalize,
+    canonicalize_with_map,
     category_nerve,
     certify_mobius_interval,
     factorisation_interval,
@@ -308,17 +310,17 @@ def test_validate_sset_matches_per_simplex_check(X):
 def _shuffled(draw, sizes, tables):
     """A UnarySystem with the given sort sizes and index tables
     {label: (src, tgt, [target index per source index])}, presented with
-    fresh ids, sorts, maps and table entries in a drawn order."""
-    names = {s: [f"e{p}" for p in draw(st.permutations(range(n)))]
-             for s, n in enumerate(sizes)}
-    sorts = {s: draw(st.permutations(names[s]))
-             for s in draw(st.permutations(range(len(sizes))))}
+    each sort's elements renumbered, and the sorts and maps, in a drawn
+    order."""
+    moved = [draw(st.permutations(range(n))) for n in sizes]
+    sorts = {s: sizes[s] for s in draw(st.permutations(range(len(sizes))))}
     maps = []
     for label in draw(st.permutations(sorted(tables))):
         src, tgt, image = tables[label]
-        order = draw(st.permutations(range(sizes[src])))
-        maps.append((label, src, tgt,
-                     {names[src][i]: names[tgt][image[i]] for i in order}))
+        table = [0] * sizes[src]
+        for i, j in enumerate(image):
+            table[moved[src][i]] = moved[tgt][j]
+        maps.append((label, src, tgt, table))
     return labeling.UnarySystem(sorts, maps)
 
 
@@ -375,7 +377,7 @@ def _canonical_form(sys):
     order = oracles.canonical_order(sys)
     return tuple(sorted(
         (label, src, tgt, tuple(order[tgt][table[x]]
-                                for x in sorted(table, key=order[src].get)))
+                                for x in sorted(range(len(table)), key=order[src].__getitem__)))
         for label, src, tgt, table in sys.maps))
 
 
@@ -438,16 +440,53 @@ def test_pruned_search_keeps_a_late_least_leaf(leaf_keys):
     the only nontrivial automorphism.  The least leaf lies under the
     root's second child, not under the first path; the unpruned search
     reaches 18 leaves."""
-    names = [f"e{i}" for i in range(6)]
-
-    def table(image):
-        return {names[i]: names[j] for i, j in enumerate(image)}
-
-    sys = labeling.UnarySystem({0: names}, [("m0", 0, 0, table([1, 0, 2, 4, 3, 5])),
-                                            ("m1", 0, 0, table([2, 1, 0, 5, 4, 3]))])
+    sys = labeling.UnarySystem({0: 6}, [("m0", 0, 0, [1, 0, 2, 4, 3, 5]),
+                                        ("m1", 0, 0, [2, 1, 0, 5, 4, 3])])
     _assert_same_order(sys)
     assert min(leaf_keys) < leaf_keys[0]
     assert len(leaf_keys) <= 10
+
+
+def test_find_isomorphism_refuses_other_sizes_or_signatures():
+    """Systems whose sort sizes differ, or whose maps differ in a label or
+    an end, are refused before any search; so are two objects at one cap
+    whose level sizes differ."""
+    base = labeling.UnarySystem({0: 2, 1: 1}, [("m", 0, 1, [0, 0])])
+    others = [labeling.UnarySystem({0: 3, 1: 1}, [("m", 0, 1, [0, 0, 0])]),
+              labeling.UnarySystem({0: 2, 2: 1}, [("m", 0, 2, [0, 0])]),
+              labeling.UnarySystem({0: 2, 1: 1}, [("n", 0, 1, [0, 0])]),
+              labeling.UnarySystem({0: 2, 1: 1}, [("m", 1, 0, [0])])]
+    assert labeling.find_isomorphism(base, base) == {0: [0, 1], 1: [0]}
+    for other in others:
+        assert labeling.find_isomorphism(base, other) is None
+        assert labeling.find_isomorphism(other, base) is None
+    with pytest.raises(ValueError, match="^table m has 1 entries, not 2$"):
+        labeling.canonical_order(labeling.UnarySystem({0: 2, 1: 1}, [("m", 0, 1, [0])]))
+    d6, d4 = nerve_poset(divisor_poset(6), 3), nerve_poset(divisor_poset(4), 3)
+    assert len(d6.levels[0]) != len(d4.levels[0])
+    assert isomorphic(d6, d4) is None
+
+
+def test_canonicalize_builds_no_id_table(monkeypatch):
+    """Canonicalization reads positions alone: after it neither the cut
+    interval, nor the truncation it labels, nor the canonical form holds
+    an id table, at canonical cap 1 or 2."""
+    import decomp.interval
+
+    truncations = []
+    real = decomp.interval.truncate
+    monkeypatch.setattr(decomp.interval, "truncate",
+                        lambda X, cap: truncations.append(real(X, cap)) or truncations[-1])
+    X = nerve(divisor_poset(12))
+    for a in X.levels[1]:
+        data = factorisation_interval(X, a)[0].data
+        truncations.clear()
+        cls, _ = canonicalize_with_map(AlgebraicInterval(data))
+        assert len(truncations) == 1
+        for Z in (data, truncations[0], cls.canonical.data):
+            assert not Z.faces.ids and not Z.degens.ids
+    assert {len(cls.canonical.data.levels[0]) for cls in map(canonicalize, (
+        factorisation_interval(X, a)[0] for a in ("1≤2", "1≤12")))} == {2, 6}
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -1001,6 +1040,34 @@ def test_equal_digests_are_isomorphic_intervals(spec, rnd):
             assert (digests[0][a] == digests[1][b]) == (iso is not None), (a, b)
 
 
+def _assert_canonical_form_as_reference(iv):
+    """canonicalize_with_map's digest, relabelling, canonical text and
+    canonical form, level order included, are those the id-table reference
+    builds."""
+    cls, relabel = canonicalize_with_map(iv)
+    digest, want, canon = oracles.canonicalize_with_map_by_ids(iv)
+    assert cls.digest == digest
+    assert {k: list(t.items()) for k, t in relabel.items()} == {
+        k: list(t.items()) for k, t in want.items()}
+    assert write_xiset(cls.canonical.data) == write_xiset(canon)
+    assert cls.canonical.data == canon
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(DRAWN_SPECS)
+def test_canonical_forms_match_the_id_reference(spec):
+    """Every arrow's interval in the nerve of a drawn spec."""
+    X = nerve(spec)
+    for a in X.levels[1]:
+        _assert_canonical_form_as_reference(factorisation_interval(X, a)[0])
+
+
+def test_canonical_form_of_b4_top_matches_the_id_reference():
+    """[1]^4's top interval, whose 24 automorphisms the search prunes."""
+    _assert_canonical_form_as_reference(
+        factorisation_interval(nerve(boolean_poset(4)), "o≤abcd")[0])
+
+
 def _total(X):
     """Does every table map its whole level into the next?"""
     shape = ("-not-total", "-extra-source", "-target-outside-level")
@@ -1523,6 +1590,46 @@ def test_certify_ops_build_no_id_table():
     assert mobius(Y)[X.levels[1][0]] is not None and comult(Y).pairs
     for Z in (X, Y):
         assert not Z.faces.ids and not Z.degens.ids
+
+
+@pytest.mark.parametrize("end", ["dom", "cod"])
+@pytest.mark.parametrize("family, label, step, classes",
+                         [("faces", "d[2,1]", -1, ("ulf", "culf")),
+                          ("degens", "s[1,0]", 1, ("conservative", "culf"))])
+def test_map_class_of_an_end_keeping_a_table_as_ids(end, family, label, step, classes):
+    """An end whose inner face d[2,1] or degeneracy s[1,0] gains an extra
+    entry keeps that table as ids; a map class whose squares read it gets
+    `validate_map`'s line naming it, where it raised KeyError."""
+    _, counit = dec_bot(nerve_poset(divisor_poset(6), 5))
+    X = getattr(counit, end)
+    key = (2, 1) if step < 0 else (1, 0)
+    tables = dict(getattr(X, family))
+    tables[key] = {**tables[key], "zz": X.levels[key[0] + step][0]}
+    ends = {"dom": counit.dom, "cod": counit.cod, end: replace(X, **{family: tables})}
+    F = SSetMap(ends["dom"], ends["cod"], {k: dict(t) for k, t in counit.components.items()})
+    want = [f"FAIL validate witness=zz note={label}-extra-source"]
+    assert validate_map(F).lines() == want
+    for cls in classes:
+        assert check_map_class(F, cls).lines() == want
+
+
+def test_registry_comult_and_no_filler_build_no_id_table(tmp_path):
+    """`registry_comult` on a loaded closed registry reads each class's
+    faces as positions, and `check_segal` names a no-filler witness from
+    positions: neither builds an id table."""
+    X, reg = nerve(divisor_poset(12)), Registry()
+    for a in X.levels[1]:
+        reg.insert(canonicalize(factorisation_interval(X, a)[0]))
+    reg.close().save(str(tmp_path))
+    loaded = Registry.load(str(tmp_path))
+    assert registry_comult(loaded) == registry_comult(reg)
+    for entry in loaded.entries.values():
+        data = entry.interval.canonical.data
+        assert not data.faces.ids and not data.degens.ids
+    Y = spine_object()
+    assert check_segal(Y).lines()[0] == (
+        "FAIL check_segal degree=2 witness=0≤1,1≤2 note=no-filler")
+    assert not Y.faces.ids and not Y.degens.ids
 
 
 def test_tables_compare_whole_before_any_read():

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -247,6 +248,24 @@ def test_load_refuses_unreadable_entry(tmp_path, diamond_registry, damage):
     victim = sorted(root.glob("*.xiset"))[0]
     victim.write_bytes(victim.read_bytes() + damage)
     with pytest.raises(RegistryError, match=f"stored entry {victim.stem[:12]} is damaged"):
+        Registry.load(str(root))
+
+
+def test_load_refuses_an_entry_whose_table_is_kept_as_ids(tmp_path, diamond_registry):
+    """An entry whose d 1 0 line lost its first pair parses, that table kept
+    as ids; re-canonicalizing it reads positions, so the refusal names the
+    table's key where it once named the missing id."""
+    root = tmp_path / "reg"
+    diamond_registry.save(str(root))
+    digest = diamond_registry.names["diamond"]
+    victim = root / f"{digest}.xiset"
+    lines = victim.read_text(encoding="utf-8").split("\n")
+    at = next(n for n, line in enumerate(lines) if line.startswith("d 1 0:"))
+    head, _, body = lines[at].partition(": ")
+    lines[at] = f"{head}: {body.partition(' ; ')[2]}"
+    victim.write_text("\n".join(lines), encoding="utf-8")
+    want = f"stored entry {digest[:12]} is damaged: (1, 0)"
+    with pytest.raises(RegistryError, match=f"^{re.escape(want)}$"):
         Registry.load(str(root))
 
 
