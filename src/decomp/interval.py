@@ -29,10 +29,10 @@ from .presheaf import (
     _fibre_positions,
     _name,
     _table_keys,
+    actions,
     fibres,
     i_star,
     nondeg_bound,
-    sset_action,
     truncate,
     u_star,
     validate_xiset,
@@ -96,41 +96,29 @@ def wide_cartesian_factor(g: XiSetMap) -> tuple[XiSetMap, XiSetMap]:
     """Factor g: B -> A through the pullback of A along B_{-1} -> A_{-1}.
 
     The middle object has level n the fiber product B_{-1} x_{A_{-1}} A_n
-    over the unique structure map to degree -1; the first factor is a
-    bijection in degree -1, the second is a levelwise pullback.
+    over the unique structure map to degree -1, its pairs (b, x) found and
+    its tables and both factors' components handed over as positions, and
+    each pair named `b&x` once; the first factor is a bijection in degree
+    -1, the second is a levelwise pullback.  A g that is not natural, or
+    keeps a component as ids, raises KeyError.
     """
     B, A = g.dom, g.cod
     if B.cap > A.cap:
         raise CapError("wide-cartesian factorisation needs dom.cap <= cod.cap")
-    cap = B.cap
-    gm1 = g.components[-1]
-
-    to_init = {n: sset_action(A, xi_initial(n).rep) for n in range(-1, cap + 1)}
-    levels: dict[int, list[str]] = {}
-    pairs: dict[int, list[tuple[str, str]]] = {}
-    for n in range(-1, cap + 1):
-        ps = [(b, x) for b in B.levels[-1] for x in A.levels[n]
-              if gm1[b] == to_init[n][x]]
-        pairs[n] = ps
-        levels[n] = [intern(f"{b}&{x}") for b, x in ps]
-
-    def lift(key, table):
-        return {intern(f"{b}&{x}"): intern(f"{b}&{table[x]}") for b, x in pairs[key[0]]}
-
-    T = truncate(A, cap)
-    mid = FinXiSet(cap, levels, {key: lift(key, t) for key, t in T.faces.items()},
-                   {key: lift(key, t) for key, t in T.degens.items()})
-
-    to_init_B = {n: sset_action(B, xi_initial(n).rep) for n in range(-1, cap + 1)}
-    wide_comps = {
-        n: {y: intern(f"{to_init_B[n][y]}&{g.components[n][y]}") for y in B.levels[n]}
-        for n in range(-1, cap + 1)
-    }
-    cart_comps = {n: {intern(f"{b}&{x}"): x for b, x in pairs[n]}
-                  for n in range(-1, cap + 1)}
-    wide = XiSetMap(B, mid, wide_comps)
-    cart = XiSetMap(mid, A, cart_comps)
-    return wide, cart
+    T, comps = truncate(A, B.cap), g.components.index
+    pairs = {n: [(b, x) for b, c in enumerate(comps[-1])
+                 for x, t in enumerate(actions(A).index(xi_initial(n).rep)) if c == t]
+             for n in range(-1, T.cap + 1)}
+    at = {n: dict(zip(ps, range(len(ps)))) for n, ps in pairs.items()}
+    faces, degens = ({key: [at[key[0] + step][b, t[x]] for b, x in pairs[key[0]]]
+                      for key, t in family.index.items()}
+                     for family, step in ((T.faces, -1), (T.degens, 1)))
+    mid = FinXiSet(T.cap, {n: [intern(f"{B.levels[-1][b]}&{A.levels[n][x]}") for b, x in ps]
+                           for n, ps in pairs.items()}, faces, degens)
+    wide = {n: [at[n][pair] for pair in zip(actions(B).index(xi_initial(n).rep), comps[n])]
+            for n in pairs}
+    cart = {n: [x for _, x in ps] for n, ps in pairs.items()}
+    return XiSetMap(B, mid, wide), XiSetMap(mid, A, cart)
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +227,21 @@ def isomorphic(A: FinSSet | FinXiSet, B: FinSSet | FinXiSet) -> dict[int, dict[s
 def interval_category(data: FinXiSet) -> CategorySpec:
     """The finite category with objects A_0 and arrows A_1 under data's own
     ids, element names as a canonical form's are; composition is read off
-    the (unique, by the Segal property) level-2 fillers."""
-    d0, d1 = data.faces[(1, 0)], data.faces[(1, 1)]
-    s0 = data.degens[(0, 0)]
-    comp: dict[tuple[str, str], str] = {}
+    the (unique, by the Segal property) level-2 fillers, on positions, and
+    every element is named once at the end.  A face or s0 table kept as ids
+    raises KeyError."""
+    d, s0 = data.faces.index, data.degens.index[(0, 0)]
+    objects, arrows = data.levels[0], data.levels[1]
+    comp: dict[tuple[int, int], int] = {}
     if data.cap >= 2:
-        ident_set = set(s0.values())
-        dd0, dd1, dd2 = data.faces[(2, 0)], data.faces[(2, 1)], data.faces[(2, 2)]
-        for sig in data.levels[2]:
-            f, g, h = dd2[sig], dd0[sig], dd1[sig]
-            if f in ident_set or g in ident_set:
-                continue
-            if comp.setdefault((f, g), h) != h:
-                raise IntervalError(f"ambiguous composite for {f};{g}")
-    arrows = {f: (d1[f], d0[f]) for f in data.levels[1]}
-    return CategorySpec.build(data.levels[0], arrows, s0, comp)
+        ident_set = set(s0)
+        for f, g, h in zip(d[(2, 2)], d[(2, 0)], d[(2, 1)]):
+            if ident_set.isdisjoint((f, g)) and comp.setdefault((f, g), h) != h:
+                raise IntervalError(f"ambiguous composite for {arrows[f]};{arrows[g]}")
+    return CategorySpec.build(
+        objects, {f: (objects[x], objects[y]) for f, x, y in zip(arrows, d[(1, 1)], d[(1, 0)])},
+        dict(zip(objects, map(arrows.__getitem__, s0))),
+        {(arrows[f], arrows[g]): arrows[h] for (f, g), h in comp.items()})
 
 
 def category_nerve(c: IntervalClass, cap: int = 0) -> FinSSet:

@@ -332,19 +332,19 @@ def sset_action(X, a: MonotoneMap) -> dict[str, str]:
 # validation
 
 
-def _check_totality(report, label, table, src_ids, tgt_ids):
+def _check_totality(report, label, table, src_ids, tgt_ids, degree=None):
     src = set(src_ids)
     tgt = set(tgt_ids)
     if table.keys() == src and tgt.issuperset(table.values()):
         return
     missing = src - set(table)
     if missing:
-        report.fail(witness=sorted(missing)[:3], note=f"{label}-not-total")
+        report.fail(degree, witness=sorted(missing)[:3], note=f"{label}-not-total")
     for x, y in table.items():
         if x not in src:
-            report.fail(witness=(x,), note=f"{label}-extra-source")
+            report.fail(degree, witness=(x,), note=f"{label}-extra-source")
         elif y not in tgt:
-            report.fail(witness=(x, y), note=f"{label}-target-outside-level")
+            report.fail(degree, witness=(x, y), note=f"{label}-target-outside-level")
 
 
 def _compare(rep: Report, ids, note: str, got: list, want: list, degree: int) -> None:
@@ -364,9 +364,9 @@ def validate(X) -> Report:
 
 def _shape(rep: Report, X) -> None:
     """Name every shape fault: levels, identifiers, and each missing, not
-    total or extra table, as missing-face-d0 or extra-degeneracy-sbot[9],
-    by its degree and `_label`.  A table stored as positions is total, so
-    only the tables kept as ids are walked."""
+    total or extra table, as missing-face-d0, d1-not-total or
+    extra-degeneracy-sbot[9], by its degree and `_label`.  A table stored
+    as positions is total, so only the tables kept as ids are walked."""
     xi = isinstance(X, FinXiSet)
     if sorted(X.levels) != list(range(-xi, X.cap + 1)):
         rep.fail(note="levels-do-not-match-cap")
@@ -381,8 +381,8 @@ def _shape(rep: Report, X) -> None:
             if (k, i) not in tables:
                 rep.fail(degree=k, note=f"missing-{kind}-{_label(xi, letter, k, i)}")
             elif (k, i) not in tables.index:
-                _check_totality(rep, _name(letter, k, i), tables[(k, i)],
-                                X.levels[k], X.levels[k + step])
+                _check_totality(rep, _label(xi, letter, k, i), tables[(k, i)],
+                                X.levels[k], X.levels[k + step], k)
     for (letter, kind, tables, _), ks in zip(kinds, keys):
         for k, i in sorted(tables.keys() - set(ks)):
             rep.fail(degree=k, note=f"extra-{kind}-{_label(xi, letter, k, i)}")

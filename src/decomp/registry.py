@@ -15,6 +15,7 @@ class's own, a k-simplex the '*'-join of k level-1 ids.  Inner faces are the
 nerve's own.  An outer face passes to the class of the face's long edge, and
 is read off the face itself: its edges from its first to its last vertex
 through each of its steps are that class's arrows, relabelled onto its ids.
+Each nerve is read on positions, and a subdivision is named by its id once.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .interval import (
     validate_interval,
 )
 from .interval import extend_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .presheaf import CapError, FinSSet, fibres, long_edge_table, sset_action, truncate
+from .presheaf import CapError, FinSSet, _fibre_positions, actions, long_edge_table, truncate
+from .presheaf import sset_action
 from .report import Report
 from .simplex import MonotoneMap
 
@@ -314,17 +316,21 @@ class Fragment:
 
 def build_fragment(reg: Registry, top: int = 3) -> Fragment:
     """Materialize degrees 0..top of the subdivided-interval space, each
-    class read in the nerve of its arrow category."""
+    class read in the nerve of its arrow category on positions (the fibres
+    over its longest edge, its faces and a face's edges), and a
+    subdivision named by its id in the nerve."""
     if top < 0:
         raise CapError(f"fragment degree must be >= 0, got {top}")
     nerves = {digest: _category_nerve(entry.interval, top)
               for digest, entry in reg.entries.items()}
     low = {digest: truncate(N, 4) if top > 4 else N for digest, N in nerves.items()}
-    longest = {digest: longest_edge(entry.interval.canonical.data)
-               for digest, entry in reg.entries.items()}
-    levels = {k: [(digest, x) for digest in sorted(nerves)
-                  for x in sorted(fibres(nerves[digest], k, False)[longest[digest]])]
-              for k in range(top + 1)}
+    over = {digest: nerves[digest].levels[1].index(longest_edge(entry.interval.canonical.data))
+            for digest, entry in reg.entries.items()}
+    fibre = {k: [(digest, n) for digest, N in sorted(nerves.items())
+                 for n in sorted(_fibre_positions(N, k)[over[digest]], key=N.levels[k].__getitem__)]
+             for k in range(top + 1)}
+    levels = {k: [(digest, nerves[digest].levels[k][n]) for digest, n in ps]
+              for k, ps in fibre.items()}
 
     @cache
     def label(digest: str, arrow: str) -> tuple[str, dict[str, str]]:
@@ -335,28 +341,24 @@ def build_fragment(reg: Registry, top: int = 3) -> Fragment:
             raise RegistryError(f"registry is not closed: missing {cls.digest[:12]}")
         return cls.digest, relabel
 
-    @cache
-    def action(digest: str, a: MonotoneMap) -> dict[str, str]:
-        """The action of a on the class's nerve, in ids, named at its first use."""
-        return sset_action(nerves[digest], a)
-
-    def outer_face(digest: str, x: str, k: int, i: int) -> tuple[str, str]:
-        """The face tau subdivides the interval T of its long edge: its edges
-        (0, p - 1, p, k - 1) are 3-simplices over that edge, T's arrows
-        from bottom to top, which relabelled as T's ids join into tau's
-        simplex of T's nerve; at k = 1 tau is T's one object."""
-        tau = nerves[digest].faces[(k, i)][x]
-        target, relabel = label(digest, action(digest, MonotoneMap(1, k - 1, (0, k - 1)))[tau])
-        chain = [relabel[action(digest, MonotoneMap(3, k - 1, (0, p - 1, p, k - 1)))[tau]]
+    def face(digest: str, n: int, k: int, i: int) -> tuple[str, str]:
+        """An inner face is the nerve's own.  An outer face tau subdivides
+        the interval T of its long edge: its edges (0, p - 1, p, k - 1) are
+        3-simplices over that edge, T's arrows from bottom to top, which
+        relabelled as T's ids join into tau's simplex of T's nerve; at k = 1
+        tau is T's one object."""
+        N = nerves[digest]
+        tau = N.faces.index[(k, i)][n]
+        if i not in (0, k):
+            return digest, N.levels[k - 1][tau]
+        act = actions(N).index
+        target, relabel = label(digest, N.levels[1][act(MonotoneMap(1, k - 1, (0, k - 1)))[tau]])
+        chain = [relabel[N.levels[3][act(MonotoneMap(3, k - 1, (0, p - 1, p, k - 1)))[tau]]]
                  for p in range(1, k)]
         return target, "*".join(chain) if chain else nerves[target].levels[0][0]
 
-    faces: dict[tuple[int, int], dict] = {}
-    for k in range(1, top + 1):
-        for i in range(k + 1):
-            faces[(k, i)] = {(digest, x): outer_face(digest, x, k, i) if i in (0, k)
-                             else (digest, nerves[digest].faces[(k, i)][x])
-                             for digest, x in levels[k]}
+    faces = {(k, i): {x: face(digest, n, k, i) for x, (digest, n) in zip(levels[k], fibre[k])}
+             for k in range(1, top + 1) for i in range(k + 1)}
     return Fragment(top, levels, faces, nerves)
 
 

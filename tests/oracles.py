@@ -222,17 +222,17 @@ def pullback_failure_by_enumeration(P, A, B, p, q, f, g):
     return None
 
 
-def _totality_by_item(report, label, table, src_ids, tgt_ids):
+def _totality_by_item(report, label, table, src_ids, tgt_ids, degree=None):
     src = set(src_ids)
     tgt = set(tgt_ids)
     missing = src - set(table)
     if missing:
-        report.fail(witness=sorted(missing)[:3], note=f"{label}-not-total")
+        report.fail(degree, witness=sorted(missing)[:3], note=f"{label}-not-total")
     for x, y in table.items():
         if x not in src:
-            report.fail(witness=(x,), note=f"{label}-extra-source")
+            report.fail(degree, witness=(x,), note=f"{label}-extra-source")
         elif y not in tgt:
-            report.fail(witness=(x, y), note=f"{label}-target-outside-level")
+            report.fail(degree, witness=(x, y), note=f"{label}-target-outside-level")
 
 
 def validate_sset_by_simplex(X):
@@ -252,15 +252,15 @@ def validate_sset_by_simplex(X):
             if (k, i) not in X.faces:
                 rep.fail(degree=k, note=f"missing-face-d{i}")
             else:
-                _totality_by_item(rep, f"d[{k},{i}]", X.faces[(k, i)],
-                                  X.levels[k], X.levels[k - 1])
+                _totality_by_item(rep, f"d{i}", X.faces[(k, i)],
+                                  X.levels[k], X.levels[k - 1], k)
     for k in range(0, X.cap):
         for j in range(k + 1):
             if (k, j) not in X.degens:
                 rep.fail(degree=k, note=f"missing-degeneracy-s{j}")
             else:
-                _totality_by_item(rep, f"s[{k},{j}]", X.degens[(k, j)],
-                                  X.levels[k], X.levels[k + 1])
+                _totality_by_item(rep, f"s{j}", X.degens[(k, j)],
+                                  X.levels[k], X.levels[k + 1], k)
     for k, i in sorted(X.faces):
         if not (1 <= k <= X.cap and 0 <= i <= k):
             rep.fail(degree=k, note=f"extra-face-d{i}")
@@ -1062,7 +1062,7 @@ def validate_xiset_by_pairs(A):
             rep.fail(degree=k, note="duplicate-identifiers")
     gens = xi_generators(A)
     for name, arrow, table in gens:
-        _totality_by_item(rep, name, table, A.levels[arrow.tgt], A.levels[arrow.src])
+        _totality_by_item(rep, name, table, A.levels[arrow.tgt], A.levels[arrow.src], arrow.tgt)
     faces, degens = _xi_keys(A.cap)
     for letter, kind, tables, keys in (("d", "face", A.faces, faces),
                                        ("s", "degeneracy", A.degens, degens)):

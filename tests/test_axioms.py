@@ -128,7 +128,23 @@ def test_segal_names_the_fault_of_an_invalid_object():
     (edge,) = X.levels[1]
     X = replace(X, faces={**X.faces, (1, 0): {edge: "nowhere"}})
     assert check_segal(X).lines() == [
-        "FAIL check_segal witness=0≤0,nowhere note=d[1,0]-target-outside-level via=validate"]
+        "FAIL check_segal degree=1 witness=0≤0,nowhere note=d0-target-outside-level via=validate"]
+
+
+def test_segal_names_the_fault_of_a_spine_that_is_no_string():
+    """A 2-simplex zz whose outer faces are both the edge 0≤1, kept with
+    every table as positions, passes the face-table gate; its spine is no
+    string of edges, so no string lacks a filler, and the check reports
+    the relations that zz breaks instead."""
+    X = nerve_poset(chain_poset(2), 2)
+    at = {k: {x: n for n, x in enumerate(ids)} for k, ids in X.levels.items()}
+    faces = {key: list(t) for key, t in X.faces.index.items()}
+    for i, edge in enumerate(["0≤1", "0≤2", "0≤1"]):
+        faces[(2, 2 - i)].append(at[1][edge])
+    Y = FinSSet(2, {**X.levels, 2: X.levels[2] + ["zz"]}, faces, dict(X.degens.index))
+    assert check_segal(Y).lines() == [
+        "FAIL check_segal degree=2 witness=zz note=d0d1 via=validate",
+        "FAIL check_segal degree=2 witness=zz note=d0d2 via=validate"]
 
 
 def test_decomposition_on_nerves(poset_nerves):

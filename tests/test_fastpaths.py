@@ -1607,7 +1607,7 @@ def test_map_class_of_an_end_keeping_a_table_as_ids(end, family, label, step, cl
     tables[key] = {**tables[key], "zz": X.levels[key[0] + step][0]}
     ends = {"dom": counit.dom, "cod": counit.cod, end: replace(X, **{family: tables})}
     F = SSetMap(ends["dom"], ends["cod"], {k: dict(t) for k, t in counit.components.items()})
-    want = [f"FAIL validate witness=zz note={label}-extra-source"]
+    want = [f"FAIL validate degree={key[0]} witness=zz note={label[0]}{key[1]}-extra-source"]
     assert validate_map(F).lines() == want
     for cls in classes:
         assert check_map_class(F, cls).lines() == want
@@ -1630,6 +1630,25 @@ def test_registry_comult_and_no_filler_build_no_id_table(tmp_path):
     assert check_segal(Y).lines()[0] == (
         "FAIL check_segal degree=2 witness=0≤1,1≤2 note=no-filler")
     assert not Y.faces.ids and not Y.degens.ids
+
+
+@pytest.mark.parametrize("spec", [boolean_poset(3), divisor_poset(12)], ids=["B3", "d12"])
+def test_closing_classifying_and_the_fragment_build_no_id_table(spec):
+    """`close`, `universal_mobius`, `classify` and `build_fragment` read each
+    class's canonical form and each fragment nerve as positions: neither
+    keeps an id table afterwards."""
+    X, reg = nerve(spec), Registry()
+    for a in X.levels[1]:
+        reg.insert(canonicalize(factorisation_interval(X, a)[0]))
+    reg.close()
+    assert universal_mobius(reg)[1].ok and classify(X, reg)[1].ok
+    frag = build_fragment(reg, 4)
+
+    def id_tables(objects):
+        return sum(len(Y.faces.ids) + len(Y.degens.ids) for Y in objects)
+
+    forms = [entry.interval.canonical.data for entry in reg.entries.values()]
+    assert (id_tables(forms), id_tables(frag.nerves.values())) == (0, 0)
 
 
 def test_tables_compare_whole_before_any_read():

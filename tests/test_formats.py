@@ -307,7 +307,7 @@ def test_a_table_kept_as_ids_is_written_from_its_ids():
     text = write_sset(Y)
     assert f"{key}->nowhere" in text
     assert validate(parse_sset(text)).lines() == validate(Y).lines() == [
-        f"FAIL validate witness={key},nowhere note=d[2,0]-target-outside-level"]
+        f"FAIL validate degree=2 witness={key},nowhere note=d0-target-outside-level"]
 
 
 @pytest.mark.parametrize("bad", ["", "a#b.sset", " lead.sset", "trail.sset ", "a\nb.sset",

@@ -1,5 +1,5 @@
 """Import hygiene: every name a module of `decomp` imports is used there,
-and only `presheaf` reads how a table is stored.
+and only `presheaf` reads how a table is stored or reads one by key.
 
 Two kinds of import are exempt: the re-exports of `decomp/__init__.py`, and
 the bindings that perfbench/tracer.py's PLAN wraps, which a module may
@@ -102,3 +102,35 @@ def test_only_presheaf_reads_the_stored_form():
             readers += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
                         if isinstance(node, ast.Attribute) and node.attr == "stored"]
     assert readers == []
+
+
+def _reads_by_key(node) -> bool:
+    """Does node subscript an attribute named `faces` or `degens`, or call
+    `items`, `values`, `keys` or `get` on one?"""
+    if isinstance(node, ast.Subscript):
+        table = node.value
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr in ("items", "values", "keys", "get")):
+        table = node.func.value
+    else:
+        return False
+    return isinstance(table, ast.Attribute) and table.attr in ("faces", "degens")
+
+
+def test_only_presheaf_reads_tables_by_key():
+    """Only `presheaf` names a face or degeneracy table in ids: every other
+    module reads its positions through `index`, or calls presheaf's own
+    naming functions (`sset_action`, `fibres`, `nondegenerate`)."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "presheaf.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            readers += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                        if _reads_by_key(node)]
+    assert readers == []
+
+
+def test_reads_by_key_are_named():
+    source = ("X.faces[(1, 0)]\nX.degens.get((0, 0))\nT.faces.items()\n"
+              "X.faces.index[(1, 0)]\nX.degens.index.items()\nfaces[(1, 0)]\n")
+    assert [node.lineno for node in ast.walk(ast.parse(source)) if _reads_by_key(node)] == [1, 2, 3]

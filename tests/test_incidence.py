@@ -133,6 +133,17 @@ def test_convolution_associativity(d6_table):
     assert left == right
 
 
+def test_a_vector_over_another_basis_is_refused(d6_table):
+    """Adding two vectors, or convolving one, over a basis other than the
+    table's is a ValueError, not a sum over the wrong arrows."""
+    f, other = zeta(d6_table), QVec(d6_table.basis - {arrow("1", "6")})
+    with pytest.raises(ValueError, match="basis mismatch"):
+        f + other
+    for left, right in ((f, other), (other, f)):
+        with pytest.raises(ValueError, match="basis mismatch"):
+            convolve(d6_table, left, right)
+
+
 def test_zeta_squared_counts_fiber(d6_table):
     zz = convolve(d6_table, zeta(d6_table), zeta(d6_table))
     assert zz[arrow("1", "6")] == 4

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import oracles
@@ -7,12 +8,14 @@ from decomp.axioms import check_map_class, check_segal, check_wide
 from decomp.ingest import CategorySpec, chain_poset, divisor_poset, nerve_category, nerve_poset
 from decomp.interval import (
     AlgebraicInterval,
+    IntervalClass,
     IntervalError,
     canonicalize,
     canonicalize_with_map,
     certify_mobius_interval,
     extend_interval,
     factorisation_interval,
+    interval_category,
     isomorphic,
     labelling_system,
     longest_edge,
@@ -22,6 +25,8 @@ from decomp.interval import (
 )
 from decomp.presheaf import (
     CapError,
+    FinXiSet,
+    XiSetMap,
     i_star,
     point_sset,
     point_xiset,
@@ -29,6 +34,7 @@ from decomp.presheaf import (
     truncate,
     u_star,
     validate_map,
+    xi_representable,
 )
 from conftest import assert_isomorphism, idempotent_interval, subposet
 
@@ -270,6 +276,33 @@ def test_certificate_is_inconclusive_on_a_composable_cycle():
     assert validate_interval(iv).ok
     assert certify_mobius_interval(canonicalize(iv)).lines() == [
         "INCONCLUSIVE certify_mobius_interval note=composable-cycle"]
+
+
+def test_two_fillers_of_one_spine_are_an_ambiguous_composite():
+    """A second nondegenerate 2-simplex on the spine of the 3-chain's one
+    composable pair, its d1 the bottom object's identity, gives that pair
+    two composites: the arrow category is refused by name, and the
+    certificate is INCONCLUSIVE."""
+    X = nerve_poset(chain_poset(2), 4)
+    data = canonicalize(factorisation_interval(X, "0≤2")[0]).canonical.data
+    d, s0, arrows = data.faces.index, data.degens.index[(0, 0)], data.levels[1]
+    (sig,) = [n for n, (f, g) in enumerate(zip(d[(2, 2)], d[(2, 0)]))
+              if f not in s0 and g not in s0]
+    faces = {key: list(t) for key, t in d.items()}
+    for i in range(3):
+        faces[(2, i)].append(s0[d[(1, 1)][d[(2, 2)][sig]]] if i == 1 else d[(2, i)][sig])
+    bad = FinXiSet(2, {**data.levels, 2: data.levels[2] + ["zz"]}, faces, dict(data.degens.index))
+    f, g = arrows[d[(2, 2)][sig]], arrows[d[(2, 0)][sig]]
+    with pytest.raises(IntervalError, match=re.escape(f"ambiguous composite for {f};{g}")):
+        interval_category(bad)
+    assert certify_mobius_interval(IntervalClass(AlgebraicInterval(bad), "0" * 64)).lines() == [
+        "INCONCLUSIVE certify_mobius_interval note=composite-table-refused"]
+
+
+def test_wide_cartesian_factorisation_refuses_a_domain_above_the_codomains_cap():
+    g = XiSetMap(xi_representable(-1, 2), xi_representable(-1, 1), {})
+    with pytest.raises(CapError, match="wide-cartesian factorisation needs dom.cap <= cod.cap"):
+        wide_cartesian_factor(g)
 
 
 def test_interval_idempotence(d12):

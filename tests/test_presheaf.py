@@ -99,7 +99,7 @@ def test_a_table_from_a_level_that_repeats_an_id_is_kept_as_ids():
     Y = FinSSet(2, {**X.levels, 1: X.levels[1] + [SEP.join("01")]}, faces, dict(X.degens))
     assert (1, 0) not in Y.faces.index
     assert validate(Y).lines() == ["FAIL validate degree=1 note=duplicate-identifiers",
-                                   "FAIL validate witness=extra note=d[1,0]-extra-source"]
+                                   "FAIL validate degree=1 witness=extra note=d0-extra-source"]
 
 
 def test_dec_bot_level_zero_counts():
