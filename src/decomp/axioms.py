@@ -15,6 +15,7 @@ from .presheaf import (
     FinXiSet,
     SSetMap,
     XiSetMap,
+    _gather,
     _label,
     _map_squares,
     _table_keys,
@@ -46,7 +47,7 @@ def _composable_count(X: FinSSet, k: int) -> int:
         by_head = [0] * len(X.levels[0])
         for head, c in zip(d0, counts):
             by_head[head] += c
-        counts = list(map(by_head.__getitem__, d1))
+        counts = _gather(by_head, d1)
     return sum(counts)
 
 
@@ -95,7 +96,7 @@ def check_segal(X: FinSSet) -> Report:
             if missing is None:  # X is not valid: a spine is not a string
                 rep.absorb(validate_sset(X))
                 break
-            rep.fail(degree=k, witness=tuple(map(X.levels[1].__getitem__, missing)),
+            rep.fail(degree=k, witness=_gather(X.levels[1], missing),
                      note="no-filler")
     rep.data["compositions"] = act.compositions - before
     rep.verified_upto = X.cap
@@ -243,8 +244,11 @@ def check_flanked(A: FinXiSet) -> Report:
 
 
 def check_wide(g: XiSetMap) -> bool:
-    """Is the degree -1 component a bijection?"""
-    comp = g.components[-1]
+    """Is the degree -1 component, read on positions or as kept, a bijection?"""
+    comps = g.components
+    if -1 in comps.index:
+        return len(set(comps.index[-1])) == len(comps.index[-1]) == len(g.cod.levels[-1])
+    comp = comps[-1]  # kept as ids, so it has no positions
     return (len(set(comp.values())) == len(comp)
             and set(comp.values()) == set(g.cod.levels[-1])
             and set(comp) == set(g.dom.levels[-1]))

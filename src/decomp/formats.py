@@ -10,11 +10,10 @@ that parser reads the tables they write against the level lines.
 from __future__ import annotations
 
 import os
-import re
 from sys import intern
 
 from .ingest import CategorySpec, MonoidSpec, PosetSpec, SpecError
-from .presheaf import FinSSet, FinXiSet, SSetMap, XiSetMap
+from .presheaf import FinSSet, FinXiSet, SSetMap, XiSetMap, _gather
 
 
 class ParseError(ValueError):
@@ -26,14 +25,17 @@ class ParseError(ValueError):
 
 def _lines(text: str, source: str):
     """(lineno, line) for each line not blank once its comment is cut, as
-    `str.splitlines` numbers them, read one newline-ended slice at a time."""
-    lineno = 0
-    for piece in re.finditer(".*\n?", text):
-        for raw in piece.group().splitlines():
+    `str.splitlines` numbers them: each slice keeps the '\\n' it ends at, so
+    a break before it ('\\x0b\\n') counts a line, as the whole text would."""
+    lineno, start = 0, 0
+    while start < len(text):
+        stop = text.find("\n", start) + 1 or len(text)
+        for raw in text[start:stop].splitlines():
             lineno += 1
-            line = raw.split("#", 1)[0].rstrip()
+            line = (raw.split("#", 1)[0] if "#" in raw else raw).rstrip()
             if line:
                 yield lineno, line
+        start = stop
 
 
 def _directives(text: str, source: str, header: str):
@@ -56,12 +58,6 @@ def _spec(build, source: str, *args):
         raise ParseError(source, 0, str(exc))
 
 
-def _check_token(tok: str, source: str, lineno: int) -> str:
-    if "->" in tok or ";" in tok:
-        raise ParseError(source, lineno, f"identifier {tok!r} uses reserved characters")
-    return tok
-
-
 def _entries(body: str, source: str, lineno: int) -> dict[str, str]:
     table: dict[str, str] = {}
     body = body.strip()
@@ -79,10 +75,6 @@ def _entries(body: str, source: str, lineno: int) -> dict[str, str]:
             raise ParseError(source, lineno, f"duplicate source {a!r}")
         table[a] = b
     return table
-
-
-def _fmt_entries(table: dict[str, str]) -> str:
-    return " ; ".join(f"{a}->{table[a]}" for a in sorted(table))
 
 
 def _once(seen: set, directive: str, source: str, lineno: int) -> None:
@@ -106,22 +98,42 @@ def _int(tok: str, source: str, lineno: int) -> int:
 _RESERVED = ("#", "->", ";")
 
 
+def _sorted(level: list[str]) -> tuple[list[int], list[str], list[str]]:
+    """A level's positions in the order of its ids, those ids, and the heads
+    of a table line from it, the text before each target: ' x->', ' ; y->'."""
+    order = sorted(range(len(level)), key=level.__getitem__)
+    ids = _gather(level, order)
+    return order, ids, [f" {x}->" for x in ids[:1]] + [f" ; {x}->" for x in ids[1:]]
+
+
+def _line(lead: str, tables, key, k: int, sorts: dict) -> str:
+    """lead, then a table's 'x->y' entries, x of level k in sorts[k]'s order:
+    one join of its heads and targets, or one entry at a time if kept as ids."""
+    table = tables.index.get(key)
+    if table is None:
+        body = " ; ".join(map("->".join, sorted(tables[key].items())))
+        return f"{lead} {body}" if body else lead
+    order, _, heads = sorts[k]
+    parts = [lead] * (2 * len(order) + 1)
+    parts[1::2] = heads
+    parts[2::2] = _gather(tables.targets[k + tables.step], _gather(table, order))
+    return "".join(parts)
+
+
 def _write_levelled(X: FinSSet | FinXiSet, header: str, xi: bool) -> str:
     """Shared writer; an XISET adds level -1 and the dnew (d_0 at degree
     0), sbot k (s_{-1}) and stop k (s_{k+1}) lines.  A level id that is
-    empty or holds whitespace, '#', '->' or ';' raises ValueError.  Tables
-    are written from their positions, or their ids if kept as ids."""
+    empty or holds whitespace, '#', '->' or ';' raises ValueError.  Each
+    table line is written by `_line`, so no string is made per entry."""
     cap, faces, degens = X.cap, X.faces, X.degens
     out = [header, f"cap {cap}"]
     if X.stable_from is not None:
         out.append(f"stable {X.stable_from}")
-    order, ids = {}, {}  # each level's positions in the order of its ids, and the ids
-    for k in range(-1 if xi else 0, cap + 1):
-        order[k] = sorted(range(len(X.levels[k])), key=X.levels[k].__getitem__)
-        ids[k] = [X.levels[k][n] for n in order[k]]
-        line = " ".join(ids[k])
-        if line.split() != ids[k] or any(c in line for c in _RESERVED):
-            bad = next(x for x in ids[k] if x.split() != [x] or any(c in x for c in _RESERVED))
+    sorts = {k: _sorted(X.levels[k]) for k in range(-1 if xi else 0, cap + 1)}
+    for k, (_, ids, _) in sorts.items():
+        line = " ".join(ids)
+        if line.split() != ids or any(c in line for c in _RESERVED):
+            bad = next(x for x in ids if x.split() != [x] or any(c in x for c in _RESERVED))
             raise ValueError(f"level {k} id {bad!r} is empty or holds whitespace, "
                              "'#', '->' or ';'")
         out.append(f"level {k}: {line}" if line else f"level {k}:")
@@ -132,13 +144,7 @@ def _write_levelled(X: FinSSet | FinXiSet, header: str, xi: bool) -> str:
     if xi:
         maps += [(f"sbot {k}", degens, (k, -1)) for k in range(-1, cap)]
         maps += [(f"stop {k}", degens, (k, k + 1)) for k in range(-1, cap)]
-    for directive, tables, (k, i) in maps:
-        table, tgt = tables.index.get((k, i)), X.levels[k + tables.step]
-        if table is not None:
-            body = " ; ".join([f"{x}->{tgt[table[n]]}" for x, n in zip(ids[k], order[k])])
-        else:
-            body = _fmt_entries(tables[(k, i)])
-        out.append(f"{directive}: {body}" if body else f"{directive}:")
+    out += [_line(f"{directive}:", tables, key, key[0], sorts) for directive, tables, key in maps]
     out.append("")
     return "\n".join(out)
 
@@ -152,15 +158,14 @@ def write_xiset(A: FinXiSet) -> str:
 
 
 def _table(body: str, prefixes: list[str], at: dict) -> list[int] | None:
-    """The target positions of a body of 'key->id' entries joined by ' ; ',
-    in the order of the source ids (prefixes[n] is the n-th + '->') and ids
-    positioned by at, as the writer writes them; None for any other."""
-    body = body.strip()
-    entries = body.split(" ; ") if body else []
+    """The target positions of a body ' x->y ; ...', as it follows its line's
+    ':', split at ' ;': prefixes[n] is ' ' + the n-th source id + '->', and at
+    positions the targets; None for a body the writer would not write."""
+    entries = body.split(" ;") if body else []
     if len(entries) != len(prefixes) or not all(map(str.startswith, entries, prefixes)):
         return None
     try:
-        return list(map(at.__getitem__, map(str.removeprefix, entries, prefixes)))
+        return _gather(at, list(map(str.removeprefix, entries, prefixes)))
     except KeyError:
         return None
 
@@ -204,11 +209,14 @@ def _parse_levelled(text: str, source: str, header: str, cls):
                 raise ParseError(source, lineno, f"stable degree {stable} below -1")
         elif key == "level":
             k = _int(head.strip(), source, lineno)
-            ids = [intern(_check_token(t, source, lineno)) for t in body.split()]
+            if "->" in body or ";" in body:
+                bad = next(t for t in body.split() if "->" in t or ";" in t)
+                raise ParseError(source, lineno, f"identifier {bad!r} uses reserved characters")
             if k in levels:
                 raise ParseError(source, lineno, f"duplicate level {k}")
-            levels[k], at = ids, dict(zip(ids, range(len(ids))))
-            read[k] = (at, [x + "->" for x in ids]) if len(at) == len(ids) else None
+            levels[k] = ids = list(map(intern, body.split()))
+            at = dict(zip(ids, range(len(ids))))
+            read[k] = (at, [f" {x}->" for x in ids]) if len(at) == len(ids) else None
         elif key in ("d", "s"):
             parts = head.split()
             if len(parts) != 2:
@@ -255,10 +263,9 @@ def write_smap(M: SSetMap | XiSetMap, dom_path: str, cod_path: str) -> str:
             raise ValueError(f"{key} path {path!r} is empty or holds '#', a line break, "
                              "or leading or trailing whitespace")
     out = ["SMAP v1", f"dom {dom_path}", f"cod {cod_path}"]
-    kmin = -1 if isinstance(M, XiSetMap) else 0
-    for k in range(kmin, M.dom.cap + 1):
-        body = _fmt_entries(M.components[k])
-        out.append(f"level {k}:" + (f" {body}" if body else ""))
+    sorts = {k: _sorted(level) for k, level in M.dom.levels.items()}
+    for k in range(-1 if isinstance(M, XiSetMap) else 0, M.dom.cap + 1):
+        out.append(_line(f"level {k}:", M.components, k, k, sorts))
     return "\n".join(out) + "\n"
 
 

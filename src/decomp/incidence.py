@@ -19,7 +19,7 @@ from fractions import Fraction
 from .axioms import check_decomposition, check_map_class, check_mobius, check_segal
 from .interval import certify_mobius_interval, longest_edge
 from .interval import factorisation_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .presheaf import FinSSet, SSetMap, fibres, validate_map, validate_sset
+from .presheaf import FinSSet, SSetMap, _gather, fibres, validate_map, validate_sset
 from .registry import Registry, RegistryError
 from .registry import build_fragment  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .report import Report
@@ -215,7 +215,7 @@ def culf_pushforward(F: SSetMap) -> tuple[dict[str, str], Report]:
         raise NotCertified("map is not cartesian on generics:\n" + str(culf))
     if F.dom.cap < 2:
         raise NotCertified("comultiplication needs cap >= 2")
-    m1 = F.components[1]
+    m1 = dict(zip(F.dom.levels[1], _gather(F.cod.levels[1], F.components.index[1])))
     _homomorphism(rep, F.dom, m1, comult(F.cod, check=False), "comultiplication-not-preserved")
     return m1, rep
 

@@ -27,6 +27,7 @@ from .presheaf import (
     SSetMap,
     XiSetMap,
     _fibre_positions,
+    _gather,
     _name,
     _table_keys,
     actions,
@@ -35,6 +36,7 @@ from .presheaf import (
     nondeg_bound,
     truncate,
     u_star,
+    validate_map,
     validate_xiset,
 )
 from .report import Report
@@ -99,12 +101,14 @@ def wide_cartesian_factor(g: XiSetMap) -> tuple[XiSetMap, XiSetMap]:
     over the unique structure map to degree -1, its pairs (b, x) found and
     its tables and both factors' components handed over as positions, and
     each pair named `b&x` once; the first factor is a bijection in degree
-    -1, the second is a levelwise pullback.  A g that is not natural, or
-    keeps a component as ids, raises KeyError.
+    -1, the second is a levelwise pullback.  A g that `validate_map` fails
+    raises ValueError with the report's first line.
     """
     B, A = g.dom, g.cod
     if B.cap > A.cap:
         raise CapError("wide-cartesian factorisation needs dom.cap <= cod.cap")
+    if not (rep := validate_map(g)).ok:
+        raise ValueError(rep.lines()[0])
     T, comps = truncate(A, B.cap), g.components.index
     pairs = {n: [(b, x) for b, c in enumerate(comps[-1])
                  for x, t in enumerate(actions(A).index(xi_initial(n).rep)) if c == t]
@@ -143,13 +147,13 @@ def factorisation_interval(X: FinSSet, a: str) -> tuple[AlgebraicInterval, SSetM
     U, at = u_star(X), X.levels[1].index(a)
     keep = {k: _fibre_positions(X, k + 2)[at] for k in range(-1, U.cap + 1)}
     new = {k: dict(zip(ns, range(len(ns)))) for k, ns in keep.items()}
-    data = FinXiSet(U.cap, {k: [U.levels[k][n] for n in ns] for k, ns in keep.items()},
-                    *({(k, i): [new[k + family.step][t[n]] for n in keep[k]]
+    data = FinXiSet(U.cap, {k: _gather(U.levels[k], ns) for k, ns in keep.items()},
+                    *({(k, i): _gather(new[k + family.step], _gather(t, keep[k]))
                        for (k, i), t in family.index.items()} for family in (U.faces, U.degens)))
     if U.stable_from is not None:
         data = replace(data, stable_from=nondeg_bound(i_star(data)))
     d = X.faces.index
-    comps = {k: [d[(k + 1, k + 1)][d[(k + 2, 0)][n]] for n in keep[k]] for k in range(U.cap + 1)}
+    comps = {k: _gather(d[k + 1, k + 1], _gather(d[k + 2, 0], keep[k])) for k in range(U.cap + 1)}
     return AlgebraicInterval(data), SSetMap(i_star(data), X, comps)
 
 
@@ -193,7 +197,7 @@ def canonicalize_with_map(
     order = canonical_order(labelling_system(T))
     source = {k: sorted(range(len(o)), key=lambda n: str(o[n])) for k, o in order.items()}
     place = {k: sorted(range(len(s)), key=s.__getitem__) for k, s in source.items()}
-    faces, degens = ({(k, i): [place[k + step][t[n]] for n in source[k]]
+    faces, degens = ({(k, i): _gather(place[k + step], _gather(t, source[k]))
                       for (k, i), t in family.index.items()}
                      for family, step in ((T.faces, -1), (T.degens, 1)))
     levels = {k: [f"n{k}_{order[k][n]}" for n in s] for k, s in source.items()}
@@ -217,7 +221,7 @@ def isomorphic(A: FinSSet | FinXiSet, B: FinSSet | FinXiSet) -> dict[int, dict[s
         raise CapError("isomorphism search needs equal caps")
     iso = find_isomorphism(labelling_system(A), labelling_system(B))
     return None if iso is None else {
-        k: dict(zip(A.levels[k], map(B.levels[k].__getitem__, ps))) for k, ps in iso.items()}
+        k: dict(zip(A.levels[k], _gather(B.levels[k], ps))) for k, ps in iso.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +244,7 @@ def interval_category(data: FinXiSet) -> CategorySpec:
                 raise IntervalError(f"ambiguous composite for {arrows[f]};{arrows[g]}")
     return CategorySpec.build(
         objects, {f: (objects[x], objects[y]) for f, x, y in zip(arrows, d[(1, 1)], d[(1, 0)])},
-        dict(zip(objects, map(arrows.__getitem__, s0))),
+        dict(zip(objects, _gather(arrows, s0))),
         {(arrows[f], arrows[g]): arrows[h] for (f, g), h in comp.items()})
 
 

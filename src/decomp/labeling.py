@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
+from .presheaf import _gather
+
 
 @dataclass
 class UnarySystem:
@@ -83,11 +85,10 @@ class _Indexed:
 
     def serialize(self, color):
         """The tables under a discrete coloring, rows in color order."""
-        get = color.__getitem__
-        ranked = {s: sorted(m, key=get) for s, m in self.members.items()}
+        ranked = {s: sorted(m, key=color.__getitem__) for s, m in self.members.items()}
         key = [self.sizes]
         for (_, src, _, _), image in zip(self.maps, self.images):
-            key.append(tuple(map(get, map(image.__getitem__, ranked[src]))))
+            key.append(tuple(_gather(color, _gather(image, ranked[src]))))
         return tuple(key)
 
 

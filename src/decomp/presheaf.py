@@ -38,10 +38,10 @@ Objects are frozen, and each memoises its `actions`, `i_star`, `u_star`,
 verdicts.  A changed object is a new one (`dataclasses.replace`).
 
 The checks run on positions: identities, relations and naturality are
-whole-level comparisons of composed position lists.  actions(X).index(a)
-composes X(a) from them and keeps it; `sset_action` names it in ids, made
-afresh on each call.  Every pullback square is given as position lists
-with the id lists of its three corners and goes through
+whole-level comparisons of position lists, each composed by `_gather` in
+one C call.  actions(X).index(a) composes X(a) and keeps it; `sset_action`
+names it in ids, made afresh on each call.  Every pullback square is given
+as position lists with the id lists of its three corners and goes through
 `pullback_failure`: one counting kernel decides it, and only a failing
 square is enumerated, to name its fault by id.
 """
@@ -53,6 +53,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import reduce, wraps
 from itertools import repeat
+from operator import itemgetter
 from sys import intern
 
 from .report import Report
@@ -71,6 +72,12 @@ from .simplex import (
 
 class CapError(ValueError):
     pass
+
+
+def _gather(outer, inner: list) -> list:
+    """[outer[n] for n in inner], by one `itemgetter` call when inner has
+    two entries or more (for one it returns a scalar, for none it raises)."""
+    return list(itemgetter(*inner)(outer)) if len(inner) > 1 else [outer[n] for n in inner]
 
 
 def _degree(key) -> int:
@@ -96,7 +103,7 @@ class _Tables(Mapping):
         if table is None:
             table, k = self.stored[key], _degree(key)
             if isinstance(table, list):
-                image = map(self.targets[k + self.step].__getitem__, table)
+                image = _gather(self.targets[k + self.step], table)
                 table = self.ids[key] = dict(zip(self.levels[k], image))
         return table
 
@@ -123,7 +130,7 @@ def _stored(table, levels: dict, at: dict, key, step: int):
             or len(table) != len(levels[k])):
         return table
     try:
-        return list(map(at[k + step].__getitem__, map(table.__getitem__, levels[k])))
+        return _gather(at[k + step], _gather(table, levels[k]))
     except KeyError:
         return table
 
@@ -295,8 +302,7 @@ class _Actions:
             if word:
                 prefix = reduce(compose, word[:-1], identity(a.src))
                 outer = self._walk(prefix, word[:-1])
-                table = list(map(outer.__getitem__,
-                                 _generator_table(self, word[-1], self.shift)))
+                table = _gather(outer, _generator_table(self, word[-1], self.shift))
                 self.compositions += 1
             else:
                 table = list(range(len(self.levels[a.tgt - self.shift])))
@@ -325,7 +331,7 @@ def sset_action(X, a: MonotoneMap) -> dict[str, str]:
     table of ids, named afresh from `actions(X).index(a)` on each call."""
     act = actions(X)
     tgt, src = (X.levels[end - act.shift] for end in (a.tgt, a.src))
-    return dict(zip(tgt, map(src.__getitem__, act.index(a))))
+    return dict(zip(tgt, _gather(src, act.index(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +401,8 @@ def _check_relations(rep: Report, X) -> None:
     Degree K and index I are X's own degree and index for a simplicial set,
     and X's degree K - 2 and index I - 1 for an interval-site presheaf,
     which has the inner faces (0 < I < K) and all the degeneracies; the
-    identities among these maps are the relations of its site.  Both sides of an identity are composed
-    as index lists over level K and the two lists compared; only a relation
+    identities among these maps are the relations of its site.  Both sides
+    of an identity are composed by `_gather` over level K; only a relation
     whose lists differ walks the level to name its witnesses.  A simplicial
     set names the relation d{i}d{j}, s{i}s{j} or d{i}s{j}; an interval-site
     presheaf names its side that is not in `generator_word`'s normal form,
@@ -407,14 +413,10 @@ def _check_relations(rep: Report, X) -> None:
     d = {(k + 2 * xi, i + xi): X.faces.index[(k, i)] for k, i in face_keys}
     s = {(k + 2 * xi, j + xi): X.degens.index[(k, j)] for k, j in degen_keys}
     tables = {"d": d, "s": s}
-
-    def composite(outer, inner):
-        return list(map(outer.__getitem__, inner))
-
     def relation(K, note, outer, inner, want):
         """Compare want with the side outer after inner over level K."""
         (a, L, I), (b, M, J) = outer, inner
-        got = composite(tables[a][L, I], tables[b][M, J])
+        got = _gather(tables[a][L, I], tables[b][M, J])
         if got != want:
             if xi:
                 note = f"relation:{_name(a, L - 2, I - 1)};{_name(b, M - 2, J - 1)}"
@@ -425,12 +427,12 @@ def _check_relations(rep: Report, X) -> None:
         for j in range(1, K + 1 - xi):
             for i in range(xi, j):
                 relation(K, f"d{i}d{j}", ("d", K - 1, i), ("d", K, j),
-                         composite(d[K - 1, j - 1], d[K, i]))
+                         _gather(d[K - 1, j - 1], d[K, i]))
     for K in range(xi, top - 1):
         for j in range(K + 1):
             for i in range(j + 1):
                 relation(K, f"s{i}s{j}", ("s", K + 1, j + 1), ("s", K, i),
-                         composite(s[K + 1, i], s[K, j]))
+                         _gather(s[K + 1, i], s[K, j]))
     for K in range(xi, top):
         same = list(range(len(X.levels[K - 2 * xi])))
         for j in range(K + 1):
@@ -438,9 +440,9 @@ def _check_relations(rep: Report, X) -> None:
                 if i == j or i == j + 1:
                     want = same
                 elif i < j:
-                    want = composite(s[K - 1, j - 1], d[K, i])
+                    want = _gather(s[K - 1, j - 1], d[K, i])
                 else:
-                    want = composite(s[K - 1, j], d[K, i - 1])
+                    want = _gather(s[K - 1, j], d[K, i - 1])
                 relation(K, f"d{i}s{j}", ("d", K + 1, i), ("s", K, j), want)
 
 
@@ -530,8 +532,7 @@ def validate_map(F: SSetMap | XiSetMap) -> Report:
     if not rep.ok:
         return rep
     for letter, k, i, (P, _, _, p, q, f, g) in _map_squares(F):
-        _compare(rep, P, f"naturality-{_label(xi, letter, k, i)}",
-                 list(map(f.__getitem__, p)), list(map(g.__getitem__, q)), k)
+        _compare(rep, P, f"naturality-{_label(xi, letter, k, i)}", _gather(f, p), _gather(g, q), k)
     rep.verified_upto = X.cap
     return rep
 
@@ -603,7 +604,7 @@ def unit_eta(A: FinXiSet) -> XiSetMap:
     if A.cap < 2:
         raise CapError("unit needs cap >= 2")
     s = A.degens.index
-    comps = {k: list(map(s[(k + 1, -1)].__getitem__, s[(k, k + 1)])) for k in range(-1, A.cap - 1)}
+    comps = {k: _gather(s[(k + 1, -1)], s[(k, k + 1)]) for k in range(-1, A.cap - 1)}
     return XiSetMap(truncate(A, A.cap - 2), u_star(i_star(A)), comps)
 
 
@@ -612,7 +613,7 @@ def counit_eps(X: FinSSet) -> SSetMap:
     if X.cap < 2:
         raise CapError("counit needs cap >= 2")
     d = X.faces.index
-    comps = {k: list(map(d[(k + 1, k + 1)].__getitem__, d[(k + 2, 0)])) for k in range(X.cap - 1)}
+    comps = {k: _gather(d[(k + 1, k + 1)], d[(k + 2, 0)]) for k in range(X.cap - 1)}
     return SSetMap(i_star(u_star(X)), X, comps)
 
 
@@ -743,9 +744,7 @@ def _counted_pullback(p: list[int], q: list[int], f: list[int], g: list[int]) ->
     pullback, exactly when there are |A x_C B| of them: the sum over a in A
     of the number of b with g b = f a, read off the fibre counts of g.
     """
-    if list(map(f.__getitem__, p)) != list(map(g.__getitem__, q)):
-        return False
-    if len(set(zip(p, q))) != len(p):
+    if _gather(f, p) != _gather(g, q) or len(set(zip(p, q))) != len(p):
         return False
     over = Counter(g)
     return len(p) == sum(map(over.get, f, repeat(0)))

@@ -862,6 +862,13 @@ def check_segal_by_spines(X):
     return rep
 
 
+def check_wide_by_ids(g):
+    """Is g's degree -1 component a bijection, read on its id table?"""
+    comp = g.components[-1]
+    return (len(set(comp.values())) == len(comp)
+            and set(comp.values()) == set(g.cod.levels[-1]) and set(comp) == set(g.dom.levels[-1]))
+
+
 def check_map_class_by_names(F, cls="culf"):
     """Each naturality square on degeneracies and inner faces, on ids."""
     from decomp.report import Report
@@ -1339,3 +1346,40 @@ def parse_levelled_by_entries(text, source, header):
             raise ParseError(source, 0, "interval-site directives in an SSET file")
         return FinSSet(cap, levels, faces, degens, stable)
     return FinXiSet(cap, levels, faces, degens, stable)
+
+
+# ---------------------------------------------------------------------------
+# SSET/XISET/SMAP text: every table written entry by entry from its ids
+
+
+def _entries_line(lead, table):
+    body = " ; ".join(f"{a}->{table[a]}" for a in sorted(table))
+    return f"{lead}: {body}" if body else f"{lead}:"
+
+
+def write_levelled_by_ids(X, header, xi):
+    """The SSET or XISET text of X, each level sorted and each table written
+    from its id table one entry at a time, sources in sorted order."""
+    out = [header, f"cap {X.cap}"]
+    if X.stable_from is not None:
+        out.append(f"stable {X.stable_from}")
+    for k in range(-1 if xi else 0, X.cap + 1):
+        line = " ".join(sorted(X.levels[k]))
+        out.append(f"level {k}: {line}" if line else f"level {k}:")
+    maps = [(f"d {k} {i}", X.faces[(k, i)]) for k in range(1, X.cap + 1) for i in range(k + 1)]
+    maps += [("dnew", X.faces[(0, 0)])] if xi else []
+    maps += [(f"s {k} {j}", X.degens[(k, j)]) for k in range(X.cap) for j in range(k + 1)]
+    if xi:
+        maps += [(f"sbot {k}", X.degens[(k, -1)]) for k in range(-1, X.cap)]
+        maps += [(f"stop {k}", X.degens[(k, k + 1)]) for k in range(-1, X.cap)]
+    return "\n".join(out + [_entries_line(lead, t) for lead, t in maps] + [""])
+
+
+def write_smap_by_ids(F, dom_path, cod_path):
+    """The SMAP text of F, each component written from its id table."""
+    from decomp.presheaf import XiSetMap
+
+    lines = ["SMAP v1", f"dom {dom_path}", f"cod {cod_path}"]
+    lines += [_entries_line(f"level {k}", F.components[k])
+              for k in range(-1 if isinstance(F, XiSetMap) else 0, F.dom.cap + 1)]
+    return "\n".join(lines) + "\n"

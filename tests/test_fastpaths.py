@@ -73,6 +73,7 @@ from decomp.presheaf import (
     FinXiSet,
     SSetMap,
     XiSetMap,
+    _gather,
     actions,
     counit_eps,
     dec_bot,
@@ -178,6 +179,36 @@ def squares(draw, indexable=False):
     p = {x: a for x, (a, _) in zip(P, pairs)}
     q = {x: b for x, (_, b) in zip(P, pairs) if b != "b?"}
     return P, A, B, p, q, f, g
+
+
+@st.composite
+def gathers(draw):
+    """(outer, inner): a list, or a dict keyed by strings, of drawn values,
+    and a list of its keys with repeats, of length 0, 1 or more."""
+    values = draw(st.lists(st.integers(), min_size=1, max_size=6))
+    keys = (list(range(len(values))) if draw(st.booleans())
+            else [f"k{n}" for n in range(len(values))])
+    outer = values if isinstance(keys[0], int) else dict(zip(keys, values))
+    return outer, draw(st.lists(st.sampled_from(keys), max_size=draw(st.sampled_from([0, 1, 6]))))
+
+
+@SETTINGS
+@given(gathers())
+@example(([7], []))
+@example(([7], [0]))
+@example(({"a": 7, "b": 8}, ["b"]))
+@example(({"a": 7, "b": 8}, ["b", "a", "b"]))
+def test_gather_is_the_comprehension(case):
+    """`_gather` is [outer[n] for n in inner], always a list, at every
+    length of inner, and raises the comprehension's error on a key outer
+    does not have."""
+    outer, inner = case
+    got = _gather(outer, inner)
+    assert type(got) is list and got == [outer[n] for n in inner]
+    missing = len(outer) if isinstance(outer, list) else "nowhere"
+    for bad in ([missing], [*inner, missing]):
+        with pytest.raises(IndexError if isinstance(outer, list) else KeyError):
+            _gather(outer, bad)
 
 
 @SETTINGS
@@ -1382,6 +1413,14 @@ def _perturb(draw, lines, how):
         ids = lines[n].partition(":")[2].split()
         if ids:
             lines[n] += " " + draw(st.sampled_from(ids))
+    elif how == "reserved-id":
+        n = draw(st.sampled_from(level_lines))
+        head, _, body = lines[n].partition(":")
+        ids = body.split()
+        x = draw(st.sampled_from(ids or ["a"]))
+        ids.insert(draw(st.integers(0, len(ids))),
+                   draw(st.sampled_from([f"{x}->", f"a->{x}", f"{x};", f";{x}", f"{x}->{x};"])))
+        lines[n] = f"{head}: {' '.join(ids)}"
     elif full:
         n = draw(st.sampled_from(full))
         head, entries = _split_body(lines[n])
@@ -1400,7 +1439,15 @@ def _perturb(draw, lines, how):
             del entries[e]
         elif how == "bare":
             entries[e] = entries[e].split("->")[-1]
+        elif how == "two-arrows":
+            others = [x for m in level_lines for x in lines[m].partition(":")[2].split()]
+            entries[e] += "->" + draw(st.sampled_from(others + ["u"]))
         body = " ; ".join(entries)
+        if how == "semicolon":
+            cuts = [m for m in range(len(body)) if body.startswith(" ; ", m)]
+            if cuts:
+                m = draw(st.sampled_from(cuts))
+                body = body[:m] + ";" + body[m + 3:]
         if how == "spacing":
             body = body.replace("->", draw(st.sampled_from(["\t->", "-> ", "  ->", "->\t\t"])))
             body = body.replace(" ; ", draw(st.sampled_from([";", " ;\t", "\t;  ", " ; "])))
@@ -1408,7 +1455,7 @@ def _perturb(draw, lines, how):
 
 
 PERTURBATIONS = ["reorder", "spacing", "comment", "above", "outside", "repeat-id",
-                 "dup-source", "drop", "bare"]
+                 "dup-source", "drop", "bare", "two-arrows", "semicolon", "reserved-id"]
 
 
 @st.composite
@@ -1531,6 +1578,26 @@ def test_positions_handed_over_match_those_made_from_ids(spec, data):
             assert not view.ids
             assert [(key, list(view[key].items())) for key in view] == [
                 (key, list(t.items())) for key, t in given_ids.items()]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(DRAWN_SPECS, st.data())
+def test_writers_join_the_text_the_id_tables_give(spec, data):
+    """The SSET, XISET and SMAP writers, which join each table line from its
+    heads and the targets of its positions, write the text of the id tables
+    written one entry at a time, and leave no id table behind."""
+    X = nerve(spec)
+    X = X if X.cap >= 4 else nerve(spec, 4)
+    A = factorisation_interval(X, data.draw(st.sampled_from(X.levels[1])))[0].data
+    F, G = dec_bot(X)[1], unit_eta(u_star(X))
+    got = [write_sset(X), write_xiset(A), write_smap(F, "d.sset", "x.sset"),
+           write_smap(G, "d.xiset", "x.xiset")]
+    assert not any(Y.faces.ids or Y.degens.ids for Y in (X, A))
+    assert not F.components.ids and not G.components.ids
+    assert got == [oracles.write_levelled_by_ids(X, "SSET v1", False),
+                   oracles.write_levelled_by_ids(A, "XISET v1", True),
+                   oracles.write_smap_by_ids(F, "d.sset", "x.sset"),
+                   oracles.write_smap_by_ids(G, "d.xiset", "x.xiset")]
 
 
 @settings(max_examples=40, deadline=None, database=None)

@@ -177,6 +177,17 @@ def test_sset_rejects_empty_dnew():
         parse_sset(text)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_monoid, "MONOID v1\nelements: e\nmul e e: e\n", "<monoid>:0: missing unit"),
+    (parse_sset, "SSET v1\ncap 1\nlevel 0: a\nedge 1: a\n", "<sset>:4: unknown directive 'edge'"),
+    (parse_xiset, "XISET v1\n# x\ncap 0\n\nsnew 0: a->a\n",
+     "<xiset>:5: unknown directive 'snew'"),
+], ids=["monoid-unit", "sset-directive", "xiset-directive"])
+def test_parsers_name_a_missing_unit_and_an_unknown_directive(parse, text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(text)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_sset("SSET v1\ncap x\n")
@@ -192,6 +203,8 @@ _LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", 
                 max_size=16).map("".join))
 @example("".join(f"x{brk}" for brk in _LINE_BREAKS) + "end")
 @example("a\r\n\r\nb\n\rc\r")
+@example("\x0b\na")
+@example("a\x85\n\nb")
 def test_lines_read_a_slice_at_a_time_as_splitlines_does(text):
     """The lines and line numbers the parsers read, from one slice of text
     up to a newline at a time, are those of one `str.splitlines` of it."""

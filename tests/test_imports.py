@@ -1,5 +1,6 @@
 """Import hygiene: every name a module of `decomp` imports is used there,
-and only `presheaf` reads how a table is stored or reads one by key.
+only `presheaf` reads how a table is stored or reads one by key, and lists
+of positions are composed by `presheaf._gather`.
 
 Two kinds of import are exempt: the re-exports of `decomp/__init__.py`, and
 the bindings that perfbench/tracer.py's PLAN wraps, which a module may
@@ -105,8 +106,8 @@ def test_only_presheaf_reads_the_stored_form():
 
 
 def _reads_by_key(node) -> bool:
-    """Does node subscript an attribute named `faces` or `degens`, or call
-    `items`, `values`, `keys` or `get` on one?"""
+    """Does node subscript an attribute named `faces`, `degens` or
+    `components`, or call `items`, `values`, `keys` or `get` on one?"""
     if isinstance(node, ast.Subscript):
         table = node.value
     elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -114,13 +115,16 @@ def _reads_by_key(node) -> bool:
         table = node.func.value
     else:
         return False
-    return isinstance(table, ast.Attribute) and table.attr in ("faces", "degens")
+    return isinstance(table, ast.Attribute) and table.attr in ("faces", "degens", "components")
 
 
 def test_only_presheaf_reads_tables_by_key():
-    """Only `presheaf` names a face or degeneracy table in ids: every other
-    module reads its positions through `index`, or calls presheaf's own
-    naming functions (`sset_action`, `fibres`, `nondegenerate`)."""
+    """Only `presheaf` names a face or degeneracy table or a map component
+    in ids: every other module reads its positions through `index`, or calls
+    presheaf's own naming functions (`sset_action`, `fibres`,
+    `nondegenerate`).  A table kept as ids has no positions, so the writers
+    and `check_wide` read one through the `_Tables` they hold, by a name of
+    their own, which this guard does not follow."""
     readers = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "presheaf.py":
@@ -131,6 +135,32 @@ def test_only_presheaf_reads_tables_by_key():
 
 
 def test_reads_by_key_are_named():
-    source = ("X.faces[(1, 0)]\nX.degens.get((0, 0))\nT.faces.items()\n"
-              "X.faces.index[(1, 0)]\nX.degens.index.items()\nfaces[(1, 0)]\n")
-    assert [node.lineno for node in ast.walk(ast.parse(source)) if _reads_by_key(node)] == [1, 2, 3]
+    source = ("X.faces[(1, 0)]\nX.degens.get((0, 0))\nT.faces.items()\nF.components[1]\n"
+              "X.faces.index[(1, 0)]\nX.degens.index.items()\nfaces[(1, 0)]\n"
+              "F.components.index[1]\n")
+    assert [node.lineno for node in ast.walk(ast.parse(source))
+            if _reads_by_key(node)] == [1, 2, 3, 4]
+
+
+def _maps_getitem(node) -> bool:
+    """Is node a call of `map` whose first argument is an attribute named
+    `__getitem__`?"""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "map" and bool(node.args)
+            and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "__getitem__")
+
+
+def test_position_lists_are_gathered():
+    """No module maps a `__getitem__` over a list: a composition or lookup
+    of position lists is one `presheaf._gather` call."""
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree) if _maps_getitem(node)]
+    assert callers == []
+
+
+def test_mapped_getitems_are_named():
+    source = ("list(map(at.__getitem__, xs))\nmap(get, xs)\nsorted(xs, key=at.__getitem__)\n"
+              "tuple(map(X.levels[1].__getitem__, m))\n_gather(at, xs)\nmap(str.strip, xs)\n")
+    assert [node.lineno for node in ast.walk(ast.parse(source)) if _maps_getitem(node)] == [1, 4]

@@ -313,6 +313,15 @@ def test_culf_pushforward_counit(poset_nerves):
     assert set(m) == set(counit.dom.levels[1])
 
 
+def test_culf_pushforward_names_its_arrow_map_from_positions(poset_nerves):
+    """The arrow-level map is named from the level-1 component's positions,
+    so the map keeps no id table, and it is that component's id table."""
+    _, counit = dec_bot(poset_nerves["d12"])
+    m, rep = culf_pushforward(counit)
+    assert rep.ok and not counit.components.ids
+    assert list(m.items()) == list(counit.components[1].items())
+
+
 def test_culf_pushforward_identity(d6):
     from decomp.presheaf import SSetMap
 

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from math import comb
 
@@ -86,6 +87,24 @@ def test_monoid_rejects_unit_factorisation():
             {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g",
              ("g", "g"): "e"})
     assert "unit" in str(err.value)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MonoidSpec.build(["e", "a"], "u", {("e", "e"): "e"}), "unit u is not an element"),
+    (lambda: MonoidSpec.build(["e", "a"], "e", {("e", "a"): "z"}),
+     "product e.a=z uses unknown element"),
+    (lambda: MonoidSpec.build(["e", "a"], "e", {("e", "e"): "e", ("e", "a"): "a"}),
+     "unit laws fail at a"),
+    (lambda: PosetSpec.from_pairs(["a", "b"], [("a", "b"), ("a", "c")]),
+     "relation a <= c uses unknown element"),
+    (lambda: CategorySpec.build(["x"], {"ix": ("x", "x")}, {"x": "ix"}, {("ix", "g"): "ix"}),
+     "composite ix;g=ix uses unknown arrow"),
+], ids=["unit-unknown", "product-unknown", "unit-laws", "relation-unknown", "composite-unknown"])
+def test_specs_name_what_they_refuse(build, message):
+    """Each refusal of a spec that names an unknown element, arrow or a
+    failed unit law, pinned by its message."""
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_monoid_rejects_idempotent():

@@ -356,6 +356,37 @@ def test_wide_cartesian_on_identity(poset_nerves):
     assert check_map_class(wide, "culf").ok  # both parts invertible here
 
 
+def test_wide_cartesian_factorisation_names_a_map_that_is_not_natural(d12):
+    """A map with one degree-0 entry sent to another simplex of its level is
+    refused with `validate_map`'s first FAIL line, not a bare KeyError."""
+    g = transpose_arrow(d12, arrow("1", "12"))
+    comps = {k: dict(g.components[k]) for k in g.components}
+    x = g.dom.levels[0][0]
+    comps[0][x] = next(y for y in g.cod.levels[0] if y != comps[0][x])
+    bad = XiSetMap(g.dom, g.cod, comps)
+    line = "FAIL validate_map degree=1 witness=x0_0_0_1 note=naturality-d[1,0]"
+    assert validate_map(bad).lines()[0] == line
+    with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+        wide_cartesian_factor(bad)
+
+
+def test_check_wide_reads_positions_or_the_ids_kept(d12, poset_nerves):
+    """On positions, `check_wide` builds no id table and answers as the
+    id-table reading does; a degree -1 component kept as ids (here, not
+    total) is read as ids."""
+    g = transpose_arrow(d12, arrow("1", "12"))
+    partial = XiSetMap(g.dom, g.cod, {**{k: dict(g.components[k]) for k in g.components}, -1: {}})
+    assert -1 not in partial.components.index
+    g = transpose_arrow(d12, arrow("1", "12"))
+    wide, _ = wide_cartesian_factor(g)
+    A = u_star(poset_nerves["d6"])
+    ident = XiSetMap(A, A, {k: {x: x for x in A.levels[k]} for k in range(-1, A.cap + 1)})
+    maps = (g, wide, ident, partial)
+    got = [check_wide(F) for F in maps]
+    assert not any(F.components.ids for F in maps[:3])
+    assert got == [oracles.check_wide_by_ids(F) for F in maps] == [False, True, True, False]
+
+
 def test_zero_subdivisions_at_most_one(poset_nerves):
     for name in ("chain1", "d6", "b2"):
         X = poset_nerves[name]

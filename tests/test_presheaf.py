@@ -12,6 +12,7 @@ from decomp.interval import isomorphic
 from decomp.presheaf import (
     CapError,
     FinSSet,
+    SSetMap,
     counit_eps,
     dec_bot,
     dec_top,
@@ -322,6 +323,17 @@ def test_validate_map_reports_an_invalid_end():
     assert validate_map(bad_dom).lines() == ["FAIL validate degree=1 note=missing-face-d0"]
     both = replace(bad_dom, cod=bad_cod.cod)
     assert validate_map(both).lines() == validate_map(bad_dom).lines()
+
+
+def test_validate_map_names_a_missing_component():
+    """A degree under the domain's cap with no component fails as
+    missing-component at that degree, whether a component above it is there
+    or not; no naturality square is read."""
+    _, counit = dec_bot(nerve_poset(divisor_poset(6), 5))
+    comps = dict(counit.components.index)
+    for k in (0, 2, counit.dom.cap):
+        F = SSetMap(counit.dom, counit.cod, {j: t for j, t in comps.items() if j != k})
+        assert validate_map(F).lines() == [f"FAIL validate_map degree={k} note=missing-component"]
 
 
 def test_u_star_of_culf_is_cartesian(poset_nerves):
