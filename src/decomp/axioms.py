@@ -244,14 +244,10 @@ def check_flanked(A: FinXiSet) -> Report:
 
 
 def check_wide(g: XiSetMap) -> bool:
-    """Is the degree -1 component, read on positions or as kept, a bijection?"""
-    comps = g.components
-    if -1 in comps.index:
-        return len(set(comps.index[-1])) == len(comps.index[-1]) == len(g.cod.levels[-1])
-    comp = comps[-1]  # kept as ids, so it has no positions
-    return (len(set(comp.values())) == len(comp)
-            and set(comp.values()) == set(g.cod.levels[-1])
-            and set(comp) == set(g.dom.levels[-1]))
+    """Is the degree -1 component a bijection on positions?  A component
+    without positions (one a valid map never has) is not wide."""
+    idx = g.components.index.get(-1)
+    return idx is not None and len(set(idx)) == len(idx) == len(g.cod.levels[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def _table(body: str, prefixes: list[str], at: dict) -> list[int] | None:
     if len(entries) != len(prefixes) or not all(map(str.startswith, entries, prefixes)):
         return None
     try:
-        return _gather(at, list(map(str.removeprefix, entries, prefixes)))
+        return list(map(at.__getitem__, map(str.removeprefix, entries, prefixes)))
     except KeyError:
         return None
 

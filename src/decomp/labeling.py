@@ -34,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .presheaf import _gather
-
 
 @dataclass
 class UnarySystem:
@@ -85,10 +83,11 @@ class _Indexed:
 
     def serialize(self, color):
         """The tables under a discrete coloring, rows in color order."""
-        ranked = {s: sorted(m, key=color.__getitem__) for s, m in self.members.items()}
+        get = color.__getitem__
+        ranked = {s: sorted(m, key=get) for s, m in self.members.items()}
         key = [self.sizes]
         for (_, src, _, _), image in zip(self.maps, self.images):
-            key.append(tuple(_gather(color, _gather(image, ranked[src]))))
+            key.append(tuple(map(get, map(image.__getitem__, ranked[src]))))
         return tuple(key)
 
 

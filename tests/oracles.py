@@ -862,13 +862,6 @@ def check_segal_by_spines(X):
     return rep
 
 
-def check_wide_by_ids(g):
-    """Is g's degree -1 component a bijection, read on its id table?"""
-    comp = g.components[-1]
-    return (len(set(comp.values())) == len(comp)
-            and set(comp.values()) == set(g.cod.levels[-1]) and set(comp) == set(g.dom.levels[-1]))
-
-
 def check_map_class_by_names(F, cls="culf"):
     """Each naturality square on degeneracies and inner faces, on ids."""
     from decomp.report import Report

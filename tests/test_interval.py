@@ -370,10 +370,9 @@ def test_wide_cartesian_factorisation_names_a_map_that_is_not_natural(d12):
         wide_cartesian_factor(bad)
 
 
-def test_check_wide_reads_positions_or_the_ids_kept(d12, poset_nerves):
-    """On positions, `check_wide` builds no id table and answers as the
-    id-table reading does; a degree -1 component kept as ids (here, not
-    total) is read as ids."""
+def test_check_wide_reads_positions(d12, poset_nerves):
+    """`check_wide` reads the degree -1 positions and builds no id table; a
+    component without positions (here, one not total) is not wide."""
     g = transpose_arrow(d12, arrow("1", "12"))
     partial = XiSetMap(g.dom, g.cod, {**{k: dict(g.components[k]) for k in g.components}, -1: {}})
     assert -1 not in partial.components.index
@@ -382,9 +381,8 @@ def test_check_wide_reads_positions_or_the_ids_kept(d12, poset_nerves):
     A = u_star(poset_nerves["d6"])
     ident = XiSetMap(A, A, {k: {x: x for x in A.levels[k]} for k in range(-1, A.cap + 1)})
     maps = (g, wide, ident, partial)
-    got = [check_wide(F) for F in maps]
+    assert [check_wide(F) for F in maps] == [False, True, True, False]
     assert not any(F.components.ids for F in maps[:3])
-    assert got == [oracles.check_wide_by_ids(F) for F in maps] == [False, True, True, False]
 
 
 def test_zero_subdivisions_at_most_one(poset_nerves):
