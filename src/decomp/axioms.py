@@ -18,7 +18,6 @@ from .presheaf import (
     _gather,
     _label,
     _map_squares,
-    _table_keys,
     actions,
     dec_bot,
     dec_top,
@@ -27,7 +26,6 @@ from .presheaf import (
     nondegenerate,
     pullback_failure,
     sset_action,  # noqa: F401 -- perfbench/tracer.py counts calls through this name
-    validate_map,
     validate_sset,
 )
 from .report import Report
@@ -74,12 +72,8 @@ def _composable_strings(X: FinSSet, k: int):
 @memoised
 def check_segal(X: FinSSet) -> Report:
     """Is every level the fibre product of its principal edges?  Records the
-    table compositions it made itself in data["compositions"].  A face
-    table missing or kept as ids gets `validate`'s lines naming it."""
+    table compositions it made itself in data["compositions"]."""
     rep = Report("check_segal")
-    if not X.faces.index.keys() >= set(_table_keys(X.cap, False)[0]):
-        rep.absorb(validate_sset(X))
-        return rep
     act = actions(X)
     before = act.compositions
     for k in range(2, X.cap + 1):
@@ -203,18 +197,12 @@ def check_map_class(F: SSetMap | XiSetMap, cls: str = "culf") -> Report:
 
     In simplicial coordinates an interval-site map's generators are all
     degeneracies and inner faces, so "culf" tests the square on every one
-    of its structure maps: such a map is cartesian exactly when culf.  A map
-    whose components are not total, run above the codomain's cap, or read
-    a level that repeats an id, or one whose ends keep a face or degeneracy
-    as ids, gets its `validate_map` lines instead."""
+    of its structure maps: such a map is cartesian exactly when culf."""
     if cls not in ("conservative", "ulf", "culf"):
         raise ValueError(f"unknown map class {cls!r}")
     rep = Report(f"check_map_class[{cls}]")
     xi = isinstance(F.dom, FinXiSet)
-    squares = _map_squares(F, cls)
-    if squares is None:
-        return validate_map(F)
-    for letter, k, i, square in squares:
+    for letter, k, i, square in _map_squares(F, cls):
         bad = pullback_failure(*square)
         if bad is not None:
             rep.fail(degree=k, note=f"{_label(xi, letter, k, i)}:{bad}")
@@ -244,10 +232,9 @@ def check_flanked(A: FinXiSet) -> Report:
 
 
 def check_wide(g: XiSetMap) -> bool:
-    """Is the degree -1 component a bijection on positions?  A component
-    without positions (one a valid map never has) is not wide."""
-    idx = g.components.index.get(-1)
-    return idx is not None and len(set(idx)) == len(idx) == len(g.cod.levels[-1])
+    """Is the degree -1 component a bijection on positions?"""
+    idx = g.components.index[-1]
+    return len(set(idx)) == len(idx) == len(g.cod.levels[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ import sys
 
 from . import axioms, incidence
 from .formats import ParseError, load, load_smap, save
-from .ingest import SpecError, nerve
+from .ingest import CategorySpec, MonoidSpec, PosetSpec, SpecError, nerve
 from .interval import AlgebraicInterval, IntervalError, factorisation_interval
 from .presheaf import (
     CapError,
     FinSSet,
     FinXiSet,
+    ShapeError,
     dec_bot,
     dec_top,
     validate,
@@ -34,10 +35,8 @@ def _print(report) -> int:
 
 
 def cmd_nerve(args) -> int:
-    spec = load(args.input)
-    if isinstance(spec, (FinSSet, FinXiSet)):
-        print("FAIL nerve note=input-is-already-a-presheaf")
-        return 2
+    spec, _ = _loaded(args.input, (PosetSpec, MonoidSpec, CategorySpec),
+                      "nerve note=input-is-already-a-presheaf")
     X = nerve(spec, args.cap)
     rep = validate(X)
     if not rep.ok:
@@ -51,14 +50,27 @@ class _Refused(Exception):
     """An input the command refuses, why already printed: exit 2."""
 
 
+def _loaded(path: str, kind, refusal: str):
+    """The input of kind (a class or a tuple of them) stored at path and,
+    if it is a presheaf, its `validate` report, kept in its memo; or None
+    and the report of a presheaf of kind whose tables make none.  Print
+    refusal and refuse any other input."""
+    try:
+        obj = load(path)
+    except ShapeError as exc:
+        if issubclass(exc.kind, kind):
+            return None, exc.report
+        obj = None
+    if not isinstance(obj, kind):
+        print(f"FAIL {refusal}")
+        raise _Refused
+    return obj, validate(obj) if isinstance(obj, (FinSSet, FinXiSet)) else None
+
+
 def _load_sset(path: str, command: str) -> FinSSet:
     """The valid SSET stored at path; else print why it is not one and
-    refuse.  The verdict stays in the object's memo for later checks."""
-    X = load(path)
-    if not isinstance(X, FinSSet):
-        print(f"FAIL {command} note=input-is-not-an-SSET")
-        raise _Refused
-    rep = validate(X)
+    refuse."""
+    X, rep = _loaded(path, FinSSet, f"{command} note=input-is-not-an-SSET")
     if not rep.ok:
         _print(rep)
         raise _Refused
@@ -82,18 +94,20 @@ def cmd_check(args) -> int:
 
 def _check_one(what: str, path: str) -> int:
     if what == "culf":
-        M = load_smap(path)
+        try:
+            M = load_smap(path)
+        except ShapeError as exc:
+            return _print(exc.report)
         base = validate_map(M)
         if not base.ok:
             return _print(base)
         return _print(axioms.check_map_class(M, "culf"))
-    obj = load(path)
     kind, refusal = ((FinXiSet, "check_flanked note=input-is-not-an-XISET")
                      if what == "flanked" else (FinSSet, "check note=input-is-not-an-SSET"))
-    if not isinstance(obj, kind):
-        print(f"FAIL {refusal}")
+    try:
+        obj, base = _loaded(path, kind, refusal)
+    except _Refused:
         return 2
-    base = validate(obj)
     if not base.ok:
         return _print(base)
     if what == "complete":
@@ -158,10 +172,9 @@ def cmd_registry(args) -> int:
             reg = Registry()
         digests = []
         for path in args.files:
-            data = load(path)
-            if not isinstance(data, FinXiSet):
-                print("FAIL registry-add note=input-is-not-an-XISET")
-                return 2
+            data, rep = _loaded(path, FinXiSet, "registry-add note=input-is-not-an-XISET")
+            if not rep.ok:
+                raise RegistryError("entry fails validation:\n" + str(rep))
             digests.append(reg.insert(AlgebraicInterval(data)))
         reg.save(args.dir)
         for digest in digests:

@@ -108,15 +108,11 @@ def _sorted(level: list[str]) -> tuple[list[int], list[str], list[str]]:
 
 def _line(lead: str, tables, key, k: int, sorts: dict) -> str:
     """lead, then a table's 'x->y' entries, x of level k in sorts[k]'s order:
-    one join of its heads and targets, or one entry at a time if kept as ids."""
-    table = tables.index.get(key)
-    if table is None:
-        body = " ; ".join(map("->".join, sorted(tables[key].items())))
-        return f"{lead} {body}" if body else lead
+    one join of its heads and the targets of its positions."""
     order, _, heads = sorts[k]
     parts = [lead] * (2 * len(order) + 1)
     parts[1::2] = heads
-    parts[2::2] = _gather(tables.targets[k + tables.step], _gather(table, order))
+    parts[2::2] = _gather(tables.targets[k + tables.step], _gather(tables.index[key], order))
     return "".join(parts)
 
 
@@ -177,7 +173,8 @@ def _parse_levelled(text: str, source: str, header: str, cls):
     fill the boundary indices d_0 at degree 0 and s_{-1}, s_{k+1} at degree
     k, so `d` and `s` lines are held to the simplicial index ranges and may
     not alias them.  A table body is read as positions by `_table` against
-    the level lines above it when neither repeats an id, or else by `_entries`.
+    the level lines above it when neither repeats an id, or else by
+    `_entries` as ids; the constructor decides the shape of both.
     """
     cap = None
     stable = None

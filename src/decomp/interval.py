@@ -105,8 +105,6 @@ def wide_cartesian_factor(g: XiSetMap) -> tuple[XiSetMap, XiSetMap]:
     raises ValueError with the report's first line.
     """
     B, A = g.dom, g.cod
-    if B.cap > A.cap:
-        raise CapError("wide-cartesian factorisation needs dom.cap <= cod.cap")
     if not (rep := validate_map(g)).ok:
         raise ValueError(rep.lines()[0])
     T, comps = truncate(A, B.cap), g.components.index
@@ -164,7 +162,7 @@ def factorisation_interval(X: FinSSet, a: str) -> tuple[AlgebraicInterval, SSetM
 def labelling_system(X: FinSSet | FinXiSet) -> UnarySystem:
     """X's level sizes as sorts and its face and degeneracy position tables
     as maps, in the order validation reports them, each labelled with its
-    XISET name.  A table missing or kept as ids raises KeyError."""
+    XISET name."""
     xi = isinstance(X, FinXiSet)
     kinds = (("d", X.faces.index, -1), ("s", X.degens.index, 1))
     maps = [(_name(letter, k, i), k, k + step, tables[(k, i)])
@@ -232,8 +230,7 @@ def interval_category(data: FinXiSet) -> CategorySpec:
     """The finite category with objects A_0 and arrows A_1 under data's own
     ids, element names as a canonical form's are; composition is read off
     the (unique, by the Segal property) level-2 fillers, on positions, and
-    every element is named once at the end.  A face or s0 table kept as ids
-    raises KeyError."""
+    every element is named once at the end."""
     d, s0 = data.faces.index, data.degens.index[(0, 0)]
     objects, arrows = data.levels[0], data.levels[1]
     comp: dict[tuple[int, int], int] = {}

@@ -16,8 +16,9 @@ interval's Mobius certificate against the one read off its top interval cut
 from a nerve two levels larger, nondegeneracy by degeneracy images against
 the principal-edge test, the nerves of posets, partial monoids and
 categories against the string-by-string builds, the index-list axiom checks
-against the same checks counted on id tables, map validation against the
-walk of every naturality square simplex by simplex, the interval-site
+against the same checks counted on id tables, the constructors' shape
+refusals (on the levels and tables given, `Raw` and `RawMap`) and map
+validation against the walk of every naturality square simplex by simplex, the interval-site
 relations and culf squares checked in simplicial coordinates against every
 composable pair of site generators and the square on every generator, the
 registry coalgebra read off the objects of each class against the degree-2
@@ -31,7 +32,7 @@ entry.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from sys import intern
 
@@ -220,6 +221,36 @@ def pullback_failure_by_enumeration(P, A, B, p, q, f, g):
             if (a, b) not in seen:
                 return f"missing-fiber-pair:{a},{b}"
     return None
+
+
+@dataclass
+class Raw:
+    """The levels and tables a constructor of kind is given, id tables or
+    position lists, which the validators below read as they read an
+    object's; make() is what the constructor makes of them."""
+
+    kind: type
+    cap: int
+    levels: dict
+    faces: dict
+    degens: dict
+    stable_from: int | None = None
+
+    def make(self):
+        return self.kind(self.cap, self.levels, self.faces, self.degens, self.stable_from)
+
+
+@dataclass
+class RawMap:
+    """The ends and components a map constructor of kind is given."""
+
+    kind: type
+    dom: object
+    cod: object
+    components: dict
+
+    def make(self):
+        return self.kind(self.dom, self.cod, self.components)
 
 
 def _totality_by_item(report, label, table, src_ids, tgt_ids, degree=None):
@@ -1045,9 +1076,9 @@ def xi_generators(A):
 
 
 def validate_xiset_by_pairs(A):
-    """The interval-site validator through site arrows: shape on the
-    generators (each missing or extra table named by its degree, kind and
-    XISET name), then every composable pair of generators (u, v) against
+    """The interval-site validator through site arrows: shape table by table
+    (each missing or extra table named by its degree, kind and XISET name,
+    each entry at fault by the table's XISET name), then every composable pair of generators (u, v) against
     the walk of the normal-form word of their composite, one simplex at a
     time.  A pair in normal form is compared with itself and passes."""
     from decomp.report import Report
@@ -1060,19 +1091,21 @@ def validate_xiset_by_pairs(A):
     for k in range(-1, A.cap + 1):
         if len(set(A.levels[k])) != len(A.levels[k]):
             rep.fail(degree=k, note="duplicate-identifiers")
-    gens = xi_generators(A)
-    for name, arrow, table in gens:
-        _totality_by_item(rep, name, table, A.levels[arrow.tgt], A.levels[arrow.src], arrow.tgt)
     faces, degens = _xi_keys(A.cap)
-    for letter, kind, tables, keys in (("d", "face", A.faces, faces),
-                                       ("s", "degeneracy", A.degens, degens)):
+    kinds = (("d", "face", A.faces, faces, -1), ("s", "degeneracy", A.degens, degens, 1))
+    for letter, kind, tables, keys, step in kinds:
         for k, i in keys:
             if (k, i) not in tables:
                 rep.fail(degree=k, note=f"missing-{kind}-{_xi_name(letter, k, i)}")
+            else:
+                _totality_by_item(rep, _xi_name(letter, k, i), tables[(k, i)],
+                                  A.levels[k], A.levels[k + step], k)
+    for letter, kind, tables, keys, _ in kinds:
         for k, i in sorted(tables.keys() - set(keys)):
             rep.fail(degree=k, note=f"extra-{kind}-{_xi_name(letter, k, i)}")
     if not rep.ok:
         return rep
+    gens = xi_generators(A)
     for uname, u, tu in gens:
         for vname, v, tv in gens:
             if u.tgt != v.src:

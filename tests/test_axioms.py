@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import pytest
+
 from decomp.axioms import (
     check_complete,
     check_decomposition,
@@ -13,6 +15,7 @@ from decomp.axioms import (
 from decomp.ingest import chain_poset, divisor_poset, nerve_poset
 from decomp.presheaf import (
     FinSSet,
+    ShapeError,
     actions,
     dec_bot,
     point_sset,
@@ -121,21 +124,22 @@ def test_segal_fails_on_a_second_filler_with_both_witnesses():
 
 
 def test_segal_names_the_fault_of_an_invalid_object():
-    """The one-element poset's edge with d0 sent outside level 0 has a
-    spine that is no string of edges, so no string lacks a filler: the
-    check reports the validation fault instead."""
+    """The one-element poset's edge with d0 sent outside level 0 is no
+    object: the constructor refuses it with the validation line that
+    `check_segal` once reported for it, so no check meets it."""
     X = nerve_poset(chain_poset(0), 2)
     (edge,) = X.levels[1]
-    X = replace(X, faces={**X.faces, (1, 0): {edge: "nowhere"}})
-    assert check_segal(X).lines() == [
-        "FAIL check_segal degree=1 witness=0≤0,nowhere note=d0-target-outside-level via=validate"]
+    with pytest.raises(ShapeError) as got:
+        replace(X, faces={**X.faces, (1, 0): {edge: "nowhere"}})
+    assert got.value.report.lines() == [
+        "FAIL validate degree=1 witness=0≤0,nowhere note=d0-target-outside-level"]
 
 
 def test_segal_names_the_fault_of_a_spine_that_is_no_string():
-    """A 2-simplex zz whose outer faces are both the edge 0≤1, kept with
-    every table as positions, passes the face-table gate; its spine is no
-    string of edges, so no string lacks a filler, and the check reports
-    the relations that zz breaks instead."""
+    """A 2-simplex zz whose outer faces are both the edge 0≤1, handed over
+    with every table as positions, makes an object of the right shape; its
+    spine is no string of edges, so no string lacks a filler, and the check
+    reports the relations that zz breaks instead."""
     X = nerve_poset(chain_poset(2), 2)
     at = {k: {x: n for n, x in enumerate(ids)} for k, ids in X.levels.items()}
     faces = {key: list(t) for key, t in X.faces.index.items()}
@@ -220,29 +224,32 @@ def test_map_class_counit(poset_nerves):
 
 def test_map_class_names_a_component_that_is_not_total(poset_nerves):
     """The counit's components are the codomain's own face tables, so the
-    entry is deleted from a copy; the map is reported, not raised on."""
+    entry is deleted from a copy; the map is refused when it is made, with
+    the line `check_map_class` once reported for it."""
     from decomp.presheaf import SSetMap
 
     _, counit = dec_bot(poset_nerves["d6"])
     comps = {k: dict(t) for k, t in counit.components.items()}
     del comps[1]["1≤1≤1"]
-    for cls in ("conservative", "ulf", "culf"):
-        assert check_map_class(SSetMap(counit.dom, counit.cod, comps), cls).lines() == [
-            "FAIL validate_map witness=1≤1≤1 note=F[1]-not-total"]
+    with pytest.raises(ShapeError) as got:
+        SSetMap(counit.dom, counit.cod, comps)
+    assert got.value.report.lines() == ["FAIL validate_map witness=1≤1≤1 note=F[1]-not-total"]
     assert "1≤1≤1" in counit.components[1]
 
 
 def test_map_class_reports_components_above_the_codomain_cap():
     """The identity components of the 1-chain nerve at cap 5 into the same
-    nerve at cap 4 get the `validate_map` report, not a raise."""
-    from decomp.presheaf import SSetMap, validate_map
+    nerve at cap 4 are refused when the map is made, with the line
+    `validate_map` and `check_map_class` once reported, as ids or as
+    positions."""
+    from decomp.presheaf import SSetMap
 
     dom, cod = nerve_poset(chain_poset(1), 5), nerve_poset(chain_poset(1), 4)
-    F = SSetMap(dom, cod, {k: {x: x for x in dom.levels[k]} for k in range(dom.cap + 1)})
-    want = ["FAIL validate_map note=dom-cap-exceeds-cod-cap"]
-    assert validate_map(F).lines() == want
-    for cls in ("conservative", "ulf", "culf"):
-        assert check_map_class(F, cls).lines() == want
+    for comps in ({k: {x: x for x in dom.levels[k]} for k in range(dom.cap + 1)},
+                  {k: list(range(len(dom.levels[k]))) for k in range(dom.cap + 1)}):
+        with pytest.raises(ShapeError) as got:
+            SSetMap(dom, cod, comps)
+        assert got.value.report.lines() == ["FAIL validate_map note=dom-cap-exceeds-cod-cap"]
 
 
 def test_map_class_subposet_inclusion():
@@ -332,6 +339,18 @@ def test_mobius_fails_on_incomplete():
         degens={(0, 0): {"a": "e", "b": "e"}},
     )
     assert check_mobius(X).status == "FAIL"
+
+
+def test_unknown_method_and_map_class_are_refused_by_name(poset_nerves):
+    """A method or map class that the checks do not know raises ValueError
+    naming it, before any square is decided."""
+    X = poset_nerves["d6"]
+    with pytest.raises(ValueError) as err:
+        check_decomposition(X, "sideways")
+    assert str(err.value) == "unknown method 'sideways'"
+    with pytest.raises(ValueError) as err:
+        check_map_class(dec_bot(X)[1], "wide")
+    assert str(err.value) == "unknown map class 'wide'"
 
 
 def test_invalid_input_fails_both_methods():

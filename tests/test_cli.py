@@ -342,6 +342,58 @@ def test_registry_add_refuses_damaged_registry(tmp_path, capsys):
     assert index.read_bytes() == before + b"not-a-digest\n"
 
 
+def _shape_faulty(tmp_path, d6_sset) -> dict:
+    """An SSET whose d 1 0 line lost its first pair, and the interval of
+    1≤6 without its sbot 0 line, each with the validation line it fails."""
+    iv = tmp_path / "i.xiset"
+    assert main(["interval", d6_sset, "--arrow", f"1{SEP}6", "-o", str(iv)]) == 0
+    lines = Path(d6_sset).read_text(encoding="utf-8").splitlines(keepends=True)
+    n = next(n for n, line in enumerate(lines) if line.startswith("d 1 0:"))
+    head, _, body = lines[n].partition(": ")
+    lines[n] = f"{head}: {body.partition(' ; ')[2]}"
+    bad = {"sset": tmp_path / "bad.sset", "xiset": tmp_path / "bad.xiset"}
+    bad["sset"].write_text("".join(lines), encoding="utf-8")
+    bad["xiset"].write_text("".join(ln for ln in iv.read_text(encoding="utf-8").splitlines(
+        keepends=True) if not ln.startswith("sbot 0:")), encoding="utf-8")
+    return {"sset": (str(bad["sset"]), f"FAIL validate degree=1 witness=1{SEP}1 note=d0-not-total"),
+            "xiset": (str(bad["xiset"]), "FAIL validate degree=0 note=missing-degeneracy-sbot[0]")}
+
+
+@pytest.mark.parametrize("argv, kind, code, out", [
+    (["nerve", "{}", "-o", "{out}"], "sset", 2, "FAIL nerve note=input-is-already-a-presheaf"),
+    (["nerve", "{}", "-o", "{out}"], "xiset", 2, "FAIL nerve note=input-is-already-a-presheaf"),
+    (["dec", "bot", "{}", "-o", "{out}"], "xiset", 2, "FAIL dec note=input-is-not-an-SSET"),
+    (["check", "segal", "{}"], "xiset", 2, "FAIL check note=input-is-not-an-SSET"),
+    (["check", "flanked", "{}"], "sset", 2, "FAIL check_flanked note=input-is-not-an-XISET"),
+    (["registry", "add", "{reg}", "{}"], "sset", 2, "FAIL registry-add note=input-is-not-an-XISET"),
+    (["dec", "bot", "{}", "-o", "{out}"], "sset", 2, None),
+    (["check", "segal", "{}"], "sset", 1, None),
+    (["check", "flanked", "{}"], "xiset", 1, None),
+], ids=["nerve-sset", "nerve-xiset", "dec-xiset", "segal-xiset", "flanked-sset",
+        "add-sset", "dec-sset", "segal-sset", "flanked-xiset"])
+def test_kind_refusals_print_before_any_shape_line(tmp_path, d6_sset, capsys, argv, kind,
+                                                   code, out):
+    """A file whose tables make no object is refused for its kind first, as
+    a valid one is; of the kind the command reads, it gets its validation
+    line, with exit 2 where the command refuses its input and 1 from a
+    check."""
+    path, line = _shape_faulty(tmp_path, d6_sset)[kind]
+    reg, dest = tmp_path / "reg", tmp_path / "out"
+    capsys.readouterr()
+    assert main([a.format(path, out=dest, reg=reg) for a in argv]) == code
+    assert capsys.readouterr() == ((out or line) + "\n", "")
+    assert not reg.exists() and not dest.exists()
+
+
+def test_registry_add_refuses_a_shape_fault_as_failed_validation(tmp_path, d6_sset, capsys):
+    """An interval file whose tables make no object is refused as an entry
+    that fails validation, with the line naming its fault, on stderr."""
+    path, line = _shape_faulty(tmp_path, d6_sset)["xiset"]
+    capsys.readouterr()
+    assert main(["registry", "add", str(tmp_path / "reg"), path]) == 2
+    assert capsys.readouterr() == ("", f"error: entry fails validation:\n{line}\n")
+
+
 _INVALID_INTERVAL = {
     "sbot 0:": "FAIL validate degree=0 note=missing-degeneracy-sbot[0]",
     "level -1:": "FAIL validate note=levels-do-not-match-cap",

@@ -38,6 +38,8 @@ from decomp.ingest import MonoidSpec, divisor_poset, nerve, nerve_poset, truncat
 from decomp.interval import factorisation_interval
 from decomp.presheaf import (
     FinXiSet,
+    FinSSet,
+    ShapeError,
     SSetMap,
     dec_bot,
     dec_top,
@@ -261,6 +263,33 @@ def test_smap_roundtrip(tmp_path):
     assert M.dom == D and M.cod == X
 
 
+@pytest.mark.parametrize("body, lineno, message", [
+    ("dom d.sset\ncod d6.poset\nlevel 0:\n", 0, "cod file 'd6.poset' is not an SSET or XISET"),
+    ("dom d.sset\ncod u.xiset\nlevel 0:\n", 0, "dom and cod files are of different kinds"),
+    ("# no cod line\ndom d.sset\nlevel 0:\n", 0, "missing dom/cod"),
+    ("dom d.sset\n\ncod d.sset\nlevel 0: 1->1 ; ->2\n", 5, "bad map entry '->2'"),
+    ("dom d.sset\ncod d.sset\nlevel 0: 1->1 ; 2 3->2\n", 4, "bad map entry '2 3->2'"),
+], ids=["cod-not-a-presheaf", "different-kinds", "missing-cod", "empty-source",
+        "spaced-source"])
+def test_load_smap_input_guards_name_their_line(tmp_path, body, lineno, message):
+    """Each refusal of an SMAP file names the file and the line it is on, 0
+    for a fault of the file as a whole; `check culf` prints it on stderr
+    and exits 2."""
+    X = nerve_poset(divisor_poset(6), 3)
+    save(X, tmp_path / "d.sset")
+    save(u_star(X), tmp_path / "u.xiset")
+    save(divisor_poset(6), tmp_path / "d6.poset")
+    smap = tmp_path / "m.smap"
+    smap.write_text("SMAP v1\n" + body, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_smap(str(smap))
+    assert (err.value.lineno, str(err.value)) == (lineno, f"{smap}:{lineno}: {message}")
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as got:
+        assert main(["check", "culf", str(smap)]) == 2
+    assert (out.getvalue(), got.getvalue()) == ("", f"error: {smap}:{lineno}: {message}\n")
+
+
 def test_load_sniffs_format(tmp_path):
     save(divisor_poset(6), tmp_path / "p.poset")
     spec = load(str(tmp_path / "p.poset"))
@@ -302,25 +331,30 @@ def test_writers_refuse_ids_their_parser_cannot_read(bad, write, make):
 
 
 def test_writer_names_the_first_unreadable_id():
+    """Two 2-simplices renamed, the tables handed over as positions: the
+    writer names the first unreadable id in its sorted order."""
     X = nerve_poset(divisor_poset(6), 3)
     levels = dict(X.levels)
-    levels[2] = ["zz z", *X.levels[2], "a#"]
+    levels[2] = ["zz z", *X.levels[2][1:-1], "a#"]
     with pytest.raises(ValueError, match="level 2 id 'a#'"):
-        write_sset(replace(X, levels=levels))
+        write_sset(FinSSet(X.cap, levels, X.faces.index, X.degens.index))
 
 
-def test_a_table_kept_as_ids_is_written_from_its_ids():
-    """A table that cannot be made into positions, one entry sent outside
-    its level, is kept and written as given, and reads back to the same
-    validation lines."""
+def test_a_table_outside_its_level_is_refused_as_object_and_as_text():
+    """A table with one entry sent outside its level makes no object, so
+    there is nothing to write: the constructor and the parser of the text
+    holding that entry refuse it with the same validation line."""
     X = nerve_poset(divisor_poset(6), 3)
     key = X.levels[2][0]
-    Y = replace(X, faces={**X.faces, (2, 0): {**X.faces[(2, 0)], key: "nowhere"}})
-    assert (2, 0) in Y.faces and (2, 0) not in Y.faces.index
-    text = write_sset(Y)
+    want = [f"FAIL validate degree=2 witness={key},nowhere note=d0-target-outside-level"]
+    with pytest.raises(ShapeError) as got:
+        replace(X, faces={**X.faces, (2, 0): {**X.faces[(2, 0)], key: "nowhere"}})
+    assert got.value.report.lines() == want
+    text = re.sub(f"(d 2 0:.*{re.escape(key)}->)[^ ]*", r"\1nowhere", write_sset(X))
     assert f"{key}->nowhere" in text
-    assert validate(parse_sset(text)).lines() == validate(Y).lines() == [
-        f"FAIL validate degree=2 witness={key},nowhere note=d0-target-outside-level"]
+    with pytest.raises(ShapeError) as got:
+        parse_sset(text)
+    assert got.value.report.lines() == want
 
 
 @pytest.mark.parametrize("bad", ["", "a#b.sset", " lead.sset", "trail.sset ", "a\nb.sset",

@@ -1,6 +1,7 @@
 """Import hygiene: every name a module of `decomp` imports is used there,
-only `presheaf` reads how a table is stored or reads one by key, and lists
-of positions are composed by `presheaf._gather`.
+only `presheaf` reads how a table is stored or reads one by key, no
+docstring says a table is kept as ids, and lists of positions are composed
+by `presheaf._gather`.
 
 Two kinds of import are exempt: the re-exports of `decomp/__init__.py`, and
 the bindings that perfbench/tracer.py's PLAN wraps, which a module may
@@ -93,16 +94,32 @@ def test_unused_and_stray_noqa_imports_are_named():
 
 
 def test_only_presheaf_reads_the_stored_form():
-    """How a table is stored, as positions or as an id table kept as given,
-    stays inside `presheaf`: every other module reads `index` or the id
-    view, never an attribute named `stored`."""
+    """A table is stored once, as the position list `index` holds; how
+    `_Tables` keeps anything else, the id view it has made (`ids`) or a
+    second form of a table (`stored`), stays inside `presheaf`: every other
+    module reads `index` or the id view, never an attribute of those
+    names."""
     readers = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "presheaf.py":
             tree = ast.parse(path.read_text(encoding="utf-8"))
             readers += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
-                        if isinstance(node, ast.Attribute) and node.attr == "stored"]
+                        if isinstance(node, ast.Attribute) and node.attr in ("stored", "ids")]
     assert readers == []
+
+
+def test_no_docstring_says_kept_as_ids():
+    """The constructor decides shape, so no stored table is an id table, and
+    no docstring of `src/` says that one is "kept as ids"."""
+    sayers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                doc = ast.get_docstring(node, clean=False) or ""
+                if "kept as ids" in " ".join(doc.split()):
+                    sayers.append(f"{path.stem}:{getattr(node, 'name', '<module>')}")
+    assert sayers == []
 
 
 def _reads_by_key(node) -> bool:
@@ -122,9 +139,8 @@ def test_only_presheaf_reads_tables_by_key():
     """Only `presheaf` names a face or degeneracy table or a map component
     in ids: every other module reads its positions through `index`, or calls
     presheaf's own naming functions (`sset_action`, `fibres`,
-    `nondegenerate`).  A table kept as ids has no positions, so the writers
-    read one through the `_Tables` they hold, by a name of their own, which
-    this guard does not follow."""
+    `nondegenerate`).  Every table has positions, so the writers read them
+    through `index` as well."""
     readers = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "presheaf.py":

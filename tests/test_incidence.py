@@ -363,17 +363,19 @@ def test_culf_pushforward_refuses_a_valid_map_that_is_not_culf(d6):
 ], ids=["delete", "outside"])
 def test_culf_pushforward_refuses_a_map_that_is_not_valid(d6, how, line):
     """A level-1 component entry of the counit deleted or sent outside the
-    codomain: the map's validation lines, not a KeyError."""
+    codomain: no map to push forward, refused when it is made with the
+    validation line `culf_pushforward` once raised, not a KeyError."""
+    from decomp.presheaf import ShapeError
+
     _, counit = dec_bot(d6)
     table = dict(counit.components[1])
     if how == "delete":
         del table[f"1{SEP}1{SEP}1"]
     else:
         table[f"1{SEP}1{SEP}1"] = "zz"
-    F = replace(counit, components={**counit.components, 1: table})
-    with pytest.raises(NotCertified) as info:
-        culf_pushforward(F)
-    assert str(info.value) == f"map is not valid:\n{line}"
+    with pytest.raises(ShapeError) as got:
+        replace(counit, components={**counit.components, 1: table})
+    assert got.value.report.lines() == [line]
 
 
 def test_phi_pulls_back_along_interval_embedding(poset_nerves):

@@ -26,6 +26,7 @@ from decomp.interval import (
 from decomp.presheaf import (
     CapError,
     FinXiSet,
+    ShapeError,
     XiSetMap,
     i_star,
     point_sset,
@@ -33,6 +34,7 @@ from decomp.presheaf import (
     transpose_arrow,
     truncate,
     u_star,
+    validate,
     validate_map,
     xi_representable,
 )
@@ -161,10 +163,18 @@ def test_cap_zero_interval_is_refused(diamond):
 
 def test_validate_interval_returns_an_invalid_inputs_validate_report(diamond):
     """Validity comes first, so an interval without level -1 is named by
-    `validate` rather than raised on while counting that level."""
+    `validate`'s line rather than raised on while counting that level: the
+    constructor refuses it with that line, and `validate_interval` returns
+    the `validate` report of an input that breaks a relation."""
     levels = {k: ids for k, ids in diamond.data.levels.items() if k != -1}
-    rep = validate_interval(AlgebraicInterval(replace(diamond.data, levels=levels)))
-    assert rep.lines() == ["FAIL validate note=levels-do-not-match-cap"]
+    with pytest.raises(ShapeError) as got:
+        replace(diamond.data, levels=levels)
+    assert got.value.report.lines() == ["FAIL validate note=levels-do-not-match-cap"]
+    d0 = list(diamond.data.faces.index[(1, 0)])
+    d0[0] = (d0[0] + 1) % len(diamond.data.levels[0])
+    bad = replace(diamond.data, faces={**diamond.data.faces.index, (1, 0): d0})
+    rep = validate_interval(AlgebraicInterval(bad))
+    assert rep.lines() == validate(bad).lines() and rep.check == "validate" and not rep.ok
 
 
 def test_an_interval_whose_s0_merges_two_objects_fails_validation(diamond):
@@ -300,9 +310,11 @@ def test_two_fillers_of_one_spine_are_an_ambiguous_composite():
 
 
 def test_wide_cartesian_factorisation_refuses_a_domain_above_the_codomains_cap():
-    g = XiSetMap(xi_representable(-1, 2), xi_representable(-1, 1), {})
-    with pytest.raises(CapError, match="wide-cartesian factorisation needs dom.cap <= cod.cap"):
-        wide_cartesian_factor(g)
+    """No map has a domain above its codomain's cap, so there is none to
+    factor: the constructor refuses it."""
+    with pytest.raises(ShapeError) as got:
+        XiSetMap(xi_representable(-1, 2), xi_representable(-1, 1), {})
+    assert got.value.report.lines() == ["FAIL validate_map note=dom-cap-exceeds-cod-cap"]
 
 
 def test_interval_idempotence(d12):
@@ -372,17 +384,18 @@ def test_wide_cartesian_factorisation_names_a_map_that_is_not_natural(d12):
 
 def test_check_wide_reads_positions(d12, poset_nerves):
     """`check_wide` reads the degree -1 positions and builds no id table; a
-    component without positions (here, one not total) is not wide."""
+    degree -1 component that is not total makes no map."""
     g = transpose_arrow(d12, arrow("1", "12"))
-    partial = XiSetMap(g.dom, g.cod, {**{k: dict(g.components[k]) for k in g.components}, -1: {}})
-    assert -1 not in partial.components.index
+    with pytest.raises(ShapeError) as got:
+        XiSetMap(g.dom, g.cod, {**{k: dict(g.components[k]) for k in g.components}, -1: {}})
+    assert got.value.report.lines() == ["FAIL validate_map witness=x0_1 note=G[-1]-not-total"]
     g = transpose_arrow(d12, arrow("1", "12"))
     wide, _ = wide_cartesian_factor(g)
     A = u_star(poset_nerves["d6"])
     ident = XiSetMap(A, A, {k: {x: x for x in A.levels[k]} for k in range(-1, A.cap + 1)})
-    maps = (g, wide, ident, partial)
-    assert [check_wide(F) for F in maps] == [False, True, True, False]
-    assert not any(F.components.ids for F in maps[:3])
+    maps = (g, wide, ident)
+    assert [check_wide(F) for F in maps] == [False, True, True]
+    assert not any(F.components.ids for F in maps)
 
 
 def test_zero_subdivisions_at_most_one(poset_nerves):

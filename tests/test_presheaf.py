@@ -12,6 +12,7 @@ from decomp.interval import isomorphic
 from decomp.presheaf import (
     CapError,
     FinSSet,
+    ShapeError,
     SSetMap,
     counit_eps,
     dec_bot,
@@ -91,16 +92,18 @@ def test_validate_reports_planted_violation():
     assert any(key in line for line in rep.lines())
 
 
-def test_a_table_from_a_level_that_repeats_an_id_is_kept_as_ids():
-    """An id table whose source level repeats an id stays an id table even
-    when an extra source makes it as long as that level, so validation
-    names the extra source as well as the repeat."""
+def test_a_table_from_a_level_that_repeats_an_id_is_refused():
+    """An id table whose source level repeats an id is not made into
+    positions even when an extra source makes it as long as that level, so
+    the constructor names the extra source as well as the repeat."""
     X = nerve_poset(chain_poset(1), 2)
     faces = {**X.faces, (1, 0): {**X.faces[(1, 0)], "extra": "0"}}
-    Y = FinSSet(2, {**X.levels, 1: X.levels[1] + [SEP.join("01")]}, faces, dict(X.degens))
-    assert (1, 0) not in Y.faces.index
-    assert validate(Y).lines() == ["FAIL validate degree=1 note=duplicate-identifiers",
-                                   "FAIL validate degree=1 witness=extra note=d0-extra-source"]
+    with pytest.raises(ShapeError) as got:
+        FinSSet(2, {**X.levels, 1: X.levels[1] + [SEP.join("01")]}, faces, dict(X.degens))
+    assert got.value.kind is FinSSet
+    assert got.value.report.lines() == [
+        "FAIL validate degree=1 note=duplicate-identifiers",
+        "FAIL validate degree=1 witness=extra note=d0-extra-source"]
 
 
 def test_dec_bot_level_zero_counts():
@@ -310,30 +313,54 @@ def test_pullback_kernel_rejection_never_passes(monkeypatch):
     assert pullback_failure(*square) == "kernel-and-enumeration-disagree"
 
 
+def _one_face_retargeted(X):
+    """X with d0 of its first 2-simplex sent to another edge: total, but
+    no longer a simplicial set."""
+    x, d0 = X.levels[2][0], dict(X.faces[(2, 0)])
+    d0[x] = next(y for y in X.levels[1] if y != d0[x])
+    return replace(X, faces={**X.faces, (2, 0): d0})
+
+
 def test_validate_map_reports_an_invalid_end():
-    """An end that is not valid gets its own validation report back, the
-    domain's first, where the naturality check would raise."""
+    """An end with a shape fault is refused when it is made; an end that
+    breaks a relation gets its own validation report back, the domain's
+    first, where the naturality check would read a wrong square.  A map
+    whose components have a shape fault too is refused with that end's
+    report, as `validate_map` would give it."""
     _, counit = dec_bot(nerve_poset(divisor_poset(6), 5))
     levels = dict(counit.cod.levels)
     levels[0] = levels[0] + levels[0][:1]
-    bad_cod = replace(counit, cod=replace(counit.cod, levels=levels))
-    assert validate_map(bad_cod).lines() == ["FAIL validate degree=0 note=duplicate-identifiers"]
+    with pytest.raises(ShapeError) as got:
+        replace(counit.cod, levels=levels)
+    assert got.value.report.lines() == ["FAIL validate degree=0 note=duplicate-identifiers"]
     faces = {key: t for key, t in counit.dom.faces.items() if key != (1, 0)}
-    bad_dom = replace(counit, dom=replace(counit.dom, faces=faces))
-    assert validate_map(bad_dom).lines() == ["FAIL validate degree=1 note=missing-face-d0"]
-    both = replace(bad_dom, cod=bad_cod.cod)
-    assert validate_map(both).lines() == validate_map(bad_dom).lines()
+    with pytest.raises(ShapeError) as got:
+        replace(counit.dom, faces=faces)
+    assert got.value.report.lines() == ["FAIL validate degree=1 note=missing-face-d0"]
+    bad_dom, bad_cod = map(_one_face_retargeted, (counit.dom, counit.cod))
+    want_dom, want_cod = validate(bad_dom).lines(), validate(bad_cod).lines()
+    assert not validate(bad_dom).ok and not validate(bad_cod).ok
+    assert validate_map(replace(counit, cod=bad_cod)).lines() == want_cod
+    assert validate_map(replace(counit, dom=bad_dom)).lines() == want_dom
+    assert validate_map(replace(counit, dom=bad_dom, cod=bad_cod)).lines() == want_dom
+    comps = {k: dict(t) for k, t in counit.components.items()}
+    del comps[1][counit.dom.levels[1][0]]
+    for dom, cod, want in ((bad_dom, bad_cod, want_dom), (counit.dom, bad_cod, want_cod)):
+        with pytest.raises(ShapeError) as got:
+            SSetMap(dom, cod, comps)
+        assert got.value.kind is SSetMap and got.value.report.lines() == want
 
 
 def test_validate_map_names_a_missing_component():
-    """A degree under the domain's cap with no component fails as
+    """A degree under the domain's cap with no component is refused as
     missing-component at that degree, whether a component above it is there
-    or not; no naturality square is read."""
+    or not, though the others are handed over as positions."""
     _, counit = dec_bot(nerve_poset(divisor_poset(6), 5))
     comps = dict(counit.components.index)
     for k in (0, 2, counit.dom.cap):
-        F = SSetMap(counit.dom, counit.cod, {j: t for j, t in comps.items() if j != k})
-        assert validate_map(F).lines() == [f"FAIL validate_map degree={k} note=missing-component"]
+        with pytest.raises(ShapeError) as got:
+            SSetMap(counit.dom, counit.cod, {j: t for j, t in comps.items() if j != k})
+        assert got.value.report.lines() == [f"FAIL validate_map degree={k} note=missing-component"]
 
 
 def test_u_star_of_culf_is_cartesian(poset_nerves):

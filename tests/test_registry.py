@@ -130,6 +130,34 @@ def test_failed_save_keeps_stored_files(diamond_registry, tmp_path, monkeypatch)
         assert all(e.arrows is not None for e in again.entries.values())
 
 
+def test_registry_close_removes_the_temporary_file_of_a_failed_move(
+        diamond_interval, tmp_path, monkeypatch, capsys):
+    """`registry close` whose move of a written file into place fails exits
+    2 with the error on stderr, removes the temporary file it wrote, and
+    leaves index.tsv and every stored file byte-identical."""
+    reg = Registry()
+    reg.insert(diamond_interval, name="diamond")
+    root = tmp_path / "reg"
+    reg.save(str(root))
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    moves = []
+
+    def failing(src, dst):
+        moves.append((os.path.exists(src), dst))
+        raise OSError(f"cannot move {os.path.basename(src)}")
+
+    monkeypatch.setattr(registry.os, "replace", failing)
+    capsys.readouterr()
+    assert main(["registry", "close", str(root)]) == 2
+    monkeypatch.undo()
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot move ") and err.endswith(".tmp\n")
+    assert moves and moves[0][0]
+    assert not list(root.glob("*.tmp"))
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+    assert (root / "index.tsv").read_bytes() == before["index.tsv"]
+
+
 def test_closure_of_diamond(diamond_registry):
     assert len(diamond_registry.entries) == 3
     assert diamond_registry.is_closed()
@@ -251,10 +279,11 @@ def test_load_refuses_unreadable_entry(tmp_path, diamond_registry, damage):
         Registry.load(str(root))
 
 
-def test_load_refuses_an_entry_whose_table_is_kept_as_ids(tmp_path, diamond_registry):
-    """An entry whose d 1 0 line lost its first pair parses, that table kept
-    as ids; re-canonicalizing it reads positions, so the refusal names the
-    table's key where it once named the missing id."""
+def test_load_refuses_an_entry_whose_table_is_not_total(tmp_path, diamond_registry):
+    """An entry whose d 1 0 line lost its first pair makes no object: the
+    parser's constructor refuses it, and the refusal names the table's
+    fault by its validation line, where it once named only the table's key
+    (`damaged: (1, 0)`)."""
     root = tmp_path / "reg"
     diamond_registry.save(str(root))
     digest = diamond_registry.names["diamond"]
@@ -264,7 +293,8 @@ def test_load_refuses_an_entry_whose_table_is_kept_as_ids(tmp_path, diamond_regi
     head, _, body = lines[at].partition(": ")
     lines[at] = f"{head}: {body.partition(' ; ')[2]}"
     victim.write_text("\n".join(lines), encoding="utf-8")
-    want = f"stored entry {digest[:12]} is damaged: (1, 0)"
+    want = (f"stored entry {digest[:12]} is damaged: "
+            "FAIL validate degree=1 witness=n1_0 note=d[1,0]-not-total")
     with pytest.raises(RegistryError, match=f"^{re.escape(want)}$"):
         Registry.load(str(root))
 
