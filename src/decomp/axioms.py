@@ -9,6 +9,9 @@ simplicial coordinates, is cartesian exactly when it is culf.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import cache
+
 from .presheaf import (
     CapError,
     FinSSet,
@@ -109,6 +112,13 @@ def check_complete(X: FinSSet) -> bool:
 # the exactness condition
 
 
+@cache
+def _generic_free_squares(cap: int) -> dict:
+    """The generic-free squares of generators under cap, (g, f): (f2, g2), in `direct`'s order."""
+    return {(g, f): pushout_generic_free(g, f) for m in range(1, cap)
+            for g in generic_generators(m) if g.tgt < cap for f in free_generators(m)}
+
+
 @memoised
 def check_decomposition(X: FinSSet, method: str = "both") -> Report:
     """Check that images of generic-free pushouts are pullbacks.
@@ -153,22 +163,18 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
                 rep.absorb(culf)
         rep.verified_upto = X.cap
         return rep
-    act = actions(X)
+    act, over, pairs = actions(X), {}, _generic_free_squares(X.cap)
     before = act.compositions
-    squares: dict[int, int] = {}
-    for m in range(0, X.cap + 1):
-        for g in generic_generators(m):
-            for f in free_generators(m):
-                corner = g.tgt + 1
-                if corner > X.cap or f.tgt > X.cap:
-                    continue
-                squares[corner] = squares.get(corner, 0) + 1
-                f2, g2 = pushout_generic_free(g, f)
-                bad = pullback_failure(X.levels[f2.tgt], X.levels[g.tgt], X.levels[f.tgt],
-                                       *map(act.index, (f2, g2, g, f)))
-                if bad is not None:
-                    rep.fail(degree=corner, note=f"pushout({g},{f}):{bad}")
-    rep.data["squares"] = squares
+    for (g, f), (f2, g2) in pairs.items():
+        sides = list(map(act.index, (f2, g2, g, f)))
+        if f not in over:  # X(f)'s fibres, counted once; only the two out of [m] kept
+            over = {h: n for h, n in over.items() if h.src == f.src}
+            over[f] = Counter(sides[3])
+        bad = pullback_failure(X.levels[f2.tgt], X.levels[g.tgt], X.levels[f.tgt], *sides,
+                               over[f], g.tgt < g.src)  # codegeneracy g: X(g2) a split degeneracy
+        if bad is not None:
+            rep.fail(degree=g.tgt + 1, note=f"pushout({g},{f}):{bad}")
+    rep.data["squares"] = dict(Counter(g.tgt + 1 for g, _ in pairs))
     rep.data["compositions"] = act.compositions - before
     rep.verified_upto = X.cap
     return rep
@@ -181,7 +187,7 @@ def _squares_shared(counit: SSetMap, act, top: bool) -> bool:
     for letter, k, i, square in _map_squares(counit, "culf"):
         g = codegeneracy(k + 1, i) if letter == "s" else coface(k - 1, i)
         f = free_generators(g.src)[top]
-        f2, g2 = pushout_generic_free(g, f)
+        f2, g2 = _generic_free_squares(counit.cod.cap)[g, f]
         if square[3:] != tuple(map(act.index, (g2, f2, f, g))):
             return False
     return True

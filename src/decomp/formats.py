@@ -13,7 +13,7 @@ import os
 from sys import intern
 
 from .ingest import CategorySpec, MonoidSpec, PosetSpec, SpecError
-from .presheaf import FinSSet, FinXiSet, SSetMap, XiSetMap, _gather
+from .presheaf import FinSSet, FinXiSet, ShapeError, SSetMap, XiSetMap, _gather
 
 
 class ParseError(ValueError):
@@ -300,16 +300,21 @@ def _read(path: str) -> str:
 
 def load_smap(path: str) -> SSetMap | XiSetMap:
     dom_path, cod_path, comps = parse_smap_text(_read(path), path)
-    base = os.path.dirname(os.path.abspath(path))
-    dom, cod = (load(os.path.join(base, p)) for p in (dom_path, cod_path))
-    for key, p, obj in (("dom", dom_path, dom), ("cod", cod_path, cod)):
-        if not isinstance(obj, (FinSSet, FinXiSet)):
+    base, ends = os.path.dirname(os.path.abspath(path)), []
+    for key, p in (("dom", dom_path), ("cod", cod_path)):
+        try:
+            end = load(os.path.join(base, p))
+        except ShapeError as exc:  # raised once both kinds are checked, the domain's first
+            end = exc
+        ends.append((end, end.kind if isinstance(end, ShapeError) else type(end)))
+        if not issubclass(ends[-1][1], (FinSSet, FinXiSet)):
             raise ParseError(path, 0, f"{key} file {p!r} is not an SSET or XISET")
-    if isinstance(dom, FinXiSet) and isinstance(cod, FinXiSet):
-        return XiSetMap(dom, cod, comps)
-    if isinstance(dom, FinSSet) and isinstance(cod, FinSSet):
-        return SSetMap(dom, cod, comps)
-    raise ParseError(path, 0, "dom and cod files are of different kinds")
+    (dom, kind), (cod, other) = ends
+    if kind is not other:
+        raise ParseError(path, 0, "dom and cod files are of different kinds")
+    if fault := next((end for end in (dom, cod) if isinstance(end, ShapeError)), None):
+        raise fault
+    return (XiSetMap if kind is FinXiSet else SSetMap)(dom, cod, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -174,15 +174,16 @@ class _Presheaf:
             raise ShapeError(rep, type(self))
         families = [t.index if isinstance(t, _Tables) and t.levels is levels else t
                     for t in (self.faces, self.degens)]
-        keys, lists = _table_keys(self.cap, xi), all(
-            isinstance(t, list) for tables in families for t in tables.values())
-        read = {k for tables in families for k, _ in tables} if lists else ()
+        *keys, read = _table_keys(self.cap, xi)
+        lists = all(isinstance(t, list) for tables in families for t in tables.values())
+        if not (fast := lists and all(t.keys() == ks.keys() for t, ks in zip(families, keys))):
+            read = {k for tables in families for k, _ in tables} if lists else ()
         at = {k: dict(zip(ids, count())) for k, ids in sorted(levels.items()) if k not in read}
         for k, pos in at.items():
             if len(pos) != len(levels[k]):
                 rep.fail(degree=k, note="duplicate-identifiers")
                 at[k] = None
-        if not lists or any(tables.keys() != ks.keys() for tables, ks in zip(families, keys)):
+        if not fast:
             kinds = list(zip("ds", ("face", "degeneracy"), families, (-1, 1), keys))
             families = [dict.fromkeys(tables) for _, _, tables, _, _ in kinds]  # keys as given
             for (letter, kind, tables, step, ks), made in zip(kinds, families):
@@ -276,16 +277,16 @@ def memoised(fn):
 
 
 @cache
-def _table_keys(cap: int, xi: bool) -> tuple[dict, dict]:
+def _table_keys(cap: int, xi: bool) -> tuple[dict, dict, set]:
     """The keys of the face and degeneracy tables an object of this cap
-    must have, in the order validation reports them, as the keys of two
-    dicts made once per cap; xi adds the extra interval-site maps."""
+    must have, in validation's order, as two dicts' keys, and the degrees
+    they read, made once per cap; xi adds the extra interval-site maps."""
     faces = [(k, i) for k in range(1, cap + 1) for i in range(k + 1)]
     degens = [(k, j) for k in range(cap) for j in range(k + 1)]
     if xi:
         faces += [(0, 0)]
         degens += [(k, j) for k in range(-1, cap) for j in (-1, k + 1)]
-    return dict.fromkeys(faces), dict.fromkeys(degens)
+    return dict.fromkeys(faces), dict.fromkeys(degens), {k for k, _ in faces + degens}
 
 
 def _name(letter: str, k: int, i: int) -> str:
@@ -324,7 +325,7 @@ def _reindexed(X, kind, cap: int, shift: int, offset: int, stable: int | None):
     whose table at (k, i) is X's table at (k + shift, i + offset), for each
     key `_table_keys` gives, handed over as X stores it."""
     xi = kind is FinXiSet
-    face_keys, degen_keys = _table_keys(cap, xi)
+    face_keys, degen_keys, _ = _table_keys(cap, xi)
     return kind(cap, {k: X.levels[k + shift] for k in range(-xi, cap + 1)},
                 {(k, i): X.faces.index[(k + shift, i + offset)] for k, i in face_keys},
                 {(k, j): X.degens.index[(k + shift, j + offset)] for k, j in degen_keys}, stable)
@@ -353,10 +354,10 @@ class _Actions:
     def _walk(self, a: MonotoneMap, word: list[MonotoneMap]) -> list[int]:
         table = self.tables.get(a)
         if table is None:
-            if word:
-                prefix = reduce(compose, word[:-1], identity(a.src))
-                outer = self._walk(prefix, word[:-1])
-                table = _gather(outer, _generator_table(self, word[-1], self.shift))
+            if word:  # a generator's action is its stored table itself
+                table, rest = _generator_table(self, word[-1], self.shift), word[:-1]
+                if rest:
+                    table = _gather(self._walk(reduce(compose, rest, identity(a.src)), rest), table)
                 self.compositions += 1
             else:
                 table = list(range(len(self.levels[a.tgt - self.shift])))
@@ -370,10 +371,10 @@ def actions(X) -> _Actions:
     positions.
 
     An interval-site presheaf takes the representing monotone map of a site
-    arrow.  act.index(a) is one composition of index lists: the list of the
-    last generator of a's word, then the memoised X(p) of the composite p of
-    the rest of the word, which is p's own word.  act.compositions counts
-    the compositions made on X so far.
+    arrow.  act.index(a) counts as one composition: the stored list of the
+    last generator of a's word, itself if it is the only one, else gathered
+    through the memoised X(p) of the composite p of the rest, p's own word.
+    act.compositions counts the compositions made on X so far.
     """
     return _Actions(X)
 
@@ -421,7 +422,7 @@ def _check_relations(rep: Report, X) -> None:
     as relation:<outer>;<inner> with the map applied last first.
     """
     xi = isinstance(X, FinXiSet)
-    face_keys, degen_keys = _table_keys(X.cap, xi)
+    face_keys, degen_keys, _ = _table_keys(X.cap, xi)
     d = {(k + 2 * xi, i + xi): X.faces.index[(k, i)] for k, i in face_keys}
     s = {(k + 2 * xi, j + xi): X.degens.index[(k, j)] for k, j in degen_keys}
     tables = {"d": d, "s": s}
@@ -503,7 +504,7 @@ def _map_squares(F, cls: str | None = None) -> list:
     degeneracy unless cls is "ulf", then each inner face unless it is
     "conservative"."""
     Y, X, xi = F.dom, F.cod, isinstance(F.dom, FinXiSet)
-    comp, (face_keys, degen_keys) = F.components.index, _table_keys(Y.cap, xi)
+    comp, (face_keys, degen_keys, _) = F.components.index, _table_keys(Y.cap, xi)
     d = [("d", k, i, -1, Y.faces.index, X.faces.index) for k, i in face_keys
          if cls is None or cls != "conservative" and 0 < i + xi < k + 2 * xi]
     s = [("s", k, i, 1, Y.degens.index, X.degens.index) for k, i in degen_keys if cls != "ulf"]
@@ -693,21 +694,21 @@ def ez_decompose(X: FinSSet, k: int, x: str) -> tuple[list[int], str]:
 # finite pullback squares
 
 
-def pullback_failure(P: list, A: list, B: list, p: list[int], q: list[int],
-                     f: list[int], g: list[int]) -> str | None:
+def pullback_failure(P: list, A: list, B: list, p: list[int], q: list[int], f: list[int],
+                     g: list[int], over: Counter | None = None, injective=False) -> str | None:
     """Why the square p: P -> A, q: P -> B over f: A -> C, g: B -> C fails
     to be a pullback, or None if it is one.
 
-    p, q, f and g are index lists, as `_counted_pullback` takes them: entry
-    n of p is the position in A of the image of P[n], and f and g list the
-    positions in C that A and B reach.  P, A and B list the ids that name
-    those positions.  Only a square the kernel rejects is enumerated, in
-    the order of P, then of A and B, to name its first fault: a position
-    where the square does not commute, two elements of P with the same
-    pair, or a pair of A x_C B that P misses; if the enumeration finds none
-    of these, the fault is that it and the kernel disagree.
+    p, q, f, g, over and injective are as `_counted_pullback` takes them:
+    entry n of p is the position in A of the image of P[n], and f and g
+    list the positions in C that A and B reach; P, A and B list the ids
+    naming those positions.  Only a square the kernel rejects is
+    enumerated, in P's order, then A's and B's, to name its first fault: a
+    position where the square does not commute, two elements of P with one
+    pair, or a pair of A x_C B that P misses; if the enumeration finds
+    none, the fault is that it and the kernel disagree.
     """
-    if _counted_pullback(p, q, f, g):
+    if _counted_pullback(p, q, f, g, over, injective):
         return None
     seen: dict[tuple[int, int], int] = {}
     for n, (a, b) in enumerate(zip(p, q)):
@@ -726,20 +727,20 @@ def pullback_failure(P: list, A: list, B: list, p: list[int], q: list[int],
     return "kernel-and-enumeration-disagree"
 
 
-def _counted_pullback(p: list[int], q: list[int], f: list[int], g: list[int]) -> bool:
+def _counted_pullback(p: list[int], q: list[int], f: list[int], g: list[int],
+                      over: Counter | None = None, injective: bool = False) -> bool:
     """Is the square of index lists p: P -> A, q: P -> B over f: A -> C,
     g: B -> C a pullback?
 
     The entries of p, q index A and B, which f and g list.  When the square
-    commutes and the pairs (p x, q x) are distinct, they are distinct
-    elements of A x_C B, so the comparison is onto, and the square a
-    pullback, exactly when there are |A x_C B| of them: the sum over a in A
-    of the number of b with g b = f a, read off the fibre counts of g.
+    commutes and its pairs (p x, q x) are distinct, untested if injective
+    says q is, they are elements of A x_C B, so the comparison is onto, and
+    the square a pullback, exactly when there are |A x_C B| of them: the
+    sum over a in A of #{b : g b = f a}, read off g's fibre counts (over).
     """
-    if _gather(f, p) != _gather(g, q) or len(set(zip(p, q))) != len(p):
+    if _gather(f, p) != _gather(g, q) or not injective and len(set(zip(p, q))) != len(p):
         return False
-    over = Counter(g)
-    return len(p) == sum(map(over.get, f, repeat(0)))
+    return len(p) == sum(map((Counter(g) if over is None else over).get, f, repeat(0)))
 
 
 # ---------------------------------------------------------------------------

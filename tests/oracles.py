@@ -16,7 +16,8 @@ interval's Mobius certificate against the one read off its top interval cut
 from a nerve two levels larger, nondegeneracy by degeneracy images against
 the principal-edge test, the nerves of posets, partial monoids and
 categories against the string-by-string builds, the index-list axiom checks
-against the same checks counted on id tables, the constructors' shape
+against the same checks counted on id tables, the exactness check against
+itself as it was with every pushout made and every fibre counted per square, the constructors' shape
 refusals (on the levels and tables given, `Raw` and `RawMap`) and map
 validation against the walk of every naturality square simplex by simplex, the interval-site
 relations and culf squares checked in simplicial coordinates against every
@@ -966,6 +967,110 @@ def check_decomposition_by_names(X, method):
                     f2, g2 = pushout_generic_free(g, f)
                     bad = pullback_issue(X.levels[f2.tgt], X.levels[g.tgt], X.levels[f.tgt],
                                          *(sset_action(X, a) for a in (f2, g2, g, f)))
+                    if bad is not None:
+                        rep.fail(degree=corner, note=f"pushout({g},{f}):{bad}")
+        rep.data["squares"] = squares
+        rep.data["compositions"] = act.compositions - before
+    rep.verified_upto = X.cap
+    return rep
+
+
+def _counted_pullback_per_square(p, q, f, g):
+    """The counting kernel as it was before fibre counts were shared: the
+    pair test and `Counter(g)` made afresh for every square."""
+    from decomp.presheaf import _gather
+
+    if _gather(f, p) != _gather(g, q) or len(set(zip(p, q))) != len(p):
+        return False
+    over = Counter(g)
+    return len(p) == sum(map(over.get, f, [0] * len(f)))
+
+
+def pullback_failure_per_square(P, A, B, p, q, f, g):
+    """`presheaf.pullback_failure` as it was on the per-square kernel: a
+    rejected square enumerated in the order of P, then of A and B."""
+    if _counted_pullback_per_square(p, q, f, g):
+        return None
+    seen = {}
+    for n, (a, b) in enumerate(zip(p, q)):
+        if f[a] != g[b]:
+            return f"square-does-not-commute:{P[n]}"
+        if (a, b) in seen:
+            return f"comparison-not-injective:{P[seen[a, b]]},{P[n]}"
+        seen[a, b] = n
+    by_corner = {}
+    for b, c in enumerate(g):
+        by_corner.setdefault(c, []).append(b)
+    for a, c in enumerate(f):
+        for b in by_corner.get(c, ()):
+            if (a, b) not in seen:
+                return f"missing-fiber-pair:{A[a]},{B[b]}"
+    return "kernel-and-enumeration-disagree"
+
+
+def check_decomposition_per_square(X, method):
+    """The exactness check as it was before its squares were listed once
+    per cap: every direct square's pushout made in the loop and decided by
+    the per-square kernel, each counit square matched against a pushout
+    made afresh."""
+    from decomp.axioms import check_map_class, check_segal
+    from decomp.presheaf import CapError, _map_squares, actions, dec_bot, dec_top, validate_sset
+    from decomp.report import Report
+    from decomp.simplex import (codegeneracy, coface, free_generators, generic_generators,
+                                pushout_generic_free)
+
+    def squares_shared(counit, act, top):
+        for letter, k, i, square in _map_squares(counit, "culf"):
+            g = codegeneracy(k + 1, i) if letter == "s" else coface(k - 1, i)
+            f = free_generators(g.src)[top]
+            f2, g2 = pushout_generic_free(g, f)
+            if square[3:] != tuple(map(act.index, (g2, f2, f, g))):
+                return False
+        return True
+
+    rep = Report(f"check_decomposition[{method}]")
+    if X.cap < 3:
+        raise CapError("decomposition check needs cap >= 3")
+    base = validate_sset(X)
+    if not base.ok:
+        rep.absorb(base)
+        return rep
+    if method == "both":
+        direct = check_decomposition_per_square(X, "direct")
+        deca = check_decomposition_per_square(X, "decalage")
+        if direct.status != deca.status:
+            rep.fail(note=f"methods-disagree:{direct.status}/{deca.status}")
+        rep.absorb(direct)
+        rep.absorb(deca)
+    elif method == "decalage":
+        direct = check_decomposition_per_square(X, "direct")
+        for which, dec in (("top", dec_top), ("bot", dec_bot)):
+            D, counit = dec(X)
+            seg = check_segal(D)
+            if not seg.ok:
+                rep.fail(note=f"dec_{which}-not-segal")
+                rep.absorb(seg)
+            if direct.ok and squares_shared(counit, actions(X), which == "top"):
+                continue
+            culf = check_map_class(counit, "culf")
+            if not culf.ok:
+                rep.fail(note=f"dec_{which}-counit-not-culf")
+                rep.absorb(culf)
+    else:
+        act = actions(X)
+        before = act.compositions
+        squares = {}
+        for m in range(0, X.cap + 1):
+            for g in generic_generators(m):
+                for f in free_generators(m):
+                    corner = g.tgt + 1
+                    if corner > X.cap or f.tgt > X.cap:
+                        continue
+                    squares[corner] = squares.get(corner, 0) + 1
+                    f2, g2 = pushout_generic_free(g, f)
+                    bad = pullback_failure_per_square(
+                        X.levels[f2.tgt], X.levels[g.tgt], X.levels[f.tgt],
+                        *map(act.index, (f2, g2, g, f)))
                     if bad is not None:
                         rep.fail(degree=corner, note=f"pushout({g},{f}):{bad}")
         rep.data["squares"] = squares

@@ -178,6 +178,22 @@ def test_decomposition_methods_agree_on_planted_objects():
     assert not both.ok
 
 
+@pytest.mark.parametrize("method", ["direct", "decalage", "both"])
+def test_decomposition_refuses_a_degeneracy_its_face_does_not_split(method):
+    """The direct check takes a degeneracy side of a square as injective,
+    as d0 s0 = id makes it; on an object where s0 sends two vertices to one
+    edge that identity fails, and the check gives validate's lines, never
+    a verdict of its own."""
+    X = nerve_poset(chain_poset(1), 4)
+    X = replace(X, degens={**X.degens, (0, 0): {**X.degens[(0, 0)], "1": "0≤0"}})
+    base = validate(X)
+    assert not base.ok and "note=d0s0" in "\n".join(base.lines())
+    rep = check_decomposition(X, method)
+    assert rep.status == "FAIL"
+    assert rep.lines() == [f"FAIL check_decomposition[{method}] {line[len('FAIL validate '):]}"
+                           " via=validate" for line in base.lines()]
+
+
 def test_non_segal_decomposition_example(trunc_add):
     assert not check_segal(trunc_add).ok
     assert check_decomposition(trunc_add, "both").ok

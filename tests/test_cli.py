@@ -533,6 +533,44 @@ def test_unreadable_input_exits_two(tmp_path, d6_sset, capsys, monkeypatch, argv
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+def _ends_smap(tmp_path, d6_sset, dom: str, cod: str):
+    """The counit of d6's bottom decalage as an SMAP, its ends renamed."""
+    text = _counit_smap(tmp_path, d6_sset).read_text(encoding="utf-8")
+    path = tmp_path / "ends.smap"
+    path.write_text(text.replace("dom dec.sset", f"dom {dom}").replace("cod d6.sset", f"cod {cod}"),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("dom, cod, error", [
+    ("d6.poset", "bad.sset", "dom file 'd6.poset' is not an SSET or XISET"),
+    ("bad.sset", "d6.poset", "cod file 'd6.poset' is not an SSET or XISET"),
+    ("bad.sset", "bad.xiset", "dom and cod files are of different kinds"),
+    ("bad.xiset", "bad.sset", "dom and cod files are of different kinds"),
+])
+def test_culf_check_refuses_a_wrong_kind_before_a_shape_line(tmp_path, d6_sset, capsys,
+                                                              dom, cod, error):
+    """An SMAP end of the wrong kind is an input error whichever end has
+    tables that make no object: each end's kind is checked as it loads, and
+    the kinds against each other, before either end's validation line."""
+    _shape_faulty(tmp_path, d6_sset)
+    path = _ends_smap(tmp_path, d6_sset, dom, cod)
+    capsys.readouterr()
+    assert main(["check", "culf", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}:0: {error}\n")
+
+
+def test_culf_check_names_a_shape_fault_of_either_end(tmp_path, d6_sset, capsys):
+    """Ends of one kind: the first end whose tables make no object gets its
+    validation line, the domain's first."""
+    _, line = _shape_faulty(tmp_path, d6_sset)["sset"]
+    for dom, cod in (("bad.sset", "d6.sset"), ("dec.sset", "bad.sset"), ("bad.sset", "bad.sset")):
+        path = _ends_smap(tmp_path, d6_sset, dom, cod)
+        capsys.readouterr()
+        assert main(["check", "culf", str(path)]) == 1
+        assert capsys.readouterr() == (line + "\n", "")
+
+
 def test_culf_check_refuses_repeated_level(tmp_path, d6_sset, capsys):
     path = _counit_smap(tmp_path, d6_sset)
     text = path.read_text(encoding="utf-8")

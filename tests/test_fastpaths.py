@@ -13,7 +13,7 @@ from unittest.mock import patch
 
 import oracles
 import pytest
-from conftest import assert_isomorphism, filter_nerve, spine_object
+from conftest import assert_isomorphism, chipped_object, filter_nerve, spine_object
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -105,7 +105,7 @@ from decomp.registry import (
     maximal_cuts,
 )
 from decomp.report import Report
-from decomp.simplex import all_monotone
+from decomp.simplex import all_monotone, codegeneracy, coface, compose
 from oracles import pullback_failure_by_enumeration, validate_sset_by_simplex
 from test_incidence import assert_sign_free_inversion
 from test_ingest import free_categories, quotient_categories, truncated_free_monoids
@@ -549,6 +549,23 @@ def test_actions_match_the_per_word_walk(X):
             for n in range(Y.cap + 1):
                 for a in all_monotone(m, n):
                     assert sset_action(Y, a) == oracles._action(Y, a, 0)
+
+
+def test_a_generator_acts_by_its_stored_table():
+    """A coface or codegeneracy acts by the face or degeneracy list the
+    object stores, not by a copy, and counts one composition; a longer word
+    composes a new list."""
+    X = nerve_poset(divisor_poset(12), 4)
+    act = actions(X)
+    assert act.index(coface(2, 1)) is X.faces.index[(3, 1)]
+    assert act.index(codegeneracy(3, 1)) is X.degens.index[(2, 1)]
+    assert act.compositions == 2
+    a = compose(coface(2, 1), coface(3, 0))
+    assert act.index(a) == _gather(X.faces.index[(3, 1)], X.faces.index[(4, 0)])
+    assert act.index(a) is not X.faces.index[(4, 0)] and act.compositions == 3
+    A = u_star(X)
+    assert actions(A).index(coface(2, 2)) is A.faces.index[(1, 1)]
+    assert actions(A).index(codegeneracy(4, 0)) is A.degens.index[(1, -1)]
 
 
 def complete_nerves():
@@ -1155,14 +1172,15 @@ def test_direct_and_decalage_verdicts_agree(X):
 
 def _decided(check, *args) -> list[tuple]:
     """The squares check(*args) sends through `pullback_failure`, in order,
-    each its id lists and index lists as tuples."""
+    each its seven square arguments, id lists and index lists, as tuples;
+    a fibre count or injectivity hint after them is forwarded, not kept."""
     import decomp.axioms
 
     seen = []
     decide = decomp.axioms.pullback_failure
 
     def recorded(*square):
-        seen.append(tuple(map(tuple, square)))
+        seen.append(tuple(map(tuple, square[:7])))
         return decide(*square)
     with patch.object(decomp.axioms, "pullback_failure", recorded):
         check(*args)
@@ -1186,6 +1204,55 @@ def test_counit_squares_are_the_direct_squares_transposed(X):
         counits.update(_decided(check_map_class, counit, "culf"))
         assert _squares_shared(counit, actions(X), dec is dec_top)
     assert counits == direct
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(exactness_inputs())
+def test_the_pair_test_is_skipped_only_on_a_degeneracy_side(X):
+    """The direct check tells the kernel that q is injective on exactly the
+    squares whose q is one of X's stored degeneracy lists, each injective
+    as validation found it; on an inner face side the pairs are tested."""
+    import decomp.axioms
+
+    X, sides = replace(X), []
+    decide = decomp.axioms.pullback_failure
+
+    def recorded(*square):
+        sides.append((square[4], square[8]))
+        return decide(*square)
+    with patch.object(decomp.axioms, "pullback_failure", recorded):
+        check_decomposition(X, "direct")
+    degens = list(X.degens.index.values())
+    assert sides and all(injective == any(q is t for t in degens) for q, injective in sides)
+    assert all(len(set(q)) == len(q) for q, injective in sides if injective)
+
+
+def _decided_as_before(X, method) -> None:
+    """check_decomposition(X, method) and the check as it was, deciding
+    every square on its own, each on a fresh copy of X, give the same
+    lines, status and data (squares and compositions)."""
+    got, want = (check(replace(X), method) for check in (
+        check_decomposition, oracles.check_decomposition_per_square))
+    assert (got.lines(), got.status, got.data) == (want.lines(), want.status, want.data)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(exactness_inputs(), st.sampled_from(["direct", "decalage", "both"]))
+def test_exactness_decides_as_it_did_square_by_square(X, method):
+    """One fibre count per free face, no pair test on a degeneracy side and
+    one list of squares per cap change no line of any method's report."""
+    _decided_as_before(X, method)
+
+
+@pytest.mark.parametrize("method", ["direct", "decalage", "both"])
+def test_failing_exactness_decides_as_it_did_square_by_square(method):
+    """The same on the chipped 3-chain and on the 3-chain at cap 6 without
+    the triangle 0 < 1 < 3, whose every report names failing squares."""
+    planted = filter_nerve(nerve_poset(chain_poset(3), 6),
+                           lambda vs: not {"0", "1", "3"} <= set(vs))
+    for X in (chipped_object(), planted):
+        assert not check_decomposition(replace(X), method).ok
+        _decided_as_before(X, method)
 
 
 @settings(max_examples=100, deadline=None, database=None)

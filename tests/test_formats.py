@@ -190,6 +190,30 @@ def test_parsers_name_a_missing_unit_and_an_unknown_directive(parse, text, messa
         parse(text)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_sset, "SSET v1\ncap 1\nlevel 0: a\nlevel 1: e\nd 1:\n",
+     "<sset>:5: expected 'd <k> <i>:'"),
+    (parse_sset, "SSET v1\ncap 1\nlevel 0: a\nlevel 1: e\ns 0 0 0: a->e\n",
+     "<sset>:5: expected 's <k> <i>:'"),
+    (parse_poset, "POSET v1\nelements: a b\nle a\n", "<poset>:3: expected 'le <a> <b>'"),
+    (parse_monoid, "MONOID v1\nelements: e\nunit: e\nmul e: e\n",
+     "<monoid>:4: expected 'mul <a> <b>: <c>'"),
+    (parse_monoid, "MONOID v1\nelements: e\nunit: e\nmul e e:\n",
+     "<monoid>:4: expected 'mul <a> <b>: <c>'"),
+    (parse_category, "CAT v1\nobjects: x\nid x:\n", "<cat>:3: expected 'id <x>: <ix>'"),
+    (parse_category, "CAT v1\nobjects: x\nid x: 1\narrow f: x\n",
+     "<cat>:4: expected 'arrow <f>: <x> -> <y>'"),
+    (parse_category, "CAT v1\nobjects: x\nid x: 1\narrow f: x -> x\ncompose f: f\n",
+     "<cat>:5: expected 'compose <f> <g>: <h>'"),
+], ids=["sset-d", "sset-s", "poset-le", "monoid-mul-args", "monoid-mul-value", "cat-id",
+        "cat-arrow", "cat-compose"])
+def test_parsers_name_a_malformed_directive_and_its_line(parse, text, message):
+    """A directive whose head does not have its fields is refused by the
+    form it should have, at its line."""
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(text)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_sset("SSET v1\ncap x\n")

@@ -1,7 +1,8 @@
 """Import hygiene: every name a module of `decomp` imports is used there,
 only `presheaf` reads how a table is stored or reads one by key, no
-docstring says a table is kept as ids, and lists of positions are composed
-by `presheaf._gather`.
+docstring says a table is kept as ids, lists of positions are composed by
+`presheaf._gather`, and only `presheaf.pullback_failure` calls the
+counting kernel.
 
 Two kinds of import are exempt: the re-exports of `decomp/__init__.py`, and
 the bindings that perfbench/tracer.py's PLAN wraps, which a module may
@@ -166,14 +167,15 @@ def _maps_getitem(node) -> bool:
             and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "__getitem__")
 
 
-def _mapped_getitems(tree) -> list:
-    """The innermost function around each mapped `__getitem__` in tree, by
-    name, or '' for one outside any function."""
+def _enclosing(tree, match=_maps_getitem) -> list:
+    """The innermost function around each node of tree that match accepts
+    (by default a mapped `__getitem__`), by name, or '' for one outside any
+    function."""
     names = []
 
     def visit(node, name):
         for child in ast.iter_child_nodes(node):
-            if _maps_getitem(child):
+            if match(child):
                 names.append(name)
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else name)
@@ -193,7 +195,7 @@ def test_position_lists_are_gathered():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem != "labeling":
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            callers += [f"{path.stem}.{name}" for name in _mapped_getitems(tree)]
+            callers += [f"{path.stem}.{name}" for name in _enclosing(tree)]
     assert [c for c in callers if c != "formats._table"] == []
 
 
@@ -201,4 +203,31 @@ def test_mapped_getitems_are_named():
     source = ("list(map(at.__getitem__, xs))\nmap(get, xs)\nsorted(xs, key=at.__getitem__)\n"
               "def f():\n    def g():\n        return tuple(map(X.levels[1].__getitem__, m))\n"
               "    return _gather(at, xs), map(str.strip, xs), map(o.__getitem__, xs)\n")
-    assert _mapped_getitems(ast.parse(source)) == ["", "g", "f"]
+    assert _enclosing(ast.parse(source)) == ["", "g", "f"]
+
+
+def _calls_counted_pullback(node) -> bool:
+    """Is node a call of `_counted_pullback`, by name or as an attribute?"""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "_counted_pullback"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "_counted_pullback")
+
+
+def test_only_pullback_failure_calls_the_counting_kernel():
+    """Every square a check decides goes through `presheaf.pullback_failure`,
+    which perfbench's tracer wraps, so `presheaf.pullback_checks` counts the
+    squares decided: no other function calls `_counted_pullback`."""
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers += [f"{path.stem}.{name}"
+                    for name in _enclosing(tree, _calls_counted_pullback)]
+    assert callers == ["presheaf.pullback_failure"]
+
+
+def test_counting_kernel_calls_are_named():
+    source = ("def pullback_failure():\n    return _counted_pullback(p, q, f, g)\n"
+              "def check():\n    return presheaf._counted_pullback(p, q, f, g)\n"
+              "_counted_pullback\n")
+    assert _enclosing(ast.parse(source), _calls_counted_pullback) == [
+        "pullback_failure", "check"]

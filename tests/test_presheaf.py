@@ -309,7 +309,8 @@ def test_pullback_kernel_rejection_never_passes(monkeypatch):
     table = {x: x for x in ids}
     square = indexed_square(ids, ids, ids, table, table, table, table)
     assert pullback_failure(*square) is None
-    monkeypatch.setattr(decomp.presheaf, "_counted_pullback", lambda p, q, f, g: False)
+    monkeypatch.setattr(decomp.presheaf, "_counted_pullback",
+                        lambda p, q, f, g, over, injective: False)
     assert pullback_failure(*square) == "kernel-and-enumeration-disagree"
 
 
