@@ -1,10 +1,11 @@
 """Decision procedures for the structural conditions on finite presheaves.
 
-Everything reduces to finite pullback checks and spine enumeration; each
-checker reports the degree range it actually verified, and tightness is
-never claimed without a certified stabilization degree.  `check_map_class`
-takes maps of either presheaf kind: an interval-site map, read in
-simplicial coordinates, is cartesian exactly when it is culf.
+Every condition is a family of finite pullback squares, each decided by
+`presheaf.pullback_failure`; each checker reports the degree range it
+actually verified, and tightness is never claimed without a certified
+stabilization degree.  `check_map_class` takes maps of either presheaf
+kind: an interval-site map, read in simplicial coordinates, is cartesian
+exactly when it is culf.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .presheaf import (
     FinXiSet,
     SSetMap,
     XiSetMap,
-    _gather,
     _label,
     _map_squares,
     actions,
@@ -32,7 +32,7 @@ from .presheaf import (
     validate_sset,
 )
 from .report import Report
-from .simplex import MonotoneMap, codegeneracy, coface, free_generators
+from .simplex import codegeneracy, coface, free_generators
 from .simplex import generic_generators, pushout_generic_free
 
 
@@ -40,62 +40,20 @@ from .simplex import generic_generators, pushout_generic_free
 # Segal
 
 
-def _composable_count(X: FinSSet, k: int) -> int:
-    """Number of k-strings of edges glued tail to head."""
-    d0, d1 = X.faces.index[(1, 0)], X.faces.index[(1, 1)]
-    counts = [1] * len(d0)
-    for _ in range(k - 1):
-        by_head = [0] * len(X.levels[0])
-        for head, c in zip(d0, counts):
-            by_head[head] += c
-        counts = _gather(by_head, d1)
-    return sum(counts)
-
-
-def _composable_strings(X: FinSSet, k: int):
-    """Every k-string of edges glued tail to head, as edge positions."""
-    d0, d1 = X.faces.index[(1, 0)], X.faces.index[(1, 1)]
-    by_tail: dict[int, list[int]] = {}
-    for e, tail in enumerate(d1):
-        by_tail.setdefault(tail, []).append(e)
-
-    def extend(prefix):
-        if len(prefix) == k:
-            yield tuple(prefix)
-            return
-        for e in by_tail.get(d0[prefix[-1]], ()):
-            prefix.append(e)
-            yield from extend(prefix)
-            prefix.pop()
-
-    for e in range(len(d1)):
-        yield from extend([e])
-
-
 @memoised
 def check_segal(X: FinSSet) -> Report:
-    """Is every level the fibre product of its principal edges?  Records the
-    table compositions it made itself in data["compositions"]."""
+    """Is each square of outer faces X_{n+1} -> X_n x_{X_{n-1}} X_n, front
+    face first, a pullback?  One square per degree n+1 from 2 up to the cap,
+    counted in data["squares"]; together they make every level the fibre
+    product of its principal edges (GKT I, §2)."""
     rep = Report("check_segal")
-    act = actions(X)
-    before = act.compositions
-    for k in range(2, X.cap + 1):
-        spines = list(zip(*[act.index(MonotoneMap(1, k, (i, i + 1))) for i in range(k)]))
-        if len(set(spines)) != len(spines):
-            seen: dict[tuple[int, ...], str] = {}
-            for x, s in zip(X.levels[k], spines):
-                if s in seen:
-                    rep.fail(degree=k, witness=(seen[s], x), note="spine-collision")
-                seen[s] = x
-        elif len(spines) != _composable_count(X, k):
-            filled = set(spines)
-            missing = next((s for s in _composable_strings(X, k) if s not in filled), None)
-            if missing is None:  # X is not valid: a spine is not a string
-                rep.absorb(validate_sset(X))
-                break
-            rep.fail(degree=k, witness=_gather(X.levels[1], missing),
-                     note="no-filler")
-    rep.data["compositions"] = act.compositions - before
+    d, L = X.faces.index, X.levels
+    for n in range(1, X.cap):
+        bad = pullback_failure(L[n + 1], L[n], L[n], d[n + 1, n + 1], d[n + 1, 0],
+                               d[n, 0], d[n, n])
+        if bad is not None:
+            rep.fail(degree=n + 1, note=bad)
+    rep.data["squares"] = dict.fromkeys(range(2, X.cap + 1), 1)
     rep.verified_upto = X.cap
     return rep
 

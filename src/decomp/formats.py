@@ -23,7 +23,7 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-def _lines(text: str, source: str):
+def _lines(text: str):
     """(lineno, line) for each line not blank once its comment is cut, as
     `str.splitlines` numbers them: each slice keeps the '\\n' it ends at, so
     a break before it ('\\x0b\\n') counts a line, as the whole text would."""
@@ -41,7 +41,7 @@ def _lines(text: str, source: str):
 def _directives(text: str, source: str, header: str):
     """(lineno, line) for every line after the header, which must come
     first; empty text is an error."""
-    lines = _lines(text, source)
+    lines = _lines(text)
     for lineno, line in lines:
         if line != header:
             raise ParseError(source, lineno, f"expected header {header!r}")
@@ -445,7 +445,7 @@ _PARSERS = {
 
 
 def parse_any(text: str, source: str = "<input>"):
-    for lineno, line in _lines(text, source):
+    for lineno, line in _lines(text):
         parser = _PARSERS.get(line)
         if parser is None:
             raise ParseError(source, lineno, f"unknown format header {line!r}")

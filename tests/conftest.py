@@ -63,6 +63,18 @@ def chipped_object(cap: int = 5) -> FinSSet:
     return filter_nerve(big, lambda vs: not {"1", "2", "3"} <= set(vs))
 
 
+def twin_object(n: int) -> FinSSet:
+    """Nerve of the (n+1)-chain at cap n with the top n-simplex 1≤…≤n+1
+    traded for a twin of 0≤…≤n: as many n-simplices as before, two of
+    them on one boundary, so only a test of distinct pairs sees the twin."""
+    X = filter_nerve(nerve_poset(chain_poset(n + 1), n),
+                     lambda vs: vs != tuple(map(str, range(1, n + 2))))
+    faces = {key: dict(table) for key, table in X.faces.items()}
+    for i in range(n + 1):
+        faces[(n, i)]["twin"] = faces[(n, i)]["≤".join(map(str, range(n + 1)))]
+    return FinSSet(n, {**X.levels, n: X.levels[n] + ["twin"]}, faces, X.degens)
+
+
 def invalid_object() -> FinSSet:
     """A planted violation: one degree-2 face retargeted."""
     X = nerve_poset(chain_poset(1), 3)

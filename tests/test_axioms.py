@@ -16,6 +16,7 @@ from decomp.ingest import chain_poset, divisor_poset, nerve_poset
 from decomp.presheaf import (
     FinSSet,
     ShapeError,
+    _counted_pullback,
     actions,
     dec_bot,
     point_sset,
@@ -25,7 +26,7 @@ from decomp.presheaf import (
     validate,
     xi_representable,
 )
-from conftest import chipped_object, spine_object
+from conftest import chipped_object, spine_object, twin_object
 from oracles import flanked_bonus_report
 
 SEP = "≤"
@@ -38,28 +39,29 @@ def test_segal_on_nerves(poset_nerves):
 
 def test_direct_exactness_and_segal_record_their_work():
     """Squares per corner degree and the table compositions each check made
-    itself in the object's one action memo; Segal composes each principal
-    edge of degree r from one of degree r-1, so r compositions per degree.
-    After direct exactness on the same object Segal counts only its own new
-    compositions: the two principal edges of a 2-simplex are its outer
-    faces, which direct exactness has already composed."""
+    itself in the object's one action memo.  Segal decides one square of
+    stored outer faces per degree from 2 and composes no table, so the memo
+    holds direct exactness's compositions alone, before Segal and after."""
     X = nerve_poset(divisor_poset(12), 6)
     direct = check_decomposition(X, "direct")
     assert direct.data == {"squares": {1: 2, 2: 4, 3: 8, 4: 12, 5: 16, 6: 8},
                            "compositions": 48}
     fresh = nerve_poset(divisor_poset(12), 6)
-    assert check_segal(fresh).data == {"compositions": 2 + 3 + 4 + 5 + 6}
-    assert check_segal(X).data == {"compositions": 2 + 3 + 4 + 5 + 6 - 2}
-    assert actions(X).compositions == 48 + 18
+    assert check_segal(fresh).data == {"squares": {2: 1, 3: 1, 4: 1, 5: 1, 6: 1}}
+    assert actions(fresh).compositions == 0
+    assert check_segal(X).data == {"squares": {2: 1, 3: 1, 4: 1, 5: 1, 6: 1}}
+    assert actions(X).compositions == 48
     assert check_decomposition(X, "direct").data["compositions"] == 48
 
 
 def test_every_square_is_decided_by_pullback_failure(monkeypatch):
     """Each check sends every square it decides, passing ones included,
     through the module-level `pullback_failure`, so a wrapper bound to that
-    name sees them all.  `both` decides each square of a decomposition space
-    once, its counits' culf squares being the direct ones; on an input that
-    fails direct exactness it decides both counits' squares as well."""
+    name sees them all.  Segal decides one square per degree from 2.  `both`
+    decides each square of a decomposition space once, its counits' culf
+    squares being the direct ones, and each decalage's Segal squares; on an
+    input that fails direct exactness it decides both counits' squares as
+    well."""
     import decomp.axioms
 
     calls = []
@@ -75,16 +77,23 @@ def test_every_square_is_decided_by_pullback_failure(monkeypatch):
         rep = check_decomposition(X, "direct")
         assert len(calls) == sum(rep.data["squares"].values())
     assert not rep.ok
+    for X in (nerve_poset(divisor_poset(12), 6), chipped_object()):
+        calls.clear()
+        rep = check_segal(X)
+        assert len(calls) == sum(rep.data["squares"].values()) == X.cap - 1
     X = nerve_poset(divisor_poset(12), 6)
     calls.clear()
     assert check_decomposition(X, "both").ok
-    assert len(calls) == sum(check_decomposition(X, "direct").data["squares"].values()) == 50
+    segal = 2 * (X.cap - 2)
+    assert len(calls) - segal == sum(check_decomposition(X, "direct").data["squares"].values()) == 50
     X = chipped_object()
     calls.clear()
     assert not check_decomposition(X, "both").ok
     cap = X.cap - 1
     culf = sum(k + 1 for k in range(cap)) + sum(k - 1 for k in range(2, cap + 1))
-    assert len(calls) == sum(check_decomposition(X, "direct").data["squares"].values()) + 2 * culf
+    segal = 2 * (cap - 1)
+    assert len(calls) == (sum(check_decomposition(X, "direct").data["squares"].values())
+                          + 2 * culf + segal)
     _, counit = dec_bot(nerve_poset(divisor_poset(12), 5))
     calls.clear()
     assert check_map_class(counit, "culf").ok
@@ -112,7 +121,7 @@ def test_segal_fails_on_spine_with_witness():
 
 def test_segal_fails_on_a_second_filler_with_both_witnesses():
     """A second filler of (0≤1, 1≤2) with the same long edge is a valid
-    object whose spines collide at degree 2."""
+    object with two 2-simplices over one pair of outer faces."""
     X = nerve_poset(chain_poset(2), 2)
     faces = {key: dict(table) for key, table in X.faces.items()}
     for i, edge in enumerate(["1≤2", "0≤2", "0≤1"]):
@@ -120,7 +129,20 @@ def test_segal_fails_on_a_second_filler_with_both_witnesses():
     twin = FinSSet(2, {**X.levels, 2: X.levels[2] + ["twin"]}, faces, X.degens)
     assert validate(twin).ok
     assert check_segal(twin).lines() == [
-        "FAIL check_segal degree=2 witness=0≤1≤2,twin note=spine-collision"]
+        "FAIL check_segal degree=2 note=comparison-not-injective:0≤1≤2,twin"]
+
+
+def test_segal_square_that_only_the_pair_test_rejects():
+    """The 3-chain's nerve at cap 2 with 1≤2≤3 traded for a twin of
+    0≤1≤2: as many 2-simplices as composable pairs and a square that
+    commutes, so only the distinct-pair test finds the twin."""
+    Y = twin_object(2)
+    assert validate(Y).ok
+    assert check_segal(Y).lines() == [
+        "FAIL check_segal degree=2 note=comparison-not-injective:0≤1≤2,twin"]
+    d = Y.faces.index
+    assert _counted_pullback(d[2, 2], d[2, 0], d[1, 0], d[1, 1], None, True)
+    assert not _counted_pullback(d[2, 2], d[2, 0], d[1, 0], d[1, 1])
 
 
 def test_segal_names_the_fault_of_an_invalid_object():
@@ -138,8 +160,8 @@ def test_segal_names_the_fault_of_an_invalid_object():
 def test_segal_names_the_fault_of_a_spine_that_is_no_string():
     """A 2-simplex zz whose outer faces are both the edge 0≤1, handed over
     with every table as positions, makes an object of the right shape; its
-    spine is no string of edges, so no string lacks a filler, and the check
-    reports the relations that zz breaks instead."""
+    outer faces meet at no vertex, so the check names zz as the element at
+    which its square does not commute."""
     X = nerve_poset(chain_poset(2), 2)
     at = {k: {x: n for n, x in enumerate(ids)} for k, ids in X.levels.items()}
     faces = {key: list(t) for key, t in X.faces.index.items()}
@@ -147,8 +169,7 @@ def test_segal_names_the_fault_of_a_spine_that_is_no_string():
         faces[(2, 2 - i)].append(at[1][edge])
     Y = FinSSet(2, {**X.levels, 2: X.levels[2] + ["zz"]}, faces, dict(X.degens.index))
     assert check_segal(Y).lines() == [
-        "FAIL check_segal degree=2 witness=zz note=d0d1 via=validate",
-        "FAIL check_segal degree=2 witness=zz note=d0d2 via=validate"]
+        "FAIL check_segal degree=2 note=square-does-not-commute:zz"]
 
 
 def test_decomposition_on_nerves(poset_nerves):

@@ -471,11 +471,12 @@ def test_registry_add_refuses_an_interval_that_is_not_exact(tmp_path, capsys):
     head, *lines = captured.err.splitlines()
     assert head == "error: entry fails validation:"
     assert lines[0] == (
-        "FAIL validate_interval degree=2 witness=0≤1≤2≤4,0≤2≤3≤4 note=no-filler"
+        "FAIL validate_interval degree=2 note=missing-fiber-pair:0≤1≤2≤4,0≤2≤3≤4"
         " via=check_segal")
     assert [line.split()[2] for line in lines] == [f"degree={k}" for k in range(2, 6)]
     assert all(line.startswith("FAIL validate_interval degree=")
-               and line.endswith(" note=no-filler via=check_segal") for line in lines)
+               and " note=missing-fiber-pair:" in line and line.endswith(" via=check_segal")
+               for line in lines)
     assert not reg.exists()
 
 

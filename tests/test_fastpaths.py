@@ -13,7 +13,7 @@ from unittest.mock import patch
 
 import oracles
 import pytest
-from conftest import assert_isomorphism, chipped_object, filter_nerve, spine_object
+from conftest import assert_isomorphism, chipped_object, filter_nerve, spine_object, twin_object
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +74,7 @@ from decomp.presheaf import (
     ShapeError,
     SSetMap,
     XiSetMap,
+    _counted_pullback,
     _gather,
     actions,
     counit_eps,
@@ -1152,12 +1153,28 @@ def test_index_kernels_match_checks_on_ids(X):
     for method in ("direct", "decalage", "both"):
         assert (_report(check_decomposition, replace(X), method)
                 == _report(oracles.check_decomposition_by_names, replace(X), method))
-    assert _report(check_segal, replace(X)) == _report(oracles.check_segal_by_spines, replace(X))
+    assert _report(check_segal, replace(X)) == _report(oracles.check_segal_by_squares, replace(X))
     for dec in (dec_top, dec_bot):
         for cls in ("conservative", "ulf", "culf"):
             got = _report(check_map_class, dec(replace(X))[1], cls)
             assert got == _report(oracles.check_map_class_by_names, dec(replace(X))[1], cls)
             assert got[0] == "raised" or all(map(_REPORT_LINE.match, got[0])), got
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(exactness_inputs(), st.builds(nerve, DRAWN_SPECS, st.integers(2, 4))))
+@example(twin_object(2))
+@example(twin_object(3))
+def test_segal_squares_fail_where_the_spines_do(X):
+    """A simplicial set is Segal exactly when each square of its outer faces
+    is a pullback (GKT I): one square per degree fails first where the
+    spines of a level first miss or repeat a string of edges, and renders as
+    the same squares decided on id tables by enumeration."""
+    got = check_segal(replace(X))
+    spines = oracles.check_segal_by_spines(replace(X))
+    assert got.status == spines.status
+    assert got.lines()[0].split()[2] == spines.lines()[0].split()[2]
+    assert _report(check_segal, replace(X)) == _report(oracles.check_segal_by_squares, replace(X))
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -1225,6 +1242,28 @@ def test_the_pair_test_is_skipped_only_on_a_degeneracy_side(X):
     degens = list(X.degens.index.values())
     assert sides and all(injective == any(q is t for t in degens) for q, injective in sides)
     assert all(len(set(q)) == len(q) for q, injective in sides if injective)
+
+
+@pytest.mark.parametrize("check", [check_segal, check_decomposition])
+def test_squares_that_only_the_pair_test_rejects(check):
+    """The 4-chain's nerve at cap 3 with 1≤2≤3≤4 traded for a twin of
+    0≤1≤2≤3: each square it rejects, its degree-3 Segal and inner-face
+    exactness squares and both decalages' squares, commutes and has as
+    many elements as pairs, so the kernel, told that q is injective,
+    passes it; the distinct-pair test names the twin on every line."""
+    Y = twin_object(3)
+    assert validate(Y).ok
+    rejected = [square for square in _decided(check, Y) if pullback_failure(*square)]
+    assert rejected and all(_counted_pullback(*map(list, square[3:]), None, True)
+                            for square in rejected)
+    pair = "comparison-not-injective:0≤1≤2≤3,twin"
+    if check is check_segal:
+        assert check(Y).lines() == [f"FAIL check_segal degree=3 note={pair}"]
+    else:
+        assert check(Y, "direct").lines() == [
+            f"FAIL check_decomposition[direct] degree=3 note=pushout(<[1]->[2]:0,2>,{f}):{pair}"
+            for f in ("<[1]->[2]:1,2>", "<[1]->[2]:0,1>")]
+        assert all(pair in line for line in check(Y).lines() if "note=dec_" not in line)
 
 
 def _decided_as_before(X, method) -> None:
@@ -1873,7 +1912,7 @@ def test_map_class_of_an_end_keeping_a_table_as_ids(end, family, label, step, cl
 
 def test_registry_comult_and_no_filler_build_no_id_table(tmp_path):
     """`registry_comult` on a loaded closed registry reads each class's
-    faces as positions, and `check_segal` names a no-filler witness from
+    faces as positions, and `check_segal` names a missing pair from
     positions: neither builds an id table."""
     X, reg = nerve(divisor_poset(12)), Registry()
     for a in X.levels[1]:
@@ -1886,7 +1925,7 @@ def test_registry_comult_and_no_filler_build_no_id_table(tmp_path):
         assert not data.faces.ids and not data.degens.ids
     Y = spine_object()
     assert check_segal(Y).lines()[0] == (
-        "FAIL check_segal degree=2 witness=0≤1,1≤2 note=no-filler")
+        "FAIL check_segal degree=2 note=missing-fiber-pair:0≤1,1≤2")
     assert not Y.faces.ids and not Y.degens.ids
 
 

@@ -234,7 +234,7 @@ _LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", 
 def test_lines_read_a_slice_at_a_time_as_splitlines_does(text):
     """The lines and line numbers the parsers read, from one slice of text
     up to a newline at a time, are those of one `str.splitlines` of it."""
-    assert list(_lines(text, "<t>")) == list(oracles.lines_by_splitlines(text, "<t>"))
+    assert list(_lines(text)) == list(oracles.lines_by_splitlines(text))
 
 
 def test_comments_and_blanks_ignored():

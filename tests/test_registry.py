@@ -62,6 +62,33 @@ def test_insert_deduplicates(diamond_interval):
     assert d1 == d2 and len(reg.entries) == 1
 
 
+def test_insert_refuses_a_name_in_use_and_get_an_unknown_digest(poset_nerves):
+    """A second class under a name already given is refused by that name
+    and not stored; `get` of a digest no entry has names that digest."""
+    X = poset_nerves["d12"]
+    reg = Registry()
+    first = reg.insert(factorisation_interval(X, arrow("1", "2"))[0], name="prime")
+    other = canonicalize(factorisation_interval(X, arrow("1", "4"))[0])
+    with pytest.raises(RegistryError) as got:
+        reg.insert(other, name="prime")
+    assert str(got.value) == "name 'prime' already in use"
+    assert list(reg.entries) == [first] and reg.names == {"prime": first}
+    with pytest.raises(RegistryError) as got:
+        reg.get(other.digest)
+    assert str(got.value) == f"unknown digest {other.digest}"
+
+
+def test_registry_list_refuses_a_directory_without_an_index(tmp_path, capsys):
+    """`registry list` of a directory with no index.tsv exits 2 naming the
+    directory, and writes nothing there."""
+    root = tmp_path / "reg"
+    root.mkdir()
+    capsys.readouterr()
+    assert main(["registry", "list", str(root)]) == 2
+    assert capsys.readouterr() == ("", f"error: no index.tsv under {root}\n")
+    assert list(root.iterdir()) == []
+
+
 def test_insert_refuses_a_composable_cycle(tmp_path, capsys):
     """The interval of an idempotent is valid and Segal, but its strings of
     non-identity arrows never die out: insert refuses it with its
@@ -509,7 +536,7 @@ def test_a_stored_entry_without_a_category_is_named(tmp_path, capsys):
     sset = str(tmp_path / "planted.sset")
     save(planted, sset)
     refused = (f"stored entry {digest[:12]} is not an interval:\n"
-               "FAIL validate_interval degree=2 witness=n1_8,n1_6 note=no-filler via=check_segal")
+               "FAIL validate_interval degree=2 note=missing-fiber-pair:n1_8,n1_6 via=check_segal")
     for argv in (["registry", "close", str(root)], ["classify", sset, "--registry", str(root)],
                  ["registry", "mu", str(root)]):
         capsys.readouterr()
