@@ -106,25 +106,26 @@ def _sorted(level: list[str]) -> tuple[list[int], list[str], list[str]]:
     return order, ids, [f" {x}->" for x in ids[:1]] + [f" ; {x}->" for x in ids[1:]]
 
 
-def _line(lead: str, tables, key, k: int, sorts: dict) -> str:
-    """lead, then a table's 'x->y' entries, x of level k in sorts[k]'s order:
-    one join of its heads and the targets of its positions."""
+def _line(out: list, lead: str, tables, key, k: int, sorts: dict) -> None:
+    """Append to out a line break, lead, then a table's 'x->y' entries, x of
+    level k in sorts[k]'s order: its heads and the targets of its positions."""
     order, _, heads = sorts[k]
-    parts = [lead] * (2 * len(order) + 1)
-    parts[1::2] = heads
-    parts[2::2] = _gather(tables.targets[k + tables.step], _gather(tables.index[key], order))
-    return "".join(parts)
+    parts = ["\n", lead] * (len(order) + 1)
+    parts[2::2] = heads
+    parts[3::2] = _gather(tables.targets[k + tables.step], _gather(tables.index[key], order))
+    out += parts
 
 
 def _write_levelled(X: FinSSet | FinXiSet, header: str, xi: bool) -> str:
     """Shared writer; an XISET adds level -1 and the dnew (d_0 at degree
     0), sbot k (s_{-1}) and stop k (s_{k+1}) lines.  A level id that is
     empty or holds whitespace, '#', '->' or ';' raises ValueError.  Each
-    table line is written by `_line`, so no string is made per entry."""
+    table line is appended by `_line` to one list of parts, which is joined
+    once, so no string is made per entry or per line."""
     cap, faces, degens = X.cap, X.faces, X.degens
-    out = [header, f"cap {cap}"]
+    out = [header, f"\ncap {cap}"]
     if X.stable_from is not None:
-        out.append(f"stable {X.stable_from}")
+        out.append(f"\nstable {X.stable_from}")
     sorts = {k: _sorted(X.levels[k]) for k in range(-1 if xi else 0, cap + 1)}
     for k, (_, ids, _) in sorts.items():
         line = " ".join(ids)
@@ -132,7 +133,7 @@ def _write_levelled(X: FinSSet | FinXiSet, header: str, xi: bool) -> str:
             bad = next(x for x in ids if x.split() != [x] or any(c in x for c in _RESERVED))
             raise ValueError(f"level {k} id {bad!r} is empty or holds whitespace, "
                              "'#', '->' or ';'")
-        out.append(f"level {k}: {line}" if line else f"level {k}:")
+        out.append(f"\nlevel {k}: {line}" if line else f"\nlevel {k}:")
     maps = [(f"d {k} {i}", faces, (k, i)) for k in range(1, cap + 1) for i in range(k + 1)]
     if xi:
         maps.append(("dnew", faces, (0, 0)))
@@ -140,9 +141,10 @@ def _write_levelled(X: FinSSet | FinXiSet, header: str, xi: bool) -> str:
     if xi:
         maps += [(f"sbot {k}", degens, (k, -1)) for k in range(-1, cap)]
         maps += [(f"stop {k}", degens, (k, k + 1)) for k in range(-1, cap)]
-    out += [_line(f"{directive}:", tables, key, key[0], sorts) for directive, tables, key in maps]
-    out.append("")
-    return "\n".join(out)
+    for directive, tables, key in maps:
+        _line(out, f"{directive}:", tables, key, key[0], sorts)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_sset(X: FinSSet) -> str:
@@ -259,11 +261,12 @@ def write_smap(M: SSetMap | XiSetMap, dom_path: str, cod_path: str) -> str:
         if "#" in path or path.splitlines() != [path] or path != path.strip():
             raise ValueError(f"{key} path {path!r} is empty or holds '#', a line break, "
                              "or leading or trailing whitespace")
-    out = ["SMAP v1", f"dom {dom_path}", f"cod {cod_path}"]
+    out = ["SMAP v1", f"\ndom {dom_path}", f"\ncod {cod_path}"]
     sorts = {k: _sorted(level) for k, level in M.dom.levels.items()}
     for k in range(-1 if isinstance(M, XiSetMap) else 0, M.dom.cap + 1):
-        out.append(_line(f"level {k}:", M.components, k, k, sorts))
-    return "\n".join(out) + "\n"
+        _line(out, f"level {k}:", M.components, k, k, sorts)
+    out.append("\n")
+    return "".join(out)
 
 
 def parse_smap_text(text: str, source: str = "<smap>"):
@@ -471,7 +474,21 @@ def write_any(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _replace_file(path: str, text: str) -> None:
+    """Write text to a new file path + '.tmp', then move it into place, so
+    a write that fails part way leaves the file at path as it was.  A file
+    already at path + '.tmp' is refused (FileExistsError) and kept."""
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save(obj, path: str) -> None:
-    text = write_any(obj)  # before the file is opened, so a refusal empties nothing
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write obj's text to path, or leave the file there as it was."""
+    _replace_file(path, write_any(obj))

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cache
 
-from .formats import parse_xiset, write_xiset
+from .formats import _replace_file, parse_xiset, write_xiset
 from .ingest import SpecError
 from .interval import (
     AlgebraicInterval,
@@ -286,18 +286,6 @@ def _read_arrows(path: str, digest: str, ids: list[str]) -> dict[str, str] | Non
             or not all(map(_DIGEST.fullmatch, table.values()))):
         return None
     return table
-
-
-def _replace_file(path: str, text: str) -> None:
-    """Write text to a temporary file beside path, then move it into place."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import builtins
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from decomp import formats
 from decomp.ingest import (
     CategorySpec,
     PosetSpec,
@@ -91,6 +93,36 @@ def idempotent_interval() -> AlgebraicInterval:
     spec = CategorySpec.build(["x"], {"1": ("x", "x"), "e": ("x", "x")}, {"x": "1"},
                               {("e", "e"): "e"})
     return factorisation_interval(nerve_category(spec, 6), "e")[0]
+
+
+class _FullDisk:
+    """A text file that takes the first `room` characters it is asked to
+    write, then raises OSError as a full disk would."""
+
+    def __init__(self, fh, room: int, wrote: list):
+        self.fh, self.room, self.wrote = fh, room, wrote
+
+    def write(self, text: str):
+        self.fh.write(text[:self.room])
+        self.fh.flush()
+        self.wrote.append(self.fh.tell())
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def fail_writes_part_way(monkeypatch, room: int = 100) -> list[int]:
+    """Make every file that `decomp.formats` opens fail part way through
+    its write; returns the bytes each failed write left in its file."""
+    wrote: list[int] = []
+    monkeypatch.setattr(formats, "open", raising=False,
+                        value=lambda path, *a, **k: _FullDisk(builtins.open(path, *a, **k),
+                                                              room, wrote))
+    return wrote
 
 
 def assert_isomorphism(a, b, iso) -> None:

@@ -1680,7 +1680,7 @@ def _perturb(draw, lines, how):
                 body = body[:m] + ";" + body[m + 3:]
         if how == "spacing":
             body = body.replace("->", draw(st.sampled_from(["\t->", "-> ", "  ->", "->\t\t"])))
-            body = body.replace(" ; ", draw(st.sampled_from([";", " ;\t", "\t;  ", " ; "])))
+            body = body.replace(" ; ", draw(st.sampled_from([";", " ;", " ;\t", "\t;  ", " ; "])))
         lines[n] = f"{head}: {body}"
 
 

@@ -1,12 +1,15 @@
 import contextlib
 import io
 import re
+import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import oracles
 import pytest
+from conftest import fail_writes_part_way
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import poset_specs
@@ -214,6 +217,17 @@ def test_parsers_name_a_malformed_directive_and_its_line(parse, text, message):
         parse(text)
 
 
+def test_a_body_cut_short_of_its_next_source_is_refused():
+    """Split at ' ;', the body below has three entries, as level 1 has
+    three ids, but the second does not start with ' y->'.  Read against
+    the level lines it would be y->b; it is read entry by entry, and the
+    bare 'b' is refused at its line."""
+    text = ("SSET v1\ncap 1\nlevel 0: a b\nlevel 1: x y z\n"
+            "d 1 0: x->a ;b ; z->b\nd 1 1: x->a ; y->b ; z->b\ns 0 0: a->x ; b->z\n")
+    with pytest.raises(ParseError, match="^<sset>:5: expected src->tgt, got 'b'$"):
+        parse_sset(text)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_sset("SSET v1\ncap x\n")
@@ -337,6 +351,54 @@ def test_failed_save_keeps_the_file(tmp_path):
     with pytest.raises(ValueError, match="'p#q'"):
         save(point_sset(3, "p#q"), path)
     assert path.read_bytes() == before
+
+
+def test_save_that_fails_part_way_keeps_the_file(tmp_path, monkeypatch):
+    """A write that fails part way, as on a full disk, raises its OSError,
+    leaves the bytes at the path as they were and no temporary file."""
+    path = tmp_path / "kept.sset"
+    save(nerve_poset(divisor_poset(6), 3), path)
+    before = path.read_bytes()
+    wrote = fail_writes_part_way(monkeypatch)
+    with pytest.raises(OSError, match="No space left on device"):
+        save(nerve_poset(divisor_poset(12), 3), path)
+    assert len(wrote) == 1 and wrote[0] > 0
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.sset"]
+
+
+def test_save_refuses_and_keeps_a_file_at_its_temporary_path(tmp_path):
+    """save writes a new file beside the path; a file already there is
+    refused by name and kept, and the path is left as it was."""
+    path = tmp_path / "kept.sset"
+    save(nerve_poset(divisor_poset(6), 3), path)
+    before = path.read_bytes()
+    (tmp_path / "kept.sset.tmp").write_text("not ours\n")
+    with pytest.raises(FileExistsError, match=re.escape(f"{path}.tmp")):
+        save(nerve_poset(divisor_poset(12), 3), path)
+    assert path.read_bytes() == before
+    assert (tmp_path / "kept.sset.tmp").read_text() == "not ours\n"
+
+
+@pytest.mark.parametrize("kind, bound", [("sset", 1.75), ("xiset", 1.75), ("smap", 4.5)])
+def test_writers_hold_one_copy_of_the_text(poset_nerves, kind, bound):
+    """Each writer appends the pieces of its lines to one list and joins it
+    once, so no string is made per line.  What it holds besides the text
+    is that list (two pointers an entry), the ' ; x->' head of each source
+    id and each level's id order; for d60 at cap 7 (8,678 simplices) the
+    peak is 1.50x (SSET), 1.55x (XISET) and 3.60x (SMAP, whose heads are
+    used once) the text.  A writer that joins per-line strings holds the
+    text twice and peaks at 2.24x, 2.29x and 5.37x."""
+    X = poset_nerves["d60"]
+    write, *args = {"sset": (write_sset, X), "xiset": (write_xiset, u_star(X)),
+                    "smap": (write_smap, dec_bot(X)[1], "dom.sset", "cod.sset")}[kind]
+    tracemalloc.start()
+    try:
+        text = write(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * sys.getsizeof(text)
 
 
 @pytest.mark.parametrize("bad", ["p#q", "", "a b", "a\tb", "a\u2028b", "a->b", "a;b"])

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from dataclasses import FrozenInstanceError, replace
 from math import comb
@@ -240,6 +241,34 @@ def test_ez_decompose_refuses_a_degree_outside_the_cap_or_an_id_outside_the_leve
     for k in (9, 5, -1):
         with pytest.raises(CapError, match=f"^degree {k} outside cap 4$"):
             ez_decompose(X, k, SEP.join(["0", "1"]))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: dec_bot(point_sset(0)), "decalage needs cap >= 1"),
+    (lambda: dec_top(point_sset(0)), "decalage needs cap >= 1"),
+    (lambda: u_star(point_sset(1)), "u* needs cap >= 2"),
+    (lambda: truncate(point_sset(2), 3), "cannot truncate cap 2 to 3"),
+    (lambda: truncate(point_xiset(2), -1), "cannot truncate cap 2 to -1"),
+    (lambda: counit_eps(point_sset(1)), "counit needs cap >= 2"),
+    (lambda: nondegenerate(point_sset(2), 3), "degree 3 outside cap 2"),
+    (lambda: nondegenerate(point_sset(2), -1), "degree -1 outside cap 2"),
+], ids=["dec_bot", "dec_top", "u_star", "truncate-up", "truncate-below-0", "counit",
+        "nondegenerate-above", "nondegenerate-below"])
+def test_cap_guards_refuse_by_their_whole_message(make, message):
+    """Each construction names the cap it needs, and `nondegenerate` the
+    degree it cannot read, as the whole message."""
+    with pytest.raises(CapError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_ez_decompose_refuses_a_degeneracy_that_merges_two_simplices():
+    """Two vertices sent by s_0 to one edge: the walk down from that edge
+    has two preimages to choose from, and is refused, naming the edge."""
+    X = FinSSet(1, {0: ["a", "b"], 1: ["e"]},
+                {(1, 0): {"e": "a"}, (1, 1): {"e": "a"}}, {(0, 0): {"a": "e", "b": "e"}})
+    assert not validate(X).ok
+    with pytest.raises(ValueError, match="^degeneracy s_0 not injective at e$"):
+        ez_decompose(X, 1, "e")
 
 
 def test_ez_words_strictly_decreasing_and_reconstruct():

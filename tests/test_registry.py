@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import oracles
 import pytest
-from conftest import filter_nerve, idempotent_interval
+from conftest import fail_writes_part_way, filter_nerve, idempotent_interval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fastpaths import drawn_posets
@@ -155,6 +155,21 @@ def test_failed_save_keeps_stored_files(diamond_registry, tmp_path, monkeypatch)
         again = Registry.load(str(small))
         assert len(again.entries) == 2
         assert all(e.arrows is not None for e in again.entries.values())
+
+
+def test_save_that_fails_part_way_keeps_stored_files(diamond_registry, tmp_path, monkeypatch):
+    """A save whose first file write fails part way, as on a full disk,
+    raises its OSError and leaves every stored file as it was, with no
+    temporary file beside them."""
+    root = tmp_path / "reg"
+    diamond_registry.save(str(root))
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    wrote = fail_writes_part_way(monkeypatch)
+    with pytest.raises(OSError, match="No space left on device"):
+        diamond_registry.save(str(root))
+    monkeypatch.undo()
+    assert len(wrote) == 1 and wrote[0] > 0
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == before
 
 
 def test_registry_close_removes_the_temporary_file_of_a_failed_move(

@@ -1,9 +1,12 @@
+import re
 from itertools import product
 
 import pytest
 
 from decomp.simplex import (
+    DegreeMismatch,
     MonotoneMap,
+    XiMap,
     all_monotone,
     all_xi_maps,
     coface,
@@ -18,6 +21,7 @@ from decomp.simplex import (
     is_free,
     is_generic,
     pushout_generic_free,
+    xi_compose,
     xi_initial,
 )
 from oracles import pushout_universal_property_holds, two_step_factorisations
@@ -156,3 +160,49 @@ def test_generator_word_reconstructs():
             for gen in word:
                 acc = compose(acc, gen)
             assert acc == a
+
+
+def _refused(exc, message, make):
+    """make() raises exc with exactly message."""
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: MonotoneMap(-1, 2, ()), "bad ordinal degrees [-1]->[2]"),
+    (lambda: MonotoneMap(1, -1, (0, 0)), "bad ordinal degrees [1]->[-1]"),
+    (lambda: MonotoneMap(2, 1, (0, 1)), "expected 3 values, got 2"),
+    (lambda: MonotoneMap(1, 2, (0, 3)), "value 3 at position 1 outside [0, 2]"),
+    (lambda: MonotoneMap(1, 2, (-1, 0)), "value -1 at position 0 outside [0, 2]"),
+    (lambda: MonotoneMap(2, 2, (0, 2, 1)), "not monotone at position 2: (0, 2, 1)"),
+    (lambda: coface(1, 3), "coface index 3 out of range for [1]->[2]"),
+    (lambda: coface(1, -1), "coface index -1 out of range for [1]->[2]"),
+    (lambda: codegeneracy(2, 2), "codegeneracy index 2 out of range for [2]->[1]"),
+    (lambda: codegeneracy(0, 0), "codegeneracy index 0 out of range for [0]->[-1]"),
+    (lambda: XiMap(-2, 0, identity(2)), "bad interval degrees [-2]->[0]"),
+    (lambda: XiMap(0, 0, identity(1)), "representative <[1]->[1]:0,1> has wrong degrees"),
+    (lambda: XiMap(0, 0, MonotoneMap(2, 2, (0, 1, 1))),
+     "representative <[2]->[2]:0,1,1> does not fix endpoints"),
+    (lambda: pushout_generic_free(coface(1, 0), coface(1, 0)),
+     "<[1]->[2]:1,2> is not generic"),
+    (lambda: pushout_generic_free(codegeneracy(1, 0), codegeneracy(1, 0)),
+     "<[1]->[0]:0,0> is not free"),
+], ids=["mono-src", "mono-tgt", "mono-count", "mono-above", "mono-below", "mono-order",
+        "coface-above", "coface-below", "codegeneracy-above", "codegeneracy-degree",
+        "xi-degrees", "xi-rep-degrees", "xi-endpoints", "not-generic", "not-free"])
+def test_constructors_refuse_by_their_whole_message(make, message):
+    """Each guard of the simplex and interval categories names the arrow or
+    index it refuses, and the text is the whole message."""
+    _refused(ValueError, message, make)
+
+
+def test_composites_of_mismatched_degrees_are_refused_by_name():
+    """compose, xi_compose and the pushout name both arrows whose degrees
+    do not meet."""
+    _refused(DegreeMismatch, "cannot compose <[1]->[2]:1,2> then <[1]->[2]:1,2>",
+             lambda: compose(coface(1, 0), coface(1, 0)))
+    x = delta_to_xi_free(identity(0))
+    _refused(DegreeMismatch, f"cannot compose {x} then {xi_initial(1)}",
+             lambda: xi_compose(x, xi_initial(1)))
+    _refused(DegreeMismatch, "sources differ: <[2]->[1]:0,0,1> vs <[1]->[2]:1,2>",
+             lambda: pushout_generic_free(codegeneracy(2, 0), coface(1, 0)))
