@@ -98,42 +98,31 @@ def _int(tok: str, source: str, lineno: int) -> int:
 _RESERVED = ("#", "->", ";")
 
 
-def _sorted(level: list[str]) -> tuple[list[int], list[str], list[str]]:
-    """A level's positions in the order of its ids, those ids, and the heads
-    of a table line from it, the text before each target: ' x->', ' ; y->'."""
+def _sorted(level: list[str]) -> tuple[list[int], list[str]]:
+    """A level's positions in the order of its ids, and those ids."""
     order = sorted(range(len(level)), key=level.__getitem__)
-    ids = _gather(level, order)
-    return order, ids, [f" {x}->" for x in ids[:1]] + [f" ; {x}->" for x in ids[1:]]
-
-
-def _line(out: list, lead: str, tables, key, k: int, sorts: dict) -> None:
-    """Append to out a line break, lead, then a table's 'x->y' entries, x of
-    level k in sorts[k]'s order: its heads and the targets of its positions."""
-    order, _, heads = sorts[k]
-    parts = ["\n", lead] * (len(order) + 1)
-    parts[2::2] = heads
-    parts[3::2] = _gather(tables.targets[k + tables.step], _gather(tables.index[key], order))
-    out += parts
+    return order, _gather(level, order)
 
 
 def _write_levelled(X: FinSSet | FinXiSet, header: str, xi: bool) -> str:
     """Shared writer; an XISET adds level -1 and the dnew (d_0 at degree
     0), sbot k (s_{-1}) and stop k (s_{k+1}) lines.  A level id that is
-    empty or holds whitespace, '#', '->' or ';' raises ValueError.  Each
-    table line is appended by `_line` to one list of parts, which is joined
-    once, so no string is made per entry or per line."""
+    empty or holds whitespace, '#', '->' or ';' raises ValueError.  A table
+    line's pieces (line break, lead, per entry a ' ; x->' head shared by the
+    level's tables and a target) go to one list, joined once."""
     cap, faces, degens = X.cap, X.faces, X.degens
     out = [header, f"\ncap {cap}"]
     if X.stable_from is not None:
         out.append(f"\nstable {X.stable_from}")
     sorts = {k: _sorted(X.levels[k]) for k in range(-1 if xi else 0, cap + 1)}
-    for k, (_, ids, _) in sorts.items():
+    for k, (order, ids) in sorts.items():
         line = " ".join(ids)
         if line.split() != ids or any(c in line for c in _RESERVED):
             bad = next(x for x in ids if x.split() != [x] or any(c in x for c in _RESERVED))
             raise ValueError(f"level {k} id {bad!r} is empty or holds whitespace, "
                              "'#', '->' or ';'")
         out.append(f"\nlevel {k}: {line}" if line else f"\nlevel {k}:")
+        sorts[k] = order, [f" {x}->" for x in ids[:1]] + [f" ; {x}->" for x in ids[1:]]
     maps = [(f"d {k} {i}", faces, (k, i)) for k in range(1, cap + 1) for i in range(k + 1)]
     if xi:
         maps.append(("dnew", faces, (0, 0)))
@@ -141,8 +130,12 @@ def _write_levelled(X: FinSSet | FinXiSet, header: str, xi: bool) -> str:
     if xi:
         maps += [(f"sbot {k}", degens, (k, -1)) for k in range(-1, cap)]
         maps += [(f"stop {k}", degens, (k, k + 1)) for k in range(-1, cap)]
-    for directive, tables, key in maps:
-        _line(out, f"{directive}:", tables, key, key[0], sorts)
+    for directive, tables, (k, i) in maps:
+        order, heads = sorts[k]
+        parts = ["\n", f"{directive}:"] * (len(order) + 1)
+        parts[2::2] = heads
+        parts[3::2] = _gather(tables.targets[k + tables.step], _gather(tables.index[k, i], order))
+        out += parts
     out.append("\n")
     return "".join(out)
 
@@ -262,9 +255,14 @@ def write_smap(M: SSetMap | XiSetMap, dom_path: str, cod_path: str) -> str:
             raise ValueError(f"{key} path {path!r} is empty or holds '#', a line break, "
                              "or leading or trailing whitespace")
     out = ["SMAP v1", f"\ndom {dom_path}", f"\ncod {cod_path}"]
-    sorts = {k: _sorted(level) for k, level in M.dom.levels.items()}
     for k in range(-1 if isinstance(M, XiSetMap) else 0, M.dom.cap + 1):
-        _line(out, f"level {k}:", M.components, k, k, sorts)
+        order, ids = _sorted(M.dom.levels[k])  # an entry is x, '->', y, ' ; ': no new string
+        parts = ["\n", f"level {k}:", " "] + ["", "->", "", " ; "] * len(ids)
+        parts[3::4] = ids
+        parts[5::4] = _gather(M.components.targets[k + M.components.step],
+                              _gather(M.components.index[k], order))
+        parts[-1] = ""  # no ' ; ' after the last entry, nor ' ' after an empty level's ':'
+        out += parts
     out.append("\n")
     return "".join(out)
 
@@ -475,13 +473,10 @@ def write_any(obj) -> str:
 
 
 def _replace_file(path: str, text: str) -> None:
-    """Write text to a new file path + '.tmp', then move it into place, so
-    a write that fails part way leaves the file at path as it was.  A file
-    already at path + '.tmp' is refused (FileExistsError) and kept."""
+    """Write text to a temporary file beside path, then move it into place."""
     tmp = f"{path}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
     finally:
@@ -490,5 +485,10 @@ def _replace_file(path: str, text: str) -> None:
 
 
 def save(obj, path: str) -> None:
-    """Write obj's text to path, or leave the file there as it was."""
-    _replace_file(path, write_any(obj))
+    """Write obj's text to path: replace a regular (or new) file, write others in place."""
+    text = write_any(obj)  # before a file is opened, so a refusal empties nothing
+    if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        _replace_file(path, text)

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import time
@@ -42,6 +43,19 @@ def test_nerve_and_checks(d6_sset, capsys):
     assert main(["check", "mobius", d6_sset]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_nerve_writes_os_devnull_in_place(d6_file, capsys, monkeypatch):
+    """`-o os.devnull` keeps only the report: the device is written in
+    place and stays a character device.  Replacing files is refused here,
+    so a save that would move a file over the device fails this test and
+    leaves the device alone."""
+    def refuse(path, text):
+        raise AssertionError(f"would replace {path}")
+    monkeypatch.setattr("decomp.formats._replace_file", refuse)
+    assert main(["nerve", d6_file, "-o", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert capsys.readouterr().err == ""
 
 
 def test_check_fails_with_exit_one(tmp_path, capsys):
