@@ -10,7 +10,6 @@ from .axioms import (
     check_mobius,
     check_segal,
     check_tight,
-    check_wide,
 )
 from .incidence import (
     CoalgebraTable,
@@ -21,22 +20,12 @@ from .incidence import (
     counit_vec,
     culf_pushforward,
     mobius,
-    phi,
     registry_comult,
     universal_mobius,
     verify_inversion,
     zeta,
 )
-from .ingest import (
-    CategorySpec,
-    MonoidSpec,
-    PosetSpec,
-    boolean_poset,
-    chain_poset,
-    divisor_poset,
-    nerve,
-    truncated_addition,
-)
+from .ingest import CategorySpec, MonoidSpec, PosetSpec, nerve
 from .interval import (
     AlgebraicInterval,
     IntervalClass,
@@ -46,31 +35,23 @@ from .interval import (
     factorisation_interval,
     isomorphic,
     longest_edge,
-    subdivisions,
-    wide_cartesian_factor,
 )
 from .presheaf import (
     FinSSet,
     FinXiSet,
     SSetMap,
     XiSetMap,
-    counit_eps,
     dec_bot,
     dec_top,
-    ez_decompose,
     i_star,
     nondegenerate,
     u_star,
-    unit_eta,
     validate,
 )
 from .registry import Registry, build_fragment, fragment_square_report
 from .simplex import (
     MonotoneMap,
-    XiMap,
     compose,
-    delta_to_xi_free,
-    generic_free_factor,
     generic_generators,
     is_free,
     is_generic,

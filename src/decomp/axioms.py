@@ -195,12 +195,6 @@ def check_flanked(A: FinXiSet) -> Report:
     return rep
 
 
-def check_wide(g: XiSetMap) -> bool:
-    """Is the degree -1 component a bijection on positions?"""
-    idx = g.components.index[-1]
-    return len(set(idx)) == len(idx) == len(g.cod.levels[-1])
-
-
 # ---------------------------------------------------------------------------
 # finiteness conditions
 

@@ -27,6 +27,10 @@ from .presheaf import (
 )
 from .registry import Registry, RegistryError
 
+# What a command refuses as input: printed as one `error:` line, exit 2.
+_INPUT_ERRORS = (ParseError, SpecError, CapError, IntervalError, RegistryError,
+                 incidence.NotCertified, OSError)
+
 
 def _print(report) -> int:
     for line in report.lines():
@@ -86,9 +90,19 @@ def cmd_dec(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """Check each file in turn; a file refused by an input error is named by
+    its path (a ParseError names it already), and the exit code is the
+    largest over the files."""
     code = 0
     for path in args.files:
-        code = max(code, _check_one(args.what, path))
+        try:
+            code = max(code, _check_one(args.what, path))
+        except _INPUT_ERRORS as exc:
+            why = str(exc)
+            if not why.startswith(f"{path}:"):
+                why = f"{path}: {why}"
+            print(f"error: {why}", file=sys.stderr)
+            code = 2
     return code
 
 
@@ -163,6 +177,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_registry(args) -> int:
+    if args.files and args.action != "add":
+        raise RegistryError(f"registry {args.action} takes no files: {' '.join(args.files)}")
     if args.action == "add":
         # A damaged registry must stop the command: starting empty would
         # rewrite index.tsv with the new entries only.
@@ -259,8 +275,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SpecError, CapError, IntervalError, RegistryError,
-            incidence.NotCertified, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _Refused:

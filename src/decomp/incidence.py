@@ -49,14 +49,6 @@ class QVec:
     def __getitem__(self, k: str) -> Fraction:
         return self.coeffs.get(k, Fraction(0))
 
-    def __add__(self, other: QVec) -> QVec:
-        if self.basis != other.basis:
-            raise ValueError("basis mismatch")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return QVec(self.basis, out)
-
 
 @dataclass
 class CoalgebraTable:
@@ -131,12 +123,6 @@ def zeta(table: CoalgebraTable) -> QVec:
 
 def counit_vec(table: CoalgebraTable) -> QVec:
     return QVec(table.basis, {a: Fraction(v) for a, v in table.counit.items()})
-
-
-def phi(X: FinSSet, k: int) -> QVec:
-    """Count of nondegenerate k-simplices over each long edge."""
-    counts = {a: len(over) for a, over in fibres(X, k, True).items()}
-    return QVec(frozenset(X.levels[1]), counts)
 
 
 def mobius(X: FinSSet) -> QVec:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import combinations
 from sys import intern
 
 from .presheaf import FinSSet
@@ -293,16 +292,6 @@ def nerve_monoid(spec: MonoidSpec, cap: int | None = None) -> FinSSet:
                   spec.composites(), {m: "+" + m for m in spec.elements}, cap)
 
 
-def truncated_addition(bound: int) -> MonoidSpec:
-    """The additive naturals cut off above `bound` (a partial monoid)."""
-    elems = [str(i) for i in range(bound + 1)]
-    table = {}
-    for i in range(bound + 1):
-        for j in range(bound + 1 - i):
-            table[(str(i), str(j))] = str(i + j)
-    return MonoidSpec.build(elems, "0", table)
-
-
 # ---------------------------------------------------------------------------
 # categories
 
@@ -403,31 +392,3 @@ def nerve(spec, cap: int | None = None) -> FinSSet:
     if isinstance(spec, CategorySpec):
         return nerve_category(spec, cap)
     raise SpecError(f"cannot build a nerve from {type(spec).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# stock posets used throughout the tests and docs
-
-
-def divisor_poset(n: int) -> PosetSpec:
-    divs = [d for d in range(1, n + 1) if n % d == 0]
-    pairs = [(str(a), str(b)) for a in divs for b in divs if b % a == 0]
-    return PosetSpec.from_pairs([str(d) for d in divs], pairs)
-
-
-def boolean_poset(n: int) -> PosetSpec:
-    """Subsets of an n-element set ordered by inclusion."""
-    subsets = [frozenset(c) for m in range(n + 1)
-               for c in combinations(range(n), m)]
-
-    def name(s):
-        return "o" if not s else "".join(chr(ord("a") + i) for i in sorted(s))
-
-    pairs = [(name(a), name(b)) for a in subsets for b in subsets if a <= b]
-    return PosetSpec.from_pairs([name(s) for s in subsets], pairs)
-
-
-def chain_poset(n: int) -> PosetSpec:
-    elems = [str(i) for i in range(n + 1)]
-    pairs = [(str(i), str(j)) for i in range(n + 1) for j in range(i, n + 1)]
-    return PosetSpec.from_pairs(elems, pairs)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from sys import intern
 
 from .axioms import check_complete, check_flanked, check_segal
 from .axioms import check_decomposition  # noqa: F401 -- perfbench/tracer.py wraps it here
@@ -25,22 +24,17 @@ from .presheaf import (
     FinSSet,
     FinXiSet,
     SSetMap,
-    XiSetMap,
     _fibre_positions,
     _gather,
     _name,
     _table_keys,
-    actions,
-    fibres,
     i_star,
     nondeg_bound,
     truncate,
     u_star,
-    validate_map,
     validate_xiset,
 )
 from .report import Report
-from .simplex import xi_initial
 
 
 class IntervalError(ValueError):
@@ -88,39 +82,6 @@ def validate_interval(A: AlgebraicInterval) -> Report:
     rep.absorb(check_segal(under))
     rep.verified_upto = data.cap
     return rep
-
-
-# ---------------------------------------------------------------------------
-# the wide-cartesian factorisation
-
-
-def wide_cartesian_factor(g: XiSetMap) -> tuple[XiSetMap, XiSetMap]:
-    """Factor g: B -> A through the pullback of A along B_{-1} -> A_{-1}.
-
-    The middle object has level n the fiber product B_{-1} x_{A_{-1}} A_n
-    over the unique structure map to degree -1, its pairs (b, x) found and
-    its tables and both factors' components handed over as positions, and
-    each pair named `b&x` once; the first factor is a bijection in degree
-    -1, the second is a levelwise pullback.  A g that `validate_map` fails
-    raises ValueError with the report's first line.
-    """
-    B, A = g.dom, g.cod
-    if not (rep := validate_map(g)).ok:
-        raise ValueError(rep.lines()[0])
-    T, comps = truncate(A, B.cap), g.components.index
-    pairs = {n: [(b, x) for b, c in enumerate(comps[-1])
-                 for x, t in enumerate(actions(A).index(xi_initial(n).rep)) if c == t]
-             for n in range(-1, T.cap + 1)}
-    at = {n: dict(zip(ps, range(len(ps)))) for n, ps in pairs.items()}
-    faces, degens = ({key: [at[key[0] + step][b, t[x]] for b, x in pairs[key[0]]]
-                      for key, t in family.index.items()}
-                     for family, step in ((T.faces, -1), (T.degens, 1)))
-    mid = FinXiSet(T.cap, {n: [intern(f"{B.levels[-1][b]}&{A.levels[n][x]}") for b, x in ps]
-                           for n, ps in pairs.items()}, faces, degens)
-    wide = {n: [at[n][pair] for pair in zip(actions(B).index(xi_initial(n).rep), comps[n])]
-            for n in pairs}
-    cart = {n: [x for _, x in ps] for n, ps in pairs.items()}
-    return XiSetMap(B, mid, wide), XiSetMap(mid, A, cart)
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +225,7 @@ def extend_interval(A: AlgebraicInterval, xi_cap: int) -> AlgebraicInterval:
 
 
 # ---------------------------------------------------------------------------
-# subdivisions and certification
-
-
-def subdivisions(c: IntervalClass, k: int, nondegenerate: bool = False) -> list[str]:
-    """All k-simplices over the longest edge, the degree-k fiber of the
-    forget-the-subdivision projection over this interval: c's category
-    nerve's, '*'-joins of k level-1 ids of c, as the fragment reads them."""
-    if k < 0:
-        raise CapError("subdivision degree must be >= 0")
-    return sorted(fibres(category_nerve(c, k), k, nondegenerate)[longest_edge(c.canonical.data)])
+# certification
 
 
 def certify_mobius_interval(c: IntervalClass) -> Report:

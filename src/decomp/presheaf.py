@@ -54,20 +54,9 @@ from dataclasses import dataclass, field
 from functools import cache, reduce, wraps
 from itertools import count, repeat
 from operator import itemgetter
-from sys import intern
 
 from .report import Report
-from .simplex import (
-    MonotoneMap,
-    XiMap,
-    all_xi_maps,
-    coface,
-    codegeneracy,
-    compose,
-    generator_word,
-    identity,
-    xi_compose,
-)
+from .simplex import MonotoneMap, compose, generator_word, identity
 
 
 class CapError(ValueError):
@@ -489,14 +478,6 @@ def _check_stable(rep: Report, X) -> None:
                 rep.fail(degree=k, witness=(x,), note="stable_from-violated")
 
 
-def _face_arrow(k: int, i: int) -> XiMap:
-    return XiMap(k - 1, k, coface(k + 1, i + 1))
-
-
-def _degen_arrow(k: int, j: int) -> XiMap:
-    return XiMap(k + 1, k, codegeneracy(k + 3, j + 1))
-
-
 def _map_squares(F, cls: str | None = None) -> list:
     """F's naturality squares as (letter, k, i, square) for the face "d" or
     degeneracy "s" of key (k, i), square in `pullback_failure`'s argument
@@ -575,39 +556,11 @@ def i_star(A: FinXiSet) -> FinSSet:
     return _reindexed(A, FinSSet, A.cap, 0, 0, A.stable_from)
 
 
-def u_star_map(F: SSetMap) -> XiSetMap:
-    comps = {k: F.components.index[k + 2] for k in range(-1, F.dom.cap - 1)}
-    return XiSetMap(u_star(F.dom), u_star(F.cod), comps)
-
-
-def i_star_map(G: XiSetMap) -> SSetMap:
-    comps = {k: G.components.index[k] for k in range(G.dom.cap + 1)}
-    return SSetMap(i_star(G.dom), i_star(G.cod), comps)
-
-
 def truncate(X, cap: int):
     """The same simplicial set or interval-site presheaf, capped lower."""
     if cap > X.cap or cap < 0:
         raise CapError(f"cannot truncate cap {X.cap} to {cap}")
     return _reindexed(X, type(X), cap, 0, 0, _stable_under(X, cap))
-
-
-def unit_eta(A: FinXiSet) -> XiSetMap:
-    """The unit A -> u*i*A, the composite of the two extra degeneracies."""
-    if A.cap < 2:
-        raise CapError("unit needs cap >= 2")
-    s = A.degens.index
-    comps = {k: _gather(s[(k + 1, -1)], s[(k, k + 1)]) for k in range(-1, A.cap - 1)}
-    return XiSetMap(truncate(A, A.cap - 2), u_star(i_star(A)), comps)
-
-
-def counit_eps(X: FinSSet) -> SSetMap:
-    """The counit i*u*X -> X, the composite of the two outer faces."""
-    if X.cap < 2:
-        raise CapError("counit needs cap >= 2")
-    d = X.faces.index
-    comps = {k: _gather(d[(k + 1, k + 1)], d[(k + 2, 0)]) for k in range(X.cap - 1)}
-    return SSetMap(i_star(u_star(X)), X, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -663,33 +616,6 @@ def nondeg_bound(X: FinSSet) -> int:
     return bound
 
 
-def ez_decompose(X: FinSSet, k: int, x: str) -> tuple[list[int], str]:
-    """Unique degeneracy word (decreasing indices) and nondegenerate root.
-
-    The word lists the indices outermost first: applying s_{w[-1]}, then
-    s_{w[-2]}, ..., to the root reproduces x.  A degree outside the cap
-    raises CapError, an id outside level k ValueError.
-    """
-    if k < 0 or k > X.cap:
-        raise CapError(f"degree {k} outside cap {X.cap}")
-    if x not in X.levels[k]:
-        raise ValueError(f"{x!r} is not a simplex of degree {k}")
-    word: list[int] = []
-    cur = X.levels[k].index(x)
-    while k > 0:
-        for j in range(k - 1, -1, -1):
-            pre = [n for n, v in enumerate(X.degens.index[(k - 1, j)]) if v == cur]
-            if pre:
-                if len(pre) > 1:
-                    raise ValueError(f"degeneracy s_{j} not injective at {X.levels[k][cur]}")
-                word.append(j)
-                cur, k = pre[0], k - 1
-                break
-        else:
-            break
-    return word, X.levels[k][cur]
-
-
 # ---------------------------------------------------------------------------
 # finite pullback squares
 
@@ -741,48 +667,3 @@ def _counted_pullback(p: list[int], q: list[int], f: list[int], g: list[int],
     if _gather(f, p) != _gather(g, q) or not injective and len(set(zip(p, q))) != len(p):
         return False
     return len(p) == sum(map((Counter(g) if over is None else over).get, f, repeat(0)))
-
-
-# ---------------------------------------------------------------------------
-# small constructors
-
-
-def xi_representable(k: int, cap: int) -> FinXiSet:
-    """The presheaf represented by the interval-site object [k]."""
-    def name(h: XiMap) -> str:
-        return intern("x" + "_".join(map(str, h.rep.values)))
-
-    homs = {n: {name(h): h for h in all_xi_maps(n, k)}
-            for n in range(-1, cap + 1)}
-    levels = {n: sorted(homs[n]) for n in range(-1, cap + 1)}
-
-    def act(arrow: XiMap) -> dict[str, str]:
-        return {nm: name(xi_compose(arrow, h))
-                for nm, h in homs[arrow.tgt].items()}
-
-    faces = {(n, i): act(_face_arrow(n, i))
-             for n in range(cap + 1) for i in range(n + 1)}
-    degens = {(n, j): act(_degen_arrow(n, j))
-              for n in range(-1, cap) for j in range(-1, n + 2)}
-    stable = k + 2 if k + 2 <= cap else None
-    return FinXiSet(cap, levels, faces, degens, stable_from=stable)
-
-
-def transpose_arrow(X: FinSSet, a: str) -> XiSetMap:
-    """The map from the initial representable picking out the arrow a."""
-    dom = xi_representable(-1, X.cap - 2)
-    cod = u_star(X)
-    comps = {n: {intern("x" + "_".join(map(str, h.rep.values))): sset_action(cod, h.rep)[a]
-                 for h in all_xi_maps(n, -1)} for n in range(-1, dom.cap + 1)}
-    return XiSetMap(dom, cod, comps)
-
-
-def point_sset(cap: int, name: str = "pt") -> FinSSet:
-    levels = {k: [name] for k in range(cap + 1)}
-    faces = {(k, i): [0] for k in range(1, cap + 1) for i in range(k + 1)}
-    degens = {(k, j): [0] for k in range(cap) for j in range(k + 1)}
-    return FinSSet(cap, levels, faces, degens, stable_from=0)
-
-
-def point_xiset(cap: int, name: str = "pt") -> FinXiSet:
-    return u_star(point_sset(cap + 2, name))

@@ -9,13 +9,13 @@ in its category nerve, made by `close` in one pass.  `_cut` makes every cut,
 from an object at cap 4 or less, so at cap 2.
 
 Level k of the fragment collects, over every registered class, its
-k-subdivisions (`interval.subdivisions`): the k-simplices over the longest
-edge of its category nerve, whose ids, like its arrow table's, are the
-class's own, a k-simplex the '*'-join of k level-1 ids.  Inner faces are the
-nerve's own.  An outer face passes to the class of the face's long edge, and
-is read off the face itself: its edges from its first to its last vertex
-through each of its steps are that class's arrows, relabelled onto its ids.
-Each nerve is read on positions, and a subdivision is named by its id once.
+k-subdivisions: the k-simplices over the longest edge of its category
+nerve, whose ids, like its arrow table's, are the class's own, a k-simplex
+the '*'-join of k level-1 ids.  Inner faces are the nerve's own.  An outer
+face passes to the class of the face's long edge, and is read off the face
+itself: its edges from its first to its last vertex through each of its
+steps are that class's arrows, relabelled onto its ids.  Each nerve is read
+on positions, and a subdivision is named by its id once.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
-"""Arrows of the simplex category and of the strict-interval category.
+"""Arrows of the simplex category.
 
 Monotone maps between finite ordinals [n] = {0, ..., n} are the substrate
-for everything downstream: presheaf actions, the endpoint-preserving /
-distance-preserving factorisation, pushouts, and the encoding of
-interval-category arrows as ordinary monotone maps.
+for everything downstream: presheaf actions (an interval-site arrow acts
+through the endpoint-preserving map that represents it, see `presheaf`),
+the endpoint-preserving / distance-preserving maps, their generators and
+pushouts, and the word of cofaces and codegeneracies of a map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 
 class DegreeMismatch(ValueError):
@@ -77,19 +77,6 @@ def is_free(a: MonotoneMap) -> bool:
     return all(a.values[i + 1] == a.values[i] + 1 for i in range(a.src))
 
 
-def generic_free_factor(a: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
-    """Factor a as an endpoint-preserving map followed by a shift.
-
-    The middle ordinal is [a(src) - a(0)]; the pair is the unique such
-    factorisation (checked exhaustively in the tests).
-    """
-    lo = a.values[0]
-    mid = a.values[-1] - lo
-    g = MonotoneMap(a.src, mid, tuple(v - lo for v in a.values))
-    f = MonotoneMap(mid, a.tgt, tuple(i + lo for i in range(mid + 1)))
-    return g, f
-
-
 def pushout_generic_free(
     g: MonotoneMap, f: MonotoneMap
 ) -> tuple[MonotoneMap, MonotoneMap]:
@@ -135,12 +122,6 @@ def free_generators(n: int) -> list[MonotoneMap]:
     return [coface(n, 0), coface(n, n + 1)]
 
 
-def all_monotone(m: int, n: int):
-    """All monotone maps [m] -> [n]."""
-    for vals in combinations_with_replacement(range(n + 1), m + 1):
-        yield MonotoneMap(m, n, vals)
-
-
 def generator_word(a: MonotoneMap) -> list[MonotoneMap]:
     """Factor a into cofaces and codegeneracies, first applied first.
 
@@ -168,54 +149,3 @@ def generator_word(a: MonotoneMap) -> list[MonotoneMap]:
         tgt -= 1
     word.extend(reversed(outer))
     return word
-
-
-# Arrows of the interval category are encoded as endpoint-preserving
-# monotone maps one white dot wider on each side: the object with k black
-# dots and two white ones is [k-1], and its arrows [k] -> [n] correspond to
-# generic maps [k+2] -> [n+2].
-
-
-@dataclass(frozen=True)
-class XiMap:
-    """An interval-category arrow [src] -> [tgt], degrees >= -1.
-
-    rep is the representing monotone map [src+2] -> [tgt+2]; it fixes both
-    endpoints (the white dots sit at positions 0 and src+2 / tgt+2).
-    """
-
-    src: int
-    tgt: int
-    rep: MonotoneMap
-
-    def __post_init__(self):
-        if self.src < -1 or self.tgt < -1:
-            raise ValueError(f"bad interval degrees [{self.src}]->[{self.tgt}]")
-        if (self.rep.src, self.rep.tgt) != (self.src + 2, self.tgt + 2):
-            raise ValueError(f"representative {self.rep} has wrong degrees")
-        if not is_generic(self.rep):
-            raise ValueError(f"representative {self.rep} does not fix endpoints")
-
-
-def xi_compose(x: XiMap, y: XiMap) -> XiMap:
-    if x.tgt != y.src:
-        raise DegreeMismatch(f"cannot compose {x} then {y}")
-    return XiMap(x.src, y.tgt, compose(x.rep, y.rep))
-
-
-def delta_to_xi_free(a: MonotoneMap) -> XiMap:
-    """Extend a simplex-category arrow by a white dot on each side."""
-    vals = (0,) + tuple(v + 1 for v in a.values) + (a.tgt + 2,)
-    return XiMap(a.src, a.tgt, MonotoneMap(a.src + 2, a.tgt + 2, vals))
-
-
-def xi_initial(n: int) -> XiMap:
-    """The unique arrow [-1] -> [n]: the long-edge inclusion [1] -> [n+2]."""
-    return XiMap(-1, n, MonotoneMap(1, n + 2, (0, n + 2)))
-
-
-def all_xi_maps(n: int, k: int):
-    """All interval-category arrows [n] -> [k]."""
-    for rep in all_monotone(n + 2, k + 2):
-        if is_generic(rep):
-            yield XiMap(n, k, rep)

@@ -1,6 +1,7 @@
 import builtins
 import sys
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -10,17 +11,59 @@ sys.path.insert(0, str(Path(__file__).parent))
 from decomp import formats
 from decomp.ingest import (
     CategorySpec,
+    MonoidSpec,
     PosetSpec,
-    boolean_poset,
-    chain_poset,
-    divisor_poset,
     nerve_category,
     nerve_monoid,
     nerve_poset,
-    truncated_addition,
 )
 from decomp.interval import AlgebraicInterval, factorisation_interval
-from decomp.presheaf import FinSSet, point_sset
+from decomp.presheaf import FinSSet, FinXiSet, u_star
+
+
+def divisor_poset(n: int) -> PosetSpec:
+    divs = [d for d in range(1, n + 1) if n % d == 0]
+    pairs = [(str(a), str(b)) for a in divs for b in divs if b % a == 0]
+    return PosetSpec.from_pairs([str(d) for d in divs], pairs)
+
+
+def boolean_poset(n: int) -> PosetSpec:
+    """Subsets of an n-element set ordered by inclusion."""
+    subsets = [frozenset(c) for m in range(n + 1)
+               for c in combinations(range(n), m)]
+
+    def name(s):
+        return "o" if not s else "".join(chr(ord("a") + i) for i in sorted(s))
+
+    pairs = [(name(a), name(b)) for a in subsets for b in subsets if a <= b]
+    return PosetSpec.from_pairs([name(s) for s in subsets], pairs)
+
+
+def chain_poset(n: int) -> PosetSpec:
+    elems = [str(i) for i in range(n + 1)]
+    pairs = [(str(i), str(j)) for i in range(n + 1) for j in range(i, n + 1)]
+    return PosetSpec.from_pairs(elems, pairs)
+
+
+def truncated_addition(bound: int) -> MonoidSpec:
+    """The additive naturals cut off above `bound` (a partial monoid)."""
+    elems = [str(i) for i in range(bound + 1)]
+    table = {}
+    for i in range(bound + 1):
+        for j in range(bound + 1 - i):
+            table[(str(i), str(j))] = str(i + j)
+    return MonoidSpec.build(elems, "0", table)
+
+
+def point_sset(cap: int, name: str = "pt") -> FinSSet:
+    levels = {k: [name] for k in range(cap + 1)}
+    faces = {(k, i): [0] for k in range(1, cap + 1) for i in range(k + 1)}
+    degens = {(k, j): [0] for k in range(cap) for j in range(k + 1)}
+    return FinSSet(cap, levels, faces, degens, stable_from=0)
+
+
+def point_xiset(cap: int, name: str = "pt") -> FinXiSet:
+    return u_star(point_sset(cap + 2, name))
 
 
 def filter_nerve(X: FinSSet, keep) -> FinSSet:

@@ -29,6 +29,15 @@ its canonical form, subdivisions named in the category nerve against those
 of the interval extended to their degree, and the SSET and XISET parser, which reads a writer's tables
 against their level lines, against the parse of every table body entry by
 entry.
+
+The first section holds the constructions of GKT III that no command or
+library path runs, which the tests check as theorems: interval-site arrows
+as a type of their own (`XiMap`) beside the representing monotone maps that
+`presheaf.actions` takes, the representables and the transpose of an arrow,
+the i_*/u^* adjunction on maps with its unit and counit, the wide/cartesian
+factorisation, the generic/free factorisation of one map, the
+Eilenberg-Zilber decomposition of a simplex, the counting vectors `phi`
+and the subdivisions of an interval class.
 """
 
 from __future__ import annotations
@@ -36,11 +45,257 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from sys import intern
 
+from decomp.incidence import QVec
+from decomp.interval import IntervalClass, category_nerve, longest_edge
 from decomp.labeling import UnarySystem
-from decomp.presheaf import FinSSet
-from decomp.simplex import MonotoneMap, all_monotone, compose, is_free, is_generic
+from decomp.presheaf import (
+    CapError,
+    FinSSet,
+    FinXiSet,
+    SSetMap,
+    XiSetMap,
+    _gather,
+    actions,
+    fibres,
+    i_star,
+    sset_action,
+    truncate,
+    u_star,
+    validate_map,
+)
+from decomp.simplex import (
+    DegreeMismatch,
+    MonotoneMap,
+    codegeneracy,
+    coface,
+    compose,
+    is_free,
+    is_generic,
+)
+
+
+# ---------------------------------------------------------------------------
+# GKT III constructions that no command or library path runs
+
+
+def generic_free_factor(a: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
+    """Factor a as an endpoint-preserving map followed by a shift.
+
+    The middle ordinal is [a(src) - a(0)]; the pair is the unique such
+    factorisation (checked exhaustively in the tests).
+    """
+    lo = a.values[0]
+    mid = a.values[-1] - lo
+    g = MonotoneMap(a.src, mid, tuple(v - lo for v in a.values))
+    f = MonotoneMap(mid, a.tgt, tuple(i + lo for i in range(mid + 1)))
+    return g, f
+
+
+def all_monotone(m: int, n: int):
+    """All monotone maps [m] -> [n]."""
+    for vals in combinations_with_replacement(range(n + 1), m + 1):
+        yield MonotoneMap(m, n, vals)
+
+
+# Arrows of the interval category are encoded as endpoint-preserving
+# monotone maps one white dot wider on each side: the object with k black
+# dots and two white ones is [k-1], and its arrows [k] -> [n] correspond to
+# generic maps [k+2] -> [n+2].
+
+
+@dataclass(frozen=True)
+class XiMap:
+    """An interval-category arrow [src] -> [tgt], degrees >= -1.
+
+    rep is the representing monotone map [src+2] -> [tgt+2]; it fixes both
+    endpoints (the white dots sit at positions 0 and src+2 / tgt+2).
+    """
+
+    src: int
+    tgt: int
+    rep: MonotoneMap
+
+    def __post_init__(self):
+        if self.src < -1 or self.tgt < -1:
+            raise ValueError(f"bad interval degrees [{self.src}]->[{self.tgt}]")
+        if (self.rep.src, self.rep.tgt) != (self.src + 2, self.tgt + 2):
+            raise ValueError(f"representative {self.rep} has wrong degrees")
+        if not is_generic(self.rep):
+            raise ValueError(f"representative {self.rep} does not fix endpoints")
+
+
+def xi_compose(x: XiMap, y: XiMap) -> XiMap:
+    if x.tgt != y.src:
+        raise DegreeMismatch(f"cannot compose {x} then {y}")
+    return XiMap(x.src, y.tgt, compose(x.rep, y.rep))
+
+
+def delta_to_xi_free(a: MonotoneMap) -> XiMap:
+    """Extend a simplex-category arrow by a white dot on each side."""
+    vals = (0,) + tuple(v + 1 for v in a.values) + (a.tgt + 2,)
+    return XiMap(a.src, a.tgt, MonotoneMap(a.src + 2, a.tgt + 2, vals))
+
+
+def xi_initial(n: int) -> XiMap:
+    """The unique arrow [-1] -> [n]: the long-edge inclusion [1] -> [n+2]."""
+    return XiMap(-1, n, MonotoneMap(1, n + 2, (0, n + 2)))
+
+
+def all_xi_maps(n: int, k: int):
+    """All interval-category arrows [n] -> [k]."""
+    for rep in all_monotone(n + 2, k + 2):
+        if is_generic(rep):
+            yield XiMap(n, k, rep)
+
+
+def _face_arrow(k: int, i: int) -> XiMap:
+    return XiMap(k - 1, k, coface(k + 1, i + 1))
+
+
+def _degen_arrow(k: int, j: int) -> XiMap:
+    return XiMap(k + 1, k, codegeneracy(k + 3, j + 1))
+
+
+def xi_representable(k: int, cap: int) -> FinXiSet:
+    """The presheaf represented by the interval-site object [k]."""
+    def name(h: XiMap) -> str:
+        return intern("x" + "_".join(map(str, h.rep.values)))
+
+    homs = {n: {name(h): h for h in all_xi_maps(n, k)}
+            for n in range(-1, cap + 1)}
+    levels = {n: sorted(homs[n]) for n in range(-1, cap + 1)}
+
+    def act(arrow: XiMap) -> dict[str, str]:
+        return {nm: name(xi_compose(arrow, h))
+                for nm, h in homs[arrow.tgt].items()}
+
+    faces = {(n, i): act(_face_arrow(n, i))
+             for n in range(cap + 1) for i in range(n + 1)}
+    degens = {(n, j): act(_degen_arrow(n, j))
+              for n in range(-1, cap) for j in range(-1, n + 2)}
+    stable = k + 2 if k + 2 <= cap else None
+    return FinXiSet(cap, levels, faces, degens, stable_from=stable)
+
+
+def transpose_arrow(X: FinSSet, a: str) -> XiSetMap:
+    """The map from the initial representable picking out the arrow a."""
+    dom = xi_representable(-1, X.cap - 2)
+    cod = u_star(X)
+    comps = {n: {intern("x" + "_".join(map(str, h.rep.values))): sset_action(cod, h.rep)[a]
+                 for h in all_xi_maps(n, -1)} for n in range(-1, dom.cap + 1)}
+    return XiSetMap(dom, cod, comps)
+
+
+def u_star_map(F: SSetMap) -> XiSetMap:
+    comps = {k: F.components.index[k + 2] for k in range(-1, F.dom.cap - 1)}
+    return XiSetMap(u_star(F.dom), u_star(F.cod), comps)
+
+
+def i_star_map(G: XiSetMap) -> SSetMap:
+    comps = {k: G.components.index[k] for k in range(G.dom.cap + 1)}
+    return SSetMap(i_star(G.dom), i_star(G.cod), comps)
+
+
+def unit_eta(A: FinXiSet) -> XiSetMap:
+    """The unit A -> u*i*A, the composite of the two extra degeneracies."""
+    if A.cap < 2:
+        raise CapError("unit needs cap >= 2")
+    s = A.degens.index
+    comps = {k: _gather(s[(k + 1, -1)], s[(k, k + 1)]) for k in range(-1, A.cap - 1)}
+    return XiSetMap(truncate(A, A.cap - 2), u_star(i_star(A)), comps)
+
+
+def counit_eps(X: FinSSet) -> SSetMap:
+    """The counit i*u*X -> X, the composite of the two outer faces."""
+    if X.cap < 2:
+        raise CapError("counit needs cap >= 2")
+    d = X.faces.index
+    comps = {k: _gather(d[(k + 1, k + 1)], d[(k + 2, 0)]) for k in range(X.cap - 1)}
+    return SSetMap(i_star(u_star(X)), X, comps)
+
+
+def wide_cartesian_factor(g: XiSetMap) -> tuple[XiSetMap, XiSetMap]:
+    """Factor g: B -> A through the pullback of A along B_{-1} -> A_{-1}.
+
+    The middle object has level n the fiber product B_{-1} x_{A_{-1}} A_n
+    over the unique structure map to degree -1, its pairs (b, x) found and
+    its tables and both factors' components handed over as positions, and
+    each pair named `b&x` once; the first factor is a bijection in degree
+    -1, the second is a levelwise pullback.  A g that `validate_map` fails
+    raises ValueError with the report's first line.
+    """
+    B, A = g.dom, g.cod
+    if not (rep := validate_map(g)).ok:
+        raise ValueError(rep.lines()[0])
+    T, comps = truncate(A, B.cap), g.components.index
+    pairs = {n: [(b, x) for b, c in enumerate(comps[-1])
+                 for x, t in enumerate(actions(A).index(xi_initial(n).rep)) if c == t]
+             for n in range(-1, T.cap + 1)}
+    at = {n: dict(zip(ps, range(len(ps)))) for n, ps in pairs.items()}
+    faces, degens = ({key: [at[key[0] + step][b, t[x]] for b, x in pairs[key[0]]]
+                      for key, t in family.index.items()}
+                     for family, step in ((T.faces, -1), (T.degens, 1)))
+    mid = FinXiSet(T.cap, {n: [intern(f"{B.levels[-1][b]}&{A.levels[n][x]}") for b, x in ps]
+                           for n, ps in pairs.items()}, faces, degens)
+    wide = {n: [at[n][pair] for pair in zip(actions(B).index(xi_initial(n).rep), comps[n])]
+            for n in pairs}
+    cart = {n: [x for _, x in ps] for n, ps in pairs.items()}
+    return XiSetMap(B, mid, wide), XiSetMap(mid, A, cart)
+
+
+def check_wide(g: XiSetMap) -> bool:
+    """Is the degree -1 component a bijection on positions?"""
+    idx = g.components.index[-1]
+    return len(set(idx)) == len(idx) == len(g.cod.levels[-1])
+
+
+def ez_decompose(X: FinSSet, k: int, x: str) -> tuple[list[int], str]:
+    """Unique degeneracy word (decreasing indices) and nondegenerate root.
+
+    The word lists the indices outermost first: applying s_{w[-1]}, then
+    s_{w[-2]}, ..., to the root reproduces x.  A degree outside the cap
+    raises CapError, an id outside level k ValueError.
+    """
+    if k < 0 or k > X.cap:
+        raise CapError(f"degree {k} outside cap {X.cap}")
+    if x not in X.levels[k]:
+        raise ValueError(f"{x!r} is not a simplex of degree {k}")
+    word: list[int] = []
+    cur = X.levels[k].index(x)
+    while k > 0:
+        for j in range(k - 1, -1, -1):
+            pre = [n for n, v in enumerate(X.degens.index[(k - 1, j)]) if v == cur]
+            if pre:
+                if len(pre) > 1:
+                    raise ValueError(f"degeneracy s_{j} not injective at {X.levels[k][cur]}")
+                word.append(j)
+                cur, k = pre[0], k - 1
+                break
+        else:
+            break
+    return word, X.levels[k][cur]
+
+
+def phi(X: FinSSet, k: int) -> QVec:
+    """Count of nondegenerate k-simplices over each long edge."""
+    counts = {a: len(over) for a, over in fibres(X, k, True).items()}
+    return QVec(frozenset(X.levels[1]), counts)
+
+
+def subdivisions(c: IntervalClass, k: int, nondegenerate: bool = False) -> list[str]:
+    """All k-simplices over the longest edge, the degree-k fiber of the
+    forget-the-subdivision projection over this interval: c's category
+    nerve's, '*'-joins of k level-1 ids of c, as the fragment reads them."""
+    if k < 0:
+        raise CapError("subdivision degree must be >= 0")
+    return sorted(fibres(category_nerve(c, k), k, nondegenerate)[longest_edge(c.canonical.data)])
+
+
+# ---------------------------------------------------------------------------
+# factorisations, pushouts, Mobius vectors, pullbacks and validation
 
 
 _FREE_POOL: dict[tuple[int, int], list] = {}
@@ -155,21 +410,27 @@ def convolution_inverse(table):
     raise ValueError("zeta minus counit is not convolution-nilpotent")
 
 
+def vector_sum(basis, vectors) -> QVec:
+    """The sum over basis of QVecs, added entry by entry in a dict."""
+    total = dict.fromkeys(basis, Fraction(0))
+    for v in vectors:
+        for a, c in v.coeffs.items():
+            total[a] += c
+    return QVec(frozenset(basis), total)
+
+
 def mobius_by_phi(X):
     """The Mobius vector as one QVec per degree: the alternating sum of
     phi(X, k) up to X's stable degree, under the same certificate."""
     from decomp.axioms import check_mobius
-    from decomp.incidence import NotCertified, QVec, phi
+    from decomp.incidence import NotCertified
 
     cert = check_mobius(X)
     if not cert.ok:
         raise NotCertified("Mobius conditions not certified:\n" + str(cert))
-    out = QVec(frozenset(X.levels[1]))
-    for k in range(X.stable_from + 1):
-        term = phi(X, k)
-        sign = 1 if k % 2 == 0 else -1
-        out = out + QVec(term.basis, {a: sign * v for a, v in term.coeffs.items()})
-    return out
+    terms = [phi(X, k) for k in range(X.stable_from + 1)]
+    return vector_sum(X.levels[1], [QVec(t.basis, {a: (-1) ** k * v for a, v in t.coeffs.items()})
+                                    for k, t in enumerate(terms)])
 
 
 def inversion_lines_by_support(table, mu):
@@ -1198,8 +1459,6 @@ def xi_generators(A):
     """The site generators acting on A whose tables A has, as (name, arrow,
     table) triples in XISET order: d_0 at degree 0 is `dnew`, and s_{-1}
     and s_{k+1} at degree k are `sbot[k]` and `stop[k]`."""
-    from decomp.simplex import XiMap, codegeneracy, coface
-
     faces, degens = _xi_keys(A.cap)
     gens = [(_xi_name("d", k, i), XiMap(k - 1, k, coface(k + 1, i + 1)), A.faces[(k, i)])
             for k, i in faces if (k, i) in A.faces]
@@ -1215,7 +1474,6 @@ def validate_xiset_by_pairs(A):
     the walk of the normal-form word of their composite, one simplex at a
     time.  A pair in normal form is compared with itself and passes."""
     from decomp.report import Report
-    from decomp.simplex import xi_compose
 
     rep = Report("validate")
     if sorted(A.levels) != list(range(-1, A.cap + 1)):

@@ -29,18 +29,10 @@ from decomp.interval import (
     factorisation_interval,
     isomorphic,
 )
-from decomp.presheaf import (
-    counit_eps,
-    dec_bot,
-    dec_top,
-    i_star,
-    nondegenerate,
-    u_star,
-    unit_eta,
-)
+from decomp.presheaf import dec_bot, dec_top, i_star, nondegenerate, u_star
 from decomp.registry import Registry, build_fragment, fragment_square_report
 from conftest import subposet
-from oracles import convolution_inverse, rota_mobius
+from oracles import convolution_inverse, counit_eps, rota_mobius, unit_eta
 
 SEP = "≤"
 

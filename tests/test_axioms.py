@@ -10,24 +10,26 @@ from decomp.axioms import (
     check_mobius,
     check_segal,
     check_tight,
-    check_wide,
 )
-from decomp.ingest import chain_poset, divisor_poset, nerve_poset
+from decomp.ingest import nerve_poset
 from decomp.presheaf import (
     FinSSet,
     ShapeError,
     _counted_pullback,
     actions,
     dec_bot,
-    point_sset,
-    transpose_arrow,
     u_star,
-    unit_eta,
     validate,
-    xi_representable,
 )
-from conftest import chipped_object, spine_object, twin_object
-from oracles import flanked_bonus_report
+from conftest import (
+    chain_poset,
+    chipped_object,
+    divisor_poset,
+    point_sset,
+    spine_object,
+    twin_object,
+)
+from oracles import check_wide, flanked_bonus_report, transpose_arrow, unit_eta, xi_representable
 
 SEP = "≤"
 

@@ -13,11 +13,18 @@ import pytest
 import decomp
 from decomp.cli import main
 from decomp.formats import load, save, write_xiset
-from decomp.ingest import chain_poset, divisor_poset, nerve, truncated_addition
+from decomp.ingest import nerve
 from decomp.interval import canonicalize, factorisation_interval
 from decomp.presheaf import truncate, u_star
 from decomp.registry import Registry
-from conftest import filter_nerve, invalid_object, spine_object
+from conftest import (
+    chain_poset,
+    divisor_poset,
+    filter_nerve,
+    invalid_object,
+    spine_object,
+    truncated_addition,
+)
 from test_fastpaths import _REPORT_LINE
 
 SEP = "≤"
@@ -604,7 +611,7 @@ def test_culf_check_refuses_extra_component(tmp_path, d6_sset, capsys, xi, extra
     """A component outside the domain's degrees fails map validation; it
     used to be ignored, and the check passed."""
     from decomp.formats import load_smap, write_smap
-    from decomp.presheaf import u_star_map
+    from oracles import u_star_map
 
     path = _counit_smap(tmp_path, d6_sset)
     if xi:
@@ -694,7 +701,8 @@ def test_culf_check_fails_a_map_to_the_point(tmp_path, d6_sset, capsys):
     """The interval of 1≤2 at cap 1 mapped to the point: naturality holds,
     but no square on a generator is a pullback."""
     from decomp.formats import write_smap
-    from decomp.presheaf import XiSetMap, point_xiset
+    from decomp.presheaf import XiSetMap
+    from conftest import point_xiset
 
     iv = tmp_path / "i12.xiset"
     assert main(["interval", d6_sset, "--arrow", f"1{SEP}2", "-o", str(iv)]) == 0
@@ -838,3 +846,36 @@ def test_sset_commands_on_low_caps(tmp_path, d6_sset, d6_registry, capsys, argv,
     assert code in (0, 1, 2)
     if code == 2 and not captured.out:
         assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("action", ["list", "close", "mu"])
+def test_registry_actions_other_than_add_refuse_files(tmp_path, capsys, action):
+    """`registry list`, `close` and `mu` take no files: extra arguments
+    are refused by the action's name with exit 2, before the registry is
+    read, and nothing is written (an unclosed registry stays unclosed)."""
+    reg = tmp_path / "reg"
+    unclosed = Registry()
+    unclosed.insert(factorisation_interval(nerve(divisor_poset(6)), f"1{SEP}6")[0])
+    unclosed.save(str(reg))
+    before = {p.name: p.read_bytes() for p in reg.iterdir()}
+    capsys.readouterr()
+    assert main(["registry", action, str(reg), "d6.sset", "nonexistent.file"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: registry {action} takes no files: d6.sset nonexistent.file\n")
+    assert {p.name: p.read_bytes() for p in reg.iterdir()} == before
+
+
+def test_check_names_a_refused_file_and_checks_the_next(tmp_path, d6_sset, capsys):
+    """A file whose check raises is refused by its path on stderr, and the
+    files after it are still checked; the exit code is the largest over the
+    files."""
+    from decomp.formats import write_sset
+    from decomp.ingest import nerve_poset
+
+    d2 = tmp_path / "d2.sset"
+    d2.write_text(write_sset(nerve_poset(divisor_poset(6), 2)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "decomp", str(d2), d6_sset]) == 2
+    assert capsys.readouterr() == (
+        "PASS check_decomposition[both] degree=5\n",
+        f"error: {d2}: decomposition check needs cap >= 3\n")

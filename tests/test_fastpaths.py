@@ -13,7 +13,18 @@ from unittest.mock import patch
 
 import oracles
 import pytest
-from conftest import assert_isomorphism, chipped_object, filter_nerve, spine_object, twin_object
+from conftest import (
+    assert_isomorphism,
+    boolean_poset,
+    chain_poset,
+    chipped_object,
+    divisor_poset,
+    filter_nerve,
+    point_xiset,
+    spine_object,
+    truncated_addition,
+    twin_object,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -45,15 +56,11 @@ from decomp.incidence import (
 from decomp.ingest import (
     MonoidSpec,
     PosetSpec,
-    boolean_poset,
-    chain_poset,
-    divisor_poset,
     mobius_length,
     nerve,
     nerve_category,
     nerve_monoid,
     nerve_poset,
-    truncated_addition,
 )
 from decomp.interval import (
     AlgebraicInterval,
@@ -65,8 +72,6 @@ from decomp.interval import (
     interval_category,
     isomorphic,
     labelling_system,
-    subdivisions,
-    wide_cartesian_factor,
 )
 from decomp.presheaf import (
     FinSSet,
@@ -77,22 +82,16 @@ from decomp.presheaf import (
     _counted_pullback,
     _gather,
     actions,
-    counit_eps,
     dec_bot,
     dec_top,
     fibres,
     i_star,
-    i_star_map,
     long_edge_table,
     nondegenerate,
-    point_xiset,
     pullback_failure,
     sset_action,
-    transpose_arrow,
     truncate,
     u_star,
-    u_star_map,
-    unit_eta,
     validate,
     validate_map,
     validate_sset,
@@ -106,8 +105,19 @@ from decomp.registry import (
     maximal_cuts,
 )
 from decomp.report import Report
-from decomp.simplex import all_monotone, codegeneracy, coface, compose
-from oracles import pullback_failure_by_enumeration, validate_sset_by_simplex
+from decomp.simplex import codegeneracy, coface, compose
+from oracles import (
+    all_monotone,
+    counit_eps,
+    i_star_map,
+    pullback_failure_by_enumeration,
+    subdivisions,
+    transpose_arrow,
+    u_star_map,
+    unit_eta,
+    validate_sset_by_simplex,
+    wide_cartesian_factor,
+)
 from test_incidence import assert_sign_free_inversion
 from test_ingest import free_categories, quotient_categories, truncated_free_monoids
 

@@ -11,7 +11,13 @@ from pathlib import Path
 
 import oracles
 import pytest
-from conftest import fail_writes_part_way
+from conftest import (
+    divisor_poset,
+    fail_writes_part_way,
+    point_sset,
+    point_xiset,
+    truncated_addition,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import poset_specs
@@ -39,7 +45,7 @@ from decomp.formats import (
     write_sset,
     write_xiset,
 )
-from decomp.ingest import MonoidSpec, divisor_poset, nerve, nerve_poset, truncated_addition
+from decomp.ingest import MonoidSpec, nerve, nerve_poset
 from decomp.interval import factorisation_interval
 from decomp.presheaf import (
     FinXiSet,
@@ -48,8 +54,6 @@ from decomp.presheaf import (
     SSetMap,
     dec_bot,
     dec_top,
-    point_sset,
-    point_xiset,
     u_star,
     validate,
 )

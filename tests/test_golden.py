@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decomp.formats import parse_xiset, write_xiset
-from decomp.ingest import PosetSpec, boolean_poset, divisor_poset, nerve, nerve_poset
+from decomp.ingest import PosetSpec, nerve, nerve_poset
 from decomp.interval import canonicalize, factorisation_interval, labelling_system
 from decomp.presheaf import sset_action, u_star
 from decomp.registry import Registry
-from decomp.simplex import all_xi_maps
+from conftest import boolean_poset, divisor_poset
+from oracles import all_xi_maps
 
 SEP = "≤"
 D6_DIGEST = "f545f5367cf6a843ade3bb056359fa0405590fd2264f1864185137ee2600faa6"

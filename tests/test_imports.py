@@ -1,4 +1,5 @@
 """Import hygiene: every name a module of `decomp` imports is used there,
+every top-level definition is read by another or kept for a named reason,
 only `presheaf` reads how a table is stored or reads one by key, no
 docstring says a table is kept as ids, lists of positions are composed by
 `presheaf._gather`, and only `presheaf.pullback_failure` calls the
@@ -92,6 +93,65 @@ def test_unused_and_stray_noqa_imports_are_named():
         "decomp.axioms marks validate noqa but PLAN does not wrap it",
         "decomp.axioms marks dec_bot noqa but uses it",
     ]
+
+
+# The top-level definitions of `src/decomp` that no other code there reads,
+# each with the reason it stays in the library.
+KEPT_UNREAD = {
+    "formats.write_smap": "writes the SMAP format that `decomp check culf` reads",
+    "incidence.culf_pushforward": "a user's call on the user's own culf map, the abstract's "
+                                  "headline theorem",
+    "incidence.verify_inversion": "perfbench's certify workload runs it, and PLAN wraps it",
+    "interval.extend_interval": "perfbench/tracer.py's PLAN wraps it",
+    "interval.isomorphic": "a user's call on the user's own objects",
+    "registry.build_fragment": "perfbench's classify workload runs it, and PLAN wraps it",
+    "registry.fragment_square_report": "perfbench's classify workload runs it, and PLAN "
+                                       "wraps it",
+}
+
+
+def _unread(sources: dict) -> list:
+    """module.name of each top-level function or class in sources ({module:
+    text}) that no other top-level statement of any module reads, by name
+    or as an attribute; imports, strings and its own body do not count."""
+    defs, readers = [], {}
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if own is not None:
+                defs.append((module, own))
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None:
+                    readers.setdefault(name, set()).add((module, own))
+    return sorted(f"{module}.{name}" for module, name in defs
+                  if not readers.get(name, set()) - {(module, name)})
+
+
+def test_every_definition_is_read_in_src_or_kept_for_a_reason():
+    """The library is what the pipeline runs: a function or class that no
+    command and no other code of `src/` reads belongs with the tests that
+    check it, unless KEPT_UNREAD gives its reason.  The `__init__`
+    re-exports do not count as readers, and a kept name that some code
+    comes to read must leave the list."""
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert _unread(sources) == sorted(KEPT_UNREAD)
+
+
+def test_unread_definitions_are_named():
+    sources = {
+        "a": ("import b\nfrom .c import gone  # noqa: F401\n"
+              "def used():\n    return b.helper() + Kind.X\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "def gone():\n    'read only here: used'\n"
+              "class Kind:\n    X = 1\n"
+              "def main():\n    return used()\n"
+              "if __name__ == '__main__':\n    main()\n"),
+        "b": "def helper():\n    return 0\ndef lonely():\n    return helper()\n",
+    }
+    assert _unread(sources) == ["a.gone", "a.recursive", "b.lonely"]
 
 
 def test_only_presheaf_reads_the_stored_form():

@@ -17,18 +17,32 @@ from decomp.incidence import (
     counit_vec,
     culf_pushforward,
     mobius,
-    phi,
     universal_mobius,
     verify_inversion,
     zeta,
 )
-from decomp.ingest import chain_poset, divisor_poset, nerve_poset
+from decomp.ingest import nerve_poset
 from decomp.interval import canonicalize, factorisation_interval, longest_edge
-from decomp.presheaf import dec_bot, i_star, point_sset, validate
+from decomp.presheaf import dec_bot, i_star, validate
 from decomp.registry import Registry, RegistryEntry, maximal_cuts
 from decomp.report import Report
-from conftest import chipped_object, filter_nerve, idempotent_interval, invalid_object
-from oracles import convolution_inverse, inversion_lines_by_support, mobius_by_phi, rota_mobius
+from conftest import (
+    chain_poset,
+    chipped_object,
+    divisor_poset,
+    filter_nerve,
+    idempotent_interval,
+    invalid_object,
+    point_sset,
+)
+from oracles import (
+    convolution_inverse,
+    inversion_lines_by_support,
+    mobius_by_phi,
+    phi,
+    rota_mobius,
+    vector_sum,
+)
 
 SEP = "≤"
 
@@ -134,11 +148,9 @@ def test_convolution_associativity(d6_table):
 
 
 def test_a_vector_over_another_basis_is_refused(d6_table):
-    """Adding two vectors, or convolving one, over a basis other than the
-    table's is a ValueError, not a sum over the wrong arrows."""
+    """Convolving a vector over a basis other than the table's is a
+    ValueError, not a sum over the wrong arrows."""
     f, other = zeta(d6_table), QVec(d6_table.basis - {arrow("1", "6")})
-    with pytest.raises(ValueError, match="basis mismatch"):
-        f + other
     for left, right in ((f, other), (other, f)):
         with pytest.raises(ValueError, match="basis mismatch"):
             convolve(d6_table, left, right)
@@ -218,10 +230,10 @@ def assert_sign_free_inversion(X):
     table = comult(X, check=False)
     z, eps = zeta(table), counit_vec(table)
     terms = [phi(X, k) for k in range(X.stable_from + 1)]
-    even = sum(terms[0::2], QVec(table.basis))
-    odd = sum(terms[1::2], QVec(table.basis))
-    assert convolve(table, z, even) == eps + convolve(table, z, odd)
-    assert convolve(table, even, z) == eps + convolve(table, odd, z)
+    even = vector_sum(table.basis, terms[0::2])
+    odd = vector_sum(table.basis, terms[1::2])
+    assert convolve(table, z, even) == vector_sum(table.basis, [eps, convolve(table, z, odd)])
+    assert convolve(table, even, z) == vector_sum(table.basis, [eps, convolve(table, odd, z)])
 
 
 def test_sign_free_inversion(mobius_corpus):
@@ -254,7 +266,7 @@ def test_inversion_names_both_sides_of_a_perturbed_mu(d6, monkeypatch):
     real = decomp.incidence.mobius
     off = {arrow("1", "1"): 1, arrow("2", "6"): -2}
     monkeypatch.setattr(decomp.incidence, "mobius",
-                        lambda X: real(X) + QVec(frozenset(X.levels[1]), off))
+                        lambda X: vector_sum(X.levels[1], [real(X), QVec(real(X).basis, off)]))
     lines = verify_inversion(d6).lines()
     assert [line.rsplit(" note=", 1)[1] for line in lines] == [
         "zeta*mu-differs-from-counit", "mu*zeta-differs-from-counit"]

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import subposet
+from conftest import (
+    boolean_poset,
+    chain_poset,
+    divisor_poset,
+    point_sset,
+    subposet,
+    truncated_addition,
+)
 from test_golden import poset_specs
 
 from decomp.axioms import check_complete, check_decomposition, check_segal
@@ -17,17 +24,13 @@ from decomp.ingest import (
     MonoidSpec,
     PosetSpec,
     SpecError,
-    boolean_poset,
-    chain_poset,
-    divisor_poset,
     nerve,
     nerve_category,
     nerve_monoid,
     nerve_poset,
-    truncated_addition,
 )
 from decomp.interval import canonicalize, factorisation_interval, interval_category, isomorphic
-from decomp.presheaf import nondeg_bound, nondegenerate, point_sset, validate_sset
+from decomp.presheaf import nondeg_bound, nondegenerate, validate_sset
 
 
 def test_poset_closure_and_interval():
@@ -89,6 +92,11 @@ def test_monoid_rejects_unit_factorisation():
     assert "unit" in str(err.value)
 
 
+# Two objects and one arrow f: x -> y between them, with identities.
+_TWO, _IDS = ["x", "y"], {"x": "ix", "y": "iy"}
+_ARROWS = {"ix": ("x", "x"), "iy": ("y", "y"), "f": ("x", "y")}
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: MonoidSpec.build(["e", "a"], "u", {("e", "e"): "e"}), "unit u is not an element"),
     (lambda: MonoidSpec.build(["e", "a"], "e", {("e", "a"): "z"}),
@@ -99,10 +107,60 @@ def test_monoid_rejects_unit_factorisation():
      "relation a <= c uses unknown element"),
     (lambda: CategorySpec.build(["x"], {"ix": ("x", "x")}, {"x": "ix"}, {("ix", "g"): "ix"}),
      "composite ix;g=ix uses unknown arrow"),
-], ids=["unit-unknown", "product-unknown", "unit-laws", "relation-unknown", "composite-unknown"])
+    (lambda: CategorySpec.build(["x"], {"ix": ("x", "x"), "f": ("x", "y")}, {"x": "ix"}, {}),
+     "arrow f: x -> y uses unknown object"),
+    (lambda: CategorySpec.build(["x", "y"], {"ix": ("x", "x"), "iy": ("y", "y")}, {"x": "ix"},
+                                {}),
+     "every object needs exactly one identity arrow"),
+    (lambda: CategorySpec.build(["x", "y"], {"ix": ("x", "y"), "iy": ("y", "y")},
+                                {"x": "ix", "y": "iy"}, {}),
+     "identity ix of x is not an endo-arrow"),
+    (lambda: CategorySpec.build(_TWO, _ARROWS, _IDS, {("f", "f"): "f"}),
+     "composite listed for non-composable f;f"),
+    (lambda: CategorySpec.build(["x"], {"ix": ("x", "x"), "e": ("x", "x")}, {"x": "ix"},
+                                {("e", "e"): "e", ("ix", "e"): "ix"}),
+     "identity law fails on ix;e"),
+    (lambda: CategorySpec.build(["x"], {"ix": ("x", "x"), "e": ("x", "x")}, {"x": "ix"},
+                                {("e", "e"): "e", ("e", "ix"): "ix"}),
+     "identity law fails on e;ix"),
+    (lambda: CategorySpec.build(["x", "y", "z"], {"ix": ("x", "x"), "iy": ("y", "y"),
+                                                  "iz": ("z", "z"), "f": ("x", "y"),
+                                                  "g": ("y", "z")},
+                                {"x": "ix", "y": "iy", "z": "iz"}, {}),
+     "missing composite for f;g"),
+    (lambda: CategorySpec.build(
+        ["w", "x", "y", "z"],
+        {"iw": ("w", "w"), "ix": ("x", "x"), "iy": ("y", "y"), "iz": ("z", "z"),
+         "f": ("w", "x"), "g": ("x", "y"), "h": ("y", "z"), "fg": ("w", "y"),
+         "gh": ("x", "z"), "a": ("w", "z"), "b": ("w", "z")},
+        {"w": "iw", "x": "ix", "y": "iy", "z": "iz"},
+        {("f", "g"): "fg", ("g", "h"): "gh", ("fg", "h"): "a", ("f", "gh"): "b"}),
+     "associativity fails on (f,g,h)"),
+    (lambda: CategorySpec.build(["x", "y", "z"], {"ix": ("x", "x"), "iy": ("y", "y"),
+                                                  "iz": ("z", "z"), "f": ("x", "y"),
+                                                  "g": ("y", "z"), "h": ("x", "y")},
+                                {"x": "ix", "y": "iy", "z": "iz"}, {("f", "g"): "h"}),
+     "composite f;g=h has wrong endpoints"),
+    (lambda: CategorySpec.build(["x", "x"], {"ix": ("x", "x")}, {"x": "ix"}, {}),
+     "duplicate objects"),
+    (lambda: CategorySpec.build(_TWO, _ARROWS, _IDS, {}).compose("f", "f"),
+     "f and f are not composable"),
+    (lambda: PosetSpec.from_pairs(["a", "b", "a"], []), "duplicate poset elements"),
+    (lambda: MonoidSpec.build(["e", "e"], "e", {("e", "e"): "e"}), "duplicate monoid elements"),
+    (lambda: PosetSpec.from_pairs(["a", "b c"], []), "bad element name 'b c'"),
+    (lambda: nerve(chain_poset(1), 1), "nerve needs cap >= 2"),
+    (lambda: nerve(object()), "cannot build a nerve from object"),
+], ids=["unit-unknown", "product-unknown", "unit-laws", "relation-unknown", "composite-unknown",
+        "object-unknown", "one-identity-per-object", "identity-not-endo", "non-composable",
+        "identity-law", "identity-law-right", "missing-composite", "associativity",
+        "wrong-endpoints", "duplicate-objects", "compose-not-composable",
+        "duplicate-poset-elements", "duplicate-monoid-elements", "bad-element-name",
+        "nerve-cap", "nerve-of-object"])
 def test_specs_name_what_they_refuse(build, message):
-    """Each refusal of a spec that names an unknown element, arrow or a
-    failed unit law, pinned by its message."""
+    """Each refusal of a spec or a nerve build, pinned by its whole
+    message: unknown elements, objects and arrows, failed unit, identity and
+    associative laws, composites that do not fit or are missing, repeated or
+    badly named elements, a cap below 2 and an input that is no spec."""
     with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
         build()
 

@@ -4,8 +4,8 @@ from dataclasses import replace
 import oracles
 import pytest
 
-from decomp.axioms import check_map_class, check_segal, check_wide
-from decomp.ingest import CategorySpec, chain_poset, divisor_poset, nerve_category, nerve_poset
+from decomp.axioms import check_map_class, check_segal
+from decomp.ingest import CategorySpec, nerve_category, nerve_poset
 from decomp.interval import (
     AlgebraicInterval,
     IntervalClass,
@@ -19,9 +19,7 @@ from decomp.interval import (
     isomorphic,
     labelling_system,
     longest_edge,
-    subdivisions,
     validate_interval,
-    wide_cartesian_factor,
 )
 from decomp.presheaf import (
     CapError,
@@ -29,16 +27,27 @@ from decomp.presheaf import (
     ShapeError,
     XiSetMap,
     i_star,
-    point_sset,
-    point_xiset,
-    transpose_arrow,
     truncate,
     u_star,
     validate,
     validate_map,
+)
+from conftest import (
+    assert_isomorphism,
+    chain_poset,
+    divisor_poset,
+    idempotent_interval,
+    point_sset,
+    point_xiset,
+    subposet,
+)
+from oracles import (
+    check_wide,
+    subdivisions,
+    transpose_arrow,
+    wide_cartesian_factor,
     xi_representable,
 )
-from conftest import assert_isomorphism, idempotent_interval, subposet
 
 SEP = "≤"
 
@@ -348,7 +357,7 @@ def test_wide_cartesian_factorisation(d12):
 
 def test_wide_factor_of_cartesian_is_iso(poset_nerves):
     A = u_star(poset_nerves["d6"])
-    from decomp.presheaf import unit_eta
+    from oracles import unit_eta
 
     eta = unit_eta(A)
     wide, _ = wide_cartesian_factor(eta)

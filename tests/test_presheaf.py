@@ -5,38 +5,41 @@ from dataclasses import FrozenInstanceError, replace
 from math import comb
 
 import pytest
-from oracles import flanked_bonus_report, indexed_square, pullback_issue
+from oracles import (
+    counit_eps,
+    ez_decompose,
+    flanked_bonus_report,
+    i_star_map,
+    indexed_square,
+    pullback_issue,
+    u_star_map,
+    unit_eta,
+    xi_representable,
+)
 
 from decomp.axioms import check_flanked, check_map_class
-from decomp.ingest import chain_poset, divisor_poset, nerve_poset
+from decomp.ingest import nerve_poset
 from decomp.interval import isomorphic
 from decomp.presheaf import (
     CapError,
     FinSSet,
     ShapeError,
     SSetMap,
-    counit_eps,
     dec_bot,
     dec_top,
-    ez_decompose,
     fibres,
     i_star,
-    i_star_map,
     long_edge_table,
     nondegenerate,
-    point_sset,
-    point_xiset,
     pullback_failure,
     truncate,
     u_star,
-    u_star_map,
-    unit_eta,
     validate,
     validate_map,
     validate_sset,
     validate_xiset,
-    xi_representable,
 )
+from conftest import chain_poset, divisor_poset, point_sset, point_xiset
 
 SEP = "≤"
 

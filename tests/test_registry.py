@@ -8,7 +8,15 @@ from dataclasses import replace
 
 import oracles
 import pytest
-from conftest import fail_writes_part_way, filter_nerve, idempotent_interval
+from conftest import (
+    boolean_poset,
+    chain_poset,
+    divisor_poset,
+    fail_writes_part_way,
+    filter_nerve,
+    idempotent_interval,
+    point_sset,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fastpaths import drawn_posets
@@ -16,17 +24,10 @@ from test_fastpaths import drawn_posets
 from decomp import registry
 from decomp.cli import main
 from decomp.formats import save, write_xiset
-from decomp.ingest import (
-    PosetSpec,
-    boolean_poset,
-    chain_poset,
-    divisor_poset,
-    nerve,
-    nerve_poset,
-)
+from decomp.ingest import PosetSpec, nerve, nerve_poset
 from decomp.incidence import registry_comult
 from decomp.interval import AlgebraicInterval, canonicalize, factorisation_interval
-from decomp.presheaf import CapError, FinXiSet, point_sset, truncate, u_star
+from decomp.presheaf import CapError, FinXiSet, truncate, u_star
 from decomp.registry import (
     Registry,
     RegistryError,

@@ -6,25 +6,28 @@ import pytest
 from decomp.simplex import (
     DegreeMismatch,
     MonotoneMap,
-    XiMap,
-    all_monotone,
-    all_xi_maps,
     coface,
     codegeneracy,
     compose,
-    delta_to_xi_free,
     free_generators,
     generator_word,
-    generic_free_factor,
     generic_generators,
     identity,
     is_free,
     is_generic,
     pushout_generic_free,
+)
+from oracles import (
+    XiMap,
+    all_monotone,
+    all_xi_maps,
+    delta_to_xi_free,
+    generic_free_factor,
+    pushout_universal_property_holds,
+    two_step_factorisations,
     xi_compose,
     xi_initial,
 )
-from oracles import pushout_universal_property_holds, two_step_factorisations
 
 
 def test_compose_identity():
