@@ -47,15 +47,20 @@ def check_segal(X: FinSSet) -> Report:
     counted in data["squares"]; together they make every level the fibre
     product of its principal edges (GKT I, §2)."""
     rep = Report("check_segal")
-    d, L = X.faces.index, X.levels
-    for n in range(1, X.cap):
-        bad = pullback_failure(L[n + 1], L[n], L[n], d[n + 1, n + 1], d[n + 1, 0],
-                               d[n, 0], d[n, n])
+    for k, square in _segal_squares(X):
+        bad = pullback_failure(*square)
         if bad is not None:
-            rep.fail(degree=n + 1, note=bad)
+            rep.fail(degree=k, note=bad)
     rep.data["squares"] = dict.fromkeys(range(2, X.cap + 1), 1)
     rep.verified_upto = X.cap
     return rep
+
+
+def _segal_squares(X: FinSSet) -> list:
+    """X's Segal squares, (degree, square) in `pullback_failure`'s order."""
+    d, L = X.faces.index, X.levels
+    return [(n + 1, (L[n + 1], L[n], L[n], d[n + 1, n + 1], d[n + 1, 0], d[n, 0], d[n, n]))
+            for n in range(1, X.cap)]
 
 
 def check_complete(X: FinSSet) -> bool:
@@ -84,8 +89,8 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
     `direct` tests the pushout squares of all generator pairs fitting under
     the cap, recording them per corner degree in data["squares"] and its own
     table compositions in data["compositions"]; `decalage` tests that both
-    decalages are Segal with culf counits, deciding no counit square that a
-    passing `direct` holds transposed; `both` cross-validates the verdicts.
+    decalages are Segal with culf counits, reading each square off a passing
+    `direct` (data["shared"]); `both` cross-validates, deciding each once.
     """
     if method not in ("direct", "decalage", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -106,15 +111,17 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
         rep.verified_upto = X.cap
         return rep
     if method == "decalage":
-        direct = check_decomposition(X, "direct")
+        direct, rep.data["shared"] = check_decomposition(X, "direct"), 0
         for which, dec in (("top", dec_top), ("bot", dec_bot)):
             D, counit = dec(X)
+            shared = _squares_shared(D, counit, actions(X), which == "top") if direct.ok else 0
+            rep.data["shared"] += shared
+            if shared:
+                continue
             seg = check_segal(D)
             if not seg.ok:
                 rep.fail(note=f"dec_{which}-not-segal")
                 rep.absorb(seg)
-            if direct.ok and _squares_shared(counit, actions(X), which == "top"):
-                continue
             culf = check_map_class(counit, "culf")
             if not culf.ok:
                 rep.fail(note=f"dec_{which}-counit-not-culf")
@@ -138,17 +145,21 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
     return rep
 
 
-def _squares_shared(counit: SSetMap, act, top: bool) -> bool:
-    """Is each culf square of a decalage counit of X, whose actions are act,
-    X's generic-free square of (sigma^j or inner delta^i, the deleted outer
-    coface) for the counit's s_j or d_i, transposed, as index lists?"""
-    for letter, k, i, square in _map_squares(counit, "culf"):
-        g = codegeneracy(k + 1, i) if letter == "s" else coface(k - 1, i)
-        f = free_generators(g.src)[top]
+def _squares_shared(D: FinSSet, counit: SSetMap, act, top: bool) -> int:
+    """How many squares decalage D of X (actions act) and its counit decide, if each is X's
+    generic-free square of (g, f) as index lists, else 0: D's at degree n+1 that of (delta^1,
+    delta^{n+1}), for Dec_top (delta^n, delta^0) legs swapped; the counit's on s_j or d_i
+    that of (sigma^j or inner delta^i, the deleted coface), transposed."""
+    given = [(square, coface(k - 1, k - 1 if top else 1), not top, top)
+             for k, square in _segal_squares(D)]
+    given += [(square, codegeneracy(k + 1, i) if letter == "s" else coface(k - 1, i), top, True)
+              for letter, k, i, square in _map_squares(counit, "culf")]
+    for square, g, outer, swapped in given:
+        f = free_generators(g.src)[outer]
         f2, g2 = _generic_free_squares(counit.cod.cap)[g, f]
-        if square[3:] != tuple(map(act.index, (g2, f2, f, g))):
-            return False
-    return True
+        if square[3:] != tuple(map(act.index, (g2, f2, f, g) if swapped else (f2, g2, g, f))):
+            return 0
+    return len(given)
 
 
 # ---------------------------------------------------------------------------

@@ -33,17 +33,17 @@ producers hand tables over as positions, checked by key alone.  `X.faces`,
 `X.degens` and `F.components` read the tables as ids (`_Tables`), each
 made on first read and kept, its keys and values the very strings of the
 level lists.  Objects are frozen, and each memoises its `actions`,
-`i_star`, `u_star`, `nondegenerate` levels, long-edge `fibres` and its
+`i_star`, `u_star`, nondegenerate positions, long-edge `fibres` and its
 `validate_sset`/`validate_xiset`/`check_decomposition`/`check_tight`
 verdicts.  A changed object is a new one (`dataclasses.replace`).
 
-The checks run on positions: identities, relations and naturality are
-whole-level comparisons of position lists, each composed by `_gather` in
-one C call.  actions(X).index(a) composes X(a) and keeps it; `sset_action`
-names it in ids, made afresh on each call.  Every pullback square is given
-as position lists with the id lists of its three corners and goes through
-`pullback_failure`: one counting kernel decides it, and only a failing
-square is enumerated, to name its fault by id.
+The checks run on positions: identities (face-face ones on nondegenerate
+simplices alone), relations and naturality compare position lists level by
+level, each composed by `_gather` in one C call.  actions(X).index(a)
+composes X(a) and keeps it; `sset_action` names it in ids afresh.  Every
+pullback square is given as position lists with the id lists of its three
+corners and goes through `pullback_failure`: one counting kernel decides
+it, and only a failing square is enumerated, to name its fault by id.
 """
 
 from __future__ import annotations
@@ -391,14 +391,14 @@ def _compare(rep: Report, ids, note: str, got: list, want: list, degree: int) ->
 
 
 def validate(X) -> Report:
-    if isinstance(X, FinXiSet):
-        return validate_xiset(X)
-    return validate_sset(X)
+    return (validate_xiset if isinstance(X, FinXiSet) else validate_sset)(X)
 
 
-def _check_relations(rep: Report, X) -> None:
+def _check_relations(rep: Report, X, every: bool = True) -> None:
     """Check every simplicial identity among X's structure maps, each on a
-    whole level at once, in simplicial coordinates.
+    whole level at once, in simplicial coordinates, the face-face ones,
+    unless every, only where no degeneracy (`sbot`, `stop` too) reaches;
+    rep.data counts the simplices each family ("dd", "ss", "ds") compared.
 
     Degree K and index I are X's own degree and index for a simplicial set,
     and X's degree K - 2 and index I - 1 for an interval-site presheaf,
@@ -415,28 +415,35 @@ def _check_relations(rep: Report, X) -> None:
     d = {(k + 2 * xi, i + xi): X.faces.index[(k, i)] for k, i in face_keys}
     s = {(k + 2 * xi, j + xi): X.degens.index[(k, j)] for k, j in degen_keys}
     tables = {"d": d, "s": s}
-    def relation(K, note, outer, inner, want):
-        """Compare want with the side outer after inner over level K."""
+    rep.data.update(dd=0, ss=0, ds=0)
+    def relation(ids, note, outer, inner, want, rows=tables):
+        """Compare want with the side outer after inner (read from rows) over ids."""
         (a, L, I), (b, M, J) = outer, inner
-        got = _gather(tables[a][L, I], tables[b][M, J])
+        got = _gather(tables[a][L, I], rows[b][M, J])
+        rep.data[a + b] += len(got)
         if got != want:
             if xi:
                 note = f"relation:{_name(a, L - 2, I - 1)};{_name(b, M - 2, J - 1)}"
-            _compare(rep, X.levels[K - 2 * xi], note, got, want, K - 2 * xi)
+            _compare(rep, ids, note, got, want, M - 2 * xi)
 
     top = X.cap + 2 * xi
     for K in range(2, top + 1):
+        ids, rows = X.levels[K - 2 * xi], tables
+        if not every:
+            at = _nondegenerate_at(X, K - 2 * xi, xi)
+            ids = _gather(ids, at)
+            rows = {"d": {(K, j): _gather(d[K, j], at) for j in range(xi, K + 1 - xi)}}
         for j in range(1, K + 1 - xi):
             for i in range(xi, j):
-                relation(K, f"d{i}d{j}", ("d", K - 1, i), ("d", K, j),
-                         _gather(d[K - 1, j - 1], d[K, i]))
+                relation(ids, f"d{i}d{j}", ("d", K - 1, i), ("d", K, j),
+                         _gather(d[K - 1, j - 1], rows["d"][K, i]), rows)
     for K in range(xi, top - 1):
         for j in range(K + 1):
             for i in range(j + 1):
-                relation(K, f"s{i}s{j}", ("s", K + 1, j + 1), ("s", K, i),
+                relation(X.levels[K - 2 * xi], f"s{i}s{j}", ("s", K + 1, j + 1), ("s", K, i),
                          _gather(s[K + 1, i], s[K, j]))
     for K in range(xi, top):
-        same = list(range(len(X.levels[K - 2 * xi])))
+        same = list(range(len(ids := X.levels[K - 2 * xi])))
         for j in range(K + 1):
             for i in range(xi, K + 2 - xi):
                 if i == j or i == j + 1:
@@ -445,14 +452,19 @@ def _check_relations(rep: Report, X) -> None:
                     want = _gather(s[K - 1, j - 1], d[K, i])
                 else:
                     want = _gather(s[K - 1, j], d[K, i - 1])
-                relation(K, f"d{i}s{j}", ("d", K + 1, i), ("s", K, j), want)
+                relation(ids, f"d{i}s{j}", ("d", K + 1, i), ("s", K, j), want)
 
 
 def _validated(X) -> Report:
     """Every relation and the stabilization claim; the constructor decided
-    the shape."""
+    the shape.  Face-face identities on nondegenerate simplices decide all
+    once the d-s ones hold, which rewrite both sides on s_m y into
+    degeneracies of one on y (Eilenberg-Zilber); a fault reruns every
+    relation on every simplex, to name each."""
     rep = Report("validate")
-    _check_relations(rep, X)
+    _check_relations(rep, X, every=False)
+    if not rep.ok:
+        _check_relations(rep := Report("validate"), X)
     _check_stable(rep, X)
     rep.verified_upto = X.cap
     return rep
@@ -568,18 +580,21 @@ def truncate(X, cap: int):
 
 
 @memoised
+def _nondegenerate_at(X, k: int, outer: bool) -> list[int]:
+    """The positions in levels[k] no s_j, 0 <= j < k (with outer -1 <= j <= k), reaches."""
+    hit = set().union(*(X.degens.index[k - 1, j] for j in range(-outer, k + outer)))
+    return [n for n in range(len(X.levels[k])) if n not in hit]
+
+
 def nondegenerate(X, k: int) -> list[str]:
-    """Simplices not in the image of any degeneracy.
+    """Simplices not in the image of any degeneracy, in level order.
 
     In a complete decomposition space these are exactly the simplices none
     of whose principal edges is degenerate (GKT II, section 2).
     """
     if k < 0 or k > X.cap:
         raise CapError(f"degree {k} outside cap {X.cap}")
-    degens, degenerate = X.degens.index, set()
-    for j in range(k):
-        degenerate.update(degens[(k - 1, j)])
-    return [x for n, x in enumerate(X.levels[k]) if n not in degenerate]
+    return _gather(X.levels[k], _nondegenerate_at(X, k, False))
 
 
 def long_edge_table(X: FinSSet, r: int) -> dict[str, str]:
@@ -602,18 +617,14 @@ def fibres(X: FinSSet, k: int, nondeg: bool) -> dict[str, list[str]]:
     """Every arrow's k-simplices, those whose long edge it is, in level
     order; with nondeg only the nondegenerate ones."""
     ids = X.levels[k]
-    keep = set(nondegenerate(X, k)) if nondeg else None
-    return {a: [ids[n] for n in over if keep is None or ids[n] in keep]
+    keep = set(_nondegenerate_at(X, k, False)) if nondeg else None
+    return {a: [ids[n] for n in over if keep is None or n in keep]
             for a, over in zip(X.levels[1], _fibre_positions(X, k))}
 
 
 def nondeg_bound(X: FinSSet) -> int:
     """Largest degree under the cap carrying a nondegenerate simplex."""
-    bound = 0
-    for k in range(X.cap + 1):
-        if nondegenerate(X, k):
-            bound = k
-    return bound
+    return max((k for k in range(X.cap + 1) if _nondegenerate_at(X, k, False)), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ pushouts, and the word of cofaces and codegeneracies of a map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 
 class DegreeMismatch(ValueError):
@@ -46,6 +47,7 @@ def identity(n: int) -> MonotoneMap:
     return MonotoneMap(n, n, tuple(range(n + 1)))
 
 
+@cache
 def coface(n: int, i: int) -> MonotoneMap:
     """delta_i: [n] -> [n+1], the injection skipping i."""
     if not 0 <= i <= n + 1:
@@ -53,6 +55,7 @@ def coface(n: int, i: int) -> MonotoneMap:
     return MonotoneMap(n, n + 1, tuple(v if v < i else v + 1 for v in range(n + 1)))
 
 
+@cache
 def codegeneracy(n: int, j: int) -> MonotoneMap:
     """sigma_j: [n] -> [n-1], the surjection repeating j."""
     if n < 1 or not 0 <= j <= n - 1:

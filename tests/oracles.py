@@ -1209,6 +1209,14 @@ def check_map_class_by_names(F, cls="culf"):
     return rep
 
 
+def decalage_squares(X) -> int:
+    """The squares the decalage check of X decides, counted from the cap:
+    each decalage, at cap c = X.cap - 1, has c - 1 Segal squares, and its
+    counit one culf square per degeneracy and per inner face."""
+    c = X.cap - 1
+    return 2 * (c - 1 + sum(k + 1 for k in range(c)) + sum(k - 1 for k in range(2, c + 1)))
+
+
 def check_decomposition_by_names(X, method):
     """The exactness check, every pullback square on id tables: the direct
     squares of all generic-free pushouts under the cap, or both decalages
@@ -1232,6 +1240,8 @@ def check_decomposition_by_names(X, method):
         rep.absorb(direct)
         rep.absorb(deca)
     elif method == "decalage":
+        direct = check_decomposition_by_names(X, "direct")
+        rep.data["shared"] = decalage_squares(X) if direct.ok else 0
         for which, dec in (("top", dec_top), ("bot", dec_bot)):
             D, counit = dec(X)
             seg = check_segal_by_squares(D)
@@ -1333,6 +1343,7 @@ def check_decomposition_per_square(X, method):
         rep.absorb(deca)
     elif method == "decalage":
         direct = check_decomposition_per_square(X, "direct")
+        rep.data["shared"] = decalage_squares(X) if direct.ok else 0
         for which, dec in (("top", dec_top), ("bot", dec_bot)):
             D, counit = dec(X)
             seg = check_segal(D)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -879,3 +880,73 @@ def test_check_names_a_refused_file_and_checks_the_next(tmp_path, d6_sset, capsy
     assert capsys.readouterr() == (
         "PASS check_decomposition[both] degree=5\n",
         f"error: {d2}: decomposition check needs cap >= 3\n")
+
+
+_DEGENERATE_FACE_FAULT = f"""\
+FAIL validate degree=2 witness=1{SEP}1{SEP}2 note=d0d1
+FAIL validate degree=3 witness=1{SEP}1{SEP}1{SEP}2 note=d0d2
+FAIL validate degree=3 witness=1{SEP}1{SEP}2{SEP}2 note=d0d2
+FAIL validate degree=3 witness=1{SEP}1{SEP}2{SEP}2 note=d0d3
+FAIL validate degree=3 witness=1{SEP}1{SEP}2{SEP}6 note=d0d3
+FAIL validate degree=1 witness=1{SEP}2 note=d0s0
+FAIL validate degree=2 witness=1{SEP}1{SEP}2 note=d0s1
+FAIL validate degree=2 witness=1{SEP}1{SEP}2 note=d0s2
+"""
+
+
+@pytest.mark.parametrize("what", ["segal", "decomp"])
+def test_a_fault_on_a_degenerate_simplex_is_named_on_every_simplex(tmp_path, d6_sset, capsys,
+                                                                   what):
+    """d0 of the degenerate 2-simplex 1≤1≤2 of d6's nerve sent to 1≤3: the
+    face-face identities compared on nondegenerate simplices alone miss the
+    faults, which lie on degeneracies only, and the pass fails through the
+    d-s identities; validation then names every relation on every simplex,
+    face-face lines first, as a check prints them."""
+    from decomp.presheaf import _check_relations
+    from decomp.report import Report
+
+    text = Path(d6_sset).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    n = next(n for n, line in enumerate(lines) if line.startswith("d 2 0:"))
+    assert f" 1{SEP}1{SEP}2->1{SEP}2 ;" in lines[n]
+    lines[n] = lines[n].replace(f" 1{SEP}1{SEP}2->1{SEP}2 ;", f" 1{SEP}1{SEP}2->1{SEP}3 ;")
+    bad = tmp_path / "bad.sset"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rep = Report("validate")
+    _check_relations(rep, load(str(bad)), every=False)
+    assert rep.lines() and all(re.search(r"note=d\d+s\d+$", line) for line in rep.lines())
+    capsys.readouterr()
+    assert main(["check", what, str(bad)]) == 1
+    assert capsys.readouterr() == (_DEGENERATE_FACE_FAULT, "")
+
+
+_NOT_NATURAL = f"""\
+FAIL validate_map degree=1 witness=1{SEP}1{SEP}2 note=naturality-d0
+FAIL validate_map degree=1 witness=1{SEP}2{SEP}2 note=naturality-d0
+FAIL validate_map degree=1 witness=1{SEP}2{SEP}2 note=naturality-d1
+FAIL validate_map degree=1 witness=1{SEP}2{SEP}6 note=naturality-d1
+FAIL validate_map degree=0 witness=1{SEP}2 note=naturality-s0
+"""
+
+
+def test_culf_check_names_a_map_that_is_not_natural(tmp_path, d6_sset, capsys):
+    """The counit of d6's bottom decalage with 1≤2 sent to 3 in place of 2:
+    both ends are valid, so the check prints the naturality lines of
+    `validate_map` and exits 1 before any square is decided."""
+    path = _counit_smap(tmp_path, d6_sset)
+    text = path.read_text(encoding="utf-8")
+    assert f"level 0: 1{SEP}1->1 ; 1{SEP}2->2 ;" in text
+    path.write_text(text.replace(f"level 0: 1{SEP}1->1 ; 1{SEP}2->2 ;",
+                                 f"level 0: 1{SEP}1->1 ; 1{SEP}2->3 ;"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "culf", str(path)]) == 1
+    assert capsys.readouterr() == (_NOT_NATURAL, "")
+
+
+def test_an_sset_without_a_cap_line_is_refused(tmp_path, d6_sset, capsys):
+    text = Path(d6_sset).read_text(encoding="utf-8")
+    bad = tmp_path / "nocap.sset"
+    bad.write_text(text.replace("cap 5\n", "", 1), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "segal", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}:0: missing cap\n")

@@ -79,6 +79,8 @@ from decomp.presheaf import (
     ShapeError,
     SSetMap,
     XiSetMap,
+    _check_relations,
+    _check_stable,
     _counted_pullback,
     _gather,
     actions,
@@ -1219,18 +1221,25 @@ def _decided(check, *args) -> list[tuple]:
 def test_counit_squares_are_the_direct_squares_transposed(X):
     """Each culf square of a decalage counit is X's generic-free square
     whose free map is the outer coface the decalage deletes, its two legs
-    swapped; the two counits' squares are the direct ones, each once."""
+    swapped; the two counits' squares are the direct ones, each once.  Each
+    Segal square of Dec_bot is a direct square as it is, and each of Dec_top
+    one with its legs swapped, so a passing direct check decides them all."""
     from decomp.axioms import _squares_shared
 
     X = replace(X)
-    direct = Counter((P, B, A, q, p, g, f)
-                     for P, A, B, p, q, f, g in _decided(check_decomposition, X, "direct"))
+    plain = Counter(_decided(check_decomposition, X, "direct"))
+    swapped = Counter((P, B, A, q, p, g, f) for P, A, B, p, q, f, g in plain.elements())
     counits = Counter()
     for dec in (dec_top, dec_bot):
-        counit = dec(X)[1]
-        counits.update(_decided(check_map_class, counit, "culf"))
-        assert _squares_shared(counit, actions(X), dec is dec_top)
-    assert counits == direct
+        D, counit = dec(X)
+        squares = _decided(check_map_class, counit, "culf")
+        counits.update(squares)
+        segal = Counter(_decided(check_segal, D))
+        assert sum(segal.values()) == D.cap - 1
+        assert not segal - (swapped if dec is dec_top else plain)
+        shared = _squares_shared(D, counit, actions(X), dec is dec_top)
+        assert shared == len(squares) + D.cap - 1
+    assert counits == swapped
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -1470,6 +1479,39 @@ def test_validate_xiset_matches_pairs_reference(A):
         assert parsed_lines(got) == want
     else:
         assert sorted(parsed_lines(validate_xiset(got))) == sorted(want)
+
+
+def _top_face_retargeted():
+    """d6's nerve at cap 2 with d0 of the nondegenerate 1≤2≤6 sent to 3≤6,
+    as `oracles.Raw`: no degeneracy reaches the cap, so only the face-face
+    identity d0d2 on 1≤2≤6 fails."""
+    X = nerve_poset(divisor_poset(6), 2)
+    faces = {key: dict(t) for key, t in X.faces.items()}
+    faces[2, 0]["1≤2≤6"] = "3≤6"
+    return oracles.Raw(FinSSet, X.cap, X.levels, faces, dict(X.degens), X.stable_from)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(rewired_nerves(), exactness_inputs(), rewired_xisets()))
+@example(_top_face_retargeted())
+def test_face_identities_on_nondegenerate_simplices_decide_validation(X):
+    """The pass that compares the face-face identities only on the simplices
+    no degeneracy reaches, before any rerun on every simplex, gives the
+    verdict of the per-simplex (or per-pair) reference: the d-s identities,
+    compared on every simplex, carry the face-face identities from each
+    nondegenerate simplex to its degeneracies (Eilenberg-Zilber).  Each line
+    it prints is a line of the full pass."""
+    got = made(X)
+    if isinstance(got, Report):
+        return
+    rep = Report("validate")
+    _check_relations(rep, got, every=False)
+    _check_stable(rep, got)
+    reference = (oracles.validate_xiset_by_pairs if isinstance(got, FinXiSet)
+                 else validate_sset_by_simplex)(X)
+    assert rep.status == reference.status
+    if not rep.ok:
+        assert set(rep.lines()) <= set(validate(got).lines())
 
 
 def test_two_missing_xiset_tables_are_both_named():

@@ -23,6 +23,7 @@ from decomp.interval import (
 )
 from decomp.presheaf import (
     CapError,
+    FinSSet,
     FinXiSet,
     ShapeError,
     XiSetMap,
@@ -99,6 +100,19 @@ def test_errors(d12):
         factorisation_interval(d12, "nonsense")
     with pytest.raises(ValueError):
         factorisation_interval(point_sset(2), "pt")
+
+
+def test_an_input_never_validated_may_fail_completeness(d12):
+    """Only an object no check validated reaches the completeness guard: d12
+    with s0 sending the object 2 where it sends 1 is refused, and its
+    validation fails d0s0 there, as d0 s0 = id makes s0 injective on every
+    valid SSET."""
+    degens = dict(d12.degens)
+    degens[0, 0] = {**degens[0, 0], "2": degens[0, 0]["1"]}
+    X = FinSSet(d12.cap, d12.levels, dict(d12.faces), degens, d12.stable_from)
+    with pytest.raises(IntervalError, match="^input fails completeness$"):
+        factorisation_interval(X, arrow("1", "12"))
+    assert "FAIL validate degree=0 witness=2 note=d0s0" in validate(X).lines()
 
 
 def _positions(A, B, iso):

@@ -190,9 +190,11 @@ def _refused(exc, message, make):
      "<[1]->[2]:1,2> is not generic"),
     (lambda: pushout_generic_free(codegeneracy(1, 0), codegeneracy(1, 0)),
      "<[1]->[0]:0,0> is not free"),
+    (lambda: generic_generators(-1), "degree must be >= 0"),
 ], ids=["mono-src", "mono-tgt", "mono-count", "mono-above", "mono-below", "mono-order",
         "coface-above", "coface-below", "codegeneracy-above", "codegeneracy-degree",
-        "xi-degrees", "xi-rep-degrees", "xi-endpoints", "not-generic", "not-free"])
+        "xi-degrees", "xi-rep-degrees", "xi-endpoints", "not-generic", "not-free",
+        "generic-degree"])
 def test_constructors_refuse_by_their_whole_message(make, message):
     """Each guard of the simplex and interval categories names the arrow or
     index it refuses, and the text is the whole message."""
