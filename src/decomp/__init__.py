@@ -18,7 +18,6 @@ from .incidence import (
     comult,
     convolve,
     counit_vec,
-    culf_pushforward,
     mobius,
     registry_comult,
     universal_mobius,
@@ -33,7 +32,6 @@ from .interval import (
     certify_mobius_interval,
     extend_interval,
     factorisation_interval,
-    isomorphic,
     longest_edge,
 )
 from .presheaf import (

@@ -1,10 +1,11 @@
-"""Line-oriented text formats with bit-exact canonical writers.
+"""Line-oriented text formats: parsers for six formats, writers for SSET,
+XISET.
 
-All writers emit UTF-8 with LF line endings, sorted identifiers and no
+The writers emit UTF-8 with LF line endings, sorted identifiers and no
 trailing whitespace, so identical objects serialize identically; parsers
 accept '#' comments and blank lines and report positions on errors.  The
-SSET/XISET writers refuse level ids their parser could not read back, and
-that parser reads the tables they write against the level lines.
+writers refuse level ids their parser could not read back, and that parser
+reads the tables they write against the level lines.
 """
 
 from __future__ import annotations
@@ -247,26 +248,6 @@ def parse_xiset(text: str, source: str = "<xiset>") -> FinXiSet:
 # SMAP v1
 
 
-def write_smap(M: SSetMap | XiSetMap, dom_path: str, cod_path: str) -> str:
-    """SMAP text; a dom or cod path that is empty or holds '#', a line
-    break, or leading or trailing whitespace raises ValueError."""
-    for key, path in (("dom", dom_path), ("cod", cod_path)):
-        if "#" in path or path.splitlines() != [path] or path != path.strip():
-            raise ValueError(f"{key} path {path!r} is empty or holds '#', a line break, "
-                             "or leading or trailing whitespace")
-    out = ["SMAP v1", f"\ndom {dom_path}", f"\ncod {cod_path}"]
-    for k in range(-1 if isinstance(M, XiSetMap) else 0, M.dom.cap + 1):
-        order, ids = _sorted(M.dom.levels[k])  # an entry is x, '->', y, ' ; ': no new string
-        parts = ["\n", f"level {k}:", " "] + ["", "->", "", " ; "] * len(ids)
-        parts[3::4] = ids
-        parts[5::4] = _gather(M.components.targets[k + M.components.step],
-                              _gather(M.components.index[k], order))
-        parts[-1] = ""  # no ' ; ' after the last entry, nor ' ' after an empty level's ':'
-        out += parts
-    out.append("\n")
-    return "".join(out)
-
-
 def parse_smap_text(text: str, source: str = "<smap>"):
     dom_path = cod_path = None
     comps: dict[int, dict[str, str]] = {}
@@ -322,12 +303,6 @@ def load_smap(path: str) -> SSetMap | XiSetMap:
 # POSET v1 / MONOID v1 / CAT v1
 
 
-def write_poset(spec: PosetSpec) -> str:
-    out = ["POSET v1", "elements: " + " ".join(sorted(spec.elements))]
-    out += [f"le {a} {b}" for a, b in spec.covers()]
-    return "\n".join(out) + "\n"
-
-
 def parse_poset(text: str, source: str = "<poset>") -> PosetSpec:
     elements: list[str] = []
     pairs: list[tuple[str, str]] = []
@@ -345,14 +320,6 @@ def parse_poset(text: str, source: str = "<poset>") -> PosetSpec:
         else:
             raise ParseError(source, lineno, f"unknown directive {key!r}")
     return _spec(PosetSpec.from_pairs, source, elements, pairs)
-
-
-def write_monoid(spec: MonoidSpec) -> str:
-    out = ["MONOID v1",
-           "elements: " + " ".join(sorted(spec.elements)),
-           f"unit: {spec.unit}"]
-    out += [f"mul {a} {b}: {c}" for (a, b), c in sorted(spec.table.items())]
-    return "\n".join(out) + "\n"
 
 
 def parse_monoid(text: str, source: str = "<monoid>") -> MonoidSpec:
@@ -380,18 +347,6 @@ def parse_monoid(text: str, source: str = "<monoid>") -> MonoidSpec:
     if unit is None:
         raise ParseError(source, 0, "missing unit")
     return _spec(MonoidSpec.build, source, elements, unit, table)
-
-
-def write_category(spec: CategorySpec) -> str:
-    out = ["CAT v1", "objects: " + " ".join(sorted(spec.objects))]
-    out += [f"id {x}: {spec.identities[x]}" for x in sorted(spec.objects)]
-    for f in sorted(spec.arrows):
-        if spec.is_identity(f):
-            continue
-        s, t = spec.arrows[f]
-        out.append(f"arrow {f}: {s} -> {t}")
-    out += [f"compose {f} {g}: {h}" for (f, g), h in sorted(spec.comp.items())]
-    return "\n".join(out) + "\n"
 
 
 def parse_category(text: str, source: str = "<cat>") -> CategorySpec:
@@ -463,12 +418,6 @@ def write_any(obj) -> str:
         return write_xiset(obj)
     if isinstance(obj, FinSSet):
         return write_sset(obj)
-    if isinstance(obj, PosetSpec):
-        return write_poset(obj)
-    if isinstance(obj, MonoidSpec):
-        return write_monoid(obj)
-    if isinstance(obj, CategorySpec):
-        return write_category(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -16,10 +16,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .axioms import check_decomposition, check_map_class, check_mobius, check_segal
+from .axioms import check_decomposition, check_mobius, check_segal
+from .axioms import check_map_class  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .interval import certify_mobius_interval, longest_edge
 from .interval import factorisation_interval  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .presheaf import FinSSet, SSetMap, _gather, fibres, validate_map, validate_sset
+from .presheaf import FinSSet, fibres, validate_sset
 from .registry import Registry, RegistryError
 from .registry import build_fragment  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .report import Report
@@ -187,23 +188,6 @@ def _homomorphism(rep: Report, X: FinSSet, m: dict, target: CoalgebraTable,
         if table.counit[a] != target.counit[m[a]]:
             rep.fail(degree=1, witness=(a,), note="counit-not-preserved")
     rep.verified_upto = X.cap
-
-
-def culf_pushforward(F: SSetMap) -> tuple[dict[str, str], Report]:
-    """The arrow-level map of a valid culf map, checked to be a coalgebra
-    homomorphism."""
-    rep = Report("culf_pushforward")
-    base = validate_map(F)
-    if not base.ok:
-        raise NotCertified("map is not valid:\n" + str(base))
-    culf = check_map_class(F, "culf")
-    if not culf.ok:
-        raise NotCertified("map is not cartesian on generics:\n" + str(culf))
-    if F.dom.cap < 2:
-        raise NotCertified("comultiplication needs cap >= 2")
-    m1 = dict(zip(F.dom.levels[1], _gather(F.cod.levels[1], F.components.index[1])))
-    _homomorphism(rep, F.dom, m1, comult(F.cod, check=False), "comultiplication-not-preserved")
-    return m1, rep
 
 
 def classify(X: FinSSet, reg: Registry) -> tuple[dict[str, str], Report]:

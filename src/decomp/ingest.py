@@ -200,17 +200,6 @@ class PosetSpec:
     def leq(self, a: str, b: str) -> bool:
         return (a, b) in self.le
 
-    def covers(self) -> list[tuple[str, str]]:
-        out = []
-        for a, b in sorted(self.le):
-            if a == b:
-                continue
-            if any(z not in (a, b) and self.leq(a, z) and self.leq(z, b)
-                   for z in self.elements):
-                continue
-            out.append((a, b))
-        return out
-
     def up_sets(self) -> dict[str, list[str]]:
         return {a: [b for b in self.elements if self.leq(a, b)]
                 for a in self.elements}

@@ -18,7 +18,7 @@ from .axioms import check_complete, check_flanked, check_segal
 from .axioms import check_decomposition  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .axioms import check_mobius  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .ingest import CategorySpec, SpecError, mobius_length, nerve_category
-from .labeling import UnarySystem, canonical_order, find_isomorphism
+from .labeling import UnarySystem, canonical_order
 from .presheaf import (
     CapError,
     FinSSet,
@@ -171,16 +171,6 @@ def canonicalize_with_map(
 
 def canonicalize(A: AlgebraicInterval) -> IntervalClass:
     return canonicalize_with_map(A)[0]
-
-
-def isomorphic(A: FinSSet | FinXiSet, B: FinSSet | FinXiSet) -> dict[int, dict[str, str]] | None:
-    """A levelwise bijection from A to B commuting with every structure
-    map, or None; A and B have the same kind and cap."""
-    if A.cap != B.cap:
-        raise CapError("isomorphism search needs equal caps")
-    iso = find_isomorphism(labelling_system(A), labelling_system(B))
-    return None if iso is None else {
-        k: dict(zip(A.levels[k], _gather(B.levels[k], ps))) for k, ps in iso.items()}
 
 
 # ---------------------------------------------------------------------------

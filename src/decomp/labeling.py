@@ -26,7 +26,6 @@ an automorphism (McKay & Piperno 2014).  Automorphisms skip the children of
 a first-path node that they carry an explored sibling onto, and such a leaf
 off the first path ends its subtree.  Skipped leaves repeat serializations
 met earlier, so every order and digest is that of the full search.
-`canonical_order` and `find_isomorphism` share this one search.
 """
 
 from __future__ import annotations
@@ -198,24 +197,3 @@ def canonical_order(sys: UnarySystem) -> dict:
     g, _, color = _canonical(sys)
     ranked = {s: sorted(g.members[s], key=color.__getitem__) for s in sys.sizes}
     return {s: sorted(range(len(r)), key=r.__getitem__) for s, r in ranked.items()}
-
-
-def find_isomorphism(sys_a: UnarySystem, sys_b: UnarySystem) -> dict | None:
-    """A sort-preserving bijection commuting with every labeled map, or None.
-
-    The systems are isomorphic exactly when their least serializations
-    agree.  The bijection returned, {sort: [position in sys_b of element p
-    of sys_a, for each p]}, sends each element to the element of sys_b at
-    the same canonical position: the one with the same color in the
-    coloring that gives the least serialization.
-    """
-    if (sys_a.sizes, sorted(m[:3] for m in sys_a.maps)) != (
-            sys_b.sizes, sorted(m[:3] for m in sys_b.maps)):
-        return None
-    ga, key_a, color_a = _canonical(sys_a)
-    _, key_b, color_b = _canonical(sys_b)
-    if key_a != key_b:
-        return None
-    at = sorted(range(len(color_b)), key=color_b.__getitem__)
-    return {s: [at[color_a[i]] - ga.members[s].start for i in ga.members[s]]
-            for s in sys_a.sizes}

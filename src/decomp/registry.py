@@ -111,12 +111,6 @@ class Registry:
             self.entries[self.insert(cls)].arrows = table
         return self
 
-    def is_closed(self) -> bool:
-        """Does every entry's arrow table, filled where missing, name only
-        entries?"""
-        return all(set(self.arrow_table(digest).values()) <= self.entries.keys()
-                   for digest in self.entries)
-
     def arrow_table(self, digest: str) -> dict[str, str]:
         """The entry's arrow table, transported if it has none yet."""
         return self._table(self.get(digest).interval, {})

@@ -36,8 +36,13 @@ as a type of their own (`XiMap`) beside the representing monotone maps that
 `presheaf.actions` takes, the representables and the transpose of an arrow,
 the i_*/u^* adjunction on maps with its unit and counit, the wide/cartesian
 factorisation, the generic/free factorisation of one map, the
-Eilenberg-Zilber decomposition of a simplex, the counting vectors `phi`
-and the subdivisions of an interval class.
+Eilenberg-Zilber decomposition of a simplex, the counting vectors `phi`,
+the subdivisions of an interval class, the pushforward of a culf map (its
+arrow map, checked to be a coalgebra homomorphism) and the isomorphism
+search between two objects.  `is_closed` asks whether a registry's arrow
+tables name only its entries.  The last section holds the writers of the
+formats no command writes, SMAP, POSET, MONOID and CAT, with which the
+tests make their input files.
 """
 
 from __future__ import annotations
@@ -46,11 +51,17 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 from sys import intern
 
-from decomp.incidence import QVec
-from decomp.interval import IntervalClass, category_nerve, longest_edge
+from decomp import labeling
+from decomp.axioms import check_map_class
+from decomp.formats import _sorted
+from decomp.incidence import NotCertified, QVec, _homomorphism, comult
+from decomp.ingest import CategorySpec, MonoidSpec, PosetSpec
+from decomp.interval import IntervalClass, category_nerve, labelling_system, longest_edge
 from decomp.labeling import UnarySystem
+from decomp.report import Report
 from decomp.presheaf import (
     CapError,
     FinSSet,
@@ -78,7 +89,8 @@ from decomp.simplex import (
 
 
 # ---------------------------------------------------------------------------
-# GKT III constructions that no command or library path runs
+# GKT III constructions that no command or library path runs, the culf
+# pushforward and the isomorphism search
 
 
 def generic_free_factor(a: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
@@ -292,6 +304,54 @@ def subdivisions(c: IntervalClass, k: int, nondegenerate: bool = False) -> list[
     if k < 0:
         raise CapError("subdivision degree must be >= 0")
     return sorted(fibres(category_nerve(c, k), k, nondegenerate)[longest_edge(c.canonical.data)])
+
+
+def culf_pushforward(F: SSetMap) -> tuple[dict[str, str], Report]:
+    """The arrow-level map of a valid culf map, checked to be a coalgebra
+    homomorphism."""
+    rep = Report("culf_pushforward")
+    base = validate_map(F)
+    if not base.ok:
+        raise NotCertified("map is not valid:\n" + str(base))
+    culf = check_map_class(F, "culf")
+    if not culf.ok:
+        raise NotCertified("map is not cartesian on generics:\n" + str(culf))
+    if F.dom.cap < 2:
+        raise NotCertified("comultiplication needs cap >= 2")
+    m1 = dict(zip(F.dom.levels[1], _gather(F.cod.levels[1], F.components.index[1])))
+    _homomorphism(rep, F.dom, m1, comult(F.cod, check=False), "comultiplication-not-preserved")
+    return m1, rep
+
+
+def find_isomorphism(sys_a: UnarySystem, sys_b: UnarySystem) -> dict | None:
+    """A sort-preserving bijection commuting with every labeled map, or None.
+
+    The systems are isomorphic exactly when their least serializations
+    agree.  The bijection returned, {sort: [position in sys_b of element p
+    of sys_a, for each p]}, sends each element to the element of sys_b at
+    the same canonical position: the one with the same color in the
+    coloring that gives the least serialization.
+    """
+    if (sys_a.sizes, sorted(m[:3] for m in sys_a.maps)) != (
+            sys_b.sizes, sorted(m[:3] for m in sys_b.maps)):
+        return None
+    ga, key_a, color_a = labeling._canonical(sys_a)
+    _, key_b, color_b = labeling._canonical(sys_b)
+    if key_a != key_b:
+        return None
+    at = sorted(range(len(color_b)), key=color_b.__getitem__)
+    return {s: [at[color_a[i]] - ga.members[s].start for i in ga.members[s]]
+            for s in sys_a.sizes}
+
+
+def isomorphic(A: FinSSet | FinXiSet, B: FinSSet | FinXiSet) -> dict[int, dict[str, str]] | None:
+    """A levelwise bijection from A to B commuting with every structure
+    map, or None; A and B have the same kind and cap."""
+    if A.cap != B.cap:
+        raise CapError("isomorphism search needs equal caps")
+    iso = find_isomorphism(labelling_system(A), labelling_system(B))
+    return None if iso is None else {
+        k: dict(zip(A.levels[k], _gather(B.levels[k], ps))) for k, ps in iso.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1612,6 +1672,13 @@ def registry_comult_by_midpoints(reg):
     return pairs, counit
 
 
+def is_closed(reg) -> bool:
+    """Does every entry's arrow table, filled where missing, name only
+    entries?"""
+    return all(set(reg.arrow_table(digest).values()) <= reg.entries.keys()
+               for digest in reg.entries)
+
+
 def close_by_work_list(reg):
     """The closure as a work-list over entry digests: pop an entry, make its
     arrow table if it has none, and insert and queue each class the table
@@ -1811,3 +1878,77 @@ def write_smap_by_ids(F, dom_path, cod_path):
     lines += [_entries_line(f"level {k}", F.components[k])
               for k in range(-1 if isinstance(F, XiSetMap) else 0, F.dom.cap + 1)]
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# SMAP, POSET, MONOID and CAT writers: no command writes these formats
+
+
+def write_smap(M: SSetMap | XiSetMap, dom_path: str, cod_path: str) -> str:
+    """SMAP text; a dom or cod path that is empty or holds '#', a line
+    break, or leading or trailing whitespace raises ValueError."""
+    for key, path in (("dom", dom_path), ("cod", cod_path)):
+        if "#" in path or path.splitlines() != [path] or path != path.strip():
+            raise ValueError(f"{key} path {path!r} is empty or holds '#', a line break, "
+                             "or leading or trailing whitespace")
+    out = ["SMAP v1", f"\ndom {dom_path}", f"\ncod {cod_path}"]
+    for k in range(-1 if isinstance(M, XiSetMap) else 0, M.dom.cap + 1):
+        order, ids = _sorted(M.dom.levels[k])  # an entry is x, '->', y, ' ; ': no new string
+        parts = ["\n", f"level {k}:", " "] + ["", "->", "", " ; "] * len(ids)
+        parts[3::4] = ids
+        parts[5::4] = _gather(M.components.targets[k + M.components.step],
+                              _gather(M.components.index[k], order))
+        parts[-1] = ""  # no ' ; ' after the last entry, nor ' ' after an empty level's ':'
+        out += parts
+    out.append("\n")
+    return "".join(out)
+
+
+def covers(spec: PosetSpec) -> list[tuple[str, str]]:
+    """The covering pairs a < b of spec, with nothing strictly between."""
+    out = []
+    for a, b in sorted(spec.le):
+        if a == b:
+            continue
+        if any(z not in (a, b) and spec.leq(a, z) and spec.leq(z, b)
+               for z in spec.elements):
+            continue
+        out.append((a, b))
+    return out
+
+
+def write_poset(spec: PosetSpec) -> str:
+    out = ["POSET v1", "elements: " + " ".join(sorted(spec.elements))]
+    out += [f"le {a} {b}" for a, b in covers(spec)]
+    return "\n".join(out) + "\n"
+
+
+def write_monoid(spec: MonoidSpec) -> str:
+    out = ["MONOID v1",
+           "elements: " + " ".join(sorted(spec.elements)),
+           f"unit: {spec.unit}"]
+    out += [f"mul {a} {b}: {c}" for (a, b), c in sorted(spec.table.items())]
+    return "\n".join(out) + "\n"
+
+
+def write_category(spec: CategorySpec) -> str:
+    out = ["CAT v1", "objects: " + " ".join(sorted(spec.objects))]
+    out += [f"id {x}: {spec.identities[x]}" for x in sorted(spec.objects)]
+    for f in sorted(spec.arrows):
+        if spec.is_identity(f):
+            continue
+        s, t = spec.arrows[f]
+        out.append(f"arrow {f}: {s} -> {t}")
+    out += [f"compose {f} {g}: {h}" for (f, g), h in sorted(spec.comp.items())]
+    return "\n".join(out) + "\n"
+
+
+def write_spec(spec) -> str:
+    """The POSET, MONOID or CAT text of a spec."""
+    return {PosetSpec: write_poset, MonoidSpec: write_monoid,
+            CategorySpec: write_category}[type(spec)](spec)
+
+
+def save_spec(spec, path) -> None:
+    """Write a spec's text to path, as a user would write the file."""
+    Path(path).write_text(write_spec(spec), encoding="utf-8")

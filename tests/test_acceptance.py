@@ -24,15 +24,11 @@ from decomp.incidence import (
     zeta,
 )
 from decomp.ingest import nerve_poset
-from decomp.interval import (
-    canonicalize,
-    factorisation_interval,
-    isomorphic,
-)
+from decomp.interval import canonicalize, factorisation_interval
 from decomp.presheaf import dec_bot, dec_top, i_star, nondegenerate, u_star
 from decomp.registry import Registry, build_fragment, fragment_square_report
 from conftest import subposet
-from oracles import convolution_inverse, counit_eps, rota_mobius, unit_eta
+from oracles import convolution_inverse, counit_eps, isomorphic, rota_mobius, unit_eta
 
 SEP = "≤"
 

@@ -14,7 +14,7 @@ import pytest
 import decomp
 from decomp.cli import main
 from decomp.formats import load, save, write_xiset
-from decomp.ingest import nerve
+from decomp.ingest import PosetSpec, nerve
 from decomp.interval import canonicalize, factorisation_interval
 from decomp.presheaf import truncate, u_star
 from decomp.registry import Registry
@@ -26,6 +26,7 @@ from conftest import (
     spine_object,
     truncated_addition,
 )
+from oracles import save_spec, write_smap
 from test_fastpaths import _REPORT_LINE
 
 SEP = "≤"
@@ -33,7 +34,7 @@ SEP = "≤"
 
 @pytest.fixture()
 def d6_file(tmp_path) -> str:
-    save(divisor_poset(6), tmp_path / "d6.poset")
+    save_spec(divisor_poset(6), tmp_path / "d6.poset")
     return str(tmp_path / "d6.poset")
 
 
@@ -187,7 +188,7 @@ def test_notes_keep_the_line_grammar_for_any_path(tmp_path, argv, note, capsys):
     so a path with a space still prints lines of the key=value grammar."""
     where = tmp_path / "my dir"
     where.mkdir()
-    save(divisor_poset(6), where / "d6 x.poset")
+    save_spec(divisor_poset(6), where / "d6 x.poset")
     save(nerve(divisor_poset(6)), where / "d6 x.sset")
     paths = {"poset": str(where / "d6 x.poset"), "sset": str(where / "d6 x.sset"),
              "out": str(where / "out put")}
@@ -332,7 +333,7 @@ def test_nerve_refuses_tables_over_the_budget(d6_file, tmp_path, capsys):
 
 
 def test_registry_add_refuses_damaged_registry(tmp_path, capsys):
-    save(divisor_poset(12), tmp_path / "d12.poset")
+    save_spec(divisor_poset(12), tmp_path / "d12.poset")
     sset = str(tmp_path / "d12.sset")
     iv = str(tmp_path / "i.xiset")
     reg = tmp_path / "reg"
@@ -518,7 +519,6 @@ def test_registry_add_refuses_a_cap_one_interval_with_no_composites(tmp_path, ca
 
 
 def _counit_smap(tmp_path, d6_sset):
-    from decomp.formats import load, write_smap
     from decomp.presheaf import dec_bot
 
     D, counit = dec_bot(load(d6_sset))
@@ -611,7 +611,7 @@ def test_culf_check_refuses_repeated_level(tmp_path, d6_sset, capsys):
 def test_culf_check_refuses_extra_component(tmp_path, d6_sset, capsys, xi, extra):
     """A component outside the domain's degrees fails map validation; it
     used to be ignored, and the check passed."""
-    from decomp.formats import load_smap, write_smap
+    from decomp.formats import load_smap
     from oracles import u_star_map
 
     path = _counit_smap(tmp_path, d6_sset)
@@ -634,7 +634,6 @@ def test_culf_check_validates_both_ends(tmp_path, d6_sset, capsys):
     """A map whose XISET ends lack a map line fails validation of that end
     instead of raising in the naturality check; the line names the missing
     table with its degree."""
-    from decomp.formats import load, write_smap
     from decomp.presheaf import XiSetMap
 
     iv = tmp_path / "i.xiset"
@@ -701,7 +700,6 @@ def test_check_flanked_names_broken_relations(tmp_path, d6_sset, capsys, directi
 def test_culf_check_fails_a_map_to_the_point(tmp_path, d6_sset, capsys):
     """The interval of 1≤2 at cap 1 mapped to the point: naturality holds,
     but no square on a generator is a pullback."""
-    from decomp.formats import write_smap
     from decomp.presheaf import XiSetMap
     from conftest import point_xiset
 
@@ -738,7 +736,7 @@ def test_main_builds_its_parser_once(d6_sset, capsys):
 
 
 def test_monoid_nerve_via_cli(tmp_path, capsys):
-    save(truncated_addition(3), tmp_path / "add.monoid")
+    save_spec(truncated_addition(3), tmp_path / "add.monoid")
     out = str(tmp_path / "add.sset")
     assert main(["nerve", str(tmp_path / "add.monoid"), "-o", out]) == 0
     assert main(["check", "decomp", out]) == 0
@@ -847,6 +845,22 @@ def test_sset_commands_on_low_caps(tmp_path, d6_sset, d6_registry, capsys, argv,
     assert code in (0, 1, 2)
     if code == 2 and not captured.out:
         assert captured.err.startswith("error: ")
+
+
+def test_classify_refuses_a_certified_input_below_cap_three(tmp_path, capsys):
+    """The two-element antichain's nerve at cap 2 passes `check mobius`, as
+    it is stable from degree 0, so `classify` goes on to cut its maximal
+    arrows' intervals, which needs cap 3: exit 2 and one error line on
+    stderr, whole, with no traceback and nothing on stdout."""
+    poset, sset, reg = (str(tmp_path / name) for name in ("ab.poset", "ab.sset", "reg"))
+    save_spec(PosetSpec.from_pairs(["a", "b"], []), poset)
+    assert main(["nerve", poset, "--cap", "2", "-o", sset]) == 0
+    assert main(["check", "mobius", sset]) == 0
+    assert main(["registry", "add", reg]) == 0
+    capsys.readouterr()
+    assert main(["classify", sset, "--registry", reg]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: factorisation interval needs cap >= 3\n")
 
 
 @pytest.mark.parametrize("action", ["list", "close", "mu"])

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import oracles
 import pytest
+from oracles import save_spec, write_category, write_monoid, write_poset, write_smap, write_spec
 from conftest import (
     divisor_poset,
     fail_writes_part_way,
@@ -38,10 +39,6 @@ from decomp.formats import (
     parse_xiset,
     save,
     write_any,
-    write_category,
-    write_monoid,
-    write_poset,
-    write_smap,
     write_sset,
     write_xiset,
 )
@@ -322,7 +319,7 @@ def test_load_smap_input_guards_name_their_line(tmp_path, body, lineno, message)
     X = nerve_poset(divisor_poset(6), 3)
     save(X, tmp_path / "d.sset")
     save(u_star(X), tmp_path / "u.xiset")
-    save(divisor_poset(6), tmp_path / "d6.poset")
+    save_spec(divisor_poset(6), tmp_path / "d6.poset")
     smap = tmp_path / "m.smap"
     smap.write_text("SMAP v1\n" + body, encoding="utf-8")
     with pytest.raises(ParseError) as err:
@@ -335,7 +332,7 @@ def test_load_smap_input_guards_name_their_line(tmp_path, body, lineno, message)
 
 
 def test_load_sniffs_format(tmp_path):
-    save(divisor_poset(6), tmp_path / "p.poset")
+    save_spec(divisor_poset(6), tmp_path / "p.poset")
     spec = load(str(tmp_path / "p.poset"))
     assert spec.leq("2", "6")
     with pytest.raises(ParseError):
@@ -350,10 +347,12 @@ def test_failed_save_keeps_the_file(tmp_path):
     """The text is made before the file is opened, so a save that fails
     leaves the file's bytes as they were."""
     path = tmp_path / "kept.poset"
-    save(divisor_poset(6), path)
+    save_spec(divisor_poset(6), path)
     before = path.read_bytes()
     with pytest.raises(TypeError, match="cannot serialize object"):
         save(object(), path)
+    with pytest.raises(TypeError, match="^cannot serialize PosetSpec$"):
+        save(divisor_poset(6), path)
     with pytest.raises(ValueError, match="'p#q'"):
         save(point_sset(3, "p#q"), path)
     assert path.read_bytes() == before
@@ -474,7 +473,7 @@ def test_write_smap_refuses_paths_its_parser_cannot_read(bad, which):
 
 
 def test_load_smap_names_a_file_that_is_not_a_presheaf(tmp_path, capsys):
-    save(divisor_poset(6), tmp_path / "d6.poset")
+    save_spec(divisor_poset(6), tmp_path / "d6.poset")
     smap = tmp_path / "p.smap"
     smap.write_text("SMAP v1\ndom d6.poset\ncod d6.poset\nlevel 0:\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
@@ -526,10 +525,10 @@ def test_levelled_write_parse_roundtrip(X):
 def test_spec_write_parse_roundtrip(spec):
     """POSET, MONOID and CAT text parses back to a spec that writes the
     same text and builds the same nerve."""
-    text = write_any(spec)
+    text = write_spec(spec)
     again = parse_any(text)
     assert type(again) is type(spec)
-    assert write_any(again) == text
+    assert write_spec(again) == text
     assert write_sset(nerve(again, 3)) == write_sset(nerve(spec, 3))
 
 
@@ -597,7 +596,7 @@ def mutated_files(draw):
     for the directory that holds the files."""
     kind = draw(st.sampled_from(["sset", "xiset", "smap", "spec"]))
     if kind == "spec":
-        text = write_any(draw(_spec_objects()))
+        text = write_spec(draw(_spec_objects()))
         return {"in.txt": _mutated(draw, text)}, [["nerve", "{d}/in.txt", "-o", "{d}/out.sset"]]
     X = draw(levelled_objects().filter(lambda X: isinstance(X, FinXiSet) == (kind == "xiset")))
     if kind == "xiset":

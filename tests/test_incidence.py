@@ -15,7 +15,6 @@ from decomp.incidence import (
     comult,
     convolve,
     counit_vec,
-    culf_pushforward,
     mobius,
     universal_mobius,
     verify_inversion,
@@ -37,6 +36,7 @@ from conftest import (
 )
 from oracles import (
     convolution_inverse,
+    culf_pushforward,
     inversion_lines_by_support,
     mobius_by_phi,
     phi,

@@ -15,6 +15,7 @@ from conftest import (
     subposet,
     truncated_addition,
 )
+from oracles import isomorphic
 from test_golden import poset_specs
 
 from decomp.axioms import check_complete, check_decomposition, check_segal
@@ -29,7 +30,7 @@ from decomp.ingest import (
     nerve_monoid,
     nerve_poset,
 )
-from decomp.interval import canonicalize, factorisation_interval, interval_category, isomorphic
+from decomp.interval import canonicalize, factorisation_interval, interval_category
 from decomp.presheaf import nondeg_bound, nondegenerate, validate_sset
 
 

@@ -16,7 +16,6 @@ from decomp.interval import (
     extend_interval,
     factorisation_interval,
     interval_category,
-    isomorphic,
     labelling_system,
     longest_edge,
     validate_interval,
@@ -44,6 +43,7 @@ from conftest import (
 )
 from oracles import (
     check_wide,
+    isomorphic,
     subdivisions,
     transpose_arrow,
     wide_cartesian_factor,

@@ -11,6 +11,7 @@ from oracles import (
     flanked_bonus_report,
     i_star_map,
     indexed_square,
+    isomorphic,
     pullback_issue,
     u_star_map,
     unit_eta,
@@ -19,7 +20,6 @@ from oracles import (
 
 from decomp.axioms import check_flanked, check_map_class
 from decomp.ingest import nerve_poset
-from decomp.interval import isomorphic
 from decomp.presheaf import (
     CapError,
     FinSSet,

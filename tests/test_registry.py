@@ -19,6 +19,7 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import is_closed, save_spec
 from test_fastpaths import drawn_posets
 
 from decomp import registry
@@ -203,7 +204,7 @@ def test_registry_close_removes_the_temporary_file_of_a_failed_move(
 
 def test_closure_of_diamond(diamond_registry):
     assert len(diamond_registry.entries) == 3
-    assert diamond_registry.is_closed()
+    assert is_closed(diamond_registry)
     caps = sorted(e.interval.canonical.data.cap
                   for e in diamond_registry.entries.values())
     assert caps == [1, 1, 2]  # terminal, one-step chain, diamond
@@ -211,7 +212,7 @@ def test_closure_of_diamond(diamond_registry):
 
 def test_is_closed_of_closed_registry_labels_nothing(diamond_registry, labelling_calls):
     labelling_calls.clear()
-    assert diamond_registry.is_closed()
+    assert is_closed(diamond_registry)
     assert labelling_calls == []
 
 
@@ -230,12 +231,12 @@ def test_close_inserts_the_class_a_stored_table_names(tmp_path, labelling_calls)
     index.write_text("".join(row for row in rows if row != dropped), encoding="utf-8")
     again = Registry.load(str(root))
     labelling_calls.clear()
-    assert not again.is_closed()
+    assert not is_closed(again)
     assert labelling_calls == []
     before = set(again.entries)
     again.close()
     assert set(again.entries) - before == {dropped.split("\t")[0]}
-    assert set(again.entries) == set(reg.entries) and again.is_closed()
+    assert set(again.entries) == set(reg.entries) and is_closed(again)
 
 
 def test_closed_registry_without_arrow_tables_is_closed(tmp_path, diamond_registry):
@@ -246,7 +247,7 @@ def test_closed_registry_without_arrow_tables_is_closed(tmp_path, diamond_regist
         path.unlink()
     again = Registry.load(str(root))
     assert all(e.arrows is None for e in again.entries.values())
-    assert again.is_closed()
+    assert is_closed(again)
     assert all(e.arrows is not None for e in again.entries.values())
 
 
@@ -254,11 +255,11 @@ def test_closure_of_chain2(poset_nerves):
     d4 = nerve_poset(divisor_poset(4), 5)
     reg = Registry()
     reg.insert(factorisation_interval(d4, arrow("1", "4"))[0], name="chain2")
-    assert not reg.is_closed()
+    assert not is_closed(reg)
     assert len(reg.entries) == 1
     reg.close()
     assert len(reg.entries) == 3
-    assert reg.is_closed()
+    assert is_closed(reg)
 
 
 def test_save_load_roundtrip(tmp_path, diamond_registry):
@@ -666,7 +667,7 @@ def d12_walkthrough(tmp_path_factory):
     """A closed d12 registry made through the CLI, with the outputs of
     `registry mu` and `classify` on it."""
     root = tmp_path_factory.mktemp("d12")
-    save(divisor_poset(12), root / "d12.poset")
+    save_spec(divisor_poset(12), root / "d12.poset")
     sset, reg = str(root / "d12.sset"), str(root / "reg")
     assert main(["nerve", str(root / "d12.poset"), "-o", sset]) == 0
     assert main(["interval", sset, "--arrow", arrow("1", "12"), "-o", str(root / "i.xiset")]) == 0
