@@ -76,21 +76,30 @@ def check_complete(X: FinSSet) -> bool:
 
 
 @cache
-def _generic_free_squares(cap: int) -> dict:
-    """The generic-free squares of generators under cap, (g, f): (f2, g2), in `direct`'s order."""
+def _generic_free_squares(cap: int, every: bool) -> dict:
+    """The generic-free squares of generators under cap, (g, f): (f2, g2), in `direct`'s order;
+    unless every, only those of inner cofaces and of sigma^0: [1] -> [0]."""
     return {(g, f): pushout_generic_free(g, f) for m in range(1, cap)
-            for g in generic_generators(m) if g.tgt < cap for f in free_generators(m)}
+            for g in generic_generators(m) if g.tgt < cap and (every or m == 1 or g.tgt > m)
+            for f in free_generators(m)}
 
 
 @memoised
 def check_decomposition(X: FinSSet, method: str = "both") -> Report:
     """Check that images of generic-free pushouts are pullbacks.
 
-    `direct` tests the pushout squares of all generator pairs fitting under
-    the cap, recording them per corner degree in data["squares"] and its own
-    table compositions in data["compositions"]; `decalage` tests that both
-    decalages are Segal with culf counits, reading each square off a passing
-    `direct` (data["shared"]); `both` cross-validates, deciding each once.
+    `direct` decides the squares of generator pairs under the cap whose
+    generic map is an inner coface or sigma^0: [1] -> [0].  They decide the
+    rest: for sigma^j: [m] -> [m-1], m >= 2, and an inner delta^i: [m-1] ->
+    [m], i in {j, j+1}, delta^i's square on a free map out of [m-1] is
+    listed; pasted to sigma^j's on its pushout leg, it makes the square of
+    sigma^j delta^i = id, so sigma^j's is a pullback (pasting in Set).  X
+    passed `validate`, so it is a functor: its squares commute untested.  A
+    fault reruns every square into a fresh report, naming each.
+    data["squares"] counts the squares decided per corner degree, a rerun's
+    too, data["compositions"] the tables composed.  `decalage` tests that
+    both decalages are Segal with culf counits, reading each square off a
+    passing `direct` (data["shared"]); `both` cross-validates, each once.
     """
     if method not in ("direct", "decalage", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -128,18 +137,23 @@ def check_decomposition(X: FinSSet, method: str = "both") -> Report:
                 rep.absorb(culf)
         rep.verified_upto = X.cap
         return rep
-    act, over, pairs = actions(X), {}, _generic_free_squares(X.cap)
+    act, decided = actions(X), Counter()
     before = act.compositions
-    for (g, f), (f2, g2) in pairs.items():
-        sides = list(map(act.index, (f2, g2, g, f)))
-        if f not in over:  # X(f)'s fibres, counted once; only the two out of [m] kept
-            over = {h: n for h, n in over.items() if h.src == f.src}
-            over[f] = Counter(sides[3])
-        bad = pullback_failure(X.levels[f2.tgt], X.levels[g.tgt], X.levels[f.tgt], *sides,
-                               over[f], g.tgt < g.src)  # codegeneracy g: X(g2) a split degeneracy
-        if bad is not None:
-            rep.fail(degree=g.tgt + 1, note=f"pushout({g},{f}):{bad}")
-    rep.data["squares"] = dict(Counter(g.tgt + 1 for g, _ in pairs))
+    for every in (False, True):  # the face squares; on a fault all, into a fresh report
+        if every and rep.ok:
+            break
+        rep, over, pairs = Report(rep.check), {}, _generic_free_squares(X.cap, every)
+        for (g, f), (f2, g2) in pairs.items():
+            sides = list(map(act.index, (f2, g2, g, f)))
+            if f not in over:  # X(f)'s fibres, counted once; only the two out of [m] kept
+                over = {h: n for h, n in over.items() if h.src == f.src}
+                over[f] = Counter(sides[3])
+            bad = pullback_failure(X.levels[f2.tgt], X.levels[g.tgt], X.levels[f.tgt], *sides,
+                                   over[f], g.tgt < g.src, True)  # codegeneracy g: X(g2) split
+            if bad is not None:
+                rep.fail(degree=g.tgt + 1, note=f"pushout({g},{f}):{bad}")
+        decided.update(g.tgt + 1 for g, _ in pairs)
+    rep.data["squares"] = dict(decided)
     rep.data["compositions"] = act.compositions - before
     rep.verified_upto = X.cap
     return rep
@@ -156,7 +170,7 @@ def _squares_shared(D: FinSSet, counit: SSetMap, act, top: bool) -> int:
               for letter, k, i, square in _map_squares(counit, "culf")]
     for square, g, outer, swapped in given:
         f = free_generators(g.src)[outer]
-        f2, g2 = _generic_free_squares(counit.cod.cap)[g, f]
+        f2, g2 = _generic_free_squares(counit.cod.cap, True)[g, f]
         if square[3:] != tuple(map(act.index, (g2, f2, f, g) if swapped else (f2, g2, g, f))):
             return 0
     return len(given)

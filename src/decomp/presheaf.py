@@ -632,20 +632,21 @@ def nondeg_bound(X: FinSSet) -> int:
 
 
 def pullback_failure(P: list, A: list, B: list, p: list[int], q: list[int], f: list[int],
-                     g: list[int], over: Counter | None = None, injective=False) -> str | None:
+                     g: list[int], over: Counter | None = None, injective=False,
+                     commutes=False) -> str | None:
     """Why the square p: P -> A, q: P -> B over f: A -> C, g: B -> C fails
     to be a pullback, or None if it is one.
 
-    p, q, f, g, over and injective are as `_counted_pullback` takes them:
-    entry n of p is the position in A of the image of P[n], and f and g
-    list the positions in C that A and B reach; P, A and B list the ids
-    naming those positions.  Only a square the kernel rejects is
+    p, q, f, g, over, injective and commutes are as `_counted_pullback`
+    takes them: entry n of p is the position in A of the image of P[n], and
+    f and g list the positions in C that A and B reach; P, A and B list the
+    ids naming those positions.  Only a square the kernel rejects is
     enumerated, in P's order, then A's and B's, to name its first fault: a
     position where the square does not commute, two elements of P with one
     pair, or a pair of A x_C B that P misses; if the enumeration finds
     none, the fault is that it and the kernel disagree.
     """
-    if _counted_pullback(p, q, f, g, over, injective):
+    if _counted_pullback(p, q, f, g, over, injective, commutes):
         return None
     seen: dict[tuple[int, int], int] = {}
     for n, (a, b) in enumerate(zip(p, q)):
@@ -665,16 +666,20 @@ def pullback_failure(P: list, A: list, B: list, p: list[int], q: list[int], f: l
 
 
 def _counted_pullback(p: list[int], q: list[int], f: list[int], g: list[int],
-                      over: Counter | None = None, injective: bool = False) -> bool:
+                      over: Counter | None = None, injective: bool = False,
+                      commutes: bool = False) -> bool:
     """Is the square of index lists p: P -> A, q: P -> B over f: A -> C,
     g: B -> C a pullback?
 
     The entries of p, q index A and B, which f and g list.  When the square
-    commutes and its pairs (p x, q x) are distinct, untested if injective
-    says q is, they are elements of A x_C B, so the comparison is onto, and
-    the square a pullback, exactly when there are |A x_C B| of them: the
-    sum over a in A of #{b : g b = f a}, read off g's fibre counts (over).
+    commutes, untested if commutes says so (the image of a commuting square
+    under a validated object), and its pairs (p x, q x) are distinct,
+    untested if injective says q is, they are elements of A x_C B, so the
+    comparison is onto, and the square a pullback, exactly when there are
+    |A x_C B| of them: the sum over a in A of #{b : g b = f a}, read off g's
+    fibre counts (over).
     """
-    if _gather(f, p) != _gather(g, q) or not injective and len(set(zip(p, q))) != len(p):
+    if (not commutes and _gather(f, p) != _gather(g, q)
+            or not injective and len(set(zip(p, q))) != len(p)):
         return False
     return len(p) == sum(map((Counter(g) if over is None else over).get, f, repeat(0)))

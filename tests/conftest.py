@@ -120,6 +120,18 @@ def twin_object(n: int) -> FinSSet:
     return FinSSet(n, {**X.levels, n: X.levels[n] + ["twin"]}, faces, X.degens)
 
 
+def degenerate_twin() -> FinSSet:
+    """Nerve of the 2-chain at cap 3 with a twin of the degenerate
+    0≤1≤1≤2 = s1(0≤1≤2): a valid object whose nondegenerate 3-simplex has
+    the degenerate face d0 = s0(1≤2), so the exactness squares of sigma^0
+    and sigma^1 out of [2] fail, besides inner-face ones."""
+    X = nerve_poset(chain_poset(2), 3)
+    faces = {key: dict(table) for key, table in X.faces.items()}
+    for i in range(4):
+        faces[(3, i)]["twin"] = faces[(3, i)]["0≤1≤1≤2"]
+    return FinSSet(3, {**X.levels, 3: X.levels[3] + ["twin"]}, faces, X.degens)
+
+
 def invalid_object() -> FinSSet:
     """A planted violation: one degree-2 face retargeted."""
     X = nerve_poset(chain_poset(1), 3)

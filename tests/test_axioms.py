@@ -24,6 +24,7 @@ from decomp.presheaf import (
 from conftest import (
     chain_poset,
     chipped_object,
+    degenerate_twin,
     divisor_poset,
     point_sset,
     spine_object,
@@ -41,29 +42,32 @@ def test_segal_on_nerves(poset_nerves):
 
 def test_direct_exactness_and_segal_record_their_work():
     """Squares per corner degree and the table compositions each check made
-    itself in the object's one action memo.  Segal decides one square of
-    stored outer faces per degree from 2 and composes no table, so the memo
-    holds direct exactness's compositions alone, before Segal and after."""
+    itself in the object's one action memo.  Direct exactness on a passing
+    input decides the squares of sigma^0: [1] -> [0] (corner 1) and of the
+    inner cofaces (corner 3 up), two per generator, one per free face.
+    Segal decides one square of stored outer faces per degree from 2 and
+    composes no table, so the memo holds direct exactness's compositions
+    alone, before Segal and after."""
     X = nerve_poset(divisor_poset(12), 6)
     direct = check_decomposition(X, "direct")
-    assert direct.data == {"squares": {1: 2, 2: 4, 3: 8, 4: 12, 5: 16, 6: 8},
-                           "compositions": 48}
+    assert direct.data == {"squares": {1: 2, 3: 2, 4: 4, 5: 6, 6: 8}, "compositions": 30}
     fresh = nerve_poset(divisor_poset(12), 6)
     assert check_segal(fresh).data == {"squares": {2: 1, 3: 1, 4: 1, 5: 1, 6: 1}}
     assert actions(fresh).compositions == 0
     assert check_segal(X).data == {"squares": {2: 1, 3: 1, 4: 1, 5: 1, 6: 1}}
-    assert actions(X).compositions == 48
-    assert check_decomposition(X, "direct").data["compositions"] == 48
+    assert actions(X).compositions == 30
+    assert check_decomposition(X, "direct").data["compositions"] == 30
 
 
 def test_every_square_is_decided_by_pullback_failure(monkeypatch):
     """Each check sends every square it decides, passing ones included,
     through the module-level `pullback_failure`, so a wrapper bound to that
-    name sees them all.  Segal decides one square per degree from 2.  `both`
-    decides each square of a decomposition space once, as its counits' culf
-    squares and its decalages' Segal squares are direct ones; on an input
-    that fails direct exactness it decides both decalages' Segal squares and
-    both counits' squares as well."""
+    name sees them all; direct exactness counts a rerun's squares too.
+    Segal decides one square per degree from 2.  `both` decides each face
+    square of a decomposition space once, as its counits' culf squares and
+    its decalages' Segal squares are direct ones; on an input that fails
+    direct exactness it decides both decalages' Segal squares and both
+    counits' squares as well."""
     import decomp.axioms
 
     calls = []
@@ -86,7 +90,7 @@ def test_every_square_is_decided_by_pullback_failure(monkeypatch):
     X = nerve_poset(divisor_poset(12), 6)
     calls.clear()
     assert check_decomposition(X, "both").ok
-    assert len(calls) == sum(check_decomposition(X, "direct").data["squares"].values()) == 50
+    assert len(calls) == sum(check_decomposition(X, "direct").data["squares"].values()) == 22
     X = chipped_object()
     calls.clear()
     assert not check_decomposition(X, "both").ok
@@ -171,6 +175,24 @@ def test_segal_names_the_fault_of_a_spine_that_is_no_string():
     Y = FinSSet(2, {**X.levels, 2: X.levels[2] + ["zz"]}, faces, dict(X.degens.index))
     assert check_segal(Y).lines() == [
         "FAIL check_segal degree=2 note=square-does-not-commute:zz"]
+
+
+def test_a_fault_reruns_every_exactness_square():
+    """The face squares decide a valid object's verdict, but a degeneracy
+    square can fail with them: the twin of a degenerate 3-simplex fails two
+    inner-face squares and, with its degenerate d0, the squares of sigma^0
+    and sigma^1 out of [2], which only the rerun of every square names.
+    Both passes count their squares: 4 face squares, then all 8."""
+    rep = check_decomposition(degenerate_twin(), "direct")
+    pair = "comparison-not-injective:0≤1≤1≤2,twin"
+    assert rep.lines() == [
+        f"FAIL check_decomposition[direct] degree=3 note=pushout(<[1]->[2]:0,2>,{f}):{pair}"
+        for f in ("<[1]->[2]:1,2>", "<[1]->[2]:0,1>")] + [
+        "FAIL check_decomposition[direct] degree=2 note=pushout(<[2]->[1]:0,0,1>,"
+        "<[2]->[3]:1,2,3>):missing-fiber-pair:1≤2,twin",
+        "FAIL check_decomposition[direct] degree=2 note=pushout(<[2]->[1]:0,1,1>,"
+        "<[2]->[3]:0,1,2>):missing-fiber-pair:0≤1,twin"]
+    assert rep.data["squares"] == {1: 4, 2: 4, 3: 4}
 
 
 def test_decomposition_on_nerves(poset_nerves):

@@ -108,14 +108,24 @@ KEPT_UNREACHED = dict.fromkeys([
 
 # `wc -l src/decomp/*.py` may not exceed this; a change that adds lines
 # raises it and says why.
-SRC_LINE_CEILING = 3390
+SRC_LINE_CEILING = 3409
 
 
-def _read_names(node) -> set:
-    """Every name node loads and every attribute it reads, at any depth."""
-    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
-            or isinstance(sub, ast.Attribute)}
+def _reads(node, owner: str | None, defs: dict) -> tuple[set, set]:
+    """What node reads, at any depth: the methods of the class owner (its
+    qualified name, or None outside a class) that it reads as self.<name>
+    or cls.<name>, and every other name it loads or attribute it reads."""
+    own, names = set(), set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            mine = f"{owner}.{sub.attr}"
+            if isinstance(sub.value, ast.Name) and sub.value.id in ("self", "cls") and mine in defs:
+                own.add(mine)
+            else:
+                names.add(sub.attr)
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+    return own, names
 
 
 def _unreached(sources: dict, root: str = "cli.main") -> list:
@@ -123,36 +133,51 @@ def _unreached(sources: dict, root: str = "cli.main") -> list:
     root does not reach: module.name of a top-level function or class,
     module.class.name of a method.  A reached definition reaches every
     definition, in any module, whose name it loads or reads as an
-    attribute; imports and strings read nothing.  A class's bases,
-    decorators and body statements other than its methods go with the
-    class, and each method is reached on its own.  Module-level statements
-    and dunder methods, which Python runs unasked, read as root does."""
+    attribute; imports and strings read nothing.  Inside a class, a read of
+    self.<name> or cls.<name> reaches that class's own method of the name
+    alone, if it has one, and no other definition of the name.  A class's
+    bases, decorators and body statements other than its methods go with
+    the class, and each method is reached on its own.  Module-level
+    statements and dunder methods, which Python runs unasked, read as root
+    does."""
     defs, starts = {}, []
     for module, source in sources.items():
         for top in ast.parse(source).body:
             if isinstance(top, ast.ClassDef):
+                owner = f"{module}.{top.name}"
                 methods = [n for n in top.body if isinstance(n, ast.FunctionDef)]
-                defs[f"{module}.{top.name}"] = (top.name, [
+                defs[owner] = (top.name, owner, [
                     *top.bases, *top.keywords, *top.decorator_list,
                     *(n for n in top.body if n not in methods)])
-                defs.update((f"{module}.{top.name}.{m.name}", (m.name, [m])) for m in methods)
+                defs.update((f"{owner}.{m.name}", (m.name, owner, [m])) for m in methods)
             elif isinstance(top, ast.FunctionDef):
-                defs[f"{module}.{top.name}"] = (top.name, [top])
+                defs[f"{module}.{top.name}"] = (top.name, None, [top])
             else:
-                starts.append(top)
+                starts.append((top, None))
     by_name: dict = {}
-    for qualified, (name, _) in defs.items():
+    for qualified, (name, _, _) in defs.items():
         by_name.setdefault(name, []).append(qualified)
-    reached = {q for q, (name, _) in defs.items()
-               if q == root or name.startswith("__") and name.endswith("__")}
-    todo = starts + [node for q in reached for node in defs[q][1]]
+    reached: set = set()
+    todo = list(starts)
+
+    def reach(qualified):
+        if qualified not in reached:
+            reached.add(qualified)
+            _, owner, nodes = defs[qualified]
+            todo.extend((node, owner) for node in nodes)
+
+    for q, (name, _, _) in defs.items():
+        if q == root or name.startswith("__") and name.endswith("__"):
+            reach(q)
     seen: set = set()
     while todo:
-        for name in _read_names(todo.pop()) - seen:
+        own, names = _reads(*todo.pop(), defs)
+        for qualified in own:
+            reach(qualified)
+        for name in names - seen:
             seen.add(name)
-            for qualified in set(by_name.get(name, ())) - reached:
-                reached.add(qualified)
-                todo += defs[qualified][1]
+            for qualified in by_name.get(name, ()):
+                reach(qualified)
     return sorted(set(defs) - reached)
 
 
@@ -189,6 +214,29 @@ def test_unreached_definitions_are_named():
     }
     assert _unreached(sources) == ["b.Store.unused", "b.imported_only", "b.in_a_string",
                                    "b.only_lonely_reads", "cli.lonely"]
+
+
+def test_a_read_through_self_reaches_its_own_class_first():
+    """self.items() inside Table reaches Table.items alone: Registry.items,
+    whose name no other reached code reads, stays unreached, as does a
+    top-level `size` that only cls.size reads in a class that defines
+    size.  A read through self of a name its class does not define, and a
+    read on any other object, still reach every definition of the name."""
+    sources = {
+        "cli": ("from .b import Registry, Table\n"
+                "def main(rows):\n    return Registry, Table().count(), rows.keys()\n"),
+        "b": ("class Table:\n"
+              "    def count(self):\n        return len(self.items()) + self.size() + self.get()\n"
+              "    def items(self):\n        return []\n"
+              "    @classmethod\n"
+              "    def size(cls):\n        return cls.size\n"
+              "class Registry:\n"
+              "    def items(self):\n        return 1\n"
+              "    def keys(self):\n        return 2\n"
+              "    def get(self):\n        return 3\n"
+              "def size():\n    return 4\n"),
+    }
+    assert _unreached(sources) == ["b.Registry.items", "b.size"]
 
 
 def test_src_lines_stay_under_the_ceiling():

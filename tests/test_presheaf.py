@@ -342,7 +342,7 @@ def test_pullback_kernel_rejection_never_passes(monkeypatch):
     square = indexed_square(ids, ids, ids, table, table, table, table)
     assert pullback_failure(*square) is None
     monkeypatch.setattr(decomp.presheaf, "_counted_pullback",
-                        lambda p, q, f, g, over, injective: False)
+                        lambda p, q, f, g, over, injective, commutes: False)
     assert pullback_failure(*square) == "kernel-and-enumeration-disagree"
 
 
