@@ -1252,10 +1252,11 @@ def test_counit_squares_are_the_direct_squares_transposed(X):
     Each Segal square of Dec_bot is a generic-free square as it is, and each
     of Dec_top one with its legs swapped, so a passing direct check, which
     decides the face squares and so makes every generic-free square a
-    pullback, decides them all."""
-    from decomp.axioms import _generic_free_squares, _squares_shared
+    pullback, decides them all: the decalage check counts them as shared
+    then, and none where it fails."""
+    from decomp.axioms import _generic_free_squares
 
-    X = replace(X)
+    X, decided = replace(X), 0
     act = actions(X)
     plain = Counter((tuple(X.levels[f2.tgt]), tuple(X.levels[g.tgt]), tuple(X.levels[f.tgt]),
                      *(tuple(act.index(a)) for a in (f2, g2, g, f)))
@@ -1269,9 +1270,10 @@ def test_counit_squares_are_the_direct_squares_transposed(X):
         segal = Counter(_decided(check_segal, D))
         assert sum(segal.values()) == D.cap - 1
         assert not segal - (swapped if dec is dec_top else plain)
-        shared = _squares_shared(D, counit, actions(X), dec is dec_top)
-        assert shared == len(squares) + D.cap - 1
+        decided += len(squares) + sum(segal.values())
     assert counits == swapped
+    shared = check_decomposition(X, "decalage").data["shared"]
+    assert shared == (decided if check_decomposition(X, "direct").ok else 0)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -1344,13 +1346,16 @@ def test_exactness_decides_as_it_did_square_by_square(X, method):
     _decided_as_before(X, method)
 
 
+def _planted_3_chain() -> FinSSet:
+    """The 3-chain's nerve at cap 6 without the triangle 0 < 1 < 3."""
+    return filter_nerve(nerve_poset(chain_poset(3), 6), lambda vs: not {"0", "1", "3"} <= set(vs))
+
+
 @pytest.mark.parametrize("method", ["direct", "decalage", "both"])
 def test_failing_exactness_decides_as_it_did_square_by_square(method):
     """The same on the chipped 3-chain and on the 3-chain at cap 6 without
     the triangle 0 < 1 < 3, whose every report names failing squares."""
-    planted = filter_nerve(nerve_poset(chain_poset(3), 6),
-                           lambda vs: not {"0", "1", "3"} <= set(vs))
-    for X in (chipped_object(), planted):
+    for X in (chipped_object(), _planted_3_chain()):
         assert not check_decomposition(replace(X), method).ok
         _decided_as_before(X, method)
 
@@ -1394,18 +1399,39 @@ def test_the_face_squares_decide_direct_exactness(X):
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(exactness_inputs(), st.sampled_from(["dec_top", "dec_bot"]), st.data())
-def test_a_rewired_counit_is_decided_again(X, which, data):
-    """A decalage counit with one component entry sent to another simplex
-    of its level shares no longer X's direct squares, so `check_map_class`
-    decides it, and `both` renders as the check counted on id tables given
-    the same counit."""
+@given(exactness_inputs())
+def test_a_passing_direct_check_builds_no_decalage(X):
+    """Where direct exactness passes, so does every decalage square (GKT
+    I), unbuilt: with `dec_top` and `dec_bot` made to raise, the `decalage`
+    and `both` reports are what they were."""
+    import decomp.axioms
+
+    if not check_decomposition(replace(X), "direct").ok:
+        return
+    methods = ("decalage", "both")
+    want = [_report(check_decomposition, replace(X), method) for method in methods]
+
+    def refused(Y):
+        raise AssertionError("a decalage was built")
+    with patch.object(decomp.axioms, "dec_top", refused), \
+            patch.object(decomp.axioms, "dec_bot", refused):
+        assert [_report(check_decomposition, replace(X), method) for method in methods] == want
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from([chipped_object, _planted_3_chain]),
+       st.sampled_from(["dec_top", "dec_bot"]), st.data())
+def test_a_rewired_counit_is_decided_again(planted, which, data):
+    """Where direct exactness fails, the decalages are built and decided: a
+    counit with one component entry sent to another simplex of its level
+    reaches `check_map_class`, and `both` renders as the check counted on
+    id tables given the same counit."""
     import decomp.axioms
     import decomp.presheaf
 
+    X = planted()
+    assert not check_decomposition(replace(X), "direct").ok
     degrees = [k for k in range(X.cap) if len(X.levels[k]) > 1]
-    if not degrees:
-        return
     k = data.draw(st.sampled_from(degrees))
     x = data.draw(st.sampled_from(X.levels[k + 1]))
     dec, decide = getattr(decomp.presheaf, which), decomp.axioms.check_map_class

@@ -108,7 +108,7 @@ KEPT_UNREACHED = dict.fromkeys([
 
 # `wc -l src/decomp/*.py` may not exceed this; a change that adds lines
 # raises it and says why.
-SRC_LINE_CEILING = 3409
+SRC_LINE_CEILING = 3385
 
 
 def _reads(node, owner: str | None, defs: dict) -> tuple[set, set]:
